@@ -5,6 +5,13 @@ per-item aggregate rows; network-parameter gradients are always aggregated
 by plain mean outside these functions.  For median / trimmed mean / Krum,
 an item row absent from a packet counts as a zero vector, mirroring the
 FedAvg convention of dividing by the packet count.
+
+Median and trimmed mean scatter a receiver's rows into one dense
+(items, dim, packets) block, absent rows zero, and sort it once along the
+packet axis; the kept ranks are then slices of that axis.  A skip mask
+keeps out of the block every item carried by too few packets to reach the
+kept ranks (at most (n - 1) // 2 for the median, at most trim_k for the
+trimmed mean), whose aggregate row is exactly zero.
 """
 
 from __future__ import annotations
@@ -307,19 +314,25 @@ def _concat_packets(
     return senders, idx_cat, rows_cat, pos_cat, dim
 
 
-def _merged_rank_values(vals_sorted: np.ndarray, zeros: int, rank: int) -> np.ndarray:
-    """Element at the given rank of each column merged with `zeros` zero values."""
-    nnz, dim = vals_sorted.shape
-    n_neg = (vals_sorted < 0).sum(axis=0)
-    n_zero_vals = (vals_sorted == 0).sum(axis=0)
-    out = np.zeros(dim)
-    lo = rank < n_neg
-    hi = rank >= n_neg + n_zero_vals + zeros
-    idx = np.where(lo, rank, rank - zeros)
-    idx = np.clip(idx, 0, max(nnz - 1, 0))
-    picked = np.take_along_axis(vals_sorted, idx[None, :], axis=0)[0]
-    out[lo | hi] = picked[lo | hi]
-    return out
+def _sorted_block(
+    idx_cat: np.ndarray,
+    rows_cat: np.ndarray,
+    pos_cat: np.ndarray,
+    n_pkts: int,
+    dim: int,
+    min_carriers: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Received item ids, the mask of items carried by >= min_carriers packets,
+    and those items' (items, dim, packets) block, absent rows zero, with each
+    coordinate's values sorted ascending along the last axis."""
+    uniq, inverse, counts = np.unique(idx_cat, return_inverse=True, return_counts=True)
+    keep = counts >= min_carriers
+    slot = np.cumsum(keep) - 1
+    sel = keep[inverse]
+    block = np.zeros((int(keep.sum()), dim, n_pkts))
+    block[slot[inverse[sel]], :, pos_cat[sel]] = rows_cat[sel]
+    block.sort(axis=-1)
+    return uniq, keep, block
 
 
 def median_aggregate(packets: list[GradientPacket]) -> tuple[np.ndarray, np.ndarray]:
@@ -328,48 +341,16 @@ def median_aggregate(packets: list[GradientPacket]) -> tuple[np.ndarray, np.ndar
     Even counts average the two middle values.  Items absent from every
     packet are untouched (not returned).
     """
-    senders, idx_cat, rows_cat, _, dim = _concat_packets(packets)
+    senders, idx_cat, rows_cat, pos_cat, dim = _concat_packets(packets)
     n_pkts = len(senders)
-    uniq = np.unique(idx_cat)
+    # With at most (n_pkts - 1) // 2 carriers the zero block always spans
+    # both middle ranks, so the median row is exactly zero.
+    uniq, keep, block = _sorted_block(
+        idx_cat, rows_cat, pos_cat, n_pkts, dim, (n_pkts - 1) // 2 + 1
+    )
     out = np.zeros((len(uniq), dim))
-    if idx_cat.size == 0:
-        return uniq, out
-    counts = np.bincount(idx_cat, minlength=int(idx_cat.max()) + 1)
-    mid_lo = (n_pkts - 1) // 2
-    mid_hi = n_pkts // 2
-    for k, item in enumerate(uniq.tolist()):
-        # With at most (n_pkts - 1) // 2 carriers the zero block always
-        # spans both middle ranks, so the median row is exactly zero.
-        if counts[item] <= (n_pkts - 1) // 2:
-            continue
-        vals = np.sort(rows_cat[idx_cat == item], axis=0)
-        zeros = n_pkts - counts[item]
-        lo = _merged_rank_values(vals, zeros, mid_lo)
-        hi = lo if mid_hi == mid_lo else _merged_rank_values(vals, zeros, mid_hi)
-        out[k] = 0.5 * (lo + hi)
+    out[keep] = 0.5 * (block[..., (n_pkts - 1) // 2] + block[..., n_pkts // 2])
     return uniq, out
-
-
-def _tail_sum(svals: np.ndarray, zeros: int, k: int, smallest: bool) -> np.ndarray:
-    """Sum of the k smallest (or largest) values per column, with implicit zeros.
-
-    In the merged ascending order the implicit zeros sit between negative
-    and positive values, so a tail takes same-sign values first, then
-    zeros, then spills into the opposite-sign block.
-    """
-    cols = svals if smallest else -svals[::-1]
-    _, dim = cols.shape
-    n_front = (cols < 0).sum(axis=0)
-    n_zero_vals = (cols == 0).sum(axis=0)
-    take_front = np.minimum(k, n_front)
-    spill = np.maximum(k - n_front - n_zero_vals - zeros, 0)
-    prefix = np.vstack([np.zeros(dim), np.cumsum(cols, axis=0)])
-    cidx = np.arange(dim)
-    front = prefix[take_front, cidx]
-    back_start = n_front + n_zero_vals
-    back = prefix[back_start + spill, cidx] - prefix[back_start, cidx]
-    result = front + back
-    return result if smallest else -result
 
 
 def trimmed_mean_aggregate(
@@ -382,32 +363,23 @@ def trimmed_mean_aggregate(
     """
     if trim_k < 0:
         raise ContractError("trim_k must be >= 0")
-    senders, idx_cat, rows_cat, _, dim = _concat_packets(packets)
+    senders, idx_cat, rows_cat, pos_cat, dim = _concat_packets(packets)
     n_pkts = len(senders)
-    uniq = np.unique(idx_cat)
-    out = np.zeros((len(uniq), dim))
-    if idx_cat.size == 0:
-        return uniq, out
     if trim_k == 0 or n_pkts <= 2 * trim_k:
+        uniq = np.unique(idx_cat)
+        if idx_cat.size == 0:
+            return uniq, np.zeros((0, dim))
         sums = np.bincount(
             (idx_cat[:, None] * dim + np.arange(dim)[None, :]).ravel(),
             weights=rows_cat.ravel(),
             minlength=(int(idx_cat.max()) + 1) * dim,
         ).reshape(-1, dim)
         return uniq, sums[uniq] / n_pkts
-    counts = np.bincount(idx_cat, minlength=int(idx_cat.max()) + 1)
-    keep_n = n_pkts - 2 * trim_k
-    for k, item in enumerate(uniq.tolist()):
-        # Items carried by at most trim_k packets lose every nonzero value
-        # to the trimmed tails.
-        if counts[item] <= trim_k:
-            continue
-        svals = np.sort(rows_cat[idx_cat == item], axis=0)
-        zeros = n_pkts - counts[item]
-        total = svals.sum(axis=0)
-        low = _tail_sum(svals, zeros, trim_k, smallest=True)
-        high = _tail_sum(svals, zeros, trim_k, smallest=False)
-        out[k] = (total - low - high) / keep_n
+    # Items carried by at most trim_k packets lose every nonzero value to
+    # the trimmed tails.
+    uniq, keep, block = _sorted_block(idx_cat, rows_cat, pos_cat, n_pkts, dim, trim_k + 1)
+    out = np.zeros((len(uniq), dim))
+    out[keep] = block[..., trim_k : n_pkts - trim_k].sum(axis=-1) / (n_pkts - 2 * trim_k)
     return uniq, out
 
 

@@ -11,7 +11,7 @@ meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,6 @@ ADAM_EPS = 1e-8
 
 INIT_SCALE = 0.05
 LOCAL_BATCH_SIZE = 32
-
-STATE_DUMP_VERSION = 1
 
 
 class NetLayout:
@@ -102,10 +100,6 @@ class GradientPacket:
     item_rows: np.ndarray  # (n, embed_dim) float64
     net_grad: np.ndarray  # flat float64
 
-    @property
-    def item_grad(self) -> dict[int, np.ndarray]:
-        return {int(i): self.item_rows[k] for k, i in enumerate(self.item_idx)}
-
 
 def init_client_state(
     num_items: int, embed_dim: int, layer_widths: list[int], rng: np.random.Generator
@@ -140,7 +134,7 @@ def _forward(
     h = x
     for mat, b in zip(ws, bs):
         a = h @ mat.T + b
-        mask = a > 0.0
+        mask = a >= 0.0
         h = np.where(mask, a, 0.0)
         masks.append(mask)
         inputs.append(h)
@@ -360,24 +354,3 @@ def apply_neighbor_aggregate(
         net_sum += p.net_grad
     state.net -= lr * (net_sum / len(ordered))
 
-
-def save_state(state: ClientState, path: str) -> None:
-    """Versioned npz dump of all tensors, for debugging."""
-    np.savez(
-        path,
-        version=STATE_DUMP_VERSION,
-        user_vec=state.user_vec,
-        item_table=state.item_table,
-        net=state.net,
-        layer_widths=np.asarray(state.layout.layer_widths),
-    )
-
-
-def load_state(path: str) -> ClientState:
-    with np.load(path) as data:
-        if int(data["version"]) != STATE_DUMP_VERSION:
-            raise ContractError(f"unsupported state dump version {int(data['version'])}")
-        layout = NetLayout(data["user_vec"].shape[0], list(data["layer_widths"]))
-        return ClientState(
-            data["user_vec"].copy(), data["item_table"].copy(), data["net"].copy(), layout
-        )

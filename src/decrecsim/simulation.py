@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class World:
     hyperplanes: np.ndarray
     round: int
     rng_root: int
-    extra: dict = field(default_factory=dict)
 
     @property
     def num_clients(self) -> int:

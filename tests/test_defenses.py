@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from decrecsim.config import resolve_trim_k
 from decrecsim.defenses import (
     MemoryBank,
     adaptive_clip,
@@ -186,6 +190,70 @@ class TestTrimmedMean:
             assert items.tolist() == sorted(expect)
             for k, item in enumerate(items.tolist()):
                 assert np.allclose(rows[k], expect[item], atol=1e-12), f"trial {trial}"
+
+
+# Few distinct values, signed zeros among them, so that ties, stored zeros
+# next to absent rows, and all-zero columns are common.
+TIE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0])
+
+
+@st.composite
+def packet_sets(draw):
+    """(packets, num_items, dim): 1-60 packets over 1-8 items, dim 1-4."""
+    # half the cases have few packets, where the skip thresholds are low
+    n_pkts = draw(st.one_of(st.integers(1, 8), st.integers(9, 60)))
+    num_items = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 4))
+    # density/10 of the (packet, item) slots are carried, so items near
+    # the skip thresholds (few carriers) occur as well as dense ones
+    density = draw(st.integers(1, 10))
+    carried = draw(hnp.arrays(
+        bool, (n_pkts, num_items),
+        elements=st.integers(0, 9).map(lambda v: v < density), fill=st.nothing(),
+    ))
+    values = draw(hnp.arrays(
+        np.float64, (n_pkts, num_items, dim), elements=TIE_VALUES, fill=st.nothing()
+    ))
+    pkts = [
+        packet(s, {i: values[s, i] for i in np.flatnonzero(carried[s]).tolist()},
+               np.zeros(2), dim=dim)
+        for s in range(n_pkts)
+    ]
+    return pkts, num_items, dim
+
+
+def assert_matches(items, rows, expect):
+    assert items.tolist() == sorted(expect)
+    for k, item in enumerate(items.tolist()):
+        assert np.allclose(rows[k], expect[item], atol=1e-12, rtol=0.0)
+
+
+class TestDenseKernelProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(packet_sets())
+    def test_median_matches_brute_force(self, case):
+        pkts, num_items, dim = case
+        assert_matches(*median_aggregate(pkts), brute_force_median(pkts, num_items, dim))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(packet_sets(), st.one_of(st.none(), st.integers(0, 6)))
+    def test_trimmed_matches_brute_force(self, case, fixed_k):
+        pkts, num_items, dim = case
+        trim_k = resolve_trim_k(fixed_k, len(pkts))
+        expect = brute_force_trimmed(pkts, num_items, dim, trim_k)
+        assert_matches(*trimmed_mean_aggregate(pkts, trim_k), expect)
+
+
+class TestResolveTrimK:
+    @pytest.mark.parametrize(
+        "count, expect", [(0, 0), (2, 0), (3, 1), (9, 1), (10, 1), (50, 5)]
+    )
+    def test_default_policy(self, count, expect):
+        assert resolve_trim_k(None, count) == expect
+
+    def test_fixed_value_passes_through(self):
+        assert resolve_trim_k(7, 50) == 7
+        assert resolve_trim_k(0, 2) == 0
 
 
 class TestItemKrum:
