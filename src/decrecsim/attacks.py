@@ -23,16 +23,16 @@ import numpy as np
 from decrecsim.errors import ConfigError, ContractError
 from decrecsim.metrics import top_k_list
 from decrecsim.model import (
-    ADAM_BETA1,
-    ADAM_BETA2,
-    ADAM_EPS,
+    AdamState,
     ClientState,
     GradientPacket,
     _backward,
     _forward,
     _sigmoid,
+    adam_step,
     apply_neighbor_aggregate,
     compute_gradients,
+    scatter_add_rows,
     score_items,
 )
 
@@ -217,36 +217,6 @@ def rate_loss(
     return float(np.asarray(_sigmoid(zc[:, None] - zp[None, :])).sum())
 
 
-class _SparseAdam:
-    """Adam over the item rows and net parameters touched in a fine-tune pass."""
-
-    def __init__(self, state: ClientState):
-        self.state = state
-        self.t = 0
-        self.m_net = np.zeros_like(state.net)
-        self.v_net = np.zeros_like(state.net)
-        self.m_rows: dict[int, np.ndarray] = {}
-        self.v_rows: dict[int, np.ndarray] = {}
-
-    def step(self, item_idx: np.ndarray, item_rows: np.ndarray, net_grad: np.ndarray, lr: float) -> None:
-        self.t += 1
-        bc1 = 1.0 - ADAM_BETA1 ** self.t
-        bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for i, g in zip(item_idx.tolist(), item_rows):
-            m = self.m_rows.setdefault(i, np.zeros_like(g))
-            v = self.v_rows.setdefault(i, np.zeros_like(g))
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            self.state.item_table[i] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        self.m_net *= ADAM_BETA1
-        self.m_net += (1.0 - ADAM_BETA1) * net_grad
-        self.v_net *= ADAM_BETA2
-        self.v_net += (1.0 - ADAM_BETA2) * net_grad * net_grad
-        self.state.net -= lr * (self.m_net / bc1) / (np.sqrt(self.v_net / bc2) + ADAM_EPS)
-
-
 def pamn_poison(
     adv: AdversaryState,
     targets: np.ndarray,
@@ -280,7 +250,8 @@ def pamn_poison(
     table_before = state.item_table.copy()
     net_before = state.net.copy()
 
-    opt = _SparseAdam(state)
+    # Fresh moments each call; only the rows a step touches are read or written.
+    opt = AdamState.for_state(state)
     for _ in range(max(0, e_ft)):
         toplist = top_k_list(state, top_k, exclude=np.zeros(0, dtype=np.int64))
         competitors = toplist[~np.isin(toplist, targets)]
@@ -294,10 +265,8 @@ def pamn_poison(
         sprime = sig * (1.0 - sig)
         g = np.concatenate([sprime.sum(axis=1), -sprime.sum(axis=0)])
         net_grad, _, item_rows = _backward(state, inputs, masks, g)
-        uniq, inverse = np.unique(batch, return_inverse=True)
-        acc = np.zeros((len(uniq), state.layout.embed_dim))
-        np.add.at(acc, inverse, item_rows)
-        opt.step(uniq, acc, net_grad, lr)
+        uniq, acc, _ = scatter_add_rows(batch, item_rows)
+        adam_step(state, opt, uniq, acc, net_grad, lr)
 
     delta_table = state.item_table - table_before
     changed = np.flatnonzero(np.any(delta_table != 0.0, axis=1))
@@ -333,9 +302,7 @@ def boosted_gradient_packet(
     z, inputs, masks = _forward(state, targets)
     g = np.asarray(_sigmoid(z)) - 1.0  # d(-ln sigmoid(z)) / dz
     boost_net, _, boost_rows = _backward(state, inputs, masks, g)
-    uniq, inverse = np.unique(targets, return_inverse=True)
-    acc = np.zeros((len(uniq), state.layout.embed_dim))
-    np.add.at(acc, inverse, boost_rows)
+    uniq, acc, _ = scatter_add_rows(targets, boost_rows)
 
     all_idx = np.union1d(idx, uniq)
     all_rows = np.zeros((len(all_idx), state.layout.embed_dim))

@@ -12,17 +12,26 @@ packet axis; the kept ranks are then slices of that axis.  A skip mask
 keeps out of the block every item carried by too few packets to reach the
 kept ranks (at most (n - 1) // 2 for the median, at most trim_k for the
 trimmed mean), whose aggregate row is exactly zero.
+
+UCSU consolidates a round's rows once (RoundRows) and every receiver's
+MemoryBank references them by a packed (round, row) id.  A bank is kept in
+pop order (descending stored norm, insertion order on ties): each round's
+rows are sorted into pop order once, shared by all receivers, and merged
+into a bank with one searchsorted, so taking the top fraction is a prefix
+slice and no receiver ever sorts its whole bank.  Per-item sums add rows
+in pop order, one at a time, so the aggregate has the same bits as a
+sequential per-row loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from decrecsim.errors import ContractError
-from decrecsim.model import GradientPacket
+from decrecsim.model import GradientPacket, scatter_add_rows
 
 
 def _norms(rows: np.ndarray, p: int) -> np.ndarray:
@@ -64,24 +73,35 @@ class RoundRows:
 
     One instance per round is shared by every receiving client's memory
     bank; each client references the subset of rows its neighbors sent.
+    Rows are stored by ascending sender.  The pop order (descending norm,
+    row index on ties) and each sender's row range are computed once here
+    and shared by every receiver.
     """
 
     round: int
-    senders: np.ndarray  # (n,) int32
+    senders: np.ndarray  # (n,) int32, ascending
     items: np.ndarray  # (n,) int32
     rows: np.ndarray  # (n, embed_dim) float64
     norms: np.ndarray  # (n,) float64 p-norms
+    order: np.ndarray = field(init=False)  # row indices in pop order
+    rank: np.ndarray = field(init=False)  # position of each row in order
+    sender_start: np.ndarray = field(init=False)  # first row, per sender id
+    sender_count: np.ndarray = field(init=False)  # row count, per sender id
 
-    def sender_slices(self) -> dict[int, slice]:
-        """Contiguous row slice per sender (senders are stored sorted)."""
-        out: dict[int, slice] = {}
-        if len(self.senders) == 0:
-            return out
-        uniq, starts = np.unique(self.senders, return_index=True)
-        ends = np.append(starts[1:], len(self.senders))
-        for s, a, b in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
-            out[s] = slice(a, b)
-        return out
+    def __post_init__(self) -> None:
+        self.order = np.argsort(-self.norms, kind="stable")
+        self.rank = np.empty_like(self.order)
+        self.rank[self.order] = np.arange(len(self.order))
+        self.sender_count = np.bincount(self.senders)
+        self.sender_start = np.cumsum(self.sender_count) - self.sender_count
+
+    def refs_of(self, senders: np.ndarray) -> np.ndarray:
+        """Row indices sent by the given ascending sender ids, in sender order."""
+        senders = senders[senders < len(self.sender_count)]
+        counts = self.sender_count[senders]
+        ends = np.cumsum(counts)
+        offsets = np.repeat(self.sender_start[senders] - (ends - counts), counts)
+        return np.arange(len(offsets)) + offsets
 
 
 def build_round_rows(
@@ -123,71 +143,80 @@ def build_round_rows(
     return RoundRows(round=round_no, senders=senders, items=items, rows=rows, norms=norms)
 
 
+# A bank entry is the id round * _ROUND_STRIDE + row index within the round.
+_ROUND_STRIDE = 1 << 32
+
+
 class MemoryBank:
     """Per-client store of received item-row gradients awaiting application.
 
-    Entries reference rows inside shared RoundRows objects and are kept in
-    insertion order; selection pops the largest-norm entries with ties
-    broken by insertion order, so the applied set matches a brute-force
-    oracle exactly.
+    Entries reference rows inside shared RoundRows objects.  The bank keeps
+    them in pop order, descending stored norm with insertion order on ties,
+    as two parallel arrays: the packed (round, row) id and the negated
+    norm, which ascends.  A new round's rows arrive already in pop order
+    from their RoundRows and are merged in after every banked entry of
+    equal norm, so the order never has to be recomputed: the top fraction
+    is a prefix, and eviction is one compare on the id.  Within a round the
+    rows go in by row index, i.e. by sender; across rounds by round.  The
+    popped set matches a brute-force (norm desc, insertion asc) oracle.
     """
 
     def __init__(self, capacity_rounds: int):
         if capacity_rounds < 1:
             raise ContractError("capacity_rounds must be >= 1")
         self.capacity_rounds = capacity_rounds
-        self._rounds: dict[int, RoundRows] = {}
-        self._round: np.ndarray = np.zeros(0, dtype=np.int32)
-        self._ref: np.ndarray = np.zeros(0, dtype=np.int32)
-        self._norm: np.ndarray = np.zeros(0)
-        self._item: np.ndarray = np.zeros(0, dtype=np.int32)
+        self.clear()
 
     def ingest(self, rr: RoundRows, refs: np.ndarray) -> None:
-        """Bank the given row indices of a round's consolidated gradients."""
-        refs = np.asarray(refs, dtype=np.int32)
+        """Bank the given row indices of a round's consolidated gradients.
+
+        Rows of equal norm go in by row index, whatever the order of refs.
+        """
+        refs = np.asarray(refs, dtype=np.int64)
         if len(refs) == 0:
             return
         self._rounds[rr.round] = rr
-        self._round = np.concatenate(
-            [self._round, np.full(len(refs), rr.round, dtype=np.int32)]
-        )
-        self._ref = np.concatenate([self._ref, refs])
-        self._norm = np.concatenate([self._norm, rr.norms[refs]])
-        self._item = np.concatenate([self._item, rr.items[refs]])
+        new = rr.order[np.sort(rr.rank[refs])]
+        neg = -rr.norms[new]
+        # Final positions of the new entries: after every banked entry of
+        # equal norm, and after the new entries ahead of them.
+        at = np.searchsorted(self._neg_norm, neg, side="right") + np.arange(len(new))
+        banked = np.ones(self.size() + len(new), dtype=bool)
+        banked[at] = False
+        ids = np.empty(len(banked), dtype=np.int64)
+        ids[at] = rr.round * _ROUND_STRIDE + new
+        ids[banked] = self._id
+        neg_norm = np.empty(len(banked))
+        neg_norm[at] = neg
+        neg_norm[banked] = self._neg_norm
+        self._id, self._neg_norm = ids, neg_norm
 
     def evict(self, current_round: int) -> None:
         """Drop entries with round_received older than current - capacity_rounds."""
         horizon = current_round - self.capacity_rounds
-        keep = self._round >= horizon
+        keep = self._id >= horizon * _ROUND_STRIDE
         if not keep.all():
-            self._apply_mask(keep)
+            self._id = self._id[keep]
+            self._neg_norm = self._neg_norm[keep]
         for r in [r for r in self._rounds if r < horizon]:
             del self._rounds[r]
 
-    def _apply_mask(self, keep: np.ndarray) -> None:
-        self._round = self._round[keep]
-        self._ref = self._ref[keep]
-        self._norm = self._norm[keep]
-        self._item = self._item[keep]
-
     def clear(self) -> None:
-        self._rounds = {}
-        self._round = np.zeros(0, dtype=np.int32)
-        self._ref = np.zeros(0, dtype=np.int32)
-        self._norm = np.zeros(0)
-        self._item = np.zeros(0, dtype=np.int32)
+        self._rounds: dict[int, RoundRows] = {}
+        self._id = np.zeros(0, dtype=np.int64)
+        self._neg_norm = np.zeros(0)
 
     def size(self) -> int:
-        return len(self._norm)
+        return len(self._id)
 
     def entries(self) -> list[tuple[int, int, int, np.ndarray]]:
-        """(round_received, sender, item, grad_row) for every banked row."""
+        """(round_received, sender, item, grad_row) for every banked row,
+        in insertion order (round, then row index)."""
         out = []
-        for r, ref, item in zip(
-            self._round.tolist(), self._ref.tolist(), self._item.tolist()
-        ):
+        for entry in np.sort(self._id).tolist():
+            r, ref = divmod(entry, _ROUND_STRIDE)
             rr = self._rounds[r]
-            out.append((r, int(rr.senders[ref]), item, rr.rows[ref]))
+            out.append((r, int(rr.senders[ref]), int(rr.items[ref]), rr.rows[ref]))
         return out
 
     def pop_top_fraction(self, nu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -201,52 +230,28 @@ class MemoryBank:
         if total == 0:
             return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
         k = math.ceil(nu * total)
-        seq = np.arange(total)
+        popped = self._id[:k]
+        self._id = self._id[k:]
+        self._neg_norm = self._neg_norm[k:]
+        return self._gather(popped)
 
-        if k >= total:
-            chosen = seq
-        else:
-            boundary = -np.partition(-self._norm, k - 1)[k - 1]
-            strict = np.flatnonzero(self._norm > boundary)
-            need = k - len(strict)
-            equal = np.flatnonzero(self._norm == boundary)
-            if need <= 0:
-                take = equal[:0]
-            elif need >= len(equal):
-                take = equal
-            else:
-                # positions are unique, so the tie-break is deterministic
-                take = equal[np.argpartition(equal, need - 1)[:need]]
-            chosen = np.concatenate([strict, take])
-
-        order = np.lexsort((chosen, -self._norm[chosen]))
-        chosen = chosen[order]
-
-        items = self._item[chosen].astype(np.int64)
-        rows = self._gather_rows(chosen)
-
-        keep = np.ones(total, dtype=bool)
-        keep[chosen] = False
-        self._apply_mask(keep)
-        return items, rows
-
-    def _gather_rows(self, positions: np.ndarray) -> np.ndarray:
+    def _gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Items and rows of the given entries, in the given order."""
+        by_id = np.argsort(ids)
+        sorted_ids = ids[by_id]
         dim = next(iter(self._rounds.values())).rows.shape[1]
-        out = np.empty((len(positions), dim))
-        rounds = self._round[positions]
-        refs = self._ref[positions]
-        for r in np.unique(rounds).tolist():
-            sel = rounds == r
-            out[sel] = self._rounds[r].rows[refs[sel]]
-        return out
-
-
-def _per_item_mean(items: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    uniq, inverse = np.unique(items, return_inverse=True)
-    acc = np.zeros((len(uniq), rows.shape[1]))
-    np.add.at(acc, inverse, rows)
-    counts = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
-    return uniq, acc / counts[:, None]
+        items = np.empty(len(ids), dtype=np.int64)
+        rows = np.empty((len(ids), dim))
+        live = sorted(self._rounds)
+        bounds = np.searchsorted(sorted_ids, np.array(live + [live[-1] + 1]) * _ROUND_STRIDE)
+        for r, a, b in zip(live, bounds[:-1].tolist(), bounds[1:].tolist()):
+            if a == b:
+                continue
+            refs = sorted_ids[a:b] - r * _ROUND_STRIDE
+            dest = by_id[a:b]
+            items[dest] = self._rounds[r].items[refs]
+            rows[dest] = self._rounds[r].rows[refs]
+        return items, rows
 
 
 def ucsu_aggregate(
@@ -277,7 +282,7 @@ def ucsu_aggregate(
         rr, refs = incoming
     else:
         rr = build_round_rows(incoming, current_round, mu=mu, p=p, clip=clip)
-        refs = np.arange(len(rr.items), dtype=np.int32)
+        refs = np.arange(len(rr.items))
     bank.ingest(rr, refs)
     bank.evict(current_round)
     if bank.size() == 0:
@@ -286,7 +291,8 @@ def ucsu_aggregate(
     rows = adaptive_clip(rows, p)
     if clean_bank:
         bank.clear()
-    return _per_item_mean(items, rows)
+    uniq, sums, counts = scatter_add_rows(items, rows)
+    return uniq, sums / counts[:, None]
 
 
 def _concat_packets(
@@ -366,15 +372,8 @@ def trimmed_mean_aggregate(
     senders, idx_cat, rows_cat, pos_cat, dim = _concat_packets(packets)
     n_pkts = len(senders)
     if trim_k == 0 or n_pkts <= 2 * trim_k:
-        uniq = np.unique(idx_cat)
-        if idx_cat.size == 0:
-            return uniq, np.zeros((0, dim))
-        sums = np.bincount(
-            (idx_cat[:, None] * dim + np.arange(dim)[None, :]).ravel(),
-            weights=rows_cat.ravel(),
-            minlength=(int(idx_cat.max()) + 1) * dim,
-        ).reshape(-1, dim)
-        return uniq, sums[uniq] / n_pkts
+        uniq, sums, _ = scatter_add_rows(idx_cat, rows_cat)
+        return uniq, sums / n_pkts
     # Items carried by at most trim_k packets lose every nonzero value to
     # the trimmed tails.
     uniq, keep, block = _sorted_block(idx_cat, rows_cat, pos_cat, n_pkts, dim, trim_k + 1)
@@ -390,12 +389,10 @@ def item_krum_aggregate(packets: list[GradientPacket]) -> tuple[np.ndarray, np.n
     """
     senders, idx_cat, rows_cat, pos_cat, dim = _concat_packets(packets)
     n_pkts = len(senders)
-    uniq, inverse = np.unique(idx_cat, return_inverse=True)
     if idx_cat.size == 0:
-        return uniq, np.zeros((0, dim))
-
-    sums = np.zeros((len(uniq), dim))
-    np.add.at(sums, inverse, rows_cat)
+        return idx_cat, np.zeros((0, dim))
+    uniq, sums, _ = scatter_add_rows(idx_cat, rows_cat)
+    inverse = np.searchsorted(uniq, idx_cat)
     means = sums / n_pkts
 
     # Candidate rows: every carried row, plus one zero row per item that at
@@ -441,18 +438,11 @@ def l2_clip_aggregate(
     """Clip every received row to the fixed mu bound, then plain FedAvg mean."""
     if mu <= 0:
         raise ContractError("mu must be > 0")
-    senders, idx_cat, rows_cat, _, dim = _concat_packets(packets)
-    uniq = np.unique(idx_cat)
-    if idx_cat.size == 0:
-        return uniq, np.zeros((0, dim))
+    senders, idx_cat, rows_cat, _, _ = _concat_packets(packets)
     norms = _norms(rows_cat, p)
     factors = np.ones(len(rows_cat))
     over = norms > mu
     factors[over] = mu / norms[over]
     clipped = rows_cat * factors[:, None]
-    sums = np.bincount(
-        (idx_cat[:, None] * dim + np.arange(dim)[None, :]).ravel(),
-        weights=clipped.ravel(),
-        minlength=(int(idx_cat.max()) + 1) * dim,
-    ).reshape(-1, dim)
-    return uniq, sums[uniq] / len(senders)
+    uniq, sums, _ = scatter_add_rows(idx_cat, clipped)
+    return uniq, sums / len(senders)

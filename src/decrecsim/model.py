@@ -217,6 +217,28 @@ def bpr_loss(state: ClientState, pairs: np.ndarray) -> float:
     return float(np.mean(_softplus(-diff)))
 
 
+def scatter_add_rows(
+    idx: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum the rows that share an index: (sorted unique indices, sums, counts).
+
+    Each sum adds its rows one at a time in input order, starting from
+    zero, exactly as np.add.at does, so callers get the same bits.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    dim = rows.shape[1]
+    if idx.size == 0:
+        return idx, np.zeros((0, dim)), np.zeros(0, dtype=np.int64)
+    counts = np.bincount(idx)
+    uniq = np.flatnonzero(counts)
+    sums = np.bincount(
+        (idx[:, None] * dim + np.arange(dim)).ravel(),
+        weights=rows.ravel(),
+        minlength=len(counts) * dim,
+    ).reshape(-1, dim)
+    return uniq, sums[uniq], counts[uniq]
+
+
 def compute_gradients(
     state: ClientState, pairs: np.ndarray, sender: int = -1, round_no: int = -1
 ) -> tuple[np.ndarray, GradientPacket]:
@@ -234,9 +256,7 @@ def compute_gradients(
     g = np.concatenate([gpos, -gpos])
     net_grad, user_grad, item_rows = _backward(state, inputs, masks, g)
 
-    uniq, inverse = np.unique(items, return_inverse=True)
-    acc = np.zeros((len(uniq), state.layout.embed_dim))
-    np.add.at(acc, inverse, item_rows)
+    uniq, acc, _ = scatter_add_rows(items, item_rows)
     packet = GradientPacket(
         sender=sender, round=round_no, item_idx=uniq, item_rows=acc, net_grad=net_grad
     )
@@ -290,24 +310,42 @@ def local_train_step(
     if lr < 0:
         raise ContractError("learning rate must be >= 0")
     user_grad, packet = compute_gradients(state, pairs)
+    adam_step(
+        state, opt, packet.item_idx, packet.item_rows, packet.net_grad, lr,
+        user_grad if update_user else None,
+    )
+
+
+def adam_step(
+    state: ClientState,
+    opt: AdamState,
+    item_idx: np.ndarray,
+    item_rows: np.ndarray,
+    net_grad: np.ndarray,
+    lr: float,
+    user_grad: np.ndarray | None = None,
+) -> None:
+    """One Adam step of the given item rows and the net (and u, given its gradient).
+
+    Only the given rows of the table and of the item moments are touched.
+    """
     opt.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** opt.t
     bc2 = 1.0 - ADAM_BETA2 ** opt.t
-    if update_user:
+    if user_grad is not None:
         _adam_update(state.user_vec, user_grad, opt.m_user, opt.v_user, lr, bc1, bc2)
-    idx = packet.item_idx
-    m_rows = opt.m_items[idx]
-    v_rows = opt.v_items[idx]
-    rows = state.item_table[idx]
-    _adam_update(rows, packet.item_rows, m_rows, v_rows, lr, bc1, bc2)
-    state.item_table[idx] = rows
-    opt.m_items[idx] = m_rows
-    opt.v_items[idx] = v_rows
-    _adam_update(state.net, packet.net_grad, opt.m_net, opt.v_net, lr, bc1, bc2)
+    m_rows = opt.m_items[item_idx]
+    v_rows = opt.v_items[item_idx]
+    rows = state.item_table[item_idx]
+    _adam_update(rows, item_rows, m_rows, v_rows, lr, bc1, bc2)
+    state.item_table[item_idx] = rows
+    opt.m_items[item_idx] = m_rows
+    opt.v_items[item_idx] = v_rows
+    _adam_update(state.net, net_grad, opt.m_net, opt.v_net, lr, bc1, bc2)
 
 
 def mean_item_gradient(
-    packets: list[GradientPacket], num_items: int, embed_dim: int
+    packets: list[GradientPacket], embed_dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """FedAvg item-gradient mean over packets, rows absent from a packet count as zero.
 
@@ -317,15 +355,11 @@ def mean_item_gradient(
     """
     ordered = sorted(packets, key=lambda p: p.sender)
     idx_cat = np.concatenate([p.item_idx for p in ordered])
-    touched = np.unique(idx_cat)
     if idx_cat.size == 0:
-        return touched, np.zeros((0, embed_dim))
+        return idx_cat, np.zeros((0, embed_dim))
     rows_cat = np.vstack([p.item_rows for p in ordered if len(p.item_idx)])
-    col = np.arange(embed_dim, dtype=np.int64)
-    flat_idx = (idx_cat[:, None] * embed_dim + col[None, :]).ravel()
-    buf = np.bincount(flat_idx, weights=rows_cat.ravel(), minlength=num_items * embed_dim)
-    buf = buf.reshape(num_items, embed_dim)
-    return touched, buf[touched] / len(ordered)
+    touched, sums, _ = scatter_add_rows(idx_cat, rows_cat)
+    return touched, sums / len(ordered)
 
 
 def apply_neighbor_aggregate(
@@ -344,9 +378,7 @@ def apply_neighbor_aggregate(
             raise ContractError("packet item index out of range")
         if len(p.item_idx) and p.item_rows.shape != (len(p.item_idx), state.layout.embed_dim):
             raise ContractError("packet item row shape mismatch")
-    touched, mean_rows = mean_item_gradient(
-        packets, state.num_items, state.layout.embed_dim
-    )
+    touched, mean_rows = mean_item_gradient(packets, state.layout.embed_dim)
     state.item_table[touched] -= lr * mean_rows
     ordered = sorted(packets, key=lambda p: p.sender)
     net_sum = np.zeros_like(state.net)

@@ -208,6 +208,21 @@ def _map_clients(worker, ids: list[int], workers: int) -> list:
         return list(pool.map(worker, ids))
 
 
+def _mean_in_order(vectors: list[np.ndarray]) -> np.ndarray:
+    """Add the vectors one by one in list order to zeros, then divide by
+    their count.
+
+    These are the bits of np.stack(vectors).mean(axis=0), whose reduction
+    over the leading axis also adds row by row starting from 0.0 (so -0.0
+    sums to 0.0), without building the stack.
+    """
+    total = np.zeros_like(vectors[0])
+    for v in vectors:
+        total += v
+    total /= len(vectors)
+    return total
+
+
 def _refresh_due(t: int, period: int) -> bool:
     # period 1 means refresh every round; t mod 1 = 1 never holds.
     return period == 1 or t % period == 1
@@ -307,13 +322,10 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     benign = world.benign_ids()
 
     shared_rows = None
-    slices = None
     if config.defense == "ucsu":
         shared_rows = build_round_rows(
             final_packets, t, mu=config.mu, p=config.p, clip=config.ucsu_clip
         )
-        slices = shared_rows.sender_slices()
-    net_matrix = np.stack([p.net_grad for p in final_packets])
 
     def defend_one(i: int) -> None:
         state = world.clients[i]
@@ -326,17 +338,9 @@ def run_round(world: World, config: ExperimentConfig) -> None:
             apply_neighbor_aggregate(state, pkts, lr)
             return
         if config.defense == "ucsu":
-            refs = [
-                np.arange(slices[k].start, slices[k].stop, dtype=np.int32)
-                for k in ordered.tolist()
-                if k in slices
-            ]
-            refs_cat = (
-                np.concatenate(refs) if refs else np.zeros(0, dtype=np.int32)
-            )
             items, rows = ucsu_aggregate(
                 world.banks[i],
-                (shared_rows, refs_cat),
+                (shared_rows, shared_rows.refs_of(ordered)),
                 config.nu,
                 t,
                 p=config.p,
@@ -358,7 +362,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
             raise ConfigError(f"unknown defense: {config.defense!r}")
         if len(items):
             state.item_table[items] -= lr * rows
-        state.net -= lr * net_matrix[ordered].mean(axis=0)
+        state.net -= lr * _mean_in_order([final_packets[k].net_grad for k in ordered.tolist()])
 
     _map_clients(defend_one, benign, config.workers)
     world.round = t

@@ -151,3 +151,43 @@ def brute_force_top_nu(entries: list[tuple[float, int]], nu: float) -> list[int]
     k = math.ceil(nu * n)
     order = sorted(range(n), key=lambda j: (-entries[j][0], entries[j][1]))
     return order[:k]
+
+
+class ReferenceBank:
+    """List-based memory bank: every entry in insertion order, and a pop that
+    sorts the whole list by (norm desc, insertion asc) and takes the top
+    ceil(nu * n).  Reads only the rows, items and norms of a RoundRows."""
+
+    def __init__(self, capacity_rounds: int):
+        self.capacity_rounds = capacity_rounds
+        self.entries: list[tuple[int, int, np.ndarray, float]] = []  # round, item, row, norm
+
+    def ingest(self, rr, refs) -> None:
+        for ref in refs:
+            ref = int(ref)
+            self.entries.append((rr.round, int(rr.items[ref]), rr.rows[ref], float(rr.norms[ref])))
+
+    def evict(self, current_round: int) -> None:
+        horizon = current_round - self.capacity_rounds
+        self.entries = [e for e in self.entries if e[0] >= horizon]
+
+    def pop(self, nu: float) -> tuple[list[int], list[np.ndarray]]:
+        import math
+
+        k = math.ceil(nu * len(self.entries))
+        ranked = sorted(range(len(self.entries)), key=lambda j: (-self.entries[j][3], j))
+        chosen = ranked[:k]
+        popped = [self.entries[j] for j in chosen]
+        gone = set(chosen)
+        self.entries = [e for j, e in enumerate(self.entries) if j not in gone]
+        return [e[1] for e in popped], [e[2] for e in popped]
+
+
+def per_item_mean_loop(items: list[int], rows: np.ndarray) -> dict[int, np.ndarray]:
+    """Per item, add its rows one at a time in the given order, then divide."""
+    sums: dict[int, np.ndarray] = {}
+    counts: dict[int, int] = {}
+    for item, row in zip(items, rows):
+        sums[item] = sums[item] + row if item in sums else 0.0 + row
+        counts[item] = counts.get(item, 0) + 1
+    return {i: sums[i] / counts[i] for i in sums}

@@ -23,11 +23,13 @@ from decrecsim.defenses import (
 )
 from decrecsim.errors import ContractError
 from helpers import (
+    ReferenceBank,
     brute_force_krum,
     brute_force_median,
     brute_force_top_nu,
     brute_force_trimmed,
     packet,
+    per_item_mean_loop,
 )
 
 
@@ -442,3 +444,67 @@ class TestUcsuAggregate:
         assert items1.tolist() == [0]
         items2, _ = ucsu_aggregate(bank, [], nu=1.0, current_round=2)
         assert items2.tolist() == [1]  # the held-back row surfaces later
+
+
+# Rows over the mu = 1 bound clip to a stored norm of exactly mu, so with
+# clipping most norms tie; zero rows tie at 0.
+BANK_VALUES = st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, 3.0])
+
+
+@st.composite
+def bank_histories(draw):
+    """Capacity, nu, clip, and rounds of (round no, packets, receiver's neighbors)."""
+    capacity = draw(st.integers(1, 3))
+    nu = draw(st.sampled_from([0.1, 0.3, 0.5, 1.0]))
+    clip = draw(st.booleans())
+    rounds = []
+    t = 0
+    for _ in range(draw(st.integers(1, 6))):
+        t += draw(st.integers(1, 2))  # a skipped round lets eviction jump
+        packets = []
+        for sender in range(draw(st.integers(0, 6))):
+            items = draw(st.lists(st.integers(0, 5), unique=True, max_size=4))
+            rows = {i: np.array(draw(st.lists(BANK_VALUES, min_size=2, max_size=2))) for i in items}
+            packets.append((sender, rows))
+        # neighbor ids may exceed every sender (clients that sent no rows)
+        neighbors = sorted(draw(st.lists(st.integers(0, 7), unique=True)))
+        rounds.append((t, packets, neighbors))
+    return capacity, nu, clip, rounds
+
+
+class TestBankAgainstReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(bank_histories())
+    def test_rounds_of_ingest_evict_pop(self, history):
+        capacity, nu, clip, rounds = history
+        agg_bank = MemoryBank(capacity)  # driven through ucsu_aggregate
+        bank = MemoryBank(capacity)  # driven step by step
+        ref = ReferenceBank(capacity)
+        for t, packets, neighbors in rounds:
+            pkts = [packet(s, rows, np.zeros(2), round_no=t) for s, rows in packets]
+            rr = build_round_rows(pkts, t, mu=1.0, clip=clip)
+            refs = rr.refs_of(np.array(neighbors, dtype=np.int64))
+            assert refs.tolist() == [j for j in range(len(rr.items)) if rr.senders[j] in neighbors]
+
+            items, rows = ucsu_aggregate(agg_bank, (rr, refs), nu, t, mu=1.0, clip=clip)
+            bank.ingest(rr, refs)
+            bank.evict(t)
+            ref.ingest(rr, refs)
+            ref.evict(t)
+            assert bank.size() == len(ref.entries)
+            want_items, want_rows = ref.pop(nu) if ref.entries else ([], [])
+
+            got_items, got_rows = bank.pop_top_fraction(nu)
+            assert got_items.tolist() == want_items
+            assert [r.tobytes() for r in got_rows] == [r.tobytes() for r in want_rows]
+
+            want_mean = {}
+            if want_items:
+                want_mean = per_item_mean_loop(want_items, adaptive_clip(np.array(want_rows)))
+            assert items.tolist() == sorted(want_mean)
+            assert [r.tobytes() for r in rows] == [want_mean[i].tobytes() for i in items.tolist()]
+
+            for b in (agg_bank, bank):
+                assert b.size() == len(ref.entries)
+                kept = [(r, item, row.tobytes()) for r, _, item, row in b.entries()]
+                assert kept == [(r, item, row.tobytes()) for r, item, row, _ in ref.entries]

@@ -1,5 +1,6 @@
 """Round loop on a tiny synthetic world: thread-count invariance and
-same-seed determinism for every per-receiver robust aggregator."""
+same-seed determinism for every per-receiver robust aggregator, and for
+PAMN against UCSU with banks small enough to evict."""
 
 import dataclasses
 
@@ -8,10 +9,19 @@ import pytest
 
 from decrecsim.cli import load_dataset
 from decrecsim.config import ExperimentConfig
-from decrecsim.simulation import run_experiment
+from decrecsim.simulation import _mean_in_order, run_experiment
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
 
-DEFENSES = ("median", "trimmed", "krum", "l2clip")
+# (overrides, test id): EB against each per-receiver aggregator, and PAMN
+# against UCSU over 4 rounds with a 2-round bank, so eviction runs.
+CASES = [
+    pytest.param({"defense": d}, id=d) for d in ("median", "trimmed", "krum", "l2clip")
+] + [
+    pytest.param(
+        {"attack": "pamn", "defense": "ucsu", "capacity_rounds": 2, "rounds": 4},
+        id="pamn-ucsu",
+    )
+]
 
 
 @pytest.fixture(scope="module")
@@ -47,19 +57,34 @@ def client_params(world):
     return [(c.user_vec, c.item_table, c.net) for c in world.clients]
 
 
-@pytest.mark.parametrize("defense", DEFENSES)
-def test_two_workers_bit_identical_to_one(tiny, defense):
-    _, serial = run(tiny, defense=defense, workers=1)
-    _, threaded = run(tiny, defense=defense, workers=2)
-    assert serial.adversary_ids and serial.round == 2
+@pytest.mark.parametrize("case", CASES)
+def test_two_workers_bit_identical_to_one(tiny, case):
+    _, serial = run(tiny, **case, workers=1)
+    _, threaded = run(tiny, **case, workers=2)
+    assert serial.adversary_ids and serial.round == case.get("rounds", 2)
+    if case["defense"] == "ucsu":
+        for i, bank in serial.banks.items():
+            assert bank.size() == threaded.banks[i].size()
+        # round 1's rows were evicted at round 4; rounds 2-4 are still held
+        held = {r for bank in serial.banks.values() for r, *_ in bank.entries()}
+        assert held == {2, 3, 4}
     for a, b in zip(client_params(serial), client_params(threaded), strict=True):
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("defense", DEFENSES)
-def test_same_seed_same_metrics(tiny, defense):
-    first, _ = run(tiny, defense=defense)
-    second, _ = run(tiny, defense=defense)
-    assert [r.round for r in first] == [0, 1, 2]
+@pytest.mark.parametrize("case", CASES)
+def test_same_seed_same_metrics(tiny, case):
+    first, _ = run(tiny, **case)
+    second, _ = run(tiny, **case)
+    assert [r.round for r in first] == list(range(case.get("rounds", 2) + 1))
     assert first == second
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 50])
+def test_mean_in_order_has_the_bits_of_stacked_mean(count):
+    rng = np.random.default_rng(count)
+    # magnitudes spread over 16 decades make the rounding order-sensitive
+    vectors = [rng.normal(size=257) * 10.0 ** rng.integers(-8, 8, size=257) for _ in range(count)]
+    vectors[0][:3] = [-0.0, 0.0, -0.0]
+    assert _mean_in_order(vectors).tobytes() == np.stack(vectors).mean(axis=0).tobytes()
