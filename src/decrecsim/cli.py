@@ -18,8 +18,8 @@ from dataclasses import replace
 from decrecsim import __version__
 from decrecsim.config import (
     ExperimentConfig,
-    coerce_value,
     parse_config,
+    set_key,
     sweepable_keys,
     validate_config,
 )
@@ -110,11 +110,11 @@ def sweep(
         fh.write(CSV_HEADER + ",sweep_key,sweep_value\n")
         for value in values:
             cfg = replace(config)
-            setattr(cfg, "lam" if key == "lambda" else key, coerce_value(key, value))
+            label = set_key(cfg, key, value)
             validate_config(cfg)
             dataset = load_dataset(cfg)
             records = run_experiment(cfg, dataset)
-            for row in _format_rows(records, (key, getattr(cfg, "lam" if key == "lambda" else key))):
+            for row in _format_rows(records, (key, label)):
                 fh.write(row + "\n")
     manifest_path = os.path.join(out, "manifest.json")
     _write_manifest(
@@ -210,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
                 overrides = _collect_overrides(args)
                 overrides.pop("output_path", None)
                 for key, raw in overrides.items():
-                    setattr(config, "lam" if key == "lambda" else key, coerce_value(key, raw))
+                    set_key(config, key, raw)
                 validate_config(config)
                 out_dir = args.out
             else:

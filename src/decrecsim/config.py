@@ -49,7 +49,6 @@ class ExperimentConfig:
     seed: int = 42
     subsample_users: int | None = None
     sketch_dim: int = 16
-    raw_similarity: bool = False
     ucsu_clip: bool = True
     ucsu_clean_bank: bool = False
     hr_fraction: bool = False
@@ -128,13 +127,21 @@ def coerce_value(key: str, raw) -> object:
         if raw.strip().lower() in ("", "none", "auto"):
             return None
         return _parse_int(key, raw)
-    if name in ("raw_similarity", "ucsu_clip", "ucsu_clean_bank", "hr_fraction"):
+    if name in ("ucsu_clip", "ucsu_clean_bank", "hr_fraction"):
         return _parse_bool(key, raw)
     if name in ("lr", "xi", "lam", "nu", "mu", "train_ratio"):
         return _parse_float(key, raw)
     if name in ("dataset_path", "dataset_format", "attack", "defense", "output_path"):
         return raw.strip()
     return _parse_int(key, raw)
+
+
+def set_key(cfg: ExperimentConfig, key: str, raw) -> object:
+    """Coerce a file/CLI key's raw value and set its field ("lambda" sets
+    lam); returns the value set."""
+    value = coerce_value(key, raw)
+    setattr(cfg, _KEY_TO_FIELD.get(key, key), value)
+    return value
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -158,16 +165,12 @@ def parse_config(path: str | None, overrides: dict | None = None) -> ExperimentC
     Overrides (from CLI flags) win over file values; every default applies
     where neither provides a value.  The result is fully validated.
     """
-    merged: dict[str, object] = {}
+    cfg = ExperimentConfig()
     if path is not None:
         for key, raw in read_config_file(path).items():
-            merged[key] = coerce_value(key, raw)
+            set_key(cfg, key, raw)
     for key, raw in (overrides or {}).items():
-        merged[key] = coerce_value(key, raw)
-
-    cfg = ExperimentConfig()
-    for key, value in merged.items():
-        setattr(cfg, _KEY_TO_FIELD.get(key, key), value)
+        set_key(cfg, key, raw)
     validate_config(cfg)
     return cfg
 

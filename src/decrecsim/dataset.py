@@ -154,20 +154,29 @@ def preprocess(raw: RawInteractions, min_count: int = 5) -> Precursor:
 
     u = u_codes[keep]
     i = i_codes[keep]
+    alive = _filter_fixpoint(
+        u, i, u_codes.max() + 1, i_codes.max() + 1, min_count,
+        f"min_count={min_count} filtered out every interaction",
+    )
+    return _reindex(u[alive], i[alive])
+
+
+def _filter_fixpoint(
+    u: np.ndarray, i: np.ndarray, num_users: int, num_items: int, min_count: int, empty: str
+) -> np.ndarray:
+    """Mask of the (user, item) code pairs that survive dropping users and
+    items with fewer than min_count interactions until none are left;
+    EmptyDatasetError(empty) when nothing survives."""
     alive = np.ones(len(u), dtype=bool)
     while True:
-        u_counts = np.bincount(u[alive], minlength=u_codes.max() + 1)
-        i_counts = np.bincount(i[alive], minlength=i_codes.max() + 1)
+        u_counts = np.bincount(u[alive], minlength=num_users)
+        i_counts = np.bincount(i[alive], minlength=num_items)
         bad = alive & ((u_counts[u] < min_count) | (i_counts[i] < min_count))
         if not bad.any():
-            break
+            return alive
         alive &= ~bad
         if not alive.any():
-            raise EmptyDatasetError(
-                f"min_count={min_count} filtered out every interaction"
-            )
-
-    return _reindex(u[alive], i[alive])
+            raise EmptyDatasetError(empty)
 
 
 def _reindex(u: np.ndarray, i: np.ndarray) -> Precursor:
@@ -226,16 +235,10 @@ def subsample_most_active(pre: Precursor, num_users: int, min_count: int) -> Pre
     u = np.asarray(u_list, dtype=np.int64)
     i = np.asarray(i_list, dtype=np.int64)
 
-    alive = np.ones(len(u), dtype=bool)
-    while True:
-        u_counts = np.bincount(u[alive], minlength=pre.num_users)
-        i_counts = np.bincount(i[alive], minlength=pre.num_items)
-        bad = alive & ((u_counts[u] < min_count) | (i_counts[i] < min_count))
-        if not bad.any():
-            break
-        alive &= ~bad
-        if not alive.any():
-            raise EmptyDatasetError("subsampling filtered out every interaction")
+    alive = _filter_fixpoint(
+        u, i, pre.num_users, pre.num_items, min_count,
+        "subsampling filtered out every interaction",
+    )
     return _reindex(u[alive], i[alive])
 
 

@@ -6,6 +6,11 @@ by plain mean outside these functions.  For median / trimmed mean / Krum,
 an item row absent from a packet counts as a zero vector, mirroring the
 FedAvg convention of dividing by the packet count.
 
+A round's packets are consolidated once (RoundRows), and every robust
+defense reads a receiver's rows from it by the receiver's ascending
+neighbor ids.  Clipping to the fixed mu bound, for l2clip and for UCSU,
+happens once, at consolidation, so l2clip itself is a plain mean.
+
 Median and trimmed mean scatter a receiver's rows into one dense
 (items, dim, packets) block, absent rows zero, and sort it once along the
 packet axis; the kept ranks are then slices of that axis.  A skip mask
@@ -13,14 +18,14 @@ keeps out of the block every item carried by too few packets to reach the
 kept ranks (at most (n - 1) // 2 for the median, at most trim_k for the
 trimmed mean), whose aggregate row is exactly zero.
 
-UCSU consolidates a round's rows once (RoundRows) and every receiver's
-MemoryBank references them by a packed (round, row) id.  A bank is kept in
-pop order (descending stored norm, insertion order on ties): each round's
-rows are sorted into pop order once, shared by all receivers, and merged
-into a bank with one searchsorted, so taking the top fraction is a prefix
-slice and no receiver ever sorts its whole bank.  Per-item sums add rows
-in pop order, one at a time, so the aggregate has the same bits as a
-sequential per-row loop.
+Every receiver's UCSU MemoryBank references the round's rows by a packed
+(round, row) id.  A bank is kept in pop order (descending stored norm,
+insertion order on ties): each round's rows are sorted into pop order
+once, shared by all receivers, and merged into a bank with one
+searchsorted, so taking the top fraction is a prefix slice and no
+receiver ever sorts its whole bank.  Per-item sums add rows in pop order,
+one at a time, so the aggregate has the same bits as a sequential per-row
+loop.
 """
 
 from __future__ import annotations
@@ -42,15 +47,24 @@ def _norms(rows: np.ndarray, p: int) -> np.ndarray:
     return np.linalg.norm(rows, ord=p, axis=1)
 
 
+def _clip(rows: np.ndarray, norms: np.ndarray, bound: float) -> np.ndarray:
+    """Scale each row by min(1, bound / its norm).
+
+    Rows with norm <= bound, zero rows among them (bound >= 0), pass
+    unchanged.
+    """
+    factors = np.ones(len(rows))
+    over = norms > bound
+    factors[over] = bound / norms[over]
+    return rows * factors[:, None]
+
+
 def clip_row(grad_row: np.ndarray, mu: float, p: int = 2) -> np.ndarray:
     """Scale grad_row by min(1, mu / |grad_row|_p); zero rows pass through."""
     if mu <= 0:
         raise ContractError("mu must be > 0")
-    row = np.asarray(grad_row, dtype=np.float64)
-    norm = float(np.linalg.norm(row, ord=p))
-    if norm <= mu:
-        return row.copy()
-    return row * (mu / norm)
+    rows = np.asarray(grad_row, dtype=np.float64)[None, :]
+    return _clip(rows, _norms(rows, p), mu)[0]
 
 
 def adaptive_clip(rows: np.ndarray, p: int = 2) -> np.ndarray:
@@ -59,23 +73,18 @@ def adaptive_clip(rows: np.ndarray, p: int = 2) -> np.ndarray:
     if rows.ndim != 2 or len(rows) == 0:
         raise ContractError("adaptive_clip requires a nonempty (n, dim) row matrix")
     norms = _norms(rows, p)
-    m = float(norms.mean())
-    factors = np.ones(len(rows))
-    over = norms > m
-    # zero rows never satisfy norms > m (m >= 0), so they pass unchanged
-    factors[over] = m / norms[over]
-    return rows * factors[:, None]
+    return _clip(rows, norms, float(norms.mean()))
 
 
 @dataclass
 class RoundRows:
     """All item-row gradients received in one round, consolidated.
 
-    One instance per round is shared by every receiving client's memory
-    bank; each client references the subset of rows its neighbors sent.
-    Rows are stored by ascending sender.  The pop order (descending norm,
-    row index on ties) and each sender's row range are computed once here
-    and shared by every receiver.
+    One instance per round is shared by every receiving client; each
+    reads, or banks, the subset of rows its neighbors sent.  Rows are
+    stored by ascending sender.  The pop order (descending norm, row index
+    on ties) and each sender's row range are computed once here and shared
+    by every receiver.
     """
 
     round: int
@@ -102,6 +111,15 @@ class RoundRows:
         ends = np.cumsum(counts)
         offsets = np.repeat(self.sender_start[senders] - (ends - counts), counts)
         return np.arange(len(offsets)) + offsets
+
+    def receive(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What a receiver with the given ascending neighbor ids reads: the
+        item ids, rows and sender positions (index into senders) of the
+        rows those senders sent, in sender order."""
+        if len(senders) == 0:
+            raise ContractError("aggregation requires at least one packet")
+        refs = self.refs_of(senders)
+        return self.items[refs], self.rows[refs], np.searchsorted(senders, self.senders[refs])
 
 
 def build_round_rows(
@@ -135,10 +153,7 @@ def build_round_rows(
     if clip and len(rows):
         if mu <= 0:
             raise ContractError("mu must be > 0")
-        factors = np.ones(len(rows))
-        over = norms > mu
-        factors[over] = mu / norms[over]
-        rows = rows * factors[:, None]
+        rows = _clip(rows, norms, mu)
         norms = np.minimum(norms, mu)
     return RoundRows(round=round_no, senders=senders, items=items, rows=rows, norms=norms)
 
@@ -256,35 +271,27 @@ class MemoryBank:
 
 def ucsu_aggregate(
     bank: MemoryBank,
-    incoming: list[GradientPacket] | tuple[RoundRows, np.ndarray],
+    rr: RoundRows,
+    senders: np.ndarray,
     nu: float,
-    current_round: int,
     p: int = 2,
-    mu: float = 1.0,
     clean_bank: bool = False,
-    clip: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clip, bank, pop the top-nu fraction by norm, rescale, and average.
+    """Bank what the senders sent this round, pop the top-nu fraction by
+    norm, rescale, and average.
 
-    Incoming rows are clipped with the fixed mu bound, inserted into the
-    bank, then entries beyond the retention window are evicted.  The top
-    ceil(nu * bank size) rows by norm are removed, rescaled by the adaptive
-    mean-norm clip, and averaged per item.  Rows left unselected stay
-    banked unless clean_bank is set, which discards them (the literal
-    pop-and-clean variant).  `incoming` is either raw packets or an already
-    consolidated (RoundRows, row indices) pair shared across receivers.
-    Returns (item ids, aggregate rows); an empty bank yields an empty
-    aggregate.
+    The senders' rows (clipped at consolidation when UCSU clips) are
+    inserted into the bank, then entries beyond the retention window of
+    round rr.round are evicted.  The top ceil(nu * bank size) rows by norm
+    are removed, rescaled by the adaptive mean-norm clip, and averaged per
+    item.  Rows left unselected stay banked unless clean_bank is set, which
+    discards them (the literal pop-and-clean variant).  Returns (item ids,
+    aggregate rows); an empty bank yields an empty aggregate.
     """
     if not (0.0 < nu <= 1.0):
         raise ContractError("nu must be in (0, 1]")
-    if isinstance(incoming, tuple):
-        rr, refs = incoming
-    else:
-        rr = build_round_rows(incoming, current_round, mu=mu, p=p, clip=clip)
-        refs = np.arange(len(rr.items))
-    bank.ingest(rr, refs)
-    bank.evict(current_round)
+    bank.ingest(rr, rr.refs_of(senders))
+    bank.evict(rr.round)
     if bank.size() == 0:
         return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
     items, rows = bank.pop_top_fraction(nu)
@@ -295,37 +302,11 @@ def ucsu_aggregate(
     return uniq, sums / counts[:, None]
 
 
-def _concat_packets(
-    packets: list[GradientPacket],
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, int]:
-    """Sender ids, concatenated item ids / rows / packet positions, embed dim."""
-    if not packets:
-        raise ContractError("aggregation requires at least one packet")
-    ordered = sorted(packets, key=lambda q: q.sender)
-    senders = [int(q.sender) for q in ordered]
-    dim = 0
-    for q in ordered:
-        if len(q.item_idx) and q.item_rows.ndim == 2:
-            dim = q.item_rows.shape[1]
-            break
-    idx_cat = np.concatenate([q.item_idx for q in ordered]).astype(np.int64)
-    if idx_cat.size:
-        rows_cat = np.vstack([q.item_rows for q in ordered if len(q.item_idx)])
-        pos_cat = np.concatenate(
-            [np.full(len(q.item_idx), pi, dtype=np.int64) for pi, q in enumerate(ordered)]
-        )
-    else:
-        rows_cat = np.zeros((0, dim))
-        pos_cat = np.zeros(0, dtype=np.int64)
-    return senders, idx_cat, rows_cat, pos_cat, dim
-
-
 def _sorted_block(
     idx_cat: np.ndarray,
     rows_cat: np.ndarray,
     pos_cat: np.ndarray,
     n_pkts: int,
-    dim: int,
     min_carriers: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Received item ids, the mask of items carried by >= min_carriers packets,
@@ -335,32 +316,31 @@ def _sorted_block(
     keep = counts >= min_carriers
     slot = np.cumsum(keep) - 1
     sel = keep[inverse]
-    block = np.zeros((int(keep.sum()), dim, n_pkts))
+    block = np.zeros((int(keep.sum()), rows_cat.shape[1], n_pkts))
     block[slot[inverse[sel]], :, pos_cat[sel]] = rows_cat[sel]
     block.sort(axis=-1)
     return uniq, keep, block
 
 
-def median_aggregate(packets: list[GradientPacket]) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate-wise median per item over all packets, absent rows as zero.
+def median_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate-wise median per item over the senders' packets, absent rows
+    as zero.
 
     Even counts average the two middle values.  Items absent from every
     packet are untouched (not returned).
     """
-    senders, idx_cat, rows_cat, pos_cat, dim = _concat_packets(packets)
+    idx_cat, rows_cat, pos_cat = rr.receive(senders)
     n_pkts = len(senders)
     # With at most (n_pkts - 1) // 2 carriers the zero block always spans
     # both middle ranks, so the median row is exactly zero.
-    uniq, keep, block = _sorted_block(
-        idx_cat, rows_cat, pos_cat, n_pkts, dim, (n_pkts - 1) // 2 + 1
-    )
-    out = np.zeros((len(uniq), dim))
+    uniq, keep, block = _sorted_block(idx_cat, rows_cat, pos_cat, n_pkts, (n_pkts - 1) // 2 + 1)
+    out = np.zeros((len(uniq), rows_cat.shape[1]))
     out[keep] = 0.5 * (block[..., (n_pkts - 1) // 2] + block[..., n_pkts // 2])
     return uniq, out
 
 
 def trimmed_mean_aggregate(
-    packets: list[GradientPacket], trim_k: int
+    rr: RoundRows, senders: np.ndarray, trim_k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per coordinate, drop the trim_k smallest and largest values, mean the rest.
 
@@ -369,26 +349,27 @@ def trimmed_mean_aggregate(
     """
     if trim_k < 0:
         raise ContractError("trim_k must be >= 0")
-    senders, idx_cat, rows_cat, pos_cat, dim = _concat_packets(packets)
+    idx_cat, rows_cat, pos_cat = rr.receive(senders)
     n_pkts = len(senders)
     if trim_k == 0 or n_pkts <= 2 * trim_k:
         uniq, sums, _ = scatter_add_rows(idx_cat, rows_cat)
         return uniq, sums / n_pkts
     # Items carried by at most trim_k packets lose every nonzero value to
     # the trimmed tails.
-    uniq, keep, block = _sorted_block(idx_cat, rows_cat, pos_cat, n_pkts, dim, trim_k + 1)
-    out = np.zeros((len(uniq), dim))
+    uniq, keep, block = _sorted_block(idx_cat, rows_cat, pos_cat, n_pkts, trim_k + 1)
+    out = np.zeros((len(uniq), rows_cat.shape[1]))
     out[keep] = block[..., trim_k : n_pkts - trim_k].sum(axis=-1) / (n_pkts - 2 * trim_k)
     return uniq, out
 
 
-def item_krum_aggregate(packets: list[GradientPacket]) -> tuple[np.ndarray, np.ndarray]:
+def item_krum_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per item, the single received row closest (l2) to the mean of received rows.
 
     Absent rows count as zero rows; ties break by ascending sender id.
     """
-    senders, idx_cat, rows_cat, pos_cat, dim = _concat_packets(packets)
+    idx_cat, rows_cat, pos_cat = rr.receive(senders)
     n_pkts = len(senders)
+    dim = rows_cat.shape[1]
     if idx_cat.size == 0:
         return idx_cat, np.zeros((0, dim))
     uniq, sums, _ = scatter_add_rows(idx_cat, rows_cat)
@@ -400,10 +381,9 @@ def item_krum_aggregate(packets: list[GradientPacket]) -> tuple[np.ndarray, np.n
     # Squared distances computed as ((x - m)**2).sum() keep the ordering
     # reproducible by a naive reimplementation.
     d_rows = ((rows_cat - means[inverse]) ** 2).sum(axis=1)
-    sender_arr = np.asarray(senders, dtype=np.int64)
     cand_item = [inverse]
     cand_dist = [d_rows]
-    cand_sender = [sender_arr[pos_cat]]
+    cand_sender = [senders[pos_cat]]
     cand_rowid = [np.arange(len(idx_cat), dtype=np.int64)]
 
     carried = np.zeros((len(uniq), n_pkts), dtype=bool)
@@ -414,7 +394,7 @@ def item_krum_aggregate(packets: list[GradientPacket]) -> tuple[np.ndarray, np.n
         first_absent = np.argmax(~carried[zero_items], axis=1)
         cand_item.append(zero_items)
         cand_dist.append((means[zero_items] ** 2).sum(axis=1))
-        cand_sender.append(sender_arr[first_absent])
+        cand_sender.append(senders[first_absent])
         cand_rowid.append(np.full(len(zero_items), -1, dtype=np.int64))
 
     items_all = np.concatenate(cand_item)
@@ -432,17 +412,9 @@ def item_krum_aggregate(packets: list[GradientPacket]) -> tuple[np.ndarray, np.n
     return uniq, out
 
 
-def l2_clip_aggregate(
-    packets: list[GradientPacket], mu: float, p: int = 2
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clip every received row to the fixed mu bound, then plain FedAvg mean."""
-    if mu <= 0:
-        raise ContractError("mu must be > 0")
-    senders, idx_cat, rows_cat, _, _ = _concat_packets(packets)
-    norms = _norms(rows_cat, p)
-    factors = np.ones(len(rows_cat))
-    over = norms > mu
-    factors[over] = mu / norms[over]
-    clipped = rows_cat * factors[:, None]
-    uniq, sums, _ = scatter_add_rows(idx_cat, clipped)
+def l2_clip_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plain FedAvg mean of the senders' rows, which consolidation clipped
+    to the fixed mu bound."""
+    idx_cat, rows_cat, _ = rr.receive(senders)
+    uniq, sums, _ = scatter_add_rows(idx_cat, rows_cat)
     return uniq, sums / len(senders)

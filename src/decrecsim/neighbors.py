@@ -63,7 +63,6 @@ def assign_neighbors(
     sketches: np.ndarray | list[np.ndarray],
     n_neighbors: int,
     round_no: int,
-    sign_sketches: bool = True,
 ) -> NeighborMap:
     """Top-min(N, C-1) most cosine-similar clients per client.
 
@@ -71,9 +70,8 @@ def assign_neighbors(
     client id; a client is never its own neighbor.  Adversary clients submit
     sketches like everyone else and are indistinguishable here.
 
-    With sign_sketches, inputs are +-1 vectors: all norms are equal, so
-    ranking by the (exactly integer) dot products equals ranking by cosine.
-    Otherwise rows are normalized first (zero rows keep norm 1).
+    Inputs are +-1 vectors: all norms are equal, so ranking by the (exactly
+    integer) dot products equals ranking by cosine.
     """
     mat = np.asarray(sketches, dtype=np.float32)
     if mat.ndim != 2:
@@ -83,14 +81,8 @@ def assign_neighbors(
         raise ContractError("neighbor assignment needs at least 2 clients")
     if n_neighbors < 1:
         raise ContractError("n_neighbors must be >= 1")
-    if sign_sketches:
-        # float32 sums of +-1 products are exact integers (|sum| <= 2^24).
-        sims = (mat @ mat.T).astype(np.float64) / mat.shape[1]
-    else:
-        mat64 = mat.astype(np.float64)
-        norms = np.linalg.norm(mat64, axis=1)
-        unit = mat64 / np.where(norms > 0, norms, 1.0)[:, None]
-        sims = unit @ unit.T
+    # float32 sums of +-1 products are exact integers (|sum| <= 2^24).
+    sims = (mat @ mat.T).astype(np.float64) / mat.shape[1]
     n_pick = min(n_neighbors, num_clients - 1)
     ids = np.arange(num_clients)
     assignments: list[np.ndarray] = []

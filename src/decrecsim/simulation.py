@@ -237,18 +237,10 @@ def run_round(world: World, config: ExperimentConfig) -> None:
 
     # Phase 1: the server refreshes neighbors from everyone's sketches.
     if _refresh_due(t, config.refresh_every):
-        if config.raw_similarity:
-            sketches = np.stack(
-                [c.item_table.ravel() for c in world.clients]
-            ).astype(np.float32)
-            world.neighbor_map = assign_neighbors(
-                sketches, config.neighbors, t, sign_sketches=False
-            )
-        else:
-            sketches = np.stack(
-                [sketch_item_table(c.item_table, world.hyperplanes) for c in world.clients]
-            )
-            world.neighbor_map = assign_neighbors(sketches, config.neighbors, t)
+        sketches = np.stack(
+            [sketch_item_table(c.item_table, world.hyperplanes) for c in world.clients]
+        )
+        world.neighbor_map = assign_neighbors(sketches, config.neighbors, t)
 
     nbr = world.neighbor_map
 
@@ -321,10 +313,16 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     final_packets = [outgoing.get(i, packets[i]) for i in all_ids]
     benign = world.benign_ids()
 
+    # Clipping to mu is receiver-independent, so l2clip and UCSU clip once
+    # here, for every receiver.
     shared_rows = None
-    if config.defense == "ucsu":
+    if config.defense != "none":
         shared_rows = build_round_rows(
-            final_packets, t, mu=config.mu, p=config.p, clip=config.ucsu_clip
+            final_packets,
+            t,
+            mu=config.mu,
+            p=config.p,
+            clip=config.defense == "l2clip" or (config.defense == "ucsu" and config.ucsu_clip),
         )
 
     def defend_one(i: int) -> None:
@@ -333,31 +331,28 @@ def run_round(world: World, config: ExperimentConfig) -> None:
         if len(neigh) == 0:
             return
         ordered = np.sort(neigh)
-        pkts = [final_packets[k] for k in ordered.tolist()]
         if config.defense == "none":
-            apply_neighbor_aggregate(state, pkts, lr)
+            apply_neighbor_aggregate(state, [final_packets[k] for k in ordered.tolist()], lr)
             return
         if config.defense == "ucsu":
             items, rows = ucsu_aggregate(
                 world.banks[i],
-                (shared_rows, shared_rows.refs_of(ordered)),
+                shared_rows,
+                ordered,
                 config.nu,
-                t,
                 p=config.p,
-                mu=config.mu,
                 clean_bank=config.ucsu_clean_bank,
-                clip=config.ucsu_clip,
             )
         elif config.defense == "median":
-            items, rows = median_aggregate(pkts)
+            items, rows = median_aggregate(shared_rows, ordered)
         elif config.defense == "trimmed":
             items, rows = trimmed_mean_aggregate(
-                pkts, resolve_trim_k(config.trim_k, len(pkts))
+                shared_rows, ordered, resolve_trim_k(config.trim_k, len(ordered))
             )
         elif config.defense == "krum":
-            items, rows = item_krum_aggregate(pkts)
+            items, rows = item_krum_aggregate(shared_rows, ordered)
         elif config.defense == "l2clip":
-            items, rows = l2_clip_aggregate(pkts, config.mu, config.p)
+            items, rows = l2_clip_aggregate(shared_rows, ordered)
         else:
             raise ConfigError(f"unknown defense: {config.defense!r}")
         if len(items):

@@ -143,6 +143,20 @@ def brute_force_krum(packets, num_items, dim):
     return out
 
 
+def brute_force_l2clip(packets, num_items, dim, mu, p=2):
+    """Every received row scaled by min(1, mu / |row|_p), one row at a time,
+    then the dense mean over packets.  (clip_row would not do here: it
+    shares its scaling code with the consolidation under test.)"""
+    dense = np.zeros((len(packets), num_items, dim))
+    for pi, q in enumerate(sorted(packets, key=lambda q: q.sender)):
+        for k, item in enumerate(q.item_idx.tolist()):
+            row = q.item_rows[k]
+            norm = float(np.sum(np.abs(row) ** p) ** (1.0 / p))
+            dense[pi, item] = row * min(1.0, mu / norm) if norm > 0 else row
+    touched = sorted({int(i) for q in packets for i in q.item_idx})
+    return {i: dense[:, i, :].mean(axis=0) for i in touched}
+
+
 def brute_force_top_nu(entries: list[tuple[float, int]], nu: float) -> list[int]:
     """Indices of the top ceil(nu*n) entries by (norm desc, insertion asc)."""
     import math

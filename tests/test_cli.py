@@ -1,0 +1,124 @@
+"""Command line on a tiny synthetic world: byte-identical manifest replay,
+the lambda sweep key, and the error paths that end in an ``error:`` line."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from decrecsim import cli
+from decrecsim.synthetic import generate_interactions, write_movielens_dat
+
+# 40 users x 60 items, 2 rounds: PAMN against UCSU, so lambda is in use.
+TINY = """\
+embed_dim = 4
+layer_widths = 8,4
+neighbors = 6
+rounds = 2
+eval_every = 1
+top_k = 5
+attack = pamn
+defense = ucsu
+xi = 0.1
+alpha = 5
+s = 3
+e_ft = 1
+num_targets = 2
+min_count = 2
+seed = 11
+"""
+
+
+@pytest.fixture
+def world(tmp_path):
+    """(config file, dataset file) for the tiny world."""
+    data = tmp_path / "ratings.dat"
+    write_movielens_dat(str(data), generate_interactions(40, 60, seed=3))
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY + f"dataset_path = {data}\n", encoding="utf-8")
+    return str(config), data
+
+
+def run_args(config: str, out) -> list[str]:
+    return ["run", "--config", config, "--out", str(out)]
+
+
+def test_replay_from_manifest_is_byte_identical(world, tmp_path):
+    config, _ = world
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert cli.main(run_args(config, first)) == 0
+    assert cli.main(["run", "--from-manifest", str(first / "manifest.json"), "--out", str(replay)]) == 0
+    for name in ("metrics.csv", "manifest.json"):
+        assert (replay / name).read_bytes() == (first / name).read_bytes()
+    # a replay override goes through the same key mapping as a config file
+    changed = tmp_path / "changed"
+    args = ["run", "--from-manifest", str(first / "manifest.json"), "--out", str(changed)]
+    assert cli.main(args + ["--set", "lambda=0.3"]) == 0
+    assert json.loads((changed / "manifest.json").read_text(encoding="utf-8"))["config"]["lambda"] == 0.3
+
+
+def test_replay_of_manifest_with_unknown_key_fails(world, tmp_path, capsys):
+    config, _ = world
+    first = tmp_path / "first"
+    assert cli.main(run_args(config, first)) == 0
+    manifest = json.loads((first / "manifest.json").read_text(encoding="utf-8"))
+    manifest["config"]["raw_similarity"] = False  # a field this version no longer has
+    (first / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert cli.main(["run", "--from-manifest", str(first / "manifest.json"), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown config key: 'raw_similarity'" in err
+
+
+def test_sweep_lambda_sets_lam_and_labels_rows(world, tmp_path, monkeypatch):
+    config, _ = world
+    seen = []
+    real = cli.run_experiment
+
+    def recording(cfg, dataset):
+        seen.append(cfg.lam)
+        return real(cfg, dataset)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", config, "--out", str(out), "--key", "lambda", "--values", "0.5,2"]
+    assert cli.main(args) == 0
+    assert seen == [0.5, 2.0]
+    header, *rows = (out / "sweep_lambda.csv").read_text(encoding="utf-8").splitlines()
+    assert header.endswith(",sweep_key,sweep_value")
+    assert [row.split(",")[-2:] for row in rows] == [["lambda", "0.5"]] * 3 + [["lambda", "2.0"]] * 3
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--set", "bogus=1"], "unknown config key"),
+        (["--set", "lambda=abc"], "lambda: expected a number"),
+        (["--set", "lambda"], "--set expects key=value"),
+    ],
+    ids=["unknown-key", "non-numeric-lambda", "set-without-equals"],
+)
+def test_bad_run_arguments_fail(world, tmp_path, capsys, extra, message):
+    config, _ = world
+    assert cli.main(run_args(config, tmp_path / "out") + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_non_sweepable_key_fails(world, tmp_path, capsys):
+    config, _ = world
+    args = ["sweep", "--config", config, "--out", str(tmp_path), "--key", "attack", "--values", "ra"]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not sweepable" in err
+
+
+def test_replay_with_changed_dataset_fails(world, tmp_path, capsys):
+    config, data = world
+    first = tmp_path / "first"
+    assert cli.main(run_args(config, first)) == 0
+    with open(data, "a", encoding="utf-8") as fh:
+        fh.write("999::999::5::0\n")
+    assert cli.main(["run", "--from-manifest", str(first / "manifest.json"), "--out", str(tmp_path / "replay")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dataset content hash mismatch" in err

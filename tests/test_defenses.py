@@ -1,6 +1,7 @@
 """Defense aggregators vs brute-force oracles, clipping bounds, and the
 memory-bank lifecycle."""
 
+import functools
 import math
 
 import numpy as np
@@ -25,12 +26,20 @@ from decrecsim.errors import ContractError
 from helpers import (
     ReferenceBank,
     brute_force_krum,
+    brute_force_l2clip,
     brute_force_median,
     brute_force_top_nu,
     brute_force_trimmed,
     packet,
     per_item_mean_loop,
 )
+
+
+def received(pkts, round_no=1, mu=1.0, p=2, clip=False):
+    """The round rows of pkts and their ascending sender ids: what a
+    receiver whose neighbors sent pkts reads."""
+    rr = build_round_rows(pkts, round_no, mu=mu, p=p, clip=clip)
+    return rr, np.array(sorted(q.sender for q in pkts), dtype=np.int64)
 
 
 def random_packets(rng, n_pkts, num_items, dim, p_touch=0.5):
@@ -120,7 +129,7 @@ class TestMedian:
             packet(1, {0: np.array([2.0, 2.0])}, np.zeros(2)),
             packet(2, {0: np.array([100.0, 100.0])}, np.zeros(2)),
         ]
-        items, rows = median_aggregate(pkts)
+        items, rows = median_aggregate(*received(pkts))
         assert items.tolist() == [0]
         assert np.allclose(rows[0], [2.0, 2.0])
 
@@ -129,12 +138,12 @@ class TestMedian:
             packet(0, {0: np.array([1.0])}, np.zeros(2)),
             packet(1, {0: np.array([3.0])}, np.zeros(2)),
         ]
-        _, rows = median_aggregate(pkts)
+        _, rows = median_aggregate(*received(pkts))
         assert rows[0][0] == 2.0
 
     def test_single_packet_identity(self):
         pkts = [packet(0, {2: np.array([5.0, -1.0])}, np.zeros(2))]
-        items, rows = median_aggregate(pkts)
+        items, rows = median_aggregate(*received(pkts))
         assert items.tolist() == [2]
         assert np.allclose(rows[0], [5.0, -1.0])
 
@@ -146,7 +155,7 @@ class TestMedian:
             dim = int(rng.integers(1, 4))
             pkts = random_packets(rng, n_pkts, num_items, dim)
             expect = brute_force_median(pkts, num_items, dim)
-            items, rows = median_aggregate(pkts)
+            items, rows = median_aggregate(*received(pkts))
             assert items.tolist() == sorted(expect)
             for k, item in enumerate(items.tolist()):
                 assert np.allclose(rows[k], expect[item], atol=1e-12), f"trial {trial}"
@@ -158,7 +167,7 @@ class TestTrimmedMean:
             packet(s, {0: np.array([v])}, np.zeros(2))
             for s, v in enumerate([1.0, 2.0, 3.0, 4.0, 100.0])
         ]
-        _, rows = trimmed_mean_aggregate(pkts, trim_k=1)
+        _, rows = trimmed_mean_aggregate(*received(pkts), trim_k=1)
         assert rows[0][0] == pytest.approx(3.0)
 
     def test_trim_zero_is_plain_mean(self):
@@ -166,17 +175,17 @@ class TestTrimmedMean:
             packet(0, {1: np.array([2.0, 0.0])}, np.zeros(2)),
             packet(1, {1: np.array([4.0, 2.0])}, np.zeros(2)),
         ]
-        _, rows = trimmed_mean_aggregate(pkts, trim_k=0)
+        _, rows = trimmed_mean_aggregate(*received(pkts), trim_k=0)
         assert np.allclose(rows[0], [3.0, 1.0])
 
     def test_constant_values(self):
         pkts = [packet(s, {0: np.array([7.0])}, np.zeros(2)) for s in range(5)]
-        _, rows = trimmed_mean_aggregate(pkts, trim_k=1)
+        _, rows = trimmed_mean_aggregate(*received(pkts), trim_k=1)
         assert rows[0][0] == pytest.approx(7.0)
 
     def test_fallback_when_too_few(self):
         pkts = [packet(s, {0: np.array([float(s)])}, np.zeros(2)) for s in range(3)]
-        _, rows = trimmed_mean_aggregate(pkts, trim_k=2)  # 3 <= 2*2 -> plain mean
+        _, rows = trimmed_mean_aggregate(*received(pkts), trim_k=2)  # 3 <= 2*2 -> plain mean
         assert rows[0][0] == pytest.approx(1.0)
 
     def test_matches_brute_force(self):
@@ -188,7 +197,7 @@ class TestTrimmedMean:
             trim_k = int(rng.integers(0, 4))
             pkts = random_packets(rng, n_pkts, num_items, dim)
             expect = brute_force_trimmed(pkts, num_items, dim, trim_k)
-            items, rows = trimmed_mean_aggregate(pkts, trim_k)
+            items, rows = trimmed_mean_aggregate(*received(pkts), trim_k)
             assert items.tolist() == sorted(expect)
             for k, item in enumerate(items.tolist()):
                 assert np.allclose(rows[k], expect[item], atol=1e-12), f"trial {trial}"
@@ -235,7 +244,7 @@ class TestDenseKernelProperties:
     @given(packet_sets())
     def test_median_matches_brute_force(self, case):
         pkts, num_items, dim = case
-        assert_matches(*median_aggregate(pkts), brute_force_median(pkts, num_items, dim))
+        assert_matches(*median_aggregate(*received(pkts)), brute_force_median(pkts, num_items, dim))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(packet_sets(), st.one_of(st.none(), st.integers(0, 6)))
@@ -243,7 +252,36 @@ class TestDenseKernelProperties:
         pkts, num_items, dim = case
         trim_k = resolve_trim_k(fixed_k, len(pkts))
         expect = brute_force_trimmed(pkts, num_items, dim, trim_k)
-        assert_matches(*trimmed_mean_aggregate(pkts, trim_k), expect)
+        assert_matches(*trimmed_mean_aggregate(*received(pkts), trim_k), expect)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(packet_sets())
+    def test_krum_matches_brute_force(self, case):
+        pkts, num_items, dim = case
+        assert_matches(*item_krum_aggregate(*received(pkts)), brute_force_krum(pkts, num_items, dim))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(packet_sets(), st.sampled_from([0.25, 1.0, 2.0, 10.0]), st.sampled_from([1, 2]))
+    def test_l2clip_matches_brute_force(self, case, mu, p):
+        pkts, num_items, dim = case
+        expect = brute_force_l2clip(pkts, num_items, dim, mu, p)
+        assert_matches(*l2_clip_aggregate(*received(pkts, mu=mu, p=p, clip=True)), expect)
+
+
+@pytest.mark.parametrize(
+    "aggregate",
+    [
+        median_aggregate,
+        functools.partial(trimmed_mean_aggregate, trim_k=1),
+        item_krum_aggregate,
+        l2_clip_aggregate,
+    ],
+    ids=["median", "trimmed", "krum", "l2clip"],
+)
+def test_empty_receiver_rejected(aggregate):
+    rr, _ = received([packet(0, {0: np.ones(2)}, np.zeros(2))])
+    with pytest.raises(ContractError, match="at least one packet"):
+        aggregate(rr, np.zeros(0, dtype=np.int64))
 
 
 class TestResolveTrimK:
@@ -265,18 +303,18 @@ class TestItemKrum:
             packet(1, {0: np.array([1.0, 1.0])}, np.zeros(2)),
             packet(2, {0: np.array([10.0, 10.0])}, np.zeros(2)),
         ]
-        _, rows = item_krum_aggregate(pkts)
+        _, rows = item_krum_aggregate(*received(pkts))
         assert np.allclose(rows[0], [1.0, 1.0])
 
     def test_single_row_identity(self):
         pkts = [packet(0, {3: np.array([2.0, -2.0])}, np.zeros(2))]
-        items, rows = item_krum_aggregate(pkts)
+        items, rows = item_krum_aggregate(*received(pkts))
         assert items.tolist() == [3]
         assert np.allclose(rows[0], [2.0, -2.0])
 
     def test_identical_rows(self):
         pkts = [packet(s, {0: np.array([4.0, 4.0])}, np.zeros(2)) for s in range(3)]
-        _, rows = item_krum_aggregate(pkts)
+        _, rows = item_krum_aggregate(*received(pkts))
         assert np.allclose(rows[0], [4.0, 4.0])
 
     def test_matches_brute_force(self):
@@ -287,7 +325,7 @@ class TestItemKrum:
             dim = int(rng.integers(1, 4))
             pkts = random_packets(rng, n_pkts, num_items, dim)
             expect = brute_force_krum(pkts, num_items, dim)
-            items, rows = item_krum_aggregate(pkts)
+            items, rows = item_krum_aggregate(*received(pkts))
             assert items.tolist() == sorted(expect)
             for k, item in enumerate(items.tolist()):
                 assert np.allclose(rows[k], expect[item], atol=1e-12), f"trial {trial}"
@@ -299,7 +337,7 @@ class TestL2Clip:
             packet(0, {0: np.array([3.0, 4.0])}, np.zeros(2)),
             packet(1, {0: np.array([0.0, 0.0])}, np.zeros(2)),
         ]
-        _, rows = l2_clip_aggregate(pkts, mu=1.0)
+        _, rows = l2_clip_aggregate(*received(pkts, mu=1.0, clip=True))
         assert np.allclose(rows[0], [0.3, 0.4])
 
     def test_inactive_clip_equals_plain_mean(self):
@@ -307,7 +345,7 @@ class TestL2Clip:
             packet(0, {0: np.array([0.1, 0.2])}, np.zeros(2)),
             packet(1, {0: np.array([0.3, 0.0])}, np.zeros(2)),
         ]
-        _, rows = l2_clip_aggregate(pkts, mu=10.0)
+        _, rows = l2_clip_aggregate(*received(pkts, mu=10.0, clip=True))
         assert np.allclose(rows[0], [0.2, 0.1])
 
     def test_pre_mean_norms_bounded(self):
@@ -401,7 +439,7 @@ class TestMemoryBank:
 class TestUcsuAggregate:
     def test_empty_everything_is_noop(self):
         bank = MemoryBank(10)
-        items, rows = ucsu_aggregate(bank, [], nu=0.1, current_round=1)
+        items, rows = ucsu_aggregate(bank, *received([], clip=True), nu=0.1)
         assert len(items) == 0
 
     def test_single_round_lifecycle(self):
@@ -410,7 +448,7 @@ class TestUcsuAggregate:
             packet(0, {0: np.array([3.0, 4.0])}, np.zeros(2)),
             packet(1, {1: np.array([0.1, 0.0])}, np.zeros(2)),
         ]
-        items, rows = ucsu_aggregate(bank, pkts, nu=0.5, current_round=1, mu=1.0)
+        items, rows = ucsu_aggregate(bank, *received(pkts, mu=1.0, clip=True), nu=0.5)
         # the clipped (0.6, 0.8) row is the largest and is popped
         assert items.tolist() == [0]
         assert np.allclose(rows[0], [0.6, 0.8])
@@ -422,7 +460,7 @@ class TestUcsuAggregate:
             packet(0, {0: np.array([0.9, 0.0])}, np.zeros(2)),
             packet(1, {1: np.array([0.1, 0.0])}, np.zeros(2)),
         ]
-        ucsu_aggregate(bank, pkts, nu=0.5, current_round=1, clean_bank=True)
+        ucsu_aggregate(bank, *received(pkts, clip=True), nu=0.5, clean_bank=True)
         assert bank.size() == 0
 
     def test_per_item_mean_of_selected(self):
@@ -431,7 +469,7 @@ class TestUcsuAggregate:
             packet(0, {0: np.array([0.8, 0.0])}, np.zeros(2)),
             packet(1, {0: np.array([0.6, 0.0])}, np.zeros(2)),
         ]
-        items, rows = ucsu_aggregate(bank, pkts, nu=1.0, current_round=1, mu=10.0)
+        items, rows = ucsu_aggregate(bank, *received(pkts, mu=10.0, clip=True), nu=1.0)
         # both rows selected; adaptive clip scales the larger to the mean norm
         assert items.tolist() == [0]
         assert rows[0][0] == pytest.approx((0.7 + 0.6) / 2.0)
@@ -440,9 +478,9 @@ class TestUcsuAggregate:
         bank = MemoryBank(capacity_rounds=10)
         big = packet(0, {0: np.array([0.9, 0.0])}, np.zeros(2))
         small = packet(1, {1: np.array([0.5, 0.0])}, np.zeros(2))
-        items1, _ = ucsu_aggregate(bank, [big, small], nu=0.5, current_round=1)
+        items1, _ = ucsu_aggregate(bank, *received([big, small], clip=True), nu=0.5)
         assert items1.tolist() == [0]
-        items2, _ = ucsu_aggregate(bank, [], nu=1.0, current_round=2)
+        items2, _ = ucsu_aggregate(bank, *received([], round_no=2, clip=True), nu=1.0)
         assert items2.tolist() == [1]  # the held-back row surfaces later
 
 
@@ -483,10 +521,11 @@ class TestBankAgainstReference:
         for t, packets, neighbors in rounds:
             pkts = [packet(s, rows, np.zeros(2), round_no=t) for s, rows in packets]
             rr = build_round_rows(pkts, t, mu=1.0, clip=clip)
-            refs = rr.refs_of(np.array(neighbors, dtype=np.int64))
+            senders = np.array(neighbors, dtype=np.int64)
+            refs = rr.refs_of(senders)
             assert refs.tolist() == [j for j in range(len(rr.items)) if rr.senders[j] in neighbors]
 
-            items, rows = ucsu_aggregate(agg_bank, (rr, refs), nu, t, mu=1.0, clip=clip)
+            items, rows = ucsu_aggregate(agg_bank, rr, senders, nu)
             bank.ingest(rr, refs)
             bank.evict(t)
             ref.ingest(rr, refs)
