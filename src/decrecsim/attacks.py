@@ -250,7 +250,8 @@ def pamn_poison(
     table_before = state.item_table.copy()
     net_before = state.net.copy()
 
-    # Fresh moments each call; only the rows a step touches are read or written.
+    # Fresh moments each call, over every item: the competitors change at
+    # every step.  Only the rows a step touches are read or written.
     opt = AdamState.for_state(state)
     for _ in range(max(0, e_ft)):
         toplist = top_k_list(state, top_k, exclude=np.zeros(0, dtype=np.int64))

@@ -3,7 +3,9 @@
 ``decrecsim run`` executes one experiment; ``decrecsim sweep`` repeats it
 over a list of values for one numeric key with a shared base seed.  Every
 run writes a metrics CSV plus a JSON manifest that fully determines the
-run; replaying from a manifest reproduces the CSV byte for byte.
+run; replaying from a manifest (``run --from-manifest``, a sweep's manifest
+included) reproduces the CSV byte for byte.  The manifest also records the
+run itself (wall time, peak RSS, numpy version); replay ignores those keys.
 """
 
 from __future__ import annotations
@@ -12,8 +14,12 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
+import time
 from dataclasses import replace
+
+import numpy as np
 
 from decrecsim import __version__
 from decrecsim.config import (
@@ -64,12 +70,17 @@ def _dataset_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path: str, config: ExperimentConfig, extra: dict) -> None:
+def _write_manifest(path: str, config: ExperimentConfig, extra: dict, started: float) -> None:
+    # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
+    rss_unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
     manifest = {
         "config": config.to_dict(),
         "dataset_sha256": _dataset_sha256(config.dataset_path),
+        "numpy_version": np.__version__,
         "package_version": __version__,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / rss_unit,
         "seed": config.seed,
+        "wall_s": time.perf_counter() - started,
     }
     manifest.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
@@ -79,6 +90,7 @@ def _write_manifest(path: str, config: ExperimentConfig, extra: dict) -> None:
 
 def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[str, str]:
     """Execute one experiment; returns (csv path, manifest path)."""
+    started = time.perf_counter()
     validate_config(config)
     out = out_dir or config.output_path
     os.makedirs(out, exist_ok=True)
@@ -90,7 +102,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[str, str]
         for row in _format_rows(records, None):
             fh.write(row + "\n")
     manifest_path = os.path.join(out, "manifest.json")
-    _write_manifest(manifest_path, config, {"outputs": {"metrics_csv": "metrics.csv"}})
+    _write_manifest(manifest_path, config, {"outputs": {"metrics_csv": "metrics.csv"}}, started)
     return csv_path, manifest_path
 
 
@@ -98,6 +110,7 @@ def sweep(
     config: ExperimentConfig, key: str, values: list, out_dir: str | None = None
 ) -> tuple[str, str]:
     """One experiment per value of a sweepable key, shared base seed."""
+    started = time.perf_counter()
     if key not in sweepable_keys():
         raise ConfigError(f"key {key!r} is not sweepable")
     if not values:
@@ -124,12 +137,14 @@ def sweep(
             "sweep": {"key": key, "values": list(values)},
             "outputs": {"metrics_csv": os.path.basename(csv_path)},
         },
+        started,
     )
     return csv_path, manifest_path
 
 
-def config_from_manifest(path: str) -> ExperimentConfig:
-    """Rebuild the exact configuration recorded in a run manifest."""
+def config_from_manifest(path: str) -> tuple[ExperimentConfig, dict | None]:
+    """Rebuild the exact configuration recorded in a run manifest, and the
+    manifest's sweep block ({"key", "values"}, None for a single run)."""
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     cfg_dict = manifest["config"]
@@ -142,7 +157,7 @@ def config_from_manifest(path: str) -> ExperimentConfig:
             raise ConfigError(
                 f"dataset content hash mismatch: manifest {recorded[:12]}…, file {actual[:12]}…"
             )
-    return config
+    return config, manifest.get("sweep")
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
@@ -206,17 +221,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             if args.from_manifest:
-                config = config_from_manifest(args.from_manifest)
+                config, swept = config_from_manifest(args.from_manifest)
                 overrides = _collect_overrides(args)
                 overrides.pop("output_path", None)
                 for key, raw in overrides.items():
                     set_key(config, key, raw)
                 validate_config(config)
-                out_dir = args.out
+                if swept is not None:
+                    csv_path, manifest_path = sweep(
+                        config, swept["key"], swept["values"], out_dir=args.out
+                    )
+                else:
+                    csv_path, manifest_path = run(config, out_dir=args.out)
             else:
-                config = parse_config(args.config, _collect_overrides(args))
-                out_dir = None
-            csv_path, manifest_path = run(config, out_dir=out_dir)
+                csv_path, manifest_path = run(parse_config(args.config, _collect_overrides(args)))
             print(f"metrics: {csv_path}")
             print(f"manifest: {manifest_path}")
             return 0

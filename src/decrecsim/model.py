@@ -7,6 +7,10 @@ pairwise BPR loss is computed on pre-sigmoid logits (the sigmoid is applied
 once, to the logit difference) to avoid double-sigmoid saturation.
 Everything runs in double precision so finite-difference checks are
 meaningful.
+
+A client's Adam item moments cover only the item ids its AdamState names
+(for a simulated client, the items of its own training pairs), so a client
+holds one dense item table but moments for a small share of its rows.
 """
 
 from __future__ import annotations
@@ -196,14 +200,31 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _check_batch(state: ClientState, pairs: np.ndarray) -> np.ndarray:
+_BATCH_SHAPE = "training batch must be a nonempty (n, 2) array of item pairs"
+
+
+def check_pairs(pairs: np.ndarray, num_items: int) -> np.ndarray:
+    """Validate (positive, negative) item pairs as an int64 array; n may be 0.
+
+    The checks every gradient batch gets: an (n, 2) shape, no self-pair,
+    and ids in [0, num_items).
+    """
     pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) == 0:
-        raise ContractError("training batch must be a nonempty (n, 2) array of item pairs")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ContractError(_BATCH_SHAPE)
+    if len(pairs) == 0:
+        return pairs
     if (pairs[:, 0] == pairs[:, 1]).any():
         raise ContractError("positive and negative item must differ within a pair")
-    if pairs.min() < 0 or pairs.max() >= state.num_items:
+    if pairs.min() < 0 or pairs.max() >= num_items:
         raise ContractError("batch item index out of range")
+    return pairs
+
+
+def _check_batch(state: ClientState, pairs: np.ndarray) -> np.ndarray:
+    pairs = check_pairs(pairs, state.num_items)
+    if len(pairs) == 0:
+        raise ContractError(_BATCH_SHAPE)
     return pairs
 
 
@@ -246,7 +267,13 @@ def compute_gradients(
 
     Rows of items absent from the batch are absent from the packet.
     """
-    pairs = _check_batch(state, pairs)
+    return _gradients(state, _check_batch(state, pairs), sender, round_no)
+
+
+def _gradients(
+    state: ClientState, pairs: np.ndarray, sender: int = -1, round_no: int = -1
+) -> tuple[np.ndarray, GradientPacket]:
+    """compute_gradients on a batch that already passed its checks."""
     items = np.concatenate([pairs[:, 0], pairs[:, 1]])
     z, inputs, masks = _forward(state, items)
     n = len(pairs)
@@ -265,24 +292,36 @@ def compute_gradients(
 
 @dataclass
 class AdamState:
-    """Adam moments for one client (items tracked sparsely by row)."""
+    """Adam moments for one client.
+
+    The item moments cover only the item ids in ``rows`` (sorted, unique):
+    row s of m_items and v_items belongs to item rows[s].  Stepping an item
+    outside ``rows`` raises ContractError; the update is never dropped.
+    """
 
     t: int
     m_user: np.ndarray
     v_user: np.ndarray
-    m_items: np.ndarray
-    v_items: np.ndarray
+    rows: np.ndarray  # (r,) int64, strictly increasing item ids
+    m_items: np.ndarray  # (r, embed_dim)
+    v_items: np.ndarray  # (r, embed_dim)
     m_net: np.ndarray
     v_net: np.ndarray
 
     @classmethod
-    def for_state(cls, state: ClientState) -> "AdamState":
+    def for_state(cls, state: ClientState, rows: np.ndarray | None = None) -> "AdamState":
+        """Zero moments, with item moments over ``rows`` (every item when None)."""
+        if rows is None:
+            rows = np.arange(state.num_items, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64)
+        shape = (len(rows), state.layout.embed_dim)
         return cls(
             t=0,
             m_user=np.zeros_like(state.user_vec),
             v_user=np.zeros_like(state.user_vec),
-            m_items=np.zeros_like(state.item_table),
-            v_items=np.zeros_like(state.item_table),
+            rows=rows,
+            m_items=np.zeros(shape),
+            v_items=np.zeros(shape),
             m_net=np.zeros_like(state.net),
             v_net=np.zeros_like(state.net),
         )
@@ -306,10 +345,14 @@ def local_train_step(
     lr: float,
     update_user: bool = True,
 ) -> None:
-    """One Adam update of u, touched item rows, and net from batch gradients."""
+    """One Adam update of u, touched item rows, and net from batch gradients.
+
+    The pairs are not re-checked: they must be a nonempty batch that passed
+    check_pairs (init_world checks every client's pairs once).
+    """
     if lr < 0:
         raise ContractError("learning rate must be >= 0")
-    user_grad, packet = compute_gradients(state, pairs)
+    user_grad, packet = _gradients(state, pairs)
     adam_step(
         state, opt, packet.item_idx, packet.item_rows, packet.net_grad, lr,
         user_grad if update_user else None,
@@ -327,20 +370,24 @@ def adam_step(
 ) -> None:
     """One Adam step of the given item rows and the net (and u, given its gradient).
 
-    Only the given rows of the table and of the item moments are touched.
+    Only the given rows of the table and of the item moments are touched;
+    every given item must be one the moments cover.
     """
+    slots = np.searchsorted(opt.rows, item_idx)
+    if (slots == len(opt.rows)).any() or (opt.rows[slots] != item_idx).any():
+        raise ContractError("Adam item moments do not cover a stepped item")
     opt.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** opt.t
     bc2 = 1.0 - ADAM_BETA2 ** opt.t
     if user_grad is not None:
         _adam_update(state.user_vec, user_grad, opt.m_user, opt.v_user, lr, bc1, bc2)
-    m_rows = opt.m_items[item_idx]
-    v_rows = opt.v_items[item_idx]
+    m_rows = opt.m_items[slots]
+    v_rows = opt.v_items[slots]
     rows = state.item_table[item_idx]
     _adam_update(rows, item_rows, m_rows, v_rows, lr, bc1, bc2)
     state.item_table[item_idx] = rows
-    opt.m_items[item_idx] = m_rows
-    opt.v_items[item_idx] = v_rows
+    opt.m_items[slots] = m_rows
+    opt.v_items[slots] = v_rows
     _adam_update(state.net, net_grad, opt.m_net, opt.v_net, lr, bc1, bc2)
 
 

@@ -48,6 +48,7 @@ from decrecsim.model import (
     ClientState,
     GradientPacket,
     apply_neighbor_aggregate,
+    check_pairs,
     compute_gradients,
     init_client_state,
     local_train_step,
@@ -99,7 +100,9 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
 
     The adversary count is ceil(xi * benign users) when an attack is
     configured, zero otherwise.  All parameters come from per-client streams
-    derived from the root seed.
+    derived from the root seed.  Every client's training pairs are checked
+    here, once (ContractError on a bad pair), and its Adam item moments
+    cover exactly the items of those pairs.
     """
     num_users = dataset.num_users
     root = int(config.seed)
@@ -116,6 +119,13 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
     clients: list[ClientState] = []
     optimizers: list[AdamState] = []
     pairs: list[np.ndarray] = []
+
+    def add_client(state: ClientState, client_pairs: np.ndarray) -> None:
+        client_pairs = check_pairs(client_pairs, dataset.num_items)
+        clients.append(state)
+        optimizers.append(AdamState.for_state(state, np.unique(client_pairs)))
+        pairs.append(client_pairs)
+
     for u in range(num_users):
         state = init_client_state(
             dataset.num_items,
@@ -123,9 +133,7 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
             list(config.layer_widths),
             rngmod.stream(root, rngmod.DOMAIN_CLIENT_INIT, u),
         )
-        clients.append(state)
-        optimizers.append(AdamState.for_state(state))
-        pairs.append(dataset.pairs[u])
+        add_client(state, dataset.pairs[u])
 
     adversaries: dict[int, AdversaryState] = {}
     shared_user = rngmod.stream(root, rngmod.DOMAIN_SHARED_USER).uniform(
@@ -164,9 +172,7 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
             strategy=config.attack,
             fixed_user=fixed_user,
         )
-        clients.append(state)
-        optimizers.append(AdamState.for_state(state))
-        pairs.append(adv_pairs)
+        add_client(state, adv_pairs)
 
     banks: dict[int, MemoryBank] = {}
     if config.defense == "ucsu":

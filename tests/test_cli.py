@@ -1,10 +1,12 @@
-"""Command line on a tiny synthetic world: byte-identical manifest replay,
-the lambda sweep key, and the error paths that end in an ``error:`` line."""
+"""Command line on a tiny synthetic world: byte-identical manifest replay
+of runs and sweeps, what the manifest records of the run, the lambda sweep
+key, and the error paths that end in an ``error:`` line."""
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from decrecsim import cli
@@ -40,22 +42,57 @@ def world(tmp_path):
     return str(config), data
 
 
+# What a manifest records of the run itself; these differ between replays.
+RUN_RECORD = ("numpy_version", "peak_rss_mb", "wall_s")
+
+
 def run_args(config: str, out) -> list[str]:
     return ["run", "--config", config, "--out", str(out)]
+
+
+def replay_args(first, out) -> list[str]:
+    return ["run", "--from-manifest", str(first / "manifest.json"), "--out", str(out)]
+
+
+def without_run_record(manifest_path) -> dict:
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    for key in RUN_RECORD:
+        del manifest[key]
+    return manifest
 
 
 def test_replay_from_manifest_is_byte_identical(world, tmp_path):
     config, _ = world
     first, replay = tmp_path / "first", tmp_path / "replay"
     assert cli.main(run_args(config, first)) == 0
-    assert cli.main(["run", "--from-manifest", str(first / "manifest.json"), "--out", str(replay)]) == 0
-    for name in ("metrics.csv", "manifest.json"):
-        assert (replay / name).read_bytes() == (first / name).read_bytes()
+    assert cli.main(replay_args(first, replay)) == 0
+    assert (replay / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+    assert without_run_record(replay / "manifest.json") == without_run_record(first / "manifest.json")
     # a replay override goes through the same key mapping as a config file
     changed = tmp_path / "changed"
-    args = ["run", "--from-manifest", str(first / "manifest.json"), "--out", str(changed)]
-    assert cli.main(args + ["--set", "lambda=0.3"]) == 0
+    assert cli.main(replay_args(first, changed) + ["--set", "lambda=0.3"]) == 0
     assert json.loads((changed / "manifest.json").read_text(encoding="utf-8"))["config"]["lambda"] == 0.3
+
+
+def test_manifest_records_the_run(world, tmp_path):
+    config, _ = world
+    assert cli.main(run_args(config, tmp_path)) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["numpy_version"] == np.__version__
+    assert 0.0 < manifest["wall_s"] < 600.0
+    # at least the interpreter with numpy loaded, at most the whole box
+    assert 10.0 < manifest["peak_rss_mb"] < 1e6
+
+
+def test_replay_of_sweep_manifest_replays_the_sweep(world, tmp_path):
+    config, _ = world
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    args = ["sweep", "--config", config, "--out", str(first), "--key", "lambda", "--values", "0.5,2"]
+    assert cli.main(args) == 0
+    assert cli.main(replay_args(first, replay)) == 0
+    assert sorted(p.name for p in replay.iterdir()) == ["manifest.json", "sweep_lambda.csv"]
+    assert (replay / "sweep_lambda.csv").read_bytes() == (first / "sweep_lambda.csv").read_bytes()
+    assert without_run_record(replay / "manifest.json") == without_run_record(first / "manifest.json")
 
 
 def test_replay_of_manifest_with_unknown_key_fails(world, tmp_path, capsys):
@@ -65,7 +102,7 @@ def test_replay_of_manifest_with_unknown_key_fails(world, tmp_path, capsys):
     manifest = json.loads((first / "manifest.json").read_text(encoding="utf-8"))
     manifest["config"]["raw_similarity"] = False  # a field this version no longer has
     (first / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    assert cli.main(["run", "--from-manifest", str(first / "manifest.json"), "--out", str(tmp_path / "r")]) == 1
+    assert cli.main(replay_args(first, tmp_path / "r")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "unknown config key: 'raw_similarity'" in err
 
@@ -119,6 +156,6 @@ def test_replay_with_changed_dataset_fails(world, tmp_path, capsys):
     assert cli.main(run_args(config, first)) == 0
     with open(data, "a", encoding="utf-8") as fh:
         fh.write("999::999::5::0\n")
-    assert cli.main(["run", "--from-manifest", str(first / "manifest.json"), "--out", str(tmp_path / "replay")]) == 1
+    assert cli.main(replay_args(first, tmp_path / "replay")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "dataset content hash mismatch" in err

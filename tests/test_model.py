@@ -1,5 +1,6 @@
 """Scoring model: forward values, BPR loss, analytic gradients vs finite
-differences, Adam local steps, and neighbor aggregation."""
+differences, Adam local steps (compact item moments included), and neighbor
+aggregation."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from decrecsim.errors import ContractError
 from decrecsim.model import (
     AdamState,
     GradientPacket,
+    adam_step,
     apply_neighbor_aggregate,
     bpr_loss,
     compute_gradients,
@@ -142,6 +144,22 @@ class TestGradients:
             assert_close_grad(dense, fd_v)
             checked += 1
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (np.empty((0, 2), dtype=np.int64), "nonempty"),
+            (np.array([0, 1]), "nonempty"),
+            (np.array([[2, 2]]), "must differ"),
+            (np.array([[0, 12]]), "out of range"),
+            (np.array([[-1, 3]]), "out of range"),
+        ],
+        ids=["empty", "flat", "self-pair", "past-end", "negative"],
+    )
+    def test_bad_batch_rejected(self, pairs, message):
+        state = make_state(8, num_items=12)
+        with pytest.raises(ContractError, match=message):
+            compute_gradients(state, pairs)
+
 
 class TestLocalTrainStep:
     def test_lr_zero_is_identity(self):
@@ -182,6 +200,61 @@ class TestLocalTrainStep:
         u_before = state.user_vec.copy()
         local_train_step(state, np.array([[0, 1]]), opt, lr=1e-3, update_user=False)
         assert np.array_equal(u_before, state.user_vec)
+
+
+def dense_moments(opt, num_items):
+    """(m_items, v_items) scattered back to (num_items, dim), absent rows zero."""
+    m = np.zeros((num_items, opt.m_items.shape[1]))
+    v = np.zeros_like(m)
+    m[opt.rows] = opt.m_items
+    v[opt.rows] = opt.v_items
+    return m, v
+
+
+class TestCompactMoments:
+    def test_bit_identical_to_full_cover(self):
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            num_items = int(rng.integers(3, 40))
+            pairs = random_pairs(rng, num_items, int(rng.integers(1, 60)))
+            full = make_state(seed, num_items=num_items)
+            compact = full.copy()
+            opt_full = AdamState.for_state(full)
+            opt_compact = AdamState.for_state(compact, np.unique(pairs))
+            assert opt_compact.m_items.shape == (len(np.unique(pairs)), full.layout.embed_dim)
+            lr = float(rng.choice([1e-3, 1e-2, 0.1]))
+            for _ in range(int(rng.integers(1, 4))):
+                shuffled = pairs[rng.permutation(len(pairs))]
+                batch = int(rng.integers(1, 9))
+                update_user = bool(rng.integers(2))
+                for start in range(0, len(shuffled), batch):
+                    for state, opt in ((full, opt_full), (compact, opt_compact)):
+                        local_train_step(
+                            state, shuffled[start:start + batch], opt, lr, update_user=update_user
+                        )
+            for name in ("user_vec", "item_table", "net"):
+                assert getattr(full, name).tobytes() == getattr(compact, name).tobytes()
+            assert opt_full.t == opt_compact.t
+            for name in ("m_user", "v_user", "m_net", "v_net"):
+                assert getattr(opt_full, name).tobytes() == getattr(opt_compact, name).tobytes()
+            for a, b in zip(dense_moments(opt_compact, num_items), (opt_full.m_items, opt_full.v_items)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_uncovered_item_rejected_and_nothing_moves(self):
+        state = make_state(18, num_items=10)
+        opt = AdamState.for_state(state, np.array([1, 4, 7]))
+        before = state.copy()
+        grad = np.zeros(state.layout.size)
+        for idx in ([4, 5], [8], [0], [1, 4, 7, 9]):
+            with pytest.raises(ContractError, match="do not cover"):
+                adam_step(state, opt, np.array(idx), np.ones((len(idx), 4)), grad, lr=0.1)
+        with pytest.raises(ContractError, match="do not cover"):
+            adam_step(state, AdamState.for_state(state, []), np.array([2]), np.ones((1, 4)), grad, 0.1)
+        assert opt.t == 0 and not opt.m_items.any()
+        assert np.array_equal(before.item_table, state.item_table)
+        assert np.array_equal(before.net, state.net)
+        adam_step(state, opt, np.array([1, 7]), np.ones((2, 4)), grad, lr=0.1)
+        assert opt.t == 1 and opt.m_items[[0, 2]].all() and not opt.m_items[1].any()
 
 
 class TestAggregate:

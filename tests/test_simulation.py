@@ -1,6 +1,7 @@
 """Round loop on a tiny synthetic world: thread-count invariance and
 same-seed determinism for every per-receiver robust aggregator, and for
-PAMN against UCSU with banks small enough to evict."""
+PAMN against UCSU with banks small enough to evict; init_world's pair
+checks and each client's Adam item-moment cover."""
 
 import dataclasses
 
@@ -9,7 +10,8 @@ import pytest
 
 from decrecsim.cli import load_dataset
 from decrecsim.config import ExperimentConfig
-from decrecsim.simulation import _mean_in_order, run_experiment
+from decrecsim.errors import ContractError
+from decrecsim.simulation import _mean_in_order, init_world, run_experiment
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
 
 # (overrides, test id): EB against each per-receiver aggregator, and PAMN
@@ -88,3 +90,26 @@ def test_mean_in_order_has_the_bits_of_stacked_mean(count):
     vectors = [rng.normal(size=257) * 10.0 ** rng.integers(-8, 8, size=257) for _ in range(count)]
     vectors[0][:3] = [-0.0, 0.0, -0.0]
     assert _mean_in_order(vectors).tobytes() == np.stack(vectors).mean(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("attack", ["eb", "pamn", "ra", "psmu"])
+def test_item_moments_cover_exactly_the_training_items(tiny, attack):
+    config, dataset = tiny
+    world = init_world(dataclasses.replace(config, attack=attack), dataset)
+    assert world.adversary_ids
+    for opt, state, pairs in zip(world.optimizers, world.clients, world.pairs, strict=True):
+        assert np.array_equal(opt.rows, np.unique(pairs))
+        assert opt.m_items.shape == opt.v_items.shape == (len(opt.rows), state.layout.embed_dim)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [([3, 3], "must differ"), ([0, 10_000], "out of range")],
+    ids=["self-pair", "out-of-range-item"],
+)
+def test_init_world_rejects_bad_training_pairs(tiny, bad, message):
+    config, dataset = tiny
+    pairs = list(dataset.pairs)
+    pairs[7] = np.vstack([pairs[7], bad])
+    with pytest.raises(ContractError, match=message):
+        init_world(config, dataclasses.replace(dataset, pairs=pairs))
