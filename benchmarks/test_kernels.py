@@ -2,7 +2,11 @@
 
 One client has 848 items, embed_dim 32 and the default (64, 32, 16) net; a
 local minibatch is 32 pairs; a client trains on 111 items; a UCSU receiver
-banks the rows of 50 senders of about 110 rows each per round.
+banks the rows of 50 senders of about 110 rows each per round, and its bank
+is timed in the steady state, after 11 rounds that each end with a 10% pop;
+the server picks N = 50 neighbors for 630 clients from sketches of 16 bits
+per item.  Evaluation is timed on the `eb_trimmed_s` world (S: 200 users x
+400 items).
 
 Time them with ``PYTHONPATH=src python -m pytest benchmarks``; CI runs
 each once with ``--benchmark-disable``.  They sit outside the tier-1
@@ -14,7 +18,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from decrecsim.cli import load_dataset
+from decrecsim.config import ExperimentConfig
 from decrecsim.defenses import MemoryBank, build_round_rows
+from decrecsim.metrics import evaluate_world
 from decrecsim.model import (
     LOCAL_BATCH_SIZE,
     AdamState,
@@ -25,6 +32,9 @@ from decrecsim.model import (
     init_client_state,
     scatter_add_rows,
 )
+from decrecsim.neighbors import assign_neighbors
+from decrecsim.simulation import init_world
+from decrecsim.synthetic import generate_interactions, write_movielens_dat
 
 NUM_ITEMS = 848
 EMBED_DIM = 32
@@ -32,7 +42,11 @@ WIDTHS = [64, 32, 16]
 TRAIN_ITEMS = 111
 SENDERS = 50
 ROWS_PER_SENDER = 110
-BANK_ROUNDS = 6
+BANK_ROUNDS = 11  # capacity_rounds (10) + 1: the bank's steady size
+POP_FRACTION = 0.1
+CLIENTS = 630
+SKETCH_BITS = 16
+NEIGHBORS = 50
 
 
 @pytest.fixture(scope="module")
@@ -99,32 +113,66 @@ def round_rows(round_no: int, rng: np.random.Generator):
 @pytest.fixture(scope="module")
 def rounds():
     rng = np.random.default_rng(4)
-    return [round_rows(r, rng) for r in range(1, BANK_ROUNDS + 1)]
+    return [round_rows(r, rng) for r in range(1, BANK_ROUNDS + 2)]
 
 
-def filled_bank(rounds) -> MemoryBank:
-    bank = MemoryBank(capacity_rounds=len(rounds))
+def steady_bank(rounds) -> MemoryBank:
+    """A bank after ingest, evict and a 10% pop in each of the given rounds,
+    so its chunks hold popped remainders."""
+    bank = MemoryBank(capacity_rounds=BANK_ROUNDS - 1)
     for rr in rounds:
         bank.ingest(rr, np.arange(len(rr.items)))
+        bank.evict(rr.round)
+        bank.pop_top_fraction(POP_FRACTION)
     return bank
 
 
 def test_bank_ingest(benchmark, rounds):
-    banked, last = rounds[:-1], rounds[-1]
+    banked, last = rounds[:BANK_ROUNDS], rounds[BANK_ROUNDS]
     refs = np.arange(len(last.items))
 
     def setup():
-        return (filled_bank(banked), last, refs), {}
+        return (steady_bank(banked), last, refs), {}
 
     benchmark.pedantic(MemoryBank.ingest, setup=setup, rounds=20)
-    bank = filled_bank(banked)
+    bank = steady_bank(banked)
+    before = bank.size()
     bank.ingest(last, refs)
-    assert bank.size() == sum(len(rr.items) for rr in rounds)
+    assert bank.size() == before + len(refs)
 
 
 def test_bank_pop_top_fraction(benchmark, rounds):
-    def setup():
-        return (filled_bank(rounds), 0.1), {}
+    banked, last = rounds[:BANK_ROUNDS], rounds[BANK_ROUNDS]
 
+    def setup():
+        bank = steady_bank(banked)
+        bank.ingest(last, np.arange(len(last.items)))
+        bank.evict(last.round)
+        return (bank, POP_FRACTION), {}
+
+    (bank, _), _ = setup()
+    want = -(-bank.size() // 10)
     items, rows = benchmark.pedantic(MemoryBank.pop_top_fraction, setup=setup, rounds=20)
-    assert len(items) == len(rows) == -(-sum(len(rr.items) for rr in rounds) // 10)
+    assert len(items) == len(rows) == want
+
+
+def test_assign_neighbors(benchmark):
+    rng = np.random.default_rng(5)
+    sketches = rng.choice(np.array([-1.0, 1.0], dtype=np.float32), size=(CLIENTS, NUM_ITEMS * SKETCH_BITS))
+    nmap = benchmark(assign_neighbors, sketches, NEIGHBORS, 1)
+    assert len(nmap.assignments) == CLIENTS
+    assert all(len(a) == NEIGHBORS and i not in a for i, a in enumerate(nmap.assignments))
+
+
+@pytest.fixture(scope="module")
+def small_world(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "ratings.dat"
+    write_movielens_dat(str(path), generate_interactions(200, 400, seed=6))
+    config = ExperimentConfig(dataset_path=str(path), attack="eb", defense="trimmed", xi=0.05, seed=6)
+    return config, init_world(config, load_dataset(config))
+
+
+def test_evaluate_world(benchmark, small_world):
+    config, world = small_world
+    record = benchmark(evaluate_world, world, config.top_k, config.attack, config.defense, config.seed)
+    assert 0.0 <= record.hr_at_k <= 1.0 and 0.0 <= record.er_at_k <= 1.0

@@ -18,14 +18,14 @@ keeps out of the block every item carried by too few packets to reach the
 kept ranks (at most (n - 1) // 2 for the median, at most trim_k for the
 trimmed mean), whose aggregate row is exactly zero.
 
-Every receiver's UCSU MemoryBank references the round's rows by a packed
-(round, row) id.  A bank is kept in pop order (descending stored norm,
-insertion order on ties): each round's rows are sorted into pop order
-once, shared by all receivers, and merged into a bank with one
-searchsorted, so taking the top fraction is a prefix slice and no
-receiver ever sorts its whole bank.  Per-item sums add rows in pop order,
-one at a time, so the aggregate has the same bits as a sequential per-row
-loop.
+Every receiver's UCSU MemoryBank holds one chunk per banked round: the
+round's shared RoundRows and the int32 pop positions of the receiver's
+rows still banked.  Each round's rows are sorted into pop order (descending
+stored norm, row index on ties) once, shared by all receivers, so every
+chunk is already in pop order and the bank's top fraction is a prefix of
+each chunk; no receiver ever sorts its whole bank.  Per-item sums add rows
+in pop order, one at a time, so the aggregate has the same bits as a
+sequential per-row loop.
 """
 
 from __future__ import annotations
@@ -93,14 +93,17 @@ class RoundRows:
     rows: np.ndarray  # (n, embed_dim) float64
     norms: np.ndarray  # (n,) float64 p-norms
     order: np.ndarray = field(init=False)  # row indices in pop order
-    rank: np.ndarray = field(init=False)  # position of each row in order
+    rank: np.ndarray = field(init=False)  # int32 position of each row in order
+    pop_neg_norm: np.ndarray = field(init=False)  # negated norms in pop order
     sender_start: np.ndarray = field(init=False)  # first row, per sender id
     sender_count: np.ndarray = field(init=False)  # row count, per sender id
 
     def __post_init__(self) -> None:
-        self.order = np.argsort(-self.norms, kind="stable")
-        self.rank = np.empty_like(self.order)
-        self.rank[self.order] = np.arange(len(self.order))
+        neg = -self.norms
+        self.order = np.argsort(neg, kind="stable")
+        self.rank = np.empty(len(self.order), dtype=np.int32)
+        self.rank[self.order] = np.arange(len(self.order), dtype=np.int32)
+        self.pop_neg_norm = neg[self.order]
         self.sender_count = np.bincount(self.senders)
         self.sender_start = np.cumsum(self.sender_count) - self.sender_count
 
@@ -158,81 +161,58 @@ def build_round_rows(
     return RoundRows(round=round_no, senders=senders, items=items, rows=rows, norms=norms)
 
 
-# A bank entry is the id round * _ROUND_STRIDE + row index within the round.
-_ROUND_STRIDE = 1 << 32
-
-
 class MemoryBank:
     """Per-client store of received item-row gradients awaiting application.
 
-    Entries reference rows inside shared RoundRows objects.  The bank keeps
-    them in pop order, descending stored norm with insertion order on ties,
-    as two parallel arrays: the packed (round, row) id and the negated
-    norm, which ascends.  A new round's rows arrive already in pop order
-    from their RoundRows and are merged in after every banked entry of
-    equal norm, so the order never has to be recomputed: the top fraction
-    is a prefix, and eviction is one compare on the id.  Within a round the
-    rows go in by row index, i.e. by sender; across rounds by round.  The
-    popped set matches a brute-force (norm desc, insertion asc) oracle.
+    Entries reference rows inside shared RoundRows objects, one chunk per
+    banked round in round order: the RoundRows and the ascending pop
+    positions (rr.rank) of the rows still banked.  Pop order is descending
+    stored norm, insertion order (round, then row index) on ties, and each
+    chunk is already in it, so the top fraction is a prefix of every
+    chunk: a pop cuts each chunk at the k-th smallest negated norm (ties go
+    to the earliest rounds), merges the prefixes stably and keeps a copy of
+    each remainder.  Eviction drops whole chunks.  The popped set matches a
+    brute-force (norm desc, insertion asc) oracle.
     """
 
     def __init__(self, capacity_rounds: int):
         if capacity_rounds < 1:
             raise ContractError("capacity_rounds must be >= 1")
         self.capacity_rounds = capacity_rounds
+        self._last_round: int | None = None
         self.clear()
 
     def ingest(self, rr: RoundRows, refs: np.ndarray) -> None:
         """Bank the given row indices of a round's consolidated gradients.
 
-        Rows of equal norm go in by row index, whatever the order of refs.
+        Rounds arrive in increasing order, each at most once.  Rows of equal
+        norm go in by row index, whatever the order of refs.
         """
-        refs = np.asarray(refs, dtype=np.int64)
-        if len(refs) == 0:
-            return
-        self._rounds[rr.round] = rr
-        new = rr.order[np.sort(rr.rank[refs])]
-        neg = -rr.norms[new]
-        # Final positions of the new entries: after every banked entry of
-        # equal norm, and after the new entries ahead of them.
-        at = np.searchsorted(self._neg_norm, neg, side="right") + np.arange(len(new))
-        banked = np.ones(self.size() + len(new), dtype=bool)
-        banked[at] = False
-        ids = np.empty(len(banked), dtype=np.int64)
-        ids[at] = rr.round * _ROUND_STRIDE + new
-        ids[banked] = self._id
-        neg_norm = np.empty(len(banked))
-        neg_norm[at] = neg
-        neg_norm[banked] = self._neg_norm
-        self._id, self._neg_norm = ids, neg_norm
+        if self._last_round is not None and rr.round <= self._last_round:
+            raise ContractError("rounds must be ingested in increasing order, each at most once")
+        self._last_round = rr.round
+        if len(refs):
+            self._chunks.append((rr, np.sort(rr.rank[np.asarray(refs, dtype=np.int64)])))
 
     def evict(self, current_round: int) -> None:
         """Drop entries with round_received older than current - capacity_rounds."""
         horizon = current_round - self.capacity_rounds
-        keep = self._id >= horizon * _ROUND_STRIDE
-        if not keep.all():
-            self._id = self._id[keep]
-            self._neg_norm = self._neg_norm[keep]
-        for r in [r for r in self._rounds if r < horizon]:
-            del self._rounds[r]
+        self._chunks = [c for c in self._chunks if c[0].round >= horizon]
 
     def clear(self) -> None:
-        self._rounds: dict[int, RoundRows] = {}
-        self._id = np.zeros(0, dtype=np.int64)
-        self._neg_norm = np.zeros(0)
+        self._chunks: list[tuple[RoundRows, np.ndarray]] = []
 
     def size(self) -> int:
-        return len(self._id)
+        return sum(len(ranks) for _, ranks in self._chunks)
 
     def entries(self) -> list[tuple[int, int, int, np.ndarray]]:
         """(round_received, sender, item, grad_row) for every banked row,
         in insertion order (round, then row index)."""
-        out = []
-        for entry in np.sort(self._id).tolist():
-            r, ref = divmod(entry, _ROUND_STRIDE)
-            rr = self._rounds[r]
-            out.append((r, int(rr.senders[ref]), int(rr.items[ref]), rr.rows[ref]))
-        return out
+        return [
+            (rr.round, int(rr.senders[ref]), int(rr.items[ref]), rr.rows[ref])
+            for rr, ranks in self._chunks
+            for ref in np.sort(rr.order[ranks]).tolist()
+        ]
 
     def pop_top_fraction(self, nu: float) -> tuple[np.ndarray, np.ndarray]:
         """Remove and return the top ceil(nu * size) rows by stored norm.
@@ -245,27 +225,32 @@ class MemoryBank:
         if total == 0:
             return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
         k = math.ceil(nu * total)
-        popped = self._id[:k]
-        self._id = self._id[k:]
-        self._neg_norm = self._neg_norm[k:]
-        return self._gather(popped)
-
-    def _gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Items and rows of the given entries, in the given order."""
-        by_id = np.argsort(ids)
-        sorted_ids = ids[by_id]
-        dim = next(iter(self._rounds.values())).rows.shape[1]
-        items = np.empty(len(ids), dtype=np.int64)
-        rows = np.empty((len(ids), dim))
-        live = sorted(self._rounds)
-        bounds = np.searchsorted(sorted_ids, np.array(live + [live[-1] + 1]) * _ROUND_STRIDE)
-        for r, a, b in zip(live, bounds[:-1].tolist(), bounds[1:].tolist()):
-            if a == b:
-                continue
-            refs = sorted_ids[a:b] - r * _ROUND_STRIDE
-            dest = by_id[a:b]
-            items[dest] = self._rounds[r].items[refs]
-            rows[dest] = self._rounds[r].rows[refs]
+        negs = [rr.pop_neg_norm[ranks] for rr, ranks in self._chunks]
+        cut = np.partition(np.concatenate(negs), k - 1)[k - 1]
+        # Each chunk gives every entry above the cut; entries at the cut go
+        # to the earliest rounds first.
+        below = [int(np.searchsorted(neg, cut, side="left")) for neg in negs]
+        spare = k - sum(below)
+        takes = []
+        for neg, n in zip(negs, below):
+            tied = min(int(np.searchsorted(neg, cut, side="right")) - n, spare)
+            spare -= tied
+            takes.append(n + tied)
+        merged = np.argsort(np.concatenate([neg[:n] for neg, n in zip(negs, takes)]), kind="stable")
+        dest = np.empty(k, dtype=np.int64)
+        dest[merged] = np.arange(k)
+        items = np.empty(k, dtype=np.int64)
+        rows = np.empty((k, self._chunks[0][0].rows.shape[1]))
+        kept = []
+        start = 0
+        for (rr, ranks), n in zip(self._chunks, takes):
+            refs = rr.order[ranks[:n]]
+            items[dest[start : start + n]] = rr.items[refs]
+            rows[dest[start : start + n]] = rr.rows[refs]
+            start += n
+            if n < len(ranks):
+                kept.append((rr, ranks[n:].copy() if n else ranks))
+        self._chunks = kept
         return items, rows
 
 

@@ -188,11 +188,11 @@ def predict_rating(state: ClientState, item: int) -> float:
 
 
 def _sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    return np.where(
-        np.asarray(x) >= 0,
-        1.0 / (1.0 + np.exp(-np.asarray(x))),
-        np.exp(np.asarray(x)) / (1.0 + np.exp(np.asarray(x))),
-    )
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below; exp only ever
+    # sees -|x|, so neither form overflows.
+    x = np.asarray(x)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ memory-bank lifecycle."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from decrecsim.config import resolve_trim_k
 from decrecsim.defenses import (
     MemoryBank,
+    RoundRows,
     adaptive_clip,
     build_round_rows,
     clip_row,
@@ -435,6 +437,47 @@ class TestMemoryBank:
             applied += len(items)
         assert ingested == applied + evictable + bank.size()
 
+    def test_rounds_ingested_in_increasing_order_once(self):
+        bank = MemoryBank(capacity_rounds=3)
+        rr1, rr2 = (build_round_rows(random_packets(np.random.default_rng(r), 3, 4, 2), r) for r in (1, 2))
+        bank.ingest(rr2, np.arange(len(rr2.items)))
+        for rr in (rr1, rr2):  # an earlier round, then the same round again
+            with pytest.raises(ContractError):
+                bank.ingest(rr, np.arange(len(rr.items)))
+        # an empty ingest still takes its round
+        bank.ingest(build_round_rows([], 3), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ContractError):
+            bank.ingest(build_round_rows([], 3), np.zeros(0, dtype=np.int64))
+
+    def test_memory_per_banked_entry(self):
+        # About 1M entries from 10 shared rounds; the bank itself may add at
+        # most 5 B per entry, also after pops leave remainders behind.
+        rng = np.random.default_rng(9)
+        n = 100_000
+        rounds = [
+            RoundRows(
+                round=r,
+                senders=np.repeat(np.arange(100, dtype=np.int32), n // 100),
+                items=rng.integers(0, 1000, size=n).astype(np.int32),
+                rows=np.ones((n, 1)),
+                norms=rng.choice([0.25, 0.5, 1.0], size=n) * rng.random(n),
+            )
+            for r in range(1, 11)
+        ]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bank = MemoryBank(capacity_rounds=10)
+            for rr in rounds:
+                bank.ingest(rr, np.arange(n))
+            assert bank.size() == 10 * n
+            assert tracemalloc.get_traced_memory()[0] - base <= 5 * bank.size()
+            for _ in range(5):
+                bank.pop_top_fraction(0.1)
+            assert tracemalloc.get_traced_memory()[0] - base <= 5 * bank.size()
+        finally:
+            tracemalloc.stop()
+
 
 class TestUcsuAggregate:
     def test_empty_everything_is_noop(self):
@@ -512,8 +555,8 @@ def bank_histories(draw):
 
 class TestBankAgainstReference:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(bank_histories())
-    def test_rounds_of_ingest_evict_pop(self, history):
+    @given(bank_histories(), st.booleans())
+    def test_rounds_of_ingest_evict_pop(self, history, clean_bank):
         capacity, nu, clip, rounds = history
         agg_bank = MemoryBank(capacity)  # driven through ucsu_aggregate
         bank = MemoryBank(capacity)  # driven step by step
@@ -525,7 +568,7 @@ class TestBankAgainstReference:
             refs = rr.refs_of(senders)
             assert refs.tolist() == [j for j in range(len(rr.items)) if rr.senders[j] in neighbors]
 
-            items, rows = ucsu_aggregate(agg_bank, rr, senders, nu)
+            items, rows = ucsu_aggregate(agg_bank, rr, senders, nu, clean_bank=clean_bank)
             bank.ingest(rr, refs)
             bank.evict(t)
             ref.ingest(rr, refs)
@@ -536,6 +579,9 @@ class TestBankAgainstReference:
             got_items, got_rows = bank.pop_top_fraction(nu)
             assert got_items.tolist() == want_items
             assert [r.tobytes() for r in got_rows] == [r.tobytes() for r in want_rows]
+            if clean_bank:  # the pop-and-clean variant discards what stays
+                bank.clear()
+                ref.entries = []
 
             want_mean = {}
             if want_items:

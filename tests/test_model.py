@@ -2,6 +2,8 @@
 differences, Adam local steps (compact item moments included), and neighbor
 aggregation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from decrecsim.errors import ContractError
 from decrecsim.model import (
     AdamState,
     GradientPacket,
+    _sigmoid,
     adam_step,
     apply_neighbor_aggregate,
     bpr_loss,
@@ -107,6 +110,34 @@ class TestBprLoss:
         state = make_state(6)
         with pytest.raises(ContractError):
             bpr_loss(state, np.array([[1, 1]]))
+
+
+class TestSigmoid:
+    @staticmethod
+    def two_branch(x):
+        # The plain two-branch form: both branches evaluated everywhere.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+
+    def test_bits_match_two_branch_form(self):
+        rng = np.random.default_rng(0)
+        mags = 10.0 ** rng.uniform(-8, 3, size=1_000_000)  # 11 decades
+        x = np.concatenate([
+            mags * rng.choice([-1.0, 1.0], size=len(mags)),
+            [0.0, -0.0, 700.0, -700.0, 1e308, -1e308, np.inf, -np.inf],
+        ])
+        assert _sigmoid(x).tobytes() == self.two_branch(x).tobytes()
+
+    def test_scalar_input(self):
+        for v in (-3.0, 0.0, 2.5):
+            got = _sigmoid(v)
+            assert got.shape == () and got.tobytes() == self.two_branch(np.float64(v)).tobytes()
+
+    def test_no_warning_at_extremes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigmoid(np.array([800.0, -800.0, np.inf, -np.inf]))
+        assert got.tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 class TestGradients:
