@@ -4,8 +4,9 @@ One client has 848 items, embed_dim 32 and the default (64, 32, 16) net; a
 local minibatch is 32 pairs; a client trains on 111 items; a UCSU receiver
 banks the rows of 50 senders of about 110 rows each per round, and its bank
 is timed in the steady state, after 11 rounds that each end with a 10% pop;
-the server picks N = 50 neighbors for 630 clients from sketches of 16 bits
-per item.  Evaluation is timed on the `eb_trimmed_s` world (S: 200 users x
+a round's rows are compacted after the 10% pops of 600 such receivers among
+630 senders; the server picks N = 50 neighbors for 630 clients from
+sketches of 16 bits per item.  Evaluation is timed on the `eb_trimmed_s` world (S: 200 users x
 400 items).
 
 Time them with ``PYTHONPATH=src python -m pytest benchmarks``; CI runs
@@ -20,7 +21,7 @@ import pytest
 
 from decrecsim.cli import load_dataset
 from decrecsim.config import ExperimentConfig
-from decrecsim.defenses import MemoryBank, build_round_rows
+from decrecsim.defenses import MemoryBank, build_round_rows, compact_round_rows
 from decrecsim.metrics import evaluate_world
 from decrecsim.model import (
     LOCAL_BATCH_SIZE,
@@ -45,6 +46,7 @@ ROWS_PER_SENDER = 110
 BANK_ROUNDS = 11  # capacity_rounds (10) + 1: the bank's steady size
 POP_FRACTION = 0.1
 CLIENTS = 630
+RECEIVERS = 600
 SKETCH_BITS = 16
 NEIGHBORS = 50
 
@@ -94,9 +96,9 @@ def test_adam_step(benchmark, client, cover):
     assert opt.t >= 1
 
 
-def round_rows(round_no: int, rng: np.random.Generator):
+def round_rows(round_no: int, rng: np.random.Generator, senders: int = SENDERS):
     packets = []
-    for sender in range(SENDERS):
+    for sender in range(senders):
         idx = np.sort(rng.choice(NUM_ITEMS, size=ROWS_PER_SENDER, replace=False))
         packets.append(
             GradientPacket(
@@ -154,6 +156,27 @@ def test_bank_pop_top_fraction(benchmark, rounds):
     want = -(-bank.size() // 10)
     items, rows = benchmark.pedantic(MemoryBank.pop_top_fraction, setup=setup, rounds=20)
     assert len(items) == len(rows) == want
+
+
+def test_compact_round_rows(benchmark):
+    rng = np.random.default_rng(6)
+    rr = round_rows(1, rng, senders=CLIENTS)
+    neighbors = [np.sort(rng.choice(CLIENTS, size=SENDERS, replace=False)) for _ in range(RECEIVERS)]
+
+    def setup():
+        banks = [MemoryBank(capacity_rounds=BANK_ROUNDS - 1) for _ in range(RECEIVERS)]
+        for bank, senders in zip(banks, neighbors):
+            bank.ingest(rr, rr.refs_of(senders))
+            bank.pop_top_fraction(POP_FRACTION)
+        return (rr, banks), {}
+
+    (_, banks), _ = setup()
+    held = sum(bank.size() for bank in banks)
+    benchmark.pedantic(compact_round_rows, setup=setup, rounds=5)
+    compact_round_rows(rr, banks)
+    small = banks[0]._chunks[0][0]
+    assert small is not rr and len(small.items) < len(rr.items)
+    assert sum(bank.size() for bank in banks) == held
 
 
 def test_assign_neighbors(benchmark):

@@ -26,11 +26,19 @@ chunk is already in pop order and the bank's top fraction is a prefix of
 each chunk; no receiver ever sorts its whole bank.  Per-item sums add rows
 in pop order, one at a time, so the aggregate has the same bits as a
 sequential per-row loop.
+
+Once a round's pops are done, compact_round_rows shrinks that round's
+RoundRows to the rows some bank still holds and remaps the banks' pop
+positions.  Kept rows keep their relative order, so pop order, ties and
+every aggregate are unchanged.  A round is compacted once: few of its rows
+are popped in later rounds, so older RoundRows may still hold rows that no
+bank holds any more, until eviction drops the round.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,16 +47,23 @@ from decrecsim.errors import ContractError
 from decrecsim.model import GradientPacket, scatter_add_rows
 
 
+# Rows per block of _norms: its temporaries stay block-sized, not
+# round-sized.  A row's norm reads only that row, so blocking keeps its bits.
+_NORM_BLOCK = 4096
+
+
 def _norms(rows: np.ndarray, p: int) -> np.ndarray:
     if p < 1:
         raise ContractError("norm order must be >= 1")
-    if len(rows) == 0:
-        return np.zeros(0)
-    return np.linalg.norm(rows, ord=p, axis=1)
+    norms = np.empty(len(rows))
+    for start in range(0, len(rows), _NORM_BLOCK):
+        block = rows[start : start + _NORM_BLOCK]
+        norms[start : start + len(block)] = np.linalg.norm(block, ord=p, axis=1)
+    return norms
 
 
 def _clip(rows: np.ndarray, norms: np.ndarray, bound: float) -> np.ndarray:
-    """Scale each row by min(1, bound / its norm).
+    """Scale each row, in place, by min(1, bound / its norm); returns rows.
 
     Rows with norm <= bound, zero rows among them (bound >= 0), pass
     unchanged.
@@ -56,20 +71,21 @@ def _clip(rows: np.ndarray, norms: np.ndarray, bound: float) -> np.ndarray:
     factors = np.ones(len(rows))
     over = norms > bound
     factors[over] = bound / norms[over]
-    return rows * factors[:, None]
+    rows *= factors[:, None]
+    return rows
 
 
 def clip_row(grad_row: np.ndarray, mu: float, p: int = 2) -> np.ndarray:
     """Scale grad_row by min(1, mu / |grad_row|_p); zero rows pass through."""
     if mu <= 0:
         raise ContractError("mu must be > 0")
-    rows = np.asarray(grad_row, dtype=np.float64)[None, :]
+    rows = np.array(grad_row, dtype=np.float64)[None, :]
     return _clip(rows, _norms(rows, p), mu)[0]
 
 
 def adaptive_clip(rows: np.ndarray, p: int = 2) -> np.ndarray:
     """Scale each row by min(1, mean_norm / own_norm); zero rows pass through."""
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = np.array(rows, dtype=np.float64)
     if rows.ndim != 2 or len(rows) == 0:
         raise ContractError("adaptive_clip requires a nonempty (n, dim) row matrix")
     norms = _norms(rows, p)
@@ -84,7 +100,9 @@ class RoundRows:
     reads, or banks, the subset of rows its neighbors sent.  Rows are
     stored by ascending sender.  The pop order (descending norm, row index
     on ties) and each sender's row range are computed once here and shared
-    by every receiver.
+    by every receiver.  Once the round's pops are done, compact_round_rows
+    replaces it in the banks by a RoundRows of exactly the rows some bank
+    holds, in the same relative order.
     """
 
     round: int
@@ -138,6 +156,8 @@ def build_round_rows(
     storage; clipping is receiver-independent, so the result may be shared.
     """
     ordered = sorted(packets, key=lambda q: q.sender)
+    # The rows are allocated once: norms are taken in blocks and clipping
+    # scales the stacked rows in place.
     if ordered:
         senders = np.concatenate(
             [np.full(len(q.item_idx), q.sender, dtype=np.int32) for q in ordered]
@@ -166,7 +186,9 @@ class MemoryBank:
 
     Entries reference rows inside shared RoundRows objects, one chunk per
     banked round in round order: the RoundRows and the ascending pop
-    positions (rr.rank) of the rows still banked.  Pop order is descending
+    positions (rr.rank) of the rows still banked.  After its round's pops,
+    compact_round_rows may swap a chunk's RoundRows for a compacted one and
+    remap its positions, keeping their order.  Pop order is descending
     stored norm, insertion order (round, then row index) on ties, and each
     chunk is already in it, so the top fraction is a prefix of every
     chunk: a pop cuts each chunk at the k-th smallest negated norm (ties go
@@ -252,6 +274,40 @@ class MemoryBank:
                 kept.append((rr, ranks[n:].copy() if n else ranks))
         self._chunks = kept
         return items, rows
+
+
+def compact_round_rows(rr: RoundRows, banks: Iterable[MemoryBank]) -> None:
+    """Shrink rr, in every given bank, to the rows some bank holds.
+
+    Call once a round's pops are done, with every bank that may hold rr.
+    The chunks that hold rr get one shared RoundRows of those rows, kept in
+    their relative order, and ranks remapped to it; rows no bank holds are
+    freed with rr once nothing else references it.
+    """
+    held = [
+        (bank, j, ranks)
+        for bank in banks
+        for j, (chunk_rr, ranks) in enumerate(bank._chunks)
+        if chunk_rr is rr
+    ]
+    live = np.zeros(len(rr.order), dtype=bool)  # per pop position
+    for _, _, ranks in held:
+        live[ranks] = True
+    if not held or live.all():
+        return
+    keep = np.flatnonzero(live[rr.rank])  # held row indices, ascending
+    small = RoundRows(
+        round=rr.round,
+        senders=rr.senders[keep],
+        items=rr.items[keep],
+        rows=rr.rows[keep],
+        norms=rr.norms[keep],
+    )
+    # Kept rows keep their order and the pop order is a stable sort, so a
+    # held position's new rank is the number of held positions before it.
+    new_rank = np.cumsum(live, dtype=np.int32) - 1
+    for bank, j, ranks in held:
+        bank._chunks[j] = (small, new_rank[ranks])
 
 
 def ucsu_aggregate(

@@ -138,9 +138,11 @@ def _forward(
     h = x
     for mat, b in zip(ws, bs):
         a = h @ mat.T + b
-        mask = a >= 0.0
-        h = np.where(mask, a, 0.0)
-        masks.append(mask)
+        masks.append(a >= 0.0)
+        # The bits of np.where(a >= 0.0, a, 0.0) except at a == -0.0, and a
+        # pre-activation is never -0.0: biases start at +0.0 and change only
+        # by b -= step.
+        h = np.maximum(a, 0.0)
         inputs.append(h)
     z = inputs[-1] @ w
     return z, inputs, masks
@@ -163,7 +165,12 @@ def _backward(
     gw[...] = inputs[-1].T @ g
     dh = g[:, None] * w[None, :]
     for li in range(len(ws) - 1, -1, -1):
-        da = np.where(masks[li], dh, 0.0)
+        # np.where(mask, dh, 0.0) without its per-element branch: a masked
+        # dh * 0 is +-0, and adding +0.0 makes it +0.0.  An unmasked -0.0
+        # turns +0.0 too, which no output sees: the sum and the matmuls
+        # below start from +0.0.
+        da = dh * masks[li]
+        da += 0.0
         gws[li][...] = da.T @ inputs[li]
         gbs[li][...] = da.sum(axis=0)
         dh = da @ ws[li]

@@ -34,6 +34,7 @@ from decrecsim.dataset import Dataset
 from decrecsim.defenses import (
     MemoryBank,
     build_round_rows,
+    compact_round_rows,
     item_krum_aggregate,
     l2_clip_aggregate,
     median_aggregate,
@@ -243,10 +244,14 @@ def run_round(world: World, config: ExperimentConfig) -> None:
 
     # Phase 1: the server refreshes neighbors from everyone's sketches.
     if _refresh_due(t, config.refresh_every):
-        sketches = np.stack(
-            [sketch_item_table(c.item_table, world.hyperplanes) for c in world.clients]
+        sketches = np.empty(
+            (world.num_clients, world.dataset.num_items * len(world.hyperplanes)),
+            dtype=np.float32,
         )
+        for i, c in enumerate(world.clients):
+            sketches[i] = sketch_item_table(c.item_table, world.hyperplanes)
         world.neighbor_map = assign_neighbors(sketches, config.neighbors, t)
+        del sketches  # not held through the rest of the round
 
     nbr = world.neighbor_map
 
@@ -366,6 +371,11 @@ def run_round(world: World, config: ExperimentConfig) -> None:
         state.net -= lr * _mean_in_order([final_packets[k].net_grad for k in ordered.tolist()])
 
     _map_clients(defend_one, benign, config.workers)
+    if config.defense == "ucsu":
+        # The packets are spent, and of the round's rows only those some
+        # bank still holds outlive the round.
+        del packets, outgoing, final_packets
+        compact_round_rows(shared_rows, world.banks.values())
     world.round = t
 
 

@@ -197,6 +197,18 @@ class ReferenceBank:
         return [e[1] for e in popped], [e[2] for e in popped]
 
 
+def assert_round_compacted(round_no: int, banks) -> None:
+    """The banks' chunks of round_no share one RoundRows, which holds exactly
+    the rows those chunks bank."""
+    chunks = [(rr, ranks) for bank in banks for rr, ranks in bank._chunks if rr.round == round_no]
+    if not chunks:
+        return
+    shared = chunks[0][0]
+    assert all(rr is shared for rr, _ in chunks)
+    held = np.unique(np.concatenate([ranks for _, ranks in chunks]))
+    assert held.tolist() == list(range(len(shared.items)))
+
+
 def per_item_mean_loop(items: list[int], rows: np.ndarray) -> dict[int, np.ndarray]:
     """Per item, add its rows one at a time in the given order, then divide."""
     sums: dict[int, np.ndarray] = {}

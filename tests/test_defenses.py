@@ -13,11 +13,14 @@ from hypothesis.extra import numpy as hnp
 
 from decrecsim.config import resolve_trim_k
 from decrecsim.defenses import (
+    _NORM_BLOCK,
     MemoryBank,
     RoundRows,
+    _norms,
     adaptive_clip,
     build_round_rows,
     clip_row,
+    compact_round_rows,
     item_krum_aggregate,
     l2_clip_aggregate,
     median_aggregate,
@@ -25,8 +28,10 @@ from decrecsim.defenses import (
     ucsu_aggregate,
 )
 from decrecsim.errors import ContractError
+from decrecsim.model import GradientPacket
 from helpers import (
     ReferenceBank,
+    assert_round_compacted,
     brute_force_krum,
     brute_force_l2clip,
     brute_force_median,
@@ -118,6 +123,15 @@ class TestAdaptiveClip:
         rows = np.array([[0.0, 0.0], [3.0, 4.0]])
         out = adaptive_clip(rows)
         assert np.array_equal(out[0], [0.0, 0.0])
+
+    def test_inputs_unchanged(self):
+        # clipping scales in place, but never the caller's arrays
+        row = np.array([3.0, 4.0])
+        rows = np.array([[3.0, 4.0], [0.1, 0.0]])
+        clip_row(row, 1.0)
+        adaptive_clip(rows)
+        assert row.tolist() == [3.0, 4.0]
+        assert rows.tolist() == [[3.0, 4.0], [0.1, 0.0]]
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
@@ -357,6 +371,42 @@ class TestL2Clip:
         assert np.all(rr.norms <= 1.0 + 1e-12)
 
 
+class TestBuildRoundRows:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_norms_are_row_local(self, p):
+        # _norms works in row blocks; each row's bits match one whole-array call
+        rng = np.random.default_rng(p)
+        n = 2 * _NORM_BLOCK + 3
+        rows = rng.normal(size=(n, 32)) * 10.0 ** rng.integers(-6, 6, size=(n, 1))
+        assert _norms(rows, p).tobytes() == np.linalg.norm(rows, ord=p, axis=1).tobytes()
+
+    def test_rows_allocated_once(self):
+        # 20k rows of dim 64 (512 B each) that mostly clip: the build may
+        # add the stacked rows plus 256 B per row for the ids, norms and pop
+        # order (about 125 B are used), but no second rows-sized block.
+        rng = np.random.default_rng(10)
+        pkts = [
+            GradientPacket(
+                sender=s,
+                round=1,
+                item_idx=np.arange(100),
+                item_rows=rng.normal(size=(100, 64)),
+                net_grad=np.zeros(1),
+            )
+            for s in range(200)
+        ]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rr = build_round_rows(pkts, 1, mu=1.0, clip=True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.all(rr.norms <= 1.0)
+        assert peak <= rr.rows.nbytes + 256 * len(rr.items)
+
+
 def bank_with(entries, capacity=10):
     """entries: list of (round, sender, {item: row})"""
     bank = MemoryBank(capacity)
@@ -479,6 +529,43 @@ class TestMemoryBank:
             tracemalloc.stop()
 
 
+class TestCompactRoundRows:
+    def test_many_ties_match_reference(self):
+        # Rows over mu clip to norm exactly mu, so most of each round's
+        # ~600 rows tie: compaction must keep their order, and the banks
+        # must keep popping and listing what the reference banks do.
+        rng = np.random.default_rng(12)
+        banks = [MemoryBank(2) for _ in range(3)]
+        refs_banks = [ReferenceBank(2) for _ in range(3)]
+        for t in range(1, 6):
+            pkts = random_packets(rng, 60, 20, 2, p_touch=0.5)
+            rr = build_round_rows(pkts, t, mu=1.0, clip=True)
+            assert len(rr.items) > 100 and np.count_nonzero(rr.norms == 1.0) > 100
+            for bank, ref in zip(banks, refs_banks):
+                senders = np.sort(rng.choice(60, size=30, replace=False))
+                refs = rr.refs_of(senders)
+                for b in (bank, ref):
+                    b.ingest(rr, refs)
+                    b.evict(t)
+                want_items, want_rows = ref.pop(0.1)
+                got_items, got_rows = bank.pop_top_fraction(0.1)
+                assert got_items.tolist() == want_items
+                assert [r.tobytes() for r in got_rows] == [r.tobytes() for r in want_rows]
+            compact_round_rows(rr, banks)
+            assert_round_compacted(t, banks)
+            assert not any(chunk_rr is rr for b in banks for chunk_rr, _ in b._chunks)
+            for bank, ref in zip(banks, refs_banks):
+                kept = [(r, item, row.tobytes()) for r, _, item, row in bank.entries()]
+                assert kept == [(r, item, row.tobytes()) for r, item, row, _ in ref.entries]
+
+    def test_fully_held_round_is_kept(self):
+        bank = MemoryBank(3)
+        rr = build_round_rows(random_packets(np.random.default_rng(13), 4, 5, 2), 1)
+        bank.ingest(rr, np.arange(len(rr.items)))
+        compact_round_rows(rr, [bank])
+        assert bank._chunks[0][0] is rr
+
+
 class TestUcsuAggregate:
     def test_empty_everything_is_noop(self):
         bank = MemoryBank(10)
@@ -582,6 +669,8 @@ class TestBankAgainstReference:
             if clean_bank:  # the pop-and-clean variant discards what stays
                 bank.clear()
                 ref.entries = []
+            compact_round_rows(rr, [agg_bank, bank])
+            assert_round_compacted(t, [agg_bank, bank])
 
             want_mean = {}
             if want_items:

@@ -11,6 +11,8 @@ from decrecsim.errors import ContractError
 from decrecsim.model import (
     AdamState,
     GradientPacket,
+    _backward,
+    _forward,
     _sigmoid,
     adam_step,
     apply_neighbor_aggregate,
@@ -231,6 +233,68 @@ class TestLocalTrainStep:
         u_before = state.user_vec.copy()
         local_train_step(state, np.array([[0, 1]]), opt, lr=1e-3, update_user=False)
         assert np.array_equal(u_before, state.user_vec)
+
+
+class TestReluMasking:
+    """_forward and _backward have the bits of the np.where masking forms."""
+
+    @staticmethod
+    def where_forward(state, items):
+        k = state.layout.embed_dim
+        x = np.empty((len(items), 2 * k))
+        x[:, :k] = state.user_vec
+        x[:, k:] = state.item_table[items]
+        ws, bs, w = state.layout.views(state.net)
+        inputs, masks, h = [x], [], x
+        for mat, b in zip(ws, bs):
+            a = h @ mat.T + b
+            mask = a >= 0.0
+            h = np.where(mask, a, 0.0)
+            masks.append(mask)
+            inputs.append(h)
+        return inputs[-1] @ w, inputs, masks
+
+    @staticmethod
+    def where_backward(state, inputs, masks, g):
+        ws, _, w = state.layout.views(state.net)
+        k = state.layout.embed_dim
+        net_grad = np.zeros(state.layout.size)
+        gws, gbs, gw = state.layout.views(net_grad)
+        gw[...] = inputs[-1].T @ g
+        dh = g[:, None] * w[None, :]
+        for li in range(len(ws) - 1, -1, -1):
+            da = np.where(masks[li], dh, 0.0)
+            gws[li][...] = da.T @ inputs[li]
+            gbs[li][...] = da.sum(axis=0)
+            dh = da @ ws[li]
+        return net_grad, dh[:, :k].sum(axis=0), dh[:, k:]
+
+    def states(self):
+        for seed in range(4):
+            yield make_state(seed, num_items=50, embed_dim=8, widths=(16, 8, 4))
+        # freshly initialised: zero biases, small weights
+        yield init_client_state(50, 8, [16, 8, 4], np.random.default_rng(9))
+        # negative biases leave whole rows of units masked
+        state = make_state(5, num_items=50, embed_dim=8, widths=(16, 8, 4))
+        for b in state.layout.views(state.net)[1]:
+            b -= 0.6
+        yield state
+
+    def test_bits_match_where_forms(self):
+        rng = np.random.default_rng(3)
+        for state in self.states():
+            for size in (1, 7, 64):
+                items = rng.integers(0, 50, size=size)
+                z, inputs, masks = _forward(state, items)
+                want_z, want_inputs, want_masks = self.where_forward(state, items)
+                assert z.tobytes() == want_z.tobytes()
+                for got, want in zip(inputs + masks, want_inputs + want_masks, strict=True):
+                    assert got.tobytes() == want.tobytes()
+                g = rng.normal(size=size) * rng.choice([0.0, 1.0], size=size)
+                got_grads = _backward(state, inputs, masks, g)
+                want_grads = self.where_backward(state, inputs, masks, g)
+                for got, want in zip(got_grads, want_grads, strict=True):
+                    assert got.tobytes() == want.tobytes()
 
 
 def dense_moments(opt, num_items):

@@ -1,18 +1,22 @@
 """Round loop on a tiny synthetic world: thread-count invariance and
 same-seed determinism for every per-receiver robust aggregator, and for
-PAMN against UCSU with banks small enough to evict; init_world's pair
-checks and each client's Adam item-moment cover."""
+PAMN against UCSU with banks small enough to evict; the round rows UCSU
+keeps alive; init_world's pair checks and each client's Adam item-moment
+cover."""
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
 
 from decrecsim.cli import load_dataset
 from decrecsim.config import ExperimentConfig
+from decrecsim.defenses import RoundRows
 from decrecsim.errors import ContractError
-from decrecsim.simulation import _mean_in_order, init_world, run_experiment
+from decrecsim.simulation import _mean_in_order, init_world, run_experiment, run_round
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
+from helpers import assert_round_compacted
 
 # (overrides, test id): EB against each per-receiver aggregator, and PAMN
 # against UCSU over 4 rounds with a 2-round bank, so eviction runs.
@@ -81,6 +85,36 @@ def test_same_seed_same_metrics(tiny, case):
     second, _ = run(tiny, **case)
     assert [r.round for r in first] == list(range(case.get("rounds", 2) + 1))
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"ucsu_clean_bank": True}, {"ucsu_clip": False}],
+    ids=["default", "clean-bank", "no-clip"],
+)
+def test_ucsu_keeps_only_round_rows_a_bank_holds(tiny, overrides):
+    config, dataset = tiny
+    config = dataclasses.replace(
+        config, attack="pamn", defense="ucsu", capacity_rounds=2, rounds=4, **overrides
+    )
+    world = init_world(config, dataset)
+    earlier = [o for o in gc.get_objects() if isinstance(o, RoundRows)]
+    for t in range(1, config.rounds + 1):
+        run_round(world, config)
+        gc.collect()
+        alive = {
+            id(o)
+            for o in gc.get_objects()
+            if isinstance(o, RoundRows) and not any(o is e for e in earlier)
+        }
+        held = {id(rr) for bank in world.banks.values() for rr, _ in bank._chunks}
+        # a round no bank holds is no longer referenced
+        assert alive == held
+        assert_round_compacted(t, world.banks.values())
+        if overrides.get("ucsu_clean_bank"):
+            assert not held
+        else:
+            assert any(rr.round == t for bank in world.banks.values() for rr, _ in bank._chunks)
 
 
 @pytest.mark.parametrize("count", [1, 2, 7, 50])
