@@ -14,7 +14,7 @@ pair is bit-identical when both sides report the same ``records`` and the
 same ledger ``params_sha256``.  The summary gives each side's quartiles,
 the pairs the change wins (lower is better, ties count for neither), the
 median's relative change and the parent's interquartile range, and is
-written to ``benchmarks/BENCH_<pr>.json`` (``--out`` overrides the path).
+written to ``benchmarks/BENCH_<pr>.json``.  Every run gets ``--seconds 30``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("setup_s", "round_s", "run_s", "peak_rss_mb")
 UNITS = {"setup_s": "s", "round_s": "s", "run_s": "s", "peak_rss_mb": "MB"}
+SECONDS = 30
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -73,11 +74,11 @@ def export_tree(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run: end-to-end values, checks and outputs."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -95,11 +96,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'81-90' or '81,83,85' to a list of seeds."""
-    if "-" in text:
-        lo, hi = (int(x) for x in text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(x) for x in text.split(",")]
+    """'81-90' to the seeds 81 to 90, both included."""
+    lo, hi = (int(x) for x in text.split("-"))
+    return list(range(lo, hi + 1))
 
 
 def environment(env: dict) -> dict:
@@ -119,9 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--title", required=True)
     parser.add_argument("--run", action="append", required=True, metavar="WORKLOAD=SEEDS")
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--note", default="")
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     runs = [(w, parse_seeds(s)) for w, s in (r.split("=") for r in args.run)]
 
@@ -135,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"workload": workload, "seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(trees[side], workload, seed, args.seconds)
+                    pair[side] = run_once(trees[side], workload, seed)
                 pairs.append(pair)
                 print(workload, seed, {s: pair[s]["end_to_end"] for s in ("parent", "change")},
                       file=sys.stderr, flush=True)
@@ -159,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "pr": args.pr,
         "title": args.title,
-        "harness": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
+        "harness": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
         "order": "alternating parent/change pairs, one per seed (parent first on even pairs)",
         "backfilled": False,
         "environment": environment(pairs[0]["change"]["environment"]),
@@ -174,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
             for p in pairs
         ],
     }
-    out = args.out or ROOT / "benchmarks" / f"BENCH_{args.pr}.json"
+    out = ROOT / "benchmarks" / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

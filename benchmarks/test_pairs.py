@@ -41,4 +41,3 @@ def test_gain_needs_nine_in_ten_wins_and_a_gap_beyond_the_parent_iqr():
 
 def test_parse_seeds():
     assert parse_seeds("81-84") == [81, 82, 83, 84]
-    assert parse_seeds("5,7") == [5, 7]

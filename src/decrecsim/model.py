@@ -139,9 +139,10 @@ def _forward(
     for mat, b in zip(ws, bs):
         a = h @ mat.T + b
         masks.append(a >= 0.0)
-        # The bits of np.where(a >= 0.0, a, 0.0) except at a == -0.0, and a
-        # pre-activation is never -0.0: biases start at +0.0 and change only
-        # by b -= step.
+        # For finite a, the bits of np.where(a >= 0.0, a, 0.0) except at
+        # a == -0.0, and a pre-activation is never -0.0: biases start at +0.0
+        # and change only by b -= step.  A NaN pre-activation passes on here
+        # where np.where set it to 0 (only a diverged run has one).
         h = np.maximum(a, 0.0)
         inputs.append(h)
     z = inputs[-1] @ w
@@ -165,10 +166,11 @@ def _backward(
     gw[...] = inputs[-1].T @ g
     dh = g[:, None] * w[None, :]
     for li in range(len(ws) - 1, -1, -1):
-        # np.where(mask, dh, 0.0) without its per-element branch: a masked
-        # dh * 0 is +-0, and adding +0.0 makes it +0.0.  An unmasked -0.0
-        # turns +0.0 too, which no output sees: the sum and the matmuls
-        # below start from +0.0.
+        # For finite dh, np.where(mask, dh, 0.0) without its per-element
+        # branch: a masked dh * 0 is +-0, and adding +0.0 makes it +0.0.  An
+        # unmasked -0.0 turns +0.0 too, which no output sees: the sum and the
+        # matmuls below start from +0.0.  A masked inf or NaN becomes NaN
+        # here where np.where gave 0 (only a diverged run has one).
         da = dh * masks[li]
         da += 0.0
         gws[li][...] = da.T @ inputs[li]

@@ -244,11 +244,10 @@ def run_round(world: World, config: ExperimentConfig) -> None:
 
     # Phase 1: the server refreshes neighbors from everyone's sketches.
     if _refresh_due(t, config.refresh_every):
-        sketches = np.empty(
-            (world.num_clients, world.dataset.num_items * len(world.hyperplanes)),
-            dtype=np.float32,
-        )
-        for i, c in enumerate(world.clients):
+        first = sketch_item_table(world.clients[0].item_table, world.hyperplanes)
+        sketches = np.empty((world.num_clients, first.size), dtype=first.dtype)
+        sketches[0] = first
+        for i, c in enumerate(world.clients[1:], start=1):
             sketches[i] = sketch_item_table(c.item_table, world.hyperplanes)
         world.neighbor_map = assign_neighbors(sketches, config.neighbors, t)
         del sketches  # not held through the rest of the round

@@ -296,6 +296,34 @@ class TestReluMasking:
                 for got, want in zip(got_grads, want_grads, strict=True):
                     assert got.tobytes() == want.tobytes()
 
+    def test_non_finite_values_pass_the_mask(self):
+        # The bits agree only for finite values: a NaN pre-activation and a
+        # masked inf or NaN gradient now pass on where np.where gave 0.
+        state = make_state(0, num_items=50, embed_dim=8, widths=(16, 8, 4))
+        state.layout.views(state.net)[1][0][0] = np.nan
+        items = np.arange(5)
+        _, inputs, masks = _forward(state, items)
+        _, want_inputs, _ = self.where_forward(state, items)
+        assert np.isnan(inputs[1][:, 0]).all()
+        assert (want_inputs[1][:, 0] == 0.0).all()
+
+        state = make_state(0, num_items=50, embed_dim=8, widths=(16, 8, 4))
+        _, inputs, masks = _forward(state, items)
+        layer = len(masks) - 1
+        assert not masks[layer].all()
+        state.layout.views(state.net)[2][...] = np.inf
+        g = np.ones(len(items))
+        with np.errstate(invalid="ignore"):
+            got = _backward(state, inputs, masks, g)
+            want = self.where_backward(state, inputs, masks, g)
+        # the last layer's bias gradient sums dh over rows, masked ones included
+        bias_grad = state.layout.views(got[0])[1][layer]
+        want_bias_grad = state.layout.views(want[0])[1][layer]
+        masked_unit = np.flatnonzero(~masks[layer].any(axis=0))
+        assert masked_unit.size
+        assert not np.isnan(want_bias_grad[masked_unit]).any()
+        assert np.isnan(bias_grad[masked_unit]).all()
+
 
 def dense_moments(opt, num_items):
     """(m_items, v_items) scattered back to (num_items, dim), absent rows zero."""
