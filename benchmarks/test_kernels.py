@@ -3,9 +3,10 @@
 One client has 848 items, embed_dim 32 and the default (64, 32, 16) net; a
 local minibatch is 32 pairs; a client trains on 111 items; a UCSU receiver
 banks the rows of 50 senders of about 110 rows each per round, and its bank
-is timed in the steady state, after 11 rounds that each end with a 10% pop;
-a round's rows are compacted after the 10% pops of 600 such receivers among
-630 senders; the server picks N = 50 neighbors for 630 clients from
+is timed in the steady state, after 11 rounds that each end with a 10% pop,
+and so is one UCSU receive on it (ingest, pop, adaptive clip and per-item
+mean); a round's rows are compacted after the 10% pops of 600 such receivers
+among 630 senders; the server picks N = 50 neighbors for 630 clients from
 sketches of 16 bits per item.  Evaluation is timed on the `eb_trimmed_s` world (S: 200 users x
 400 items).
 
@@ -21,7 +22,7 @@ import pytest
 
 from decrecsim.cli import load_dataset
 from decrecsim.config import ExperimentConfig
-from decrecsim.defenses import MemoryBank, build_round_rows, compact_round_rows
+from decrecsim.defenses import MemoryBank, build_round_rows, compact_round_rows, ucsu_aggregate
 from decrecsim.metrics import evaluate_world
 from decrecsim.model import (
     LOCAL_BATCH_SIZE,
@@ -109,7 +110,7 @@ def round_rows(round_no: int, rng: np.random.Generator, senders: int = SENDERS):
                 net_grad=np.zeros(1),
             )
         )
-    return build_round_rows(packets, round_no)
+    return build_round_rows(packets, round_no, NUM_ITEMS, EMBED_DIM, 1)
 
 
 @pytest.fixture(scope="module")
@@ -154,8 +155,20 @@ def test_bank_pop_top_fraction(benchmark, rounds):
 
     (bank, _), _ = setup()
     want = -(-bank.size() // 10)
-    items, rows = benchmark.pedantic(MemoryBank.pop_top_fraction, setup=setup, rounds=20)
-    assert len(items) == len(rows) == want
+    items, rows, norms = benchmark.pedantic(MemoryBank.pop_top_fraction, setup=setup, rounds=20)
+    assert len(items) == len(rows) == len(norms) == want
+
+
+def test_ucsu_aggregate(benchmark, rounds):
+    banked, last = rounds[:BANK_ROUNDS], rounds[BANK_ROUNDS]
+    senders = np.arange(SENDERS)
+
+    def setup():
+        return (steady_bank(banked), last, senders, POP_FRACTION), {}
+
+    items, rows = benchmark.pedantic(ucsu_aggregate, setup=setup, rounds=20)
+    assert len(items) == len(rows) and np.array_equal(items, np.unique(items))
+    assert np.all(np.linalg.norm(rows, axis=1) <= 1.0 + 1e-12)
 
 
 def test_compact_round_rows(benchmark):

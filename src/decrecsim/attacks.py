@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from decrecsim.defenses import RoundRows, mean_aggregate
 from decrecsim.errors import ConfigError, ContractError
 from decrecsim.metrics import top_k_list
 from decrecsim.model import (
@@ -30,7 +31,7 @@ from decrecsim.model import (
     _forward,
     _sigmoid,
     adam_step,
-    apply_neighbor_aggregate,
+    apply_neighbor_update,
     compute_gradients,
     scatter_add_rows,
     score_items,
@@ -108,10 +109,13 @@ def build_adversary_dataset(
 
 
 def adversary_collab_update(
-    adv: AdversaryState, packets: list[GradientPacket], lr: float
+    adv: AdversaryState, rr: RoundRows, senders: np.ndarray, net_mean: np.ndarray, lr: float
 ) -> None:
-    """Absorb neighbor gradients; identical mechanics to the benign update."""
-    apply_neighbor_aggregate(adv.base, packets, lr)
+    """Absorb the neighbors' gradients as a benign client with defense none
+    does: the plain mean of the rows the ascending sender ids sent in rr,
+    and the mean net gradient net_mean."""
+    items, rows = mean_aggregate(rr, senders)
+    apply_neighbor_update(adv.base, items, rows, net_mean, lr)
 
 
 def update_adversary_user_embedding(

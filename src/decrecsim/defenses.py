@@ -2,14 +2,18 @@
 
 All defenses consume the item-row part of neighbor packets and produce
 per-item aggregate rows; network-parameter gradients are always aggregated
-by plain mean outside these functions.  For median / trimmed mean / Krum,
-an item row absent from a packet counts as a zero vector, mirroring the
-FedAvg convention of dividing by the packet count.
+by plain mean outside these functions, and model.apply_neighbor_update
+applies both.  For median / trimmed mean / Krum, an item row absent from a
+packet counts as a zero vector, mirroring the FedAvg convention of dividing
+by the packet count.
 
-A round's packets are consolidated once (RoundRows), and every robust
-defense reads a receiver's rows from it by the receiver's ascending
-neighbor ids.  Clipping to the fixed mu bound, for l2clip and for UCSU,
-happens once, at consolidation, so l2clip itself is a plain mean.
+A round's packets are consolidated once (RoundRows), for every defense,
+and every defense reads a receiver's rows from it by the receiver's
+ascending neighbor ids; consolidation checks each packet against the
+receivers' model shape, once per round.  Clipping to the fixed mu bound,
+for l2clip and for UCSU, happens once, at consolidation, so defense none
+and l2clip share one plain-mean reader, mean_aggregate.  Adversaries read
+an unclipped RoundRows of their neighbors' honest packets with it too.
 
 Median and trimmed mean scatter a receiver's rows into one dense
 (items, dim, packets) block, absent rows zero, and sort it once along the
@@ -23,9 +27,10 @@ round's shared RoundRows and the int32 pop positions of the receiver's
 rows still banked.  Each round's rows are sorted into pop order (descending
 stored norm, row index on ties) once, shared by all receivers, so every
 chunk is already in pop order and the bank's top fraction is a prefix of
-each chunk; no receiver ever sorts its whole bank.  Per-item sums add rows
-in pop order, one at a time, so the aggregate has the same bits as a
-sequential per-row loop.
+each chunk; no receiver ever sorts its whole bank.  Each stored row's
+p-norm is taken once, at consolidation, and popped with the row, so UCSU's
+adaptive clip never re-takes it.  Per-item sums add rows in pop order, one
+at a time, so the aggregate has the same bits as a sequential per-row loop.
 
 Once a round's pops are done, compact_round_rows shrinks that round's
 RoundRows to the rows some bank still holds and remaps the banks' pop
@@ -75,23 +80,6 @@ def _clip(rows: np.ndarray, norms: np.ndarray, bound: float) -> np.ndarray:
     return rows
 
 
-def clip_row(grad_row: np.ndarray, mu: float, p: int = 2) -> np.ndarray:
-    """Scale grad_row by min(1, mu / |grad_row|_p); zero rows pass through."""
-    if mu <= 0:
-        raise ContractError("mu must be > 0")
-    rows = np.array(grad_row, dtype=np.float64)[None, :]
-    return _clip(rows, _norms(rows, p), mu)[0]
-
-
-def adaptive_clip(rows: np.ndarray, p: int = 2) -> np.ndarray:
-    """Scale each row by min(1, mean_norm / own_norm); zero rows pass through."""
-    rows = np.array(rows, dtype=np.float64)
-    if rows.ndim != 2 or len(rows) == 0:
-        raise ContractError("adaptive_clip requires a nonempty (n, dim) row matrix")
-    norms = _norms(rows, p)
-    return _clip(rows, norms, float(norms.mean()))
-
-
 @dataclass
 class RoundRows:
     """All item-row gradients received in one round, consolidated.
@@ -109,7 +97,9 @@ class RoundRows:
     senders: np.ndarray  # (n,) int32, ascending
     items: np.ndarray  # (n,) int32
     rows: np.ndarray  # (n, embed_dim) float64
-    norms: np.ndarray  # (n,) float64 p-norms
+    norms: np.ndarray  # (n,) float64 p-norms, capped at mu where clipped: the pop key
+    # (n,) float64 p-norms of the stored rows; norms itself when none was clipped
+    row_norms: np.ndarray | None = None
     order: np.ndarray = field(init=False)  # row indices in pop order
     rank: np.ndarray = field(init=False)  # int32 position of each row in order
     pop_neg_norm: np.ndarray = field(init=False)  # negated norms in pop order
@@ -117,6 +107,8 @@ class RoundRows:
     sender_count: np.ndarray = field(init=False)  # row count, per sender id
 
     def __post_init__(self) -> None:
+        if self.row_norms is None:
+            self.row_norms = self.norms
         neg = -self.norms
         self.order = np.argsort(neg, kind="stable")
         self.rank = np.empty(len(self.order), dtype=np.int32)
@@ -146,39 +138,54 @@ class RoundRows:
 def build_round_rows(
     packets: list[GradientPacket],
     round_no: int,
+    num_items: int,
+    embed_dim: int,
+    net_size: int,
     mu: float = 1.0,
     p: int = 2,
     clip: bool = True,
 ) -> RoundRows:
     """Consolidate packets (ascending sender order) into one RoundRows.
 
-    With clip enabled every row is clipped to the fixed mu bound before
-    storage; clipping is receiver-independent, so the result may be shared.
+    Every packet must fit the receivers' model: item ids in [0, num_items),
+    an (ids, embed_dim) row block and a (net_size,) net gradient, else
+    ContractError.  With clip enabled every row is clipped to the fixed mu
+    bound before storage; clipping is receiver-independent, so the result
+    may be shared.
     """
     ordered = sorted(packets, key=lambda q: q.sender)
+    for q in ordered:
+        if q.net_grad.shape != (net_size,):
+            raise ContractError("packet net gradient shape mismatch")
+        if q.item_rows.shape != (len(q.item_idx), embed_dim):
+            raise ContractError("packet item row shape mismatch")
     # The rows are allocated once: norms are taken in blocks and clipping
     # scales the stacked rows in place.
     if ordered:
         senders = np.concatenate(
             [np.full(len(q.item_idx), q.sender, dtype=np.int32) for q in ordered]
         )
-        items = np.concatenate([q.item_idx for q in ordered]).astype(np.int32)
-        rows = (
-            np.vstack([q.item_rows for q in ordered])
-            if items.size
-            else np.zeros((0, 0))
-        )
+        items = np.concatenate([q.item_idx for q in ordered])
+        if items.size and (items.min() < 0 or items.max() >= num_items):
+            raise ContractError("packet item index out of range")
+        items = items.astype(np.int32)
+        rows = np.vstack([q.item_rows for q in ordered])
     else:
         senders = np.zeros(0, dtype=np.int32)
         items = np.zeros(0, dtype=np.int32)
-        rows = np.zeros((0, 0))
+        rows = np.zeros((0, embed_dim))
     norms = _norms(rows, p)
+    row_norms = None
     if clip and len(rows):
         if mu <= 0:
             raise ContractError("mu must be > 0")
         rows = _clip(rows, norms, mu)
+        # UCSU's adaptive clip scales by the stored rows' own norms.
+        row_norms = _norms(rows, p)
         norms = np.minimum(norms, mu)
-    return RoundRows(round=round_no, senders=senders, items=items, rows=rows, norms=norms)
+    return RoundRows(
+        round=round_no, senders=senders, items=items, rows=rows, norms=norms, row_norms=row_norms
+    )
 
 
 class MemoryBank:
@@ -236,8 +243,9 @@ class MemoryBank:
             for ref in np.sort(rr.order[ranks]).tolist()
         ]
 
-    def pop_top_fraction(self, nu: float) -> tuple[np.ndarray, np.ndarray]:
-        """Remove and return the top ceil(nu * size) rows by stored norm.
+    def pop_top_fraction(self, nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Remove and return the top ceil(nu * size) rows by stored norm:
+        their item ids, the rows, and the rows' own p-norms (row_norms).
 
         Output is ordered by descending norm, insertion order on ties.
         """
@@ -245,7 +253,7 @@ class MemoryBank:
             raise ContractError("nu must be in (0, 1]")
         total = self.size()
         if total == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
+            return np.zeros(0, dtype=np.int64), np.zeros((0, 0)), np.zeros(0)
         k = math.ceil(nu * total)
         negs = [rr.pop_neg_norm[ranks] for rr, ranks in self._chunks]
         cut = np.partition(np.concatenate(negs), k - 1)[k - 1]
@@ -263,17 +271,19 @@ class MemoryBank:
         dest[merged] = np.arange(k)
         items = np.empty(k, dtype=np.int64)
         rows = np.empty((k, self._chunks[0][0].rows.shape[1]))
+        row_norms = np.empty(k)
         kept = []
         start = 0
         for (rr, ranks), n in zip(self._chunks, takes):
             refs = rr.order[ranks[:n]]
             items[dest[start : start + n]] = rr.items[refs]
             rows[dest[start : start + n]] = rr.rows[refs]
+            row_norms[dest[start : start + n]] = rr.row_norms[refs]
             start += n
             if n < len(ranks):
                 kept.append((rr, ranks[n:].copy() if n else ranks))
         self._chunks = kept
-        return items, rows
+        return items, rows, row_norms
 
 
 def compact_round_rows(rr: RoundRows, banks: Iterable[MemoryBank]) -> None:
@@ -302,6 +312,7 @@ def compact_round_rows(rr: RoundRows, banks: Iterable[MemoryBank]) -> None:
         items=rr.items[keep],
         rows=rr.rows[keep],
         norms=rr.norms[keep],
+        row_norms=None if rr.row_norms is rr.norms else rr.row_norms[keep],
     )
     # Kept rows keep their order and the pop order is a stable sort, so a
     # held position's new rank is the number of held positions before it.
@@ -315,7 +326,6 @@ def ucsu_aggregate(
     rr: RoundRows,
     senders: np.ndarray,
     nu: float,
-    p: int = 2,
     clean_bank: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bank what the senders sent this round, pop the top-nu fraction by
@@ -324,9 +334,10 @@ def ucsu_aggregate(
     The senders' rows (clipped at consolidation when UCSU clips) are
     inserted into the bank, then entries beyond the retention window of
     round rr.round are evicted.  The top ceil(nu * bank size) rows by norm
-    are removed, rescaled by the adaptive mean-norm clip, and averaged per
-    item.  Rows left unselected stay banked unless clean_bank is set, which
-    discards them (the literal pop-and-clean variant).  Returns (item ids,
+    are removed, rescaled by the adaptive mean-norm clip (each row by
+    min(1, mean norm / its norm), over the norms the pop returns), and
+    averaged per item.  Rows left unselected stay banked unless clean_bank
+    is set, which discards them (the literal pop-and-clean variant).  Returns (item ids,
     aggregate rows); an empty bank yields an empty aggregate.
     """
     if not (0.0 < nu <= 1.0):
@@ -335,8 +346,8 @@ def ucsu_aggregate(
     bank.evict(rr.round)
     if bank.size() == 0:
         return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
-    items, rows = bank.pop_top_fraction(nu)
-    rows = adaptive_clip(rows, p)
+    items, rows, norms = bank.pop_top_fraction(nu)
+    rows = _clip(rows, norms, norms.mean())
     if clean_bank:
         bank.clear()
     uniq, sums, counts = scatter_add_rows(items, rows)
@@ -453,9 +464,13 @@ def item_krum_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray,
     return uniq, out
 
 
-def l2_clip_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Plain FedAvg mean of the senders' rows, which consolidation clipped
-    to the fixed mu bound."""
+def mean_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plain FedAvg mean of the senders' rows, absent rows as zero.
+
+    Defense none reads unclipped rows with it, l2clip the rows consolidation
+    clipped to the fixed mu bound, and adversaries their neighbors' honest
+    rows.  Rows are summed in ascending sender order.
+    """
     idx_cat, rows_cat, _ = rr.receive(senders)
     uniq, sums, _ = scatter_add_rows(idx_cat, rows_cat)
     return uniq, sums / len(senders)

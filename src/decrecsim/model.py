@@ -1,5 +1,5 @@
 """Per-client recommender: embedding lookup, feedforward scoring, BPR loss,
-analytic gradients, Adam local updates, and neighbor-gradient aggregation.
+analytic gradients, Adam local updates, and the neighbor update rule.
 
 A client scores item j as sigmoid(w^T FFN([u, v_j])) where FFN is a relu
 multilayer perceptron over the concatenated user and item embeddings.  The
@@ -11,6 +11,10 @@ meaningful.
 A client's Adam item moments cover only the item ids its AdamState names
 (for a simulated client, the items of its own training pairs), so a client
 holds one dense item table but moments for a small share of its rows.
+
+apply_neighbor_update is the only place the neighbor update rule lives:
+the defenses and the adversaries compute aggregates of the neighbors'
+gradients, and every aggregate is applied there.
 """
 
 from __future__ import annotations
@@ -186,14 +190,6 @@ def score_items(state: ClientState, items: np.ndarray | None = None) -> np.ndarr
         items = np.arange(state.num_items)
     z, _, _ = _forward(state, np.asarray(items, dtype=np.int64))
     return z
-
-
-def predict_rating(state: ClientState, item: int) -> float:
-    """Estimated rating sigmoid(w^T FFN([u, v_item])), strictly in (0, 1)."""
-    if not 0 <= item < state.num_items:
-        raise IndexError(f"item {item} out of range [0, {state.num_items})")
-    z, _, _ = _forward(state, np.asarray([item], dtype=np.int64))
-    return float(_sigmoid(z[0]))
 
 
 def _sigmoid(x: np.ndarray | float) -> np.ndarray | float:
@@ -400,45 +396,17 @@ def adam_step(
     _adam_update(state.net, net_grad, opt.m_net, opt.v_net, lr, bc1, bc2)
 
 
-def mean_item_gradient(
-    packets: list[GradientPacket], embed_dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """FedAvg item-gradient mean over packets, rows absent from a packet count as zero.
-
-    Packets are summed in ascending sender order so the result is
-    bit-identical under any input permutation.  Returns (touched item ids,
-    mean rows).
-    """
-    ordered = sorted(packets, key=lambda p: p.sender)
-    idx_cat = np.concatenate([p.item_idx for p in ordered])
-    if idx_cat.size == 0:
-        return idx_cat, np.zeros((0, embed_dim))
-    rows_cat = np.vstack([p.item_rows for p in ordered if len(p.item_idx)])
-    touched, sums, _ = scatter_add_rows(idx_cat, rows_cat)
-    return touched, sums / len(ordered)
-
-
-def apply_neighbor_aggregate(
-    state: ClientState, packets: list[GradientPacket], lr: float
+def apply_neighbor_update(
+    state: ClientState, items: np.ndarray, rows: np.ndarray, net_mean: np.ndarray, lr: float
 ) -> None:
-    """Eq-style collaborative update: subtract lr times the FedAvg packet mean.
+    """The neighbor update rule: subtract lr times an aggregate of the
+    neighbors' gradients, given as item ids with their aggregate rows and the
+    mean net gradient.
 
-    Item rows and net parameters move; the private user embedding does not.
+    Every defense's aggregate, and an adversary's absorption of its
+    neighbors' packets, is applied here.  Item rows and the net move; the
+    private user embedding does not.
     """
-    if not packets:
-        raise ContractError("apply_neighbor_aggregate requires at least one packet")
-    for p in packets:
-        if p.net_grad.shape != state.net.shape:
-            raise ContractError("packet net gradient shape mismatch")
-        if len(p.item_idx) and (p.item_idx.min() < 0 or p.item_idx.max() >= state.num_items):
-            raise ContractError("packet item index out of range")
-        if len(p.item_idx) and p.item_rows.shape != (len(p.item_idx), state.layout.embed_dim):
-            raise ContractError("packet item row shape mismatch")
-    touched, mean_rows = mean_item_gradient(packets, state.layout.embed_dim)
-    state.item_table[touched] -= lr * mean_rows
-    ordered = sorted(packets, key=lambda p: p.sender)
-    net_sum = np.zeros_like(state.net)
-    for p in ordered:
-        net_sum += p.net_grad
-    state.net -= lr * (net_sum / len(ordered))
-
+    if len(items):
+        state.item_table[items] -= lr * rows
+    state.net -= lr * net_mean

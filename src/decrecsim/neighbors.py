@@ -50,15 +50,6 @@ def sketch_item_table(item_table: np.ndarray, hyperplanes: np.ndarray) -> np.nda
     return bits.ravel()
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """(a . b) / (|a||b|); inputs are +-1 sketches so norms are never zero."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ContractError("sketch length mismatch")
-    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-
 def assign_neighbors(
     sketches: np.ndarray | list[np.ndarray],
     n_neighbors: int,

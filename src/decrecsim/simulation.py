@@ -8,6 +8,13 @@ fires on the very first round.  Adversaries behave benignly during round 1
 round 2 on.  Every randomized step draws from a stream keyed by (root seed,
 domain, client, round), so thread-parallel execution is bit-identical to
 sequential execution.
+
+Item rows reach a receiver only through a round's consolidated RoundRows.
+Adversaries absorb their neighbors' honest packets from an unclipped
+RoundRows built before the attack and dropped once they have absorbed;
+the defenses read the RoundRows of the round's final packets, after which
+only the packets' net gradients are kept.  Every receiver's aggregate and
+mean net gradient are applied by model.apply_neighbor_update.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from decrecsim.defenses import (
     build_round_rows,
     compact_round_rows,
     item_krum_aggregate,
-    l2_clip_aggregate,
+    mean_aggregate,
     median_aggregate,
     trimmed_mean_aggregate,
     ucsu_aggregate,
@@ -48,7 +55,7 @@ from decrecsim.model import (
     AdamState,
     ClientState,
     GradientPacket,
-    apply_neighbor_aggregate,
+    apply_neighbor_update,
     check_pairs,
     compute_gradients,
     init_client_state,
@@ -279,16 +286,27 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     all_ids = list(range(world.num_clients))
     packets: list[GradientPacket] = _map_clients(train_one, all_ids, config.workers)
 
-    # Phase 3: adversaries absorb neighbor knowledge, then craft this
-    # round's outgoing packets (from round 2 on; round 1 conceals).
+    # Every client shares one model shape; packets are checked against it.
+    layout = world.clients[0].layout
+    shape = dict(num_items=world.dataset.num_items, embed_dim=layout.embed_dim, net_size=layout.size)
+
+    # Phase 3: adversaries absorb their neighbors' honest packets, then
+    # craft this round's outgoing packets (from round 2 on; round 1 conceals).
     outgoing: dict[int, GradientPacket] = {}
     adv_ids = sorted(world.adversary_ids)
-    for a in adv_ids:
-        neigh = nbr.neighbors_of(a) if nbr is not None else np.zeros(0, dtype=np.int64)
-        if len(neigh):
-            adversary_collab_update(
-                world.adversaries[a], [packets[k] for k in neigh.tolist()], lr
-            )
+    if adv_ids and nbr is not None:
+        honest_rows = build_round_rows(packets, t, **shape, p=config.p, clip=False)
+        for a in adv_ids:
+            neigh = np.sort(nbr.neighbors_of(a))
+            if len(neigh):
+                adversary_collab_update(
+                    world.adversaries[a],
+                    honest_rows,
+                    neigh,
+                    _mean_in_order([packets[k].net_grad for k in neigh.tolist()]),
+                    lr,
+                )
+        del honest_rows
     if adv_ids and t >= 2:
         coord = None
         if config.attack == "pamn":
@@ -316,8 +334,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
                 adv, world.target_items, config.attack, config.top_k, config.e_ft, lr, t
             )
 
-        for a, pkt in zip(adv_ids, _map_clients(attack_one, adv_ids, config.workers)):
-            outgoing[a] = pkt
+        outgoing = dict(zip(adv_ids, _map_clients(attack_one, adv_ids, config.workers)))
 
     # Phase 4: benign clients apply the configured defense and aggregate.
     final_packets = [outgoing.get(i, packets[i]) for i in all_ids]
@@ -325,32 +342,32 @@ def run_round(world: World, config: ExperimentConfig) -> None:
 
     # Clipping to mu is receiver-independent, so l2clip and UCSU clip once
     # here, for every receiver.
-    shared_rows = None
-    if config.defense != "none":
-        shared_rows = build_round_rows(
-            final_packets,
-            t,
-            mu=config.mu,
-            p=config.p,
-            clip=config.defense == "l2clip" or (config.defense == "ucsu" and config.ucsu_clip),
-        )
+    shared_rows = build_round_rows(
+        final_packets,
+        t,
+        **shape,
+        mu=config.mu,
+        p=config.p,
+        clip=config.defense == "l2clip" or (config.defense == "ucsu" and config.ucsu_clip),
+    )
+    # Every defense reads item rows from shared_rows, so of the packets only
+    # the net gradients outlive consolidation.
+    net_grads = [q.net_grad for q in final_packets]
+    del packets, outgoing, final_packets
 
     def defend_one(i: int) -> None:
-        state = world.clients[i]
         neigh = nbr.neighbors_of(i) if nbr is not None else np.zeros(0, dtype=np.int64)
         if len(neigh) == 0:
             return
         ordered = np.sort(neigh)
-        if config.defense == "none":
-            apply_neighbor_aggregate(state, [final_packets[k] for k in ordered.tolist()], lr)
-            return
-        if config.defense == "ucsu":
+        if config.defense in ("none", "l2clip"):
+            items, rows = mean_aggregate(shared_rows, ordered)
+        elif config.defense == "ucsu":
             items, rows = ucsu_aggregate(
                 world.banks[i],
                 shared_rows,
                 ordered,
                 config.nu,
-                p=config.p,
                 clean_bank=config.ucsu_clean_bank,
             )
         elif config.defense == "median":
@@ -361,19 +378,15 @@ def run_round(world: World, config: ExperimentConfig) -> None:
             )
         elif config.defense == "krum":
             items, rows = item_krum_aggregate(shared_rows, ordered)
-        elif config.defense == "l2clip":
-            items, rows = l2_clip_aggregate(shared_rows, ordered)
         else:
             raise ConfigError(f"unknown defense: {config.defense!r}")
-        if len(items):
-            state.item_table[items] -= lr * rows
-        state.net -= lr * _mean_in_order([final_packets[k].net_grad for k in ordered.tolist()])
+        net_mean = _mean_in_order([net_grads[k] for k in ordered.tolist()])
+        apply_neighbor_update(world.clients[i], items, rows, net_mean, lr)
 
     _map_clients(defend_one, benign, config.workers)
     if config.defense == "ucsu":
-        # The packets are spent, and of the round's rows only those some
-        # bank still holds outlive the round.
-        del packets, outgoing, final_packets
+        # Of the round's rows only those some bank still holds outlive the
+        # round.
         compact_round_rows(shared_rows, world.banks.values())
     world.round = t
 

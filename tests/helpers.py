@@ -8,7 +8,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from decrecsim.model import ClientState, GradientPacket, NetLayout, bpr_loss, init_client_state
+from decrecsim.defenses import build_round_rows, mean_aggregate
+from decrecsim.errors import ContractError
+from decrecsim.model import (
+    ClientState,
+    GradientPacket,
+    NetLayout,
+    apply_neighbor_update,
+    bpr_loss,
+    init_client_state,
+)
 
 
 def make_state(
@@ -97,6 +106,32 @@ def packet(
     return GradientPacket(sender=sender, round=round_no, item_idx=idx, item_rows=mat, net_grad=net)
 
 
+def round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True, num_items=None):
+    """build_round_rows for a model shaped like the packets: row width and
+    net size from the first packet (2 and 2 without packets), and room for
+    every item id they carry unless num_items is given."""
+    if num_items is None:
+        num_items = 1 + max((int(q.item_idx.max()) for q in pkts if len(q.item_idx)), default=0)
+    embed_dim = pkts[0].item_rows.shape[1] if pkts else 2
+    net_size = len(pkts[0].net_grad) if pkts else 2
+    return build_round_rows(
+        pkts, round_no, num_items, embed_dim, net_size, mu=mu, p=p, clip=clip
+    )
+
+
+def absorb(state: ClientState, pkts: list[GradientPacket], lr: float) -> None:
+    """Apply pkts as a receiver with defense none does in a round: their
+    unclipped round rows read by mean_aggregate, and the mean of their net
+    gradients in ascending sender order, applied by apply_neighbor_update."""
+    rr = build_round_rows(
+        pkts, 1, state.num_items, state.layout.embed_dim, state.layout.size, clip=False
+    )
+    ordered = sorted(pkts, key=lambda q: q.sender)
+    items, rows = mean_aggregate(rr, np.array([q.sender for q in ordered], dtype=np.int64))
+    net_mean = np.stack([q.net_grad for q in ordered]).mean(axis=0)
+    apply_neighbor_update(state, items, rows, net_mean, lr)
+
+
 def dense_rows(packets: list[GradientPacket], num_items: int, dim: int) -> np.ndarray:
     """(num_packets, num_items, dim) dense matrix, absent rows zero."""
     out = np.zeros((len(packets), num_items, dim))
@@ -144,17 +179,63 @@ def brute_force_krum(packets, num_items, dim):
 
 
 def brute_force_l2clip(packets, num_items, dim, mu, p=2):
-    """Every received row scaled by min(1, mu / |row|_p), one row at a time,
-    then the dense mean over packets.  (clip_row would not do here: it
-    shares its scaling code with the consolidation under test.)"""
+    """Every received row clipped by clip_row, one row at a time, then the
+    dense mean over packets."""
     dense = np.zeros((len(packets), num_items, dim))
     for pi, q in enumerate(sorted(packets, key=lambda q: q.sender)):
         for k, item in enumerate(q.item_idx.tolist()):
-            row = q.item_rows[k]
-            norm = float(np.sum(np.abs(row) ** p) ** (1.0 / p))
-            dense[pi, item] = row * min(1.0, mu / norm) if norm > 0 else row
+            dense[pi, item] = clip_row(q.item_rows[k], mu, p)
     touched = sorted({int(i) for q in packets for i in q.item_idx})
     return {i: dense[:, i, :].mean(axis=0) for i in touched}
+
+
+def clip_row(grad_row: np.ndarray, mu: float, p: int = 2) -> np.ndarray:
+    """A copy of grad_row scaled by min(1, mu / |grad_row|_p); zero rows pass."""
+    if mu <= 0:
+        raise ContractError("mu must be > 0")
+    row = np.array(grad_row, dtype=np.float64)
+    norm = float(np.sum(np.abs(row) ** p) ** (1.0 / p))
+    return row * (mu / norm) if norm > mu else row
+
+
+def adaptive_clip(rows: np.ndarray, p: int = 2) -> np.ndarray:
+    """A copy of rows, each scaled by min(1, mean_norm / own_norm), one row
+    at a time; zero rows pass.
+
+    Norms come from one np.linalg.norm call, whose bits per row equal the
+    blocked norms of the program (test_norms_are_row_local), so UCSU's
+    output can be compared byte for byte.
+    """
+    rows = np.array(rows, dtype=np.float64)
+    if rows.ndim != 2 or len(rows) == 0:
+        raise ContractError("adaptive_clip requires a nonempty (n, dim) row matrix")
+    norms = np.linalg.norm(rows, ord=p, axis=1)
+    bound = norms.mean()
+    for row, norm in zip(rows, norms):
+        if norm > bound:
+            row *= bound / norm
+    return rows
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """(a . b) / (|a||b|); inputs are +-1 sketches so norms are never zero."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ContractError("sketch length mismatch")
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def predict_rating(state: ClientState, item: int) -> float:
+    """sigmoid(w^T FFN([u, v_item])) by a plain per-layer loop over one item;
+    strictly in (0, 1)."""
+    if not 0 <= item < state.num_items:
+        raise IndexError(f"item {item} out of range [0, {state.num_items})")
+    ws, bs, w = state.layout.views(state.net)
+    h = np.concatenate([state.user_vec, state.item_table[item]])
+    for mat, b in zip(ws, bs):
+        h = np.maximum(mat @ h + b, 0.0)
+    return float(1.0 / (1.0 + np.exp(-(w @ h))))
 
 
 def brute_force_top_nu(entries: list[tuple[float, int]], nu: float) -> list[int]:

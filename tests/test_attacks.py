@@ -19,13 +19,17 @@ from decrecsim.attacks import (
 )
 from decrecsim.errors import ConfigError, ContractError
 from decrecsim.metrics import top_k_list
-from decrecsim.model import (
-    apply_neighbor_aggregate,
-    compute_gradients,
+from decrecsim.model import compute_gradients, score_items
+from helpers import (
+    absorb,
+    assert_close_grad,
+    fd_scalar,
+    make_state,
+    min_preactivation,
+    packet,
     predict_rating,
-    score_items,
+    round_rows,
 )
-from helpers import assert_close_grad, fd_scalar, make_state, min_preactivation, packet
 
 
 def make_adv(seed, num_items=20, alpha=6, targets=(1, 4), strategy="pamn", scale=0.5):
@@ -72,6 +76,16 @@ class TestBuildDataset:
             build_adversary_dataset(10, np.array([0, 1]), 9, seed=5)
 
 
+def collab_update(adv, pkts, lr):
+    """adversary_collab_update on the unclipped round rows of pkts, every
+    sender a neighbor, with the senders' mean net gradient."""
+    ordered = sorted(pkts, key=lambda q: q.sender)
+    senders = np.array([q.sender for q in ordered], dtype=np.int64)
+    net_mean = np.stack([q.net_grad for q in ordered]).mean(axis=0)
+    rr = round_rows(pkts, num_items=adv.base.num_items, clip=False)
+    adversary_collab_update(adv, rr, senders, net_mean, lr)
+
+
 class TestCollabUpdate:
     def test_bit_identical_to_model_aggregate(self):
         adv = make_adv(0)
@@ -81,8 +95,8 @@ class TestCollabUpdate:
             packet(7, {0: np.array([0.0, 2.0, 0.0, 0.0]), 5: np.ones(4)},
                    np.ones(adv.base.layout.size), dim=4),
         ]
-        adversary_collab_update(adv, pkts, lr=0.05)
-        apply_neighbor_aggregate(mirror, pkts, lr=0.05)
+        collab_update(adv, pkts, lr=0.05)
+        absorb(mirror, pkts, lr=0.05)
         assert np.array_equal(adv.base.item_table, mirror.item_table)
         assert np.array_equal(adv.base.net, mirror.net)
         assert np.array_equal(adv.base.user_vec, mirror.user_vec)
@@ -94,7 +108,7 @@ class TestCollabUpdate:
             packet(0, {0: np.array([2.0, 0.0, 0.0, 0.0])}, np.zeros(adv.base.layout.size), dim=4),
             packet(1, {0: np.array([0.0, 2.0, 0.0, 0.0])}, np.zeros(adv.base.layout.size), dim=4),
         ]
-        adversary_collab_update(adv, pkts, lr=1.0)
+        collab_update(adv, pkts, lr=1.0)
         assert np.allclose(adv.base.item_table[0], before - np.array([1.0, 1.0, 0.0, 0.0]))
 
 
@@ -318,7 +332,7 @@ class TestPamnPoison:
         # a receiver applying the lone packet at the same lr lands on the
         # adversary's fine-tuned parameters
         receiver = before
-        apply_neighbor_aggregate(receiver, [pkt], lr=1e-3)
+        absorb(receiver, [pkt], lr=1e-3)
         assert np.allclose(receiver.item_table, adv.base.item_table, atol=1e-12)
         assert np.allclose(receiver.net, adv.base.net, atol=1e-12)
 

@@ -17,12 +17,10 @@ from decrecsim.defenses import (
     MemoryBank,
     RoundRows,
     _norms,
-    adaptive_clip,
     build_round_rows,
-    clip_row,
     compact_round_rows,
     item_krum_aggregate,
-    l2_clip_aggregate,
+    mean_aggregate,
     median_aggregate,
     trimmed_mean_aggregate,
     ucsu_aggregate,
@@ -31,21 +29,24 @@ from decrecsim.errors import ContractError
 from decrecsim.model import GradientPacket
 from helpers import (
     ReferenceBank,
+    adaptive_clip,
     assert_round_compacted,
     brute_force_krum,
     brute_force_l2clip,
     brute_force_median,
     brute_force_top_nu,
     brute_force_trimmed,
+    clip_row,
     packet,
     per_item_mean_loop,
+    round_rows,
 )
 
 
 def received(pkts, round_no=1, mu=1.0, p=2, clip=False):
     """The round rows of pkts and their ascending sender ids: what a
     receiver whose neighbors sent pkts reads."""
-    rr = build_round_rows(pkts, round_no, mu=mu, p=p, clip=clip)
+    rr = round_rows(pkts, round_no, mu=mu, p=p, clip=clip)
     return rr, np.array(sorted(q.sender for q in pkts), dtype=np.int64)
 
 
@@ -281,7 +282,7 @@ class TestDenseKernelProperties:
     def test_l2clip_matches_brute_force(self, case, mu, p):
         pkts, num_items, dim = case
         expect = brute_force_l2clip(pkts, num_items, dim, mu, p)
-        assert_matches(*l2_clip_aggregate(*received(pkts, mu=mu, p=p, clip=True)), expect)
+        assert_matches(*mean_aggregate(*received(pkts, mu=mu, p=p, clip=True)), expect)
 
 
 @pytest.mark.parametrize(
@@ -290,9 +291,9 @@ class TestDenseKernelProperties:
         median_aggregate,
         functools.partial(trimmed_mean_aggregate, trim_k=1),
         item_krum_aggregate,
-        l2_clip_aggregate,
+        mean_aggregate,
     ],
-    ids=["median", "trimmed", "krum", "l2clip"],
+    ids=["median", "trimmed", "krum", "mean"],
 )
 def test_empty_receiver_rejected(aggregate):
     rr, _ = received([packet(0, {0: np.ones(2)}, np.zeros(2))])
@@ -353,7 +354,7 @@ class TestL2Clip:
             packet(0, {0: np.array([3.0, 4.0])}, np.zeros(2)),
             packet(1, {0: np.array([0.0, 0.0])}, np.zeros(2)),
         ]
-        _, rows = l2_clip_aggregate(*received(pkts, mu=1.0, clip=True))
+        _, rows = mean_aggregate(*received(pkts, mu=1.0, clip=True))
         assert np.allclose(rows[0], [0.3, 0.4])
 
     def test_inactive_clip_equals_plain_mean(self):
@@ -361,13 +362,13 @@ class TestL2Clip:
             packet(0, {0: np.array([0.1, 0.2])}, np.zeros(2)),
             packet(1, {0: np.array([0.3, 0.0])}, np.zeros(2)),
         ]
-        _, rows = l2_clip_aggregate(*received(pkts, mu=10.0, clip=True))
+        _, rows = mean_aggregate(*received(pkts, mu=10.0, clip=True))
         assert np.allclose(rows[0], [0.2, 0.1])
 
     def test_pre_mean_norms_bounded(self):
         rng = np.random.default_rng(6)
         pkts = random_packets(rng, 5, 4, 3)
-        rr = build_round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True)
+        rr = round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True)
         assert np.all(rr.norms <= 1.0 + 1e-12)
 
 
@@ -399,12 +400,44 @@ class TestBuildRoundRows:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            rr = build_round_rows(pkts, 1, mu=1.0, clip=True)
+            rr = build_round_rows(pkts, 1, 100, 64, 1, mu=1.0, clip=True)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert np.all(rr.norms <= 1.0)
         assert peak <= rr.rows.nbytes + 256 * len(rr.items)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (packet(1, {4: np.ones(2)}, np.zeros(2)), "item index out of range"),
+            (packet(1, {-1: np.ones(2)}, np.zeros(2)), "item index out of range"),
+            (packet(1, {0: np.ones(3)}, np.zeros(2), dim=3), "item row shape"),
+            (packet(1, {}, np.zeros(2), dim=3), "item row shape"),
+            (packet(1, {0: np.ones(2)}, np.zeros(3)), "net gradient shape"),
+        ],
+        ids=["item-too-large", "item-negative", "row-width", "empty-row-width", "net-size"],
+    )
+    def test_packet_that_does_not_fit_the_model_rejected(self, bad, message):
+        good = packet(0, {1: np.ones(2), 3: np.ones(2)}, np.zeros(2))
+        for clip in (False, True):
+            with pytest.raises(ContractError, match=message):
+                build_round_rows([good, bad], 1, num_items=4, embed_dim=2, net_size=2, clip=clip)
+        rr = build_round_rows([good], 1, num_items=4, embed_dim=2, net_size=2)
+        assert rr.items.tolist() == [1, 3]
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_row_norms_are_the_stored_rows_norms(self, p):
+        # Clipped rows keep the capped pop key in norms; row_norms are the
+        # stored rows' own norms, and without clipping they are norms.
+        rng = np.random.default_rng(20 + p)
+        pkts = random_packets(rng, 30, 6, 3)
+        plain = round_rows(pkts, p=p, clip=False)
+        clipped = round_rows(pkts, mu=1.0, p=p, clip=True)
+        assert (plain.norms > 1.0).sum() > 10
+        assert np.array_equal(clipped.norms, np.minimum(plain.norms, 1.0))
+        assert clipped.row_norms.tobytes() == np.linalg.norm(clipped.rows, ord=p, axis=1).tobytes()
+        assert plain.row_norms is plain.norms
 
 
 def bank_with(entries, capacity=10):
@@ -414,7 +447,7 @@ def bank_with(entries, capacity=10):
     for rnd, sender, rows in entries:
         by_round.setdefault(rnd, []).append(packet(sender, rows, np.zeros(2), round_no=rnd))
     for rnd in sorted(by_round):
-        rr = build_round_rows(by_round[rnd], rnd, clip=False)
+        rr = round_rows(by_round[rnd], rnd, clip=False)
         bank.ingest(rr, np.arange(len(rr.items), dtype=np.int32))
     return bank
 
@@ -423,7 +456,7 @@ class TestMemoryBank:
     def test_ten_entries_ten_percent_pops_one(self):
         entries = [(1, s, {0: np.full(2, float(s + 1))}) for s in range(10)]
         bank = bank_with(entries)
-        items, rows = bank.pop_top_fraction(0.10)
+        items, rows, _ = bank.pop_top_fraction(0.10)
         assert len(items) == 1
         assert np.allclose(rows[0], [10.0, 10.0])  # the largest norm
         assert bank.size() == 9
@@ -432,13 +465,13 @@ class TestMemoryBank:
         entries = [(1, 0, {0: np.array([5.0, 0.0])})]
         entries += [(1, s, {0: np.array([1.0, 0.0])}) for s in range(1, 10)]
         bank = bank_with(entries)
-        items, rows = bank.pop_top_fraction(0.10)
+        items, rows, _ = bank.pop_top_fraction(0.10)
         assert np.allclose(rows[0], [5.0, 0.0])
 
     def test_tie_break_insertion_order(self):
         entries = [(1, s, {s: np.array([1.0, 0.0])}) for s in range(4)]
         bank = bank_with(entries)
-        items, _ = bank.pop_top_fraction(0.5)
+        items, _, _ = bank.pop_top_fraction(0.5)
         assert items.tolist() == [0, 1]  # earliest inserted win the tie
 
     def test_eviction_by_age(self):
@@ -461,7 +494,7 @@ class TestMemoryBank:
             bank = bank_with(entries)
             stored = [(float(np.linalg.norm(row)), j) for j, (_, _, _, row) in enumerate(bank.entries())]
             expect_rows = brute_force_top_nu(stored, nu)
-            items, rows = bank.pop_top_fraction(nu)
+            items, rows, _ = bank.pop_top_fraction(nu)
             assert len(items) == len(expect_rows), f"trial {trial}"
             got = [float(np.linalg.norm(r)) for r in rows]
             want = sorted((stored[j][0] for j in expect_rows), reverse=True)
@@ -476,28 +509,28 @@ class TestMemoryBank:
         evictable = 0
         for rnd in range(1, 12):
             pkts = random_packets(rng, 4, 5, 2, p_touch=0.6)
-            rr = build_round_rows(pkts, rnd, clip=False)
+            rr = round_rows(pkts, rnd, clip=False)
             before = bank.size()
             bank.ingest(rr, np.arange(len(rr.items), dtype=np.int32))
             ingested += len(rr.items)
             pre_evict = bank.size()
             bank.evict(rnd)
             evictable += pre_evict - bank.size()
-            items, _ = bank.pop_top_fraction(0.3)
+            items, _, _ = bank.pop_top_fraction(0.3)
             applied += len(items)
         assert ingested == applied + evictable + bank.size()
 
     def test_rounds_ingested_in_increasing_order_once(self):
         bank = MemoryBank(capacity_rounds=3)
-        rr1, rr2 = (build_round_rows(random_packets(np.random.default_rng(r), 3, 4, 2), r) for r in (1, 2))
+        rr1, rr2 = (round_rows(random_packets(np.random.default_rng(r), 3, 4, 2), r) for r in (1, 2))
         bank.ingest(rr2, np.arange(len(rr2.items)))
         for rr in (rr1, rr2):  # an earlier round, then the same round again
             with pytest.raises(ContractError):
                 bank.ingest(rr, np.arange(len(rr.items)))
         # an empty ingest still takes its round
-        bank.ingest(build_round_rows([], 3), np.zeros(0, dtype=np.int64))
+        bank.ingest(round_rows([], 3), np.zeros(0, dtype=np.int64))
         with pytest.raises(ContractError):
-            bank.ingest(build_round_rows([], 3), np.zeros(0, dtype=np.int64))
+            bank.ingest(round_rows([], 3), np.zeros(0, dtype=np.int64))
 
     def test_memory_per_banked_entry(self):
         # About 1M entries from 10 shared rounds; the bank itself may add at
@@ -539,7 +572,7 @@ class TestCompactRoundRows:
         refs_banks = [ReferenceBank(2) for _ in range(3)]
         for t in range(1, 6):
             pkts = random_packets(rng, 60, 20, 2, p_touch=0.5)
-            rr = build_round_rows(pkts, t, mu=1.0, clip=True)
+            rr = round_rows(pkts, t, mu=1.0, clip=True)
             assert len(rr.items) > 100 and np.count_nonzero(rr.norms == 1.0) > 100
             for bank, ref in zip(banks, refs_banks):
                 senders = np.sort(rng.choice(60, size=30, replace=False))
@@ -548,9 +581,11 @@ class TestCompactRoundRows:
                     b.ingest(rr, refs)
                     b.evict(t)
                 want_items, want_rows = ref.pop(0.1)
-                got_items, got_rows = bank.pop_top_fraction(0.1)
+                got_items, got_rows, got_norms = bank.pop_top_fraction(0.1)
                 assert got_items.tolist() == want_items
                 assert [r.tobytes() for r in got_rows] == [r.tobytes() for r in want_rows]
+                # each popped row comes with its own norm, not the capped pop key
+                assert got_norms.tobytes() == np.linalg.norm(got_rows, axis=1).tobytes()
             compact_round_rows(rr, banks)
             assert_round_compacted(t, banks)
             assert not any(chunk_rr is rr for b in banks for chunk_rr, _ in b._chunks)
@@ -560,7 +595,7 @@ class TestCompactRoundRows:
 
     def test_fully_held_round_is_kept(self):
         bank = MemoryBank(3)
-        rr = build_round_rows(random_packets(np.random.default_rng(13), 4, 5, 2), 1)
+        rr = round_rows(random_packets(np.random.default_rng(13), 4, 5, 2), 1)
         bank.ingest(rr, np.arange(len(rr.items)))
         compact_round_rows(rr, [bank])
         assert bank._chunks[0][0] is rr
@@ -650,7 +685,7 @@ class TestBankAgainstReference:
         ref = ReferenceBank(capacity)
         for t, packets, neighbors in rounds:
             pkts = [packet(s, rows, np.zeros(2), round_no=t) for s, rows in packets]
-            rr = build_round_rows(pkts, t, mu=1.0, clip=clip)
+            rr = round_rows(pkts, t, mu=1.0, clip=clip)
             senders = np.array(neighbors, dtype=np.int64)
             refs = rr.refs_of(senders)
             assert refs.tolist() == [j for j in range(len(rr.items)) if rr.senders[j] in neighbors]
@@ -663,9 +698,10 @@ class TestBankAgainstReference:
             assert bank.size() == len(ref.entries)
             want_items, want_rows = ref.pop(nu) if ref.entries else ([], [])
 
-            got_items, got_rows = bank.pop_top_fraction(nu)
+            got_items, got_rows, got_norms = bank.pop_top_fraction(nu)
             assert got_items.tolist() == want_items
             assert [r.tobytes() for r in got_rows] == [r.tobytes() for r in want_rows]
+            assert got_norms.tobytes() == np.linalg.norm(got_rows, axis=1).tobytes()
             if clean_bank:  # the pop-and-clean variant discards what stays
                 bank.clear()
                 ref.entries = []

@@ -13,8 +13,8 @@ from decrecsim.metrics import (
     hit_rate,
     top_k_list,
 )
-from decrecsim.model import predict_rating, score_items
-from helpers import make_state
+from decrecsim.model import score_items
+from helpers import make_state, predict_rating
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Scoring model: forward values, BPR loss, analytic gradients vs finite
-differences, Adam local steps (compact item moments included), and neighbor
-aggregation."""
+differences, Adam local steps (compact item moments included), and the
+neighbor update of defense none: the round rows' plain mean applied by
+apply_neighbor_update."""
 
 import warnings
 
@@ -15,19 +16,20 @@ from decrecsim.model import (
     _forward,
     _sigmoid,
     adam_step,
-    apply_neighbor_aggregate,
     bpr_loss,
     compute_gradients,
     init_client_state,
     local_train_step,
-    predict_rating,
+    score_items,
 )
 from helpers import (
+    absorb,
     assert_close_grad,
     full_bpr_fd_grads,
     make_state,
     min_preactivation,
     packet,
+    predict_rating,
     random_pairs,
 )
 
@@ -64,6 +66,16 @@ class TestPredict:
         state = make_state(1, num_items=4)
         with pytest.raises(IndexError):
             predict_rating(state, 4)
+
+    def test_matches_scored_logits(self):
+        # the oracle's per-item loop against the program's batched forward
+        for seed in range(5):
+            state = make_state(seed, num_items=10)
+            logits = score_items(state)
+            for item in range(10):
+                assert predict_rating(state, item) == pytest.approx(
+                    1.0 / (1.0 + np.exp(-logits[item])), abs=1e-14
+                )
 
     def test_purity(self):
         state = make_state(2, num_items=8)
@@ -387,7 +399,7 @@ class TestAggregate:
         net = np.zeros_like(state.net)
         p1 = packet(0, {0: np.array([1.0, 1.0])}, net)
         p2 = packet(1, {0: np.array([3.0, 3.0])}, net)
-        apply_neighbor_aggregate(state, [p1, p2], lr=1.0)
+        absorb(state, [p1, p2], lr=1.0)
         assert np.allclose(state.item_table[0], table_before[0] - np.array([2.0, 2.0]))
         assert np.array_equal(state.item_table[1:], table_before[1:])
 
@@ -397,14 +409,14 @@ class TestAggregate:
         net = np.zeros_like(state.net)
         p1 = packet(0, {2: np.array([4.0, 0.0])}, net)
         p2 = packet(1, {}, net)
-        apply_neighbor_aggregate(state, [p1, p2], lr=1.0)
+        absorb(state, [p1, p2], lr=1.0)
         assert np.allclose(state.item_table[2], table_before[2] - np.array([2.0, 0.0]))
 
     def test_zero_packet_noop(self):
         state = make_state(14, num_items=4, embed_dim=2, widths=(3,))
         before = state.copy()
         p = packet(0, {1: np.zeros(2)}, np.zeros_like(state.net))
-        apply_neighbor_aggregate(state, [p], lr=0.5)
+        absorb(state, [p], lr=0.5)
         assert np.array_equal(before.item_table, state.item_table)
         assert np.array_equal(before.net, state.net)
 
@@ -417,8 +429,8 @@ class TestAggregate:
                    rng.normal(size=state_a.layout.size))
             for s in range(5)
         ]
-        apply_neighbor_aggregate(state_a, pkts, lr=0.1)
-        apply_neighbor_aggregate(state_b, list(reversed(pkts)), lr=0.1)
+        absorb(state_a, pkts, lr=0.1)
+        absorb(state_b, list(reversed(pkts)), lr=0.1)
         assert np.array_equal(state_a.item_table, state_b.item_table)
         assert np.array_equal(state_a.net, state_b.net)
 
@@ -426,16 +438,19 @@ class TestAggregate:
         state = make_state(16, num_items=4, embed_dim=2, widths=(3,))
         u = state.user_vec.copy()
         p = packet(0, {0: np.ones(2)}, np.ones_like(state.net))
-        apply_neighbor_aggregate(state, [p], lr=0.1)
+        absorb(state, [p], lr=0.1)
         assert np.array_equal(u, state.user_vec)
 
     def test_shape_mismatch_rejected(self):
         state = make_state(17, num_items=4, embed_dim=2, widths=(3,))
         bad = packet(0, {0: np.ones(2)}, np.ones(3))
-        with pytest.raises(ContractError):
-            apply_neighbor_aggregate(state, [bad], lr=0.1)
-        with pytest.raises(ContractError):
-            apply_neighbor_aggregate(state, [], lr=0.1)
+        before = state.copy()
+        with pytest.raises(ContractError, match="net gradient shape"):
+            absorb(state, [bad], lr=0.1)
+        with pytest.raises(ContractError, match="at least one packet"):
+            absorb(state, [], lr=0.1)
+        assert np.array_equal(before.item_table, state.item_table)
+        assert np.array_equal(before.net, state.net)
 
     def test_packets_never_carry_user_embedding(self):
         fields = {f.name for f in GradientPacket.__dataclass_fields__.values()}

@@ -5,12 +5,8 @@ import pytest
 from scipy.stats import spearmanr
 
 from decrecsim.errors import ContractError
-from decrecsim.neighbors import (
-    assign_neighbors,
-    cosine_similarity,
-    make_hyperplanes,
-    sketch_item_table,
-)
+from decrecsim.neighbors import assign_neighbors, make_hyperplanes, sketch_item_table
+from helpers import cosine_similarity
 
 
 class TestSketch:

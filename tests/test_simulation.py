@@ -1,11 +1,13 @@
 """Round loop on a tiny synthetic world: thread-count invariance and
 same-seed determinism for every per-receiver robust aggregator, and for
 PAMN against UCSU with banks small enough to evict; the round rows UCSU
-keeps alive; init_world's pair checks and each client's Adam item-moment
-cover."""
+keeps alive; the packets dropped once a round's rows are consolidated;
+what adversaries absorb; init_world's pair checks and each client's Adam
+item-moment cover."""
 
 import dataclasses
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,9 +16,10 @@ from decrecsim.cli import load_dataset
 from decrecsim.config import ExperimentConfig
 from decrecsim.defenses import RoundRows
 from decrecsim.errors import ContractError
+from decrecsim import simulation
 from decrecsim.simulation import _mean_in_order, init_world, run_experiment, run_round
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
-from helpers import assert_round_compacted
+from helpers import absorb, assert_round_compacted
 
 # (overrides, test id): EB against each per-receiver aggregator, and PAMN
 # against UCSU over 4 rounds with a 2-round bank, so eviction runs.
@@ -115,6 +118,83 @@ def test_ucsu_keeps_only_round_rows_a_bank_holds(tiny, overrides):
             assert not held
         else:
             assert any(rr.round == t for bank in world.banks.values() for rr, _ in bank._chunks)
+
+
+@pytest.mark.parametrize(
+    "defense, reader",
+    [("none", "mean_aggregate"), ("median", "median_aggregate"), ("ucsu", "ucsu_aggregate")],
+)
+def test_packets_dropped_once_round_rows_are_built(tiny, monkeypatch, defense, reader):
+    # Every defense reads item rows from the round's RoundRows, so no
+    # packet's rows may still be alive when the first receiver reads.
+    config, dataset = tiny
+    config = dataclasses.replace(config, attack="pamn", defense=defense)
+    world = init_world(config, dataset)
+    rows = []
+    reads = []
+    real_build = simulation.build_round_rows
+    real_reader = getattr(simulation, reader)
+
+    def build_spy(packets, *args, **kwargs):
+        rows.extend(weakref.ref(q.item_rows) for q in packets)
+        return real_build(packets, *args, **kwargs)
+
+    def reader_spy(*args, **kwargs):
+        if any(r() is not None for r in rows):
+            gc.collect()
+        reads.append(sum(r() is not None for r in rows))
+        return real_reader(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "build_round_rows", build_spy)
+    monkeypatch.setattr(simulation, reader, reader_spy)
+    for _ in range(2):  # round 2 carries poisoned packets
+        run_round(world, config)
+    assert len(rows) > 2 * world.num_clients and reads
+    assert set(reads) == {0}
+
+
+def test_adversary_absorbs_the_honest_packet_of_another_adversary(tiny, monkeypatch):
+    config, dataset = tiny
+    config = dataclasses.replace(config, attack="pamn", refresh_every=10)
+    world = init_world(config, dataset)
+    run_round(world, config)  # round 1 refreshes the neighbors and conceals
+    a, b = sorted(world.adversary_ids)[:2]
+    world.neighbor_map.assignments[a] = np.array([b])
+    honest, poisoned, seen = {}, {}, {}
+    real_gradients = simulation.compute_gradients
+    real_poison = simulation.pamn_poison
+    real_collab = simulation.adversary_collab_update
+
+    def gradients_spy(state, pairs, sender=-1, round_no=-1):
+        user_grad, pkt = real_gradients(state, pairs, sender=sender, round_no=round_no)
+        honest[sender] = pkt
+        return user_grad, pkt
+
+    def poison_spy(adv, *args):
+        poisoned[adv.client_id] = real_poison(adv, *args)
+        return poisoned[adv.client_id]
+
+    def collab_spy(adv, *args):
+        if adv.client_id == a:
+            seen["before"] = adv.base.copy()
+        real_collab(adv, *args)
+        if adv.client_id == a:
+            seen["after"] = adv.base.copy()
+
+    monkeypatch.setattr(simulation, "compute_gradients", gradients_spy)
+    monkeypatch.setattr(simulation, "pamn_poison", poison_spy)
+    monkeypatch.setattr(simulation, "adversary_collab_update", collab_spy)
+    run_round(world, config)
+    sent, shipped = honest[b], poisoned[b]
+    assert not (
+        np.array_equal(sent.item_idx, shipped.item_idx)
+        and np.array_equal(sent.item_rows, shipped.item_rows)
+    )
+    expect = seen["before"].copy()
+    absorb(expect, [sent], config.lr)
+    for got, want in ((seen["after"].item_table, expect.item_table), (seen["after"].net, expect.net)):
+        assert got.tobytes() == want.tobytes()
+    assert not np.array_equal(seen["after"].item_table, seen["before"].item_table)
 
 
 @pytest.mark.parametrize("count", [1, 2, 7, 50])
