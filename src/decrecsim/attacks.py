@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from decrecsim.defenses import RoundRows, mean_aggregate
+from decrecsim.defenses import RoundRows, l2_clip_aggregate
 from decrecsim.errors import ConfigError, ContractError
 from decrecsim.metrics import top_k_list
 from decrecsim.model import (
@@ -31,7 +31,7 @@ from decrecsim.model import (
     _forward,
     _sigmoid,
     adam_step,
-    apply_neighbor_update,
+    apply_neighbor_aggregate,
     compute_gradients,
     scatter_add_rows,
     score_items,
@@ -114,8 +114,8 @@ def adversary_collab_update(
     """Absorb the neighbors' gradients as a benign client with defense none
     does: the plain mean of the rows the ascending sender ids sent in rr,
     and the mean net gradient net_mean."""
-    items, rows = mean_aggregate(rr, senders)
-    apply_neighbor_update(adv.base, items, rows, net_mean, lr)
+    items, rows = l2_clip_aggregate(rr, senders)
+    apply_neighbor_aggregate(adv.base, items, rows, net_mean, lr)
 
 
 def update_adversary_user_embedding(

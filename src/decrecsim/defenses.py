@@ -2,7 +2,7 @@
 
 All defenses consume the item-row part of neighbor packets and produce
 per-item aggregate rows; network-parameter gradients are always aggregated
-by plain mean outside these functions, and model.apply_neighbor_update
+by plain mean outside these functions, and model.apply_neighbor_aggregate
 applies both.  For median / trimmed mean / Krum, an item row absent from a
 packet counts as a zero vector, mirroring the FedAvg convention of dividing
 by the packet count.
@@ -12,8 +12,10 @@ and every defense reads a receiver's rows from it by the receiver's
 ascending neighbor ids; consolidation checks each packet against the
 receivers' model shape, once per round.  Clipping to the fixed mu bound,
 for l2clip and for UCSU, happens once, at consolidation, so defense none
-and l2clip share one plain-mean reader, mean_aggregate.  Adversaries read
-an unclipped RoundRows of their neighbors' honest packets with it too.
+and l2clip share one plain-mean reader, l2_clip_aggregate (named for the
+defense that introduced it; perfbench's tracer times it by that name).
+Adversaries read an unclipped RoundRows of their neighbors' honest packets
+with it too.
 
 Median and trimmed mean scatter a receiver's rows into one dense
 (items, dim, packets) block, absent rows zero, and sort it once along the
@@ -464,7 +466,7 @@ def item_krum_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray,
     return uniq, out
 
 
-def mean_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def l2_clip_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Plain FedAvg mean of the senders' rows, absent rows as zero.
 
     Defense none reads unclipped rows with it, l2clip the rows consolidation

@@ -12,9 +12,10 @@ A client's Adam item moments cover only the item ids its AdamState names
 (for a simulated client, the items of its own training pairs), so a client
 holds one dense item table but moments for a small share of its rows.
 
-apply_neighbor_update is the only place the neighbor update rule lives:
+apply_neighbor_aggregate is the only place the neighbor update rule lives:
 the defenses and the adversaries compute aggregates of the neighbors'
-gradients, and every aggregate is applied there.
+gradients, and every aggregate is applied there (perfbench's tracer times
+it by this name, where simulation calls it).
 """
 
 from __future__ import annotations
@@ -396,7 +397,7 @@ def adam_step(
     _adam_update(state.net, net_grad, opt.m_net, opt.v_net, lr, bc1, bc2)
 
 
-def apply_neighbor_update(
+def apply_neighbor_aggregate(
     state: ClientState, items: np.ndarray, rows: np.ndarray, net_mean: np.ndarray, lr: float
 ) -> None:
     """The neighbor update rule: subtract lr times an aggregate of the

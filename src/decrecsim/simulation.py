@@ -14,7 +14,7 @@ Adversaries absorb their neighbors' honest packets from an unclipped
 RoundRows built before the attack and dropped once they have absorbed;
 the defenses read the RoundRows of the round's final packets, after which
 only the packets' net gradients are kept.  Every receiver's aggregate and
-mean net gradient are applied by model.apply_neighbor_update.
+mean net gradient are applied by model.apply_neighbor_aggregate.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from decrecsim.defenses import (
     build_round_rows,
     compact_round_rows,
     item_krum_aggregate,
-    mean_aggregate,
+    l2_clip_aggregate,
     median_aggregate,
     trimmed_mean_aggregate,
     ucsu_aggregate,
@@ -55,7 +55,7 @@ from decrecsim.model import (
     AdamState,
     ClientState,
     GradientPacket,
-    apply_neighbor_update,
+    apply_neighbor_aggregate,
     check_pairs,
     compute_gradients,
     init_client_state,
@@ -361,7 +361,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
             return
         ordered = np.sort(neigh)
         if config.defense in ("none", "l2clip"):
-            items, rows = mean_aggregate(shared_rows, ordered)
+            items, rows = l2_clip_aggregate(shared_rows, ordered)
         elif config.defense == "ucsu":
             items, rows = ucsu_aggregate(
                 world.banks[i],
@@ -381,7 +381,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
         else:
             raise ConfigError(f"unknown defense: {config.defense!r}")
         net_mean = _mean_in_order([net_grads[k] for k in ordered.tolist()])
-        apply_neighbor_update(world.clients[i], items, rows, net_mean, lr)
+        apply_neighbor_aggregate(world.clients[i], items, rows, net_mean, lr)
 
     _map_clients(defend_one, benign, config.workers)
     if config.defense == "ucsu":

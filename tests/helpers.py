@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from decrecsim.defenses import build_round_rows, mean_aggregate
+from decrecsim.defenses import build_round_rows, l2_clip_aggregate
 from decrecsim.errors import ContractError
 from decrecsim.model import (
     ClientState,
     GradientPacket,
     NetLayout,
-    apply_neighbor_update,
+    apply_neighbor_aggregate,
     bpr_loss,
     init_client_state,
 )
@@ -121,15 +121,15 @@ def round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True, num_items=None):
 
 def absorb(state: ClientState, pkts: list[GradientPacket], lr: float) -> None:
     """Apply pkts as a receiver with defense none does in a round: their
-    unclipped round rows read by mean_aggregate, and the mean of their net
-    gradients in ascending sender order, applied by apply_neighbor_update."""
+    unclipped round rows read by l2_clip_aggregate, and the mean of their net
+    gradients in ascending sender order, applied by apply_neighbor_aggregate."""
     rr = build_round_rows(
         pkts, 1, state.num_items, state.layout.embed_dim, state.layout.size, clip=False
     )
     ordered = sorted(pkts, key=lambda q: q.sender)
-    items, rows = mean_aggregate(rr, np.array([q.sender for q in ordered], dtype=np.int64))
+    items, rows = l2_clip_aggregate(rr, np.array([q.sender for q in ordered], dtype=np.int64))
     net_mean = np.stack([q.net_grad for q in ordered]).mean(axis=0)
-    apply_neighbor_update(state, items, rows, net_mean, lr)
+    apply_neighbor_aggregate(state, items, rows, net_mean, lr)
 
 
 def dense_rows(packets: list[GradientPacket], num_items: int, dim: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from decrecsim.defenses import (
     build_round_rows,
     compact_round_rows,
     item_krum_aggregate,
-    mean_aggregate,
+    l2_clip_aggregate,
     median_aggregate,
     trimmed_mean_aggregate,
     ucsu_aggregate,
@@ -282,7 +282,7 @@ class TestDenseKernelProperties:
     def test_l2clip_matches_brute_force(self, case, mu, p):
         pkts, num_items, dim = case
         expect = brute_force_l2clip(pkts, num_items, dim, mu, p)
-        assert_matches(*mean_aggregate(*received(pkts, mu=mu, p=p, clip=True)), expect)
+        assert_matches(*l2_clip_aggregate(*received(pkts, mu=mu, p=p, clip=True)), expect)
 
 
 @pytest.mark.parametrize(
@@ -291,9 +291,9 @@ class TestDenseKernelProperties:
         median_aggregate,
         functools.partial(trimmed_mean_aggregate, trim_k=1),
         item_krum_aggregate,
-        mean_aggregate,
+        l2_clip_aggregate,
     ],
-    ids=["median", "trimmed", "krum", "mean"],
+    ids=["median", "trimmed", "krum", "l2clip"],
 )
 def test_empty_receiver_rejected(aggregate):
     rr, _ = received([packet(0, {0: np.ones(2)}, np.zeros(2))])
@@ -354,7 +354,7 @@ class TestL2Clip:
             packet(0, {0: np.array([3.0, 4.0])}, np.zeros(2)),
             packet(1, {0: np.array([0.0, 0.0])}, np.zeros(2)),
         ]
-        _, rows = mean_aggregate(*received(pkts, mu=1.0, clip=True))
+        _, rows = l2_clip_aggregate(*received(pkts, mu=1.0, clip=True))
         assert np.allclose(rows[0], [0.3, 0.4])
 
     def test_inactive_clip_equals_plain_mean(self):
@@ -362,7 +362,7 @@ class TestL2Clip:
             packet(0, {0: np.array([0.1, 0.2])}, np.zeros(2)),
             packet(1, {0: np.array([0.3, 0.0])}, np.zeros(2)),
         ]
-        _, rows = mean_aggregate(*received(pkts, mu=10.0, clip=True))
+        _, rows = l2_clip_aggregate(*received(pkts, mu=10.0, clip=True))
         assert np.allclose(rows[0], [0.2, 0.1])
 
     def test_pre_mean_norms_bounded(self):

@@ -1,7 +1,7 @@
 """Scoring model: forward values, BPR loss, analytic gradients vs finite
 differences, Adam local steps (compact item moments included), and the
 neighbor update of defense none: the round rows' plain mean applied by
-apply_neighbor_update."""
+apply_neighbor_aggregate."""
 
 import warnings
 

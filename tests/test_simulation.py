@@ -122,7 +122,7 @@ def test_ucsu_keeps_only_round_rows_a_bank_holds(tiny, overrides):
 
 @pytest.mark.parametrize(
     "defense, reader",
-    [("none", "mean_aggregate"), ("median", "median_aggregate"), ("ucsu", "ucsu_aggregate")],
+    [("none", "l2_clip_aggregate"), ("median", "median_aggregate"), ("ucsu", "ucsu_aggregate")],
 )
 def test_packets_dropped_once_round_rows_are_built(tiny, monkeypatch, defense, reader):
     # Every defense reads item rows from the round's RoundRows, so no
