@@ -104,7 +104,6 @@ def round_rows(round_no: int, rng: np.random.Generator, senders: int = SENDERS):
         packets.append(
             GradientPacket(
                 sender=sender,
-                round=round_no,
                 item_idx=idx,
                 item_rows=rng.normal(size=(ROWS_PER_SENDER, EMBED_DIM)),
                 net_grad=np.zeros(1),

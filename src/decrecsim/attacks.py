@@ -1,17 +1,17 @@
 """Adversary strategies for target-item promotion.
 
-The adaptive strategy absorbs neighbor gradients, learns a diversified user
-embedding against the other adversaries, widens the promoted set with
+Adversaries emulate benign clients: each trains on a dataset sampled as a
+benign user's is (dataset.sample_pairs) and absorbs its neighbors' honest
+packets as defense none does.  From round 2 on, pamn learns a diversified
+user embedding against the other adversaries, widens the promoted set with
 substitute items, fine-tunes its item table and scoring net to rank the
-promoted items above its own top list, and ships the resulting parameter
-delta encoded as a gradient so that standard receivers reproduce it.
-The promise is relative: promoted items rise against the adversary's top
-list.  Their absolute predicted ratings may fall, because the fine-tune
-also steps the shared scoring net, which moves every item's logit.
-Baselines: ra (random data including targets, honest gradients), eb
-(explicit score boosting), psmu (the non-adaptive ablation with one shared
-fixed user embedding; it runs the same fine-tune and inherits the same
-relative promise).
+promoted items above its own top list, and ships the parameter change
+divided by -lr.  The promise is relative: promoted items rise against the
+adversary's top list; their absolute ratings may fall, because the
+fine-tune also steps the shared scoring net.  Baselines: ra (honest
+gradients over data including the targets), eb (honest gradient plus
+explicit score boosting), psmu (the non-adaptive ablation with one shared
+fixed user embedding, running the same fine-tune).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from decrecsim.dataset import sample_pairs
 from decrecsim.defenses import RoundRows, l2_clip_aggregate
 from decrecsim.errors import ConfigError, ContractError
 from decrecsim.metrics import top_k_list
@@ -33,24 +34,21 @@ from decrecsim.model import (
     adam_step,
     apply_neighbor_aggregate,
     compute_gradients,
+    empty_packet,
     scatter_add_rows,
     score_items,
 )
 
-STRATEGIES = ("pamn", "ra", "eb", "psmu")
-
-
 @dataclass
 class AdversaryState:
-    """One adversary client: base model plus constructed data and strategy."""
+    """One adversary client: base model plus constructed data."""
 
     client_id: int
     base: ClientState
     positives: np.ndarray
     pairs: np.ndarray
-    strategy: str
     substitute_items: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    fixed_user: np.ndarray | None = None  # psmu: shared embedding, never trained
+    fixed_user: bool = False  # psmu: the user embedding is shared and never trained
 
 
 @dataclass
@@ -79,8 +77,8 @@ def build_adversary_dataset(
 
     alpha items are drawn uniformly from the non-target items; with
     include_targets (the ra strategy) every target is appended as a
-    positive.  Negatives are drawn per positive without replacement from
-    items outside both the positives and the targets.
+    positive.  Negatives come from sample_pairs over the items outside both
+    the positives and the targets.
     """
     targets = np.asarray(sorted(set(int(t) for t in targets)), dtype=np.int64)
     if alpha < 0:
@@ -97,15 +95,7 @@ def build_adversary_dataset(
     neg_pool = np.setdiff1d(
         np.arange(num_items, dtype=np.int64), np.union1d(positives, targets)
     )
-    rows: list[np.ndarray] = []
-    for pos in positives.tolist():
-        k = min(neg_ratio, len(neg_pool))
-        if k == 0:
-            continue
-        negs = neg_pool[rng.choice(len(neg_pool), size=k, replace=False)]
-        rows.append(np.column_stack([np.full(k, pos, dtype=np.int64), negs]))
-    pairs = np.concatenate(rows, axis=0) if rows else np.empty((0, 2), dtype=np.int64)
-    return positives, pairs
+    return positives, sample_pairs(positives, neg_pool, neg_ratio, rng)
 
 
 def adversary_collab_update(
@@ -222,12 +212,7 @@ def rate_loss(
 
 
 def pamn_poison(
-    adv: AdversaryState,
-    targets: np.ndarray,
-    top_k: int,
-    e_ft: int,
-    lr: float,
-    round_no: int,
+    adv: AdversaryState, targets: np.ndarray, top_k: int, e_ft: int, lr: float
 ) -> GradientPacket:
     """Fine-tune toward the promoted items and encode the delta as a gradient.
 
@@ -277,16 +262,21 @@ def pamn_poison(
     changed = np.flatnonzero(np.any(delta_table != 0.0, axis=1))
     return GradientPacket(
         sender=adv.client_id,
-        round=round_no,
         item_idx=changed.astype(np.int64),
         item_rows=delta_table[changed] / (-lr),
         net_grad=(state.net - net_before) / (-lr),
     )
 
 
-def boosted_gradient_packet(
-    adv: AdversaryState, targets: np.ndarray, lr: float, round_no: int
-) -> GradientPacket:
+def _honest_packet(adv: AdversaryState) -> GradientPacket:
+    """The adversary's honest BPR gradient over its constructed pairs, or an
+    empty packet when it has none."""
+    if not len(adv.pairs):
+        return empty_packet(adv.base, adv.client_id)
+    return compute_gradients(adv.base, adv.pairs, sender=adv.client_id)[1]
+
+
+def boosted_gradient_packet(adv: AdversaryState, targets: np.ndarray) -> GradientPacket:
     """Honest BPR gradient plus a boosting term pushing target ratings to 1.
 
     The boosting term is the sum over targets of -ln sigmoid(logit), i.e.
@@ -294,42 +284,26 @@ def boosted_gradient_packet(
     """
     state = adv.base
     targets = np.asarray(targets, dtype=np.int64)
-    if len(adv.pairs):
-        _, packet = compute_gradients(adv.base, adv.pairs)
-        net_grad = packet.net_grad
-        idx = packet.item_idx
-        rows = packet.item_rows
-    else:
-        net_grad = np.zeros_like(state.net)
-        idx = np.zeros(0, dtype=np.int64)
-        rows = np.zeros((0, state.layout.embed_dim))
-
+    honest = _honest_packet(adv)
     z, inputs, masks = _forward(state, targets)
     g = np.asarray(_sigmoid(z)) - 1.0  # d(-ln sigmoid(z)) / dz
     boost_net, _, boost_rows = _backward(state, inputs, masks, g)
     uniq, acc, _ = scatter_add_rows(targets, boost_rows)
 
-    all_idx = np.union1d(idx, uniq)
+    all_idx = np.union1d(honest.item_idx, uniq)
     all_rows = np.zeros((len(all_idx), state.layout.embed_dim))
-    all_rows[np.searchsorted(all_idx, idx)] += rows
+    all_rows[np.searchsorted(all_idx, honest.item_idx)] += honest.item_rows
     all_rows[np.searchsorted(all_idx, uniq)] += acc
     return GradientPacket(
         sender=adv.client_id,
-        round=round_no,
         item_idx=all_idx,
         item_rows=all_rows,
-        net_grad=net_grad + boost_net,
+        net_grad=honest.net_grad + boost_net,
     )
 
 
 def baseline_poison(
-    adv: AdversaryState,
-    targets: np.ndarray,
-    strategy: str,
-    top_k: int,
-    e_ft: int,
-    lr: float,
-    round_no: int,
+    adv: AdversaryState, targets: np.ndarray, strategy: str, top_k: int, e_ft: int, lr: float
 ) -> GradientPacket:
     """Dispatch the non-adaptive strategies.
 
@@ -339,18 +313,9 @@ def baseline_poison(
     diversity step.
     """
     if strategy == "ra":
-        if not len(adv.pairs):
-            return GradientPacket(
-                sender=adv.client_id,
-                round=round_no,
-                item_idx=np.zeros(0, dtype=np.int64),
-                item_rows=np.zeros((0, adv.base.layout.embed_dim)),
-                net_grad=np.zeros_like(adv.base.net),
-            )
-        _, packet = compute_gradients(adv.base, adv.pairs, sender=adv.client_id, round_no=round_no)
-        return packet
+        return _honest_packet(adv)
     if strategy == "eb":
-        return boosted_gradient_packet(adv, targets, lr, round_no)
+        return boosted_gradient_packet(adv, targets)
     if strategy == "psmu":
-        return pamn_poison(adv, targets, top_k, e_ft, lr, round_no)
+        return pamn_poison(adv, targets, top_k, e_ft, lr)
     raise ConfigError(f"unknown attack strategy: {strategy!r}")

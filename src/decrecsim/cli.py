@@ -30,6 +30,7 @@ from decrecsim.config import (
     validate_config,
 )
 from decrecsim.dataset import (
+    FORMATS,
     Dataset,
     load_interactions,
     preprocess,
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--dataset", help="interactions file path")
-        p.add_argument("--format", choices=["movielens_dat", "csv"], help="dataset format")
+        p.add_argument("--format", choices=FORMATS, help="dataset format")
         p.add_argument("--attack", help="attack strategy")
         p.add_argument("--defense", help="defense strategy")
         p.add_argument("--seed", type=int, help="root seed")

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from decrecsim.dataset import FORMATS
 from decrecsim.errors import ConfigError
 
 ATTACKS = ("none", "ra", "eb", "psmu", "pamn")
 DEFENSES = ("none", "median", "trimmed", "krum", "l2clip", "ucsu")
-FORMATS = ("movielens_dat", "csv")
 
 
 @dataclass

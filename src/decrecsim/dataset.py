@@ -2,7 +2,8 @@
 
 The pipeline is: load_interactions -> preprocess -> (optional
 subsample_most_active) -> split_and_sample.  All randomized steps are pure
-functions of (input, seed).
+functions of (input, seed).  sample_pairs, the negative sampler, also
+builds the adversaries' pairs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from decrecsim.errors import ContractError, EmptyDatasetError, ParseError
+
+FORMATS = ("movielens_dat", "csv")
 
 
 @dataclass
@@ -72,7 +75,7 @@ def load_interactions(path: str, fmt: str = "movielens_dat") -> RawInteractions:
     a ``user,item,rating[,timestamp]`` header.  A malformed line raises
     ParseError naming its 1-based line number.
     """
-    if fmt not in ("movielens_dat", "csv"):
+    if fmt not in FORMATS:
         raise ContractError(f"unknown dataset format: {fmt!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -248,15 +251,12 @@ def split_and_sample(
     """Split positives into train/test and sample negatives per train positive.
 
     Per user, a seeded uniform-random train_ratio fraction of positives
-    (rounded down, minimum 1) becomes train and the rest test.  Each train
-    positive draws neg_ratio negatives without replacement from the user's
-    never-interacted items; draws are independent across positives, so the
-    per-user negative pool is a multiset.
+    (rounded down, minimum 1) becomes train and the rest test; sample_pairs
+    then draws each train positive's negatives from the user's
+    never-interacted items.
     """
     if not (0.0 < train_ratio < 1.0):
         raise ContractError("train_ratio must be in (0, 1)")
-    if neg_ratio < 0:
-        raise ContractError("neg_ratio must be >= 0")
 
     all_items = np.arange(pre.num_items, dtype=np.int64)
     train: list[np.ndarray] = []
@@ -270,18 +270,9 @@ def split_and_sample(
         tr = np.sort(positives[perm[:n_train]])
         te = np.sort(positives[perm[n_train:]])
         pool = np.setdiff1d(all_items, positives, assume_unique=False)
-        rows: list[np.ndarray] = []
-        for p in tr.tolist():
-            k = min(neg_ratio, len(pool))
-            if k == 0:
-                continue
-            negs = pool[rng.choice(len(pool), size=k, replace=False)]
-            rows.append(np.column_stack([np.full(k, p, dtype=np.int64), negs]))
         train.append(tr)
         test.append(te)
-        pairs.append(
-            np.concatenate(rows, axis=0) if rows else np.empty((0, 2), dtype=np.int64)
-        )
+        pairs.append(sample_pairs(tr, pool, neg_ratio, rng))
     return Dataset(
         num_users=pre.num_users,
         num_items=pre.num_items,
@@ -289,3 +280,19 @@ def split_and_sample(
         test=test,
         pairs=pairs,
     )
+
+
+def sample_pairs(
+    positives: np.ndarray, pool: np.ndarray, neg_ratio: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(positive, negative) rows: each positive in turn draws
+    min(neg_ratio, len(pool)) negatives from pool without replacement, so
+    the negatives form a multiset.  Nothing to draw gives an empty (0, 2)
+    int64 array and leaves rng untouched."""
+    if neg_ratio < 0:
+        raise ContractError("neg_ratio must be >= 0")
+    k = min(neg_ratio, len(pool))
+    if k == 0 or len(positives) == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    negs = [pool[rng.choice(len(pool), size=k, replace=False)] for _ in range(len(positives))]
+    return np.column_stack([np.repeat(positives, k), np.concatenate(negs)])

@@ -49,7 +49,8 @@ def top_k_list(state: ClientState, k: int, exclude: np.ndarray | set) -> np.ndar
     return order[: min(k, n_candidates)].astype(np.int64)
 
 
-def _benign_ids(world) -> list[int]:
+def benign_ids(world) -> list[int]:
+    """Ascending ids of the world's clients that are not adversaries."""
     return [i for i in range(len(world.clients)) if i not in world.adversary_ids]
 
 
@@ -57,7 +58,7 @@ def benign_top_lists(world, k: int) -> dict[int, np.ndarray]:
     """Top-k list per benign user, excluding that user's train positives."""
     return {
         u: top_k_list(world.clients[u], k, world.dataset.train[u])
-        for u in _benign_ids(world)
+        for u in benign_ids(world)
     }
 
 

@@ -96,18 +96,28 @@ class ClientState:
 
 @dataclass
 class GradientPacket:
-    """Gradients exchanged between clients.
+    """Gradients a client shares with its neighbors in one round.
 
     item_idx/item_rows encode the sparse item-table gradient (rows sorted by
     ascending item index); net_grad matches the sender's flat net layout.
-    The private user embedding never travels.
+    The private user embedding never travels; the round is stamped on the
+    round's RoundRows, not on packets.
     """
 
     sender: int
-    round: int
     item_idx: np.ndarray  # (n,) int64, strictly increasing
     item_rows: np.ndarray  # (n, embed_dim) float64
     net_grad: np.ndarray  # flat float64
+
+
+def empty_packet(state: ClientState, sender: int) -> GradientPacket:
+    """No item rows and a zero net gradient: what a client without pairs sends."""
+    return GradientPacket(
+        sender=sender,
+        item_idx=np.zeros(0, dtype=np.int64),
+        item_rows=np.zeros((0, state.layout.embed_dim)),
+        net_grad=np.zeros_like(state.net),
+    )
 
 
 def init_client_state(
@@ -267,17 +277,17 @@ def scatter_add_rows(
 
 
 def compute_gradients(
-    state: ClientState, pairs: np.ndarray, sender: int = -1, round_no: int = -1
+    state: ClientState, pairs: np.ndarray, sender: int = -1
 ) -> tuple[np.ndarray, GradientPacket]:
     """Analytic gradients of bpr_loss w.r.t. u, touched item rows, and net.
 
     Rows of items absent from the batch are absent from the packet.
     """
-    return _gradients(state, _check_batch(state, pairs), sender, round_no)
+    return _gradients(state, _check_batch(state, pairs), sender)
 
 
 def _gradients(
-    state: ClientState, pairs: np.ndarray, sender: int = -1, round_no: int = -1
+    state: ClientState, pairs: np.ndarray, sender: int = -1
 ) -> tuple[np.ndarray, GradientPacket]:
     """compute_gradients on a batch that already passed its checks."""
     items = np.concatenate([pairs[:, 0], pairs[:, 1]])
@@ -290,9 +300,7 @@ def _gradients(
     net_grad, user_grad, item_rows = _backward(state, inputs, masks, g)
 
     uniq, acc, _ = scatter_add_rows(items, item_rows)
-    packet = GradientPacket(
-        sender=sender, round=round_no, item_idx=uniq, item_rows=acc, net_grad=net_grad
-    )
+    packet = GradientPacket(sender=sender, item_idx=uniq, item_rows=acc, net_grad=net_grad)
     return user_grad, packet
 
 

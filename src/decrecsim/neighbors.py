@@ -13,8 +13,6 @@ import numpy as np
 
 from decrecsim.errors import ContractError
 
-DEFAULT_SKETCH_DIM = 16
-
 
 @dataclass
 class NeighborMap:

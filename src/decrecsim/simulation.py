@@ -49,7 +49,7 @@ from decrecsim.defenses import (
     ucsu_aggregate,
 )
 from decrecsim.errors import ConfigError, ContractError
-from decrecsim.metrics import MetricsRecord, evaluate_world
+from decrecsim.metrics import MetricsRecord, benign_ids, evaluate_world
 from decrecsim.model import (
     LOCAL_BATCH_SIZE,
     AdamState,
@@ -58,6 +58,7 @@ from decrecsim.model import (
     apply_neighbor_aggregate,
     check_pairs,
     compute_gradients,
+    empty_packet,
     init_client_state,
     local_train_step,
 )
@@ -84,9 +85,6 @@ class World:
     @property
     def num_clients(self) -> int:
         return len(self.clients)
-
-    def benign_ids(self) -> list[int]:
-        return [i for i in range(self.num_clients) if i not in self.adversary_ids]
 
 
 def select_cold_targets(dataset: Dataset, num_targets: int, root_seed: int) -> np.ndarray:
@@ -168,17 +166,14 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
             neg_ratio=config.neg_ratio,
             include_targets=(config.attack == "ra"),
         )
-        fixed_user = None
         if config.attack == "psmu":
-            fixed_user = shared_user.copy()
             state.user_vec = shared_user.copy()
         adversaries[cid] = AdversaryState(
             client_id=cid,
             base=state,
             positives=positives,
             pairs=adv_pairs,
-            strategy=config.attack,
-            fixed_user=fixed_user,
+            fixed_user=config.attack == "psmu",
         )
         add_client(state, adv_pairs)
 
@@ -202,16 +197,6 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
         hyperplanes=hyperplanes,
         round=0,
         rng_root=root,
-    )
-
-
-def _empty_packet(state: ClientState, sender: int, round_no: int) -> GradientPacket:
-    return GradientPacket(
-        sender=sender,
-        round=round_no,
-        item_idx=np.zeros(0, dtype=np.int64),
-        item_rows=np.zeros((0, state.layout.embed_dim)),
-        net_grad=np.zeros_like(state.net),
     )
 
 
@@ -266,12 +251,12 @@ def run_round(world: World, config: ExperimentConfig) -> None:
         state = world.clients[i]
         local_pairs = world.pairs[i]
         if len(local_pairs) == 0:
-            return _empty_packet(state, i, t)
+            return empty_packet(state, i)
         perm = rngmod.stream(
             world.rng_root, rngmod.DOMAIN_ROUND_SHUFFLE, i, t
         ).permutation(len(local_pairs))
         shuffled = local_pairs[perm]
-        keep_user_fixed = i in world.adversaries and world.adversaries[i].fixed_user is not None
+        keep_user_fixed = i in world.adversaries and world.adversaries[i].fixed_user
         for start in range(0, len(shuffled), LOCAL_BATCH_SIZE):
             local_train_step(
                 state,
@@ -280,7 +265,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
                 lr,
                 update_user=not keep_user_fixed,
             )
-        _, packet = compute_gradients(state, local_pairs, sender=i, round_no=t)
+        _, packet = compute_gradients(state, local_pairs, sender=i)
         return packet
 
     all_ids = list(range(world.num_clients))
@@ -323,22 +308,20 @@ def run_round(world: World, config: ExperimentConfig) -> None:
                 adv.substitute_items = select_substitute_items(
                     adv, world.target_items, config.s
                 )
-                return pamn_poison(
-                    adv, world.target_items, config.top_k, config.e_ft, lr, t
-                )
+                return pamn_poison(adv, world.target_items, config.top_k, config.e_ft, lr)
             if config.attack == "psmu":
                 adv.substitute_items = select_substitute_items(
                     adv, world.target_items, config.s
                 )
             return baseline_poison(
-                adv, world.target_items, config.attack, config.top_k, config.e_ft, lr, t
+                adv, world.target_items, config.attack, config.top_k, config.e_ft, lr
             )
 
         outgoing = dict(zip(adv_ids, _map_clients(attack_one, adv_ids, config.workers)))
 
     # Phase 4: benign clients apply the configured defense and aggregate.
     final_packets = [outgoing.get(i, packets[i]) for i in all_ids]
-    benign = world.benign_ids()
+    benign = benign_ids(world)
 
     # Clipping to mu is receiver-independent, so l2clip and UCSU clip once
     # here, for every receiver.

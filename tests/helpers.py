@@ -94,7 +94,6 @@ def packet(
     sender: int,
     rows: dict[int, np.ndarray],
     net: np.ndarray,
-    round_no: int = 1,
     dim: int = 2,
 ) -> GradientPacket:
     idx = np.array(sorted(rows), dtype=np.int64)
@@ -103,7 +102,7 @@ def packet(
         if len(idx)
         else np.zeros((0, dim))
     )
-    return GradientPacket(sender=sender, round=round_no, item_idx=idx, item_rows=mat, net_grad=net)
+    return GradientPacket(sender=sender, item_idx=idx, item_rows=mat, net_grad=net)
 
 
 def round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True, num_items=None):

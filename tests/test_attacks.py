@@ -43,22 +43,24 @@ def make_adv(seed, num_items=20, alpha=6, targets=(1, 4), strategy="pamn", scale
         base=make_state(seed, num_items=num_items, embed_dim=4, widths=(8, 6, 4), scale=scale),
         positives=positives,
         pairs=pairs,
-        strategy=strategy,
     )
 
 
 class TestBuildDataset:
     def test_alpha_count_and_target_exclusion(self):
         targets = np.array([2, 5])
-        positives, pairs = build_adversary_dataset(40, targets, 30, seed=1)
-        assert len(positives) == 30
-        assert not set(positives.tolist()) & {2, 5}
-        assert not set(pairs[:, 1].tolist()) & {2, 5}
+        # (neg_ratio, negatives per positive): the 8-item pool caps the draw
+        for neg_ratio, per_positive in ((4, 4), (0, 0), (10, 8)):
+            positives, pairs = build_adversary_dataset(40, targets, 30, seed=1, neg_ratio=neg_ratio)
+            assert len(positives) == 30
+            assert not set(positives.tolist()) & {2, 5}
+            assert not set(pairs[:, 1].tolist()) & {2, 5}
+            assert pairs.shape == (per_positive * 30, 2) and pairs.dtype == np.int64
 
     def test_alpha_zero(self):
         positives, pairs = build_adversary_dataset(10, np.array([0]), 0, seed=2)
         assert len(positives) == 0
-        assert len(pairs) == 0
+        assert pairs.shape == (0, 2) and pairs.dtype == np.int64
 
     def test_determinism(self):
         a = build_adversary_dataset(30, np.array([1]), 10, seed=3)
@@ -211,7 +213,6 @@ class TestSubstituteItems:
             client_id=0, base=state,
             positives=np.zeros(0, dtype=np.int64),
             pairs=np.empty((0, 2), dtype=np.int64),
-            strategy="pamn",
         )
         subs = select_substitute_items(adv, np.array([0]), s=2)
         ratings = score_items(state)
@@ -272,12 +273,11 @@ class TestPamnPoison:
             client_id=9, base=state,
             positives=np.zeros(0, dtype=np.int64),
             pairs=np.empty((0, 2), dtype=np.int64),
-            strategy="pamn",
         )
         targets = np.array([2, 3])
         top = top_k_list(state, 2, exclude=np.zeros(0, dtype=np.int64))
         assert set(top.tolist()) == {2, 3}
-        pkt = pamn_poison(adv, targets, top_k=2, e_ft=3, lr=0.01, round_no=2)
+        pkt = pamn_poison(adv, targets, top_k=2, e_ft=3, lr=0.01)
         assert len(pkt.item_idx) == 0
         assert not pkt.net_grad.any()
 
@@ -305,7 +305,7 @@ class TestPamnPoison:
             competitors = top[~np.isin(top, targets)]
             loss_before = rate_loss(adv.base, competitors, targets)
             gap_before = rating_gap(adv.base, competitors)
-            pkt = pamn_poison(adv, targets, top_k=5, e_ft=5, lr=1e-3, round_no=2)
+            pkt = pamn_poison(adv, targets, top_k=5, e_ft=5, lr=1e-3)
             if len(pkt.item_idx) == 0 and not pkt.net_grad.any():
                 continue
             moved += 1
@@ -318,7 +318,7 @@ class TestPamnPoison:
     def test_packet_shapes_match_benign(self):
         adv = make_adv(9)
         adv.substitute_items = np.array([7])
-        pkt = pamn_poison(adv, np.array([1, 4]), top_k=5, e_ft=2, lr=1e-3, round_no=2)
+        pkt = pamn_poison(adv, np.array([1, 4]), top_k=5, e_ft=2, lr=1e-3)
         _, honest = compute_gradients(adv.base, adv.pairs)
         assert pkt.net_grad.shape == honest.net_grad.shape
         assert pkt.item_rows.shape[1] == honest.item_rows.shape[1]
@@ -328,7 +328,7 @@ class TestPamnPoison:
         adv = make_adv(10)
         adv.substitute_items = np.zeros(0, dtype=np.int64)
         before = adv.base.copy()
-        pkt = pamn_poison(adv, np.array([1, 4]), top_k=4, e_ft=3, lr=1e-3, round_no=2)
+        pkt = pamn_poison(adv, np.array([1, 4]), top_k=4, e_ft=3, lr=1e-3)
         # a receiver applying the lone packet at the same lr lands on the
         # adversary's fine-tuned parameters
         receiver = before
@@ -340,7 +340,7 @@ class TestPamnPoison:
 class TestBaselines:
     def test_ra_packet_is_honest_gradient(self):
         adv = make_adv(11, strategy="ra")
-        pkt = baseline_poison(adv, np.array([1, 4]), "ra", top_k=5, e_ft=2, lr=1e-3, round_no=2)
+        pkt = baseline_poison(adv, np.array([1, 4]), "ra", top_k=5, e_ft=2, lr=1e-3)
         _, honest = compute_gradients(adv.base, adv.pairs)
         assert np.array_equal(pkt.item_idx, honest.item_idx)
         assert np.allclose(pkt.item_rows, honest.item_rows)
@@ -357,9 +357,8 @@ class TestBaselines:
             client_id=1, base=state,
             positives=np.zeros(0, dtype=np.int64),
             pairs=np.empty((0, 2), dtype=np.int64),
-            strategy="eb",
         )
-        pkt = baseline_poison(adv, np.array([2]), "eb", top_k=2, e_ft=1, lr=1e-3, round_no=2)
+        pkt = baseline_poison(adv, np.array([2]), "eb", top_k=2, e_ft=1, lr=1e-3)
         k = pkt.item_idx.tolist().index(2)
         assert pkt.item_rows[k][0] == pytest.approx(-0.5, abs=1e-12)
 
@@ -369,8 +368,8 @@ class TestBaselines:
         b.client_id = a.client_id
         for adv in (a, b):
             adv.substitute_items = select_substitute_items(adv, np.array([1, 4]), s=3)
-        pa = baseline_poison(a, np.array([1, 4]), "psmu", top_k=5, e_ft=3, lr=1e-3, round_no=2)
-        pb = baseline_poison(b, np.array([1, 4]), "psmu", top_k=5, e_ft=3, lr=1e-3, round_no=2)
+        pa = baseline_poison(a, np.array([1, 4]), "psmu", top_k=5, e_ft=3, lr=1e-3)
+        pb = baseline_poison(b, np.array([1, 4]), "psmu", top_k=5, e_ft=3, lr=1e-3)
         assert np.array_equal(pa.item_idx, pb.item_idx)
         assert np.array_equal(pa.item_rows, pb.item_rows)
         assert np.array_equal(pa.net_grad, pb.net_grad)
@@ -378,4 +377,4 @@ class TestBaselines:
     def test_unknown_strategy_rejected(self):
         adv = make_adv(14)
         with pytest.raises(ConfigError):
-            baseline_poison(adv, np.array([1]), "nope", top_k=5, e_ft=1, lr=1e-3, round_no=2)
+            baseline_poison(adv, np.array([1]), "nope", top_k=5, e_ft=1, lr=1e-3)

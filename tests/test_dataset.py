@@ -142,9 +142,12 @@ class TestSplit:
 
     def test_exact_negative_count(self):
         pre = self.make_pre()
-        ds = split_and_sample(pre, 0.8, 4, seed=1)
-        for u in range(ds.num_users):
-            assert len(ds.negatives[u]) == 4 * len(ds.train[u])
+        # (neg_ratio, negatives per positive): each user's 12-item pool caps the draw
+        for neg_ratio, per_positive in ((4, 4), (0, 0), (25, 12)):
+            ds = split_and_sample(pre, 0.8, neg_ratio, seed=1)
+            for u in range(ds.num_users):
+                assert ds.pairs[u].shape == (per_positive * len(ds.train[u]), 2)
+                assert ds.pairs[u].dtype == np.int64
 
     def test_partition_and_disjointness(self):
         pre = self.make_pre()

@@ -389,7 +389,6 @@ class TestBuildRoundRows:
         pkts = [
             GradientPacket(
                 sender=s,
-                round=1,
                 item_idx=np.arange(100),
                 item_rows=rng.normal(size=(100, 64)),
                 net_grad=np.zeros(1),
@@ -445,7 +444,7 @@ def bank_with(entries, capacity=10):
     bank = MemoryBank(capacity)
     by_round: dict[int, list] = {}
     for rnd, sender, rows in entries:
-        by_round.setdefault(rnd, []).append(packet(sender, rows, np.zeros(2), round_no=rnd))
+        by_round.setdefault(rnd, []).append(packet(sender, rows, np.zeros(2)))
     for rnd in sorted(by_round):
         rr = round_rows(by_round[rnd], rnd, clip=False)
         bank.ingest(rr, np.arange(len(rr.items), dtype=np.int32))
@@ -684,7 +683,7 @@ class TestBankAgainstReference:
         bank = MemoryBank(capacity)  # driven step by step
         ref = ReferenceBank(capacity)
         for t, packets, neighbors in rounds:
-            pkts = [packet(s, rows, np.zeros(2), round_no=t) for s, rows in packets]
+            pkts = [packet(s, rows, np.zeros(2)) for s, rows in packets]
             rr = round_rows(pkts, t, mu=1.0, clip=clip)
             senders = np.array(neighbors, dtype=np.int64)
             refs = rr.refs_of(senders)

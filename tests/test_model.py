@@ -454,4 +454,4 @@ class TestAggregate:
 
     def test_packets_never_carry_user_embedding(self):
         fields = {f.name for f in GradientPacket.__dataclass_fields__.values()}
-        assert fields == {"sender", "round", "item_idx", "item_rows", "net_grad"}
+        assert fields == {"sender", "item_idx", "item_rows", "net_grad"}

@@ -2,8 +2,9 @@
 same-seed determinism for every per-receiver robust aggregator, and for
 PAMN against UCSU with banks small enough to evict; the round rows UCSU
 keeps alive; the packets dropped once a round's rows are consolidated;
-what adversaries absorb; init_world's pair checks and each client's Adam
-item-moment cover."""
+what adversaries absorb; the empty packets of clients without training
+pairs; init_world's pair checks and each client's Adam item-moment
+cover."""
 
 import dataclasses
 import gc
@@ -165,8 +166,8 @@ def test_adversary_absorbs_the_honest_packet_of_another_adversary(tiny, monkeypa
     real_poison = simulation.pamn_poison
     real_collab = simulation.adversary_collab_update
 
-    def gradients_spy(state, pairs, sender=-1, round_no=-1):
-        user_grad, pkt = real_gradients(state, pairs, sender=sender, round_no=round_no)
+    def gradients_spy(state, pairs, sender=-1):
+        user_grad, pkt = real_gradients(state, pairs, sender=sender)
         honest[sender] = pkt
         return user_grad, pkt
 
@@ -195,6 +196,47 @@ def test_adversary_absorbs_the_honest_packet_of_another_adversary(tiny, monkeypa
     for got, want in ((seen["after"].item_table, expect.item_table), (seen["after"].net, expect.net)):
         assert got.tobytes() == want.tobytes()
     assert not np.array_equal(seen["after"].item_table, seen["before"].item_table)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"attack": "ra", "neg_ratio": 0}, id="ra-no-pairs"),
+        pytest.param({"attack": "eb", "neg_ratio": 0}, id="eb-no-pairs"),
+        pytest.param(
+            {"attack": "pamn", "defense": "ucsu", "neg_ratio": 0}, id="pamn-ucsu-no-pairs"
+        ),
+        pytest.param({"attack": "eb", "alpha": 0}, id="eb-alpha-zero"),
+        pytest.param({"attack": "psmu", "alpha": 0}, id="psmu-alpha-zero"),
+    ],
+)
+def test_clients_without_pairs_send_empty_packets(tiny, monkeypatch, overrides):
+    config = dataclasses.replace(tiny[0], **overrides)
+    dataset = load_dataset(config)
+    second = run_experiment(config, dataset)
+    builds = []
+    real_build = simulation.build_round_rows
+
+    def build_spy(packets, *args, **kwargs):
+        rr = real_build(packets, *args, **kwargs)
+        builds.append(set(rr.senders.tolist()))
+        return rr
+
+    monkeypatch.setattr(simulation, "build_round_rows", build_spy)
+    first, world = run_experiment(config, dataset, keep_world=True)
+    assert first == second
+    no_pairs = {i for i, pairs in enumerate(world.pairs) if len(pairs) == 0}
+    assert world.adversary_ids <= no_pairs
+    # Each round builds the adversaries' honest rows, then the final rows;
+    # round 1's final packets are honest too (the adversaries conceal).
+    assert len(builds) == 2 * config.rounds
+    honest, crafted = builds[0::2] + builds[1:2], builds[3::2]
+    assert all(senders.isdisjoint(no_pairs) for senders in honest)
+    if config.neg_ratio == 0:
+        # no client has pairs, so only crafted packets carry item rows
+        assert no_pairs == set(range(world.num_clients))
+        craft = set() if config.attack == "ra" else world.adversary_ids
+        assert all(senders <= craft for senders in crafted)
 
 
 @pytest.mark.parametrize("count", [1, 2, 7, 50])
