@@ -1,7 +1,9 @@
 """Kernel microbenchmarks at the sizes of the `pamn_ucsu_m` workload.
 
 One client has 848 items, embed_dim 32 and the default (64, 32, 16) net; a
-local minibatch is 32 pairs; a client trains on 111 items; a UCSU receiver
+local minibatch is 32 pairs; a client trains on 111 items; a lockstep step
+trains 630 such clients, stacked, each on one full minibatch (step 0 of a
+round), in blocks of LOCKSTEP_BLOCK; a UCSU receiver
 banks the rows of 50 senders of about 110 rows each per round, and its bank
 is timed in the steady state, after 11 rounds that each end with a 10% pop,
 and so is one UCSU receive on it (ingest, pop, adaptive clip and per-item
@@ -31,11 +33,14 @@ from decrecsim.model import (
     _backward,
     _forward,
     adam_step,
+    block_views,
     init_client_state,
+    local_train_step,
     scatter_add_rows,
+    stack_states,
 )
 from decrecsim.neighbors import assign_neighbors
-from decrecsim.simulation import init_world
+from decrecsim.simulation import LOCKSTEP_BLOCK, init_world
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
 
 NUM_ITEMS = 848
@@ -97,6 +102,39 @@ def test_adam_step(benchmark, client, cover):
     assert opt.t >= 1
 
 
+@pytest.fixture(scope="module")
+def stack():
+    """(stacked state, its moments, one minibatch per client) of CLIENTS
+    clients, each training on TRAIN_ITEMS items."""
+    rng = np.random.default_rng(7)
+    rows = [np.sort(rng.choice(NUM_ITEMS, size=TRAIN_ITEMS, replace=False)) for _ in range(CLIENTS)]
+    layout = init_client_state(1, EMBED_DIM, WIDTHS, rng).layout
+    state, opt = stack_states(layout, NUM_ITEMS, rows)
+    for j in range(CLIENTS):
+        one = init_client_state(NUM_ITEMS, EMBED_DIM, WIDTHS, rng)
+        state.user_vec[j], state.item_table[j], state.net[j] = one.user_vec, one.item_table, one.net
+    batches = np.stack([
+        np.column_stack([r[:LOCAL_BATCH_SIZE], r[LOCAL_BATCH_SIZE : 2 * LOCAL_BATCH_SIZE]])
+        for r in (rng.permutation(items) for items in rows)
+    ])
+    return state, opt, batches
+
+
+def test_lockstep_step(benchmark, stack):
+    state, opt, batches = stack
+
+    def step():
+        for first in range(0, CLIENTS, LOCKSTEP_BLOCK):
+            last = min(first + LOCKSTEP_BLOCK, CLIENTS)
+            block, block_opt = block_views(state, opt, first, last)
+            local_train_step(block, batches[first:last], block_opt, 1e-3)
+
+    before = opt.t.copy()
+    benchmark.pedantic(step, rounds=5)
+    steps = opt.t - before
+    assert steps.min() == steps.max() >= 1 and np.isfinite(state.net).all()
+
+
 def round_rows(round_no: int, rng: np.random.Generator, senders: int = SENDERS):
     packets = []
     for sender in range(senders):
@@ -109,7 +147,7 @@ def round_rows(round_no: int, rng: np.random.Generator, senders: int = SENDERS):
                 net_grad=np.zeros(1),
             )
         )
-    return build_round_rows(packets, round_no, NUM_ITEMS, EMBED_DIM, 1)
+    return build_round_rows(packets, round_no, NUM_ITEMS, EMBED_DIM, 1, bank=True)
 
 
 @pytest.fixture(scope="module")

@@ -26,11 +26,13 @@ trimmed mean), whose aggregate row is exactly zero.
 
 Every receiver's UCSU MemoryBank holds one chunk per banked round: the
 round's shared RoundRows and the int32 pop positions of the receiver's
-rows still banked.  Each round's rows are sorted into pop order (descending
-stored norm, row index on ties) once, shared by all receivers, so every
-chunk is already in pop order and the bank's top fraction is a prefix of
-each chunk; no receiver ever sorts its whole bank.  Each stored row's
-p-norm is taken once, at consolidation, and popped with the row, so UCSU's
+rows still banked.  Only rows consolidated for the banks carry pop fields:
+each round's rows are sorted into pop order (descending stored norm, row
+index on ties) once, shared by all receivers, so every chunk is already in
+pop order and the bank's top fraction is a prefix of each chunk; no
+receiver ever sorts its whole bank.  The pop key is kept once, negated in
+pop order.  Each stored row's p-norm is taken once, at consolidation (for
+an unclipped row it is the pop key), and popped with the row, so UCSU's
 adaptive clip never re-takes it.  Per-item sums add rows in pop order, one
 at a time, so the aggregate has the same bits as a sequential per-row loop.
 
@@ -44,9 +46,9 @@ bank holds any more, until eviction drops the round.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,42 +84,57 @@ def _clip(rows: np.ndarray, norms: np.ndarray, bound: float) -> np.ndarray:
     return rows
 
 
-@dataclass
 class RoundRows:
     """All item-row gradients received in one round, consolidated.
 
     One instance per round is shared by every receiving client; each
     reads, or banks, the subset of rows its neighbors sent.  Rows are
-    stored by ascending sender.  The pop order (descending norm, row index
-    on ties) and each sender's row range are computed once here and shared
-    by every receiver.  Once the round's pops are done, compact_round_rows
-    replaces it in the banks by a RoundRows of exactly the rows some bank
-    holds, in the same relative order.
+    stored by ascending sender, with each sender's row range.  Rows built
+    for UCSU's banks are given their pop key, norms (p-norms, capped at mu
+    where clipped); the pop order (descending key, row index on ties) is
+    then computed once here and shared by every receiver, and the key is
+    kept once, negated in pop order (pop_neg_norm).  Rows for any other
+    reader carry no pop fields.  Once the round's pops are done,
+    compact_round_rows replaces it in the banks by a RoundRows of exactly
+    the rows some bank holds, in the same relative order.
     """
 
-    round: int
-    senders: np.ndarray  # (n,) int32, ascending
-    items: np.ndarray  # (n,) int32
-    rows: np.ndarray  # (n, embed_dim) float64
-    norms: np.ndarray  # (n,) float64 p-norms, capped at mu where clipped: the pop key
-    # (n,) float64 p-norms of the stored rows; norms itself when none was clipped
-    row_norms: np.ndarray | None = None
-    order: np.ndarray = field(init=False)  # row indices in pop order
-    rank: np.ndarray = field(init=False)  # int32 position of each row in order
-    pop_neg_norm: np.ndarray = field(init=False)  # negated norms in pop order
-    sender_start: np.ndarray = field(init=False)  # first row, per sender id
-    sender_count: np.ndarray = field(init=False)  # row count, per sender id
+    def __init__(
+        self,
+        round: int,
+        senders: np.ndarray,
+        items: np.ndarray,
+        rows: np.ndarray,
+        norms: np.ndarray | None = None,
+        row_norms: np.ndarray | None = None,
+    ):
+        self.round = round
+        self.senders = senders  # (n,) int32, ascending
+        self.items = items  # (n,) int32
+        self.rows = rows  # (n, embed_dim) float64
+        # (n,) p-norms of the stored rows where clipping made them differ
+        # from the pop key; None when they are the pop key.
+        self.clipped_norms = row_norms
+        self.order = self.rank = self.pop_neg_norm = None
+        if norms is not None:
+            neg = -norms
+            order = np.argsort(neg, kind="stable")
+            self.order = order.astype(np.int32)  # row indices in pop order
+            self.rank = np.empty(len(order), dtype=np.int32)  # position of each row in order
+            self.rank[order] = np.arange(len(order), dtype=np.int32)
+            self.pop_neg_norm = neg[order]  # negated pop key, in pop order
+        self.sender_count = np.bincount(senders)  # row count, per sender id
+        self.sender_start = np.cumsum(self.sender_count) - self.sender_count  # first row
 
-    def __post_init__(self) -> None:
-        if self.row_norms is None:
-            self.row_norms = self.norms
-        neg = -self.norms
-        self.order = np.argsort(neg, kind="stable")
-        self.rank = np.empty(len(self.order), dtype=np.int32)
-        self.rank[self.order] = np.arange(len(self.order), dtype=np.int32)
-        self.pop_neg_norm = neg[self.order]
-        self.sender_count = np.bincount(self.senders)
-        self.sender_start = np.cumsum(self.sender_count) - self.sender_count
+    @functools.cached_property
+    def norms(self) -> np.ndarray | None:
+        """The pop key in row order, None for rows no bank reads."""
+        return None if self.pop_neg_norm is None else -self.pop_neg_norm[self.rank]
+
+    @property
+    def row_norms(self) -> np.ndarray | None:
+        """p-norms of the stored rows, None for rows no bank reads."""
+        return self.norms if self.clipped_norms is None else self.clipped_norms
 
     def refs_of(self, senders: np.ndarray) -> np.ndarray:
         """Row indices sent by the given ascending sender ids, in sender order."""
@@ -146,6 +163,7 @@ def build_round_rows(
     mu: float = 1.0,
     p: int = 2,
     clip: bool = True,
+    bank: bool = False,
 ) -> RoundRows:
     """Consolidate packets (ascending sender order) into one RoundRows.
 
@@ -153,7 +171,8 @@ def build_round_rows(
     an (ids, embed_dim) row block and a (net_size,) net gradient, else
     ContractError.  With clip enabled every row is clipped to the fixed mu
     bound before storage; clipping is receiver-independent, so the result
-    may be shared.
+    may be shared.  With bank, the rows are for UCSU's banks: they get
+    their pop key and pop order, and clipped rows their own norms.
     """
     ordered = sorted(packets, key=lambda q: q.sender)
     for q in ordered:
@@ -176,17 +195,23 @@ def build_round_rows(
         senders = np.zeros(0, dtype=np.int32)
         items = np.zeros(0, dtype=np.int32)
         rows = np.zeros((0, embed_dim))
-    norms = _norms(rows, p)
+    norms = _norms(rows, p) if clip or bank else None
     row_norms = None
     if clip and len(rows):
         if mu <= 0:
             raise ContractError("mu must be > 0")
         rows = _clip(rows, norms, mu)
-        # UCSU's adaptive clip scales by the stored rows' own norms.
-        row_norms = _norms(rows, p)
-        norms = np.minimum(norms, mu)
+        if bank:
+            # UCSU's adaptive clip scales by the stored rows' own norms.
+            row_norms = _norms(rows, p)
+            norms = np.minimum(norms, mu)
     return RoundRows(
-        round=round_no, senders=senders, items=items, rows=rows, norms=norms, row_norms=row_norms
+        round=round_no,
+        senders=senders,
+        items=items,
+        rows=rows,
+        norms=norms if bank else None,
+        row_norms=row_norms,
     )
 
 
@@ -221,6 +246,8 @@ class MemoryBank:
         """
         if self._last_round is not None and rr.round <= self._last_round:
             raise ContractError("rounds must be ingested in increasing order, each at most once")
+        if rr.rank is None:
+            raise ContractError("round rows built without a pop order cannot be banked")
         self._last_round = rr.round
         if len(refs):
             self._chunks.append((rr, np.sort(rr.rank[np.asarray(refs, dtype=np.int64)])))
@@ -276,11 +303,13 @@ class MemoryBank:
         row_norms = np.empty(k)
         kept = []
         start = 0
-        for (rr, ranks), n in zip(self._chunks, takes):
+        for (rr, ranks), neg, n in zip(self._chunks, negs, takes):
             refs = rr.order[ranks[:n]]
             items[dest[start : start + n]] = rr.items[refs]
             rows[dest[start : start + n]] = rr.rows[refs]
-            row_norms[dest[start : start + n]] = rr.row_norms[refs]
+            row_norms[dest[start : start + n]] = (
+                -neg[:n] if rr.clipped_norms is None else rr.clipped_norms[refs]
+            )
             start += n
             if n < len(ranks):
                 kept.append((rr, ranks[n:].copy() if n else ranks))
@@ -313,8 +342,8 @@ def compact_round_rows(rr: RoundRows, banks: Iterable[MemoryBank]) -> None:
         senders=rr.senders[keep],
         items=rr.items[keep],
         rows=rr.rows[keep],
-        norms=rr.norms[keep],
-        row_norms=None if rr.row_norms is rr.norms else rr.row_norms[keep],
+        norms=-rr.pop_neg_norm[rr.rank[keep]],
+        row_norms=None if rr.clipped_norms is None else rr.clipped_norms[keep],
     )
     # Kept rows keep their order and the pop order is a stable sort, so a
     # held position's new rank is the number of held positions before it.

@@ -74,18 +74,23 @@ def exposure_rate(world, k: int, lists: dict[int, np.ndarray] | None = None) -> 
         raise ContractError("exposure_rate requires a nonempty target set")
     if lists is None:
         lists = benign_top_lists(world, k)
-    per_target = []
-    for t in targets.tolist():
-        eligible = 0
-        exposed = 0
-        for u, top in lists.items():
-            interacted = t in world.dataset.train[u] or t in world.dataset.test[u]
-            if interacted:
-                continue
-            eligible += 1
-            if t in top:
-                exposed += 1
-        per_target.append(exposed / eligible if eligible else 0.0)
+    # Every (user, target) pair is one key user * num_items + target, so one
+    # membership test over all users finds the pairs each list holds.
+    users = list(lists)
+    if not users:
+        return 0.0
+    num_items = world.clients[0].num_items
+    wanted = (np.arange(len(users)) * num_items)[:, None] + targets
+
+    def holds(per_user: list[np.ndarray]) -> np.ndarray:
+        owner = np.repeat(np.arange(len(users)) * num_items, [len(x) for x in per_user])
+        return np.isin(wanted, owner + np.concatenate(per_user))
+
+    fresh = ~holds([world.dataset.train[u] for u in users])
+    fresh &= ~holds([world.dataset.test[u] for u in users])
+    eligible = fresh.sum(axis=0)
+    exposed = (fresh & holds([lists[u] for u in users])).sum(axis=0)
+    per_target = [e / n if n else 0.0 for e, n in zip(exposed.tolist(), eligible.tolist())]
     return float(np.mean(per_target))
 
 

@@ -12,6 +12,15 @@ A client's Adam item moments cover only the item ids its AdamState names
 (for a simulated client, the items of its own training pairs), so a client
 holds one dense item table but moments for a small share of its rows.
 
+Client state can be stacked: stack_states holds many clients' parameters
+and moments along a leading client axis, client_views hands out each
+client's own ClientState and AdamState as views of it, and block_views a
+slice of clients as a block.  local_train_step is the one training step:
+it steps a block of clients in lockstep (one batched forward, backward,
+scatter-add and Adam step, each client on its own batch of one shared
+size), and a single client as a block of one.  Every client of a block gets
+the bits of stepping alone.
+
 apply_neighbor_aggregate is the only place the neighbor update rule lives:
 the defenses and the adversaries compute aggregates of the neighbors'
 gradients, and every aggregate is applied there (perfbench's tracer times
@@ -63,21 +72,31 @@ class NetLayout:
         self.size = offset
 
     def views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-        """Split a flat parameter vector into (weights, biases, projection) views."""
-        if flat.shape != (self.size,):
+        """Split flat parameter vectors into (weights, biases, projection) views.
+
+        flat is (size,) or (..., size); the views keep its leading axes.
+        """
+        if flat.shape[-1:] != (self.size,):
             raise ContractError(
                 f"flat parameter vector has size {flat.shape}, expected ({self.size},)"
             )
+        lead = flat.shape[:-1]
         ws, bs = [], []
         for li in range(len(self.layer_widths)):
-            ws.append(flat[self.slices[2 * li]].reshape(self.shapes[2 * li]))
-            bs.append(flat[self.slices[2 * li + 1]])
-        return ws, bs, flat[self.slices[-1]]
+            ws.append(flat[..., self.slices[2 * li]].reshape(lead + self.shapes[2 * li]))
+            bs.append(flat[..., self.slices[2 * li + 1]])
+        return ws, bs, flat[..., self.slices[-1]]
 
 
 @dataclass
 class ClientState:
-    """One simulated client's private model parameters."""
+    """One simulated client's private model parameters, or a block's.
+
+    A block of B clients holds the same arrays with a leading client axis:
+    user_vec (B, embed_dim), item_table (B, num_items, embed_dim) and net
+    (B, size).  A World keeps every client's parameters in one such stack
+    and hands out per-client views of it.
+    """
 
     user_vec: np.ndarray  # (embed_dim,)
     item_table: np.ndarray  # (num_items, embed_dim)
@@ -86,7 +105,7 @@ class ClientState:
 
     @property
     def num_items(self) -> int:
-        return self.item_table.shape[0]
+        return self.item_table.shape[-2]
 
     def copy(self) -> "ClientState":
         return ClientState(
@@ -135,24 +154,35 @@ def init_client_state(
     return ClientState(user_vec, item_table, net, layout)
 
 
+def _item_rows(table: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """table[items] for one client; for a block, each client's rows of its
+    own table."""
+    if table.ndim == 2:
+        return table[items]
+    return table[np.arange(len(table))[:, None], items]
+
+
 def _forward(
     state: ClientState, items: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Forward pass for the given item ids.
+    """Forward pass for the given item ids: (m,) for one client, (B, m) for
+    a block, one row of ids per client.
 
     Returns (logits, layer inputs, relu masks); the extra outputs feed the
-    backward pass.
+    backward pass.  A block runs each layer as one matmul over its leading
+    client axis, which calls the same BLAS kernel on the same operands per
+    client, so every client gets the bits of its own forward pass.
     """
     k = state.layout.embed_dim
-    x = np.empty((len(items), 2 * k))
-    x[:, :k] = state.user_vec
-    x[:, k:] = state.item_table[items]
+    x = np.empty(items.shape + (2 * k,))
+    x[..., :k] = state.user_vec[..., None, :]
+    x[..., k:] = _item_rows(state.item_table, items)
     ws, bs, w = state.layout.views(state.net)
     inputs = [x]
     masks = []
     h = x
     for mat, b in zip(ws, bs):
-        a = h @ mat.T + b
+        a = h @ np.swapaxes(mat, -1, -2) + b[..., None, :]
         masks.append(a >= 0.0)
         # For finite a, the bits of np.where(a >= 0.0, a, 0.0) except at
         # a == -0.0, and a pre-activation is never -0.0: biases start at +0.0
@@ -160,7 +190,7 @@ def _forward(
         # where np.where set it to 0 (only a diverged run has one).
         h = np.maximum(a, 0.0)
         inputs.append(h)
-    z = inputs[-1] @ w
+    z = (inputs[-1] @ w[..., None])[..., 0]
     return z, inputs, masks
 
 
@@ -170,16 +200,18 @@ def _backward(
     masks: list[np.ndarray],
     g: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backpropagate per-row logit weights g.
+    """Backpropagate per-row logit weights g ((m,), or (B, m) for a block).
 
-    Returns (net_grad_flat, user_grad, per-row item-embedding gradients).
+    Returns (net_grad_flat, user_grad, per-row item-embedding gradients),
+    each with the block's leading axis.  Row sums run over axis -2 one row
+    at a time, for one client and for a block alike.
     """
     ws, _, w = state.layout.views(state.net)
     k = state.layout.embed_dim
-    net_grad = np.zeros(state.layout.size)
+    net_grad = np.zeros(state.net.shape)
     gws, gbs, gw = state.layout.views(net_grad)
-    gw[...] = inputs[-1].T @ g
-    dh = g[:, None] * w[None, :]
+    gw[...] = (np.swapaxes(inputs[-1], -1, -2) @ g[..., None])[..., 0]
+    dh = g[..., None] * w[..., None, :]
     for li in range(len(ws) - 1, -1, -1):
         # For finite dh, np.where(mask, dh, 0.0) without its per-element
         # branch: a masked dh * 0 is +-0, and adding +0.0 makes it +0.0.  An
@@ -188,11 +220,11 @@ def _backward(
         # here where np.where gave 0 (only a diverged run has one).
         da = dh * masks[li]
         da += 0.0
-        gws[li][...] = da.T @ inputs[li]
-        gbs[li][...] = da.sum(axis=0)
+        gws[li][...] = np.swapaxes(da, -1, -2) @ inputs[li]
+        gbs[li][...] = da.sum(axis=-2)
         dh = da @ ws[li]
-    user_grad = dh[:, :k].sum(axis=0)
-    return net_grad, user_grad, dh[:, k:]
+    user_grad = dh[..., :k].sum(axis=-2)
+    return net_grad, user_grad, dh[..., k:]
 
 
 def score_items(state: ClientState, items: np.ndarray | None = None) -> np.ndarray:
@@ -286,19 +318,28 @@ def compute_gradients(
     return _gradients(state, _check_batch(state, pairs), sender)
 
 
+def _pair_gradients(
+    state: ClientState, pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of the mean BPR loss over each client's pairs ((n, 2), or
+    (B, n, 2) for a block): the batch's item ids (positives, then
+    negatives), the user and net gradients, and one item gradient per id."""
+    n = pairs.shape[-2]
+    items = np.concatenate([pairs[..., 0], pairs[..., 1]], axis=-1)
+    z, inputs, masks = _forward(state, items)
+    diff = z[..., :n] - z[..., n:]
+    # d mean(softplus(-diff)) / d z_pos = -sigmoid(-diff) / n
+    gpos = -np.asarray(_sigmoid(-diff)) / n
+    g = np.concatenate([gpos, -gpos], axis=-1)
+    net_grad, user_grad, item_rows = _backward(state, inputs, masks, g)
+    return items, user_grad, net_grad, item_rows
+
+
 def _gradients(
     state: ClientState, pairs: np.ndarray, sender: int = -1
 ) -> tuple[np.ndarray, GradientPacket]:
     """compute_gradients on a batch that already passed its checks."""
-    items = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    z, inputs, masks = _forward(state, items)
-    n = len(pairs)
-    diff = z[:n] - z[n:]
-    # d mean(softplus(-diff)) / d z_pos = -sigmoid(-diff) / n
-    gpos = -np.asarray(_sigmoid(-diff)) / n
-    g = np.concatenate([gpos, -gpos])
-    net_grad, user_grad, item_rows = _backward(state, inputs, masks, g)
-
+    items, user_grad, net_grad, item_rows = _pair_gradients(state, pairs)
     uniq, acc, _ = scatter_add_rows(items, item_rows)
     packet = GradientPacket(sender=sender, item_idx=uniq, item_rows=acc, net_grad=net_grad)
     return user_grad, packet
@@ -306,14 +347,20 @@ def _gradients(
 
 @dataclass
 class AdamState:
-    """Adam moments for one client.
+    """Adam moments for one client, or for a block of clients.
 
     The item moments cover only the item ids in ``rows`` (sorted, unique):
     row s of m_items and v_items belongs to item rows[s].  Stepping an item
-    outside ``rows`` raises ContractError; the update is never dropped.
+    outside ``rows`` raises ContractError; the update is never dropped.  The
+    step count t is a 0-d array, so that a World's per-client states can be
+    views of its stacked counts.
+
+    A block's arrays carry a leading client axis (t (B,), m_user (B, d),
+    m_net (B, size)); its item moments are each client's in turn, client
+    j's at rows row_start[j]:row_start[j + 1].
     """
 
-    t: int
+    t: np.ndarray  # () int64
     m_user: np.ndarray
     v_user: np.ndarray
     rows: np.ndarray  # (r,) int64, strictly increasing item ids
@@ -321,6 +368,7 @@ class AdamState:
     v_items: np.ndarray  # (r, embed_dim)
     m_net: np.ndarray
     v_net: np.ndarray
+    row_start: np.ndarray | None = None  # (B + 1,) int64, blocks only
 
     @classmethod
     def for_state(cls, state: ClientState, rows: np.ndarray | None = None) -> "AdamState":
@@ -330,7 +378,7 @@ class AdamState:
         rows = np.asarray(rows, dtype=np.int64)
         shape = (len(rows), state.layout.embed_dim)
         return cls(
-            t=0,
+            t=np.zeros((), dtype=np.int64),
             m_user=np.zeros_like(state.user_vec),
             v_user=np.zeros_like(state.user_vec),
             rows=rows,
@@ -341,15 +389,156 @@ class AdamState:
         )
 
 
+def stack_states(
+    layout: NetLayout, num_items: int, rows: list[np.ndarray]
+) -> tuple[ClientState, AdamState]:
+    """Zero parameters and moments of len(rows) clients, stacked along a
+    leading client axis; client j's item moments cover rows[j]."""
+    c, d = len(rows), layout.embed_dim
+    row_start = np.zeros(c + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=row_start[1:])
+    state = ClientState(np.zeros((c, d)), np.zeros((c, num_items, d)), np.zeros((c, layout.size)), layout)
+    opt = AdamState(
+        t=np.zeros(c, dtype=np.int64),
+        m_user=np.zeros((c, d)),
+        v_user=np.zeros((c, d)),
+        rows=np.concatenate(rows).astype(np.int64) if c else np.zeros(0, dtype=np.int64),
+        m_items=np.zeros((int(row_start[-1]), d)),
+        v_items=np.zeros((int(row_start[-1]), d)),
+        m_net=np.zeros((c, layout.size)),
+        v_net=np.zeros((c, layout.size)),
+        row_start=row_start,
+    )
+    return state, opt
+
+
+def block_views(
+    state: ClientState, opt: AdamState, lo: int, hi: int
+) -> tuple[ClientState, AdamState]:
+    """Clients lo..hi-1 of a stack as a block: views, not copies."""
+    start, stop = opt.row_start[lo], opt.row_start[hi]
+    return (
+        ClientState(state.user_vec[lo:hi], state.item_table[lo:hi], state.net[lo:hi], state.layout),
+        AdamState(
+            t=opt.t[lo:hi],
+            m_user=opt.m_user[lo:hi],
+            v_user=opt.v_user[lo:hi],
+            rows=opt.rows[start:stop],
+            m_items=opt.m_items[start:stop],
+            v_items=opt.v_items[start:stop],
+            m_net=opt.m_net[lo:hi],
+            v_net=opt.v_net[lo:hi],
+            row_start=opt.row_start[lo : hi + 1] - start,
+        ),
+    )
+
+
+def client_views(state: ClientState, opt: AdamState, j: int) -> tuple[ClientState, AdamState]:
+    """Client j of a stack: its own ClientState and AdamState, as views."""
+    start, stop = opt.row_start[j], opt.row_start[j + 1]
+    return (
+        ClientState(state.user_vec[j], state.item_table[j], state.net[j], state.layout),
+        AdamState(
+            t=opt.t[j, ...],
+            m_user=opt.m_user[j],
+            v_user=opt.v_user[j],
+            rows=opt.rows[start:stop],
+            m_items=opt.m_items[start:stop],
+            v_items=opt.v_items[start:stop],
+            m_net=opt.m_net[j],
+            v_net=opt.v_net[j],
+        ),
+    )
+
+
+def _block_of_one(state: ClientState, opt: AdamState) -> tuple[ClientState, AdamState]:
+    """One client's state and moments as a block of one: views, not copies."""
+    return (
+        ClientState(state.user_vec[None], state.item_table[None], state.net[None], state.layout),
+        AdamState(
+            t=opt.t[None],
+            m_user=opt.m_user[None],
+            v_user=opt.v_user[None],
+            rows=opt.rows,
+            m_items=opt.m_items,
+            v_items=opt.v_items,
+            m_net=opt.m_net[None],
+            v_net=opt.v_net[None],
+            row_start=np.array([0, len(opt.rows)]),
+        ),
+    )
+
+
+def _moment_slots(opt: AdamState, items: np.ndarray, num_items: int) -> np.ndarray:
+    """Each client's item-moment row of each of its items ((B, m) ids, one
+    row per client of the block); ContractError if a client's moments do not
+    cover one of its items."""
+    keys = np.repeat(np.arange(len(opt.row_start) - 1) * num_items, np.diff(opt.row_start))
+    keys += opt.rows
+    want = (np.arange(len(items)) * num_items)[:, None] + items
+    slots = np.searchsorted(keys, want)
+    if (slots == len(keys)).any() or (keys[slots] != want).any():
+        raise ContractError("Adam item moments do not cover a stepped item")
+    return slots
+
+
 def _adam_update(
     param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-    lr: float, bc1: float, bc2: float,
+    lr: float, bc1: float | np.ndarray, bc2: float | np.ndarray,
 ) -> None:
+    # param -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment
+    # updates, op by op in that order, through two scratch arrays.
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    step = np.multiply(grad, 1.0 - ADAM_BETA1)
+    m += step
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad * grad
-    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
+    step *= grad
+    v += step
+    np.divide(m, bc1, out=step)
+    step *= lr
+    scale = np.divide(v, bc2)
+    np.sqrt(scale, out=scale)
+    scale += ADAM_EPS
+    step /= scale
+    param -= step
+
+
+def _adam_block(
+    state: ClientState,
+    opt: AdamState,
+    slots: np.ndarray,
+    item_grads: np.ndarray,
+    net_grad: np.ndarray,
+    lr: float,
+    user_grad: np.ndarray | None,
+    update_user: bool | np.ndarray,
+) -> None:
+    """One Adam step of every client of a block: the item-moment rows slots
+    (each once) with their gradients, every net, and the user vectors that
+    update_user selects.  Each client's bias corrections come from its own
+    step count."""
+    opt.t += 1
+    bc1 = np.array([[1.0 - ADAM_BETA1 ** t] for t in opt.t.tolist()])
+    bc2 = np.array([[1.0 - ADAM_BETA2 ** t] for t in opt.t.tolist()])
+    update = np.broadcast_to(update_user, len(bc1))
+    if update.all():
+        _adam_update(state.user_vec, user_grad, opt.m_user, opt.v_user, lr, bc1, bc2)
+    elif update.any():
+        j = np.flatnonzero(update)
+        u, m, v = state.user_vec[j], opt.m_user[j], opt.v_user[j]
+        _adam_update(u, user_grad[j], m, v, lr, bc1[j], bc2[j])
+        state.user_vec[j], opt.m_user[j], opt.v_user[j] = u, m, v
+    owner = np.searchsorted(opt.row_start, slots, side="right") - 1
+    items = opt.rows[slots]
+    rows = state.item_table[owner, items]
+    m_rows = opt.m_items[slots]
+    v_rows = opt.v_items[slots]
+    _adam_update(rows, item_grads, m_rows, v_rows, lr, bc1[owner], bc2[owner])
+    state.item_table[owner, items] = rows
+    opt.m_items[slots] = m_rows
+    opt.v_items[slots] = v_rows
+    _adam_update(state.net, net_grad, opt.m_net, opt.v_net, lr, bc1, bc2)
 
 
 def local_train_step(
@@ -357,20 +546,30 @@ def local_train_step(
     pairs: np.ndarray,
     opt: AdamState,
     lr: float,
-    update_user: bool = True,
+    update_user: bool | np.ndarray = True,
 ) -> None:
     """One Adam update of u, touched item rows, and net from batch gradients.
 
-    The pairs are not re-checked: they must be a nonempty batch that passed
+    For one client, pairs is its (n, 2) batch, and the call runs as a block
+    of one.  For a block of B clients trained in lockstep (a stacked state
+    and its moments, see block_views), pairs is (B, n, 2), one batch of the
+    same size per client, and update_user may be a (B,) mask.  Each client
+    gets the bits of its own step: its rows of every matmul, its bins of the
+    one scatter-add (keyed by client and item) and its own Adam bias
+    corrections.
+
+    The pairs are not re-checked: they must be nonempty batches that passed
     check_pairs (init_world checks every client's pairs once).
     """
     if lr < 0:
         raise ContractError("learning rate must be >= 0")
-    user_grad, packet = _gradients(state, pairs)
-    adam_step(
-        state, opt, packet.item_idx, packet.item_rows, packet.net_grad, lr,
-        user_grad if update_user else None,
-    )
+    if state.user_vec.ndim == 1:
+        state, opt = _block_of_one(state, opt)
+        pairs = np.asarray(pairs)[None]
+    items, user_grad, net_grad, item_rows = _pair_gradients(state, pairs)
+    slots = _moment_slots(opt, items, state.num_items)
+    uniq, sums, _ = scatter_add_rows(slots.ravel(), item_rows.reshape(-1, state.layout.embed_dim))
+    _adam_block(state, opt, uniq, sums, net_grad, lr, user_grad, update_user)
 
 
 def adam_step(
@@ -382,27 +581,19 @@ def adam_step(
     lr: float,
     user_grad: np.ndarray | None = None,
 ) -> None:
-    """One Adam step of the given item rows and the net (and u, given its gradient).
+    """One Adam step of one client's given item rows and net (and u, given
+    its gradient), run as a block of one.
 
     Only the given rows of the table and of the item moments are touched;
     every given item must be one the moments cover.
     """
-    slots = np.searchsorted(opt.rows, item_idx)
-    if (slots == len(opt.rows)).any() or (opt.rows[slots] != item_idx).any():
-        raise ContractError("Adam item moments do not cover a stepped item")
-    opt.t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** opt.t
-    bc2 = 1.0 - ADAM_BETA2 ** opt.t
-    if user_grad is not None:
-        _adam_update(state.user_vec, user_grad, opt.m_user, opt.v_user, lr, bc1, bc2)
-    m_rows = opt.m_items[slots]
-    v_rows = opt.v_items[slots]
-    rows = state.item_table[item_idx]
-    _adam_update(rows, item_rows, m_rows, v_rows, lr, bc1, bc2)
-    state.item_table[item_idx] = rows
-    opt.m_items[slots] = m_rows
-    opt.v_items[slots] = v_rows
-    _adam_update(state.net, net_grad, opt.m_net, opt.v_net, lr, bc1, bc2)
+    block, block_opt = _block_of_one(state, opt)
+    item_idx = np.asarray(item_idx, dtype=np.int64)
+    slots = _moment_slots(block_opt, item_idx[None], state.num_items)[0]
+    _adam_block(
+        block, block_opt, slots, item_rows, net_grad[None], lr,
+        None if user_grad is None else user_grad[None], user_grad is not None,
+    )
 
 
 def apply_neighbor_aggregate(

@@ -1,4 +1,4 @@
-"""Round engine: periodic neighbor refresh, per-client local training,
+"""Round engine: periodic neighbor refresh, lockstep local training,
 gradient exchange, benign-side defenses, adversary-side attacks, and metric
 snapshots.
 
@@ -6,8 +6,16 @@ Rounds are 1-based so the neighbor refresh condition (round mod period = 1)
 fires on the very first round.  Adversaries behave benignly during round 1
 (concealment before the initial neighbor identification) and attack from
 round 2 on.  Every randomized step draws from a stream keyed by (root seed,
-domain, client, round), so thread-parallel execution is bit-identical to
-sequential execution.
+domain, client, round), so results never depend on execution order.
+
+Every client's parameters and Adam moments live in one stack on the World,
+ordered by descending training-pair count, and each client's ClientState
+and AdamState are views of its rows.  Local training runs in lockstep: at
+each minibatch step the clients with a batch of one size form a slice of
+the stack and train as blocks of at most LOCKSTEP_BLOCK clients, each
+client with the bits of training alone.  The end-of-round gradients stay
+per client.  The workers setting drives only the attack and defense phases,
+whose thread-parallel execution is bit-identical to sequential execution.
 
 Item rows reach a receiver only through a round's consolidated RoundRows.
 Adversaries absorb their neighbors' honest packets from an unclipped
@@ -55,19 +63,35 @@ from decrecsim.model import (
     AdamState,
     ClientState,
     GradientPacket,
+    NetLayout,
     apply_neighbor_aggregate,
+    block_views,
     check_pairs,
+    client_views,
     compute_gradients,
     empty_packet,
     init_client_state,
     local_train_step,
+    stack_states,
 )
 from decrecsim.neighbors import NeighborMap, assign_neighbors, make_hyperplanes, sketch_item_table
+
+# Most clients a lockstep block trains at once.  At the default sizes a
+# client-step's activations, gradients and Adam scratch take about 0.3 MB,
+# so a block of 8 stays near a 2 MB L2 cache; larger blocks measured slower.
+LOCKSTEP_BLOCK = 8
 
 
 @dataclass
 class World:
-    """Full mutable state of one simulated deployment."""
+    """Full mutable state of one simulated deployment.
+
+    Every client's parameters and Adam moments live in one stack (stacked,
+    stacked_opt), ordered by descending training-pair count (ties by
+    ascending id; stack_ids[p] is the client at position p), so the clients
+    that train at a lockstep step form a slice.  clients[i] and
+    optimizers[i] are views of client i's rows of the stack.
+    """
 
     clients: list[ClientState]
     optimizers: list[AdamState]
@@ -81,6 +105,9 @@ class World:
     hyperplanes: np.ndarray
     round: int
     rng_root: int
+    stacked: ClientState
+    stacked_opt: AdamState
+    stack_ids: np.ndarray  # (clients,) int64
 
     @property
     def num_clients(self) -> int:
@@ -122,43 +149,16 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
 
     n_adv = math.ceil(config.xi * num_users) if config.attack != "none" else 0
 
-    clients: list[ClientState] = []
-    optimizers: list[AdamState] = []
-    pairs: list[np.ndarray] = []
-
-    def add_client(state: ClientState, client_pairs: np.ndarray) -> None:
-        client_pairs = check_pairs(client_pairs, dataset.num_items)
-        clients.append(state)
-        optimizers.append(AdamState.for_state(state, np.unique(client_pairs)))
-        pairs.append(client_pairs)
-
-    for u in range(num_users):
-        state = init_client_state(
-            dataset.num_items,
-            config.embed_dim,
-            list(config.layer_widths),
-            rngmod.stream(root, rngmod.DOMAIN_CLIENT_INIT, u),
-        )
-        add_client(state, dataset.pairs[u])
-
-    adversaries: dict[int, AdversaryState] = {}
-    shared_user = rngmod.stream(root, rngmod.DOMAIN_SHARED_USER).uniform(
-        -0.05, 0.05, size=config.embed_dim
-    )
+    pairs = [check_pairs(p, dataset.num_items) for p in dataset.pairs]
+    adv_positives: dict[int, np.ndarray] = {}
     for j in range(n_adv):
         cid = num_users + j
-        state = init_client_state(
-            dataset.num_items,
-            config.embed_dim,
-            list(config.layer_widths),
-            rngmod.stream(root, rngmod.DOMAIN_CLIENT_INIT, cid),
-        )
         data_seed = int(
             np.random.SeedSequence(
                 [root, rngmod.DOMAIN_ADVERSARY_DATA, cid]
             ).generate_state(1)[0]
         )
-        positives, adv_pairs = build_adversary_dataset(
+        adv_positives[cid], adv_pairs = build_adversary_dataset(
             dataset.num_items,
             targets,
             config.alpha,
@@ -166,16 +166,45 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
             neg_ratio=config.neg_ratio,
             include_targets=(config.attack == "ra"),
         )
+        pairs.append(check_pairs(adv_pairs, dataset.num_items))
+
+    layout = NetLayout(config.embed_dim, list(config.layer_widths))
+    stack_ids = np.argsort([-len(p) for p in pairs], kind="stable")
+    stacked, stacked_opt = stack_states(
+        layout, dataset.num_items, [np.unique(pairs[i]) for i in stack_ids.tolist()]
+    )
+    position = np.empty_like(stack_ids)
+    position[stack_ids] = np.arange(len(stack_ids))
+    clients: list[ClientState] = []
+    optimizers: list[AdamState] = []
+    for cid, pos in enumerate(position.tolist()):
+        state, opt = client_views(stacked, stacked_opt, pos)
+        fresh = init_client_state(
+            dataset.num_items,
+            config.embed_dim,
+            list(config.layer_widths),
+            rngmod.stream(root, rngmod.DOMAIN_CLIENT_INIT, cid),
+        )
+        state.user_vec[...] = fresh.user_vec
+        state.item_table[...] = fresh.item_table
+        state.net[...] = fresh.net
+        clients.append(state)
+        optimizers.append(opt)
+
+    adversaries: dict[int, AdversaryState] = {}
+    shared_user = rngmod.stream(root, rngmod.DOMAIN_SHARED_USER).uniform(
+        -0.05, 0.05, size=config.embed_dim
+    )
+    for cid, positives in adv_positives.items():
         if config.attack == "psmu":
-            state.user_vec = shared_user.copy()
+            clients[cid].user_vec[...] = shared_user
         adversaries[cid] = AdversaryState(
             client_id=cid,
-            base=state,
+            base=clients[cid],
             positives=positives,
-            pairs=adv_pairs,
+            pairs=pairs[cid],
             fixed_user=config.attack == "psmu",
         )
-        add_client(state, adv_pairs)
 
     banks: dict[int, MemoryBank] = {}
     if config.defense == "ucsu":
@@ -197,7 +226,52 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
         hyperplanes=hyperplanes,
         round=0,
         rng_root=root,
+        stacked=stacked,
+        stacked_opt=stacked_opt,
+        stack_ids=stack_ids,
     )
+
+
+def _train_in_lockstep(world: World, t: int, lr: float) -> None:
+    """Every client's local minibatch steps of round t, in lockstep blocks.
+
+    Each client shuffles its pairs with its own stream and steps through
+    them in batches of LOCAL_BATCH_SIZE, the last batch holding the rest.
+    At step s the clients with a batch of one size form slices of the stack
+    (it is ordered by descending pair count), and each slice of at most
+    LOCKSTEP_BLOCK clients trains as one block.  Blocks keep every client's
+    batch size and step order, so each client gets the bits of training
+    alone.  psmu adversaries keep their shared user embedding fixed.
+    """
+    ids = world.stack_ids.tolist()
+    counts = np.array([len(world.pairs[i]) for i in ids], dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    shuffled = np.concatenate(
+        [
+            world.pairs[i][
+                rngmod.stream(world.rng_root, rngmod.DOMAIN_ROUND_SHUFFLE, i, t).permutation(
+                    len(world.pairs[i])
+                )
+            ]
+            for i in ids
+        ]
+    )
+    update_user = np.array(
+        [not (i in world.adversaries and world.adversaries[i].fixed_user) for i in ids]
+    )
+    for offset in range(0, int(counts[0]), LOCAL_BATCH_SIZE):
+        sizes = np.clip(counts - offset, 0, LOCAL_BATCH_SIZE)
+        # Sizes never grow along the stack, so each run of one size is a slice.
+        bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            size = int(sizes[lo])
+            if size == 0:
+                break
+            for first in range(lo, hi, LOCKSTEP_BLOCK):
+                last = min(first + LOCKSTEP_BLOCK, hi)
+                state, opt = block_views(world.stacked, world.stacked_opt, first, last)
+                batch = shuffled[starts[first:last, None] + offset + np.arange(size)]
+                local_train_step(state, batch, opt, lr, update_user=update_user[first:last])
 
 
 def _map_clients(worker, ids: list[int], workers: int) -> list:
@@ -246,30 +320,16 @@ def run_round(world: World, config: ExperimentConfig) -> None:
 
     nbr = world.neighbor_map
 
-    # Phase 2: every client trains locally and produces its honest packet.
-    def train_one(i: int) -> GradientPacket:
-        state = world.clients[i]
-        local_pairs = world.pairs[i]
-        if len(local_pairs) == 0:
-            return empty_packet(state, i)
-        perm = rngmod.stream(
-            world.rng_root, rngmod.DOMAIN_ROUND_SHUFFLE, i, t
-        ).permutation(len(local_pairs))
-        shuffled = local_pairs[perm]
-        keep_user_fixed = i in world.adversaries and world.adversaries[i].fixed_user
-        for start in range(0, len(shuffled), LOCAL_BATCH_SIZE):
-            local_train_step(
-                state,
-                shuffled[start : start + LOCAL_BATCH_SIZE],
-                world.optimizers[i],
-                lr,
-                update_user=not keep_user_fixed,
-            )
-        _, packet = compute_gradients(state, local_pairs, sender=i)
-        return packet
-
+    # Phase 2: every client trains locally, in lockstep, then produces its
+    # honest packet.
+    _train_in_lockstep(world, t, lr)
     all_ids = list(range(world.num_clients))
-    packets: list[GradientPacket] = _map_clients(train_one, all_ids, config.workers)
+    packets = [
+        compute_gradients(world.clients[i], world.pairs[i], sender=i)[1]
+        if len(world.pairs[i])
+        else empty_packet(world.clients[i], i)
+        for i in all_ids
+    ]
 
     # Every client shares one model shape; packets are checked against it.
     layout = world.clients[0].layout
@@ -324,7 +384,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     benign = benign_ids(world)
 
     # Clipping to mu is receiver-independent, so l2clip and UCSU clip once
-    # here, for every receiver.
+    # here, for every receiver; only UCSU's banks read the pop order.
     shared_rows = build_round_rows(
         final_packets,
         t,
@@ -332,6 +392,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
         mu=config.mu,
         p=config.p,
         clip=config.defense == "l2clip" or (config.defense == "ucsu" and config.ucsu_clip),
+        bank=config.defense == "ucsu",
     )
     # Every defense reads item rows from shared_rows, so of the packets only
     # the net gradients outlive consolidation.

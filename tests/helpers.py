@@ -8,9 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from decrecsim import rng as rngmod
 from decrecsim.defenses import build_round_rows, l2_clip_aggregate
 from decrecsim.errors import ContractError
 from decrecsim.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    LOCAL_BATCH_SIZE,
+    AdamState,
     ClientState,
     GradientPacket,
     NetLayout,
@@ -106,15 +112,16 @@ def packet(
 
 
 def round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True, num_items=None):
-    """build_round_rows for a model shaped like the packets: row width and
-    net size from the first packet (2 and 2 without packets), and room for
-    every item id they carry unless num_items is given."""
+    """build_round_rows, with the pop order a bank reads, for a model shaped
+    like the packets: row width and net size from the first packet (2 and 2
+    without packets), and room for every item id they carry unless
+    num_items is given."""
     if num_items is None:
         num_items = 1 + max((int(q.item_idx.max()) for q in pkts if len(q.item_idx)), default=0)
     embed_dim = pkts[0].item_rows.shape[1] if pkts else 2
     net_size = len(pkts[0].net_grad) if pkts else 2
     return build_round_rows(
-        pkts, round_no, num_items, embed_dim, net_size, mu=mu, p=p, clip=clip
+        pkts, round_no, num_items, embed_dim, net_size, mu=mu, p=p, clip=clip, bank=True
     )
 
 
@@ -297,3 +304,80 @@ def per_item_mean_loop(items: list[int], rows: np.ndarray) -> dict[int, np.ndarr
         sums[item] = sums[item] + row if item in sums else 0.0 + row
         counts[item] = counts.get(item, 0) + 1
     return {i: sums[i] / counts[i] for i in sums}
+
+
+def reference_step(
+    state: ClientState, opt: AdamState, pairs: np.ndarray, lr: float, update_user: bool = True
+) -> None:
+    """One client's local Adam step on one batch, computed alone: a per-layer
+    forward and backward over 2-d arrays with np.where relu masks, np.add.at
+    per item, and a per-array Adam update.  Calls no model code but the
+    layout's views, so the lockstep kernel can be checked byte for byte."""
+    k = state.layout.embed_dim
+    n = len(pairs)
+    items = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    x = np.concatenate([np.tile(state.user_vec, (2 * n, 1)), state.item_table[items]], axis=1)
+    ws, bs, w = state.layout.views(state.net)
+    inputs, masks, h = [x], [], x
+    for mat, b in zip(ws, bs):
+        a = h @ mat.T + b
+        masks.append(a >= 0.0)
+        h = np.where(a >= 0.0, a, 0.0)
+        inputs.append(h)
+    z = h @ w
+    diff = -(z[:n] - z[n:])
+    e = np.exp(-np.abs(diff))
+    gpos = -np.where(diff >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) / n
+    g = np.concatenate([gpos, -gpos])
+    net_grad = np.zeros(state.layout.size)
+    gws, gbs, gw = state.layout.views(net_grad)
+    gw[...] = inputs[-1].T @ g
+    dh = g[:, None] * w[None, :]
+    for li in range(len(ws) - 1, -1, -1):
+        da = np.where(masks[li], dh, 0.0)
+        gws[li][...] = da.T @ inputs[li]
+        gbs[li][...] = da.sum(axis=0)
+        dh = da @ ws[li]
+    uniq, inverse = np.unique(items, return_inverse=True)
+    item_grads = np.zeros((len(uniq), k))
+    np.add.at(item_grads, inverse, dh[:, k:])
+
+    def adam(param, grad, m, v):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+    opt.t += 1
+    bc1 = 1.0 - ADAM_BETA1 ** int(opt.t)
+    bc2 = 1.0 - ADAM_BETA2 ** int(opt.t)
+    if update_user:
+        adam(state.user_vec, dh[:, :k].sum(axis=0), opt.m_user, opt.v_user)
+    slots = np.searchsorted(opt.rows, uniq)
+    assert np.array_equal(opt.rows[slots], uniq)
+    rows, m, v = state.item_table[uniq], opt.m_items[slots], opt.v_items[slots]
+    adam(rows, item_grads, m, v)
+    state.item_table[uniq], opt.m_items[slots], opt.v_items[slots] = rows, m, v
+    adam(state.net, net_grad, opt.m_net, opt.v_net)
+
+
+def reference_round_training(world, t: int, lr: float) -> list[tuple[ClientState, AdamState]]:
+    """Copies of every client's state and moments after round t's local
+    training, each client trained alone by reference_step: its pairs in its
+    own shuffled order, batches of LOCAL_BATCH_SIZE, the last one holding
+    the rest; psmu adversaries keep their user embedding."""
+    out = []
+    for i, (state, opt) in enumerate(zip(world.clients, world.optimizers, strict=True)):
+        state = state.copy()
+        opt = AdamState(**{f: getattr(opt, f).copy() for f in (
+            "t", "m_user", "v_user", "rows", "m_items", "v_items", "m_net", "v_net")})
+        pairs = world.pairs[i]
+        fixed = i in world.adversaries and world.adversaries[i].fixed_user
+        if len(pairs):
+            perm = rngmod.stream(world.rng_root, rngmod.DOMAIN_ROUND_SHUFFLE, i, t).permutation(len(pairs))
+            shuffled = pairs[perm]
+            for start in range(0, len(pairs), LOCAL_BATCH_SIZE):
+                reference_step(state, opt, shuffled[start : start + LOCAL_BATCH_SIZE], lr, not fixed)
+        out.append((state, opt))
+    return out

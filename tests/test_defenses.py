@@ -399,7 +399,7 @@ class TestBuildRoundRows:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            rr = build_round_rows(pkts, 1, 100, 64, 1, mu=1.0, clip=True)
+            rr = build_round_rows(pkts, 1, 100, 64, 1, mu=1.0, clip=True, bank=True)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
