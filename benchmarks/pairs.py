@@ -11,10 +11,13 @@ first pair is pair 0).  The parent is a clean export of ``--parent`` made
 with ``git archive`` into a temporary directory, so the repository gains no
 worktree or branch.  Each side keeps its own ``perfbench/.runs`` ledger; a
 pair is bit-identical when both sides report the same ``records`` and the
-same ledger ``params_sha256``.  The summary gives each side's quartiles,
-the pairs the change wins (lower is better, ties count for neither), the
-median's relative change and the parent's interquartile range, and is
-written to ``benchmarks/BENCH_<pr>.json``.  Every run gets ``--seconds 30``.
+same ledger ``params_sha256``; its records are identical when the
+``records`` alone agree (the hash covers every float array the world
+holds, so it changes with the world's fields).  The summary gives each
+side's quartiles, the pairs the change wins (lower is better, ties count
+for neither), the median's relative change and the parent's interquartile
+range, and is written to ``benchmarks/BENCH_<pr>.json``.  Every run gets
+``--seconds 30``.
 """
 
 from __future__ import annotations
@@ -163,6 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": {w: s for w, s in runs},
         "workloads": workloads,
         "bit_identical": all(outputs(p["parent"]) == outputs(p["change"]) for p in pairs),
+        "records_identical": all(p["parent"]["records"] == p["change"]["records"] for p in pairs),
         "all_correct": all(r["correct"] and r["failed"] == 0 for r in all_runs),
         "note": args.note,
         "pairs": [

@@ -182,13 +182,14 @@ def _forward(
     masks = []
     h = x
     for mat, b in zip(ws, bs):
-        a = h @ np.swapaxes(mat, -1, -2) + b[..., None, :]
-        masks.append(a >= 0.0)
+        h = h @ np.swapaxes(mat, -1, -2)
+        h += b[..., None, :]
+        masks.append(h >= 0.0)
         # For finite a, the bits of np.where(a >= 0.0, a, 0.0) except at
         # a == -0.0, and a pre-activation is never -0.0: biases start at +0.0
         # and change only by b -= step.  A NaN pre-activation passes on here
         # where np.where set it to 0 (only a diverged run has one).
-        h = np.maximum(a, 0.0)
+        np.maximum(h, 0.0, out=h)
         inputs.append(h)
     z = (inputs[-1] @ w[..., None])[..., 0]
     return z, inputs, masks
@@ -218,7 +219,7 @@ def _backward(
         # unmasked -0.0 turns +0.0 too, which no output sees: the sum and the
         # matmuls below start from +0.0.  A masked inf or NaN becomes NaN
         # here where np.where gave 0 (only a diverged run has one).
-        da = dh * masks[li]
+        da = np.multiply(dh, masks[li], out=dh)
         da += 0.0
         gws[li][...] = np.swapaxes(da, -1, -2) @ inputs[li]
         gbs[li][...] = da.sum(axis=-2)
@@ -412,41 +413,34 @@ def stack_states(
     return state, opt
 
 
+# AdamState fields with one entry per client, and per item-moment row.
+_PER_CLIENT = ("t", "m_user", "v_user", "m_net", "v_net")
+_PER_ROW = ("rows", "m_items", "v_items")
+
+
 def block_views(
     state: ClientState, opt: AdamState, lo: int, hi: int
 ) -> tuple[ClientState, AdamState]:
     """Clients lo..hi-1 of a stack as a block: views, not copies."""
-    start, stop = opt.row_start[lo], opt.row_start[hi]
+    rows = slice(opt.row_start[lo], opt.row_start[hi])
     return (
         ClientState(state.user_vec[lo:hi], state.item_table[lo:hi], state.net[lo:hi], state.layout),
         AdamState(
-            t=opt.t[lo:hi],
-            m_user=opt.m_user[lo:hi],
-            v_user=opt.v_user[lo:hi],
-            rows=opt.rows[start:stop],
-            m_items=opt.m_items[start:stop],
-            v_items=opt.v_items[start:stop],
-            m_net=opt.m_net[lo:hi],
-            v_net=opt.v_net[lo:hi],
-            row_start=opt.row_start[lo : hi + 1] - start,
+            **{f: getattr(opt, f)[lo:hi] for f in _PER_CLIENT},
+            **{f: getattr(opt, f)[rows] for f in _PER_ROW},
+            row_start=opt.row_start[lo : hi + 1] - rows.start,
         ),
     )
 
 
 def client_views(state: ClientState, opt: AdamState, j: int) -> tuple[ClientState, AdamState]:
     """Client j of a stack: its own ClientState and AdamState, as views."""
-    start, stop = opt.row_start[j], opt.row_start[j + 1]
+    rows = slice(opt.row_start[j], opt.row_start[j + 1])
     return (
         ClientState(state.user_vec[j], state.item_table[j], state.net[j], state.layout),
         AdamState(
-            t=opt.t[j, ...],
-            m_user=opt.m_user[j],
-            v_user=opt.v_user[j],
-            rows=opt.rows[start:stop],
-            m_items=opt.m_items[start:stop],
-            v_items=opt.v_items[start:stop],
-            m_net=opt.m_net[j],
-            v_net=opt.v_net[j],
+            **{f: getattr(opt, f)[j, ...] for f in _PER_CLIENT},
+            **{f: getattr(opt, f)[rows] for f in _PER_ROW},
         ),
     )
 
@@ -456,14 +450,8 @@ def _block_of_one(state: ClientState, opt: AdamState) -> tuple[ClientState, Adam
     return (
         ClientState(state.user_vec[None], state.item_table[None], state.net[None], state.layout),
         AdamState(
-            t=opt.t[None],
-            m_user=opt.m_user[None],
-            v_user=opt.v_user[None],
-            rows=opt.rows,
-            m_items=opt.m_items,
-            v_items=opt.v_items,
-            m_net=opt.m_net[None],
-            v_net=opt.v_net[None],
+            **{f: getattr(opt, f)[None] for f in _PER_CLIENT},
+            **{f: getattr(opt, f) for f in _PER_ROW},
             row_start=np.array([0, len(opt.rows)]),
         ),
     )
