@@ -144,14 +144,28 @@ def init_client_state(
 ) -> ClientState:
     """Initialize embeddings and weights uniform(-0.05, 0.05); biases zero."""
     layout = NetLayout(embed_dim, layer_widths)
-    user_vec = rng.uniform(-INIT_SCALE, INIT_SCALE, size=embed_dim)
-    item_table = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(num_items, embed_dim))
-    net = np.zeros(layout.size)
-    ws, bs, w = layout.views(net)
-    for mat in ws:
-        mat[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=mat.shape)
-    w[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=w.shape)
-    return ClientState(user_vec, item_table, net, layout)
+    state = ClientState(np.empty(embed_dim), np.empty((num_items, embed_dim)), np.zeros(layout.size), layout)
+    draw_client_params(state, rng)
+    return state
+
+
+def draw_client_params(state: ClientState, rng: np.random.Generator) -> None:
+    """Draw one client's parameters into its arrays (a stack's views
+    included, so nothing is allocated twice): the user embedding, the item
+    table, then each weight matrix and the projection, uniform(-0.05, 0.05);
+    biases zero.
+
+    Each array is filled with rng.random and scaled in place: the draws and
+    bits of rng.uniform(-INIT_SCALE, INIT_SCALE), which computes
+    low + (high - low) * u.
+    """
+    ws, bs, w = state.layout.views(state.net)
+    for arr in (state.user_vec, state.item_table, *ws, w):
+        rng.random(out=arr)
+        arr *= 2.0 * INIT_SCALE  # high - low
+        arr += -INIT_SCALE
+    for b in bs:
+        b[...] = 0.0
 
 
 def _item_rows(table: np.ndarray, items: np.ndarray) -> np.ndarray:

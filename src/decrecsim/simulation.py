@@ -69,8 +69,8 @@ from decrecsim.model import (
     check_pairs,
     client_views,
     compute_gradients,
+    draw_client_params,
     empty_packet,
-    init_client_state,
     local_train_step,
     stack_states,
 )
@@ -179,15 +179,7 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
     optimizers: list[AdamState] = []
     for cid, pos in enumerate(position.tolist()):
         state, opt = client_views(stacked, stacked_opt, pos)
-        fresh = init_client_state(
-            dataset.num_items,
-            config.embed_dim,
-            list(config.layer_widths),
-            rngmod.stream(root, rngmod.DOMAIN_CLIENT_INIT, cid),
-        )
-        state.user_vec[...] = fresh.user_vec
-        state.item_table[...] = fresh.item_table
-        state.net[...] = fresh.net
+        draw_client_params(state, rngmod.stream(root, rngmod.DOMAIN_CLIENT_INIT, cid))
         clients.append(state)
         optimizers.append(opt)
 
