@@ -224,7 +224,7 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
     )
 
 
-def _train_in_lockstep(world: World, t: int, lr: float) -> list[GradientPacket]:
+def _train_in_lockstep(world: World, t: int, lr: float) -> None:
     """Every client's local minibatch steps of round t, in lockstep blocks.
 
     Each client shuffles its pairs with its own stream and steps through
@@ -234,10 +234,6 @@ def _train_in_lockstep(world: World, t: int, lr: float) -> list[GradientPacket]:
     LOCKSTEP_BLOCK clients trains as one block.  Blocks keep every client's
     batch size and step order, so each client gets the bits of training
     alone.  psmu adversaries keep their shared user embedding fixed.
-
-    Returns every client's honest packet, by client id: its gradients over
-    all its pairs, taken right after its last step while its parameters are
-    still in cache, or an empty packet for a client without pairs.
     """
     ids = world.stack_ids.tolist()
     counts = np.array([len(world.pairs[i]) for i in ids], dtype=np.int64)
@@ -255,7 +251,6 @@ def _train_in_lockstep(world: World, t: int, lr: float) -> list[GradientPacket]:
     update_user = np.array(
         [not (i in world.adversaries and world.adversaries[i].fixed_user) for i in ids]
     )
-    packets: list[GradientPacket | None] = [None] * len(ids)
     for offset in range(0, int(counts[0]), LOCAL_BATCH_SIZE):
         sizes = np.clip(counts - offset, 0, LOCAL_BATCH_SIZE)
         # Sizes never grow along the stack, so each run of one size is a slice.
@@ -269,10 +264,6 @@ def _train_in_lockstep(world: World, t: int, lr: float) -> list[GradientPacket]:
                 state, opt = block_views(world.stacked, world.stacked_opt, first, last)
                 batch = shuffled[starts[first:last, None] + offset + np.arange(size)]
                 local_train_step(state, batch, opt, lr, update_user=update_user[first:last])
-                for done in np.flatnonzero(counts[first:last] == offset + size).tolist():
-                    i = ids[first + done]
-                    packets[i] = compute_gradients(world.clients[i], world.pairs[i], sender=i)[1]
-    return [q if q is not None else empty_packet(world.clients[i], i) for i, q in enumerate(packets)]
 
 
 def _map_clients(worker, ids: list[int], workers: int) -> list:
@@ -321,10 +312,16 @@ def run_round(world: World, config: ExperimentConfig) -> None:
 
     nbr = world.neighbor_map
 
-    # Phase 2: every client trains locally, in lockstep, and produces its
+    # Phase 2: every client trains locally, in lockstep, then produces its
     # honest packet.
-    packets = _train_in_lockstep(world, t, lr)
+    _train_in_lockstep(world, t, lr)
     all_ids = list(range(world.num_clients))
+    packets = [
+        compute_gradients(world.clients[i], world.pairs[i], sender=i)[1]
+        if len(world.pairs[i])
+        else empty_packet(world.clients[i], i)
+        for i in all_ids
+    ]
 
     # Every client shares one model shape; packets are checked against it.
     layout = world.clients[0].layout
