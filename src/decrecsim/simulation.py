@@ -78,7 +78,8 @@ from decrecsim.neighbors import NeighborMap, assign_neighbors, make_hyperplanes,
 
 # Most clients a lockstep block trains at once.  At the default sizes a
 # client-step's activations, gradients and Adam scratch take about 0.3 MB,
-# so a block of 8 stays near a 2 MB L2 cache; larger blocks measured slower.
+# so a block of 8 stays near a 2 MB L2 cache; larger blocks measured no
+# faster within a round and slower alone.
 LOCKSTEP_BLOCK = 8
 
 
