@@ -438,6 +438,23 @@ class TestBuildRoundRows:
         assert clipped.row_norms.tobytes() == np.linalg.norm(clipped.rows, ord=p, axis=1).tobytes()
         assert plain.row_norms is plain.norms
 
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_pop_fields_only_for_banks(self, clip):
+        # Rows no bank reads carry no norms or pop order, and a bank refuses
+        # them; rows for banks keep the key once, in pop order, and an int32
+        # order.
+        pkts = random_packets(np.random.default_rng(30), 20, 6, 3)
+        shape = dict(num_items=6, embed_dim=3, net_size=len(pkts[0].net_grad), clip=clip)
+        plain = build_round_rows(pkts, 1, **shape)
+        banked = build_round_rows(pkts, 1, **shape, bank=True)
+        assert plain.rows.tobytes() == banked.rows.tobytes()
+        assert plain.order is plain.rank is plain.pop_neg_norm is plain.norms is None
+        with pytest.raises(ContractError, match="pop order"):
+            MemoryBank(2).ingest(plain, np.arange(len(plain.items)))
+        assert banked.order.dtype == banked.rank.dtype == np.int32
+        assert "norms" not in vars(banked)  # only pop_neg_norm holds the key
+        assert np.array_equal(-banked.pop_neg_norm, banked.norms[banked.order])
+
 
 def bank_with(entries, capacity=10):
     """entries: list of (round, sender, {item: row})"""
