@@ -3,14 +3,16 @@
 One client has 848 items, embed_dim 32 and the default (64, 32, 16) net; a
 local minibatch is 32 pairs; a client trains on 111 items; a lockstep step
 trains 630 such clients, stacked, each on one full minibatch (step 0 of a
-round), in blocks of LOCKSTEP_BLOCK; a UCSU receiver
-banks the rows of 50 senders of about 110 rows each per round, and its bank
-is timed in the steady state, after 11 rounds that each end with a 10% pop,
-and so is one UCSU receive on it (ingest, pop, adaptive clip and per-item
-mean); a round's rows are compacted after the 10% pops of 600 such receivers
-among 630 senders; the server picks N = 50 neighbors for 630 clients from
-sketches of 16 bits per item.  Evaluation is timed on the `eb_trimmed_s` world (S: 200 users x
-400 items).
+round), in blocks of LOCKSTEP_BLOCK; a UCSU receiver banks the rows of 50
+senders of about 110 rows each per round, and its bank is timed in the
+steady state, after 11 rounds that each end with a 10% pop, and so is one
+UCSU receive on it (ingest, pop, adaptive clip and per-item mean); one
+receiver of all 50 senders of a round reads their rows with each
+per-receiver defense (median, trimmed mean, Krum, plain mean); a round's
+rows are compacted after the 10% pops of 600 such receivers among 630
+senders; the server picks N = 50 neighbors for 630 clients from sketches
+of 16 bits per item.  Evaluation is timed on the `eb_trimmed_s` world (S:
+200 users x 400 items).
 
 Time them with ``PYTHONPATH=src python -m pytest benchmarks``; CI runs
 each once with ``--benchmark-disable``.  They sit outside the tier-1
@@ -19,12 +21,23 @@ each once with ``--benchmark-disable``.  They sit outside the tier-1
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 from decrecsim.cli import load_dataset
-from decrecsim.config import ExperimentConfig
-from decrecsim.defenses import MemoryBank, build_round_rows, compact_round_rows, ucsu_aggregate
+from decrecsim.config import ExperimentConfig, resolve_trim_k
+from decrecsim.defenses import (
+    MemoryBank,
+    build_round_rows,
+    compact_round_rows,
+    item_krum_aggregate,
+    l2_clip_aggregate,
+    median_aggregate,
+    trimmed_mean_aggregate,
+    ucsu_aggregate,
+)
 from decrecsim.metrics import evaluate_world
 from decrecsim.model import (
     LOCAL_BATCH_SIZE,
@@ -206,6 +219,22 @@ def test_ucsu_aggregate(benchmark, rounds):
     items, rows = benchmark.pedantic(ucsu_aggregate, setup=setup, rounds=20)
     assert len(items) == len(rows) and np.array_equal(items, np.unique(items))
     assert np.all(np.linalg.norm(rows, axis=1) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "aggregate",
+    [
+        median_aggregate,
+        functools.partial(trimmed_mean_aggregate, trim_k=resolve_trim_k(None, SENDERS)),
+        item_krum_aggregate,
+        l2_clip_aggregate,
+    ],
+    ids=["median", "trimmed", "krum", "mean"],
+)
+def test_receiver_aggregate(benchmark, aggregate):
+    rr = round_rows(1, np.random.default_rng(8))
+    items, rows = benchmark(aggregate, rr, np.arange(SENDERS))
+    assert np.array_equal(items, np.unique(rr.items)) and rows.shape == (len(items), EMBED_DIM)
 
 
 def test_compact_round_rows(benchmark):

@@ -288,12 +288,9 @@ def boosted_gradient_packet(adv: AdversaryState, targets: np.ndarray) -> Gradien
     z, inputs, masks = _forward(state, targets)
     g = np.asarray(_sigmoid(z)) - 1.0  # d(-ln sigmoid(z)) / dz
     boost_net, _, boost_rows = _backward(state, inputs, masks, g)
-    uniq, acc, _ = scatter_add_rows(targets, boost_rows)
-
-    all_idx = np.union1d(honest.item_idx, uniq)
-    all_rows = np.zeros((len(all_idx), state.layout.embed_dim))
-    all_rows[np.searchsorted(all_idx, honest.item_idx)] += honest.item_rows
-    all_rows[np.searchsorted(all_idx, uniq)] += acc
+    all_idx, all_rows, _ = scatter_add_rows(
+        np.concatenate([honest.item_idx, targets]), np.vstack([honest.item_rows, boost_rows])
+    )
     return GradientPacket(
         sender=adv.client_id,
         item_idx=all_idx,

@@ -53,8 +53,7 @@ class Dataset:
     """Per-user local datasets after split and negative sampling.
 
     ``pairs[u]`` is an (n, 2) int array of (train positive, sampled negative)
-    rows; ``negatives[u]`` is the sampled-negative multiset (the second pair
-    column).  Train/test are sorted index arrays.
+    rows.  Train/test are sorted index arrays.
     """
 
     num_users: int
@@ -62,10 +61,6 @@ class Dataset:
     train: list[np.ndarray]
     test: list[np.ndarray]
     pairs: list[np.ndarray]
-
-    @property
-    def negatives(self) -> list[np.ndarray]:
-        return [p[:, 1] for p in self.pairs]
 
 
 def load_interactions(path: str, fmt: str = "movielens_dat") -> RawInteractions:

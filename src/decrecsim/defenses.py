@@ -432,11 +432,10 @@ def trimmed_mean_aggregate(
     """
     if trim_k < 0:
         raise ContractError("trim_k must be >= 0")
-    idx_cat, rows_cat, pos_cat = rr.receive(senders)
     n_pkts = len(senders)
     if trim_k == 0 or n_pkts <= 2 * trim_k:
-        uniq, sums, _ = scatter_add_rows(idx_cat, rows_cat)
-        return uniq, sums / n_pkts
+        return l2_clip_aggregate(rr, senders)
+    idx_cat, rows_cat, pos_cat = rr.receive(senders)
     # Items carried by at most trim_k packets lose every nonzero value to
     # the trimmed tails.
     uniq, keep, block = _sorted_block(idx_cat, rows_cat, pos_cat, n_pkts, trim_k + 1)
@@ -446,53 +445,26 @@ def trimmed_mean_aggregate(
 
 
 def item_krum_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per item, the single received row closest (l2) to the mean of received rows.
+    """Per item, the packet row closest (squared l2) to the item's mean row.
 
-    Absent rows count as zero rows; ties break by ascending sender id.
+    A per-item "closest row to the mean" rule, not Krum's score (the sum of
+    distances to the nearest n - f - 2 packets).  Absent rows count as zero
+    rows; ties break by ascending sender id.
     """
     idx_cat, rows_cat, pos_cat = rr.receive(senders)
-    n_pkts = len(senders)
-    dim = rows_cat.shape[1]
-    if idx_cat.size == 0:
-        return idx_cat, np.zeros((0, dim))
     uniq, sums, _ = scatter_add_rows(idx_cat, rows_cat)
     inverse = np.searchsorted(uniq, idx_cat)
-    means = sums / n_pkts
-
-    # Candidate rows: every carried row, plus one zero row per item that at
-    # least one packet omitted (the smallest absent sender represents it).
-    # Squared distances computed as ((x - m)**2).sum() keep the ordering
-    # reproducible by a naive reimplementation.
-    d_rows = ((rows_cat - means[inverse]) ** 2).sum(axis=1)
-    cand_item = [inverse]
-    cand_dist = [d_rows]
-    cand_sender = [senders[pos_cat]]
-    cand_rowid = [np.arange(len(idx_cat), dtype=np.int64)]
-
-    carried = np.zeros((len(uniq), n_pkts), dtype=bool)
-    carried[inverse, pos_cat] = True
-    has_zero = ~carried.all(axis=1)
-    if has_zero.any():
-        zero_items = np.flatnonzero(has_zero)
-        first_absent = np.argmax(~carried[zero_items], axis=1)
-        cand_item.append(zero_items)
-        cand_dist.append((means[zero_items] ** 2).sum(axis=1))
-        cand_sender.append(senders[first_absent])
-        cand_rowid.append(np.full(len(zero_items), -1, dtype=np.int64))
-
-    items_all = np.concatenate(cand_item)
-    dist_all = np.concatenate(cand_dist)
-    sender_all = np.concatenate(cand_sender)
-    rowid_all = np.concatenate(cand_rowid)
-    order = np.lexsort((sender_all, dist_all, items_all))
-    _, firsts = np.unique(items_all[order], return_index=True)
-    winners = order[firsts]
-
-    out = np.zeros((len(uniq), dim))
-    won_rows = rowid_all[winners]
-    carried_winners = won_rows >= 0
-    out[items_all[winners][carried_winners]] = rows_cat[won_rows[carried_winners]]
-    return uniq, out
+    means = sums / len(senders)
+    # (items, packets) squared distances, each ((x - m)**2).sum() as a naive
+    # reimplementation takes it; a cell no row was sent for holds the zero
+    # row's.  argmin's first minimum is the smallest sender.
+    dist = np.repeat((means**2).sum(axis=1)[:, None], len(senders), axis=1)
+    dist[inverse, pos_cat] = ((rows_cat - means[inverse]) ** 2).sum(axis=1)
+    row_of = np.full(dist.shape, -1)  # the cell's row index, -1 where none was sent
+    row_of[inverse, pos_cat] = np.arange(len(idx_cat))
+    won = row_of[np.arange(len(uniq)), dist.argmin(axis=1)]
+    # Index -1 picks the zero row appended last.
+    return uniq, np.vstack([rows_cat, np.zeros((1, rows_cat.shape[1]))])[won]
 
 
 def l2_clip_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

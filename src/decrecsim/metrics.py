@@ -30,7 +30,7 @@ class MetricsRecord:
     seed: int
 
 
-def top_k_list(state: ClientState, k: int, exclude: np.ndarray | set) -> np.ndarray:
+def top_k_list(state: ClientState, k: int, exclude: np.ndarray) -> np.ndarray:
     """The k items with highest predicted rating outside `exclude`.
 
     Ordered by descending score, ties by ascending item id; returns all
@@ -39,7 +39,7 @@ def top_k_list(state: ClientState, k: int, exclude: np.ndarray | set) -> np.ndar
     if k < 1:
         raise ContractError("k must be >= 1")
     scores = score_items(state)
-    excl = np.asarray(sorted(exclude) if isinstance(exclude, set) else exclude, dtype=np.int64)
+    excl = np.asarray(exclude, dtype=np.int64)
     masked = scores.copy()
     if len(excl):
         masked[excl] = -np.inf

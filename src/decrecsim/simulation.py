@@ -119,9 +119,7 @@ def select_cold_targets(dataset: Dataset, num_targets: int, root_seed: int) -> n
     """Sample targets uniformly from the coldest decile by train popularity."""
     if num_targets > dataset.num_items:
         raise ConfigError("num_targets exceeds the item count")
-    counts = np.zeros(dataset.num_items, dtype=np.int64)
-    for tr in dataset.train:
-        counts[tr] += 1
+    counts = np.bincount(np.concatenate(dataset.train), minlength=dataset.num_items)
     order = np.lexsort((np.arange(dataset.num_items), counts))
     pool_size = max(num_targets, math.ceil(dataset.num_items / 10))
     pool = order[:pool_size]

@@ -1,5 +1,6 @@
 """Adversary construction, diversity updates, substitutes, and poisoning."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -361,6 +362,22 @@ class TestBaselines:
         pkt = baseline_poison(adv, np.array([2]), "eb", top_k=2, e_ft=1, lr=1e-3)
         k = pkt.item_idx.tolist().index(2)
         assert pkt.item_rows[k][0] == pytest.approx(-0.5, abs=1e-12)
+
+    def test_eb_adds_boost_to_honest_rows(self):
+        # ra's dataset makes the targets positives, so they are honest ids too
+        adv = make_adv(15, strategy="ra", targets=(1, 4))
+        targets = np.array([1, 4])
+        pkt = baseline_poison(adv, targets, "eb", top_k=5, e_ft=1, lr=1e-3)
+        _, honest = compute_gradients(adv.base, adv.pairs, sender=adv.client_id)
+        bare = dataclasses.replace(adv, pairs=np.empty((0, 2), dtype=np.int64))
+        boost = baseline_poison(bare, targets, "eb", top_k=5, e_ft=1, lr=1e-3)
+        assert set(targets.tolist()) <= set(honest.item_idx.tolist())
+        assert np.array_equal(pkt.item_idx, np.union1d(honest.item_idx, boost.item_idx))
+        for k, item in enumerate(pkt.item_idx.tolist()):
+            expect = np.zeros(pkt.item_rows.shape[1])
+            for q in (honest, boost):
+                expect = expect + q.item_rows[q.item_idx == item].sum(axis=0)
+            assert pkt.item_rows[k].tobytes() == expect.tobytes()
 
     def test_psmu_identical_inputs_identical_packets(self):
         a = make_adv(13, strategy="psmu")

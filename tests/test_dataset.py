@@ -157,7 +157,7 @@ class TestSplit:
             assert not tr & te
             assert len(tr) + len(te) == len(pre.user_items[u])
             positives = tr | te
-            assert not positives & set(ds.negatives[u].tolist())
+            assert not positives & set(ds.pairs[u][:, 1].tolist())
             # per-positive draws have no duplicates
             for p in ds.train[u]:
                 negs = ds.pairs[u][ds.pairs[u][:, 0] == p][:, 1]
@@ -176,10 +176,10 @@ class TestSplit:
         pre = preprocess(raw, min_count=1)
         ds = split_and_sample(pre, 0.9, 4, seed=2)
         for u in range(ds.num_users):
-            assert set(ds.negatives[u].tolist()).isdisjoint(
+            assert set(ds.pairs[u][:, 1].tolist()).isdisjoint(
                 set(ds.train[u]) | set(ds.test[u])
             )
-            assert len(set(ds.negatives[u].tolist())) <= 1
+            assert len(set(ds.pairs[u][:, 1].tolist())) <= 1
 
     def test_determinism(self):
         pre = self.make_pre()

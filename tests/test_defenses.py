@@ -250,10 +250,15 @@ def packet_sets(draw):
     return pkts, num_items, dim
 
 
-def assert_matches(items, rows, expect):
+def assert_matches(items, rows, expect, exact=False):
+    """items and rows match expect's per-item rows: to 1e-12, or with exact
+    byte for byte (signed zeros included)."""
     assert items.tolist() == sorted(expect)
     for k, item in enumerate(items.tolist()):
-        assert np.allclose(rows[k], expect[item], atol=1e-12, rtol=0.0)
+        if exact:
+            assert rows[k].tobytes() == expect[item].tobytes()
+        else:
+            assert np.allclose(rows[k], expect[item], atol=1e-12, rtol=0.0)
 
 
 class TestDenseKernelProperties:
@@ -269,13 +274,14 @@ class TestDenseKernelProperties:
         pkts, num_items, dim = case
         trim_k = resolve_trim_k(fixed_k, len(pkts))
         expect = brute_force_trimmed(pkts, num_items, dim, trim_k)
-        assert_matches(*trimmed_mean_aggregate(*received(pkts), trim_k), expect)
+        assert_matches(*trimmed_mean_aggregate(*received(pkts), trim_k), expect, exact=True)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(packet_sets())
     def test_krum_matches_brute_force(self, case):
         pkts, num_items, dim = case
-        assert_matches(*item_krum_aggregate(*received(pkts)), brute_force_krum(pkts, num_items, dim))
+        expect = brute_force_krum(pkts, num_items, dim)
+        assert_matches(*item_krum_aggregate(*received(pkts)), expect, exact=True)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(packet_sets(), st.sampled_from([0.25, 1.0, 2.0, 10.0]), st.sampled_from([1, 2]))
