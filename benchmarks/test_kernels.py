@@ -261,7 +261,7 @@ def test_compact_round_rows(benchmark):
 def test_assign_neighbors(benchmark):
     rng = np.random.default_rng(5)
     sketches = rng.choice(np.array([-1.0, 1.0], dtype=np.float32), size=(CLIENTS, NUM_ITEMS * SKETCH_BITS))
-    nmap = benchmark(assign_neighbors, sketches, NEIGHBORS, 1)
+    nmap = benchmark(assign_neighbors, sketches, NEIGHBORS)
     assert len(nmap.assignments) == CLIENTS
     assert all(len(a) == NEIGHBORS and i not in a for i, a in enumerate(nmap.assignments))
 

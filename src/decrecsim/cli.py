@@ -22,21 +22,8 @@ from dataclasses import replace
 import numpy as np
 
 from decrecsim import __version__
-from decrecsim.config import (
-    ExperimentConfig,
-    parse_config,
-    set_key,
-    sweepable_keys,
-    validate_config,
-)
-from decrecsim.dataset import (
-    FORMATS,
-    Dataset,
-    load_interactions,
-    preprocess,
-    split_and_sample,
-    subsample_most_active,
-)
+from decrecsim.config import SWEEPABLE, ExperimentConfig, parse_config, set_key, validate_config
+from decrecsim.dataset import FORMATS, Dataset, load_interactions, preprocess, split_and_sample
 from decrecsim.errors import ConfigError
 from decrecsim.metrics import MetricsRecord
 from decrecsim.simulation import run_experiment
@@ -45,11 +32,9 @@ CSV_HEADER = "round,hr_at_k,er_at_k,attack,defense,seed"
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
-    """Full dataset pipeline: load, filter, optional subsample, split."""
+    """Full dataset pipeline: load, filter, split."""
     raw = load_interactions(config.dataset_path, config.dataset_format)
     pre = preprocess(raw, config.min_count)
-    if config.subsample_users is not None:
-        pre = subsample_most_active(pre, config.subsample_users, config.min_count)
     return split_and_sample(pre, config.train_ratio, config.neg_ratio, config.seed)
 
 
@@ -112,7 +97,7 @@ def sweep(
 ) -> tuple[str, str]:
     """One experiment per value of a sweepable key, shared base seed."""
     started = time.perf_counter()
-    if key not in sweepable_keys():
+    if key not in SWEEPABLE:
         raise ConfigError(f"key {key!r} is not sweepable")
     if not values:
         raise ConfigError("sweep requires a nonempty list of values")
@@ -148,9 +133,7 @@ def config_from_manifest(path: str) -> tuple[ExperimentConfig, dict | None]:
     manifest's sweep block ({"key", "values"}, None for a single run)."""
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    cfg_dict = manifest["config"]
-    overrides = {k: v for k, v in cfg_dict.items()}
-    config = parse_config(None, overrides)
+    config = parse_config(None, manifest["config"])
     recorded = manifest.get("dataset_sha256")
     if recorded is not None:
         actual = _dataset_sha256(config.dataset_path)

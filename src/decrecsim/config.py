@@ -1,7 +1,9 @@
 """Experiment configuration: defaults, file parsing, and validation.
 
 Config files are flat ``key = value`` text; '#' starts a comment.  Command
-line flags override file values.  Unknown keys are rejected.
+line flags override file values.  Unknown keys are rejected.  A key's value
+parses by its field's annotation, whether it arrives as text or typed from
+a manifest; the numeric keys are the sweepable ones.
 """
 
 from __future__ import annotations
@@ -47,11 +49,9 @@ class ExperimentConfig:
     train_ratio: float = 0.8
     neg_ratio: int = 4
     seed: int = 42
-    subsample_users: int | None = None
     sketch_dim: int = 16
     ucsu_clip: bool = True
     ucsu_clean_bank: bool = False
-    hr_fraction: bool = False
     workers: int = 1
     output_path: str = "results"
 
@@ -66,74 +66,61 @@ class ExperimentConfig:
 # The file/CLI key for the diversity weight is "lambda" (a Python keyword,
 # so the field is named lam).
 _KEY_TO_FIELD = {"lambda": "lam"}
-_FIELD_TO_KEY = {"lam": "lambda"}
+_FIELD_TO_KEY = {name: key for key, name in _KEY_TO_FIELD.items()}
 
-_SWEEPABLE = {
-    "xi", "lambda", "nu", "mu", "alpha", "s", "e_ft", "neighbors", "rounds",
-    "top_k", "refresh_every", "eval_every", "num_targets", "capacity_rounds",
-    "seed", "lr", "min_count", "train_ratio", "neg_ratio", "embed_dim",
-    "sketch_dim", "trim_k", "subsample_users", "workers",
-}
-
+# Annotations are strings here (postponed evaluation), e.g. "int | None".
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
-def sweepable_keys() -> set[str]:
-    return set(_SWEEPABLE)
-
-
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.strip().lower()
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    raise ValueError(text)
 
 
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+# Annotation -> (parser of the value's stripped text, what the text must be).
+_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (_parse_bool, "a boolean"),
+    "str": (str, "text"),
+    "tuple[int, ...]": (
+        lambda text: tuple(int(x) for x in text.split(",") if x.strip()),
+        "comma-separated integers",
+    ),
+}
 
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _parse_int_tuple(key: str, raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in raw.split(",") if x.strip() != "")
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {raw!r}") from None
+# A sweep varies one numeric key.
+SWEEPABLE = frozenset(
+    _FIELD_TO_KEY.get(name, name)
+    for name, kind in _FIELD_TYPES.items()
+    if kind in ("int", "float", "int | None")
+)
 
 
 def coerce_value(key: str, raw) -> object:
-    """Convert a raw string (or already typed value) to the field's type."""
-    if key not in _KEY_TO_FIELD and key not in _FIELD_TYPES:
-        raise ConfigError(f"unknown config key: {key!r}")
+    """Parse a key's value by its field's annotation.
+
+    A typed value (a manifest's, or a caller's) parses as its text: a list
+    or tuple joined with commas, anything else through str().  An optional
+    field takes "", "none" and "auto" as None.
+    """
     name = _KEY_TO_FIELD.get(key, key)
-    if not isinstance(raw, str):
-        return raw
-    if name in ("layer_widths", "target_items"):
-        if name == "target_items" and raw.strip().lower() in ("", "none"):
-            return None
-        return _parse_int_tuple(key, raw)
-    if name in ("trim_k", "subsample_users"):
-        if raw.strip().lower() in ("", "none", "auto"):
-            return None
-        return _parse_int(key, raw)
-    if name in ("ucsu_clip", "ucsu_clean_bank", "hr_fraction"):
-        return _parse_bool(key, raw)
-    if name in ("lr", "xi", "lam", "nu", "mu", "train_ratio"):
-        return _parse_float(key, raw)
-    if name in ("dataset_path", "dataset_format", "attack", "defense", "output_path"):
-        return raw.strip()
-    return _parse_int(key, raw)
+    if name not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key: {key!r}")
+    text = ",".join(map(str, raw)) if isinstance(raw, (list, tuple)) else str(raw)
+    text = text.strip()
+    kind = _FIELD_TYPES[name].removesuffix(" | None")
+    if kind != _FIELD_TYPES[name] and text.lower() in ("", "none", "auto"):
+        return None
+    parse, expected = _PARSERS[kind]
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
 def set_key(cfg: ExperimentConfig, key: str, raw) -> object:
@@ -175,50 +162,46 @@ def parse_config(path: str | None, overrides: dict | None = None) -> ExperimentC
     return cfg
 
 
-def validate_config(cfg: ExperimentConfig, require_dataset: bool = True) -> None:
-    if require_dataset and not cfg.dataset_path:
-        raise ConfigError("dataset_path is required")
-    if cfg.dataset_format not in FORMATS:
-        raise ConfigError(f"dataset_format must be one of {FORMATS}")
-    if cfg.attack not in ATTACKS:
-        raise ConfigError(f"attack must be one of {ATTACKS}")
-    if cfg.defense not in DEFENSES:
-        raise ConfigError(f"defense must be one of {DEFENSES}")
-    if not (0.0 < cfg.nu <= 1.0):
-        raise ConfigError("nu must satisfy 0 < nu <= 1")
-    if not (0.0 <= cfg.xi < 1.0):
-        raise ConfigError("xi must satisfy 0 <= xi < 1")
-    if cfg.mu <= 0:
-        raise ConfigError("mu must be > 0")
-    if not (0.0 < cfg.train_ratio < 1.0):
-        raise ConfigError("train_ratio must satisfy 0 < train_ratio < 1")
-    if cfg.neg_ratio < 0:
-        raise ConfigError("neg_ratio must be >= 0")
-    if cfg.lr <= 0:
-        raise ConfigError("lr must be > 0")
-    if cfg.rounds < 0:
-        raise ConfigError("rounds must be >= 0")
-    if cfg.eval_every < 1:
-        raise ConfigError("eval_every must be >= 1")
-    if cfg.p not in (1, 2):
-        raise ConfigError("p must be 1 or 2")
-    if cfg.embed_dim < 1 or not cfg.layer_widths or any(w < 1 for w in cfg.layer_widths):
-        raise ConfigError("embed_dim and layer_widths must be positive")
-    for name in ("neighbors", "refresh_every", "top_k", "capacity_rounds",
-                 "num_targets", "min_count", "sketch_dim", "workers"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1")
-    for name in ("alpha", "s", "e_ft"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"{name} must be >= 0")
-    if cfg.trim_k is not None and cfg.trim_k < 0:
-        raise ConfigError("trim_k must be >= 0")
-    if cfg.subsample_users is not None and cfg.subsample_users < 1:
-        raise ConfigError("subsample_users must be >= 1")
-    if cfg.lam < 0:
-        raise ConfigError("lambda must be >= 0")
-    if cfg.target_items is not None and len(cfg.target_items) == 0:
-        raise ConfigError("target_items must be nonempty when given")
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def validate_config(cfg: ExperimentConfig) -> None:
+    _require(cfg.dataset_path != "", "dataset_path is required")
+    _require(cfg.dataset_format in FORMATS, f"dataset_format must be one of {FORMATS}")
+    _require(cfg.attack in ATTACKS, f"attack must be one of {ATTACKS}")
+    _require(cfg.defense in DEFENSES, f"defense must be one of {DEFENSES}")
+    _require(0.0 < cfg.nu <= 1.0, "nu must satisfy 0 < nu <= 1")
+    _require(0.0 <= cfg.xi < 1.0, "xi must satisfy 0 <= xi < 1")
+    _require(cfg.mu > 0, "mu must be > 0")
+    _require(0.0 < cfg.train_ratio < 1.0, "train_ratio must satisfy 0 < train_ratio < 1")
+    _require(cfg.neg_ratio >= 0, "neg_ratio must be >= 0")
+    _require(cfg.lr > 0, "lr must be > 0")
+    _require(cfg.rounds >= 0, "rounds must be >= 0")
+    _require(cfg.eval_every >= 1, "eval_every must be >= 1")
+    _require(cfg.p in (1, 2), "p must be 1 or 2")
+    _require(
+        cfg.embed_dim >= 1 and cfg.layer_widths and all(w >= 1 for w in cfg.layer_widths),
+        "embed_dim and layer_widths must be positive",
+    )
+    _require(cfg.neighbors >= 1, "neighbors must be >= 1")
+    _require(cfg.refresh_every >= 1, "refresh_every must be >= 1")
+    _require(cfg.top_k >= 1, "top_k must be >= 1")
+    _require(cfg.capacity_rounds >= 1, "capacity_rounds must be >= 1")
+    _require(cfg.num_targets >= 1, "num_targets must be >= 1")
+    _require(cfg.min_count >= 1, "min_count must be >= 1")
+    _require(cfg.sketch_dim >= 1, "sketch_dim must be >= 1")
+    _require(cfg.workers >= 1, "workers must be >= 1")
+    _require(cfg.alpha >= 0, "alpha must be >= 0")
+    _require(cfg.s >= 0, "s must be >= 0")
+    _require(cfg.e_ft >= 0, "e_ft must be >= 0")
+    _require(cfg.trim_k is None or cfg.trim_k >= 0, "trim_k must be >= 0")
+    _require(cfg.lam >= 0, "lambda must be >= 0")
+    _require(
+        cfg.target_items is None or len(cfg.target_items) > 0,
+        "target_items must be nonempty when given",
+    )
 
 
 def resolve_trim_k(trim_k: int | None, count: int) -> int:

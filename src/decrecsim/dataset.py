@@ -1,9 +1,8 @@
 """Interaction loading, filtering, binarization, split, and negative sampling.
 
-The pipeline is: load_interactions -> preprocess -> (optional
-subsample_most_active) -> split_and_sample.  All randomized steps are pure
-functions of (input, seed).  sample_pairs, the negative sampler, also
-builds the adversaries' pairs.
+The pipeline is: load_interactions -> preprocess -> split_and_sample.  All
+randomized steps are pure functions of (input, seed).  sample_pairs, the
+negative sampler, also builds the adversaries' pairs.
 """
 
 from __future__ import annotations
@@ -145,36 +144,26 @@ def preprocess(raw: RawInteractions, min_count: int = 5) -> Precursor:
     _, i_codes = np.unique(items, return_inverse=True)
 
     # Drop duplicate (user, item) pairs, keeping the first occurrence.
-    pair_key = u_codes.astype(np.int64) * (i_codes.max() + 1) + i_codes
+    num_users, num_items = u_codes.max() + 1, i_codes.max() + 1
+    pair_key = u_codes.astype(np.int64) * num_items + i_codes
     _, first_pos = np.unique(pair_key, return_index=True)
     keep = np.zeros(len(raw.records), dtype=bool)
     keep[first_pos] = True
 
+    # Drop sparse users and items until none are left.
     u = u_codes[keep]
     i = i_codes[keep]
-    alive = _filter_fixpoint(
-        u, i, u_codes.max() + 1, i_codes.max() + 1, min_count,
-        f"min_count={min_count} filtered out every interaction",
-    )
-    return _reindex(u[alive], i[alive])
-
-
-def _filter_fixpoint(
-    u: np.ndarray, i: np.ndarray, num_users: int, num_items: int, min_count: int, empty: str
-) -> np.ndarray:
-    """Mask of the (user, item) code pairs that survive dropping users and
-    items with fewer than min_count interactions until none are left;
-    EmptyDatasetError(empty) when nothing survives."""
     alive = np.ones(len(u), dtype=bool)
     while True:
         u_counts = np.bincount(u[alive], minlength=num_users)
         i_counts = np.bincount(i[alive], minlength=num_items)
         bad = alive & ((u_counts[u] < min_count) | (i_counts[i] < min_count))
         if not bad.any():
-            return alive
+            break
         alive &= ~bad
         if not alive.any():
-            raise EmptyDatasetError(empty)
+            raise EmptyDatasetError(f"min_count={min_count} filtered out every interaction")
+    return _reindex(u[alive], i[alive])
 
 
 def _reindex(u: np.ndarray, i: np.ndarray) -> Precursor:
@@ -204,40 +193,6 @@ def _first_appearance_map(codes: np.ndarray) -> np.ndarray:
             seen[c] = nxt
             nxt += 1
     return seen
-
-
-def subsample_most_active(pre: Precursor, num_users: int, min_count: int) -> Precursor:
-    """Keep the num_users most active users, then re-run the filter fixpoint.
-
-    Activity is the post-filter positive count; ties break by ascending user
-    index.  The survivors are re-indexed densely in the original record
-    order, so downstream seeds see a self-consistent dataset.
-    """
-    if num_users < 1:
-        raise ContractError("subsample size must be >= 1")
-    if num_users >= pre.num_users:
-        return pre
-    counts = np.array([len(v) for v in pre.user_items])
-    order = np.lexsort((np.arange(pre.num_users), -counts))
-    chosen = np.zeros(pre.num_users, dtype=bool)
-    chosen[order[:num_users]] = True
-
-    u_list: list[int] = []
-    i_list: list[int] = []
-    for uu in range(pre.num_users):
-        if not chosen[uu]:
-            continue
-        for ii in pre.user_items[uu].tolist():
-            u_list.append(uu)
-            i_list.append(ii)
-    u = np.asarray(u_list, dtype=np.int64)
-    i = np.asarray(i_list, dtype=np.int64)
-
-    alive = _filter_fixpoint(
-        u, i, pre.num_users, pre.num_items, min_count,
-        "subsampling filtered out every interaction",
-    )
-    return _reindex(u[alive], i[alive])
 
 
 def split_and_sample(

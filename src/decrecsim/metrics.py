@@ -94,17 +94,8 @@ def exposure_rate(world, k: int, lists: dict[int, np.ndarray] | None = None) -> 
     return float(np.mean(per_target))
 
 
-def hit_rate(
-    world,
-    k: int,
-    lists: dict[int, np.ndarray] | None = None,
-    fraction_mode: bool = False,
-) -> float:
-    """Mean over benign users with test items of the top-k hit indicator.
-
-    With fraction_mode, each user contributes |top-k intersect test| / k
-    instead of the 0/1 indicator.
-    """
+def hit_rate(world, k: int, lists: dict[int, np.ndarray] | None = None) -> float:
+    """Mean over benign users with test items of the top-k hit indicator."""
     if k < 1:
         raise ContractError("k must be >= 1")
     if lists is None:
@@ -115,20 +106,18 @@ def hit_rate(
         if len(test) == 0:
             continue
         inter = np.intersect1d(top, test, assume_unique=False)
-        values.append(len(inter) / k if fraction_mode else float(len(inter) > 0))
+        values.append(float(len(inter) > 0))
     if not values:
         raise UndefinedMetricError("no benign user has held-out test items")
     return float(np.mean(values))
 
 
-def evaluate_world(
-    world, k: int, attack: str, defense: str, seed: int, fraction_mode: bool = False
-) -> MetricsRecord:
+def evaluate_world(world, k: int, attack: str, defense: str, seed: int) -> MetricsRecord:
     """Hit rate and exposure rate from one shared ranking pass."""
     lists = benign_top_lists(world, k)
     return MetricsRecord(
         round=world.round,
-        hr_at_k=hit_rate(world, k, lists=lists, fraction_mode=fraction_mode),
+        hr_at_k=hit_rate(world, k, lists=lists),
         er_at_k=exposure_rate(world, k, lists=lists),
         attack=attack,
         defense=defense,

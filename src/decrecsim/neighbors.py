@@ -19,7 +19,6 @@ class NeighborMap:
     """Per-client ordered neighbor lists for one refresh period."""
 
     assignments: list[np.ndarray]
-    round_assigned: int
 
     def neighbors_of(self, client_id: int) -> np.ndarray:
         return self.assignments[client_id]
@@ -48,11 +47,7 @@ def sketch_item_table(item_table: np.ndarray, hyperplanes: np.ndarray) -> np.nda
     return bits.ravel()
 
 
-def assign_neighbors(
-    sketches: np.ndarray | list[np.ndarray],
-    n_neighbors: int,
-    round_no: int,
-) -> NeighborMap:
+def assign_neighbors(sketches: np.ndarray | list[np.ndarray], n_neighbors: int) -> NeighborMap:
     """Top-min(N, C-1) most cosine-similar clients per client.
 
     Lists are sorted by descending similarity with ties broken by ascending
@@ -72,12 +67,8 @@ def assign_neighbors(
         raise ContractError("n_neighbors must be >= 1")
     # float32 sums of +-1 products are exact integers (|sum| <= 2^24).
     sims = (mat @ mat.T).astype(np.float64) / mat.shape[1]
-    n_pick = min(n_neighbors, num_clients - 1)
-    ids = np.arange(num_clients)
-    assignments: list[np.ndarray] = []
-    for i in range(num_clients):
-        row = sims[i].astype(np.float64)
-        row[i] = -np.inf  # never self
-        order = np.lexsort((ids, -row))
-        assignments.append(order[:n_pick].astype(np.int64))
-    return NeighborMap(assignments=assignments, round_assigned=round_no)
+    np.fill_diagonal(sims, -np.inf)  # never self
+    # A stable sort of the negated similarities breaks ties by ascending id;
+    # the copy keeps only the picked columns alive.
+    order = np.argsort(-sims, axis=1, kind="stable")[:, : min(n_neighbors, num_clients - 1)]
+    return NeighborMap(assignments=list(order.copy()))

@@ -306,7 +306,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
         sketches[0] = first
         for i, c in enumerate(world.clients[1:], start=1):
             sketches[i] = sketch_item_table(c.item_table, world.hyperplanes)
-        world.neighbor_map = assign_neighbors(sketches, config.neighbors, t)
+        world.neighbor_map = assign_neighbors(sketches, config.neighbors)
         del sketches  # not held through the rest of the round
 
     nbr = world.neighbor_map
@@ -440,11 +440,4 @@ def run_experiment(
 
 
 def _snapshot(world: World, config: ExperimentConfig) -> MetricsRecord:
-    return evaluate_world(
-        world,
-        config.top_k,
-        attack=config.attack,
-        defense=config.defense,
-        seed=config.seed,
-        fraction_mode=config.hr_fraction,
-    )
+    return evaluate_world(world, config.top_k, config.attack, config.defense, config.seed)

@@ -1,0 +1,109 @@
+"""Config keys: a manifest's typed values replay to an equal config, every
+parser rejects malformed text by the key's name, the words that mean None,
+the lambda key, and which keys a sweep may vary."""
+
+from __future__ import annotations
+
+import json
+from dataclasses import fields
+
+import pytest
+
+from decrecsim.config import SWEEPABLE, ExperimentConfig, parse_config, set_key
+from decrecsim.errors import ConfigError
+
+# A value unlike the default in every field; lr's shortest repr has 17
+# digits, so a float must round-trip exactly.
+NON_DEFAULT = dict(
+    dataset_path="data/ratings.csv",
+    dataset_format="csv",
+    embed_dim=8,
+    layer_widths=(16, 8),
+    lr=0.1 + 0.2,
+    neighbors=7,
+    refresh_every=3,
+    rounds=9,
+    eval_every=2,
+    top_k=4,
+    attack="pamn",
+    defense="ucsu",
+    xi=0.25,
+    alpha=6,
+    lam=0.7,
+    s=2,
+    e_ft=3,
+    nu=0.3,
+    mu=0.5,
+    p=1,
+    trim_k=2,
+    capacity_rounds=4,
+    num_targets=3,
+    target_items=(5, 1, 9),
+    min_count=2,
+    train_ratio=0.75,
+    neg_ratio=2,
+    seed=123,
+    sketch_dim=8,
+    ucsu_clip=False,
+    ucsu_clean_bank=True,
+    workers=2,
+    output_path="out",
+)
+
+
+def test_non_default_config_covers_every_field():
+    default = ExperimentConfig()
+    assert set(NON_DEFAULT) == {f.name for f in fields(ExperimentConfig)}
+    assert all(getattr(default, name) != value for name, value in NON_DEFAULT.items())
+
+
+def test_manifest_values_replay_to_an_equal_config():
+    cfg = ExperimentConfig(**NON_DEFAULT)
+    back = parse_config(None, json.loads(json.dumps(cfg.to_dict())))
+    assert back == cfg
+    assert all(type(getattr(back, n)) is type(getattr(cfg, n)) for n in NON_DEFAULT)
+
+
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("rounds", "ten"),
+        ("lambda", "abc"),
+        ("ucsu_clip", "maybe"),
+        ("layer_widths", "8,x"),
+        ("trim_k", "few"),
+        ("target_items", "1;2"),
+        ("rounds", 2.5),
+        ("embed_dim", None),
+    ],
+    ids=[
+        "int", "float", "bool", "int-tuple", "optional-int", "optional-tuple",
+        "typed-float-for-int", "typed-none",
+    ],
+)
+def test_malformed_value_names_its_key(key, raw):
+    with pytest.raises(ConfigError, match=rf"^{key}: expected "):
+        parse_config(None, {"dataset_path": "x", key: raw})
+
+
+@pytest.mark.parametrize("key", ["trim_k", "target_items"])
+@pytest.mark.parametrize("word", ["", "none", "auto", " None ", "AUTO", None])
+def test_none_words_give_none(key, word):
+    cfg = ExperimentConfig(trim_k=3, target_items=(4,))
+    assert set_key(cfg, key, word) is None and getattr(cfg, key) is None
+
+
+def test_lambda_key_sets_lam():
+    cfg = parse_config(None, {"dataset_path": "x", "lambda": "0.5"})
+    assert cfg.lam == 0.5
+    assert cfg.to_dict()["lambda"] == 0.5 and "lam" not in cfg.to_dict()
+
+
+def test_sweepable_keys_are_the_numeric_keys():
+    assert SWEEPABLE == {
+        "embed_dim", "lr", "neighbors", "refresh_every", "rounds", "eval_every", "top_k",
+        "xi", "alpha", "lambda", "s", "e_ft", "nu", "mu", "p", "trim_k", "capacity_rounds",
+        "num_targets", "min_count", "train_ratio", "neg_ratio", "seed", "sketch_dim", "workers",
+    }
+    assert {"lambda", "p"} <= SWEEPABLE
+    assert not {"attack", "ucsu_clip", "layer_widths", "target_items"} & SWEEPABLE

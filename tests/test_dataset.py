@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from decrecsim.dataset import (
-    RawInteractions,
-    load_interactions,
-    preprocess,
-    split_and_sample,
-    subsample_most_active,
-)
+from decrecsim.dataset import RawInteractions, load_interactions, preprocess, split_and_sample
 from decrecsim.errors import ContractError, EmptyDatasetError, ParseError
 
 
@@ -196,26 +190,6 @@ class TestSplit:
             split_and_sample(pre, 1.0, 4, seed=0)
         with pytest.raises(ContractError):
             split_and_sample(pre, 0.8, -1, seed=0)
-
-
-class TestSubsample:
-    def test_keeps_most_active(self):
-        pairs = []
-        for u in range(6):
-            for j in range(3 + u):
-                pairs.append((u, j))
-        raw = raw_from_pairs(pairs)
-        pre = preprocess(raw, min_count=1)
-        sub = subsample_most_active(pre, 2, min_count=1)
-        assert sub.num_users == 2
-        # the two most active users had 8 and 7 interactions
-        counts = sorted(len(v) for v in sub.user_items)
-        assert counts == [7, 8]
-
-    def test_noop_when_large(self):
-        raw = raw_from_pairs([(0, 0), (1, 1)])
-        pre = preprocess(raw, min_count=1)
-        assert subsample_most_active(pre, 10, min_count=1) is pre
 
 
 class TestCountOracle:

@@ -215,12 +215,6 @@ class TestHitRate:
         with pytest.raises(UndefinedMetricError):
             hit_rate(world, 2)
 
-    def test_fraction_mode_bounded_by_indicator(self):
-        world = toy_world(17, 4, 9)
-        frac = hit_rate(world, 3, fraction_mode=True)
-        ind = hit_rate(world, 3)
-        assert 0.0 <= frac <= ind <= 1.0
-
     def test_adversaries_excluded(self):
         world = toy_world(18, 3, 8, num_adv=2)
         lists = benign_top_lists(world, 3)

@@ -89,14 +89,14 @@ class TestAssign:
             length = int(rng.integers(2, 6)) * 4
             sketches = np.where(rng.random((num, length)) < 0.5, 1.0, -1.0)
             n = int(rng.integers(1, num + 1))
-            nmap = assign_neighbors(sketches, n, round_no=1)
+            nmap = assign_neighbors(sketches, n)
             expect = self.brute_force(sketches, n)
             for i in range(num):
                 assert nmap.neighbors_of(i).tolist() == expect[i], f"trial {trial} client {i}"
 
     def test_tie_break_ascending_ids(self):
         sketches = np.ones((3, 8))
-        nmap = assign_neighbors(sketches, 2, round_no=1)
+        nmap = assign_neighbors(sketches, 2)
         assert nmap.neighbors_of(0).tolist() == [1, 2]
         assert nmap.neighbors_of(1).tolist() == [0, 2]
         assert nmap.neighbors_of(2).tolist() == [0, 1]
@@ -104,7 +104,7 @@ class TestAssign:
     def test_never_self_never_duplicates(self):
         rng = np.random.default_rng(5)
         sketches = np.where(rng.random((6, 12)) < 0.5, 1.0, -1.0)
-        nmap = assign_neighbors(sketches, 5, round_no=2)
+        nmap = assign_neighbors(sketches, 5)
         for i in range(6):
             lst = nmap.neighbors_of(i).tolist()
             assert i not in lst
@@ -112,21 +112,21 @@ class TestAssign:
 
     def test_clamps_to_population(self):
         sketches = np.ones((3, 4))
-        nmap = assign_neighbors(sketches, 99, round_no=1)
+        nmap = assign_neighbors(sketches, 99)
         for i in range(3):
             assert len(nmap.neighbors_of(i)) == 2
 
     def test_deterministic_rerun(self):
         rng = np.random.default_rng(6)
         sketches = np.where(rng.random((10, 20)) < 0.5, 1.0, -1.0)
-        a = assign_neighbors(sketches, 3, round_no=1)
-        b = assign_neighbors(sketches, 3, round_no=1)
+        a = assign_neighbors(sketches, 3)
+        b = assign_neighbors(sketches, 3)
         for i in range(10):
             assert np.array_equal(a.neighbors_of(i), b.neighbors_of(i))
 
     def test_too_few_clients(self):
         with pytest.raises(ContractError):
-            assign_neighbors(np.ones((1, 4)), 1, round_no=1)
+            assign_neighbors(np.ones((1, 4)), 1)
 
 
 class TestLshFidelity:

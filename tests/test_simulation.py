@@ -1,10 +1,10 @@
 """Round loop on a tiny synthetic world: thread-count invariance and
 same-seed determinism for every per-receiver robust aggregator, and for
 PAMN against UCSU with banks small enough to evict; the round rows UCSU
-keeps alive; the packets dropped once a round's rows are consolidated;
-what adversaries absorb; the empty packets of clients without training
-pairs; init_world's pair checks and each client's Adam item-moment
-cover."""
+keeps alive and the norms its clip bounds; the packets dropped once a
+round's rows are consolidated; what adversaries absorb; the empty packets
+of clients without training pairs; init_world's pair checks and each
+client's Adam item-moment cover."""
 
 import dataclasses
 import gc
@@ -119,6 +119,37 @@ def test_ucsu_keeps_only_round_rows_a_bank_holds(tiny, overrides):
             assert not held
         else:
             assert any(rr.round == t for bank in world.banks.values() for rr, _ in bank._chunks)
+
+
+def test_ucsu_clip_bounds_the_rows_banks_hold(tiny, monkeypatch):
+    # PAMN's rows arrive with p-norm about 2; with the clip UCSU banks them
+    # at mu, without it as sent, and the benign models end up apart.
+    mu, p = tiny[0].mu, tiny[0].p
+    real_build = simulation.build_round_rows
+
+    def run_banking(clip):
+        sent, banked = [], []
+
+        def build_spy(packets, *args, **kwargs):
+            rr = real_build(packets, *args, **kwargs)
+            if kwargs.get("bank"):
+                sent.extend(np.linalg.norm(q.item_rows, ord=p, axis=1) for q in packets)
+                banked.append(np.linalg.norm(rr.rows, ord=p, axis=1))
+            return rr
+
+        monkeypatch.setattr(simulation, "build_round_rows", build_spy)
+        _, world = run(
+            tiny, attack="pamn", defense="ucsu", capacity_rounds=2, rounds=4, ucsu_clip=clip
+        )
+        return np.concatenate(sent), np.concatenate(banked), world
+
+    sent, banked, clipped = run_banking(True)
+    assert sent.max() > 1.5 * mu
+    # the scale mu / norm may leave a row an ulp above mu
+    assert banked.max() == pytest.approx(mu) and banked.max() <= mu * (1 + 1e-12)
+    _, banked, unclipped = run_banking(False)
+    assert banked.max() > 1.5 * mu
+    assert not np.array_equal(clipped.stacked.item_table, unclipped.stacked.item_table)
 
 
 @pytest.mark.parametrize(
