@@ -4,10 +4,12 @@ PAMN against UCSU with banks small enough to evict; the round rows UCSU
 keeps alive and the norms its clip bounds; the packets dropped once a
 round's rows are consolidated; what adversaries absorb; the empty packets
 of clients without training pairs; init_world's pair checks and each
-client's Adam item-moment cover."""
+client's Adam item-moment cover; the cold targets select_cold_targets
+draws."""
 
 import dataclasses
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -15,10 +17,17 @@ import pytest
 
 from decrecsim.cli import load_dataset
 from decrecsim.config import ExperimentConfig
+from decrecsim.dataset import Dataset
 from decrecsim.defenses import RoundRows
-from decrecsim.errors import ContractError
+from decrecsim.errors import ConfigError, ContractError
 from decrecsim import simulation
-from decrecsim.simulation import _mean_in_order, init_world, run_experiment, run_round
+from decrecsim.simulation import (
+    _mean_in_order,
+    init_world,
+    run_experiment,
+    run_round,
+    select_cold_targets,
+)
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
 from helpers import absorb, assert_round_compacted
 
@@ -300,3 +309,40 @@ def test_init_world_rejects_bad_training_pairs(tiny, bad, message):
     pairs[7] = np.vstack([pairs[7], bad])
     with pytest.raises(ContractError, match=message):
         init_world(config, dataclasses.replace(dataset, pairs=pairs))
+
+
+def toy_dataset(num_items, seed):
+    """Six users' train sets over num_items items, with tied and zero train
+    counts (test sets and pairs are not read by select_cold_targets)."""
+    rng = np.random.default_rng(seed)
+    train = [np.unique(rng.integers(0, num_items, size=rng.integers(0, 12))) for _ in range(6)]
+    empty = [np.zeros(0, dtype=np.int64)] * 6
+    return Dataset(num_users=6, num_items=num_items, train=train, test=empty, pairs=empty)
+
+
+@pytest.mark.parametrize(
+    "num_items, num_targets",
+    [(1, 1), (9, 1), (9, 3), (9, 9), (37, 1), (37, 3), (37, 9), (120, 3), (120, 12)],
+)
+def test_cold_targets_come_from_the_coldest_decile(num_items, num_targets):
+    for seed in range(5):
+        dataset = toy_dataset(num_items, seed)
+        counts = [0] * num_items
+        for items in dataset.train:
+            for i in items.tolist():
+                counts[i] += 1
+        pool_size = max(num_targets, math.ceil(num_items / 10))
+        pool = sorted(range(num_items), key=lambda i: (counts[i], i))[:pool_size]
+        targets = select_cold_targets(dataset, num_targets, root_seed=seed)
+        assert targets.dtype == np.int64
+        assert targets.tolist() == sorted(set(targets.tolist()))
+        assert len(targets) == num_targets and set(targets.tolist()) <= set(pool)
+        if pool_size == num_targets:
+            assert targets.tolist() == sorted(pool)
+        again = select_cold_targets(dataset, num_targets, root_seed=seed)
+        assert again.tobytes() == targets.tobytes()
+
+
+def test_more_targets_than_items_is_rejected():
+    with pytest.raises(ConfigError, match="num_targets exceeds the item count"):
+        select_cold_targets(toy_dataset(4, 0), 5, root_seed=0)
