@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from decrecsim.cli import load_dataset
-from decrecsim.config import ExperimentConfig, resolve_trim_k
+from decrecsim.config import ExperimentConfig
 from decrecsim.defenses import (
     MemoryBank,
     build_round_rows,
@@ -35,6 +35,7 @@ from decrecsim.defenses import (
     item_krum_aggregate,
     l2_clip_aggregate,
     median_aggregate,
+    resolve_trim_k,
     trimmed_mean_aggregate,
     ucsu_aggregate,
 )
@@ -43,11 +44,13 @@ from decrecsim.model import (
     LOCAL_BATCH_SIZE,
     AdamState,
     GradientPacket,
+    NetLayout,
     _backward,
     _forward,
     adam_step,
     block_views,
-    init_client_state,
+    client_views,
+    draw_client_params,
     local_train_step,
     scatter_add_rows,
     stack_states,
@@ -72,10 +75,13 @@ NEIGHBORS = 50
 
 @pytest.fixture(scope="module")
 def client():
-    """(state, training item ids, one minibatch's item ids in pair order)."""
+    """(state, training item ids, one minibatch's item ids in pair order),
+    the state drawn as a world draws a client's."""
     rng = np.random.default_rng(0)
-    state = init_client_state(NUM_ITEMS, EMBED_DIM, WIDTHS, rng)
     train_items = np.sort(rng.choice(NUM_ITEMS, size=TRAIN_ITEMS, replace=False))
+    stacked, stacked_opt = stack_states(NetLayout(EMBED_DIM, WIDTHS), NUM_ITEMS, [train_items])
+    state, _ = client_views(stacked, stacked_opt, 0)
+    draw_client_params(state, rng)
     batch = rng.choice(train_items, size=2 * LOCAL_BATCH_SIZE)
     return state, train_items, batch
 
@@ -121,11 +127,9 @@ def stack():
     clients, each training on TRAIN_ITEMS items."""
     rng = np.random.default_rng(7)
     rows = [np.sort(rng.choice(NUM_ITEMS, size=TRAIN_ITEMS, replace=False)) for _ in range(CLIENTS)]
-    layout = init_client_state(1, EMBED_DIM, WIDTHS, rng).layout
-    state, opt = stack_states(layout, NUM_ITEMS, rows)
+    state, opt = stack_states(NetLayout(EMBED_DIM, WIDTHS), NUM_ITEMS, rows)
     for j in range(CLIENTS):
-        one = init_client_state(NUM_ITEMS, EMBED_DIM, WIDTHS, rng)
-        state.user_vec[j], state.item_table[j], state.net[j] = one.user_vec, one.item_table, one.net
+        draw_client_params(client_views(state, opt, j)[0], rng)
     batches = np.stack([
         np.column_stack([r[:LOCAL_BATCH_SIZE], r[LOCAL_BATCH_SIZE : 2 * LOCAL_BATCH_SIZE]])
         for r in (rng.permutation(items) for items in rows)
@@ -225,7 +229,7 @@ def test_ucsu_aggregate(benchmark, rounds):
     "aggregate",
     [
         median_aggregate,
-        functools.partial(trimmed_mean_aggregate, trim_k=resolve_trim_k(None, SENDERS)),
+        functools.partial(trimmed_mean_aggregate, trim_k=resolve_trim_k(SENDERS)),
         item_krum_aggregate,
         l2_clip_aggregate,
     ],

@@ -196,7 +196,7 @@ def select_substitute_items(
     eligible = candidates[logits > median]
     if len(eligible) == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.lexsort((eligible, -best_sim[eligible]))
+    order = np.argsort(-best_sim[eligible], kind="stable")  # eligible is ascending
     return np.sort(eligible[order[: min(s, len(eligible))]])
 
 

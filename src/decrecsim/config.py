@@ -41,10 +41,8 @@ class ExperimentConfig:
     nu: float = 0.10
     mu: float = 1.0
     p: int = 2
-    trim_k: int | None = None
     capacity_rounds: int = 10
     num_targets: int = 5
-    target_items: tuple[int, ...] | None = None
     min_count: int = 5
     train_ratio: float = 0.8
     neg_ratio: int = 4
@@ -68,7 +66,7 @@ class ExperimentConfig:
 _KEY_TO_FIELD = {"lambda": "lam"}
 _FIELD_TO_KEY = {name: key for key, name in _KEY_TO_FIELD.items()}
 
-# Annotations are strings here (postponed evaluation), e.g. "int | None".
+# Annotations are strings here (postponed evaluation), e.g. "tuple[int, ...]".
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
@@ -95,9 +93,7 @@ _PARSERS = {
 
 # A sweep varies one numeric key.
 SWEEPABLE = frozenset(
-    _FIELD_TO_KEY.get(name, name)
-    for name, kind in _FIELD_TYPES.items()
-    if kind in ("int", "float", "int | None")
+    _FIELD_TO_KEY.get(name, name) for name, kind in _FIELD_TYPES.items() if kind in ("int", "float")
 )
 
 
@@ -105,20 +101,15 @@ def coerce_value(key: str, raw) -> object:
     """Parse a key's value by its field's annotation.
 
     A typed value (a manifest's, or a caller's) parses as its text: a list
-    or tuple joined with commas, anything else through str().  An optional
-    field takes "", "none" and "auto" as None.
+    or tuple joined with commas, anything else through str().
     """
     name = _KEY_TO_FIELD.get(key, key)
     if name not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key: {key!r}")
     text = ",".join(map(str, raw)) if isinstance(raw, (list, tuple)) else str(raw)
-    text = text.strip()
-    kind = _FIELD_TYPES[name].removesuffix(" | None")
-    if kind != _FIELD_TYPES[name] and text.lower() in ("", "none", "auto"):
-        return None
-    parse, expected = _PARSERS[kind]
+    parse, expected = _PARSERS[_FIELD_TYPES[name]]
     try:
-        return parse(text)
+        return parse(text.strip())
     except ValueError:
         raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
 
@@ -196,18 +187,4 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(cfg.alpha >= 0, "alpha must be >= 0")
     _require(cfg.s >= 0, "s must be >= 0")
     _require(cfg.e_ft >= 0, "e_ft must be >= 0")
-    _require(cfg.trim_k is None or cfg.trim_k >= 0, "trim_k must be >= 0")
     _require(cfg.lam >= 0, "lambda must be >= 0")
-    _require(
-        cfg.target_items is None or len(cfg.target_items) > 0,
-        "target_items must be nonempty when given",
-    )
-
-
-def resolve_trim_k(trim_k: int | None, count: int) -> int:
-    """Fixed trim_k, or the default policy: 10% of count, floor, min 1 when count >= 3."""
-    if trim_k is not None:
-        return trim_k
-    if count < 3:
-        return 0
-    return max(1, count // 10)

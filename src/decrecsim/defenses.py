@@ -422,6 +422,13 @@ def median_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np
     return uniq, out
 
 
+def resolve_trim_k(count: int) -> int:
+    """The trim policy: 10% of count, floor, min 1 when count >= 3."""
+    if count < 3:
+        return 0
+    return max(1, count // 10)
+
+
 def trimmed_mean_aggregate(
     rr: RoundRows, senders: np.ndarray, trim_k: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -38,13 +38,11 @@ def top_k_list(state: ClientState, k: int, exclude: np.ndarray) -> np.ndarray:
     """
     if k < 1:
         raise ContractError("k must be >= 1")
-    scores = score_items(state)
     excl = np.asarray(exclude, dtype=np.int64)
-    masked = scores.copy()
+    negated = -score_items(state)
     if len(excl):
-        masked[excl] = -np.inf
-    ids = np.arange(state.num_items)
-    order = np.lexsort((ids, -masked))
+        negated[excl] = np.inf
+    order = np.argsort(negated, kind="stable")
     n_candidates = state.num_items - len(excl)
     return order[: min(k, n_candidates)].astype(np.int64)
 

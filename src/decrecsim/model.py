@@ -139,16 +139,6 @@ def empty_packet(state: ClientState, sender: int) -> GradientPacket:
     )
 
 
-def init_client_state(
-    num_items: int, embed_dim: int, layer_widths: list[int], rng: np.random.Generator
-) -> ClientState:
-    """Initialize embeddings and weights uniform(-0.05, 0.05); biases zero."""
-    layout = NetLayout(embed_dim, layer_widths)
-    state = ClientState(np.empty(embed_dim), np.empty((num_items, embed_dim)), np.zeros(layout.size), layout)
-    draw_client_params(state, rng)
-    return state
-
-
 def draw_client_params(state: ClientState, rng: np.random.Generator) -> None:
     """Draw one client's parameters into its arrays (a stack's views
     included, so nothing is allocated twice): the user embedding, the item
@@ -581,10 +571,9 @@ def adam_step(
     item_rows: np.ndarray,
     net_grad: np.ndarray,
     lr: float,
-    user_grad: np.ndarray | None = None,
 ) -> None:
-    """One Adam step of one client's given item rows and net (and u, given
-    its gradient), run as a block of one.
+    """One Adam step of one client's given item rows and net, run as a block
+    of one; the user embedding does not move.
 
     Only the given rows of the table and of the item moments are touched;
     every given item must be one the moments cover.
@@ -592,10 +581,7 @@ def adam_step(
     block, block_opt = _block_of_one(state, opt)
     item_idx = np.asarray(item_idx, dtype=np.int64)
     slots = _moment_slots(block_opt, item_idx[None], state.num_items)[0]
-    _adam_block(
-        block, block_opt, slots, item_rows, net_grad[None], lr,
-        None if user_grad is None else user_grad[None], user_grad is not None,
-    )
+    _adam_block(block, block_opt, slots, item_rows, net_grad[None], lr, None, False)
 
 
 def apply_neighbor_aggregate(

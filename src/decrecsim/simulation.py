@@ -44,7 +44,7 @@ from decrecsim.attacks import (
     select_substitute_items,
     update_adversary_user_embedding,
 )
-from decrecsim.config import ExperimentConfig, resolve_trim_k
+from decrecsim.config import ExperimentConfig
 from decrecsim.dataset import Dataset
 from decrecsim.defenses import (
     MemoryBank,
@@ -53,6 +53,7 @@ from decrecsim.defenses import (
     item_krum_aggregate,
     l2_clip_aggregate,
     median_aggregate,
+    resolve_trim_k,
     trimmed_mean_aggregate,
     ucsu_aggregate,
 )
@@ -120,7 +121,7 @@ def select_cold_targets(dataset: Dataset, num_targets: int, root_seed: int) -> n
     if num_targets > dataset.num_items:
         raise ConfigError("num_targets exceeds the item count")
     counts = np.bincount(np.concatenate(dataset.train), minlength=dataset.num_items)
-    order = np.lexsort((np.arange(dataset.num_items), counts))
+    order = np.argsort(counts, kind="stable")
     pool_size = max(num_targets, math.ceil(dataset.num_items / 10))
     pool = order[:pool_size]
     gen = rngmod.stream(root_seed, rngmod.DOMAIN_TARGET_CHOICE)
@@ -139,12 +140,7 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
     num_users = dataset.num_users
     root = int(config.seed)
 
-    if config.target_items is not None:
-        targets = np.asarray(sorted(set(config.target_items)), dtype=np.int64)
-        if targets.min() < 0 or targets.max() >= dataset.num_items:
-            raise ConfigError("target item absent from the item index")
-    else:
-        targets = select_cold_targets(dataset, config.num_targets, root)
+    targets = select_cold_targets(dataset, config.num_targets, root)
 
     n_adv = math.ceil(config.xi * num_users) if config.attack != "none" else 0
 
@@ -408,9 +404,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
         elif config.defense == "median":
             items, rows = median_aggregate(shared_rows, ordered)
         elif config.defense == "trimmed":
-            items, rows = trimmed_mean_aggregate(
-                shared_rows, ordered, resolve_trim_k(config.trim_k, len(ordered))
-            )
+            items, rows = trimmed_mean_aggregate(shared_rows, ordered, resolve_trim_k(len(ordered)))
         elif config.defense == "krum":
             items, rows = item_krum_aggregate(shared_rows, ordered)
         else:

@@ -22,8 +22,19 @@ from decrecsim.model import (
     NetLayout,
     apply_neighbor_aggregate,
     bpr_loss,
-    init_client_state,
+    draw_client_params,
 )
+
+
+def init_client_state(
+    num_items: int, embed_dim: int, layer_widths: list[int], rng: np.random.Generator
+) -> ClientState:
+    """One client's own arrays, drawn as a world draws them:
+    uniform(-0.05, 0.05) embeddings and weights, zero biases."""
+    layout = NetLayout(embed_dim, layer_widths)
+    state = ClientState(np.empty(embed_dim), np.empty((num_items, embed_dim)), np.zeros(layout.size), layout)
+    draw_client_params(state, rng)
+    return state
 
 
 def make_state(

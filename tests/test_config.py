@@ -1,6 +1,6 @@
 """Config keys: a manifest's typed values replay to an equal config, every
-parser rejects malformed text by the key's name, the words that mean None,
-the lambda key, and which keys a sweep may vary."""
+parser rejects malformed text by the key's name, keys an old manifest may
+still name are rejected, the lambda key, and which keys a sweep may vary."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import pytest
 
-from decrecsim.config import SWEEPABLE, ExperimentConfig, parse_config, set_key
+from decrecsim.config import SWEEPABLE, ExperimentConfig, parse_config
 from decrecsim.errors import ConfigError
 
 # A value unlike the default in every field; lr's shortest repr has 17
@@ -35,10 +35,8 @@ NON_DEFAULT = dict(
     nu=0.3,
     mu=0.5,
     p=1,
-    trim_k=2,
     capacity_rounds=4,
     num_targets=3,
-    target_items=(5, 1, 9),
     min_count=2,
     train_ratio=0.75,
     neg_ratio=2,
@@ -71,14 +69,11 @@ def test_manifest_values_replay_to_an_equal_config():
         ("lambda", "abc"),
         ("ucsu_clip", "maybe"),
         ("layer_widths", "8,x"),
-        ("trim_k", "few"),
-        ("target_items", "1;2"),
         ("rounds", 2.5),
         ("embed_dim", None),
     ],
     ids=[
-        "int", "float", "bool", "int-tuple", "optional-int", "optional-tuple",
-        "typed-float-for-int", "typed-none",
+        "int", "float", "bool", "int-tuple", "typed-float-for-int", "typed-none",
     ],
 )
 def test_malformed_value_names_its_key(key, raw):
@@ -87,10 +82,10 @@ def test_malformed_value_names_its_key(key, raw):
 
 
 @pytest.mark.parametrize("key", ["trim_k", "target_items"])
-@pytest.mark.parametrize("word", ["", "none", "auto", " None ", "AUTO", None])
-def test_none_words_give_none(key, word):
-    cfg = ExperimentConfig(trim_k=3, target_items=(4,))
-    assert set_key(cfg, key, word) is None and getattr(cfg, key) is None
+def test_removed_key_of_an_old_manifest_is_rejected(key):
+    # manifests written while the key existed record it, as null by default
+    with pytest.raises(ConfigError, match=rf"^unknown config key: '{key}'$"):
+        parse_config(None, {"dataset_path": "x", key: None})
 
 
 def test_lambda_key_sets_lam():
@@ -102,8 +97,8 @@ def test_lambda_key_sets_lam():
 def test_sweepable_keys_are_the_numeric_keys():
     assert SWEEPABLE == {
         "embed_dim", "lr", "neighbors", "refresh_every", "rounds", "eval_every", "top_k",
-        "xi", "alpha", "lambda", "s", "e_ft", "nu", "mu", "p", "trim_k", "capacity_rounds",
+        "xi", "alpha", "lambda", "s", "e_ft", "nu", "mu", "p", "capacity_rounds",
         "num_targets", "min_count", "train_ratio", "neg_ratio", "seed", "sketch_dim", "workers",
     }
     assert {"lambda", "p"} <= SWEEPABLE
-    assert not {"attack", "ucsu_clip", "layer_widths", "target_items"} & SWEEPABLE
+    assert not {"attack", "ucsu_clip", "layer_widths"} & SWEEPABLE

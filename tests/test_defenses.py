@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from decrecsim.config import resolve_trim_k
 from decrecsim.defenses import (
     _NORM_BLOCK,
     MemoryBank,
@@ -22,6 +21,7 @@ from decrecsim.defenses import (
     item_krum_aggregate,
     l2_clip_aggregate,
     median_aggregate,
+    resolve_trim_k,
     trimmed_mean_aggregate,
     ucsu_aggregate,
 )
@@ -271,8 +271,9 @@ class TestDenseKernelProperties:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(packet_sets(), st.one_of(st.none(), st.integers(0, 6)))
     def test_trimmed_matches_brute_force(self, case, fixed_k):
+        """trim_k drawn from the ints or (None) from the policy."""
         pkts, num_items, dim = case
-        trim_k = resolve_trim_k(fixed_k, len(pkts))
+        trim_k = resolve_trim_k(len(pkts)) if fixed_k is None else fixed_k
         expect = brute_force_trimmed(pkts, num_items, dim, trim_k)
         assert_matches(*trimmed_mean_aggregate(*received(pkts), trim_k), expect, exact=True)
 
@@ -312,11 +313,7 @@ class TestResolveTrimK:
         "count, expect", [(0, 0), (2, 0), (3, 1), (9, 1), (10, 1), (50, 5)]
     )
     def test_default_policy(self, count, expect):
-        assert resolve_trim_k(None, count) == expect
-
-    def test_fixed_value_passes_through(self):
-        assert resolve_trim_k(7, 50) == 7
-        assert resolve_trim_k(0, 2) == 0
+        assert resolve_trim_k(count) == expect
 
 
 class TestItemKrum:

@@ -17,13 +17,18 @@ from decrecsim.model import (
     AdamState,
     block_views,
     client_views,
-    init_client_state,
     local_train_step,
     stack_states,
 )
 from decrecsim.simulation import _train_in_lockstep, init_world
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
-from helpers import make_state, random_pairs, reference_round_training, reference_step
+from helpers import (
+    init_client_state,
+    make_state,
+    random_pairs,
+    reference_round_training,
+    reference_step,
+)
 
 FIELDS = ("t", "m_user", "v_user", "rows", "m_items", "v_items", "m_net", "v_net")
 

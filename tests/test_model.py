@@ -18,7 +18,6 @@ from decrecsim.model import (
     adam_step,
     bpr_loss,
     compute_gradients,
-    init_client_state,
     local_train_step,
     score_items,
 )
@@ -26,6 +25,7 @@ from helpers import (
     absorb,
     assert_close_grad,
     full_bpr_fd_grads,
+    init_client_state,
     make_state,
     min_preactivation,
     packet,
