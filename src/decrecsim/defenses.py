@@ -17,12 +17,16 @@ defense that introduced it; perfbench's tracer times it by that name).
 Adversaries read an unclipped RoundRows of their neighbors' honest packets
 with it too.
 
-Median and trimmed mean scatter a receiver's rows into one dense
-(items, dim, packets) block, absent rows zero, and sort it once along the
-packet axis; the kept ranks are then slices of that axis.  A skip mask
-keeps out of the block every item carried by too few packets to reach the
-kept ranks (at most (n - 1) // 2 for the median, at most trim_k for the
-trimmed mean), whose aggregate row is exactly zero.
+Median and trimmed mean share one rank kernel, _ranked_rows.  It skips
+every item carried by too few packets to reach the kept ranks (at most
+(n - 1) // 2 for the median, at most trim_k for the trimmed mean), whose
+aggregate row is exactly zero, and sorts the others in chunks of whole
+items: each chunk is a dense (items, dim, packets) block of at most
+_RANK_BLOCK_BYTES, absent rows zero, sorted along the packet axis and
+reduced by the caller.  An item's lines are sorted and reduced on their
+own, so the chunk size moves no bit, and a receiver's sort memory stays one
+block whatever its item count.  The block is allocated per call, because
+receivers may run on threads.
 
 Every receiver's UCSU MemoryBank holds one chunk per banked round: the
 round's shared RoundRows and the int32 pop positions of the receiver's
@@ -144,13 +148,18 @@ class RoundRows:
         offsets = np.repeat(self.sender_start[senders] - (ends - counts), counts)
         return np.arange(len(offsets)) + offsets
 
+    def receiver_refs(self, senders: np.ndarray) -> np.ndarray:
+        """refs_of for a receiver, whose ascending neighbor ids must not be
+        empty."""
+        if len(senders) == 0:
+            raise ContractError("aggregation requires at least one packet")
+        return self.refs_of(senders)
+
     def receive(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """What a receiver with the given ascending neighbor ids reads: the
         item ids, rows and sender positions (index into senders) of the
         rows those senders sent, in sender order."""
-        if len(senders) == 0:
-            raise ContractError("aggregation requires at least one packet")
-        refs = self.refs_of(senders)
+        refs = self.receiver_refs(senders)
         return self.items[refs], self.rows[refs], np.searchsorted(senders, self.senders[refs])
 
 
@@ -385,24 +394,51 @@ def ucsu_aggregate(
     return uniq, sums / counts[:, None]
 
 
-def _sorted_block(
-    idx_cat: np.ndarray,
-    rows_cat: np.ndarray,
-    pos_cat: np.ndarray,
-    n_pkts: int,
-    min_carriers: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Received item ids, the mask of items carried by >= min_carriers packets,
-    and those items' (items, dim, packets) block, absent rows zero, with each
-    coordinate's values sorted ascending along the last axis."""
-    uniq, inverse, counts = np.unique(idx_cat, return_inverse=True, return_counts=True)
-    keep = counts >= min_carriers
-    slot = np.cumsum(keep) - 1
-    sel = keep[inverse]
-    block = np.zeros((int(keep.sum()), rows_cat.shape[1], n_pkts))
-    block[slot[inverse[sel]], :, pos_cat[sel]] = rows_cat[sel]
-    block.sort(axis=-1)
-    return uniq, keep, block
+# Bytes per sorted block of _ranked_rows.  Each item's lines are sorted and
+# reduced on their own, so the block size keeps their bits.
+_RANK_BLOCK_BYTES = 512 * 1024
+
+
+def _ranked_rows(
+    rr: RoundRows, senders: np.ndarray, min_carriers: int, reduce
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per received item, reduce applied to its values sorted along the
+    packet axis, absent rows as zero.
+
+    Returns the received item ids, ascending, and their rows.  Items carried
+    by fewer than min_carriers packets get a zero row and are never sorted;
+    the rest are sorted in chunks of whole items, each an (items, dim,
+    packets) block of at most _RANK_BLOCK_BYTES, that reduce maps to its
+    (items, dim) rows.
+    """
+    refs = rr.receiver_refs(senders)
+    items = rr.items[refs]
+    counts = np.bincount(items)
+    uniq = np.flatnonzero(counts).astype(items.dtype)
+    out = np.zeros((len(uniq), rr.rows.shape[1]))
+    kept = counts >= min_carriers  # per item id
+    dest = np.flatnonzero(kept[uniq])  # kept items' rows of out
+    sel = kept[items]
+    # Each kept row's item slot (its rank among kept items); the rows are
+    # gathered once, grouped by slot in sender order, so a chunk of whole
+    # items is a run of rows.
+    slot = (np.cumsum(kept) - 1)[items[sel]]
+    order = np.argsort(slot, kind="stable")
+    refs, slot = refs[sel][order], slot[order]
+    rows = rr.rows[refs]
+    pos = np.searchsorted(senders, rr.senders[refs])
+    n_pkts = len(senders)
+    per = max(1, _RANK_BLOCK_BYTES // (rows.shape[1] * n_pkts * rows.itemsize))
+    block = np.empty((min(per, len(dest)), rows.shape[1], n_pkts))
+    for first in range(0, len(dest), per):
+        last = min(first + per, len(dest))
+        lo, hi = np.searchsorted(slot, (first, last))
+        chunk = block[: last - first]
+        chunk.fill(0.0)
+        chunk[slot[lo:hi] - first, :, pos[lo:hi]] = rows[lo:hi]
+        chunk.sort(axis=-1)
+        out[dest[first:last]] = reduce(chunk)
+    return uniq, out
 
 
 def median_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,14 +448,11 @@ def median_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np
     Even counts average the two middle values.  Items absent from every
     packet are untouched (not returned).
     """
-    idx_cat, rows_cat, pos_cat = rr.receive(senders)
     n_pkts = len(senders)
-    # With at most (n_pkts - 1) // 2 carriers the zero block always spans
-    # both middle ranks, so the median row is exactly zero.
-    uniq, keep, block = _sorted_block(idx_cat, rows_cat, pos_cat, n_pkts, (n_pkts - 1) // 2 + 1)
-    out = np.zeros((len(uniq), rows_cat.shape[1]))
-    out[keep] = 0.5 * (block[..., (n_pkts - 1) // 2] + block[..., n_pkts // 2])
-    return uniq, out
+    lo, hi = (n_pkts - 1) // 2, n_pkts // 2
+    # With at most lo carriers the zero rows span both middle ranks, so the
+    # median row is exactly zero.
+    return _ranked_rows(rr, senders, lo + 1, lambda block: 0.5 * (block[..., lo] + block[..., hi]))
 
 
 def resolve_trim_k(count: int) -> int:
@@ -442,13 +475,14 @@ def trimmed_mean_aggregate(
     n_pkts = len(senders)
     if trim_k == 0 or n_pkts <= 2 * trim_k:
         return l2_clip_aggregate(rr, senders)
-    idx_cat, rows_cat, pos_cat = rr.receive(senders)
     # Items carried by at most trim_k packets lose every nonzero value to
     # the trimmed tails.
-    uniq, keep, block = _sorted_block(idx_cat, rows_cat, pos_cat, n_pkts, trim_k + 1)
-    out = np.zeros((len(uniq), rows_cat.shape[1]))
-    out[keep] = block[..., trim_k : n_pkts - trim_k].sum(axis=-1) / (n_pkts - 2 * trim_k)
-    return uniq, out
+    return _ranked_rows(
+        rr,
+        senders,
+        trim_k + 1,
+        lambda block: block[..., trim_k : n_pkts - trim_k].sum(axis=-1) / (n_pkts - 2 * trim_k),
+    )
 
 
 def item_krum_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -481,6 +515,6 @@ def l2_clip_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, n
     clipped to the fixed mu bound, and adversaries their neighbors' honest
     rows.  Rows are summed in ascending sender order.
     """
-    idx_cat, rows_cat, _ = rr.receive(senders)
-    uniq, sums, _ = scatter_add_rows(idx_cat, rows_cat)
+    refs = rr.receiver_refs(senders)
+    uniq, sums, _ = scatter_add_rows(rr.items[refs], rr.rows[refs])
     return uniq, sums / len(senders)

@@ -178,6 +178,51 @@ def brute_force_trimmed(packets, num_items, dim, trim_k):
     return out
 
 
+def dense_block_rows(packets, min_carriers, reduce):
+    """(item ids, rows) of reduce applied to one dense (items, dim, packets)
+    block of every received item carried by at least min_carriers packets,
+    absent rows zero, sorted along the packet axis; other received items
+    get a zero row.
+
+    Item ids are int32, as consolidation stores them.  The whole block is
+    sorted and reduced at once, so a kernel that works in chunks of items
+    can be checked against it byte for byte.
+    """
+    ordered = sorted(packets, key=lambda q: q.sender)
+    items = np.concatenate([q.item_idx for q in ordered]).astype(np.int32)
+    rows = np.vstack([q.item_rows for q in ordered])
+    pos = np.repeat(np.arange(len(ordered)), [len(q.item_idx) for q in ordered])
+    uniq, inverse, counts = np.unique(items, return_inverse=True, return_counts=True)
+    keep = counts >= min_carriers
+    slot = np.cumsum(keep) - 1
+    sel = keep[inverse]
+    block = np.zeros((int(keep.sum()), rows.shape[1], len(ordered)))
+    block[slot[inverse[sel]], :, pos[sel]] = rows[sel]
+    block.sort(axis=-1)
+    out = np.zeros((len(uniq), rows.shape[1]))
+    out[keep] = reduce(block)
+    return uniq, out
+
+
+def dense_block_median(packets):
+    """The median of dense_block_rows: the mean of the two middle ranks."""
+    n = len(packets)
+    lo, hi = (n - 1) // 2, n // 2
+    return dense_block_rows(packets, lo + 1, lambda block: 0.5 * (block[..., lo] + block[..., hi]))
+
+
+def dense_block_trimmed(packets, trim_k):
+    """The trimmed mean of dense_block_rows, for 1 <= trim_k < n / 2."""
+    n = len(packets)
+    if not 1 <= trim_k < n / 2:
+        raise ContractError("dense_block_trimmed needs 1 <= trim_k < packets / 2")
+    return dense_block_rows(
+        packets,
+        trim_k + 1,
+        lambda block: block[..., trim_k : n - trim_k].sum(axis=-1) / (n - 2 * trim_k),
+    )
+
+
 def brute_force_krum(packets, num_items, dim):
     ordered = sorted(packets, key=lambda q: q.sender)
     dense = dense_rows(packets, num_items, dim)

@@ -4,6 +4,7 @@ memory-bank lifecycle."""
 import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from decrecsim import defenses
 from decrecsim.defenses import (
     _NORM_BLOCK,
     MemoryBank,
@@ -37,6 +39,8 @@ from helpers import (
     brute_force_top_nu,
     brute_force_trimmed,
     clip_row,
+    dense_block_median,
+    dense_block_trimmed,
     packet,
     per_item_mean_loop,
     round_rows,
@@ -250,6 +254,18 @@ def packet_sets(draw):
     return pkts, num_items, dim
 
 
+def chunks_of(per, dim, n_pkts):
+    """Patch the rank kernels' block budget to per items of (dim, n_pkts)."""
+    return mock.patch.object(defenses, "_RANK_BLOCK_BYTES", per * dim * n_pkts * 8)
+
+
+def assert_same_bytes(got, expect):
+    """Two (item ids, rows) results hold the same dtypes, shapes and bytes."""
+    for a, b in zip(got, expect, strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
 def assert_matches(items, rows, expect, exact=False):
     """items and rows match expect's per-item rows: to 1e-12, or with exact
     byte for byte (signed zeros included)."""
@@ -276,6 +292,25 @@ class TestDenseKernelProperties:
         trim_k = resolve_trim_k(len(pkts)) if fixed_k is None else fixed_k
         expect = brute_force_trimmed(pkts, num_items, dim, trim_k)
         assert_matches(*trimmed_mean_aggregate(*received(pkts), trim_k), expect, exact=True)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(packet_sets(), st.sampled_from([1, 2]))
+    def test_median_in_chunks_of_one_or_two_items(self, case, per):
+        pkts, num_items, dim = case
+        with chunks_of(per, dim, len(pkts)):
+            items, rows = median_aggregate(*received(pkts))
+        assert_matches(items, rows, brute_force_median(pkts, num_items, dim))
+        assert_same_bytes((items, rows), dense_block_median(pkts))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(packet_sets(), st.sampled_from([1, 2]), st.one_of(st.none(), st.integers(0, 6)))
+    def test_trimmed_in_chunks_of_one_or_two_items(self, case, per, fixed_k):
+        pkts, num_items, dim = case
+        trim_k = resolve_trim_k(len(pkts)) if fixed_k is None else fixed_k
+        expect = brute_force_trimmed(pkts, num_items, dim, trim_k)
+        with chunks_of(per, dim, len(pkts)):
+            got = trimmed_mean_aggregate(*received(pkts), trim_k)
+        assert_matches(*got, expect, exact=True)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(packet_sets())
@@ -306,6 +341,69 @@ def test_empty_receiver_rejected(aggregate):
     rr, _ = received([packet(0, {0: np.ones(2)}, np.zeros(2))])
     with pytest.raises(ContractError, match="at least one packet"):
         aggregate(rr, np.zeros(0, dtype=np.int64))
+
+
+# A receiver's (senders, items, carried share): on the eb_trimmed_s workload
+# (S data), and on the kernel benchmark's receiver (110 rows of 848 items
+# per sender, M data).
+RECEIVER_SHAPES = {"S": (50, 360, 0.29), "M": (50, 848, 110 / 848)}
+
+
+def receiver_packets(shape, seed, dim=32):
+    """Packets of random float rows of mixed magnitude at a receiver shape.
+
+    Each item has its own carry probability, beta-distributed with the
+    shape's share as mean, so that at S most items reach the trimmed mean's
+    carrier threshold (6 of 50) and some the median's (25 of 50).
+    """
+    senders, num_items, share = RECEIVER_SHAPES[shape]
+    rng = np.random.default_rng(seed)
+    carry = rng.beta(2.0, 2.0 * (1.0 - share) / share, size=num_items)
+    carried = rng.random((senders, num_items)) < carry
+    pkts = []
+    for s in range(senders):
+        idx = np.flatnonzero(carried[s])
+        scale = 10.0 ** rng.integers(-3, 3, size=(len(idx), 1))
+        pkts.append(GradientPacket(s, idx, rng.normal(size=(len(idx), dim)) * scale, np.zeros(2)))
+    return pkts
+
+
+class TestRankKernelsAtReceiverSizes:
+    """Median and trimmed mean on float rows whose sums round, against the
+    one-block formula, byte for byte."""
+
+    @pytest.mark.parametrize("shape", sorted(RECEIVER_SHAPES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_median_matches_dense_block(self, shape, seed):
+        pkts = receiver_packets(shape, seed)
+        assert_same_bytes(median_aggregate(*received(pkts)), dense_block_median(pkts))
+
+    @pytest.mark.parametrize("shape", sorted(RECEIVER_SHAPES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_trimmed_matches_dense_block(self, shape, seed):
+        pkts = receiver_packets(shape, seed)
+        trim_k = resolve_trim_k(len(pkts))
+        got = trimmed_mean_aggregate(*received(pkts), trim_k)
+        assert_same_bytes(got, dense_block_trimmed(pkts, trim_k))
+
+    @pytest.mark.parametrize(
+        "aggregate",
+        [median_aggregate, functools.partial(trimmed_mean_aggregate, trim_k=resolve_trim_k(50))],
+        ids=["median", "trimmed"],
+    )
+    def test_peak_memory_at_the_s_shape(self, aggregate):
+        # One dense block of the S receiver's items would be 4.6 MB; the
+        # chunked sort holds the kept rows, one block and the output.
+        rr, senders = received(receiver_packets("S", 2))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            aggregate(rr, senders)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20
 
 
 class TestResolveTrimK:
