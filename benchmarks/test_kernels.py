@@ -14,6 +14,15 @@ senders; the server picks N = 50 neighbors for 630 clients from sketches
 of 16 bits per item.  Evaluation is timed on the `eb_trimmed_s` world (S:
 200 users x 400 items).
 
+The receiver benchmarks first touch and free one round's rows (630 senders
+of 110 rows).  glibc's malloc raises its mmap threshold to the size of a
+mapped block it frees, and a run frees its round rows every round, so a
+receiver in a run allocates its temporaries from the heap.  In a fresh
+process the threshold is still 128 KiB: every temporary of a krum or mean
+receive is mapped and unmapped, which about doubled their times when they
+ran alone, against a run after another benchmark that happened to free a
+large block.
+
 Time them with ``PYTHONPATH=src python -m pytest benchmarks``; CI runs
 each once with ``--benchmark-disable``.  They sit outside the tier-1
 ``testpaths``.
@@ -225,6 +234,12 @@ def test_ucsu_aggregate(benchmark, rounds):
     assert np.all(np.linalg.norm(rows, axis=1) <= 1.0 + 1e-12)
 
 
+@pytest.fixture(scope="module")
+def warm_allocator():
+    """Touch and free one round's rows, as a round frees its RoundRows."""
+    np.ones((CLIENTS * ROWS_PER_SENDER, EMBED_DIM))
+
+
 @pytest.mark.parametrize(
     "aggregate",
     [
@@ -235,7 +250,7 @@ def test_ucsu_aggregate(benchmark, rounds):
     ],
     ids=["median", "trimmed", "krum", "mean"],
 )
-def test_receiver_aggregate(benchmark, aggregate):
+def test_receiver_aggregate(benchmark, aggregate, warm_allocator):
     rr = round_rows(1, np.random.default_rng(8))
     items, rows = benchmark(aggregate, rr, np.arange(SENDERS))
     assert np.array_equal(items, np.unique(rr.items)) and rows.shape == (len(items), EMBED_DIM)
