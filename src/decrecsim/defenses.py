@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -149,8 +149,7 @@ class RoundRows:
         return np.arange(len(offsets)) + offsets
 
     def receiver_refs(self, senders: np.ndarray) -> np.ndarray:
-        """refs_of for a receiver, whose ascending neighbor ids must not be
-        empty."""
+        """refs_of for a receiver, which must have at least one neighbor."""
         if len(senders) == 0:
             raise ContractError("aggregation requires at least one packet")
         return self.refs_of(senders)
@@ -400,7 +399,10 @@ _RANK_BLOCK_BYTES = 512 * 1024
 
 
 def _ranked_rows(
-    rr: RoundRows, senders: np.ndarray, min_carriers: int, reduce
+    rr: RoundRows,
+    senders: np.ndarray,
+    min_carriers: int,
+    reduce: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per received item, reduce applied to its values sorted along the
     packet axis, absent rows as zero.
