@@ -18,10 +18,9 @@ The receiver benchmarks first touch and free one round's rows (630 senders
 of 110 rows).  glibc's malloc raises its mmap threshold to the size of a
 mapped block it frees, and a run frees its round rows every round, so a
 receiver in a run allocates its temporaries from the heap.  In a fresh
-process the threshold is still 128 KiB: every temporary of a krum or mean
-receive is mapped and unmapped, which about doubled their times when they
-ran alone, against a run after another benchmark that happened to free a
-large block.
+process the threshold is still 128 KiB, so every large temporary of a krum
+or mean receive is mapped and unmapped: run alone, they took about twice as
+long as after a benchmark that happened to free a large block.
 
 Time them with ``PYTHONPATH=src python -m pytest benchmarks``; CI runs
 each once with ``--benchmark-disable``.  They sit outside the tier-1
