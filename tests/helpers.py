@@ -418,6 +418,97 @@ def reference_step(
     adam(state.net, net_grad, opt.m_net, opt.v_net)
 
 
+def _reference_forward(state: ClientState, items: np.ndarray):
+    """A per-layer forward over 2-d arrays with np.where relu masks:
+    (logits, layer inputs, masks)."""
+    k = state.layout.embed_dim
+    x = np.concatenate([np.tile(state.user_vec, (len(items), 1)), state.item_table[items]], axis=1)
+    ws, bs, w = state.layout.views(state.net)
+    inputs, masks, h = [x], [], x
+    for mat, b in zip(ws, bs):
+        a = h @ mat.T + b
+        masks.append(a >= 0.0)
+        h = np.where(a >= 0.0, a, 0.0)
+        inputs.append(h)
+    return h @ w, inputs, masks
+
+
+def _reference_backward(state: ClientState, inputs, masks, g: np.ndarray):
+    """Backpropagate per-row logit weights g: (net gradient, per-row input
+    gradients, user columns first)."""
+    ws, _, w = state.layout.views(state.net)
+    net_grad = np.zeros(state.layout.size)
+    gws, gbs, gw = state.layout.views(net_grad)
+    gw[...] = inputs[-1].T @ g
+    dh = g[:, None] * w[None, :]
+    for li in range(len(ws) - 1, -1, -1):
+        da = np.where(masks[li], dh, 0.0)
+        gws[li][...] = da.T @ inputs[li]
+        gbs[li][...] = da.sum(axis=0)
+        dh = da @ ws[li]
+    return net_grad, dh
+
+
+def reference_pamn_poison(
+    state: ClientState,
+    targets: np.ndarray,
+    substitutes: np.ndarray,
+    positives: np.ndarray,
+    top_k: int,
+    e_ft: int,
+    lr: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """PAMN's fine-tune of state (in place), computed alone: the packet's
+    (item ids, item rows, net gradient).
+
+    Each step ranks every item by a per-layer forward and a stable argsort,
+    takes the non-target items of the top list as competitors, backpropagates
+    the pairwise promotion loss by hand, sums item gradients with np.add.at
+    and takes one Adam step with scalar bias corrections over dense moments.
+    Calls no model code but the layout's views, so pamn_poison can be
+    checked byte for byte."""
+    k = state.layout.embed_dim
+    promoted = np.setdiff1d(np.union1d(targets, substitutes), positives)
+    table_before, net_before = state.item_table.copy(), state.net.copy()
+    m_items, v_items = np.zeros_like(state.item_table), np.zeros_like(state.item_table)
+    m_net, v_net = np.zeros_like(state.net), np.zeros_like(state.net)
+
+    def adam(param, grad, m, v, bc1, bc2):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+    for s in range(1, e_ft + 1):
+        scores, _, _ = _reference_forward(state, np.arange(state.num_items))
+        toplist = np.argsort(-scores, kind="stable")[:top_k]
+        competitors = np.array([i for i in toplist.tolist() if i not in set(targets.tolist())], dtype=np.int64)
+        if len(competitors) == 0 or len(promoted) == 0:
+            break
+        batch = np.concatenate([competitors, promoted])
+        z, inputs, masks = _reference_forward(state, batch)
+        nc = len(competitors)
+        diffs = z[:nc, None] - z[None, nc:]
+        e = np.exp(-np.abs(diffs))
+        sig = np.where(diffs >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        sprime = sig * (1.0 - sig)
+        g = np.concatenate([sprime.sum(axis=1), -sprime.sum(axis=0)])
+        net_grad, dh = _reference_backward(state, inputs, masks, g)
+        uniq, inverse = np.unique(batch, return_inverse=True)
+        item_grads = np.zeros((len(uniq), k))
+        np.add.at(item_grads, inverse, dh[:, k:])
+        bc1, bc2 = 1.0 - ADAM_BETA1**s, 1.0 - ADAM_BETA2**s
+        rows, m, v = state.item_table[uniq], m_items[uniq], v_items[uniq]
+        adam(rows, item_grads, m, v, bc1, bc2)
+        state.item_table[uniq], m_items[uniq], v_items[uniq] = rows, m, v
+        adam(state.net, net_grad, m_net, v_net, bc1, bc2)
+
+    delta = state.item_table - table_before
+    changed = np.array([i for i in range(state.num_items) if (delta[i] != 0.0).any()], dtype=np.int64)
+    return changed, delta[changed] / (-lr), (state.net - net_before) / (-lr)
+
+
 def reference_round_training(world, t: int, lr: float) -> list[tuple[ClientState, AdamState]]:
     """Copies of every client's state and moments after round t's local
     training, each client trained alone by reference_step: its pairs in its

@@ -25,10 +25,12 @@ from helpers import (
     absorb,
     assert_close_grad,
     fd_scalar,
+    init_client_state,
     make_state,
     min_preactivation,
     packet,
     predict_rating,
+    reference_pamn_poison,
     round_rows,
 )
 
@@ -336,6 +338,66 @@ class TestPamnPoison:
         absorb(receiver, [pkt], lr=1e-3)
         assert np.allclose(receiver.item_table, adv.base.item_table, atol=1e-12)
         assert np.allclose(receiver.net, adv.base.net, atol=1e-12)
+
+
+def production_adv(seed, num_items=200, num_targets=3, substitutes=10, strategy="pamn"):
+    """An adversary at production widths (embed_dim 32, net 64-32-16), drawn
+    as a world draws a client, with cold random targets and its substitutes."""
+    rng = np.random.default_rng(seed)
+    state = init_client_state(num_items, 32, [64, 32, 16], rng)
+    targets = np.sort(rng.choice(num_items, size=num_targets, replace=False))
+    positives, pairs = build_adversary_dataset(num_items, targets, 12, seed=seed)
+    adv = AdversaryState(
+        client_id=500 + seed, base=state, positives=positives, pairs=pairs,
+        fixed_user=(strategy == "psmu"),
+    )
+    adv.substitute_items = select_substitute_items(adv, targets, s=substitutes)
+    return adv, targets
+
+
+def assert_pamn_matches_reference(adv, targets, strategy, top_k, e_ft, lr):
+    want = adv.base.copy()
+    if strategy == "pamn":
+        pkt = pamn_poison(adv, targets, top_k, e_ft, lr)
+    else:
+        pkt = baseline_poison(adv, targets, strategy, top_k, e_ft, lr)
+    idx, rows, net_grad = reference_pamn_poison(
+        want, targets, adv.substitute_items, adv.positives, top_k, e_ft, lr
+    )
+    assert pkt.sender == adv.client_id
+    assert pkt.item_idx.dtype == idx.dtype and pkt.item_idx.tobytes() == idx.tobytes()
+    assert pkt.item_rows.shape == rows.shape and pkt.item_rows.tobytes() == rows.tobytes()
+    assert pkt.net_grad.tobytes() == net_grad.tobytes()
+    for name in ("user_vec", "item_table", "net"):
+        assert getattr(adv.base, name).tobytes() == getattr(want, name).tobytes(), name
+    return pkt
+
+
+class TestPamnReference:
+    """pamn_poison against helpers.reference_pamn_poison, byte for byte."""
+
+    @pytest.mark.parametrize("e_ft", [0, 1, 5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("strategy", ["pamn", "psmu"])
+    def test_packet_and_tuned_model(self, strategy, seed, e_ft):
+        adv, targets = production_adv(seed, strategy=strategy)
+        lr = 1e-2 if seed % 2 else 1e-3
+        pkt = assert_pamn_matches_reference(adv, targets, strategy, 20, e_ft, lr)
+        # a real fine-tune moves rows; none moves nothing
+        assert (len(pkt.item_idx) > 0) == (e_ft > 0)
+
+    def test_top_list_of_targets_breaks_at_once(self):
+        adv, _ = production_adv(4)
+        targets = top_k_list(adv.base, 5, exclude=np.zeros(0, dtype=np.int64))
+        adv.substitute_items = np.zeros(0, dtype=np.int64)
+        pkt = assert_pamn_matches_reference(adv, targets, "pamn", 5, 5, 1e-3)
+        assert len(pkt.item_idx) == 0 and not pkt.net_grad.any()
+
+    def test_nothing_to_promote_breaks_at_once(self):
+        adv, targets = production_adv(5)
+        adv.positives = np.union1d(targets, adv.substitute_items)
+        pkt = assert_pamn_matches_reference(adv, targets, "pamn", 20, 5, 1e-3)
+        assert len(pkt.item_idx) == 0 and not pkt.net_grad.any()
 
 
 class TestBaselines:
