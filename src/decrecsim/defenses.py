@@ -154,13 +154,6 @@ class RoundRows:
             raise ContractError("aggregation requires at least one packet")
         return self.refs_of(senders)
 
-    def receive(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """What a receiver with the given ascending neighbor ids reads: the
-        item ids, rows and sender positions (index into senders) of the
-        rows those senders sent, in sender order."""
-        refs = self.receiver_refs(senders)
-        return self.items[refs], self.rows[refs], np.searchsorted(senders, self.senders[refs])
-
 
 def build_round_rows(
     packets: list[GradientPacket],
@@ -494,7 +487,9 @@ def item_krum_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray,
     distances to the nearest n - f - 2 packets).  Absent rows count as zero
     rows; ties break by ascending sender id.
     """
-    idx_cat, rows_cat, pos_cat = rr.receive(senders)
+    refs = rr.receiver_refs(senders)
+    idx_cat, rows_cat = rr.items[refs], rr.rows[refs]
+    pos_cat = np.searchsorted(senders, rr.senders[refs])  # each row's sender position
     uniq, sums, _ = scatter_add_rows(idx_cat, rows_cat)
     inverse = np.searchsorted(uniq, idx_cat)
     means = sums / len(senders)
