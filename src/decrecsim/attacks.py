@@ -25,13 +25,14 @@ from decrecsim.defenses import RoundRows, l2_clip_aggregate
 from decrecsim.errors import ConfigError, ContractError
 from decrecsim.metrics import top_k_list
 from decrecsim.model import (
-    AdamState,
+    ADAM_BETA1,
+    ADAM_BETA2,
     ClientState,
     GradientPacket,
+    _adam_update,
     _backward,
     _forward,
     _sigmoid,
-    adam_step,
     apply_neighbor_aggregate,
     compute_gradients,
     empty_packet,
@@ -239,10 +240,12 @@ def pamn_poison(
     table_before = state.item_table.copy()
     net_before = state.net.copy()
 
-    # Fresh moments each call, over every item: the competitors change at
-    # every step.  Only the rows a step touches are read or written.
-    opt = AdamState.for_state(state)
-    for _ in range(max(0, e_ft)):
+    # Fresh Adam moments each call, dense over every item: the competitors
+    # change at every step.  Step s reads and writes only the rows it
+    # touches, with the bias corrections of step count s.
+    m_items, v_items = np.zeros_like(state.item_table), np.zeros_like(state.item_table)
+    m_net, v_net = np.zeros_like(state.net), np.zeros_like(state.net)
+    for s in range(1, e_ft + 1):
         toplist = top_k_list(state, top_k, exclude=np.zeros(0, dtype=np.int64))
         competitors = toplist[~np.isin(toplist, targets)]
         if len(competitors) == 0 or len(promoted) == 0:
@@ -256,7 +259,11 @@ def pamn_poison(
         g = np.concatenate([sprime.sum(axis=1), -sprime.sum(axis=0)])
         net_grad, _, item_rows = _backward(state, inputs, masks, g)
         uniq, acc, _ = scatter_add_rows(batch, item_rows)
-        adam_step(state, opt, uniq, acc, net_grad, lr)
+        bc1, bc2 = 1.0 - ADAM_BETA1**s, 1.0 - ADAM_BETA2**s
+        rows, m_rows, v_rows = state.item_table[uniq], m_items[uniq], v_items[uniq]
+        _adam_update(rows, acc, m_rows, v_rows, lr, bc1, bc2)
+        state.item_table[uniq], m_items[uniq], v_items[uniq] = rows, m_rows, v_rows
+        _adam_update(state.net, net_grad, m_net, v_net, lr, bc1, bc2)
 
     delta_table = state.item_table - table_before
     changed = np.flatnonzero(np.any(delta_table != 0.0, axis=1))

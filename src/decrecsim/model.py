@@ -15,11 +15,12 @@ holds one dense item table but moments for a small share of its rows.
 Client state can be stacked: stack_states holds many clients' parameters
 and moments along a leading client axis, client_views hands out each
 client's own ClientState and AdamState as views of it, and block_views a
-slice of clients as a block.  local_train_step is the one training step:
-it steps a block of clients in lockstep (one batched forward, backward,
-scatter-add and Adam step, each client on its own batch of one shared
-size), and a single client as a block of one.  Every client of a block gets
-the bits of stepping alone.
+slice of clients as a block.  local_train_step is the one training step,
+and it takes blocks only: it steps a block of clients in lockstep (one
+batched forward, backward, scatter-add and Adam step, each client on its
+own batch of one shared size).  Every client of a block gets the bits of
+stepping alone.  _adam_update is the one Adam kernel; besides the block
+step, only PAMN's fine-tune calls it, on moments it keeps itself.
 
 apply_neighbor_aggregate is the only place the neighbor update rule lives:
 the defenses and the adversaries compute aggregates of the neighbors'
@@ -320,7 +321,9 @@ def compute_gradients(
 
     Rows of items absent from the batch are absent from the packet.
     """
-    return _gradients(state, _check_batch(state, pairs), sender)
+    items, user_grad, net_grad, item_rows = _pair_gradients(state, _check_batch(state, pairs))
+    uniq, acc, _ = scatter_add_rows(items, item_rows)
+    return user_grad, GradientPacket(sender=sender, item_idx=uniq, item_rows=acc, net_grad=net_grad)
 
 
 def _pair_gradients(
@@ -340,29 +343,20 @@ def _pair_gradients(
     return items, user_grad, net_grad, item_rows
 
 
-def _gradients(
-    state: ClientState, pairs: np.ndarray, sender: int = -1
-) -> tuple[np.ndarray, GradientPacket]:
-    """compute_gradients on a batch that already passed its checks."""
-    items, user_grad, net_grad, item_rows = _pair_gradients(state, pairs)
-    uniq, acc, _ = scatter_add_rows(items, item_rows)
-    packet = GradientPacket(sender=sender, item_idx=uniq, item_rows=acc, net_grad=net_grad)
-    return user_grad, packet
-
-
 @dataclass
 class AdamState:
-    """Adam moments for one client, or for a block of clients.
+    """Adam moments of a stack or block of clients (stack_states,
+    block_views), or one client's view of them (client_views).
 
     The item moments cover only the item ids in ``rows`` (sorted, unique):
     row s of m_items and v_items belongs to item rows[s].  Stepping an item
-    outside ``rows`` raises ContractError; the update is never dropped.  The
-    step count t is a 0-d array, so that a World's per-client states can be
-    views of its stacked counts.
+    outside ``rows`` raises ContractError; the update is never dropped.  In
+    a client's view the step count t is a 0-d array, a view of the stacked
+    counts.
 
-    A block's arrays carry a leading client axis (t (B,), m_user (B, d),
-    m_net (B, size)); its item moments are each client's in turn, client
-    j's at rows row_start[j]:row_start[j + 1].
+    A stack's or block's arrays carry a leading client axis (t (B,),
+    m_user (B, d), m_net (B, size)); its item moments are each client's in
+    turn, client j's at rows row_start[j]:row_start[j + 1].
     """
 
     t: np.ndarray  # () int64
@@ -374,24 +368,6 @@ class AdamState:
     m_net: np.ndarray
     v_net: np.ndarray
     row_start: np.ndarray | None = None  # (B + 1,) int64, blocks only
-
-    @classmethod
-    def for_state(cls, state: ClientState, rows: np.ndarray | None = None) -> "AdamState":
-        """Zero moments, with item moments over ``rows`` (every item when None)."""
-        if rows is None:
-            rows = np.arange(state.num_items, dtype=np.int64)
-        rows = np.asarray(rows, dtype=np.int64)
-        shape = (len(rows), state.layout.embed_dim)
-        return cls(
-            t=np.zeros((), dtype=np.int64),
-            m_user=np.zeros_like(state.user_vec),
-            v_user=np.zeros_like(state.user_vec),
-            rows=rows,
-            m_items=np.zeros(shape),
-            v_items=np.zeros(shape),
-            m_net=np.zeros_like(state.net),
-            v_net=np.zeros_like(state.net),
-        )
 
 
 def stack_states(
@@ -445,18 +421,6 @@ def client_views(state: ClientState, opt: AdamState, j: int) -> tuple[ClientStat
         AdamState(
             **{f: getattr(opt, f)[j, ...] for f in _PER_CLIENT},
             **{f: getattr(opt, f)[rows] for f in _PER_ROW},
-        ),
-    )
-
-
-def _block_of_one(state: ClientState, opt: AdamState) -> tuple[ClientState, AdamState]:
-    """One client's state and moments as a block of one: views, not copies."""
-    return (
-        ClientState(state.user_vec[None], state.item_table[None], state.net[None], state.layout),
-        AdamState(
-            **{f: getattr(opt, f)[None] for f in _PER_CLIENT},
-            **{f: getattr(opt, f) for f in _PER_ROW},
-            row_start=np.array([0, len(opt.rows)]),
         ),
     )
 
@@ -540,48 +504,25 @@ def local_train_step(
     lr: float,
     update_user: bool | np.ndarray = True,
 ) -> None:
-    """One Adam update of u, touched item rows, and net from batch gradients.
+    """One Adam update of u, touched item rows, and net from batch gradients,
+    for a block of B clients trained in lockstep.
 
-    For one client, pairs is its (n, 2) batch, and the call runs as a block
-    of one.  For a block of B clients trained in lockstep (a stacked state
-    and its moments, see block_views), pairs is (B, n, 2), one batch of the
-    same size per client, and update_user may be a (B,) mask.  Each client
-    gets the bits of its own step: its rows of every matmul, its bins of the
-    one scatter-add (keyed by client and item) and its own Adam bias
-    corrections.
+    state and opt are a block (see block_views), pairs is (B, n, 2), one
+    batch of the same size per client, and update_user may be a (B,) mask.  Each client gets the bits of its own
+    step: its rows of every matmul, its bins of the one scatter-add (keyed
+    by client and item) and its own Adam bias corrections.
 
     The pairs are not re-checked: they must be nonempty batches that passed
     check_pairs (init_world checks every client's pairs once).
     """
     if lr < 0:
         raise ContractError("learning rate must be >= 0")
-    if state.user_vec.ndim == 1:
-        state, opt = _block_of_one(state, opt)
-        pairs = np.asarray(pairs)[None]
+    if state.user_vec.ndim != 2 or opt.row_start is None:
+        raise ContractError("local_train_step steps a block of clients (see block_views)")
     items, user_grad, net_grad, item_rows = _pair_gradients(state, pairs)
     slots = _moment_slots(opt, items, state.num_items)
     uniq, sums, _ = scatter_add_rows(slots.ravel(), item_rows.reshape(-1, state.layout.embed_dim))
     _adam_block(state, opt, uniq, sums, net_grad, lr, user_grad, update_user)
-
-
-def adam_step(
-    state: ClientState,
-    opt: AdamState,
-    item_idx: np.ndarray,
-    item_rows: np.ndarray,
-    net_grad: np.ndarray,
-    lr: float,
-) -> None:
-    """One Adam step of one client's given item rows and net, run as a block
-    of one; the user embedding does not move.
-
-    Only the given rows of the table and of the item moments are touched;
-    every given item must be one the moments cover.
-    """
-    block, block_opt = _block_of_one(state, opt)
-    item_idx = np.asarray(item_idx, dtype=np.int64)
-    slots = _moment_slots(block_opt, item_idx[None], state.num_items)[0]
-    _adam_block(block, block_opt, slots, item_rows, net_grad[None], lr, None, False)
 
 
 def apply_neighbor_aggregate(

@@ -22,8 +22,13 @@ from decrecsim.model import (
     NetLayout,
     apply_neighbor_aggregate,
     bpr_loss,
+    client_views,
     draw_client_params,
+    stack_states,
 )
+
+# One client's AdamState fields (a stack's also has row_start).
+MOMENT_FIELDS = ("t", "m_user", "v_user", "rows", "m_items", "v_items", "m_net", "v_net")
 
 
 def init_client_state(
@@ -35,6 +40,22 @@ def init_client_state(
     state = ClientState(np.empty(embed_dim), np.empty((num_items, embed_dim)), np.zeros(layout.size), layout)
     draw_client_params(state, rng)
     return state
+
+
+def block_of_one(state: ClientState, rows) -> tuple[ClientState, AdamState]:
+    """A one-client stack holding a copy of state, with zero moments over
+    the item ids rows: a block local_train_step steps, built as init_world
+    builds its clients (stack_states, then the parameters copied into the
+    client's view)."""
+    block, opt = stack_states(state.layout, state.num_items, [np.asarray(rows, dtype=np.int64)])
+    view, _ = client_views(block, opt, 0)
+    view.user_vec[...], view.item_table[...], view.net[...] = state.user_vec, state.item_table, state.net
+    return block, opt
+
+
+def copy_moments(opt: AdamState) -> AdamState:
+    """A copy of one client's moments (a client view's, see client_views)."""
+    return AdamState(**{f: getattr(opt, f).copy() for f in MOMENT_FIELDS})
 
 
 def make_state(
@@ -516,9 +537,7 @@ def reference_round_training(world, t: int, lr: float) -> list[tuple[ClientState
     the rest; psmu adversaries keep their user embedding."""
     out = []
     for i, (state, opt) in enumerate(zip(world.clients, world.optimizers, strict=True)):
-        state = state.copy()
-        opt = AdamState(**{f: getattr(opt, f).copy() for f in (
-            "t", "m_user", "v_user", "rows", "m_items", "v_items", "m_net", "v_net")})
+        state, opt = state.copy(), copy_moments(opt)
         pairs = world.pairs[i]
         fixed = i in world.adversaries and world.adversaries[i].fixed_user
         if len(pairs):

@@ -14,7 +14,6 @@ from decrecsim.cli import load_dataset
 from decrecsim.config import ExperimentConfig
 from decrecsim.model import (
     LOCAL_BATCH_SIZE,
-    AdamState,
     block_views,
     client_views,
     local_train_step,
@@ -23,15 +22,15 @@ from decrecsim.model import (
 from decrecsim.simulation import _train_in_lockstep, init_world
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
 from helpers import (
+    MOMENT_FIELDS,
+    block_of_one,
+    copy_moments,
     init_client_state,
     make_state,
     random_pairs,
     reference_round_training,
     reference_step,
 )
-
-FIELDS = ("t", "m_user", "v_user", "rows", "m_items", "v_items", "m_net", "v_net")
-
 
 @pytest.fixture(scope="module")
 def tiny(tmp_path_factory):
@@ -65,7 +64,7 @@ def assert_matches_reference(world, expected):
         state, opt = world.clients[i], world.optimizers[i]
         for name in ("user_vec", "item_table", "net"):
             assert getattr(state, name).tobytes() == getattr(want_state, name).tobytes(), (i, name)
-        for name in FIELDS:
+        for name in MOMENT_FIELDS:
             assert getattr(opt, name).tobytes() == getattr(want_opt, name).tobytes(), (i, name)
 
 
@@ -119,17 +118,18 @@ def test_random_pair_counts_match_reference(tiny, counts, seed):
 @pytest.mark.parametrize("update_user", [True, False])
 def test_block_of_one_matches_reference(size, update_user):
     rng = np.random.default_rng(size)
-    state = make_state(size, num_items=30)
+    want = make_state(size, num_items=30)
     pairs = random_pairs(rng, 30, size)
-    opt = AdamState.for_state(state, np.unique(pairs))
-    want, want_opt = state.copy(), AdamState(**{f: getattr(opt, f).copy() for f in FIELDS})
+    block, opt = block_of_one(want, np.unique(pairs))
+    want_opt = copy_moments(client_views(block, opt, 0)[1])
     for _ in range(3):
-        local_train_step(state, pairs, opt, 0.05, update_user=update_user)
+        local_train_step(block, pairs[None], opt, 0.05, update_user=update_user)
         reference_step(want, want_opt, pairs, 0.05, update_user)
+    state, client_opt = client_views(block, opt, 0)
     for name in ("user_vec", "item_table", "net"):
         assert getattr(state, name).tobytes() == getattr(want, name).tobytes()
-    for name in FIELDS:
-        assert getattr(opt, name).tobytes() == getattr(want_opt, name).tobytes()
+    for name in MOMENT_FIELDS:
+        assert getattr(client_opt, name).tobytes() == getattr(want_opt, name).tobytes()
 
 
 def test_block_steps_each_client_as_alone():
@@ -140,11 +140,11 @@ def test_block_steps_each_client_as_alone():
     num_items = 50
     alone = [init_client_state(num_items, 32, [64, 32, 16], np.random.default_rng(s)) for s in range(3)]
     batches = np.stack([random_pairs(rng, num_items, 12) for _ in range(3)])
-    opts = [AdamState.for_state(s, np.unique(b)) for s, b in zip(alone, batches)]
-    stacked, stacked_opt = stack_states(alone[0].layout, num_items, [o.rows for o in opts])
+    stacked, stacked_opt = stack_states(alone[0].layout, num_items, [np.unique(b) for b in batches])
     for j, s in enumerate(alone):
         view, _ = client_views(stacked, stacked_opt, j)
         view.user_vec[...], view.item_table[...], view.net[...] = s.user_vec, s.item_table, s.net
+    opts = [copy_moments(client_views(stacked, stacked_opt, j)[1]) for j in range(3)]
     mask = np.array([True, False, True])
     for _ in range(2):
         state, opt = block_views(stacked, stacked_opt, 0, 3)
@@ -155,7 +155,7 @@ def test_block_steps_each_client_as_alone():
         view, view_opt = client_views(stacked, stacked_opt, j)
         for name in ("user_vec", "item_table", "net"):
             assert getattr(view, name).tobytes() == getattr(alone[j], name).tobytes()
-        for name in FIELDS:
+        for name in MOMENT_FIELDS:
             assert getattr(view_opt, name).tobytes() == getattr(opts[j], name).tobytes()
 
 

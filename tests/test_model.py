@@ -1,7 +1,7 @@
 """Scoring model: forward values, BPR loss, analytic gradients vs finite
-differences, Adam local steps (compact item moments included), and the
-neighbor update of defense none: the round rows' plain mean applied by
-apply_neighbor_aggregate."""
+differences, Adam local steps of a client as a block of one (compact item
+moments included), and the neighbor update of defense none: the round
+rows' plain mean applied by apply_neighbor_aggregate."""
 
 import warnings
 
@@ -10,13 +10,12 @@ import pytest
 
 from decrecsim.errors import ContractError
 from decrecsim.model import (
-    AdamState,
     GradientPacket,
     _backward,
     _forward,
     _sigmoid,
-    adam_step,
     bpr_loss,
+    client_views,
     compute_gradients,
     local_train_step,
     score_items,
@@ -24,6 +23,7 @@ from decrecsim.model import (
 from helpers import (
     absorb,
     assert_close_grad,
+    block_of_one,
     full_bpr_fd_grads,
     init_client_state,
     make_state,
@@ -206,25 +206,29 @@ class TestGradients:
             compute_gradients(state, pairs)
 
 
+def step_alone(state, pairs, lr, update_user=True):
+    """One local step of state alone, as a block of one with moments over
+    every item: the stepped client's view."""
+    block, opt = block_of_one(state, np.arange(state.num_items))
+    local_train_step(block, pairs[None], opt, lr, update_user=update_user)
+    return client_views(block, opt, 0)[0]
+
+
 class TestLocalTrainStep:
     def test_lr_zero_is_identity(self):
         state = make_state(9, num_items=10)
-        opt = AdamState.for_state(state)
-        before = state.copy()
-        local_train_step(state, np.array([[0, 1], [2, 3]]), opt, lr=0.0)
-        assert np.array_equal(before.user_vec, state.user_vec)
-        assert np.array_equal(before.item_table, state.item_table)
-        assert np.array_equal(before.net, state.net)
+        after = step_alone(state, np.array([[0, 1], [2, 3]]), lr=0.0)
+        assert np.array_equal(after.user_vec, state.user_vec)
+        assert np.array_equal(after.item_table, state.item_table)
+        assert np.array_equal(after.net, state.net)
 
     def test_zero_gradient_fixed_point(self):
         state = make_state(10, num_items=10)
         state.net[:] = 0.0  # all logits 0 and relu-dead: every gradient is 0
-        opt = AdamState.for_state(state)
-        before = state.copy()
-        local_train_step(state, np.array([[0, 1]]), opt, lr=1e-3)
-        assert np.array_equal(before.user_vec, state.user_vec)
-        assert np.array_equal(before.item_table, state.item_table)
-        assert np.array_equal(before.net, state.net)
+        after = step_alone(state, np.array([[0, 1]]), lr=1e-3)
+        assert np.array_equal(after.user_vec, state.user_vec)
+        assert np.array_equal(after.item_table, state.item_table)
+        assert np.array_equal(after.net, state.net)
 
     def test_descent_on_toy_states(self):
         # production dimensions at a small item count; one Adam step on a
@@ -233,18 +237,22 @@ class TestLocalTrainStep:
         for seed in range(100):
             state = init_client_state(50, 32, [64, 32, 16], np.random.default_rng(seed))
             pairs = random_pairs(np.random.default_rng(1000 + seed), 50, 32)
-            opt = AdamState.for_state(state)
-            before = bpr_loss(state, pairs)
-            local_train_step(state, pairs, opt, lr=1e-3)
-            wins += bpr_loss(state, pairs) <= before
+            after = step_alone(state, pairs, lr=1e-3)
+            wins += bpr_loss(after, pairs) <= bpr_loss(state, pairs)
         assert wins >= 95
 
     def test_update_user_flag(self):
         state = make_state(11, num_items=10)
-        opt = AdamState.for_state(state)
-        u_before = state.user_vec.copy()
-        local_train_step(state, np.array([[0, 1]]), opt, lr=1e-3, update_user=False)
-        assert np.array_equal(u_before, state.user_vec)
+        after = step_alone(state, np.array([[0, 1]]), lr=1e-3, update_user=False)
+        assert np.array_equal(after.user_vec, state.user_vec)
+        assert not np.array_equal(after.net, state.net)
+
+    def test_one_client_state_rejected(self):
+        # local_train_step takes blocks only; a client's own views are not one
+        block, opt = block_of_one(make_state(12, num_items=10), np.arange(10))
+        state, client_opt = client_views(block, opt, 0)
+        with pytest.raises(ContractError, match="block"):
+            local_train_step(state, np.array([[0, 1]]), client_opt, lr=1e-3)
 
 
 class TestReluMasking:
@@ -352,20 +360,19 @@ class TestCompactMoments:
             rng = np.random.default_rng(seed)
             num_items = int(rng.integers(3, 40))
             pairs = random_pairs(rng, num_items, int(rng.integers(1, 60)))
-            full = make_state(seed, num_items=num_items)
-            compact = full.copy()
-            opt_full = AdamState.for_state(full)
-            opt_compact = AdamState.for_state(compact, np.unique(pairs))
-            assert opt_compact.m_items.shape == (len(np.unique(pairs)), full.layout.embed_dim)
+            state = make_state(seed, num_items=num_items)
+            full, opt_full = block_of_one(state, np.arange(num_items))
+            compact, opt_compact = block_of_one(state, np.unique(pairs))
+            assert opt_compact.m_items.shape == (len(np.unique(pairs)), state.layout.embed_dim)
             lr = float(rng.choice([1e-3, 1e-2, 0.1]))
             for _ in range(int(rng.integers(1, 4))):
                 shuffled = pairs[rng.permutation(len(pairs))]
                 batch = int(rng.integers(1, 9))
                 update_user = bool(rng.integers(2))
                 for start in range(0, len(shuffled), batch):
-                    for state, opt in ((full, opt_full), (compact, opt_compact)):
+                    for block, opt in ((full, opt_full), (compact, opt_compact)):
                         local_train_step(
-                            state, shuffled[start:start + batch], opt, lr, update_user=update_user
+                            block, shuffled[None, start:start + batch], opt, lr, update_user=update_user
                         )
             for name in ("user_vec", "item_table", "net"):
                 assert getattr(full, name).tobytes() == getattr(compact, name).tobytes()
@@ -377,19 +384,18 @@ class TestCompactMoments:
 
     def test_uncovered_item_rejected_and_nothing_moves(self):
         state = make_state(18, num_items=10)
-        opt = AdamState.for_state(state, np.array([1, 4, 7]))
-        before = state.copy()
-        grad = np.zeros(state.layout.size)
-        for idx in ([4, 5], [8], [0], [1, 4, 7, 9]):
+        block, opt = block_of_one(state, np.array([1, 4, 7]))
+        for pairs in ([[4, 5]], [[8, 1]], [[0, 7]], [[1, 4], [7, 9]]):
             with pytest.raises(ContractError, match="do not cover"):
-                adam_step(state, opt, np.array(idx), np.ones((len(idx), 4)), grad, lr=0.1)
+                local_train_step(block, np.array([pairs]), opt, lr=0.1)
+        bare, bare_opt = block_of_one(state, np.zeros(0, dtype=np.int64))
         with pytest.raises(ContractError, match="do not cover"):
-            adam_step(state, AdamState.for_state(state, []), np.array([2]), np.ones((1, 4)), grad, 0.1)
-        assert opt.t == 0 and not opt.m_items.any()
-        assert np.array_equal(before.item_table, state.item_table)
-        assert np.array_equal(before.net, state.net)
-        adam_step(state, opt, np.array([1, 7]), np.ones((2, 4)), grad, lr=0.1)
-        assert opt.t == 1 and opt.m_items[[0, 2]].all() and not opt.m_items[1].any()
+            local_train_step(bare, np.array([[[2, 3]]]), bare_opt, lr=0.1)
+        assert opt.t == 0 and not opt.m_items.any() and not opt.m_user.any() and not opt.m_net.any()
+        for name in ("user_vec", "item_table", "net"):
+            assert getattr(block, name)[0].tobytes() == getattr(state, name).tobytes()
+        local_train_step(block, np.array([[[1, 7]]]), opt, lr=0.1)
+        assert opt.t == 1 and opt.m_items[[0, 2]].any(axis=1).all() and not opt.m_items[1].any()
 
 
 class TestAggregate:
