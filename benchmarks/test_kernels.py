@@ -1,7 +1,9 @@
 """Kernel microbenchmarks at the sizes of the `pamn_ucsu_m` workload.
 
 One client has 848 items, embed_dim 32 and the default (64, 32, 16) net; a
-local minibatch is 32 pairs; a client trains on 111 items; a lockstep step
+local minibatch is 32 pairs; a client trains on 111 items; a PAMN
+adversary crafts its packet from such a client with 5 fine-tune steps
+against a top-20 list, promoting 5 targets and 10 substitutes; a lockstep step
 trains 630 such clients, stacked, each on one full minibatch (step 0 of a
 round), in blocks of LOCKSTEP_BLOCK; a UCSU receiver banks the rows of 50
 senders of about 110 rows each per round, and its bank is timed in the
@@ -34,6 +36,7 @@ import functools
 import numpy as np
 import pytest
 
+from decrecsim.attacks import AdversaryState, build_adversary_dataset, pamn_poison
 from decrecsim.cli import load_dataset
 from decrecsim.config import ExperimentConfig
 from decrecsim.defenses import (
@@ -50,12 +53,10 @@ from decrecsim.defenses import (
 from decrecsim.metrics import evaluate_world
 from decrecsim.model import (
     LOCAL_BATCH_SIZE,
-    AdamState,
     GradientPacket,
     NetLayout,
     _backward,
     _forward,
-    adam_step,
     block_views,
     client_views,
     draw_client_params,
@@ -116,17 +117,22 @@ def test_scatter_add_rows(benchmark, client):
     assert np.array_equal(uniq, np.unique(batch))
 
 
-@pytest.mark.parametrize("cover", ["full", "compact"])
-def test_adam_step(benchmark, client, cover):
-    state, train_items, batch = client
-    state = state.copy()
-    opt = AdamState.for_state(state) if cover == "full" else AdamState.for_state(state, train_items)
+def test_pamn_poison(benchmark, client):
+    # One adversary's craft with the default knobs: e_ft 5 fine-tune steps
+    # against a top-20 list, 5 targets and 10 substitutes, from the client's
+    # state afresh each round.
+    state, _, _ = client
     rng = np.random.default_rng(3)
-    item_idx = np.unique(batch)
-    item_rows = rng.normal(size=(len(item_idx), EMBED_DIM)) * 1e-3
-    net_grad = rng.normal(size=state.layout.size) * 1e-3
-    benchmark(adam_step, state, opt, item_idx, item_rows, net_grad, 1e-3)
-    assert opt.t >= 1
+    targets = np.sort(rng.choice(NUM_ITEMS, size=5, replace=False))
+    positives, pairs = build_adversary_dataset(NUM_ITEMS, targets, 30, seed=3)
+    substitutes = np.sort(rng.choice(np.setdiff1d(np.arange(NUM_ITEMS), targets), size=10, replace=False))
+
+    def setup():
+        adv = AdversaryState(0, state.copy(), positives, pairs, substitute_items=substitutes)
+        return (adv, targets, 20, 5, 1e-3), {}
+
+    pkt = benchmark.pedantic(pamn_poison, setup=setup, rounds=20)
+    assert len(pkt.item_idx) and np.isfinite(pkt.net_grad).all()
 
 
 @pytest.fixture(scope="module")
