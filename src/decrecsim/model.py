@@ -467,7 +467,7 @@ def _adam_block(
     item_grads: np.ndarray,
     net_grad: np.ndarray,
     lr: float,
-    user_grad: np.ndarray | None,
+    user_grad: np.ndarray,
     update_user: bool | np.ndarray,
 ) -> None:
     """One Adam step of every client of a block: the item-moment rows slots
@@ -508,9 +508,10 @@ def local_train_step(
     for a block of B clients trained in lockstep.
 
     state and opt are a block (see block_views), pairs is (B, n, 2), one
-    batch of the same size per client, and update_user may be a (B,) mask.  Each client gets the bits of its own
-    step: its rows of every matmul, its bins of the one scatter-add (keyed
-    by client and item) and its own Adam bias corrections.
+    batch of the same size per client, and update_user may be a (B,) mask.
+    Each client gets the bits of its own step: its rows of every matmul, its
+    bins of the one scatter-add (keyed by client and item) and its own Adam
+    bias corrections.
 
     The pairs are not re-checked: they must be nonempty batches that passed
     check_pairs (init_world checks every client's pairs once).

@@ -383,62 +383,6 @@ def per_item_mean_loop(items: list[int], rows: np.ndarray) -> dict[int, np.ndarr
     return {i: sums[i] / counts[i] for i in sums}
 
 
-def reference_step(
-    state: ClientState, opt: AdamState, pairs: np.ndarray, lr: float, update_user: bool = True
-) -> None:
-    """One client's local Adam step on one batch, computed alone: a per-layer
-    forward and backward over 2-d arrays with np.where relu masks, np.add.at
-    per item, and a per-array Adam update.  Calls no model code but the
-    layout's views, so the lockstep kernel can be checked byte for byte."""
-    k = state.layout.embed_dim
-    n = len(pairs)
-    items = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    x = np.concatenate([np.tile(state.user_vec, (2 * n, 1)), state.item_table[items]], axis=1)
-    ws, bs, w = state.layout.views(state.net)
-    inputs, masks, h = [x], [], x
-    for mat, b in zip(ws, bs):
-        a = h @ mat.T + b
-        masks.append(a >= 0.0)
-        h = np.where(a >= 0.0, a, 0.0)
-        inputs.append(h)
-    z = h @ w
-    diff = -(z[:n] - z[n:])
-    e = np.exp(-np.abs(diff))
-    gpos = -np.where(diff >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) / n
-    g = np.concatenate([gpos, -gpos])
-    net_grad = np.zeros(state.layout.size)
-    gws, gbs, gw = state.layout.views(net_grad)
-    gw[...] = inputs[-1].T @ g
-    dh = g[:, None] * w[None, :]
-    for li in range(len(ws) - 1, -1, -1):
-        da = np.where(masks[li], dh, 0.0)
-        gws[li][...] = da.T @ inputs[li]
-        gbs[li][...] = da.sum(axis=0)
-        dh = da @ ws[li]
-    uniq, inverse = np.unique(items, return_inverse=True)
-    item_grads = np.zeros((len(uniq), k))
-    np.add.at(item_grads, inverse, dh[:, k:])
-
-    def adam(param, grad, m, v):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-
-    opt.t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** int(opt.t)
-    bc2 = 1.0 - ADAM_BETA2 ** int(opt.t)
-    if update_user:
-        adam(state.user_vec, dh[:, :k].sum(axis=0), opt.m_user, opt.v_user)
-    slots = np.searchsorted(opt.rows, uniq)
-    assert np.array_equal(opt.rows[slots], uniq)
-    rows, m, v = state.item_table[uniq], opt.m_items[slots], opt.v_items[slots]
-    adam(rows, item_grads, m, v)
-    state.item_table[uniq], opt.m_items[slots], opt.v_items[slots] = rows, m, v
-    adam(state.net, net_grad, opt.m_net, opt.v_net)
-
-
 def _reference_forward(state: ClientState, items: np.ndarray):
     """A per-layer forward over 2-d arrays with np.where relu masks:
     (logits, layer inputs, masks)."""
@@ -470,6 +414,50 @@ def _reference_backward(state: ClientState, inputs, masks, g: np.ndarray):
     return net_grad, dh
 
 
+def _reference_sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _reference_adam(param, grad, m, v, lr: float, bc1: float, bc2: float) -> None:
+    """One Adam update of param and its moments, in place."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+def reference_step(
+    state: ClientState, opt: AdamState, pairs: np.ndarray, lr: float, update_user: bool = True
+) -> None:
+    """One client's local Adam step on one batch, computed alone: a per-layer
+    forward and backward over 2-d arrays with np.where relu masks, np.add.at
+    per item, and a per-array Adam update.  Calls no model code but the
+    layout's views, so the lockstep kernel can be checked byte for byte."""
+    k = state.layout.embed_dim
+    n = len(pairs)
+    items = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    z, inputs, masks = _reference_forward(state, items)
+    gpos = -_reference_sigmoid(-(z[:n] - z[n:])) / n
+    net_grad, dh = _reference_backward(state, inputs, masks, np.concatenate([gpos, -gpos]))
+    uniq, inverse = np.unique(items, return_inverse=True)
+    item_grads = np.zeros((len(uniq), k))
+    np.add.at(item_grads, inverse, dh[:, k:])
+
+    opt.t += 1
+    bc1 = 1.0 - ADAM_BETA1 ** int(opt.t)
+    bc2 = 1.0 - ADAM_BETA2 ** int(opt.t)
+    if update_user:
+        _reference_adam(state.user_vec, dh[:, :k].sum(axis=0), opt.m_user, opt.v_user, lr, bc1, bc2)
+    slots = np.searchsorted(opt.rows, uniq)
+    assert np.array_equal(opt.rows[slots], uniq)
+    rows, m, v = state.item_table[uniq], opt.m_items[slots], opt.v_items[slots]
+    _reference_adam(rows, item_grads, m, v, lr, bc1, bc2)
+    state.item_table[uniq], opt.m_items[slots], opt.v_items[slots] = rows, m, v
+    _reference_adam(state.net, net_grad, opt.m_net, opt.v_net, lr, bc1, bc2)
+
+
 def reference_pamn_poison(
     state: ClientState,
     targets: np.ndarray,
@@ -493,14 +481,6 @@ def reference_pamn_poison(
     table_before, net_before = state.item_table.copy(), state.net.copy()
     m_items, v_items = np.zeros_like(state.item_table), np.zeros_like(state.item_table)
     m_net, v_net = np.zeros_like(state.net), np.zeros_like(state.net)
-
-    def adam(param, grad, m, v, bc1, bc2):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-
     for s in range(1, e_ft + 1):
         scores, _, _ = _reference_forward(state, np.arange(state.num_items))
         toplist = np.argsort(-scores, kind="stable")[:top_k]
@@ -510,9 +490,7 @@ def reference_pamn_poison(
         batch = np.concatenate([competitors, promoted])
         z, inputs, masks = _reference_forward(state, batch)
         nc = len(competitors)
-        diffs = z[:nc, None] - z[None, nc:]
-        e = np.exp(-np.abs(diffs))
-        sig = np.where(diffs >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        sig = _reference_sigmoid(z[:nc, None] - z[None, nc:])
         sprime = sig * (1.0 - sig)
         g = np.concatenate([sprime.sum(axis=1), -sprime.sum(axis=0)])
         net_grad, dh = _reference_backward(state, inputs, masks, g)
@@ -521,9 +499,9 @@ def reference_pamn_poison(
         np.add.at(item_grads, inverse, dh[:, k:])
         bc1, bc2 = 1.0 - ADAM_BETA1**s, 1.0 - ADAM_BETA2**s
         rows, m, v = state.item_table[uniq], m_items[uniq], v_items[uniq]
-        adam(rows, item_grads, m, v, bc1, bc2)
+        _reference_adam(rows, item_grads, m, v, lr, bc1, bc2)
         state.item_table[uniq], m_items[uniq], v_items[uniq] = rows, m, v
-        adam(state.net, net_grad, m_net, v_net, bc1, bc2)
+        _reference_adam(state.net, net_grad, m_net, v_net, lr, bc1, bc2)
 
     delta = state.item_table - table_before
     changed = np.array([i for i in range(state.num_items) if (delta[i] != 0.0).any()], dtype=np.int64)
