@@ -557,6 +557,17 @@ class TestBuildRoundRows:
         assert np.array_equal(-banked.pop_neg_norm, banked.norms[banked.order])
 
 
+    @pytest.mark.parametrize("clip, bank", [(False, False), (True, False), (True, True)])
+    @pytest.mark.parametrize("senders", [[], [2, 0]], ids=["no-packets", "no-rows"])
+    def test_no_rows_keep_their_dtypes(self, senders, clip, bank):
+        # No packets, or packets that carry no rows, give empty int32 senders
+        # and items and a (0, d) float64 row block.
+        pkts = [packet(s, {}, np.zeros(2), dim=3) for s in senders]
+        rr = build_round_rows(pkts, 1, num_items=4, embed_dim=3, net_size=2, clip=clip, bank=bank)
+        assert rr.senders.dtype == rr.items.dtype == np.int32
+        assert rr.senders.shape == rr.items.shape == (0,)
+        assert rr.rows.dtype == np.float64 and rr.rows.shape == (0, 3)
+
 def bank_with(entries, capacity=10):
     """entries: list of (round, sender, {item: row})"""
     bank = MemoryBank(capacity)

@@ -18,6 +18,7 @@ from decrecsim.model import (
     client_views,
     compute_gradients,
     local_train_step,
+    scatter_add_rows,
     score_items,
 )
 from helpers import (
@@ -205,6 +206,31 @@ class TestGradients:
         with pytest.raises(ContractError, match=message):
             compute_gradients(state, pairs)
 
+
+
+class TestScatterAddRows:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_of_add_at(self, seed):
+        # Random ids with repeats, and rows with +-0.0 entries: every sum
+        # starts from +0.0 and adds its rows in input order, as np.add.at.
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, 15, size=60)
+        rows = rng.normal(size=(60, 5)) * 10.0 ** rng.integers(-8, 8, size=(60, 5))
+        rows[rng.random(size=rows.shape) < 0.2] = 0.0
+        rows[rng.random(size=rows.shape) < 0.2] = -0.0
+        uniq, sums, counts = scatter_add_rows(idx, rows)
+        dense = np.zeros((15, 5))
+        np.add.at(dense, idx, rows)
+        want = np.unique(idx)
+        assert uniq.tobytes() == want.tobytes()
+        assert sums.tobytes() == dense[want].tobytes()
+        assert counts.tobytes() == np.bincount(idx)[want].tobytes()
+
+    def test_empty_input(self):
+        uniq, sums, counts = scatter_add_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
+        assert uniq.dtype == counts.dtype == np.int64
+        assert sums.dtype == np.float64
+        assert (uniq.shape, sums.shape, counts.shape) == ((0,), (0, 3), (0,))
 
 def step_alone(state, pairs, lr, update_user=True):
     """One local step of state alone, as a block of one with moments over

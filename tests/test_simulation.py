@@ -279,6 +279,30 @@ def test_clients_without_pairs_send_empty_packets(tiny, monkeypatch, overrides):
         assert all(senders <= craft for senders in crafted)
 
 
+
+@pytest.mark.parametrize(
+    "period, due",
+    [(1, [1, 2, 3, 4, 5, 6, 7]), (2, [1, 3, 5, 7]), (3, [1, 4, 7]), (10, [1])],
+)
+def test_neighbors_refresh_on_rounds_one_mod_period(tiny, monkeypatch, period, due):
+    config = dataclasses.replace(tiny[0], attack="none", refresh_every=period)
+    calls = []
+    real_assign = simulation.assign_neighbors
+
+    def assign_spy(*args, **kwargs):
+        calls.append(None)
+        return real_assign(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "assign_neighbors", assign_spy)
+    world = init_world(config, tiny[1])
+    refreshed = []
+    for t in range(1, 8):
+        before = len(calls)
+        run_round(world, config)
+        if len(calls) > before:
+            refreshed.append(t)
+    assert refreshed == due
+
 @pytest.mark.parametrize("count", [1, 2, 7, 50])
 def test_mean_in_order_has_the_bits_of_stacked_mean(count):
     rng = np.random.default_rng(count)
