@@ -34,8 +34,8 @@ from decrecsim.model import (
     _forward,
     _sigmoid,
     apply_neighbor_aggregate,
+    bpr_loss,
     compute_gradients,
-    empty_packet,
     scatter_add_rows,
     score_items,
 )
@@ -117,9 +117,7 @@ def update_adversary_user_embedding(
     Only the user embedding moves.  The repulsion gradient at zero distance
     is defined as the zero vector.
     """
-    grad = np.zeros_like(adv.base.user_vec)
-    if len(adv.pairs):
-        grad, _ = compute_gradients(adv.base, adv.pairs)
+    grad, _ = compute_gradients(adv.base, adv.pairs)
     grad = grad - coord.lam * _repulsion_direction(
         adv.base.user_vec, coord.embeddings, coord.norm_order
     )
@@ -151,8 +149,6 @@ def eq8_loss(
 
     Exposed so the user-embedding gradient can be finite-difference checked.
     """
-    from decrecsim.model import bpr_loss
-
     state = adv.base
     saved = state.user_vec
     if user_vec is not None:
@@ -275,14 +271,6 @@ def pamn_poison(
     )
 
 
-def _honest_packet(adv: AdversaryState) -> GradientPacket:
-    """The adversary's honest BPR gradient over its constructed pairs, or an
-    empty packet when it has none."""
-    if not len(adv.pairs):
-        return empty_packet(adv.base, adv.client_id)
-    return compute_gradients(adv.base, adv.pairs, sender=adv.client_id)[1]
-
-
 def boosted_gradient_packet(adv: AdversaryState, targets: np.ndarray) -> GradientPacket:
     """Honest BPR gradient plus a boosting term pushing target ratings to 1.
 
@@ -291,7 +279,7 @@ def boosted_gradient_packet(adv: AdversaryState, targets: np.ndarray) -> Gradien
     """
     state = adv.base
     targets = np.asarray(targets, dtype=np.int64)
-    honest = _honest_packet(adv)
+    honest = compute_gradients(state, adv.pairs, sender=adv.client_id)[1]
     z, inputs, masks = _forward(state, targets)
     g = np.asarray(_sigmoid(z)) - 1.0  # d(-ln sigmoid(z)) / dz
     boost_net, _, boost_rows = _backward(state, inputs, masks, g)
@@ -317,7 +305,7 @@ def baseline_poison(
     diversity step.
     """
     if strategy == "ra":
-        return _honest_packet(adv)
+        return compute_gradients(adv.base, adv.pairs, sender=adv.client_id)[1]
     if strategy == "eb":
         return boosted_gradient_packet(adv, targets)
     if strategy == "psmu":

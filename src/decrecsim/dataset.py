@@ -168,31 +168,20 @@ def preprocess(raw: RawInteractions, min_count: int = 5) -> Precursor:
 
 def _reindex(u: np.ndarray, i: np.ndarray) -> Precursor:
     """Densely re-index surviving (user, item) code pairs by first appearance."""
-    u_order = _first_appearance_map(u)
-    i_order = _first_appearance_map(i)
-    u_new = u_order[u]
-    i_new = i_order[i]
-    num_users = int(u_new.max()) + 1
-    num_items = int(i_new.max()) + 1
-    user_items: list[list[int]] = [[] for _ in range(num_users)]
-    for uu, ii in zip(u_new.tolist(), i_new.tolist()):
-        user_items[uu].append(ii)
+    dense = []
+    for codes in (u, i):
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        dense.append(rank[inverse.ravel()])
+    u_new, i_new = dense
+    num_users, num_items = int(u_new.max()) + 1, int(i_new.max()) + 1
+    # A stable sort by user keeps each user's items in record order.
+    by_user = i_new[np.argsort(u_new, kind="stable")]
+    bounds = np.cumsum(np.bincount(u_new, minlength=num_users))[:-1]
     return Precursor(
-        num_users=num_users,
-        num_items=num_items,
-        user_items=[np.asarray(v, dtype=np.int64) for v in user_items],
+        num_users=num_users, num_items=num_items, user_items=np.split(by_user, bounds)
     )
-
-
-def _first_appearance_map(codes: np.ndarray) -> np.ndarray:
-    """Map old codes to dense ids ordered by first appearance."""
-    seen = np.full(int(codes.max()) + 1, -1, dtype=np.int64)
-    nxt = 0
-    for c in codes.tolist():
-        if seen[c] < 0:
-            seen[c] = nxt
-            nxt += 1
-    return seen
 
 
 def split_and_sample(

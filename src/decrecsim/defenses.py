@@ -183,19 +183,15 @@ def build_round_rows(
             raise ContractError("packet item row shape mismatch")
     # The rows are allocated once: norms are taken in blocks and clipping
     # scales the stacked rows in place.
-    if ordered:
-        senders = np.concatenate(
-            [np.full(len(q.item_idx), q.sender, dtype=np.int32) for q in ordered]
-        )
-        items = np.concatenate([q.item_idx for q in ordered])
-        if items.size and (items.min() < 0 or items.max() >= num_items):
-            raise ContractError("packet item index out of range")
-        items = items.astype(np.int32)
-        rows = np.vstack([q.item_rows for q in ordered])
-    else:
-        senders = np.zeros(0, dtype=np.int32)
-        items = np.zeros(0, dtype=np.int32)
-        rows = np.zeros((0, embed_dim))
+    senders = np.repeat(
+        np.array([q.sender for q in ordered], dtype=np.int32),
+        np.array([len(q.item_idx) for q in ordered], dtype=np.int64),
+    )
+    items = np.concatenate([np.zeros(0, dtype=np.int64), *(q.item_idx for q in ordered)])
+    if items.size and (items.min() < 0 or items.max() >= num_items):
+        raise ContractError("packet item index out of range")
+    items = items.astype(np.int32)
+    rows = np.concatenate([np.zeros((0, embed_dim)), *(q.item_rows for q in ordered)])
     norms = _norms(rows, p) if clip or bank else None
     row_norms = None
     if clip and len(rows):

@@ -130,16 +130,6 @@ class GradientPacket:
     net_grad: np.ndarray  # flat float64
 
 
-def empty_packet(state: ClientState, sender: int) -> GradientPacket:
-    """No item rows and a zero net gradient: what a client without pairs sends."""
-    return GradientPacket(
-        sender=sender,
-        item_idx=np.zeros(0, dtype=np.int64),
-        item_rows=np.zeros((0, state.layout.embed_dim)),
-        net_grad=np.zeros_like(state.net),
-    )
-
-
 def draw_client_params(state: ClientState, rng: np.random.Generator) -> None:
     """Draw one client's parameters into its arrays (a stack's views
     included, so nothing is allocated twice): the user embedding, the item
@@ -275,16 +265,12 @@ def check_pairs(pairs: np.ndarray, num_items: int) -> np.ndarray:
     return pairs
 
 
-def _check_batch(state: ClientState, pairs: np.ndarray) -> np.ndarray:
+def bpr_loss(state: ClientState, pairs: np.ndarray) -> float:
+    """Mean over pairs of -ln sigmoid(logit_pos - logit_neg); the mean of
+    an empty batch is undefined, so it is rejected."""
     pairs = check_pairs(pairs, state.num_items)
     if len(pairs) == 0:
         raise ContractError(_BATCH_SHAPE)
-    return pairs
-
-
-def bpr_loss(state: ClientState, pairs: np.ndarray) -> float:
-    """Mean over pairs of -ln sigmoid(logit_pos - logit_neg)."""
-    pairs = _check_batch(state, pairs)
     items = np.concatenate([pairs[:, 0], pairs[:, 1]])
     z, _, _ = _forward(state, items)
     n = len(pairs)
@@ -298,19 +284,19 @@ def scatter_add_rows(
     """Sum the rows that share an index: (sorted unique indices, sums, counts).
 
     Each sum adds its rows one at a time in input order, starting from
-    zero, exactly as np.add.at does, so callers get the same bits.
+    zero, exactly as np.add.at does, so callers get the same bits.  An
+    empty input gives empty sums of shape (0, dim).
     """
     idx = np.asarray(idx, dtype=np.int64)
     dim = rows.shape[1]
-    if idx.size == 0:
-        return idx, np.zeros((0, dim)), np.zeros(0, dtype=np.int64)
     counts = np.bincount(idx)
     uniq = np.flatnonzero(counts)
+    # bincount of no ids is int64 even with weights; float64 input is not copied.
     sums = np.bincount(
         (idx[:, None] * dim + np.arange(dim)).ravel(),
         weights=rows.ravel(),
         minlength=len(counts) * dim,
-    ).reshape(-1, dim)
+    ).astype(np.float64, copy=False).reshape(-1, dim)
     return uniq, sums[uniq], counts[uniq]
 
 
@@ -319,9 +305,13 @@ def compute_gradients(
 ) -> tuple[np.ndarray, GradientPacket]:
     """Analytic gradients of bpr_loss w.r.t. u, touched item rows, and net.
 
-    Rows of items absent from the batch are absent from the packet.
+    Rows of items absent from the batch are absent from the packet.  An
+    empty batch has zero gradients: a +0.0 user gradient and a packet of no
+    item rows and a +0.0 net gradient, which is what a client without
+    training pairs sends.
     """
-    items, user_grad, net_grad, item_rows = _pair_gradients(state, _check_batch(state, pairs))
+    pairs = check_pairs(pairs, state.num_items)
+    items, user_grad, net_grad, item_rows = _pair_gradients(state, pairs)
     uniq, acc, _ = scatter_add_rows(items, item_rows)
     return user_grad, GradientPacket(sender=sender, item_idx=uniq, item_rows=acc, net_grad=net_grad)
 
@@ -477,14 +467,10 @@ def _adam_block(
     opt.t += 1
     bc1 = np.array([[1.0 - ADAM_BETA1 ** t] for t in opt.t.tolist()])
     bc2 = np.array([[1.0 - ADAM_BETA2 ** t] for t in opt.t.tolist()])
-    update = np.broadcast_to(update_user, len(bc1))
-    if update.all():
-        _adam_update(state.user_vec, user_grad, opt.m_user, opt.v_user, lr, bc1, bc2)
-    elif update.any():
-        j = np.flatnonzero(update)
-        u, m, v = state.user_vec[j], opt.m_user[j], opt.v_user[j]
-        _adam_update(u, user_grad[j], m, v, lr, bc1[j], bc2[j])
-        state.user_vec[j], opt.m_user[j], opt.v_user[j] = u, m, v
+    j = np.flatnonzero(np.broadcast_to(update_user, len(bc1)))
+    u, m, v = state.user_vec[j], opt.m_user[j], opt.v_user[j]
+    _adam_update(u, user_grad[j], m, v, lr, bc1[j], bc2[j])
+    state.user_vec[j], opt.m_user[j], opt.v_user[j] = u, m, v
     owner = np.searchsorted(opt.row_start, slots, side="right") - 1
     items = opt.rows[slots]
     rows = state.item_table[owner, items]

@@ -2,8 +2,8 @@
 gradient exchange, benign-side defenses, adversary-side attacks, and metric
 snapshots.
 
-Rounds are 1-based so the neighbor refresh condition (round mod period = 1)
-fires on the very first round.  Adversaries behave benignly during round 1
+Rounds are 1-based so the neighbor refresh condition ((round - 1) mod
+period = 0) fires on the very first round.  Adversaries behave benignly during round 1
 (concealment before the initial neighbor identification) and attack from
 round 2 on.  Every randomized step draws from a stream keyed by (root seed,
 domain, client, round), so results never depend on execution order.
@@ -71,7 +71,6 @@ from decrecsim.model import (
     client_views,
     compute_gradients,
     draw_client_params,
-    empty_packet,
     local_train_step,
     stack_states,
 )
@@ -283,11 +282,6 @@ def _mean_in_order(vectors: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _refresh_due(t: int, period: int) -> bool:
-    # period 1 means refresh every round; t mod 1 = 1 never holds.
-    return period == 1 or t % period == 1
-
-
 def run_round(world: World, config: ExperimentConfig) -> None:
     """Advance the world by one round of the integration loop."""
     if world.round < 0:
@@ -296,7 +290,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     lr = config.lr
 
     # Phase 1: the server refreshes neighbors from everyone's sketches.
-    if _refresh_due(t, config.refresh_every):
+    if (t - 1) % config.refresh_every == 0:
         first = sketch_item_table(world.clients[0].item_table, world.hyperplanes)
         sketches = np.empty((world.num_clients, first.size), dtype=first.dtype)
         sketches[0] = first
@@ -311,12 +305,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     # honest packet.
     _train_in_lockstep(world, t, lr)
     all_ids = list(range(world.num_clients))
-    packets = [
-        compute_gradients(world.clients[i], world.pairs[i], sender=i)[1]
-        if len(world.pairs[i])
-        else empty_packet(world.clients[i], i)
-        for i in all_ids
-    ]
+    packets = [compute_gradients(world.clients[i], world.pairs[i], sender=i)[1] for i in all_ids]
 
     # Every client shares one model shape; packets are checked against it.
     layout = world.clients[0].layout

@@ -193,18 +193,31 @@ class TestGradients:
     @pytest.mark.parametrize(
         "pairs, message",
         [
-            (np.empty((0, 2), dtype=np.int64), "nonempty"),
             (np.array([0, 1]), "nonempty"),
             (np.array([[2, 2]]), "must differ"),
             (np.array([[0, 12]]), "out of range"),
             (np.array([[-1, 3]]), "out of range"),
         ],
-        ids=["empty", "flat", "self-pair", "past-end", "negative"],
+        ids=["flat", "self-pair", "past-end", "negative"],
     )
     def test_bad_batch_rejected(self, pairs, message):
         state = make_state(8, num_items=12)
         with pytest.raises(ContractError, match=message):
             compute_gradients(state, pairs)
+
+    def test_empty_batch_is_what_a_pairless_client_sends(self):
+        # No item rows, int64 ids, a (0, d) float64 row block and +0.0 user
+        # and net gradients, byte for byte, with no RuntimeWarning.
+        state = make_state(8, num_items=12, embed_dim=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            user_grad, pkt = compute_gradients(state, np.empty((0, 2), dtype=np.int64), sender=3)
+        assert user_grad.tobytes() == np.zeros(4).tobytes()
+        assert pkt.sender == 3
+        assert pkt.item_idx.dtype == np.int64 and pkt.item_idx.shape == (0,)
+        assert pkt.item_rows.dtype == np.float64 and pkt.item_rows.shape == (0, 4)
+        assert pkt.net_grad.shape == state.net.shape
+        assert pkt.net_grad.tobytes() == np.zeros_like(state.net).tobytes()
 
 
 
