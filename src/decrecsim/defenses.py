@@ -188,7 +188,7 @@ def build_round_rows(
         np.array([len(q.item_idx) for q in ordered], dtype=np.int64),
     )
     items = np.concatenate([np.zeros(0, dtype=np.int64), *(q.item_idx for q in ordered)])
-    if items.size and (items.min() < 0 or items.max() >= num_items):
+    if (items < 0).any() or (items >= num_items).any():
         raise ContractError("packet item index out of range")
     items = items.astype(np.int32)
     rows = np.concatenate([np.zeros((0, embed_dim)), *(q.item_rows for q in ordered)])

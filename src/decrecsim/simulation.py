@@ -3,10 +3,11 @@ gradient exchange, benign-side defenses, adversary-side attacks, and metric
 snapshots.
 
 Rounds are 1-based so the neighbor refresh condition ((round - 1) mod
-period = 0) fires on the very first round.  Adversaries behave benignly during round 1
-(concealment before the initial neighbor identification) and attack from
-round 2 on.  Every randomized step draws from a stream keyed by (root seed,
-domain, client, round), so results never depend on execution order.
+period = 0) fires on the very first round.  Adversaries behave benignly
+during round 1 (concealment before the initial neighbor identification) and
+attack from round 2 on.  Every randomized step draws from a stream keyed by
+(root seed, domain, client, round), so results never depend on execution
+order.
 
 Every client's parameters and Adam moments live in one stack on the World,
 ordered by descending training-pair count, and each client's ClientState
