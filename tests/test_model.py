@@ -1,7 +1,8 @@
 """Scoring model: forward values, BPR loss, analytic gradients vs finite
-differences, Adam local steps of a client as a block of one (compact item
-moments included), and the neighbor update of defense none: the round
-rows' plain mean applied by apply_neighbor_aggregate."""
+differences and of an empty batch, scatter_add_rows vs np.add.at, Adam
+local steps of a client as a block of one (compact item moments
+included), and the neighbor update of defense none: the round rows'
+plain mean applied by apply_neighbor_aggregate."""
 
 import warnings
 

@@ -3,9 +3,9 @@ same-seed determinism for every per-receiver robust aggregator, and for
 PAMN against UCSU with banks small enough to evict; the round rows UCSU
 keeps alive and the norms its clip bounds; the packets dropped once a
 round's rows are consolidated; what adversaries absorb; the empty packets
-of clients without training pairs; init_world's pair checks and each
-client's Adam item-moment cover; the cold targets select_cold_targets
-draws."""
+of clients without training pairs; the neighbor refresh cadence;
+init_world's pair checks and each client's Adam item-moment cover; the
+cold targets select_cold_targets draws."""
 
 import dataclasses
 import gc
