@@ -48,8 +48,6 @@ class ExperimentConfig:
     neg_ratio: int = 4
     seed: int = 42
     sketch_dim: int = 16
-    ucsu_clip: bool = True
-    ucsu_clean_bank: bool = False
     workers: int = 1
     output_path: str = "results"
 
@@ -70,20 +68,10 @@ _FIELD_TO_KEY = {name: key for key, name in _KEY_TO_FIELD.items()}
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(text)
-
-
 # Annotation -> (parser of the value's stripped text, what the text must be).
 _PARSERS = {
     "int": (int, "an integer"),
     "float": (float, "a number"),
-    "bool": (_parse_bool, "a boolean"),
     "str": (str, "text"),
     "tuple[int, ...]": (
         lambda text: tuple(int(x) for x in text.split(",") if x.strip()),

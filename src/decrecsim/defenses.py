@@ -14,8 +14,6 @@ receivers' model shape, once per round.  Clipping to the fixed mu bound,
 for l2clip and for UCSU, happens once, at consolidation, so defense none
 and l2clip share one plain-mean reader, l2_clip_aggregate (named for the
 defense that introduced it; perfbench's tracer times it by that name).
-Adversaries read an unclipped RoundRows of their neighbors' honest packets
-with it too.
 
 Median and trimmed mean share one rank kernel, _ranked_rows.  It skips
 every item carried by too few packets to reach the kept ranks (at most
@@ -30,15 +28,16 @@ receivers may run on threads.
 
 Every receiver's UCSU MemoryBank holds one chunk per banked round: the
 round's shared RoundRows and the int32 pop positions of the receiver's
-rows still banked.  Only rows consolidated for the banks carry pop fields:
-each round's rows are sorted into pop order (descending stored norm, row
-index on ties) once, shared by all receivers, so every chunk is already in
-pop order and the bank's top fraction is a prefix of each chunk; no
-receiver ever sorts its whole bank.  The pop key is kept once, negated in
-pop order.  Each stored row's p-norm is taken once, at consolidation (for
-an unclipped row it is the pop key), and popped with the row, so UCSU's
-adaptive clip never re-takes it.  Per-item sums add rows in pop order, one
-at a time, so the aggregate has the same bits as a sequential per-row loop.
+rows still banked.  Banked rows are always clipped to mu (mu = inf keeps
+every row), and only they carry pop fields: each round's rows are sorted
+into pop order (descending pop key, min(p-norm, mu), row index on ties)
+once, shared by all receivers, so every chunk is already in pop order and
+the bank's top fraction is a prefix of each chunk; no receiver ever sorts
+its whole bank.  The pop key is kept once, negated in pop order.  Each
+stored row's own p-norm is taken once, at consolidation, and popped with
+the row, so UCSU's adaptive clip never re-takes it.  Per-item sums add rows
+in pop order, one at a time, so the aggregate has the same bits as a
+sequential per-row loop.
 
 Once a round's pops are done, compact_round_rows shrinks that round's
 RoundRows to the rows some bank still holds and remaps the banks' pop
@@ -50,7 +49,6 @@ bank holds any more, until eviction drops the round.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Iterable
 
@@ -94,13 +92,14 @@ class RoundRows:
     One instance per round is shared by every receiving client; each
     reads, or banks, the subset of rows its neighbors sent.  Rows are
     stored by ascending sender, with each sender's row range.  Rows built
-    for UCSU's banks are given their pop key, norms (p-norms, capped at mu
-    where clipped); the pop order (descending key, row index on ties) is
-    then computed once here and shared by every receiver, and the key is
-    kept once, negated in pop order (pop_neg_norm).  Rows for any other
-    reader carry no pop fields.  Once the round's pops are done,
-    compact_round_rows replaces it in the banks by a RoundRows of exactly
-    the rows some bank holds, in the same relative order.
+    for UCSU's banks are given their pop key, norms (p-norms capped at mu),
+    and their own p-norms, row_norms; the pop order (descending key, row
+    index on ties) is then computed once here and shared by every
+    receiver, and the key is kept once, negated in pop order
+    (pop_neg_norm).  Rows for any other reader carry no pop fields.  Once
+    the round's pops are done, compact_round_rows replaces it in the banks
+    by a RoundRows of exactly the rows some bank holds, in the same
+    relative order.
     """
 
     def __init__(
@@ -116,9 +115,7 @@ class RoundRows:
         self.senders = senders  # (n,) int32, ascending
         self.items = items  # (n,) int32
         self.rows = rows  # (n, embed_dim) float64
-        # (n,) p-norms of the stored rows where clipping made them differ
-        # from the pop key; None when they are the pop key.
-        self.clipped_norms = row_norms
+        self.row_norms = row_norms  # (n,) p-norms of the stored rows
         self.order = self.rank = self.pop_neg_norm = None
         if norms is not None:
             neg = -norms
@@ -129,16 +126,6 @@ class RoundRows:
             self.pop_neg_norm = neg[order]  # negated pop key, in pop order
         self.sender_count = np.bincount(senders)  # row count, per sender id
         self.sender_start = np.cumsum(self.sender_count) - self.sender_count  # first row
-
-    @functools.cached_property
-    def norms(self) -> np.ndarray | None:
-        """The pop key in row order, None for rows no bank reads."""
-        return None if self.pop_neg_norm is None else -self.pop_neg_norm[self.rank]
-
-    @property
-    def row_norms(self) -> np.ndarray | None:
-        """p-norms of the stored rows, None for rows no bank reads."""
-        return self.norms if self.clipped_norms is None else self.clipped_norms
 
     def refs_of(self, senders: np.ndarray) -> np.ndarray:
         """Row indices sent by the given ascending sender ids, in sender order."""
@@ -172,9 +159,11 @@ def build_round_rows(
     an (ids, embed_dim) row block and a (net_size,) net gradient, else
     ContractError.  With clip enabled every row is clipped to the fixed mu
     bound before storage; clipping is receiver-independent, so the result
-    may be shared.  With bank, the rows are for UCSU's banks: they get
-    their pop key and pop order, and clipped rows their own norms.
+    may be shared.  With bank, the rows are for UCSU's banks, which only
+    hold clipped rows: they get their pop key, pop order and own norms.
     """
+    if bank and not clip:
+        raise ContractError("banked rows are clipped")
     ordered = sorted(packets, key=lambda q: q.sender)
     for q in ordered:
         if q.net_grad.shape != (net_size,):
@@ -192,11 +181,11 @@ def build_round_rows(
         raise ContractError("packet item index out of range")
     items = items.astype(np.int32)
     rows = np.concatenate([np.zeros((0, embed_dim)), *(q.item_rows for q in ordered)])
-    norms = _norms(rows, p) if clip or bank else None
-    row_norms = None
-    if clip and len(rows):
+    norms = row_norms = None
+    if clip:
         if mu <= 0:
             raise ContractError("mu must be > 0")
+        norms = _norms(rows, p)
         rows = _clip(rows, norms, mu)
         if bank:
             # UCSU's adaptive clip scales by the stored rows' own norms.
@@ -233,7 +222,7 @@ class MemoryBank:
             raise ContractError("capacity_rounds must be >= 1")
         self.capacity_rounds = capacity_rounds
         self._last_round: int | None = None
-        self.clear()
+        self._chunks: list[tuple[RoundRows, np.ndarray]] = []
 
     def ingest(self, rr: RoundRows, refs: np.ndarray) -> None:
         """Bank the given row indices of a round's consolidated gradients.
@@ -253,9 +242,6 @@ class MemoryBank:
         """Drop entries with round_received older than current - capacity_rounds."""
         horizon = current_round - self.capacity_rounds
         self._chunks = [c for c in self._chunks if c[0].round >= horizon]
-
-    def clear(self) -> None:
-        self._chunks: list[tuple[RoundRows, np.ndarray]] = []
 
     def size(self) -> int:
         return sum(len(ranks) for _, ranks in self._chunks)
@@ -304,9 +290,7 @@ class MemoryBank:
             refs = rr.order[ranks[:n]]
             items[dest[start : start + n]] = rr.items[refs]
             rows[dest[start : start + n]] = rr.rows[refs]
-            row_norms[dest[start : start + n]] = (
-                -neg[:n] if rr.clipped_norms is None else rr.clipped_norms[refs]
-            )
+            row_norms[dest[start : start + n]] = rr.row_norms[refs]
             start += n
             if n < len(ranks):
                 kept.append((rr, ranks[n:].copy() if n else ranks))
@@ -340,7 +324,7 @@ def compact_round_rows(rr: RoundRows, banks: Iterable[MemoryBank]) -> None:
         items=rr.items[keep],
         rows=rr.rows[keep],
         norms=-rr.pop_neg_norm[rr.rank[keep]],
-        row_norms=None if rr.clipped_norms is None else rr.clipped_norms[keep],
+        row_norms=rr.row_norms[keep],
     )
     # Kept rows keep their order and the pop order is a stable sort, so a
     # held position's new rank is the number of held positions before it.
@@ -354,19 +338,17 @@ def ucsu_aggregate(
     rr: RoundRows,
     senders: np.ndarray,
     nu: float,
-    clean_bank: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bank what the senders sent this round, pop the top-nu fraction by
     norm, rescale, and average.
 
-    The senders' rows (clipped at consolidation when UCSU clips) are
-    inserted into the bank, then entries beyond the retention window of
-    round rr.round are evicted.  The top ceil(nu * bank size) rows by norm
-    are removed, rescaled by the adaptive mean-norm clip (each row by
-    min(1, mean norm / its norm), over the norms the pop returns), and
-    averaged per item.  Rows left unselected stay banked unless clean_bank
-    is set, which discards them (the literal pop-and-clean variant).  Returns (item ids,
-    aggregate rows); an empty bank yields an empty aggregate.
+    The senders' rows (clipped to mu at consolidation) are inserted into
+    the bank, then entries beyond the retention window of round rr.round
+    are evicted.  The top ceil(nu * bank size) rows by norm are removed,
+    rescaled by the adaptive mean-norm clip (each row by min(1, mean norm /
+    its norm), over the norms the pop returns), and averaged per item.
+    Rows left unselected stay banked.  Returns (item ids, aggregate rows);
+    an empty bank yields an empty aggregate.
     """
     if not (0.0 < nu <= 1.0):
         raise ContractError("nu must be in (0, 1]")
@@ -376,8 +358,6 @@ def ucsu_aggregate(
         return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
     items, rows, norms = bank.pop_top_fraction(nu)
     rows = _clip(rows, norms, norms.mean())
-    if clean_bank:
-        bank.clear()
     uniq, sums, counts = scatter_add_rows(items, rows)
     return uniq, sums / counts[:, None]
 
@@ -504,9 +484,9 @@ def item_krum_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray,
 def l2_clip_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Plain FedAvg mean of the senders' rows, absent rows as zero.
 
-    Defense none reads unclipped rows with it, l2clip the rows consolidation
-    clipped to the fixed mu bound, and adversaries their neighbors' honest
-    rows.  Rows are summed in ascending sender order.
+    Defense none reads unclipped rows with it, and l2clip the rows
+    consolidation clipped to the fixed mu bound.  Rows are summed in
+    ascending sender order.
     """
     refs = rr.receiver_refs(senders)
     uniq, sums, _ = scatter_add_rows(rr.items[refs], rr.rows[refs])

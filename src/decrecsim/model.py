@@ -244,9 +244,6 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-_BATCH_SHAPE = "training batch must be a nonempty (n, 2) array of item pairs"
-
-
 def check_pairs(pairs: np.ndarray, num_items: int) -> np.ndarray:
     """Validate (positive, negative) item pairs as an int64 array; n may be 0.
 
@@ -255,7 +252,7 @@ def check_pairs(pairs: np.ndarray, num_items: int) -> np.ndarray:
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ContractError(_BATCH_SHAPE)
+        raise ContractError("training batch must be an (n, 2) array of item pairs")
     if len(pairs) == 0:
         return pairs
     if (pairs[:, 0] == pairs[:, 1]).any():
@@ -270,7 +267,7 @@ def bpr_loss(state: ClientState, pairs: np.ndarray) -> float:
     an empty batch is undefined, so it is rejected."""
     pairs = check_pairs(pairs, state.num_items)
     if len(pairs) == 0:
-        raise ContractError(_BATCH_SHAPE)
+        raise ContractError("training batch must be nonempty")
     items = np.concatenate([pairs[:, 0], pairs[:, 1]])
     z, _, _ = _forward(state, items)
     n = len(pairs)

@@ -18,12 +18,11 @@ client with the bits of training alone.  The end-of-round gradients stay
 per client.  The workers setting drives only the attack and defense phases,
 whose thread-parallel execution is bit-identical to sequential execution.
 
-Item rows reach a receiver only through a round's consolidated RoundRows.
-Adversaries absorb their neighbors' honest packets from an unclipped
-RoundRows built before the attack and dropped once they have absorbed;
-the defenses read the RoundRows of the round's final packets, after which
-only the packets' net gradients are kept.  Every receiver's aggregate and
-mean net gradient are applied by model.apply_neighbor_aggregate.
+A round's packets are consolidated once.  Adversaries absorb their
+neighbors' honest packets straight from the packets; the defenses read the
+one RoundRows of the round's final packets, after which only the packets'
+net gradients are kept.  Every receiver's aggregate and mean net gradient
+are applied by model.apply_neighbor_aggregate.
 """
 
 from __future__ import annotations
@@ -308,27 +307,20 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     all_ids = list(range(world.num_clients))
     packets = [compute_gradients(world.clients[i], world.pairs[i], sender=i)[1] for i in all_ids]
 
-    # Every client shares one model shape; packets are checked against it.
-    layout = world.clients[0].layout
-    shape = dict(num_items=world.dataset.num_items, embed_dim=layout.embed_dim, net_size=layout.size)
-
     # Phase 3: adversaries absorb their neighbors' honest packets, then
     # craft this round's outgoing packets (from round 2 on; round 1 conceals).
     outgoing: dict[int, GradientPacket] = {}
     adv_ids = sorted(world.adversary_ids)
     if adv_ids and nbr is not None:
-        honest_rows = build_round_rows(packets, t, **shape, p=config.p, clip=False)
         for a in adv_ids:
-            neigh = np.sort(nbr.neighbors_of(a))
-            if len(neigh):
+            neigh = np.sort(nbr.neighbors_of(a)).tolist()
+            if neigh:
                 adversary_collab_update(
                     world.adversaries[a],
-                    honest_rows,
-                    neigh,
-                    _mean_in_order([packets[k].net_grad for k in neigh.tolist()]),
+                    [packets[k] for k in neigh],
+                    _mean_in_order([packets[k].net_grad for k in neigh]),
                     lr,
                 )
-        del honest_rows
     if adv_ids and t >= 2:
         coord = None
         if config.attack == "pamn":
@@ -361,14 +353,18 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     benign = benign_ids(world)
 
     # Clipping to mu is receiver-independent, so l2clip and UCSU clip once
-    # here, for every receiver; only UCSU's banks read the pop order.
+    # here, for every receiver; only UCSU's banks read the pop order.  Every
+    # client shares one model shape, and each packet is checked against it.
+    layout = world.clients[0].layout
     shared_rows = build_round_rows(
         final_packets,
         t,
-        **shape,
+        num_items=world.dataset.num_items,
+        embed_dim=layout.embed_dim,
+        net_size=layout.size,
         mu=config.mu,
         p=config.p,
-        clip=config.defense == "l2clip" or (config.defense == "ucsu" and config.ucsu_clip),
+        clip=config.defense in ("l2clip", "ucsu"),
         bank=config.defense == "ucsu",
     )
     # Every defense reads item rows from shared_rows, so of the packets only
@@ -384,13 +380,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
         if config.defense in ("none", "l2clip"):
             items, rows = l2_clip_aggregate(shared_rows, ordered)
         elif config.defense == "ucsu":
-            items, rows = ucsu_aggregate(
-                world.banks[i],
-                shared_rows,
-                ordered,
-                config.nu,
-                clean_bank=config.ucsu_clean_bank,
-            )
+            items, rows = ucsu_aggregate(world.banks[i], shared_rows, ordered, config.nu)
         elif config.defense == "median":
             items, rows = median_aggregate(shared_rows, ordered)
         elif config.defense == "trimmed":

@@ -143,17 +143,18 @@ def packet(
     return GradientPacket(sender=sender, item_idx=idx, item_rows=mat, net_grad=net)
 
 
-def round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True, num_items=None):
-    """build_round_rows, with the pop order a bank reads, for a model shaped
-    like the packets: row width and net size from the first packet (2 and 2
-    without packets), and room for every item id they carry unless
-    num_items is given."""
+def round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True, bank=True, num_items=None):
+    """build_round_rows for a model shaped like the packets: row width and
+    net size from the first packet (2 and 2 without packets), and room for
+    every item id they carry unless num_items is given.  By default the
+    rows are clipped to mu and carry the pop order a bank reads; mu = inf
+    keeps every row bit for bit."""
     if num_items is None:
         num_items = 1 + max((int(q.item_idx.max()) for q in pkts if len(q.item_idx)), default=0)
     embed_dim = pkts[0].item_rows.shape[1] if pkts else 2
     net_size = len(pkts[0].net_grad) if pkts else 2
     return build_round_rows(
-        pkts, round_no, num_items, embed_dim, net_size, mu=mu, p=p, clip=clip, bank=True
+        pkts, round_no, num_items, embed_dim, net_size, mu=mu, p=p, clip=clip, bank=bank
     )
 
 
@@ -321,6 +322,11 @@ def predict_rating(state: ClientState, item: int) -> float:
     return float(1.0 / (1.0 + np.exp(-(w @ h))))
 
 
+def pop_key(rr) -> np.ndarray:
+    """The pop key of a banked RoundRows' rows, in row order."""
+    return -rr.pop_neg_norm[rr.rank]
+
+
 def brute_force_top_nu(entries: list[tuple[float, int]], nu: float) -> list[int]:
     """Indices of the top ceil(nu*n) entries by (norm desc, insertion asc)."""
     import math
@@ -333,17 +339,18 @@ def brute_force_top_nu(entries: list[tuple[float, int]], nu: float) -> list[int]
 
 class ReferenceBank:
     """List-based memory bank: every entry in insertion order, and a pop that
-    sorts the whole list by (norm desc, insertion asc) and takes the top
-    ceil(nu * n).  Reads only the rows, items and norms of a RoundRows."""
+    sorts the whole list by (pop key desc, insertion asc) and takes the top
+    ceil(nu * n).  Reads only the rows, items and pop keys of a RoundRows."""
 
     def __init__(self, capacity_rounds: int):
         self.capacity_rounds = capacity_rounds
         self.entries: list[tuple[int, int, np.ndarray, float]] = []  # round, item, row, norm
 
     def ingest(self, rr, refs) -> None:
+        key = pop_key(rr)
         for ref in refs:
             ref = int(ref)
-            self.entries.append((rr.round, int(rr.items[ref]), rr.rows[ref], float(rr.norms[ref])))
+            self.entries.append((rr.round, int(rr.items[ref]), rr.rows[ref], float(key[ref])))
 
     def evict(self, current_round: int) -> None:
         horizon = current_round - self.capacity_rounds

@@ -20,7 +20,7 @@ from decrecsim.attacks import (
 )
 from decrecsim.errors import ConfigError, ContractError
 from decrecsim.metrics import top_k_list
-from decrecsim.model import compute_gradients, score_items
+from decrecsim.model import GradientPacket, compute_gradients, score_items
 from helpers import (
     absorb,
     assert_close_grad,
@@ -31,7 +31,6 @@ from helpers import (
     packet,
     predict_rating,
     reference_pamn_poison,
-    round_rows,
 )
 
 
@@ -82,16 +81,54 @@ class TestBuildDataset:
 
 
 def collab_update(adv, pkts, lr):
-    """adversary_collab_update on the unclipped round rows of pkts, every
+    """adversary_collab_update on pkts in ascending sender order, every
     sender a neighbor, with the senders' mean net gradient."""
     ordered = sorted(pkts, key=lambda q: q.sender)
-    senders = np.array([q.sender for q in ordered], dtype=np.int64)
     net_mean = np.stack([q.net_grad for q in ordered]).mean(axis=0)
-    rr = round_rows(pkts, num_items=adv.base.num_items, clip=False)
-    adversary_collab_update(adv, rr, senders, net_mean, lr)
+    adversary_collab_update(adv, ordered, net_mean, lr)
+
+
+def neighbor_packets(adv, case):
+    """Packets an adversary's neighbors send: rows that share items across
+    senders, with magnitudes over 12 decades so the sum order shows in the
+    bits; with-pairless adds a pairless neighbor's packet (from an empty
+    batch), and no-rows is a neighbor set of pairless clients only."""
+    rng = np.random.default_rng(len(case))
+    size, dim, num_items = adv.base.layout.size, adv.base.layout.embed_dim, adv.base.num_items
+    empty = np.zeros((0, 2), dtype=np.int64)
+    pairless = [compute_gradients(adv.base, empty, sender=s)[1] for s in (4, 9)]
+    if case == "no-rows":
+        return pairless
+    pkts = []
+    for sender in (2, 5, 8, 11):
+        items = np.sort(rng.choice(num_items, size=8, replace=False))
+        rows = rng.normal(size=(8, dim)) * 10.0 ** rng.integers(-6, 6, size=(8, 1))
+        rows[0, 0] = -0.0
+        pkts.append(GradientPacket(sender, items, rows, rng.normal(size=size)))
+    return pkts + pairless[:1] if case == "with-pairless" else pkts
 
 
 class TestCollabUpdate:
+    @pytest.mark.parametrize("case", ["rows", "with-pairless", "no-rows"])
+    def test_bytes_of_absorb_over_unclipped_round_rows(self, case):
+        adv = make_adv(3)
+        pkts = neighbor_packets(adv, case)
+        mirror = adv.base.copy()
+        collab_update(adv, pkts, lr=0.05)
+        absorb(mirror, pkts, lr=0.05)
+        for got, want in zip(
+            (adv.base.item_table, adv.base.net, adv.base.user_vec),
+            (mirror.item_table, mirror.net, mirror.user_vec),
+        ):
+            assert got.tobytes() == want.tobytes()
+        if case == "no-rows":  # only the net moves
+            assert make_adv(3).base.item_table.tobytes() == adv.base.item_table.tobytes()
+
+    def test_no_packets_rejected(self):
+        adv = make_adv(4)
+        with pytest.raises(ContractError, match="at least one packet"):
+            adversary_collab_update(adv, [], np.zeros(adv.base.layout.size), lr=0.1)
+
     def test_bit_identical_to_model_aggregate(self):
         adv = make_adv(0)
         mirror = adv.base.copy()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from decrecsim import cli
+from decrecsim.config import parse_config
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
 
 # 40 users x 60 items, 2 rounds: PAMN against UCSU, so lambda is in use.
@@ -72,6 +73,20 @@ def test_replay_from_manifest_is_byte_identical(world, tmp_path):
     changed = tmp_path / "changed"
     assert cli.main(replay_args(first, changed) + ["--set", "lambda=0.3"]) == 0
     assert json.loads((changed / "manifest.json").read_text(encoding="utf-8"))["config"]["lambda"] == 0.3
+
+
+def test_set_mu_inf_replays_from_its_manifest(world, tmp_path):
+    # --set mu=inf reaches the manifest as JSON Infinity, and the replay
+    # rebuilds an equal config and writes the same bytes
+    config, _ = world
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert cli.main(run_args(config, first) + ["--set", "mu=inf"]) == 0
+    assert '"mu": Infinity' in (first / "manifest.json").read_text(encoding="utf-8")
+    recorded, _ = cli.config_from_manifest(str(first / "manifest.json"))
+    assert recorded == parse_config(config, {"mu": "inf", "output_path": str(first)})
+    assert recorded.mu == float("inf")
+    assert cli.main(replay_args(first, replay)) == 0
+    assert (replay / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
 
 
 def test_manifest_records_the_run(world, tmp_path):

@@ -1,10 +1,12 @@
-"""Config keys: a manifest's typed values replay to an equal config, every
-parser rejects malformed text by the key's name, keys an old manifest may
-still name are rejected, the lambda key, and which keys a sweep may vary."""
+"""Config keys: a manifest's typed values replay to an equal config, mu =
+inf among them, every parser rejects malformed text by the key's name, keys
+an old manifest may still name are rejected, the lambda key, and which keys
+a sweep may vary."""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -42,8 +44,6 @@ NON_DEFAULT = dict(
     neg_ratio=2,
     seed=123,
     sketch_dim=8,
-    ucsu_clip=False,
-    ucsu_clean_bank=True,
     workers=2,
     output_path="out",
 )
@@ -62,18 +62,27 @@ def test_manifest_values_replay_to_an_equal_config():
     assert all(type(getattr(back, n)) is type(getattr(cfg, n)) for n in NON_DEFAULT)
 
 
+def test_mu_inf_parses_and_replays():
+    # mu = inf keeps every row UCSU banks; a manifest records it as JSON
+    # Infinity
+    cfg = parse_config(None, {"dataset_path": "x", "defense": "ucsu", "mu": "inf"})
+    assert cfg.mu == math.inf
+    text = json.dumps(cfg.to_dict())
+    assert '"mu": Infinity' in text
+    assert parse_config(None, json.loads(text)) == cfg
+
+
 @pytest.mark.parametrize(
     "key, raw",
     [
         ("rounds", "ten"),
         ("lambda", "abc"),
-        ("ucsu_clip", "maybe"),
         ("layer_widths", "8,x"),
         ("rounds", 2.5),
         ("embed_dim", None),
     ],
     ids=[
-        "int", "float", "bool", "int-tuple", "typed-float-for-int", "typed-none",
+        "int", "float", "int-tuple", "typed-float-for-int", "typed-none",
     ],
 )
 def test_malformed_value_names_its_key(key, raw):
@@ -101,4 +110,4 @@ def test_sweepable_keys_are_the_numeric_keys():
         "num_targets", "min_count", "train_ratio", "neg_ratio", "seed", "sketch_dim", "workers",
     }
     assert {"lambda", "p"} <= SWEEPABLE
-    assert not {"attack", "ucsu_clip", "layer_widths"} & SWEEPABLE
+    assert not {"attack", "dataset_format", "layer_widths"} & SWEEPABLE

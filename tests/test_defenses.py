@@ -43,14 +43,16 @@ from helpers import (
     dense_block_trimmed,
     packet,
     per_item_mean_loop,
+    pop_key,
     round_rows,
 )
 
 
-def received(pkts, round_no=1, mu=1.0, p=2, clip=False):
+def received(pkts, round_no=1, mu=1.0, p=2, clip=False, bank=False):
     """The round rows of pkts and their ascending sender ids: what a
-    receiver whose neighbors sent pkts reads."""
-    rr = round_rows(pkts, round_no, mu=mu, p=p, clip=clip)
+    receiver whose neighbors sent pkts reads (UCSU's banks read rows built
+    with clip and bank)."""
+    rr = round_rows(pkts, round_no, mu=mu, p=p, clip=clip, bank=bank)
     return rr, np.array(sorted(q.sender for q in pkts), dtype=np.int64)
 
 
@@ -469,8 +471,8 @@ class TestL2Clip:
     def test_pre_mean_norms_bounded(self):
         rng = np.random.default_rng(6)
         pkts = random_packets(rng, 5, 4, 3)
-        rr = round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True)
-        assert np.all(rr.norms <= 1.0 + 1e-12)
+        rr = round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True, bank=False)
+        assert np.all(np.linalg.norm(rr.rows, axis=1) <= 1.0 + 1e-12)
 
 
 class TestBuildRoundRows:
@@ -504,7 +506,7 @@ class TestBuildRoundRows:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert np.all(rr.norms <= 1.0)
+        assert np.all(pop_key(rr) <= 1.0)
         assert peak <= rr.rows.nbytes + 256 * len(rr.items)
 
     @pytest.mark.parametrize(
@@ -528,33 +530,44 @@ class TestBuildRoundRows:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_row_norms_are_the_stored_rows_norms(self, p):
-        # Clipped rows keep the capped pop key in norms; row_norms are the
-        # stored rows' own norms, and without clipping they are norms.
+        # Clipped rows keep the capped pop key; row_norms are the stored
+        # rows' own norms, and with mu = inf, which keeps every row, they
+        # are the pop key.
         rng = np.random.default_rng(20 + p)
         pkts = random_packets(rng, 30, 6, 3)
-        plain = round_rows(pkts, p=p, clip=False)
-        clipped = round_rows(pkts, mu=1.0, p=p, clip=True)
-        assert (plain.norms > 1.0).sum() > 10
-        assert np.array_equal(clipped.norms, np.minimum(plain.norms, 1.0))
+        plain = round_rows(pkts, mu=np.inf, p=p)
+        clipped = round_rows(pkts, mu=1.0, p=p)
+        raw = np.concatenate([q.item_rows for q in pkts])
+        assert plain.rows.tobytes() == raw.tobytes()
+        assert (pop_key(plain) > 1.0).sum() > 10
+        assert np.array_equal(pop_key(clipped), np.minimum(pop_key(plain), 1.0))
         assert clipped.row_norms.tobytes() == np.linalg.norm(clipped.rows, ord=p, axis=1).tobytes()
-        assert plain.row_norms is plain.norms
+        assert plain.row_norms.tobytes() == pop_key(plain).tobytes()
 
     @pytest.mark.parametrize("clip", [False, True])
     def test_pop_fields_only_for_banks(self, clip):
         # Rows no bank reads carry no norms or pop order, and a bank refuses
-        # them; rows for banks keep the key once, in pop order, and an int32
-        # order.
+        # them; rows for banks are clipped (mu = inf keeps unclipped rows'
+        # bits), keep the key once, in pop order, and an int32 order.
+        mu = 1.0 if clip else np.inf
         pkts = random_packets(np.random.default_rng(30), 20, 6, 3)
-        shape = dict(num_items=6, embed_dim=3, net_size=len(pkts[0].net_grad), clip=clip)
-        plain = build_round_rows(pkts, 1, **shape)
+        shape = dict(num_items=6, embed_dim=3, net_size=len(pkts[0].net_grad), mu=mu)
+        plain = build_round_rows(pkts, 1, **shape, clip=clip)
         banked = build_round_rows(pkts, 1, **shape, bank=True)
         assert plain.rows.tobytes() == banked.rows.tobytes()
-        assert plain.order is plain.rank is plain.pop_neg_norm is plain.norms is None
+        assert plain.order is plain.rank is plain.pop_neg_norm is plain.row_norms is None
         with pytest.raises(ContractError, match="pop order"):
             MemoryBank(2).ingest(plain, np.arange(len(plain.items)))
         assert banked.order.dtype == banked.rank.dtype == np.int32
         assert "norms" not in vars(banked)  # only pop_neg_norm holds the key
-        assert np.array_equal(-banked.pop_neg_norm, banked.norms[banked.order])
+        raw = np.concatenate([q.item_rows for q in pkts])
+        key = np.minimum(np.linalg.norm(raw, axis=1), mu)
+        assert np.array_equal(-banked.pop_neg_norm, key[banked.order])
+
+    def test_banked_rows_are_clipped(self):
+        pkts = random_packets(np.random.default_rng(31), 3, 6, 3)
+        with pytest.raises(ContractError, match="banked rows are clipped"):
+            build_round_rows(pkts, 1, num_items=6, embed_dim=3, net_size=2, clip=False, bank=True)
 
 
     @pytest.mark.parametrize("clip, bank", [(False, False), (True, False), (True, True)])
@@ -575,7 +588,7 @@ def bank_with(entries, capacity=10):
     for rnd, sender, rows in entries:
         by_round.setdefault(rnd, []).append(packet(sender, rows, np.zeros(2)))
     for rnd in sorted(by_round):
-        rr = round_rows(by_round[rnd], rnd, clip=False)
+        rr = round_rows(by_round[rnd], rnd, mu=np.inf)
         bank.ingest(rr, np.arange(len(rr.items), dtype=np.int32))
     return bank
 
@@ -637,7 +650,7 @@ class TestMemoryBank:
         evictable = 0
         for rnd in range(1, 12):
             pkts = random_packets(rng, 4, 5, 2, p_touch=0.6)
-            rr = round_rows(pkts, rnd, clip=False)
+            rr = round_rows(pkts, rnd, mu=np.inf)
             before = bank.size()
             bank.ingest(rr, np.arange(len(rr.items), dtype=np.int32))
             ingested += len(rr.items)
@@ -672,6 +685,7 @@ class TestMemoryBank:
                 items=rng.integers(0, 1000, size=n).astype(np.int32),
                 rows=np.ones((n, 1)),
                 norms=rng.choice([0.25, 0.5, 1.0], size=n) * rng.random(n),
+                row_norms=np.ones(n),
             )
             for r in range(1, 11)
         ]
@@ -700,8 +714,8 @@ class TestCompactRoundRows:
         refs_banks = [ReferenceBank(2) for _ in range(3)]
         for t in range(1, 6):
             pkts = random_packets(rng, 60, 20, 2, p_touch=0.5)
-            rr = round_rows(pkts, t, mu=1.0, clip=True)
-            assert len(rr.items) > 100 and np.count_nonzero(rr.norms == 1.0) > 100
+            rr = round_rows(pkts, t, mu=1.0)
+            assert len(rr.items) > 100 and np.count_nonzero(pop_key(rr) == 1.0) > 100
             for bank, ref in zip(banks, refs_banks):
                 senders = np.sort(rng.choice(60, size=30, replace=False))
                 refs = rr.refs_of(senders)
@@ -732,7 +746,7 @@ class TestCompactRoundRows:
 class TestUcsuAggregate:
     def test_empty_everything_is_noop(self):
         bank = MemoryBank(10)
-        items, rows = ucsu_aggregate(bank, *received([], clip=True), nu=0.1)
+        items, rows = ucsu_aggregate(bank, *received([], clip=True, bank=True), nu=0.1)
         assert len(items) == 0
 
     def test_single_round_lifecycle(self):
@@ -741,20 +755,11 @@ class TestUcsuAggregate:
             packet(0, {0: np.array([3.0, 4.0])}, np.zeros(2)),
             packet(1, {1: np.array([0.1, 0.0])}, np.zeros(2)),
         ]
-        items, rows = ucsu_aggregate(bank, *received(pkts, mu=1.0, clip=True), nu=0.5)
+        items, rows = ucsu_aggregate(bank, *received(pkts, mu=1.0, clip=True, bank=True), nu=0.5)
         # the clipped (0.6, 0.8) row is the largest and is popped
         assert items.tolist() == [0]
         assert np.allclose(rows[0], [0.6, 0.8])
         assert bank.size() == 1
-
-    def test_clean_bank_variant_discards_rest(self):
-        bank = MemoryBank(10)
-        pkts = [
-            packet(0, {0: np.array([0.9, 0.0])}, np.zeros(2)),
-            packet(1, {1: np.array([0.1, 0.0])}, np.zeros(2)),
-        ]
-        ucsu_aggregate(bank, *received(pkts, clip=True), nu=0.5, clean_bank=True)
-        assert bank.size() == 0
 
     def test_per_item_mean_of_selected(self):
         bank = MemoryBank(10)
@@ -762,7 +767,7 @@ class TestUcsuAggregate:
             packet(0, {0: np.array([0.8, 0.0])}, np.zeros(2)),
             packet(1, {0: np.array([0.6, 0.0])}, np.zeros(2)),
         ]
-        items, rows = ucsu_aggregate(bank, *received(pkts, mu=10.0, clip=True), nu=1.0)
+        items, rows = ucsu_aggregate(bank, *received(pkts, mu=10.0, clip=True, bank=True), nu=1.0)
         # both rows selected; adaptive clip scales the larger to the mean norm
         assert items.tolist() == [0]
         assert rows[0][0] == pytest.approx((0.7 + 0.6) / 2.0)
@@ -771,23 +776,23 @@ class TestUcsuAggregate:
         bank = MemoryBank(capacity_rounds=10)
         big = packet(0, {0: np.array([0.9, 0.0])}, np.zeros(2))
         small = packet(1, {1: np.array([0.5, 0.0])}, np.zeros(2))
-        items1, _ = ucsu_aggregate(bank, *received([big, small], clip=True), nu=0.5)
+        items1, _ = ucsu_aggregate(bank, *received([big, small], clip=True, bank=True), nu=0.5)
         assert items1.tolist() == [0]
-        items2, _ = ucsu_aggregate(bank, *received([], round_no=2, clip=True), nu=1.0)
+        items2, _ = ucsu_aggregate(bank, *received([], round_no=2, clip=True, bank=True), nu=1.0)
         assert items2.tolist() == [1]  # the held-back row surfaces later
 
 
-# Rows over the mu = 1 bound clip to a stored norm of exactly mu, so with
-# clipping most norms tie; zero rows tie at 0.
+# Rows over the mu = 1 bound clip to a pop key of exactly mu, so with
+# clipping most keys tie; zero rows tie at 0.  mu = inf keeps every row.
 BANK_VALUES = st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, 3.0])
 
 
 @st.composite
 def bank_histories(draw):
-    """Capacity, nu, clip, and rounds of (round no, packets, receiver's neighbors)."""
+    """Capacity, nu, mu, and rounds of (round no, packets, receiver's neighbors)."""
     capacity = draw(st.integers(1, 3))
     nu = draw(st.sampled_from([0.1, 0.3, 0.5, 1.0]))
-    clip = draw(st.booleans())
+    mu = draw(st.sampled_from([1.0, np.inf]))
     rounds = []
     t = 0
     for _ in range(draw(st.integers(1, 6))):
@@ -800,25 +805,25 @@ def bank_histories(draw):
         # neighbor ids may exceed every sender (clients that sent no rows)
         neighbors = sorted(draw(st.lists(st.integers(0, 7), unique=True)))
         rounds.append((t, packets, neighbors))
-    return capacity, nu, clip, rounds
+    return capacity, nu, mu, rounds
 
 
 class TestBankAgainstReference:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(bank_histories(), st.booleans())
-    def test_rounds_of_ingest_evict_pop(self, history, clean_bank):
-        capacity, nu, clip, rounds = history
+    @given(bank_histories())
+    def test_rounds_of_ingest_evict_pop(self, history):
+        capacity, nu, mu, rounds = history
         agg_bank = MemoryBank(capacity)  # driven through ucsu_aggregate
         bank = MemoryBank(capacity)  # driven step by step
         ref = ReferenceBank(capacity)
         for t, packets, neighbors in rounds:
             pkts = [packet(s, rows, np.zeros(2)) for s, rows in packets]
-            rr = round_rows(pkts, t, mu=1.0, clip=clip)
+            rr = round_rows(pkts, t, mu=mu)
             senders = np.array(neighbors, dtype=np.int64)
             refs = rr.refs_of(senders)
             assert refs.tolist() == [j for j in range(len(rr.items)) if rr.senders[j] in neighbors]
 
-            items, rows = ucsu_aggregate(agg_bank, rr, senders, nu, clean_bank=clean_bank)
+            items, rows = ucsu_aggregate(agg_bank, rr, senders, nu)
             bank.ingest(rr, refs)
             bank.evict(t)
             ref.ingest(rr, refs)
@@ -830,9 +835,6 @@ class TestBankAgainstReference:
             assert got_items.tolist() == want_items
             assert [r.tobytes() for r in got_rows] == [r.tobytes() for r in want_rows]
             assert got_norms.tobytes() == np.linalg.norm(got_rows, axis=1).tobytes()
-            if clean_bank:  # the pop-and-clean variant discards what stays
-                bank.clear()
-                ref.entries = []
             compact_round_rows(rr, [agg_bank, bank])
             assert_round_compacted(t, [agg_bank, bank])
 

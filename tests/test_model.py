@@ -119,7 +119,7 @@ class TestBprLoss:
 
     def test_empty_batch_rejected(self):
         state = make_state(6)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="nonempty"):
             bpr_loss(state, np.empty((0, 2), dtype=np.int64))
 
     def test_equal_pos_neg_rejected(self):
@@ -194,7 +194,7 @@ class TestGradients:
     @pytest.mark.parametrize(
         "pairs, message",
         [
-            (np.array([0, 1]), "nonempty"),
+            (np.array([0, 1]), r"an \(n, 2\) array of item pairs"),
             (np.array([[2, 2]]), "must differ"),
             (np.array([[0, 12]]), "out of range"),
             (np.array([[-1, 3]]), "out of range"),

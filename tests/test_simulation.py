@@ -2,10 +2,10 @@
 same-seed determinism for every per-receiver robust aggregator, and for
 PAMN against UCSU with banks small enough to evict; the round rows UCSU
 keeps alive and the norms its clip bounds; the packets dropped once a
-round's rows are consolidated; what adversaries absorb; the empty packets
-of clients without training pairs; the neighbor refresh cadence;
-init_world's pair checks and each client's Adam item-moment cover; the
-cold targets select_cold_targets draws."""
+round's rows are consolidated, once per round; what adversaries absorb;
+the empty packets of clients without training pairs; the neighbor refresh
+cadence; init_world's pair checks and each client's Adam item-moment
+cover; the cold targets select_cold_targets draws."""
 
 import dataclasses
 import gc
@@ -100,11 +100,7 @@ def test_same_seed_same_metrics(tiny, case):
     assert first == second
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [{}, {"ucsu_clean_bank": True}, {"ucsu_clip": False}],
-    ids=["default", "clean-bank", "no-clip"],
-)
+@pytest.mark.parametrize("overrides", [{}, {"mu": np.inf}], ids=["default", "mu-inf"])
 def test_ucsu_keeps_only_round_rows_a_bank_holds(tiny, overrides):
     config, dataset = tiny
     config = dataclasses.replace(
@@ -124,19 +120,16 @@ def test_ucsu_keeps_only_round_rows_a_bank_holds(tiny, overrides):
         # a round no bank holds is no longer referenced
         assert alive == held
         assert_round_compacted(t, world.banks.values())
-        if overrides.get("ucsu_clean_bank"):
-            assert not held
-        else:
-            assert any(rr.round == t for bank in world.banks.values() for rr, _ in bank._chunks)
+        assert any(rr.round == t for bank in world.banks.values() for rr, _ in bank._chunks)
 
 
 def test_ucsu_clip_bounds_the_rows_banks_hold(tiny, monkeypatch):
     # PAMN's rows arrive with p-norm about 2; with the clip UCSU banks them
-    # at mu, without it as sent, and the benign models end up apart.
+    # at mu, with mu = inf as sent, and the benign models end up apart.
     mu, p = tiny[0].mu, tiny[0].p
     real_build = simulation.build_round_rows
 
-    def run_banking(clip):
+    def run_banking(bound):
         sent, banked = [], []
 
         def build_spy(packets, *args, **kwargs):
@@ -148,15 +141,15 @@ def test_ucsu_clip_bounds_the_rows_banks_hold(tiny, monkeypatch):
 
         monkeypatch.setattr(simulation, "build_round_rows", build_spy)
         _, world = run(
-            tiny, attack="pamn", defense="ucsu", capacity_rounds=2, rounds=4, ucsu_clip=clip
+            tiny, attack="pamn", defense="ucsu", capacity_rounds=2, rounds=4, mu=bound
         )
         return np.concatenate(sent), np.concatenate(banked), world
 
-    sent, banked, clipped = run_banking(True)
+    sent, banked, clipped = run_banking(mu)
     assert sent.max() > 1.5 * mu
     # the scale mu / norm may leave a row an ulp above mu
     assert banked.max() == pytest.approx(mu) and banked.max() <= mu * (1 + 1e-12)
-    _, banked, unclipped = run_banking(False)
+    _, banked, unclipped = run_banking(np.inf)
     assert banked.max() > 1.5 * mu
     assert not np.array_equal(clipped.stacked.item_table, unclipped.stacked.item_table)
 
@@ -167,16 +160,25 @@ def test_ucsu_clip_bounds_the_rows_banks_hold(tiny, monkeypatch):
 )
 def test_packets_dropped_once_round_rows_are_built(tiny, monkeypatch, defense, reader):
     # Every defense reads item rows from the round's RoundRows, so no
-    # packet's rows may still be alive when the first receiver reads.
+    # packet's rows, honest (the adversaries' absorbed ones among them) or
+    # crafted, may still be alive when the first receiver reads.
     config, dataset = tiny
     config = dataclasses.replace(config, attack="pamn", defense=defense)
     world = init_world(config, dataset)
     rows = []
     reads = []
+    builds = []
+    real_gradients = simulation.compute_gradients
     real_build = simulation.build_round_rows
     real_reader = getattr(simulation, reader)
 
+    def gradients_spy(*args, **kwargs):
+        user_grad, pkt = real_gradients(*args, **kwargs)
+        rows.append(weakref.ref(pkt.item_rows))
+        return user_grad, pkt
+
     def build_spy(packets, *args, **kwargs):
+        builds.append(world.round + 1)
         rows.extend(weakref.ref(q.item_rows) for q in packets)
         return real_build(packets, *args, **kwargs)
 
@@ -186,11 +188,13 @@ def test_packets_dropped_once_round_rows_are_built(tiny, monkeypatch, defense, r
         reads.append(sum(r() is not None for r in rows))
         return real_reader(*args, **kwargs)
 
+    monkeypatch.setattr(simulation, "compute_gradients", gradients_spy)
     monkeypatch.setattr(simulation, "build_round_rows", build_spy)
     monkeypatch.setattr(simulation, reader, reader_spy)
     for _ in range(2):  # round 2 carries poisoned packets
         run_round(world, config)
-    assert len(rows) > 2 * world.num_clients and reads
+    assert builds == [1, 2]  # one consolidation per round
+    assert len(rows) == 4 * world.num_clients and reads
     assert set(reads) == {0}
 
 
@@ -254,29 +258,49 @@ def test_clients_without_pairs_send_empty_packets(tiny, monkeypatch, overrides):
     config = dataclasses.replace(tiny[0], **overrides)
     dataset = load_dataset(config)
     second = run_experiment(config, dataset)
-    builds = []
+    honest, absorbed, builds = [], [], []
+    real_gradients = simulation.compute_gradients
+    real_collab = simulation.adversary_collab_update
     real_build = simulation.build_round_rows
+
+    def gradients_spy(*args, **kwargs):
+        user_grad, pkt = real_gradients(*args, **kwargs)
+        honest.append(pkt)
+        return user_grad, pkt
+
+    def collab_spy(adv, packets, *args):
+        absorbed.extend(packets)
+        return real_collab(adv, packets, *args)
 
     def build_spy(packets, *args, **kwargs):
         rr = real_build(packets, *args, **kwargs)
         builds.append(set(rr.senders.tolist()))
         return rr
 
+    monkeypatch.setattr(simulation, "compute_gradients", gradients_spy)
+    monkeypatch.setattr(simulation, "adversary_collab_update", collab_spy)
     monkeypatch.setattr(simulation, "build_round_rows", build_spy)
     first, world = run_experiment(config, dataset, keep_world=True)
     assert first == second
     no_pairs = {i for i, pairs in enumerate(world.pairs) if len(pairs) == 0}
     assert world.adversary_ids <= no_pairs
-    # Each round builds the adversaries' honest rows, then the final rows;
-    # round 1's final packets are honest too (the adversaries conceal).
-    assert len(builds) == 2 * config.rounds
-    honest, crafted = builds[0::2] + builds[1:2], builds[3::2]
-    assert all(senders.isdisjoint(no_pairs) for senders in honest)
+    # Every client's honest packet each round; a pairless client's carries
+    # no item rows, and adversaries absorb honest packets only.
+    assert len(honest) == config.rounds * world.num_clients and absorbed
+    dim = world.clients[0].layout.embed_dim
+    for q in honest:
+        if q.sender in no_pairs:
+            assert q.item_idx.shape == (0,) and q.item_rows.shape == (0, dim)
+    assert {id(q) for q in absorbed} <= {id(h) for h in honest}
+    # One consolidation per round; round 1's packets are honest (the
+    # adversaries conceal), later rounds carry the crafted ones.
+    assert len(builds) == config.rounds
+    assert builds[0].isdisjoint(no_pairs)
     if config.neg_ratio == 0:
         # no client has pairs, so only crafted packets carry item rows
         assert no_pairs == set(range(world.num_clients))
         craft = set() if config.attack == "ra" else world.adversary_ids
-        assert all(senders <= craft for senders in crafted)
+        assert all(senders <= craft for senders in builds[1:])
 
 
 
