@@ -17,7 +17,8 @@ holds, so it changes with the world's fields).  The summary gives each
 side's quartiles, the pairs the change wins (lower is better, ties count
 for neither), the median's relative change and the parent's interquartile
 range, and is written to ``benchmarks/BENCH_<pr>.json``.  Every run gets
-``--seconds 30``.
+``--seconds 30``.  It refuses, before any run, a workload given fewer than
+``MIN_PAIRS`` (10) seeds.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("setup_s", "round_s", "run_s", "peak_rss_mb")
 UNITS = {"setup_s": "s", "round_s": "s", "run_s": "s", "peak_rss_mb": "MB"}
 SECONDS = 30
+# Fewest alternating pairs per workload: five can read a false +13% on a
+# neutral change while the host's speed drifts.
+MIN_PAIRS = 10
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -124,6 +128,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--note", default="")
     args = parser.parse_args(argv)
     runs = [(w, parse_seeds(s)) for w, s in (r.split("=") for r in args.run)]
+    short = [f"{w} ({len(seeds)})" for w, seeds in runs if len(seeds) < MIN_PAIRS]
+    if short:
+        parser.error(f"each workload needs at least {MIN_PAIRS} pairs; too few: {', '.join(short)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         parent_tree = Path(tmp)

@@ -1,9 +1,11 @@
-"""The arithmetic of benchmarks/pairs.py: quartiles, wins, IQR and the claim rule."""
+"""The arithmetic of benchmarks/pairs.py: quartiles, wins, IQR and the claim rule,
+and the floor of ten pairs per workload."""
 
 from __future__ import annotations
 
 import pytest
 
+import pairs
 from pairs import compare, gain_met, parse_seeds, quartiles
 
 
@@ -41,3 +43,18 @@ def test_gain_needs_nine_in_ten_wins_and_a_gap_beyond_the_parent_iqr():
 
 def test_parse_seeds():
     assert parse_seeds("81-84") == [81, 82, 83, 84]
+
+
+def test_fewer_than_ten_pairs_refused_before_any_run(monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(pairs, "export_tree", no_run)
+    monkeypatch.setattr(pairs, "run_once", no_run)
+    argv = ["--parent", "HEAD", "--pr", "0", "--title", "t",
+            "--run", "pamn_ucsu_m=1-10", "--run", "eb_trimmed_s=11-19"]
+    with pytest.raises(SystemExit) as exc:
+        pairs.main(argv)
+    assert exc.value.code != 0
+    err = capsys.readouterr().err
+    assert "eb_trimmed_s (9)" in err and "pamn_ucsu_m" not in err.split("too few:")[1]

@@ -10,10 +10,13 @@ by the packet count.
 A round's packets are consolidated once (RoundRows), for every defense,
 and every defense reads a receiver's rows from it by the receiver's
 ascending neighbor ids; consolidation checks each packet against the
-receivers' model shape, once per round.  Clipping to the fixed mu bound,
-for l2clip and for UCSU, happens once, at consolidation, so defense none
-and l2clip share one plain-mean reader, l2_clip_aggregate (named for the
-defense that introduced it; perfbench's tracer times it by that name).
+receivers' model shape, once per round.  The packets' rows sit in one row
+block, back to back in ascending sender order (hold_packet), and the
+RoundRows is built over that block in place, never from a copy of the
+rows.  Clipping to the fixed mu bound, for l2clip and for UCSU, happens
+once, at consolidation, so defense none and l2clip share one plain-mean
+reader, l2_clip_aggregate (named for the defense that introduced it;
+perfbench's tracer times it by that name).
 
 Median and trimmed mean share one rank kernel, _ranked_rows.  It skips
 every item carried by too few packets to reach the kept ranks (at most
@@ -49,6 +52,7 @@ bank holds any more, until eviction drops the round.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Callable, Iterable
 
@@ -142,6 +146,33 @@ class RoundRows:
         return self.refs_of(senders)
 
 
+def hold_packet(q: GradientPacket, rows: np.ndarray, start: int, net_row: np.ndarray) -> int:
+    """Move q's gradients into its round's blocks: its item rows to
+    rows[start:start + n] and its net gradient to net_row, and point q at
+    them, so the blocks own what q sends.  Returns start + n, where the next
+    sender's rows go.
+
+    ContractError if q's rows do not match its ids and the block's row
+    width, overflow the block, or its net gradient does not match net_row.
+    """
+    n = len(q.item_idx)
+    if q.item_rows.shape != (n, rows.shape[1]):
+        raise ContractError("packet item row shape mismatch")
+    if start + n > len(rows):
+        raise ContractError("packet rows overflow the round block")
+    if q.net_grad.shape != net_row.shape:
+        raise ContractError("packet net gradient shape mismatch")
+    slot = rows[start : start + n]
+    slot[...] = q.item_rows
+    net_row[...] = q.net_grad
+    q.item_rows, q.net_grad = slot, net_row
+    return start + n
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
 def build_round_rows(
     packets: list[GradientPacket],
     round_no: int,
@@ -152,26 +183,47 @@ def build_round_rows(
     p: int = 2,
     clip: bool = True,
     bank: bool = False,
+    rows: np.ndarray | None = None,
 ) -> RoundRows:
-    """Consolidate packets (ascending sender order) into one RoundRows.
+    """Consolidate packets into one RoundRows over their round's row block.
+
+    rows is the block the packets' item rows fill (hold_packet), back to
+    back from row 0 in ascending sender order; the RoundRows holds that
+    block, and clipping scales it, and so the packets' rows, in place.
+    Without rows, copies of the packets are held in new blocks first, so
+    the given packets are left as they are.
 
     Every packet must fit the receivers' model: item ids in [0, num_items),
     an (ids, embed_dim) row block and a (net_size,) net gradient, else
     ContractError.  With clip enabled every row is clipped to the fixed mu
-    bound before storage; clipping is receiver-independent, so the result
-    may be shared.  With bank, the rows are for UCSU's banks, which only
-    hold clipped rows: they get their pop key, pop order and own norms.
+    bound; clipping is receiver-independent, so the result may be shared.
+    With bank, the rows are for UCSU's banks, which only hold clipped rows:
+    they get their pop key, pop order and own norms.
     """
     if bank and not clip:
         raise ContractError("banked rows are clipped")
     ordered = sorted(packets, key=lambda q: q.sender)
+    if rows is None:
+        rows = np.empty((sum(len(q.item_idx) for q in ordered), embed_dim))
+        nets = np.empty((len(ordered), net_size))
+        ordered = [dataclasses.replace(q) for q in ordered]
+        start = 0
+        for q, net_row in zip(ordered, nets):
+            start = hold_packet(q, rows, start, net_row)
+    base, start = _address(rows), 0
     for q in ordered:
+        n = len(q.item_idx)
         if q.net_grad.shape != (net_size,):
             raise ContractError("packet net gradient shape mismatch")
-        if q.item_rows.shape != (len(q.item_idx), embed_dim):
+        if q.item_rows.shape != (n, embed_dim):
             raise ContractError("packet item row shape mismatch")
-    # The rows are allocated once: norms are taken in blocks and clipping
-    # scales the stacked rows in place.
+        if n and (
+            _address(q.item_rows) != base + start * rows.strides[0]
+            or q.item_rows.strides != rows.strides
+        ):
+            raise ContractError("packet rows must fill the round block in ascending sender order")
+        start += n
+    rows = rows[:start]
     senders = np.repeat(
         np.array([q.sender for q in ordered], dtype=np.int32),
         np.array([len(q.item_idx) for q in ordered], dtype=np.int64),
@@ -180,13 +232,13 @@ def build_round_rows(
     if (items < 0).any() or (items >= num_items).any():
         raise ContractError("packet item index out of range")
     items = items.astype(np.int32)
-    rows = np.concatenate([np.zeros((0, embed_dim)), *(q.item_rows for q in ordered)])
     norms = row_norms = None
     if clip:
         if mu <= 0:
             raise ContractError("mu must be > 0")
+        # Norms are taken in blocks and clipping scales the block in place.
         norms = _norms(rows, p)
-        rows = _clip(rows, norms, mu)
+        _clip(rows, norms, mu)
         if bank:
             # UCSU's adaptive clip scales by the stored rows' own norms.
             row_norms = _norms(rows, p)
@@ -215,6 +267,10 @@ class MemoryBank:
     to the earliest rounds), merges the prefixes stably and keeps a copy of
     each remainder.  Eviction drops whole chunks.  The popped set matches a
     brute-force (norm desc, insertion asc) oracle.
+
+    The retention window at round t is rounds t - capacity_rounds to t, so
+    a bank holds rows of up to capacity_rounds + 1 rounds: with the default
+    10, round 11 still holds round 1's rows.
     """
 
     def __init__(self, capacity_rounds: int):
@@ -239,7 +295,11 @@ class MemoryBank:
             self._chunks.append((rr, np.sort(rr.rank[np.asarray(refs, dtype=np.int64)])))
 
     def evict(self, current_round: int) -> None:
-        """Drop entries with round_received older than current - capacity_rounds."""
+        """Drop the chunks of rounds before current_round - capacity_rounds.
+
+        Rounds current_round - capacity_rounds to current_round stay, so
+        capacity_rounds + 1 rounds may be banked.
+        """
         horizon = current_round - self.capacity_rounds
         self._chunks = [c for c in self._chunks if c[0].round >= horizon]
 
@@ -267,7 +327,10 @@ class MemoryBank:
         if total == 0:
             return np.zeros(0, dtype=np.int64), np.zeros((0, 0)), np.zeros(0)
         k = math.ceil(nu * total)
-        negs = [rr.pop_neg_norm[ranks] for rr, ranks in self._chunks]
+        # Banked ranks, and rr.order, are int32 to save memory; numpy indexes
+        # faster by intp, so each is converted once per chunk per pop.
+        positions = [ranks.astype(np.intp) for _, ranks in self._chunks]
+        negs = [rr.pop_neg_norm[pos] for (rr, _), pos in zip(self._chunks, positions)]
         cut = np.partition(np.concatenate(negs), k - 1)[k - 1]
         # Each chunk gives every entry above the cut; entries at the cut go
         # to the earliest rounds first.
@@ -286,8 +349,8 @@ class MemoryBank:
         row_norms = np.empty(k)
         kept = []
         start = 0
-        for (rr, ranks), neg, n in zip(self._chunks, negs, takes):
-            refs = rr.order[ranks[:n]]
+        for (rr, ranks), pos, n in zip(self._chunks, positions, takes):
+            refs = rr.order[pos[:n]].astype(np.intp)
             items[dest[start : start + n]] = rr.items[refs]
             rows[dest[start : start + n]] = rr.rows[refs]
             row_norms[dest[start : start + n]] = rr.row_norms[refs]
@@ -312,9 +375,11 @@ def compact_round_rows(rr: RoundRows, banks: Iterable[MemoryBank]) -> None:
         for j, (chunk_rr, ranks) in enumerate(bank._chunks)
         if chunk_rr is rr
     ]
+    # Banked ranks are int32; numpy indexes faster by intp.  Each chunk's
+    # ranks are converted where they index, so only one copy is alive.
     live = np.zeros(len(rr.order), dtype=bool)  # per pop position
     for _, _, ranks in held:
-        live[ranks] = True
+        live[ranks.astype(np.intp)] = True
     if not held or live.all():
         return
     keep = np.flatnonzero(live[rr.rank])  # held row indices, ascending
@@ -330,7 +395,7 @@ def compact_round_rows(rr: RoundRows, banks: Iterable[MemoryBank]) -> None:
     # held position's new rank is the number of held positions before it.
     new_rank = np.cumsum(live, dtype=np.int32) - 1
     for bank, j, ranks in held:
-        bank._chunks[j] = (small, new_rank[ranks])
+        bank._chunks[j] = (small, new_rank[ranks.astype(np.intp)])
 
 
 def ucsu_aggregate(
@@ -344,6 +409,7 @@ def ucsu_aggregate(
 
     The senders' rows (clipped to mu at consolidation) are inserted into
     the bank, then entries beyond the retention window of round rr.round
+    (rounds rr.round - capacity_rounds to rr.round, see MemoryBank.evict)
     are evicted.  The top ceil(nu * bank size) rows by norm are removed,
     rescaled by the adaptive mean-norm clip (each row by min(1, mean norm /
     its norm), over the norms the pop returns), and averaged per item.

@@ -18,15 +18,22 @@ client with the bits of training alone.  The end-of-round gradients stay
 per client.  The workers setting drives only the attack and defense phases,
 whose thread-parallel execution is bit-identical to sequential execution.
 
-A round's packets are consolidated once.  Adversaries absorb their
-neighbors' honest packets straight from the packets; the defenses read the
-one RoundRows of the round's final packets, after which only the packets'
-net gradients are kept.  Every receiver's aggregate and mean net gradient
-are applied by model.apply_neighbor_aggregate.
+Each round holds its packets' gradients once, in two blocks it allocates
+and owns: a row block of every sent item row, back to back in ascending
+sender order, and a (clients, net size) net block.  A benign client's
+honest packet is moved into both as it is computed and keeps views of
+them.  Adversaries keep their honest packets' own arrays, absorb their
+neighbors' honest packets straight from the packets, and send their final
+packets from the row block's tail.  The one RoundRows of the round's final
+packets is built over the row block in place and owns it from then on; the
+net block is freed once every receiver has read it.  Every receiver's
+aggregate and mean net gradient are applied by
+model.apply_neighbor_aggregate.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -50,6 +57,7 @@ from decrecsim.defenses import (
     MemoryBank,
     build_round_rows,
     compact_round_rows,
+    hold_packet,
     item_krum_aggregate,
     l2_clip_aggregate,
     median_aggregate,
@@ -302,15 +310,35 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     nbr = world.neighbor_map
 
     # Phase 2: every client trains locally, in lockstep, then produces its
-    # honest packet.
+    # honest packet; a benign client's is moved into the round's blocks at
+    # once.  A benign packet carries one row per distinct item of its pairs.
+    # Adversary ids are the highest, so their final packets fill the row
+    # block's tail, which has room for every item of each; np.empty leaves
+    # the rows never written without memory behind them.
     _train_in_lockstep(world, t, lr)
-    all_ids = list(range(world.num_clients))
-    packets = [compute_gradients(world.clients[i], world.pairs[i], sender=i)[1] for i in all_ids]
+    num_items = world.dataset.num_items
+    layout = world.clients[0].layout
+    adv_ids = sorted(world.adversary_ids)
+    benign = benign_ids(world)
+    capacity = sum(len(np.unique(world.pairs[i])) for i in benign) + len(adv_ids) * num_items
+    rows = np.empty((capacity, layout.embed_dim))
+    nets = np.empty((world.num_clients, layout.size))
+    filled = 0
+
+    def hold(q: GradientPacket) -> GradientPacket:
+        nonlocal filled
+        filled = hold_packet(q, rows, filled, nets[q.sender])
+        return q
+
+    def honest(i: int) -> GradientPacket:
+        q = compute_gradients(world.clients[i], world.pairs[i], sender=i)[1]
+        return q if i in world.adversary_ids else hold(q)
+
+    packets = [honest(i) for i in range(world.num_clients)]
 
     # Phase 3: adversaries absorb their neighbors' honest packets, then
     # craft this round's outgoing packets (from round 2 on; round 1 conceals).
     outgoing: dict[int, GradientPacket] = {}
-    adv_ids = sorted(world.adversary_ids)
     if adv_ids and nbr is not None:
         for a in adv_ids:
             neigh = np.sort(nbr.neighbors_of(a)).tolist()
@@ -349,28 +377,33 @@ def run_round(world: World, config: ExperimentConfig) -> None:
         outgoing = dict(zip(adv_ids, _map_clients(attack_one, adv_ids, config.workers)))
 
     # Phase 4: benign clients apply the configured defense and aggregate.
-    final_packets = [outgoing.get(i, packets[i]) for i in all_ids]
-    benign = benign_ids(world)
+    # An adversary's final packet is its crafted one, or in round 1 a copy of
+    # its honest one, which stays as it is.
+    final_packets = [packets[i] for i in benign] + [
+        hold(outgoing[a] if a in outgoing else dataclasses.replace(packets[a]))
+        for a in adv_ids
+    ]
+    del packets, outgoing
 
     # Clipping to mu is receiver-independent, so l2clip and UCSU clip once
-    # here, for every receiver; only UCSU's banks read the pop order.  Every
-    # client shares one model shape, and each packet is checked against it.
-    layout = world.clients[0].layout
+    # here, for every receiver, in the row block; only UCSU's banks read the
+    # pop order.  Every client shares one model shape, and each packet is
+    # checked against it.
     shared_rows = build_round_rows(
         final_packets,
         t,
-        num_items=world.dataset.num_items,
+        num_items=num_items,
         embed_dim=layout.embed_dim,
         net_size=layout.size,
         mu=config.mu,
         p=config.p,
         clip=config.defense in ("l2clip", "ucsu"),
         bank=config.defense == "ucsu",
+        rows=rows,
     )
-    # Every defense reads item rows from shared_rows, so of the packets only
-    # the net gradients outlive consolidation.
-    net_grads = [q.net_grad for q in final_packets]
-    del packets, outgoing, final_packets
+    # Every defense reads item rows from shared_rows, which now owns the row
+    # block, and net gradients from nets.
+    del final_packets
 
     def defend_one(i: int) -> None:
         neigh = nbr.neighbors_of(i) if nbr is not None else np.zeros(0, dtype=np.int64)
@@ -389,10 +422,13 @@ def run_round(world: World, config: ExperimentConfig) -> None:
             items, rows = item_krum_aggregate(shared_rows, ordered)
         else:
             raise ConfigError(f"unknown defense: {config.defense!r}")
-        net_mean = _mean_in_order([net_grads[k] for k in ordered.tolist()])
+        net_mean = _mean_in_order([nets[k] for k in ordered.tolist()])
         apply_neighbor_aggregate(world.clients[i], items, rows, net_mean, lr)
 
     _map_clients(defend_one, benign, config.workers)
+    # Every receiver has read the net block; compaction below copies rows,
+    # so free it first.
+    del nets
     if config.defense == "ucsu":
         # Of the round's rows only those some bank still holds outlive the
         # round.

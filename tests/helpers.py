@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from decrecsim import rng as rngmod
-from decrecsim.defenses import build_round_rows, l2_clip_aggregate
+from decrecsim.defenses import RoundRows, build_round_rows, l2_clip_aggregate
 from decrecsim.errors import ContractError
 from decrecsim.model import (
     ADAM_BETA1,
@@ -156,6 +156,27 @@ def round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True, bank=True, num_items=No
     return build_round_rows(
         pkts, round_no, num_items, embed_dim, net_size, mu=mu, p=p, clip=clip, bank=bank
     )
+
+
+def concat_round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True, bank=False, embed_dim=2):
+    """The RoundRows of pkts built from concatenated copies of their rows:
+    ascending sender order, rows clipped to mu by their p-norms, and for a
+    bank the capped key and the stored rows' own norms.  The given packets
+    are left as they are."""
+    ordered = sorted(pkts, key=lambda q: q.sender)
+    rows = np.concatenate([np.zeros((0, embed_dim)), *(q.item_rows for q in ordered)])
+    senders = np.array([q.sender for q in ordered for _ in q.item_idx], dtype=np.int32)
+    items = np.array([i for q in ordered for i in q.item_idx.tolist()], dtype=np.int32)
+    norms = row_norms = None
+    if clip:
+        norms = np.linalg.norm(rows, ord=p, axis=1)
+        factors = np.ones(len(rows))
+        factors[norms > mu] = mu / norms[norms > mu]
+        rows = rows * factors[:, None]
+        if bank:
+            row_norms = np.linalg.norm(rows, ord=p, axis=1)
+            norms = np.minimum(norms, mu)
+    return RoundRows(round_no, senders, items, rows, norms if bank else None, row_norms)
 
 
 def absorb(state: ClientState, pkts: list[GradientPacket], lr: float) -> None:

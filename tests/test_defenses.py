@@ -1,6 +1,7 @@
 """Defense aggregators vs brute-force oracles, clipping bounds, and the
 memory-bank lifecycle."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -20,6 +21,7 @@ from decrecsim.defenses import (
     _norms,
     build_round_rows,
     compact_round_rows,
+    hold_packet,
     item_krum_aggregate,
     l2_clip_aggregate,
     median_aggregate,
@@ -39,6 +41,7 @@ from helpers import (
     brute_force_top_nu,
     brute_force_trimmed,
     clip_row,
+    concat_round_rows,
     dense_block_median,
     dense_block_trimmed,
     packet,
@@ -581,6 +584,68 @@ class TestBuildRoundRows:
         assert rr.senders.shape == rr.items.shape == (0,)
         assert rr.rows.dtype == np.float64 and rr.rows.shape == (0, 3)
 
+    @pytest.mark.parametrize(
+        "clip, bank", [(False, False), (True, False), (True, True)], ids=["plain", "clipped", "banked"]
+    )
+    @pytest.mark.parametrize("kind", ["rows", "no-rows", "no-packets"])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_in_place_build_matches_concatenation(self, kind, clip, bank, p):
+        # Packets held as a round holds them, in a row block with room to
+        # spare, build the bytes of concatenated copies of their rows; so
+        # do loose packets, which the build holds itself.
+        pkts = {
+            "rows": random_packets(np.random.default_rng(40 + p), 12, 8, 3),
+            "no-rows": [packet(s, {}, np.zeros(2), dim=3) for s in (2, 0)],
+            "no-packets": [],
+        }[kind]
+        want = concat_round_rows(pkts, 3, mu=1.0, p=p, clip=clip, bank=bank, embed_dim=3)
+        sent = concat_round_rows(pkts, clip=False, embed_dim=3).rows
+        held = [dataclasses.replace(q) for q in sorted(pkts, key=lambda q: q.sender)]
+        rows = np.empty((sum(len(q.item_idx) for q in pkts) + 5, 3))
+        nets = np.empty((len(held), 2))
+        start = 0
+        for q, net_row in zip(held, nets):
+            start = hold_packet(q, rows, start, net_row)
+        shape = dict(num_items=8, embed_dim=3, net_size=2, mu=1.0, p=p, clip=clip, bank=bank)
+        in_block = build_round_rows(held, 3, **shape, rows=rows)
+        loose = build_round_rows(pkts, 3, **shape)
+        if kind == "rows":
+            # some rows exceed mu, so the clipping builds scale them
+            assert (np.linalg.norm(sent, ord=p, axis=1) > 1.0).any()
+            assert np.shares_memory(in_block.rows, rows)
+        for got in (in_block, loose):
+            for name, value in vars(want).items():
+                if value is None:
+                    assert getattr(got, name) is None, name
+                elif isinstance(value, np.ndarray):
+                    mine = getattr(got, name)
+                    assert (mine.dtype, mine.shape, mine.tobytes()) == (
+                        value.dtype, value.shape, value.tobytes()
+                    ), name
+        # the held packets view the clipped rows; the loose ones are as sent
+        assert np.concatenate([np.zeros((0, 3)), *(q.item_rows for q in held)]).tobytes() == (
+            want.rows.tobytes()
+        )
+        assert np.concatenate([np.zeros((0, 3)), *(q.item_rows for q in pkts)]).tobytes() == (
+            sent.tobytes()
+        )
+
+    def test_rows_outside_the_block_rejected(self):
+        shape = dict(num_items=4, embed_dim=2, net_size=2)
+        pkts = [packet(s, {s: np.full(2, s + 1.0)}, np.zeros(2)) for s in (0, 1)]
+        rows, nets = np.empty((2, 2)), np.empty((2, 2))
+        # held in descending sender order, so not the block's ascending order
+        hold_packet(pkts[1], rows, 0, nets[1])
+        hold_packet(pkts[0], rows, 1, nets[0])
+        with pytest.raises(ContractError, match="fill the round block"):
+            build_round_rows(pkts, 1, **shape, rows=rows)
+        loose = packet(0, {0: np.ones(2)}, np.zeros(2))
+        with pytest.raises(ContractError, match="fill the round block"):
+            build_round_rows([loose], 1, **shape, rows=rows)
+        with pytest.raises(ContractError, match="overflow"):
+            hold_packet(packet(2, {0: np.ones(2)}, np.zeros(2)), rows, 2, nets[0])
+
+
 def bank_with(entries, capacity=10):
     """entries: list of (round, sender, {item: row})"""
     bank = MemoryBank(capacity)
@@ -621,6 +686,14 @@ class TestMemoryBank:
         bank.evict(current_round=5)
         kept = [(r, item) for r, _, item, _ in bank.entries()]
         assert kept == [(5, 1)]
+
+    def test_retention_window_boundary(self):
+        # At round t a bank keeps rounds t - capacity to t, capacity + 1
+        # rounds: round t - capacity stays and round t - capacity - 1 goes.
+        entries = [(r, r, {r: np.ones(2)}) for r in range(1, 7)]
+        bank = bank_with(entries, capacity=3)
+        bank.evict(current_round=6)
+        assert sorted({r for r, _, _, _ in bank.entries()}) == [3, 4, 5, 6]
 
     def test_selection_matches_brute_force(self):
         rng = np.random.default_rng(7)

@@ -2,10 +2,11 @@
 same-seed determinism for every per-receiver robust aggregator, and for
 PAMN against UCSU with banks small enough to evict; the round rows UCSU
 keeps alive and the norms its clip bounds; the packets dropped once a
-round's rows are consolidated, once per round; what adversaries absorb;
-the empty packets of clients without training pairs; the neighbor refresh
-cadence; init_world's pair checks and each client's Adam item-moment
-cover; the cold targets select_cold_targets draws."""
+round's rows are consolidated, once per round; the round blocks the final
+packets view, apart from the adversaries' honest packets; what adversaries
+absorb; the empty packets of clients without training pairs; the neighbor
+refresh cadence; init_world's pair checks and each client's Adam
+item-moment cover; the cold targets select_cold_targets draws."""
 
 import dataclasses
 import gc
@@ -133,9 +134,12 @@ def test_ucsu_clip_bounds_the_rows_banks_hold(tiny, monkeypatch):
         sent, banked = [], []
 
         def build_spy(packets, *args, **kwargs):
-            rr = real_build(packets, *args, **kwargs)
+            # The build clips the row block the packets view in place, so
+            # the sent norms are read first.
             if kwargs.get("bank"):
                 sent.extend(np.linalg.norm(q.item_rows, ord=p, axis=1) for q in packets)
+            rr = real_build(packets, *args, **kwargs)
+            if kwargs.get("bank"):
                 banked.append(np.linalg.norm(rr.rows, ord=p, axis=1))
             return rr
 
@@ -196,6 +200,50 @@ def test_packets_dropped_once_round_rows_are_built(tiny, monkeypatch, defense, r
     assert builds == [1, 2]  # one consolidation per round
     assert len(rows) == 4 * world.num_clients and reads
     assert set(reads) == {0}
+
+
+@pytest.mark.parametrize("defense", ["ucsu", "l2clip", "trimmed"])
+def test_final_packets_view_the_round_blocks(tiny, monkeypatch, defense):
+    # A round's final packets view one row block, which the RoundRows holds
+    # (and clips in place), and one net block.  The adversaries' honest
+    # packets keep arrays of their own, which stay as they were sent.
+    config, dataset = tiny
+    config = dataclasses.replace(config, attack="pamn", defense=defense, mu=1e-6)
+    world = init_world(config, dataset)
+    honest, builds = [], []
+    real_gradients = simulation.compute_gradients
+    real_build = simulation.build_round_rows
+
+    def gradients_spy(*args, **kwargs):
+        user_grad, pkt = real_gradients(*args, **kwargs)
+        if pkt.sender in world.adversary_ids:
+            honest.append((pkt, pkt.item_rows.copy(), pkt.net_grad.copy()))
+        return user_grad, pkt
+
+    def build_spy(packets, *args, **kwargs):
+        sent = np.concatenate([q.item_rows for q in packets])
+        rr = real_build(packets, *args, **kwargs)
+        builds.append((list(packets), sent, rr))
+        return rr
+
+    monkeypatch.setattr(simulation, "compute_gradients", gradients_spy)
+    monkeypatch.setattr(simulation, "build_round_rows", build_spy)
+    for _ in range(2):  # round 1 sends honest packets, round 2 crafted ones
+        run_round(world, config)
+    assert len(builds) == 2 and len(honest) == 2 * len(world.adversary_ids)
+    for packets, sent, rr in builds:
+        assert [q.sender for q in packets] == list(range(world.num_clients))
+        assert all(np.shares_memory(rr.rows, q.item_rows) for q in packets if len(q.item_idx))
+        assert np.concatenate([q.item_rows for q in packets]).tobytes() == rr.rows.tobytes()
+        nets = packets[0].net_grad.base
+        assert nets.shape == (world.num_clients, len(packets[0].net_grad))
+        assert all(q.net_grad.base is nets for q in packets)
+        if defense != "trimmed":
+            assert not np.array_equal(sent, rr.rows)  # clipped in the block
+    for pkt, rows, net in honest:
+        assert pkt.item_rows.tobytes() == rows.tobytes()
+        assert pkt.net_grad.tobytes() == net.tobytes()
+        assert not any(np.shares_memory(pkt.item_rows, rr.rows) for _, _, rr in builds)
 
 
 def test_adversary_absorbs_the_honest_packet_of_another_adversary(tiny, monkeypatch):
