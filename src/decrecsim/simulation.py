@@ -33,10 +33,9 @@ model.apply_neighbor_aggregate.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -380,7 +379,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     # An adversary's final packet is its crafted one, or in round 1 a copy of
     # its honest one, which stays as it is.
     final_packets = [packets[i] for i in benign] + [
-        hold(outgoing[a] if a in outgoing else dataclasses.replace(packets[a]))
+        hold(outgoing[a] if a in outgoing else replace(packets[a]))
         for a in adv_ids
     ]
     del packets, outgoing
