@@ -16,9 +16,12 @@ same ledger ``params_sha256``; its records are identical when the
 holds, so it changes with the world's fields).  The summary gives each
 side's quartiles, the pairs the change wins (lower is better, ties count
 for neither), the median's relative change and the parent's interquartile
-range, and is written to ``benchmarks/BENCH_<pr>.json``.  Every run gets
-``--seconds 30``.  It refuses, before any run, a workload given fewer than
-``MIN_PAIRS`` (10) seeds.
+range, and is written to ``benchmarks/BENCH_<pr>.json``.  Each metric also
+records ``gain_met`` (the claim rule) and ``within_bound``: the change's
+median is at most the parent's times (1 + the metric's ``bound`` in
+``BENCHMARK.json``, which also gives the metrics and their units; every one
+is lower-is-better).  Every run gets ``--seconds 30``.  It refuses, before
+any run, a workload given fewer than ``MIN_PAIRS`` (10) seeds.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-METRICS = ("setup_s", "round_s", "run_s", "peak_rss_mb")
-UNITS = {"setup_s": "s", "round_s": "s", "run_s": "s", "peak_rss_mb": "MB"}
+# The end-to-end metrics, each with its unit and bound, as the benchmark
+# declares them.
+END_TO_END = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 SECONDS = 30
 # Fewest alternating pairs per workload: five can read a false +13% on a
 # neutral change while the host's speed drifts.
@@ -69,6 +73,12 @@ def gain_met(row: dict, pairs: int) -> bool:
     is lower than the parent's by more than the parent's IQR."""
     gap = row["parent"]["median"] - row["change"]["median"]
     return 10 * row["change_wins"] >= 9 * pairs and gap > row["parent_iqr"]
+
+
+def within_bound(row: dict, bound: float) -> bool:
+    """The regression rule: the change's median is at most the parent's
+    times (1 + bound)."""
+    return row["change"]["median"] <= row["parent"]["median"] * (1 + bound)
 
 
 def export_tree(rev: str, dest: Path) -> None:
@@ -153,15 +163,16 @@ def main(argv: list[str] | None = None) -> int:
     workloads = {}
     for workload, seeds in runs:
         mine = [p for p in pairs if p["workload"] == workload]
-        workloads[workload] = {
-            m: {"unit": UNITS[m], **compare([p["parent"]["end_to_end"][m] for p in mine],
-                                             [p["change"]["end_to_end"][m] for p in mine])}
-            for m in METRICS
-        }
-        for m in METRICS:
-            row = workloads[workload][m]
+        workloads[workload] = {}
+        for m, spec in END_TO_END.items():
+            row = compare([p["parent"]["end_to_end"][m] for p in mine],
+                          [p["change"]["end_to_end"][m] for p in mine])
+            row = {"unit": spec["unit"], **row, "gain_met": gain_met(row, len(mine)),
+                   "within_bound": within_bound(row, spec["bound"])}
+            workloads[workload][m] = row
             print(f"{workload} {m}: parent {row['parent']} change {row['change']} "
-                  f"wins {row['change_wins']}/{len(mine)} gain met: {gain_met(row, len(mine))}")
+                  f"wins {row['change_wins']}/{len(mine)} gain met: {row['gain_met']} "
+                  f"within bound: {row['within_bound']}")
     all_runs = [p[s] for p in pairs for s in ("parent", "change")]
     report = {
         "pr": args.pr,

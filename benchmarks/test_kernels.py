@@ -198,6 +198,11 @@ def steady_bank(rounds) -> MemoryBank:
     return bank
 
 
+def test_steady_bank_stores_two_bytes_per_entry(rounds):
+    bank = steady_bank(rounds[:BANK_ROUNDS])
+    assert bank.size() > 0 and bank.nbytes() == 2 * bank.size()
+
+
 def test_bank_ingest(benchmark, rounds):
     banked, last = rounds[:BANK_ROUNDS], rounds[BANK_ROUNDS]
     refs = np.arange(len(last.items))
@@ -277,7 +282,7 @@ def test_compact_round_rows(benchmark):
     held = sum(bank.size() for bank in banks)
     benchmark.pedantic(compact_round_rows, setup=setup, rounds=5)
     compact_round_rows(rr, banks)
-    small = banks[0]._chunks[0][0]
+    small = banks[0].chunks()[0][0]
     assert small is not rr and len(small.items) < len(rr.items)
     assert sum(bank.size() for bank in banks) == held
 

@@ -1,12 +1,14 @@
-"""The arithmetic of benchmarks/pairs.py: quartiles, wins, IQR and the claim rule,
-and the floor of ten pairs per workload."""
+"""The arithmetic of benchmarks/pairs.py: quartiles, wins, IQR, the claim and
+bound rules, the floor of ten pairs per workload, and the pair file's verdicts."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 import pairs
-from pairs import compare, gain_met, parse_seeds, quartiles
+from pairs import compare, gain_met, parse_seeds, quartiles, within_bound
 
 
 def test_quartiles_interpolate_between_order_statistics():
@@ -58,3 +60,47 @@ def test_fewer_than_ten_pairs_refused_before_any_run(monkeypatch, capsys):
     assert exc.value.code != 0
     err = capsys.readouterr().err
     assert "eb_trimmed_s (9)" in err and "pamn_ucsu_m" not in err.split("too few:")[1]
+
+
+def test_within_bound_allows_the_bound_and_no_more():
+    parent = [100.0] * 10
+    assert within_bound(compare(parent, [125.0] * 10), 0.25)  # exactly at the bound
+    assert within_bound(compare(parent, [90.0] * 10), 0.25)
+    assert not within_bound(compare(parent, [125.1] * 10), 0.25)
+
+
+def test_metrics_and_bounds_come_from_the_benchmark_declaration():
+    spec = json.loads((pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert {m: (v["unit"], v["bound"]) for m, v in pairs.END_TO_END.items()} == {
+        m["name"]: (m["unit"], m["bound"]) for m in spec
+    }
+
+
+def test_pair_file_records_gain_met_and_within_bound(monkeypatch, tmp_path):
+    # The change halves peak RSS and doubles round_s on every pair.
+    (tmp_path / "benchmarks").mkdir()
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(pairs, "export_tree", lambda rev, dest: None)
+
+    def fake_run(tree, workload, seed):
+        change = tree == tmp_path
+        e2e = {"setup_s": 0.5, "round_s": 1.0 + seed % 3, "run_s": 10.0 + seed % 3,
+               "peak_rss_mb": 500.0 + seed % 5}
+        if change:
+            e2e["round_s"] *= 2
+            e2e["peak_rss_mb"] /= 2
+        env = {"nproc": 2, "blas_threads": {"OPENBLAS_NUM_THREADS": "1"}, "numpy": "x",
+               "blas": {"name": "b", "version": "v"}, "python": "p"}
+        return {"end_to_end": e2e, "correct": True, "failed": 0, "records": [seed],
+                "params_sha256": str(seed), "environment": env}
+
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    assert pairs.main(["--parent", "HEAD", "--pr", "7", "--title", "t", "--run", "w=1-10"]) == 0
+    report = json.loads((tmp_path / "benchmarks" / "BENCH_7.json").read_text())
+    rows = report["workloads"]["w"]
+    assert set(rows) == set(pairs.END_TO_END)
+    assert rows["peak_rss_mb"]["gain_met"] and rows["peak_rss_mb"]["within_bound"]
+    assert not rows["round_s"]["gain_met"] and not rows["round_s"]["within_bound"]
+    # equal runs: no gain, but within the bound
+    assert not rows["setup_s"]["gain_met"] and rows["setup_s"]["within_bound"]
+    assert report["bit_identical"] and report["all_correct"]

@@ -30,24 +30,25 @@ block whatever its item count.  The block is allocated per call, because
 receivers may run on threads.
 
 Every receiver's UCSU MemoryBank holds one chunk per banked round: the
-round's shared RoundRows and the int32 pop positions of the receiver's
-rows still banked.  Banked rows are always clipped to mu (mu = inf keeps
-every row), and only they carry pop fields: each round's rows are sorted
-into pop order (descending pop key, min(p-norm, mu), row index on ties)
-once, shared by all receivers, so every chunk is already in pop order and
-the bank's top fraction is a prefix of each chunk; no receiver ever sorts
-its whole bank.  The pop key is kept once, negated in pop order.  Each
-stored row's own p-norm is taken once, at consolidation, and popped with
-the row, so UCSU's adaptive clip never re-takes it.  Per-item sums add rows
-in pop order, one at a time, so the aggregate has the same bits as a
-sequential per-row loop.
+round's shared RoundRows and the pop positions of the receiver's rows still
+banked, 2 bytes each when they lie in one aligned block of 0x10000
+positions (always, in a round of at most 0x10000 rows), else 4.  Banked
+rows are always clipped to mu (mu = inf keeps every row), and only they
+carry pop fields: each round's rows are sorted into pop order (descending
+pop key, min(p-norm, mu), row index on ties) once, shared by all receivers,
+so every chunk is already in pop order and the bank's top fraction is a
+prefix of each chunk; no receiver ever sorts its whole bank.  The pop key
+is kept once, negated in pop order.  Each stored row's own p-norm is taken
+once, at consolidation, and popped with the row, so UCSU's adaptive clip
+never re-takes it.  Per-item sums add rows in pop order, one at a time, so
+the aggregate has the same bits as a sequential per-row loop.
 
 Once a round's pops are done, compact_round_rows shrinks that round's
-RoundRows to the rows some bank still holds and remaps the banks' pop
-positions.  Kept rows keep their relative order, so pop order, ties and
-every aggregate are unchanged.  A round is compacted once: few of its rows
-are popped in later rounds, so older RoundRows may still hold rows that no
-bank holds any more, until eviction drops the round.
+RoundRows to the rows some bank still holds and remaps, and re-encodes, the
+banks' pop positions.  Kept rows keep their relative order, so pop order,
+ties and every aggregate are unchanged.  A round is compacted once: few of
+its rows are popped in later rounds, so older RoundRows may still hold rows
+that no bank holds any more, until eviction drops the round.
 """
 
 from __future__ import annotations
@@ -253,14 +254,30 @@ def build_round_rows(
     )
 
 
+def _encode(positions: np.ndarray) -> tuple[int, np.ndarray]:
+    """(base, offsets) of ascending int32 pop positions, offsets = positions -
+    base.  Positions that share one aligned block of 0x10000 keep their low
+    16 bits, as uint16 offsets from the block's start; others stay int32,
+    from base 0."""
+    base = int(positions[0]) & ~0xFFFF
+    if positions[-1] - base > 0xFFFF:
+        return 0, positions
+    return base, positions.astype(np.uint16)
+
+
 class MemoryBank:
     """Per-client store of received item-row gradients awaiting application.
 
     Entries reference rows inside shared RoundRows objects, one chunk per
     banked round in round order: the RoundRows and the ascending pop
-    positions (rr.rank) of the rows still banked.  After its round's pops,
-    compact_round_rows may swap a chunk's RoundRows for a compacted one and
-    remap its positions, keeping their order.  Pop order is descending
+    positions (rr.rank) of the rows still banked.  A chunk stores them as
+    (base, offsets), positions = base + offsets: uint16 offsets from the
+    start of the aligned block of 0x10000 positions that holds them all, or,
+    when they straddle blocks, the int32 positions from base 0.  Ingest and
+    compaction encode; a pop keeps base and drops a prefix of offsets.
+    After its round's pops, compact_round_rows may swap a chunk's RoundRows
+    for a compacted one and remap its positions, keeping their order, and
+    encode them anew.  Pop order is descending
     stored norm, insertion order (round, then row index) on ties, and each
     chunk is already in it, so the top fraction is a prefix of every
     chunk: a pop cuts each chunk at the k-th smallest negated norm (ties go
@@ -278,7 +295,7 @@ class MemoryBank:
             raise ContractError("capacity_rounds must be >= 1")
         self.capacity_rounds = capacity_rounds
         self._last_round: int | None = None
-        self._chunks: list[tuple[RoundRows, np.ndarray]] = []
+        self._chunks: list[tuple[RoundRows, int, np.ndarray]] = []  # (rr, base, offsets)
 
     def ingest(self, rr: RoundRows, refs: np.ndarray) -> None:
         """Bank the given row indices of a round's consolidated gradients.
@@ -292,7 +309,7 @@ class MemoryBank:
             raise ContractError("round rows built without a pop order cannot be banked")
         self._last_round = rr.round
         if len(refs):
-            self._chunks.append((rr, np.sort(rr.rank[np.asarray(refs, dtype=np.int64)])))
+            self._chunks.append((rr, *_encode(np.sort(rr.rank[np.asarray(refs, dtype=np.int64)]))))
 
     def evict(self, current_round: int) -> None:
         """Drop the chunks of rounds before current_round - capacity_rounds.
@@ -304,15 +321,24 @@ class MemoryBank:
         self._chunks = [c for c in self._chunks if c[0].round >= horizon]
 
     def size(self) -> int:
-        return sum(len(ranks) for _, ranks in self._chunks)
+        return sum(len(offsets) for _, _, offsets in self._chunks)
+
+    def nbytes(self) -> int:
+        """Bytes of the banked positions; the shared RoundRows are not counted."""
+        return sum(offsets.nbytes for _, _, offsets in self._chunks)
+
+    def chunks(self) -> list[tuple[RoundRows, np.ndarray]]:
+        """(RoundRows, ascending intp pop positions) of every chunk, in round
+        order."""
+        return [(rr, offsets.astype(np.intp) + base) for rr, base, offsets in self._chunks]
 
     def entries(self) -> list[tuple[int, int, int, np.ndarray]]:
         """(round_received, sender, item, grad_row) for every banked row,
         in insertion order (round, then row index)."""
         return [
             (rr.round, int(rr.senders[ref]), int(rr.items[ref]), rr.rows[ref])
-            for rr, ranks in self._chunks
-            for ref in np.sort(rr.order[ranks]).tolist()
+            for rr, positions in self.chunks()
+            for ref in np.sort(rr.order[positions]).tolist()
         ]
 
     def pop_top_fraction(self, nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -327,10 +353,12 @@ class MemoryBank:
         if total == 0:
             return np.zeros(0, dtype=np.int64), np.zeros((0, 0)), np.zeros(0)
         k = math.ceil(nu * total)
-        # Banked ranks, and rr.order, are int32 to save memory; numpy indexes
-        # faster by intp, so each is converted once per chunk per pop.
-        positions = [ranks.astype(np.intp) for _, ranks in self._chunks]
-        negs = [rr.pop_neg_norm[pos] for (rr, _), pos in zip(self._chunks, positions)]
+        # Banked offsets are 2 or 4 bytes, and rr.order is int32, to save
+        # memory; numpy indexes faster by intp, so each chunk's offsets are
+        # converted once per pop.  They index views that start at the
+        # chunk's base, which spares adding base to each.
+        offs = [offsets.astype(np.intp) for _, _, offsets in self._chunks]
+        negs = [rr.pop_neg_norm[base:][off] for (rr, base, _), off in zip(self._chunks, offs)]
         cut = np.partition(np.concatenate(negs), k - 1)[k - 1]
         # Each chunk gives every entry above the cut; entries at the cut go
         # to the earliest rounds first.
@@ -349,14 +377,14 @@ class MemoryBank:
         row_norms = np.empty(k)
         kept = []
         start = 0
-        for (rr, ranks), pos, n in zip(self._chunks, positions, takes):
-            refs = rr.order[pos[:n]].astype(np.intp)
+        for (rr, base, offsets), off, n in zip(self._chunks, offs, takes):
+            refs = rr.order[base:][off[:n]].astype(np.intp)
             items[dest[start : start + n]] = rr.items[refs]
             rows[dest[start : start + n]] = rr.rows[refs]
             row_norms[dest[start : start + n]] = rr.row_norms[refs]
             start += n
-            if n < len(ranks):
-                kept.append((rr, ranks[n:].copy() if n else ranks))
+            if n < len(offsets):
+                kept.append((rr, base, offsets[n:].copy() if n else offsets))
         self._chunks = kept
         return items, rows, row_norms
 
@@ -366,20 +394,21 @@ def compact_round_rows(rr: RoundRows, banks: Iterable[MemoryBank]) -> None:
 
     Call once a round's pops are done, with every bank that may hold rr.
     The chunks that hold rr get one shared RoundRows of those rows, kept in
-    their relative order, and ranks remapped to it; rows no bank holds are
-    freed with rr once nothing else references it.
+    their relative order, and positions remapped to it and re-encoded; rows
+    no bank holds are freed with rr once nothing else references it.
     """
     held = [
-        (bank, j, ranks)
+        (bank, j, base, offsets)
         for bank in banks
-        for j, (chunk_rr, ranks) in enumerate(bank._chunks)
+        for j, (chunk_rr, base, offsets) in enumerate(bank._chunks)
         if chunk_rr is rr
     ]
-    # Banked ranks are int32; numpy indexes faster by intp.  Each chunk's
-    # ranks are converted where they index, so only one copy is alive.
+    # Banked offsets are 2 or 4 bytes; numpy indexes faster by intp.  Each
+    # chunk's offsets are converted where they index a view that starts at
+    # its base, so only one copy is alive.
     live = np.zeros(len(rr.order), dtype=bool)  # per pop position
-    for _, _, ranks in held:
-        live[ranks.astype(np.intp)] = True
+    for _, _, base, offsets in held:
+        live[base:][offsets.astype(np.intp)] = True
     if not held or live.all():
         return
     keep = np.flatnonzero(live[rr.rank])  # held row indices, ascending
@@ -394,8 +423,8 @@ def compact_round_rows(rr: RoundRows, banks: Iterable[MemoryBank]) -> None:
     # Kept rows keep their order and the pop order is a stable sort, so a
     # held position's new rank is the number of held positions before it.
     new_rank = np.cumsum(live, dtype=np.int32) - 1
-    for bank, j, ranks in held:
-        bank._chunks[j] = (small, new_rank[ranks.astype(np.intp)])
+    for bank, j, base, offsets in held:
+        bank._chunks[j] = (small, *_encode(new_rank[base:][offsets.astype(np.intp)]))
 
 
 def ucsu_aggregate(
@@ -414,14 +443,14 @@ def ucsu_aggregate(
     rescaled by the adaptive mean-norm clip (each row by min(1, mean norm /
     its norm), over the norms the pop returns), and averaged per item.
     Rows left unselected stay banked.  Returns (item ids, aggregate rows);
-    an empty bank yields an empty aggregate.
+    an empty bank yields no ids and a (0, embed_dim) row block.
     """
     if not (0.0 < nu <= 1.0):
         raise ContractError("nu must be in (0, 1]")
     bank.ingest(rr, rr.refs_of(senders))
     bank.evict(rr.round)
     if bank.size() == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
+        return np.zeros(0, dtype=np.int64), np.zeros((0, rr.rows.shape[1]))
     items, rows, norms = bank.pop_top_fraction(nu)
     rows = _clip(rows, norms, norms.mean())
     uniq, sums, counts = scatter_add_rows(items, rows)

@@ -392,7 +392,7 @@ class ReferenceBank:
 def assert_round_compacted(round_no: int, banks) -> None:
     """The banks' chunks of round_no share one RoundRows, which holds exactly
     the rows those chunks bank."""
-    chunks = [(rr, ranks) for bank in banks for rr, ranks in bank._chunks if rr.round == round_no]
+    chunks = [(rr, ranks) for bank in banks for rr, ranks in bank.chunks() if rr.round == round_no]
     if not chunks:
         return
     shared = chunks[0][0]

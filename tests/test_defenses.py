@@ -777,6 +777,71 @@ class TestMemoryBank:
             tracemalloc.stop()
 
 
+def wide_round(rows: int = 70_000, senders: int = 700, seed: int = 14) -> RoundRows:
+    """A banked RoundRows of more rows than one block of 0x10000 positions,
+    with many tied pop keys."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(rows, 2)) * rng.choice([0.5, 1.0], size=(rows, 1))
+    return RoundRows(
+        round=1,
+        senders=np.repeat(np.arange(senders, dtype=np.int32), rows // senders),
+        items=rng.integers(0, 50, size=rows).astype(np.int32),
+        rows=values,
+        norms=np.minimum(np.linalg.norm(values, axis=1), 1.0),
+        row_norms=np.linalg.norm(values, axis=1),
+    )
+
+
+def assert_pops_match(bank, ref, nu):
+    want_items, want_rows = ref.pop(nu)
+    got_items, got_rows, got_norms = bank.pop_top_fraction(nu)
+    assert got_items.tolist() == want_items
+    assert got_rows.tobytes() == np.array(want_rows).tobytes()
+    assert got_norms.tobytes() == np.linalg.norm(np.array(want_rows), axis=1).tobytes()
+
+
+class TestBankPositions:
+    def test_two_bytes_within_one_aligned_block_of_0x10000(self):
+        rr = wide_round(rows=0x10010, senders=1)
+        for first, last, width in ((0, 0xFFFF, 2), (0xFFFF, 0x10000, 4), (0x10000, 0x1000F, 2)):
+            bank = MemoryBank(3)
+            bank.ingest(rr, rr.order[[first, last]])
+            assert bank.nbytes() == width * bank.size()
+            assert bank.chunks()[0][1].tolist() == [first, last]
+            bank.pop_top_fraction(0.5)
+            assert bank.chunks()[0][1].tolist() == [last]
+
+    def test_wide_chunk_stores_four_bytes_and_pops_as_the_reference(self):
+        rr = wide_round()
+        refs = rr.refs_of(np.arange(0, 700, 7))
+        span = np.ptp(rr.rank[refs])
+        assert len(rr.items) > 0x10000 and span > 0xFFFF
+        bank, ref = MemoryBank(3), ReferenceBank(3)
+        for b in (bank, ref):
+            b.ingest(rr, refs)
+        assert bank.nbytes() == 4 * bank.size() == 4 * len(refs)
+        for nu in (0.1, 0.3, 0.1):
+            assert_pops_match(bank, ref, nu)
+            assert bank.nbytes() == 4 * bank.size()
+
+    def test_compaction_re_encodes_a_wide_chunk_to_two_bytes(self):
+        rr = wide_round()
+        refs = rr.refs_of(np.arange(0, 700, 7))
+        bank, ref = MemoryBank(3), ReferenceBank(3)
+        for b in (bank, ref):
+            b.ingest(rr, refs)
+        assert_pops_match(bank, ref, 0.1)
+        assert bank.nbytes() == 4 * bank.size()
+        compact_round_rows(rr, [bank])
+        assert_round_compacted(1, [bank])
+        assert bank.nbytes() == 2 * bank.size()
+        kept = [(r, item, row.tobytes()) for r, _, item, row in bank.entries()]
+        assert kept == [(r, item, row.tobytes()) for r, item, row, _ in ref.entries]
+        for nu in (0.1, 0.5, 1.0):
+            assert_pops_match(bank, ref, nu)
+        assert bank.size() == bank.nbytes() == 0
+
+
 class TestCompactRoundRows:
     def test_many_ties_match_reference(self):
         # Rows over mu clip to norm exactly mu, so most of each round's
@@ -803,7 +868,7 @@ class TestCompactRoundRows:
                 assert got_norms.tobytes() == np.linalg.norm(got_rows, axis=1).tobytes()
             compact_round_rows(rr, banks)
             assert_round_compacted(t, banks)
-            assert not any(chunk_rr is rr for b in banks for chunk_rr, _ in b._chunks)
+            assert not any(chunk_rr is rr for b in banks for chunk_rr, _ in b.chunks())
             for bank, ref in zip(banks, refs_banks):
                 kept = [(r, item, row.tobytes()) for r, _, item, row in bank.entries()]
                 assert kept == [(r, item, row.tobytes()) for r, item, row, _ in ref.entries]
@@ -813,7 +878,7 @@ class TestCompactRoundRows:
         rr = round_rows(random_packets(np.random.default_rng(13), 4, 5, 2), 1)
         bank.ingest(rr, np.arange(len(rr.items)))
         compact_round_rows(rr, [bank])
-        assert bank._chunks[0][0] is rr
+        assert bank.chunks()[0][0] is rr
 
 
 class TestUcsuAggregate:
@@ -821,6 +886,16 @@ class TestUcsuAggregate:
         bank = MemoryBank(10)
         items, rows = ucsu_aggregate(bank, *received([], clip=True, bank=True), nu=0.1)
         assert len(items) == 0
+
+    def test_empty_bank_returns_rows_of_embed_dim(self):
+        # No neighbor sent rows: the empty aggregate is shaped as every
+        # other aggregator's.
+        rr = round_rows([packet(0, {0: np.ones(3)}, np.zeros(2), dim=3)])
+        senders = np.array([1])
+        items, rows = ucsu_aggregate(MemoryBank(10), rr, senders, nu=0.1)
+        assert items.dtype == np.int64 and items.shape == (0,)
+        assert rows.dtype == np.float64 and rows.shape == (0, 3)
+        assert rows.shape == l2_clip_aggregate(rr, senders)[1].shape
 
     def test_single_round_lifecycle(self):
         bank = MemoryBank(10)

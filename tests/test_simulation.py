@@ -117,11 +117,11 @@ def test_ucsu_keeps_only_round_rows_a_bank_holds(tiny, overrides):
             for o in gc.get_objects()
             if isinstance(o, RoundRows) and not any(o is e for e in earlier)
         }
-        held = {id(rr) for bank in world.banks.values() for rr, _ in bank._chunks}
+        held = {id(rr) for bank in world.banks.values() for rr, _ in bank.chunks()}
         # a round no bank holds is no longer referenced
         assert alive == held
         assert_round_compacted(t, world.banks.values())
-        assert any(rr.round == t for bank in world.banks.values() for rr, _ in bank._chunks)
+        assert any(rr.round == t for bank in world.banks.values() for rr, _ in bank.chunks())
 
 
 def test_ucsu_clip_bounds_the_rows_banks_hold(tiny, monkeypatch):
