@@ -12,9 +12,10 @@ UCSU receive on it (ingest, pop, adaptive clip and per-item mean); one
 receiver of all 50 senders of a round reads their rows with each
 per-receiver defense (median, trimmed mean, Krum, plain mean); a round's
 rows are compacted after the 10% pops of 600 such receivers among 630
-senders; the server picks N = 50 neighbors for 630 clients from sketches
-of 16 bits per item.  Evaluation is timed on the `eb_trimmed_s` world (S:
-200 users x 400 items).
+senders, with every pop key tied at mu and with every key distinct; the
+server picks N = 50 neighbors for 630 clients from sketches of 16 bits per
+item.  Evaluation is timed on the `eb_trimmed_s` world (S: 200 users x 400
+items).
 
 The receiver benchmarks first touch and free one round's rows (630 senders
 of 110 rows).  glibc's malloc raises its mmap threshold to the size of a
@@ -43,6 +44,7 @@ from decrecsim.defenses import (
     MemoryBank,
     build_round_rows,
     compact_round_rows,
+    hold_packet,
     item_krum_aggregate,
     l2_clip_aggregate,
     median_aggregate,
@@ -89,7 +91,7 @@ def client():
     rng = np.random.default_rng(0)
     train_items = np.sort(rng.choice(NUM_ITEMS, size=TRAIN_ITEMS, replace=False))
     stacked, stacked_opt = stack_states(NetLayout(EMBED_DIM, WIDTHS), NUM_ITEMS, [train_items])
-    state, _ = client_views(stacked, stacked_opt, 0)
+    state = client_views(stacked, 0)
     draw_client_params(state, rng)
     batch = rng.choice(train_items, size=2 * LOCAL_BATCH_SIZE)
     return state, train_items, batch
@@ -143,7 +145,7 @@ def stack():
     rows = [np.sort(rng.choice(NUM_ITEMS, size=TRAIN_ITEMS, replace=False)) for _ in range(CLIENTS)]
     state, opt = stack_states(NetLayout(EMBED_DIM, WIDTHS), NUM_ITEMS, rows)
     for j in range(CLIENTS):
-        draw_client_params(client_views(state, opt, j)[0], rng)
+        draw_client_params(client_views(state, j), rng)
     batches = np.stack([
         np.column_stack([r[:LOCAL_BATCH_SIZE], r[LOCAL_BATCH_SIZE : 2 * LOCAL_BATCH_SIZE]])
         for r in (rng.permutation(items) for items in rows)
@@ -166,19 +168,24 @@ def test_lockstep_step(benchmark, stack):
     assert steps.min() == steps.max() >= 1 and np.isfinite(state.net).all()
 
 
-def round_rows(round_no: int, rng: np.random.Generator, senders: int = SENDERS):
+def round_rows(round_no: int, rng: np.random.Generator, senders: int = SENDERS, mu: float = 1.0):
+    """A banked round of standard normal rows held in one round block.  Their
+    2-norms are about 5.7, so at mu = 1 every pop key ties at mu, and at
+    mu = inf the keys are distinct."""
+    rows = np.empty((senders * ROWS_PER_SENDER, EMBED_DIM))
+    nets = np.empty((senders, 1))
     packets = []
     for sender in range(senders):
         idx = np.sort(rng.choice(NUM_ITEMS, size=ROWS_PER_SENDER, replace=False))
-        packets.append(
-            GradientPacket(
-                sender=sender,
-                item_idx=idx,
-                item_rows=rng.normal(size=(ROWS_PER_SENDER, EMBED_DIM)),
-                net_grad=np.zeros(1),
-            )
+        q = GradientPacket(
+            sender=sender,
+            item_idx=idx,
+            item_rows=rng.normal(size=(ROWS_PER_SENDER, EMBED_DIM)),
+            net_grad=np.zeros(1),
         )
-    return build_round_rows(packets, round_no, NUM_ITEMS, EMBED_DIM, 1, bank=True)
+        hold_packet(q, rows, sender * ROWS_PER_SENDER, nets[sender])
+        packets.append(q)
+    return build_round_rows(packets, rows, round_no, NUM_ITEMS, EMBED_DIM, 1, mu, 2, bank=True)
 
 
 @pytest.fixture(scope="module")
@@ -266,9 +273,11 @@ def test_receiver_aggregate(benchmark, aggregate, warm_allocator):
     assert np.array_equal(items, np.unique(rr.items)) and rows.shape == (len(items), EMBED_DIM)
 
 
-def test_compact_round_rows(benchmark):
+@pytest.mark.parametrize("mu", [1.0, np.inf], ids=["tied", "distinct"])
+def test_compact_round_rows(benchmark, mu):
     rng = np.random.default_rng(6)
-    rr = round_rows(1, rng, senders=CLIENTS)
+    rr = round_rows(1, rng, senders=CLIENTS, mu=mu)
+    assert len(np.unique(rr.pop_neg_norm)) == (1 if mu == 1.0 else len(rr.items))
     neighbors = [np.sort(rng.choice(CLIENTS, size=SENDERS, replace=False)) for _ in range(RECEIVERS)]
 
     def setup():

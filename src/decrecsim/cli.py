@@ -74,57 +74,44 @@ def _write_manifest(path: str, config: ExperimentConfig, extra: dict, started: f
         fh.write("\n")
 
 
-def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[str, str]:
-    """Execute one experiment; returns (csv path, manifest path)."""
-    started = time.perf_counter()
-    validate_config(config)
-    out = out_dir or config.output_path
-    os.makedirs(out, exist_ok=True)
-    dataset = load_dataset(config)
-    records = run_experiment(config, dataset)
-    csv_path = os.path.join(out, "metrics.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in _format_rows(records, None):
-            fh.write(row + "\n")
-    manifest_path = os.path.join(out, "manifest.json")
-    _write_manifest(manifest_path, config, {"outputs": {"metrics_csv": "metrics.csv"}}, started)
-    return csv_path, manifest_path
-
-
-def sweep(
-    config: ExperimentConfig, key: str, values: list, out_dir: str | None = None
+def run(
+    config: ExperimentConfig, sweep: dict | None = None, out_dir: str | None = None
 ) -> tuple[str, str]:
-    """One experiment per value of a sweepable key, shared base seed."""
+    """Execute one experiment, or with sweep ({"key", "values"}) one per
+    value of a sweepable key, shared base seed; returns (csv path, manifest
+    path).
+
+    Every case is built and validated before any output is written, so a
+    bad value fails with no experiment run and no file left behind.
+    """
     started = time.perf_counter()
-    if key not in SWEEPABLE:
-        raise ConfigError(f"key {key!r} is not sweepable")
-    if not values:
-        raise ConfigError("sweep requires a nonempty list of values")
     validate_config(config)
-    out = out_dir or config.output_path
-    os.makedirs(out, exist_ok=True)
-    csv_path = os.path.join(out, f"sweep_{key}.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + ",sweep_key,sweep_value\n")
+    cases = [(config, None)]
+    csv_name, header, extra = "metrics.csv", CSV_HEADER, {}
+    if sweep is not None:
+        key, values = sweep["key"], list(sweep["values"])
+        if key not in SWEEPABLE:
+            raise ConfigError(f"key {key!r} is not sweepable")
+        if not values:
+            raise ConfigError("sweep requires a nonempty list of values")
+        cases = []
         for value in values:
             cfg = replace(config)
             label = set_key(cfg, key, value)
             validate_config(cfg)
-            dataset = load_dataset(cfg)
-            records = run_experiment(cfg, dataset)
-            for row in _format_rows(records, (key, label)):
-                fh.write(row + "\n")
+            cases.append((cfg, (key, label)))
+        csv_name, header = f"sweep_{key}.csv", CSV_HEADER + ",sweep_key,sweep_value"
+        extra = {"sweep": {"key": key, "values": values}}
+    rows = [header]
+    for cfg, label in cases:
+        rows += _format_rows(run_experiment(cfg, load_dataset(cfg)), label)
+    out = out_dir or config.output_path
+    os.makedirs(out, exist_ok=True)
+    csv_path = os.path.join(out, csv_name)
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.writelines(row + "\n" for row in rows)
     manifest_path = os.path.join(out, "manifest.json")
-    _write_manifest(
-        manifest_path,
-        config,
-        {
-            "sweep": {"key": key, "values": list(values)},
-            "outputs": {"metrics_csv": os.path.basename(csv_path)},
-        },
-        started,
-    )
+    _write_manifest(manifest_path, config, {**extra, "outputs": {"metrics_csv": csv_name}}, started)
     return csv_path, manifest_path
 
 
@@ -203,33 +190,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            if args.from_manifest:
-                config, swept = config_from_manifest(args.from_manifest)
-                overrides = _collect_overrides(args)
-                overrides.pop("output_path", None)
-                for key, raw in overrides.items():
-                    set_key(config, key, raw)
-                validate_config(config)
-                if swept is not None:
-                    csv_path, manifest_path = sweep(
-                        config, swept["key"], swept["values"], out_dir=args.out
-                    )
-                else:
-                    csv_path, manifest_path = run(config, out_dir=args.out)
-            else:
-                csv_path, manifest_path = run(parse_config(args.config, _collect_overrides(args)))
-            print(f"metrics: {csv_path}")
-            print(f"manifest: {manifest_path}")
-            return 0
-        if args.command == "sweep":
+        sweep = out_dir = None
+        if args.command == "run" and args.from_manifest:
+            config, sweep = config_from_manifest(args.from_manifest)
+            overrides = _collect_overrides(args)
+            out_dir = overrides.pop("output_path", None)
+            for key, raw in overrides.items():
+                set_key(config, key, raw)
+        else:
             config = parse_config(args.config, _collect_overrides(args))
-            values = [v.strip() for v in args.values.split(",") if v.strip()]
-            csv_path, manifest_path = sweep(config, args.key, values)
-            print(f"metrics: {csv_path}")
-            print(f"manifest: {manifest_path}")
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+            if args.command == "sweep":
+                values = [v.strip() for v in args.values.split(",") if v.strip()]
+                sweep = {"key": args.key, "values": values}
+        csv_path, manifest_path = run(config, sweep, out_dir)
+        print(f"metrics: {csv_path}")
+        print(f"manifest: {manifest_path}")
+        return 0
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,10 +13,11 @@ ascending neighbor ids; consolidation checks each packet against the
 receivers' model shape, once per round.  The packets' rows sit in one row
 block, back to back in ascending sender order (hold_packet), and the
 RoundRows is built over that block in place, never from a copy of the
-rows.  Clipping to the fixed mu bound, for l2clip and for UCSU, happens
-once, at consolidation, so defense none and l2clip share one plain-mean
-reader, l2_clip_aggregate (named for the defense that introduced it;
-perfbench's tracer times it by that name).
+rows.  Every row is clipped to a fixed bound mu once, at consolidation:
+the configured mu for l2clip and UCSU, and mu = inf, which keeps every row
+bit for bit, for the other defenses.  So defense none and l2clip share one
+plain-mean reader, l2_clip_aggregate (named for the defense that
+introduced it; perfbench's tracer times it by that name).
 
 Median and trimmed mean share one rank kernel, _ranked_rows.  It skips
 every item carried by too few packets to reach the kept ranks (at most
@@ -32,30 +33,32 @@ receivers may run on threads.
 Every receiver's UCSU MemoryBank holds one chunk per banked round: the
 round's shared RoundRows and the pop positions of the receiver's rows still
 banked, 2 bytes each when they lie in one aligned block of 0x10000
-positions (always, in a round of at most 0x10000 rows), else 4.  Banked
-rows are always clipped to mu (mu = inf keeps every row), and only they
-carry pop fields: each round's rows are sorted into pop order (descending
-pop key, min(p-norm, mu), row index on ties) once, shared by all receivers,
-so every chunk is already in pop order and the bank's top fraction is a
-prefix of each chunk; no receiver ever sorts its whole bank.  The pop key
-is kept once, negated in pop order.  Each stored row's own p-norm is taken
-once, at consolidation, and popped with the row, so UCSU's adaptive clip
-never re-takes it.  Per-item sums add rows in pop order, one at a time, so
-the aggregate has the same bits as a sequential per-row loop.
+positions (always, in a round of at most 0x10000 rows), else 4.  Only
+rows built for banks carry pop fields: build_round_rows sorts each round's
+rows into pop order (descending pop key, min(p-norm, mu), row index on
+ties) once, shared by all receivers, so every chunk is already in pop order
+and the bank's top fraction is a prefix of each chunk; no receiver ever
+sorts its whole bank.  The pop key is kept once, negated in pop order.
+Each stored row's own p-norm is taken once, at consolidation, and popped
+with the row, so UCSU's adaptive clip never re-takes it.  Per-item sums add
+rows in pop order, one at a time, so the aggregate has the same bits as a
+sequential per-row loop.
 
 Once a round's pops are done, compact_round_rows shrinks that round's
 RoundRows to the rows some bank still holds and remaps, and re-encodes, the
-banks' pop positions.  Kept rows keep their relative order, so pop order,
-ties and every aggregate are unchanged.  A round is compacted once: few of
-its rows are popped in later rounds, so older RoundRows may still hold rows
-that no bank holds any more, until eviction drops the round.
+banks' pop positions.  Kept rows keep their relative order, so the pop
+order restricted to them is theirs: compaction carries it over instead of
+sorting again, and pop order, ties and every aggregate are unchanged.  A
+round is compacted once: few of its rows are popped in later rounds, so
+older RoundRows may still hold rows that no bank holds any more, until
+eviction drops the round.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,45 +94,34 @@ def _clip(rows: np.ndarray, norms: np.ndarray, bound: float) -> np.ndarray:
     return rows
 
 
+@dataclass(eq=False)
 class RoundRows:
     """All item-row gradients received in one round, consolidated.
 
     One instance per round is shared by every receiving client; each
     reads, or banks, the subset of rows its neighbors sent.  Rows are
     stored by ascending sender, with each sender's row range.  Rows built
-    for UCSU's banks are given their pop key, norms (p-norms capped at mu),
-    and their own p-norms, row_norms; the pop order (descending key, row
-    index on ties) is then computed once here and shared by every
-    receiver, and the key is kept once, negated in pop order
-    (pop_neg_norm).  Rows for any other reader carry no pop fields.  Once
+    for UCSU's banks also carry their own p-norms (row_norms) and the pop
+    fields build_round_rows computes once for every receiver: the pop order
+    (row indices by descending pop key, row index on ties), each row's
+    position in it (rank), and the pop key, negated, in pop order
+    (pop_neg_norm).  Rows for any other reader carry none of them.  Once
     the round's pops are done, compact_round_rows replaces it in the banks
     by a RoundRows of exactly the rows some bank holds, in the same
     relative order.
     """
 
-    def __init__(
-        self,
-        round: int,
-        senders: np.ndarray,
-        items: np.ndarray,
-        rows: np.ndarray,
-        norms: np.ndarray | None = None,
-        row_norms: np.ndarray | None = None,
-    ):
-        self.round = round
-        self.senders = senders  # (n,) int32, ascending
-        self.items = items  # (n,) int32
-        self.rows = rows  # (n, embed_dim) float64
-        self.row_norms = row_norms  # (n,) p-norms of the stored rows
-        self.order = self.rank = self.pop_neg_norm = None
-        if norms is not None:
-            neg = -norms
-            order = np.argsort(neg, kind="stable")
-            self.order = order.astype(np.int32)  # row indices in pop order
-            self.rank = np.empty(len(order), dtype=np.int32)  # position of each row in order
-            self.rank[order] = np.arange(len(order), dtype=np.int32)
-            self.pop_neg_norm = neg[order]  # negated pop key, in pop order
-        self.sender_count = np.bincount(senders)  # row count, per sender id
+    round: int
+    senders: np.ndarray  # (n,) int32, ascending
+    items: np.ndarray  # (n,) int32
+    rows: np.ndarray  # (n, embed_dim) float64
+    row_norms: np.ndarray | None = None  # (n,) p-norms of the stored rows
+    order: np.ndarray | None = None  # (n,) int32 row indices in pop order
+    rank: np.ndarray | None = None  # (n,) int32 position of each row in order
+    pop_neg_norm: np.ndarray | None = None  # (n,) negated pop key, in pop order
+
+    def __post_init__(self):
+        self.sender_count = np.bincount(self.senders)  # row count, per sender id
         self.sender_start = np.cumsum(self.sender_count) - self.sender_count  # first row
 
     def refs_of(self, senders: np.ndarray) -> np.ndarray:
@@ -176,41 +168,32 @@ def _address(a: np.ndarray) -> int:
 
 def build_round_rows(
     packets: list[GradientPacket],
+    rows: np.ndarray,
     round_no: int,
     num_items: int,
     embed_dim: int,
     net_size: int,
-    mu: float = 1.0,
-    p: int = 2,
-    clip: bool = True,
-    bank: bool = False,
-    rows: np.ndarray | None = None,
+    mu: float,
+    p: int,
+    bank: bool,
 ) -> RoundRows:
     """Consolidate packets into one RoundRows over their round's row block.
 
     rows is the block the packets' item rows fill (hold_packet), back to
     back from row 0 in ascending sender order; the RoundRows holds that
     block, and clipping scales it, and so the packets' rows, in place.
-    Without rows, copies of the packets are held in new blocks first, so
-    the given packets are left as they are.
 
     Every packet must fit the receivers' model: item ids in [0, num_items),
     an (ids, embed_dim) row block and a (net_size,) net gradient, else
-    ContractError.  With clip enabled every row is clipped to the fixed mu
-    bound; clipping is receiver-independent, so the result may be shared.
-    With bank, the rows are for UCSU's banks, which only hold clipped rows:
-    they get their pop key, pop order and own norms.
+    ContractError.  Every row is clipped to the fixed bound mu by its
+    p-norm; mu = inf keeps every row bit for bit.  Clipping is
+    receiver-independent, so the result may be shared.  With bank, the
+    rows are for UCSU's banks: they get their own p-norms and the pop
+    order by the key min(p-norm, mu).
     """
-    if bank and not clip:
-        raise ContractError("banked rows are clipped")
+    if mu <= 0:
+        raise ContractError("mu must be > 0")
     ordered = sorted(packets, key=lambda q: q.sender)
-    if rows is None:
-        rows = np.empty((sum(len(q.item_idx) for q in ordered), embed_dim))
-        nets = np.empty((len(ordered), net_size))
-        ordered = [dataclasses.replace(q) for q in ordered]
-        start = 0
-        for q, net_row in zip(ordered, nets):
-            start = hold_packet(q, rows, start, net_row)
     base, start = _address(rows), 0
     for q in ordered:
         n = len(q.item_idx)
@@ -232,26 +215,22 @@ def build_round_rows(
     items = np.concatenate([np.zeros(0, dtype=np.int64), *(q.item_idx for q in ordered)])
     if (items < 0).any() or (items >= num_items).any():
         raise ContractError("packet item index out of range")
-    items = items.astype(np.int32)
-    norms = row_norms = None
-    if clip:
-        if mu <= 0:
-            raise ContractError("mu must be > 0")
-        # Norms are taken in blocks and clipping scales the block in place.
-        norms = _norms(rows, p)
-        _clip(rows, norms, mu)
-        if bank:
-            # UCSU's adaptive clip scales by the stored rows' own norms.
-            row_norms = _norms(rows, p)
-            norms = np.minimum(norms, mu)
-    return RoundRows(
-        round=round_no,
-        senders=senders,
-        items=items,
-        rows=rows,
-        norms=norms if bank else None,
-        row_norms=row_norms,
-    )
+    rr = RoundRows(round=round_no, senders=senders, items=items.astype(np.int32), rows=rows)
+    if mu == math.inf and not bank:
+        return rr  # every row stays as sent, and no reader needs its norm
+    # Norms are taken in blocks and clipping scales the block in place.
+    norms = _norms(rows, p)
+    _clip(rows, norms, mu)
+    if bank:
+        # UCSU's adaptive clip scales by the stored rows' own norms.
+        rr.row_norms = _norms(rows, p)
+        neg = -np.minimum(norms, mu)
+        order = np.argsort(neg, kind="stable")
+        rr.order = order.astype(np.int32)
+        rr.rank = np.empty(len(order), dtype=np.int32)
+        rr.rank[order] = np.arange(len(order), dtype=np.int32)
+        rr.pop_neg_norm = neg[order]
+    return rr
 
 
 def _encode(positions: np.ndarray) -> tuple[int, np.ndarray]:
@@ -411,18 +390,24 @@ def compact_round_rows(rr: RoundRows, banks: Iterable[MemoryBank]) -> None:
         live[base:][offsets.astype(np.intp)] = True
     if not held or live.all():
         return
-    keep = np.flatnonzero(live[rr.rank])  # held row indices, ascending
+    held_row = live[rr.rank]  # per row
+    keep = np.flatnonzero(held_row)  # held row indices, ascending
+    # Kept rows keep their order and the pop order is a stable sort, so the
+    # kept rows' pop order is the old one restricted to held positions: a
+    # held position's new rank is the number of held positions before it,
+    # and a held row's new index the number of held rows before it.
+    new_rank = np.cumsum(live, dtype=np.int32) - 1
+    new_row = np.cumsum(held_row, dtype=np.int32) - 1
     small = RoundRows(
         round=rr.round,
         senders=rr.senders[keep],
         items=rr.items[keep],
         rows=rr.rows[keep],
-        norms=-rr.pop_neg_norm[rr.rank[keep]],
         row_norms=rr.row_norms[keep],
+        order=new_row[rr.order[live]],
+        rank=new_rank[rr.rank[keep]],
+        pop_neg_norm=rr.pop_neg_norm[live],
     )
-    # Kept rows keep their order and the pop order is a stable sort, so a
-    # held position's new rank is the number of held positions before it.
-    new_rank = np.cumsum(live, dtype=np.int32) - 1
     for bank, j, base, offsets in held:
         bank._chunks[j] = (small, *_encode(new_rank[base:][offsets.astype(np.intp)]))
 

@@ -8,19 +8,21 @@ once, to the logit difference) to avoid double-sigmoid saturation.
 Everything runs in double precision so finite-difference checks are
 meaningful.
 
-A client's Adam item moments cover only the item ids its AdamState names
-(for a simulated client, the items of its own training pairs), so a client
-holds one dense item table but moments for a small share of its rows.
+A client's Adam item moments cover only the item ids listed in its rows of
+an AdamState (for a simulated client, the items of its own training
+pairs), so a client holds one dense item table but moments for a small
+share of its rows.
 
-Client state can be stacked: stack_states holds many clients' parameters
-and moments along a leading client axis, client_views hands out each
-client's own ClientState and AdamState as views of it, and block_views a
-slice of clients as a block.  local_train_step is the one training step,
-and it takes blocks only: it steps a block of clients in lockstep (one
-batched forward, backward, scatter-add and Adam step, each client on its
-own batch of one shared size).  Every client of a block gets the bits of
-stepping alone.  _adam_update is the one Adam kernel; besides the block
-step, only PAMN's fine-tune calls it, on moments it keeps itself.
+Client state is stacked: stack_states holds many clients' parameters and
+moments along a leading client axis, client_views hands out each client's
+own ClientState as views of it, and block_views a slice of clients, with
+their moments, as a block.  Adam moments exist only in that form, a
+stack's or a block's.  local_train_step is the one training step, and it
+takes blocks only: it steps a block of clients in lockstep (one batched
+forward, backward, scatter-add and Adam step, each client on its own batch
+of one shared size).  Every client of a block gets the bits of stepping
+alone.  _adam_update is the one Adam kernel; besides the block step, only
+PAMN's fine-tune calls it, on moments it keeps itself.
 
 apply_neighbor_aggregate is the only place the neighbor update rule lives:
 the defenses and the adversaries compute aggregates of the neighbors'
@@ -338,29 +340,26 @@ def _pair_gradients(
 
 @dataclass
 class AdamState:
-    """Adam moments of a stack or block of clients (stack_states,
-    block_views), or one client's view of them (client_views).
+    """Adam moments of a stack or block of B clients (stack_states,
+    block_views).
 
-    The item moments cover only the item ids in ``rows`` (sorted, unique):
-    row s of m_items and v_items belongs to item rows[s].  Stepping an item
-    outside ``rows`` raises ContractError; the update is never dropped.  In
-    a client's view the step count t is a 0-d array, a view of the stacked
-    counts.
-
-    A stack's or block's arrays carry a leading client axis (t (B,),
-    m_user (B, d), m_net (B, size)); its item moments are each client's in
-    turn, client j's at rows row_start[j]:row_start[j + 1].
+    The per-client arrays carry a leading client axis (t (B,), m_user
+    (B, d), m_net (B, size)).  The item moments are each client's in turn,
+    client j's at rows row_start[j]:row_start[j + 1], and cover only the
+    item ids in those rows of ``rows`` (sorted, unique per client): row s of
+    m_items and v_items belongs to item rows[s].  Stepping an item outside
+    a client's rows raises ContractError; the update is never dropped.
     """
 
-    t: np.ndarray  # () int64
+    t: np.ndarray  # (B,) int64
     m_user: np.ndarray
     v_user: np.ndarray
-    rows: np.ndarray  # (r,) int64, strictly increasing item ids
+    rows: np.ndarray  # (r,) int64 item ids
     m_items: np.ndarray  # (r, embed_dim)
     v_items: np.ndarray  # (r, embed_dim)
     m_net: np.ndarray
     v_net: np.ndarray
-    row_start: np.ndarray | None = None  # (B + 1,) int64, blocks only
+    row_start: np.ndarray  # (B + 1,) int64
 
 
 def stack_states(
@@ -406,16 +405,9 @@ def block_views(
     )
 
 
-def client_views(state: ClientState, opt: AdamState, j: int) -> tuple[ClientState, AdamState]:
-    """Client j of a stack: its own ClientState and AdamState, as views."""
-    rows = slice(opt.row_start[j], opt.row_start[j + 1])
-    return (
-        ClientState(state.user_vec[j], state.item_table[j], state.net[j], state.layout),
-        AdamState(
-            **{f: getattr(opt, f)[j, ...] for f in _PER_CLIENT},
-            **{f: getattr(opt, f)[rows] for f in _PER_ROW},
-        ),
-    )
+def client_views(state: ClientState, j: int) -> ClientState:
+    """Client j of a stack: its own ClientState, as views."""
+    return ClientState(state.user_vec[j], state.item_table[j], state.net[j], state.layout)
 
 
 def _moment_slots(opt: AdamState, items: np.ndarray, num_items: int) -> np.ndarray:
@@ -507,7 +499,7 @@ def local_train_step(
     """
     if lr < 0:
         raise ContractError("learning rate must be >= 0")
-    if state.user_vec.ndim != 2 or opt.row_start is None:
+    if state.user_vec.ndim != 2:
         raise ContractError("local_train_step steps a block of clients (see block_views)")
     items, user_grad, net_grad, item_rows = _pair_gradients(state, pairs)
     slots = _moment_slots(opt, items, state.num_items)

@@ -10,11 +10,11 @@ attack from round 2 on.  Every randomized step draws from a stream keyed by
 order.
 
 Every client's parameters and Adam moments live in one stack on the World,
-ordered by descending training-pair count, and each client's ClientState
-and AdamState are views of its rows.  Local training runs in lockstep: at
-each minibatch step the clients with a batch of one size form a slice of
-the stack and train as blocks of at most LOCKSTEP_BLOCK clients, each
-client with the bits of training alone.  The end-of-round gradients stay
+ordered by descending training-pair count; each client's ClientState is a
+view of its rows, and its moments are read only as part of a block.  Local
+training runs in lockstep: at each minibatch step the clients with a batch
+of one size form a slice of the stack and train as blocks of at most
+LOCKSTEP_BLOCK clients, each client with the bits of training alone.  The end-of-round gradients stay
 per client.  The workers setting drives only the attack and defense phases,
 whose thread-parallel execution is bit-identical to sequential execution.
 
@@ -97,12 +97,12 @@ class World:
     Every client's parameters and Adam moments live in one stack (stacked,
     stacked_opt), ordered by descending training-pair count (ties by
     ascending id; stack_ids[p] is the client at position p), so the clients
-    that train at a lockstep step form a slice.  clients[i] and
-    optimizers[i] are views of client i's rows of the stack.
+    that train at a lockstep step form a slice.  clients[i] is a view of
+    client i's rows of the stack; its Adam moments are stepped, and read,
+    only through block_views of stacked_opt.
     """
 
     clients: list[ClientState]
-    optimizers: list[AdamState]
     pairs: list[np.ndarray]
     dataset: Dataset
     neighbor_map: NeighborMap | None
@@ -176,13 +176,9 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
     )
     position = np.empty_like(stack_ids)
     position[stack_ids] = np.arange(len(stack_ids))
-    clients: list[ClientState] = []
-    optimizers: list[AdamState] = []
-    for cid, pos in enumerate(position.tolist()):
-        state, opt = client_views(stacked, stacked_opt, pos)
+    clients = [client_views(stacked, pos) for pos in position.tolist()]
+    for cid, state in enumerate(clients):
         draw_client_params(state, rngmod.stream(root, rngmod.DOMAIN_CLIENT_INIT, cid))
-        clients.append(state)
-        optimizers.append(opt)
 
     adversaries: dict[int, AdversaryState] = {}
     shared_user = rngmod.stream(root, rngmod.DOMAIN_SHARED_USER).uniform(
@@ -208,7 +204,6 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
     )
     return World(
         clients=clients,
-        optimizers=optimizers,
         pairs=pairs,
         dataset=dataset,
         neighbor_map=None,
@@ -385,20 +380,20 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     del packets, outgoing
 
     # Clipping to mu is receiver-independent, so l2clip and UCSU clip once
-    # here, for every receiver, in the row block; only UCSU's banks read the
-    # pop order.  Every client shares one model shape, and each packet is
+    # here, for every receiver, in the row block, and the other defenses
+    # read every row as sent (mu = inf); only UCSU's banks read the pop
+    # order.  Every client shares one model shape, and each packet is
     # checked against it.
     shared_rows = build_round_rows(
         final_packets,
+        rows,
         t,
         num_items=num_items,
         embed_dim=layout.embed_dim,
         net_size=layout.size,
-        mu=config.mu,
+        mu=config.mu if config.defense in ("l2clip", "ucsu") else math.inf,
         p=config.p,
-        clip=config.defense in ("l2clip", "ucsu"),
         bank=config.defense == "ucsu",
-        rows=rows,
     )
     # Every defense reads item rows from shared_rows, which now owns the row
     # block, and net gradients from nets.
@@ -435,9 +430,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     world.round = t
 
 
-def run_experiment(
-    config: ExperimentConfig, dataset: Dataset, keep_world: bool = False
-) -> list[MetricsRecord] | tuple[list[MetricsRecord], World]:
+def run_experiment(config: ExperimentConfig, dataset: Dataset) -> list[MetricsRecord]:
     """Run T rounds, evaluating every eval_every rounds plus rounds 0 and T."""
     world = init_world(config, dataset)
     records = [_snapshot(world, config)]
@@ -445,7 +438,7 @@ def run_experiment(
         run_round(world, config)
         if t % config.eval_every == 0 or t == config.rounds:
             records.append(_snapshot(world, config))
-    return (records, world) if keep_world else records
+    return records
 
 
 def _snapshot(world: World, config: ExperimentConfig) -> MetricsRecord:

@@ -6,10 +6,14 @@ finite differences) and never call the implementation paths they check.
 
 from __future__ import annotations
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 
 from decrecsim import rng as rngmod
-from decrecsim.defenses import RoundRows, build_round_rows, l2_clip_aggregate
+from decrecsim import simulation
+from decrecsim.defenses import RoundRows, build_round_rows, hold_packet, l2_clip_aggregate
 from decrecsim.errors import ContractError
 from decrecsim.model import (
     ADAM_BETA1,
@@ -21,14 +25,15 @@ from decrecsim.model import (
     GradientPacket,
     NetLayout,
     apply_neighbor_aggregate,
+    block_views,
     bpr_loss,
     client_views,
     draw_client_params,
     stack_states,
 )
 
-# One client's AdamState fields (a stack's also has row_start).
-MOMENT_FIELDS = ("t", "m_user", "v_user", "rows", "m_items", "v_items", "m_net", "v_net")
+# Every AdamState field.
+MOMENT_FIELDS = tuple(f.name for f in dataclasses.fields(AdamState))
 
 
 def init_client_state(
@@ -48,13 +53,34 @@ def block_of_one(state: ClientState, rows) -> tuple[ClientState, AdamState]:
     builds its clients (stack_states, then the parameters copied into the
     client's view)."""
     block, opt = stack_states(state.layout, state.num_items, [np.asarray(rows, dtype=np.int64)])
-    view, _ = client_views(block, opt, 0)
+    view = client_views(block, 0)
     view.user_vec[...], view.item_table[...], view.net[...] = state.user_vec, state.item_table, state.net
     return block, opt
 
 
+def client_moments(world, i: int) -> AdamState:
+    """Client i's Adam moments as a one-client block of the world's stack
+    (views, see block_views)."""
+    pos = int(np.flatnonzero(world.stack_ids == i)[0])
+    return block_views(world.stacked, world.stacked_opt, pos, pos + 1)[1]
+
+
+def run_keeping_world(config, dataset):
+    """run_experiment's records, and the world it ran them on (caught from
+    its init_world call)."""
+    worlds, real = [], simulation.init_world
+
+    def init_world(*args):
+        worlds.append(real(*args))
+        return worlds[-1]
+
+    with mock.patch.object(simulation, "init_world", init_world):
+        records = simulation.run_experiment(config, dataset)
+    return records, worlds[0]
+
+
 def copy_moments(opt: AdamState) -> AdamState:
-    """A copy of one client's moments (a client view's, see client_views)."""
+    """A copy of a block's moments (a one-client block's, for reference_step)."""
     return AdamState(**{f: getattr(opt, f).copy() for f in MOMENT_FIELDS})
 
 
@@ -143,48 +169,72 @@ def packet(
     return GradientPacket(sender=sender, item_idx=idx, item_rows=mat, net_grad=net)
 
 
-def round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True, bank=True, num_items=None):
-    """build_round_rows for a model shaped like the packets: row width and
+def pop_fields(key: np.ndarray) -> dict[str, np.ndarray]:
+    """The pop fields of rows with the given pop keys, in row order, as
+    RoundRows holds them: row indices by descending key, row index on ties
+    (a stable argsort), each row's position in that order, and the negated
+    keys in it."""
+    order = np.argsort(-key, kind="stable")
+    rank = np.empty(len(key), dtype=np.int32)
+    rank[order] = np.arange(len(key), dtype=np.int32)
+    return {"order": order.astype(np.int32), "rank": rank, "pop_neg_norm": -key[order]}
+
+
+def round_rows(
+    pkts, round_no=1, mu=1.0, p=2, bank=True, num_items=None, embed_dim=None, net_size=None
+):
+    """build_round_rows over copies of pkts, held in a fresh round block as a
+    round holds its packets; the given packets are left as they are.  The
+    model is shaped like the packets unless told otherwise: row width and
     net size from the first packet (2 and 2 without packets), and room for
-    every item id they carry unless num_items is given.  By default the
-    rows are clipped to mu and carry the pop order a bank reads; mu = inf
-    keeps every row bit for bit."""
+    every item id they carry.  By default the rows are clipped to mu and
+    carry the pop order a bank reads; mu = inf keeps every row bit for
+    bit."""
     if num_items is None:
         num_items = 1 + max((int(q.item_idx.max()) for q in pkts if len(q.item_idx)), default=0)
-    embed_dim = pkts[0].item_rows.shape[1] if pkts else 2
-    net_size = len(pkts[0].net_grad) if pkts else 2
-    return build_round_rows(
-        pkts, round_no, num_items, embed_dim, net_size, mu=mu, p=p, clip=clip, bank=bank
-    )
+    if embed_dim is None:
+        embed_dim = pkts[0].item_rows.shape[1] if pkts else 2
+    if net_size is None:
+        net_size = len(pkts[0].net_grad) if pkts else 2
+    held = [dataclasses.replace(q) for q in sorted(pkts, key=lambda q: q.sender)]
+    rows = np.empty((sum(len(q.item_idx) for q in held), embed_dim))
+    nets = np.empty((len(held), net_size))
+    start = 0
+    for q, net_row in zip(held, nets):
+        start = hold_packet(q, rows, start, net_row)
+    return build_round_rows(held, rows, round_no, num_items, embed_dim, net_size, mu, p, bank)
 
 
-def concat_round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True, bank=False, embed_dim=2):
+def concat_round_rows(pkts, round_no=1, mu=1.0, p=2, bank=False, embed_dim=2):
     """The RoundRows of pkts built from concatenated copies of their rows:
     ascending sender order, rows clipped to mu by their p-norms, and for a
-    bank the capped key and the stored rows' own norms.  The given packets
-    are left as they are."""
+    bank the stored rows' own norms and the pop fields of the capped key
+    (pop_fields).  The given packets are left as they are."""
     ordered = sorted(pkts, key=lambda q: q.sender)
     rows = np.concatenate([np.zeros((0, embed_dim)), *(q.item_rows for q in ordered)])
     senders = np.array([q.sender for q in ordered for _ in q.item_idx], dtype=np.int32)
     items = np.array([i for q in ordered for i in q.item_idx.tolist()], dtype=np.int32)
-    norms = row_norms = None
-    if clip:
-        norms = np.linalg.norm(rows, ord=p, axis=1)
-        factors = np.ones(len(rows))
-        factors[norms > mu] = mu / norms[norms > mu]
-        rows = rows * factors[:, None]
-        if bank:
-            row_norms = np.linalg.norm(rows, ord=p, axis=1)
-            norms = np.minimum(norms, mu)
-    return RoundRows(round_no, senders, items, rows, norms if bank else None, row_norms)
+    norms = np.linalg.norm(rows, ord=p, axis=1)
+    factors = np.ones(len(rows))
+    factors[norms > mu] = mu / norms[norms > mu]
+    rows = rows * factors[:, None]
+    if not bank:
+        return RoundRows(round_no, senders, items, rows)
+    row_norms = np.linalg.norm(rows, ord=p, axis=1)
+    return RoundRows(round_no, senders, items, rows, row_norms, **pop_fields(np.minimum(norms, mu)))
 
 
 def absorb(state: ClientState, pkts: list[GradientPacket], lr: float) -> None:
     """Apply pkts as a receiver with defense none does in a round: their
     unclipped round rows read by l2_clip_aggregate, and the mean of their net
     gradients in ascending sender order, applied by apply_neighbor_aggregate."""
-    rr = build_round_rows(
-        pkts, 1, state.num_items, state.layout.embed_dim, state.layout.size, clip=False
+    rr = round_rows(
+        pkts,
+        mu=np.inf,
+        bank=False,
+        num_items=state.num_items,
+        embed_dim=state.layout.embed_dim,
+        net_size=state.layout.size,
     )
     ordered = sorted(pkts, key=lambda q: q.sender)
     items, rows = l2_clip_aggregate(rr, np.array([q.sender for q in ordered], dtype=np.int64))
@@ -461,8 +511,10 @@ def reference_step(
 ) -> None:
     """One client's local Adam step on one batch, computed alone: a per-layer
     forward and backward over 2-d arrays with np.where relu masks, np.add.at
-    per item, and a per-array Adam update.  Calls no model code but the
-    layout's views, so the lockstep kernel can be checked byte for byte."""
+    per item, and a per-array Adam update of the moments of a one-client
+    block (copy_moments of block_of_one's or client_moments').  Calls no
+    model code but the layout's views, so the lockstep kernel can be checked
+    byte for byte."""
     k = state.layout.embed_dim
     n = len(pairs)
     items = np.concatenate([pairs[:, 0], pairs[:, 1]])
@@ -473,17 +525,18 @@ def reference_step(
     item_grads = np.zeros((len(uniq), k))
     np.add.at(item_grads, inverse, dh[:, k:])
 
+    assert opt.row_start.tolist() == [0, len(opt.rows)]
     opt.t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** int(opt.t)
-    bc2 = 1.0 - ADAM_BETA2 ** int(opt.t)
+    bc1 = 1.0 - ADAM_BETA1 ** int(opt.t[0])
+    bc2 = 1.0 - ADAM_BETA2 ** int(opt.t[0])
     if update_user:
-        _reference_adam(state.user_vec, dh[:, :k].sum(axis=0), opt.m_user, opt.v_user, lr, bc1, bc2)
+        _reference_adam(state.user_vec, dh[:, :k].sum(axis=0), opt.m_user[0], opt.v_user[0], lr, bc1, bc2)
     slots = np.searchsorted(opt.rows, uniq)
     assert np.array_equal(opt.rows[slots], uniq)
     rows, m, v = state.item_table[uniq], opt.m_items[slots], opt.v_items[slots]
     _reference_adam(rows, item_grads, m, v, lr, bc1, bc2)
     state.item_table[uniq], opt.m_items[slots], opt.v_items[slots] = rows, m, v
-    _reference_adam(state.net, net_grad, opt.m_net, opt.v_net, lr, bc1, bc2)
+    _reference_adam(state.net, net_grad, opt.m_net[0], opt.v_net[0], lr, bc1, bc2)
 
 
 def reference_pamn_poison(
@@ -537,13 +590,14 @@ def reference_pamn_poison(
 
 
 def reference_round_training(world, t: int, lr: float) -> list[tuple[ClientState, AdamState]]:
-    """Copies of every client's state and moments after round t's local
-    training, each client trained alone by reference_step: its pairs in its
-    own shuffled order, batches of LOCAL_BATCH_SIZE, the last one holding
-    the rest; psmu adversaries keep their user embedding."""
+    """Copies of every client's state and moments (a one-client block)
+    after round t's local training, each client trained alone by
+    reference_step: its pairs in its own shuffled order, batches of
+    LOCAL_BATCH_SIZE, the last one holding the rest; psmu adversaries keep
+    their user embedding."""
     out = []
-    for i, (state, opt) in enumerate(zip(world.clients, world.optimizers, strict=True)):
-        state, opt = state.copy(), copy_moments(opt)
+    for i, state in enumerate(world.clients):
+        state, opt = state.copy(), copy_moments(client_moments(world, i))
         pairs = world.pairs[i]
         fixed = i in world.adversaries and world.adversaries[i].fixed_user
         if len(pairs):

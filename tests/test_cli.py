@@ -157,6 +157,26 @@ def test_bad_run_arguments_fail(world, tmp_path, capsys, extra, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_sweep_checks_every_value_before_running_one(world, tmp_path, capsys, monkeypatch):
+    # p = 3 is invalid; the sweep must reject it before running p = 1.
+    config, _ = world
+    calls = []
+    real = cli.run_experiment
+
+    def counting(cfg, dataset):
+        calls.append(cfg.p)
+        return real(cfg, dataset)
+
+    monkeypatch.setattr(cli, "run_experiment", counting)
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", config, "--out", str(out), "--key", "p", "--values", "1,3,2"]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "p must be 1 or 2" in err
+    assert calls == []
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_non_sweepable_key_fails(world, tmp_path, capsys):
     config, _ = world
     args = ["sweep", "--config", config, "--out", str(tmp_path), "--key", "attack", "--values", "ra"]

@@ -46,16 +46,17 @@ from helpers import (
     dense_block_trimmed,
     packet,
     per_item_mean_loop,
+    pop_fields,
     pop_key,
     round_rows,
 )
 
 
-def received(pkts, round_no=1, mu=1.0, p=2, clip=False, bank=False):
+def received(pkts, round_no=1, mu=np.inf, p=2, bank=False):
     """The round rows of pkts and their ascending sender ids: what a
-    receiver whose neighbors sent pkts reads (UCSU's banks read rows built
-    with clip and bank)."""
-    rr = round_rows(pkts, round_no, mu=mu, p=p, clip=clip, bank=bank)
+    receiver whose neighbors sent pkts reads (unclipped unless mu is
+    finite; UCSU's banks read rows built with bank)."""
+    rr = round_rows(pkts, round_no, mu=mu, p=p, bank=bank)
     return rr, np.array(sorted(q.sender for q in pkts), dtype=np.int64)
 
 
@@ -329,7 +330,7 @@ class TestDenseKernelProperties:
     def test_l2clip_matches_brute_force(self, case, mu, p):
         pkts, num_items, dim = case
         expect = brute_force_l2clip(pkts, num_items, dim, mu, p)
-        assert_matches(*l2_clip_aggregate(*received(pkts, mu=mu, p=p, clip=True)), expect)
+        assert_matches(*l2_clip_aggregate(*received(pkts, mu=mu, p=p)), expect)
 
 
 @pytest.mark.parametrize(
@@ -460,7 +461,7 @@ class TestL2Clip:
             packet(0, {0: np.array([3.0, 4.0])}, np.zeros(2)),
             packet(1, {0: np.array([0.0, 0.0])}, np.zeros(2)),
         ]
-        _, rows = l2_clip_aggregate(*received(pkts, mu=1.0, clip=True))
+        _, rows = l2_clip_aggregate(*received(pkts, mu=1.0))
         assert np.allclose(rows[0], [0.3, 0.4])
 
     def test_inactive_clip_equals_plain_mean(self):
@@ -468,13 +469,13 @@ class TestL2Clip:
             packet(0, {0: np.array([0.1, 0.2])}, np.zeros(2)),
             packet(1, {0: np.array([0.3, 0.0])}, np.zeros(2)),
         ]
-        _, rows = l2_clip_aggregate(*received(pkts, mu=10.0, clip=True))
+        _, rows = l2_clip_aggregate(*received(pkts, mu=10.0))
         assert np.allclose(rows[0], [0.2, 0.1])
 
     def test_pre_mean_norms_bounded(self):
         rng = np.random.default_rng(6)
         pkts = random_packets(rng, 5, 4, 3)
-        rr = round_rows(pkts, round_no=1, mu=1.0, p=2, clip=True, bank=False)
+        rr = round_rows(pkts, round_no=1, mu=1.0, p=2, bank=False)
         assert np.all(np.linalg.norm(rr.rows, axis=1) <= 1.0 + 1e-12)
 
 
@@ -488,9 +489,10 @@ class TestBuildRoundRows:
         assert _norms(rows, p).tobytes() == np.linalg.norm(rows, ord=p, axis=1).tobytes()
 
     def test_rows_allocated_once(self):
-        # 20k rows of dim 64 (512 B each) that mostly clip: the build may
-        # add the stacked rows plus 256 B per row for the ids, norms and pop
-        # order (about 125 B are used), but no second rows-sized block.
+        # 20k rows of dim 64 (512 B each) that mostly clip: holding the
+        # packets in a round block and the build may add the stacked rows
+        # plus 256 B per row for the ids, norms and pop order (about 125 B
+        # are used), but no second rows-sized block.
         rng = np.random.default_rng(10)
         pkts = [
             GradientPacket(
@@ -505,7 +507,7 @@ class TestBuildRoundRows:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            rr = build_round_rows(pkts, 1, 100, 64, 1, mu=1.0, clip=True, bank=True)
+            rr = round_rows(pkts, num_items=100)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -525,10 +527,11 @@ class TestBuildRoundRows:
     )
     def test_packet_that_does_not_fit_the_model_rejected(self, bad, message):
         good = packet(0, {1: np.ones(2), 3: np.ones(2)}, np.zeros(2))
-        for clip in (False, True):
+        shape = dict(num_items=4, embed_dim=2, net_size=2)
+        for mu in (np.inf, 1.0):
             with pytest.raises(ContractError, match=message):
-                build_round_rows([good, bad], 1, num_items=4, embed_dim=2, net_size=2, clip=clip)
-        rr = build_round_rows([good], 1, num_items=4, embed_dim=2, net_size=2)
+                round_rows([good, bad], mu=mu, bank=False, **shape)
+        rr = round_rows([good], **shape)
         assert rr.items.tolist() == [1, 3]
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -554,9 +557,8 @@ class TestBuildRoundRows:
         # bits), keep the key once, in pop order, and an int32 order.
         mu = 1.0 if clip else np.inf
         pkts = random_packets(np.random.default_rng(30), 20, 6, 3)
-        shape = dict(num_items=6, embed_dim=3, net_size=len(pkts[0].net_grad), mu=mu)
-        plain = build_round_rows(pkts, 1, **shape, clip=clip)
-        banked = build_round_rows(pkts, 1, **shape, bank=True)
+        plain = round_rows(pkts, mu=mu, bank=False)
+        banked = round_rows(pkts, mu=mu, bank=True)
         assert plain.rows.tobytes() == banked.rows.tobytes()
         assert plain.order is plain.rank is plain.pop_neg_norm is plain.row_norms is None
         with pytest.raises(ContractError, match="pop order"):
@@ -567,50 +569,50 @@ class TestBuildRoundRows:
         key = np.minimum(np.linalg.norm(raw, axis=1), mu)
         assert np.array_equal(-banked.pop_neg_norm, key[banked.order])
 
-    def test_banked_rows_are_clipped(self):
-        pkts = random_packets(np.random.default_rng(31), 3, 6, 3)
-        with pytest.raises(ContractError, match="banked rows are clipped"):
-            build_round_rows(pkts, 1, num_items=6, embed_dim=3, net_size=2, clip=False, bank=True)
-
-
-    @pytest.mark.parametrize("clip, bank", [(False, False), (True, False), (True, True)])
+    @pytest.mark.parametrize(
+        "clip, bank", [(False, False), (True, False), (True, True), (False, True)]
+    )
     @pytest.mark.parametrize("senders", [[], [2, 0]], ids=["no-packets", "no-rows"])
     def test_no_rows_keep_their_dtypes(self, senders, clip, bank):
         # No packets, or packets that carry no rows, give empty int32 senders
-        # and items and a (0, d) float64 row block.
+        # and items and a (0, d) float64 row block, clipped (mu = 1) or not
+        # (mu = inf).
         pkts = [packet(s, {}, np.zeros(2), dim=3) for s in senders]
-        rr = build_round_rows(pkts, 1, num_items=4, embed_dim=3, net_size=2, clip=clip, bank=bank)
+        mu = 1.0 if clip else np.inf
+        rr = round_rows(pkts, mu=mu, bank=bank, num_items=4, embed_dim=3, net_size=2)
         assert rr.senders.dtype == rr.items.dtype == np.int32
         assert rr.senders.shape == rr.items.shape == (0,)
         assert rr.rows.dtype == np.float64 and rr.rows.shape == (0, 3)
 
     @pytest.mark.parametrize(
-        "clip, bank", [(False, False), (True, False), (True, True)], ids=["plain", "clipped", "banked"]
+        "mu, bank",
+        [(np.inf, False), (1.0, False), (1.0, True), (np.inf, True)],
+        ids=["plain", "clipped", "banked", "unclipped-banked"],
     )
     @pytest.mark.parametrize("kind", ["rows", "no-rows", "no-packets"])
     @pytest.mark.parametrize("p", [1, 2])
-    def test_in_place_build_matches_concatenation(self, kind, clip, bank, p):
+    def test_in_place_build_matches_concatenation(self, kind, mu, bank, p):
         # Packets held as a round holds them, in a row block with room to
         # spare, build the bytes of concatenated copies of their rows; so
-        # do loose packets, which the build holds itself.
+        # does round_rows' own block, exactly the rows' size.
         pkts = {
             "rows": random_packets(np.random.default_rng(40 + p), 12, 8, 3),
             "no-rows": [packet(s, {}, np.zeros(2), dim=3) for s in (2, 0)],
             "no-packets": [],
         }[kind]
-        want = concat_round_rows(pkts, 3, mu=1.0, p=p, clip=clip, bank=bank, embed_dim=3)
-        sent = concat_round_rows(pkts, clip=False, embed_dim=3).rows
+        want = concat_round_rows(pkts, 3, mu=mu, p=p, bank=bank, embed_dim=3)
+        sent = concat_round_rows(pkts, mu=np.inf, embed_dim=3).rows
         held = [dataclasses.replace(q) for q in sorted(pkts, key=lambda q: q.sender)]
         rows = np.empty((sum(len(q.item_idx) for q in pkts) + 5, 3))
         nets = np.empty((len(held), 2))
         start = 0
         for q, net_row in zip(held, nets):
             start = hold_packet(q, rows, start, net_row)
-        shape = dict(num_items=8, embed_dim=3, net_size=2, mu=1.0, p=p, clip=clip, bank=bank)
-        in_block = build_round_rows(held, 3, **shape, rows=rows)
-        loose = build_round_rows(pkts, 3, **shape)
+        shape = dict(num_items=8, embed_dim=3, net_size=2, mu=mu, p=p, bank=bank)
+        in_block = build_round_rows(held, rows, 3, **shape)
+        loose = round_rows(pkts, 3, **shape)
         if kind == "rows":
-            # some rows exceed mu, so the clipping builds scale them
+            # some rows exceed mu = 1, so the clipping builds scale them
             assert (np.linalg.norm(sent, ord=p, axis=1) > 1.0).any()
             assert np.shares_memory(in_block.rows, rows)
         for got in (in_block, loose):
@@ -631,17 +633,17 @@ class TestBuildRoundRows:
         )
 
     def test_rows_outside_the_block_rejected(self):
-        shape = dict(num_items=4, embed_dim=2, net_size=2)
+        shape = dict(num_items=4, embed_dim=2, net_size=2, mu=np.inf, p=2, bank=False)
         pkts = [packet(s, {s: np.full(2, s + 1.0)}, np.zeros(2)) for s in (0, 1)]
         rows, nets = np.empty((2, 2)), np.empty((2, 2))
         # held in descending sender order, so not the block's ascending order
         hold_packet(pkts[1], rows, 0, nets[1])
         hold_packet(pkts[0], rows, 1, nets[0])
         with pytest.raises(ContractError, match="fill the round block"):
-            build_round_rows(pkts, 1, **shape, rows=rows)
+            build_round_rows(pkts, rows, 1, **shape)
         loose = packet(0, {0: np.ones(2)}, np.zeros(2))
         with pytest.raises(ContractError, match="fill the round block"):
-            build_round_rows([loose], 1, **shape, rows=rows)
+            build_round_rows([loose], rows, 1, **shape)
         with pytest.raises(ContractError, match="overflow"):
             hold_packet(packet(2, {0: np.ones(2)}, np.zeros(2)), rows, 2, nets[0])
 
@@ -757,8 +759,8 @@ class TestMemoryBank:
                 senders=np.repeat(np.arange(100, dtype=np.int32), n // 100),
                 items=rng.integers(0, 1000, size=n).astype(np.int32),
                 rows=np.ones((n, 1)),
-                norms=rng.choice([0.25, 0.5, 1.0], size=n) * rng.random(n),
                 row_norms=np.ones(n),
+                **pop_fields(rng.choice([0.25, 0.5, 1.0], size=n) * rng.random(n)),
             )
             for r in range(1, 11)
         ]
@@ -787,8 +789,8 @@ def wide_round(rows: int = 70_000, senders: int = 700, seed: int = 14) -> RoundR
         senders=np.repeat(np.arange(senders, dtype=np.int32), rows // senders),
         items=rng.integers(0, 50, size=rows).astype(np.int32),
         rows=values,
-        norms=np.minimum(np.linalg.norm(values, axis=1), 1.0),
         row_norms=np.linalg.norm(values, axis=1),
+        **pop_fields(np.minimum(np.linalg.norm(values, axis=1), 1.0)),
     )
 
 
@@ -873,6 +875,34 @@ class TestCompactRoundRows:
                 kept = [(r, item, row.tobytes()) for r, _, item, row in bank.entries()]
                 assert kept == [(r, item, row.tobytes()) for r, item, row, _ in ref.entries]
 
+    @pytest.mark.parametrize("mu", [1.0, np.inf], ids=["tied", "distinct"])
+    def test_pop_order_is_carried_over(self, mu):
+        # The pop fields of a built round, and of its compaction, which
+        # carries them over, are the stable argsort of the rows' keys
+        # (pop_fields): with most keys tied at mu, and with every key
+        # distinct.
+        rng = np.random.default_rng(15)
+        pkts = random_packets(rng, 60, 20, 2, p_touch=0.5)
+        rr = round_rows(pkts, 1, mu=mu)
+        raw = np.concatenate([q.item_rows for q in pkts])  # senders ascend already
+        key = np.minimum(np.linalg.norm(raw, axis=1), mu)
+        ties = len(key) - len(np.unique(key))
+        assert ties > 100 if mu == 1.0 else ties == 0
+        banks = [MemoryBank(2) for _ in range(3)]
+        for bank in banks:
+            bank.ingest(rr, rr.refs_of(np.sort(rng.choice(60, size=30, replace=False))))
+            bank.pop_top_fraction(0.1)
+        held = np.unique(np.concatenate([rr.order[pos] for b in banks for _, pos in b.chunks()]))
+        assert 0 < len(held) < len(key)
+        compact_round_rows(rr, banks)
+        small = banks[0].chunks()[0][0]
+        assert small is not rr
+        for got, keys in ((rr, key), (small, key[held])):
+            for name, want in pop_fields(keys).items():
+                value = getattr(got, name)
+                assert (value.dtype, value.shape) == (want.dtype, want.shape), name
+                assert value.tobytes() == want.tobytes(), name
+
     def test_fully_held_round_is_kept(self):
         bank = MemoryBank(3)
         rr = round_rows(random_packets(np.random.default_rng(13), 4, 5, 2), 1)
@@ -884,7 +914,7 @@ class TestCompactRoundRows:
 class TestUcsuAggregate:
     def test_empty_everything_is_noop(self):
         bank = MemoryBank(10)
-        items, rows = ucsu_aggregate(bank, *received([], clip=True, bank=True), nu=0.1)
+        items, rows = ucsu_aggregate(bank, *received([], mu=1.0, bank=True), nu=0.1)
         assert len(items) == 0
 
     def test_empty_bank_returns_rows_of_embed_dim(self):
@@ -903,7 +933,7 @@ class TestUcsuAggregate:
             packet(0, {0: np.array([3.0, 4.0])}, np.zeros(2)),
             packet(1, {1: np.array([0.1, 0.0])}, np.zeros(2)),
         ]
-        items, rows = ucsu_aggregate(bank, *received(pkts, mu=1.0, clip=True, bank=True), nu=0.5)
+        items, rows = ucsu_aggregate(bank, *received(pkts, mu=1.0, bank=True), nu=0.5)
         # the clipped (0.6, 0.8) row is the largest and is popped
         assert items.tolist() == [0]
         assert np.allclose(rows[0], [0.6, 0.8])
@@ -915,7 +945,7 @@ class TestUcsuAggregate:
             packet(0, {0: np.array([0.8, 0.0])}, np.zeros(2)),
             packet(1, {0: np.array([0.6, 0.0])}, np.zeros(2)),
         ]
-        items, rows = ucsu_aggregate(bank, *received(pkts, mu=10.0, clip=True, bank=True), nu=1.0)
+        items, rows = ucsu_aggregate(bank, *received(pkts, mu=10.0, bank=True), nu=1.0)
         # both rows selected; adaptive clip scales the larger to the mean norm
         assert items.tolist() == [0]
         assert rows[0][0] == pytest.approx((0.7 + 0.6) / 2.0)
@@ -924,9 +954,9 @@ class TestUcsuAggregate:
         bank = MemoryBank(capacity_rounds=10)
         big = packet(0, {0: np.array([0.9, 0.0])}, np.zeros(2))
         small = packet(1, {1: np.array([0.5, 0.0])}, np.zeros(2))
-        items1, _ = ucsu_aggregate(bank, *received([big, small], clip=True, bank=True), nu=0.5)
+        items1, _ = ucsu_aggregate(bank, *received([big, small], mu=1.0, bank=True), nu=0.5)
         assert items1.tolist() == [0]
-        items2, _ = ucsu_aggregate(bank, *received([], round_no=2, clip=True, bank=True), nu=1.0)
+        items2, _ = ucsu_aggregate(bank, *received([], round_no=2, mu=1.0, bank=True), nu=1.0)
         assert items2.tolist() == [1]  # the held-back row surfaces later
 
 

@@ -24,6 +24,7 @@ from decrecsim.synthetic import generate_interactions, write_movielens_dat
 from helpers import (
     MOMENT_FIELDS,
     block_of_one,
+    client_moments,
     copy_moments,
     init_client_state,
     make_state,
@@ -61,7 +62,7 @@ def with_pair_counts(dataset, counts, seed=0):
 
 def assert_matches_reference(world, expected):
     for i, (want_state, want_opt) in enumerate(expected):
-        state, opt = world.clients[i], world.optimizers[i]
+        state, opt = world.clients[i], client_moments(world, i)
         for name in ("user_vec", "item_table", "net"):
             assert getattr(state, name).tobytes() == getattr(want_state, name).tobytes(), (i, name)
         for name in MOMENT_FIELDS:
@@ -81,16 +82,16 @@ def test_every_remainder_size_matches_reference(tiny):
     config, dataset = tiny
     counts = list(range(32)) + [32, 33, 63, 64, 65, 97, 150, 0]
     world = init_world(config, with_pair_counts(dataset, counts))
-    before = [(s.copy(), opt.t.copy()) for s, opt in zip(world.clients, world.optimizers)]
+    before = [(s.copy(), client_moments(world, i).t.copy()) for i, s in enumerate(world.clients)]
     train_rounds(world, config.lr, 2)
     for i in range(len(counts)):
         if counts[i] == 0:
             state, t = before[i]
             assert world.clients[i].item_table.tobytes() == state.item_table.tobytes()
             assert world.clients[i].net.tobytes() == state.net.tobytes()
-            assert int(world.optimizers[i].t) == int(t) == 0
+            assert int(client_moments(world, i).t[0]) == int(t[0]) == 0
         else:
-            assert int(world.optimizers[i].t) == 2 * -(-counts[i] // LOCAL_BATCH_SIZE)
+            assert int(client_moments(world, i).t[0]) == 2 * -(-counts[i] // LOCAL_BATCH_SIZE)
 
 
 def test_psmu_adversaries_keep_their_shared_user(tiny):
@@ -101,9 +102,10 @@ def test_psmu_adversaries_keep_their_shared_user(tiny):
     train_rounds(world, config.lr, 2)
     for a in world.adversary_ids:
         assert world.clients[a].user_vec.tobytes() == shared[a].tobytes()
-        assert not world.optimizers[a].m_user.any() and int(world.optimizers[a].t) > 0
+        opt = client_moments(world, a)
+        assert not opt.m_user.any() and int(opt.t[0]) > 0
     benign = next(i for i in range(world.num_clients) if i not in world.adversary_ids)
-    assert world.optimizers[benign].m_user.any()
+    assert client_moments(world, benign).m_user.any()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -121,15 +123,15 @@ def test_block_of_one_matches_reference(size, update_user):
     want = make_state(size, num_items=30)
     pairs = random_pairs(rng, 30, size)
     block, opt = block_of_one(want, np.unique(pairs))
-    want_opt = copy_moments(client_views(block, opt, 0)[1])
+    want_opt = copy_moments(opt)
     for _ in range(3):
         local_train_step(block, pairs[None], opt, 0.05, update_user=update_user)
         reference_step(want, want_opt, pairs, 0.05, update_user)
-    state, client_opt = client_views(block, opt, 0)
+    state = client_views(block, 0)
     for name in ("user_vec", "item_table", "net"):
         assert getattr(state, name).tobytes() == getattr(want, name).tobytes()
     for name in MOMENT_FIELDS:
-        assert getattr(client_opt, name).tobytes() == getattr(want_opt, name).tobytes()
+        assert getattr(opt, name).tobytes() == getattr(want_opt, name).tobytes()
 
 
 def test_block_steps_each_client_as_alone():
@@ -142,9 +144,9 @@ def test_block_steps_each_client_as_alone():
     batches = np.stack([random_pairs(rng, num_items, 12) for _ in range(3)])
     stacked, stacked_opt = stack_states(alone[0].layout, num_items, [np.unique(b) for b in batches])
     for j, s in enumerate(alone):
-        view, _ = client_views(stacked, stacked_opt, j)
+        view = client_views(stacked, j)
         view.user_vec[...], view.item_table[...], view.net[...] = s.user_vec, s.item_table, s.net
-    opts = [copy_moments(client_views(stacked, stacked_opt, j)[1]) for j in range(3)]
+    opts = [copy_moments(block_views(stacked, stacked_opt, j, j + 1)[1]) for j in range(3)]
     mask = np.array([True, False, True])
     for _ in range(2):
         state, opt = block_views(stacked, stacked_opt, 0, 3)
@@ -152,7 +154,8 @@ def test_block_steps_each_client_as_alone():
         for j in range(3):
             reference_step(alone[j], opts[j], batches[j], 0.01, bool(mask[j]))
     for j in range(3):
-        view, view_opt = client_views(stacked, stacked_opt, j)
+        view = client_views(stacked, j)
+        _, view_opt = block_views(stacked, stacked_opt, j, j + 1)
         for name in ("user_vec", "item_table", "net"):
             assert getattr(view, name).tobytes() == getattr(alone[j], name).tobytes()
         for name in MOMENT_FIELDS:
@@ -176,13 +179,12 @@ def test_client_states_are_views_of_the_stack(tiny, attack):
     assert counts == sorted(counts, reverse=True)
     assert sorted(world.stack_ids.tolist()) == list(range(world.num_clients))
     for pos, i in enumerate(world.stack_ids.tolist()):
-        state, client_opt = world.clients[i], world.optimizers[i]
+        state, client_opt = world.clients[i], client_moments(world, i)
         assert same_memory(state.user_vec, stacked.user_vec[pos])
         assert same_memory(state.item_table, stacked.item_table[pos])
         assert same_memory(state.net, stacked.net[pos])
-        assert same_memory(client_opt.t, opt.t[pos, ...])
-        for name in ("m_user", "v_user", "m_net", "v_net"):
-            assert same_memory(getattr(client_opt, name), getattr(opt, name)[pos])
+        for name in ("t", "m_user", "v_user", "m_net", "v_net"):
+            assert same_memory(getattr(client_opt, name), getattr(opt, name)[pos : pos + 1])
         rows = slice(opt.row_start[pos], opt.row_start[pos + 1])
         for name in ("rows", "m_items", "v_items"):
             assert same_memory(getattr(client_opt, name), getattr(opt, name)[rows])

@@ -251,7 +251,7 @@ def step_alone(state, pairs, lr, update_user=True):
     every item: the stepped client's view."""
     block, opt = block_of_one(state, np.arange(state.num_items))
     local_train_step(block, pairs[None], opt, lr, update_user=update_user)
-    return client_views(block, opt, 0)[0]
+    return client_views(block, 0)
 
 
 class TestLocalTrainStep:
@@ -290,9 +290,8 @@ class TestLocalTrainStep:
     def test_one_client_state_rejected(self):
         # local_train_step takes blocks only; a client's own views are not one
         block, opt = block_of_one(make_state(12, num_items=10), np.arange(10))
-        state, client_opt = client_views(block, opt, 0)
         with pytest.raises(ContractError, match="block"):
-            local_train_step(state, np.array([[0, 1]]), client_opt, lr=1e-3)
+            local_train_step(client_views(block, 0), np.array([[0, 1]]), opt, lr=1e-3)
 
 
 class TestReluMasking:

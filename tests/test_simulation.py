@@ -30,7 +30,7 @@ from decrecsim.simulation import (
     select_cold_targets,
 )
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
-from helpers import absorb, assert_round_compacted
+from helpers import absorb, assert_round_compacted, client_moments, run_keeping_world
 
 # (overrides, test id): EB against each per-receiver aggregator, and PAMN
 # against UCSU over 4 rounds with a 2-round bank, so eviction runs.
@@ -70,7 +70,7 @@ def tiny(tmp_path_factory):
 
 def run(tiny, **overrides):
     config, dataset = tiny
-    return run_experiment(dataclasses.replace(config, **overrides), dataset, keep_world=True)
+    return run_keeping_world(dataclasses.replace(config, **overrides), dataset)
 
 
 def client_params(world):
@@ -328,7 +328,7 @@ def test_clients_without_pairs_send_empty_packets(tiny, monkeypatch, overrides):
     monkeypatch.setattr(simulation, "compute_gradients", gradients_spy)
     monkeypatch.setattr(simulation, "adversary_collab_update", collab_spy)
     monkeypatch.setattr(simulation, "build_round_rows", build_spy)
-    first, world = run_experiment(config, dataset, keep_world=True)
+    first, world = run_keeping_world(config, dataset)
     assert first == second
     no_pairs = {i for i, pairs in enumerate(world.pairs) if len(pairs) == 0}
     assert world.adversary_ids <= no_pairs
@@ -389,7 +389,8 @@ def test_item_moments_cover_exactly_the_training_items(tiny, attack):
     config, dataset = tiny
     world = init_world(dataclasses.replace(config, attack=attack), dataset)
     assert world.adversary_ids
-    for opt, state, pairs in zip(world.optimizers, world.clients, world.pairs, strict=True):
+    for i, (state, pairs) in enumerate(zip(world.clients, world.pairs, strict=True)):
+        opt = client_moments(world, i)
         assert np.array_equal(opt.rows, np.unique(pairs))
         assert opt.m_items.shape == opt.v_items.shape == (len(opt.rows), state.layout.embed_dim)
 
