@@ -42,9 +42,9 @@ from decrecsim.cli import load_dataset
 from decrecsim.config import ExperimentConfig
 from decrecsim.defenses import (
     MemoryBank,
+    RoundBlock,
     build_round_rows,
     compact_round_rows,
-    hold_packet,
     item_krum_aggregate,
     l2_clip_aggregate,
     median_aggregate,
@@ -169,23 +169,21 @@ def test_lockstep_step(benchmark, stack):
 
 
 def round_rows(round_no: int, rng: np.random.Generator, senders: int = SENDERS, mu: float = 1.0):
-    """A banked round of standard normal rows held in one round block.  Their
-    2-norms are about 5.7, so at mu = 1 every pop key ties at mu, and at
-    mu = inf the keys are distinct."""
-    rows = np.empty((senders * ROWS_PER_SENDER, EMBED_DIM))
-    nets = np.empty((senders, 1))
-    packets = []
+    """A banked round of standard normal rows sent into one round block.
+    Their 2-norms are about 5.7, so at mu = 1 every pop key ties at mu, and
+    at mu = inf the keys are distinct."""
+    block = RoundBlock(senders * ROWS_PER_SENDER, EMBED_DIM, senders, 1)
     for sender in range(senders):
         idx = np.sort(rng.choice(NUM_ITEMS, size=ROWS_PER_SENDER, replace=False))
-        q = GradientPacket(
-            sender=sender,
-            item_idx=idx,
-            item_rows=rng.normal(size=(ROWS_PER_SENDER, EMBED_DIM)),
-            net_grad=np.zeros(1),
+        block.send(
+            GradientPacket(
+                sender=sender,
+                item_idx=idx,
+                item_rows=rng.normal(size=(ROWS_PER_SENDER, EMBED_DIM)),
+                net_grad=np.zeros(1),
+            )
         )
-        hold_packet(q, rows, sender * ROWS_PER_SENDER, nets[sender])
-        packets.append(q)
-    return build_round_rows(packets, rows, round_no, NUM_ITEMS, EMBED_DIM, 1, mu, 2, bank=True)
+    return build_round_rows(block.round_rows(round_no), NUM_ITEMS, mu, 2, bank=True)
 
 
 @pytest.fixture(scope="module")

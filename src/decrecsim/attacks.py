@@ -2,7 +2,7 @@
 
 Adversaries emulate benign clients: each trains on a dataset sampled as a
 benign user's is (dataset.sample_pairs) and absorbs its neighbors' honest
-packets as defense none does, reading the packets themselves.  From round
+rows as defense none does, from the round's unclipped RoundRows.  From round
 2 on, pamn learns a diversified user embedding against the other
 adversaries, widens the promoted set with substitute items, fine-tunes its
 item table and scoring net to rank the promoted items above its own top
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from decrecsim.dataset import sample_pairs
+from decrecsim.defenses import RoundRows, l2_clip_aggregate
 from decrecsim.errors import ConfigError, ContractError
 from decrecsim.metrics import top_k_list
 from decrecsim.model import (
@@ -100,24 +101,18 @@ def build_adversary_dataset(
 
 
 def adversary_collab_update(
-    adv: AdversaryState, packets: list[GradientPacket], net_mean: np.ndarray, lr: float
+    adv: AdversaryState, rr: RoundRows, senders: np.ndarray, net_mean: np.ndarray, lr: float
 ) -> None:
     """Absorb the neighbors' gradients as a benign client with defense none
-    does: the plain mean of the item rows of packets, given in ascending
-    sender order, absent rows as zero, and the mean net gradient net_mean.
+    does: the plain mean of the item rows the given ascending senders sent
+    in rr, absent rows as zero (defenses.l2_clip_aggregate), and the mean
+    net gradient net_mean.
 
-    The rows are summed in packet order and divided by the packet count,
-    the bits defenses.l2_clip_aggregate reads from an unclipped RoundRows
-    of the same packets.  The packets are not checked: they come from
-    compute_gradients over pairs init_world has checked.
+    rr is the round's unclipped honest rows.  ContractError without
+    senders.
     """
-    if not packets:
-        raise ContractError("absorbing requires at least one packet")
-    uniq, sums, _ = scatter_add_rows(
-        np.concatenate([q.item_idx for q in packets]),
-        np.concatenate([q.item_rows for q in packets]),
-    )
-    apply_neighbor_aggregate(adv.base, uniq, sums / len(packets), net_mean, lr)
+    uniq, rows = l2_clip_aggregate(rr, senders)
+    apply_neighbor_aggregate(adv.base, uniq, rows, net_mean, lr)
 
 
 def update_adversary_user_embedding(

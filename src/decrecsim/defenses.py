@@ -7,17 +7,18 @@ applies both.  For median / trimmed mean / Krum, an item row absent from a
 packet counts as a zero vector, mirroring the FedAvg convention of dividing
 by the packet count.
 
-A round's packets are consolidated once (RoundRows), for every defense,
-and every defense reads a receiver's rows from it by the receiver's
-ascending neighbor ids; consolidation checks each packet against the
-receivers' model shape, once per round.  The packets' rows sit in one row
-block, back to back in ascending sender order (hold_packet), and the
-RoundRows is built over that block in place, never from a copy of the
-rows.  Every row is clipped to a fixed bound mu once, at consolidation:
-the configured mu for l2clip and UCSU, and mu = inf, which keeps every row
-bit for bit, for the other defenses.  So defense none and l2clip share one
-plain-mean reader, l2_clip_aggregate (named for the defense that
-introduced it; perfbench's tracer times it by that name).
+A round's RoundBlock owns what the round sends: each packet is copied in
+once, in ascending sender order, and checked there against the block's
+row width and net size; its rows go back to back into one row block, with
+each row's sender and item id, and its net gradient into the sender's net
+row.  The round's one RoundRows is a view of the rows sent, and every
+defense reads a receiver's rows from it by the receiver's ascending
+neighbor ids.  build_round_rows checks the item ids and clips every row to
+a fixed bound mu once, in the block: the configured mu for l2clip and
+UCSU, and mu = inf, which keeps every row bit for bit, for the other
+defenses.  So defense none and l2clip share one plain-mean reader,
+l2_clip_aggregate (named for the defense that introduced it; perfbench's
+tracer times it by that name), and adversaries absorb through it too.
 
 Median and trimmed mean share one rank kernel, _ranked_rows.  It skips
 every item carried by too few packets to reach the kept ranks (at most
@@ -113,7 +114,7 @@ class RoundRows:
 
     round: int
     senders: np.ndarray  # (n,) int32, ascending
-    items: np.ndarray  # (n,) int32
+    items: np.ndarray  # (n,) int32; int64 in a RoundBlock's rows, until built
     rows: np.ndarray  # (n, embed_dim) float64
     row_norms: np.ndarray | None = None  # (n,) p-norms of the stored rows
     order: np.ndarray | None = None  # (n,) int32 row indices in pop order
@@ -139,91 +140,86 @@ class RoundRows:
         return self.refs_of(senders)
 
 
-def hold_packet(q: GradientPacket, rows: np.ndarray, start: int, net_row: np.ndarray) -> int:
-    """Move q's gradients into its round's blocks: its item rows to
-    rows[start:start + n] and its net gradient to net_row, and point q at
-    them, so the blocks own what q sends.  Returns start + n, where the next
-    sender's rows go.
+class RoundBlock:
+    """What one round sends, owned in one place: a row block of every sent
+    item row with each row's sender and item id, and one net gradient row
+    per client (nets).
 
-    ContractError if q's rows do not match its ids and the block's row
-    width, overflow the block, or its net gradient does not match net_row.
+    send copies a packet in, its rows after the rows sent so far, and keeps
+    no reference to it; packets come in ascending sender order, each
+    sender at most once.  keep_first(count) drops every packet after the
+    first count sent, so later packets take their place.  round_rows(t)
+    is the RoundRows of the rows sent so far: views of the block, which
+    build_round_rows clips in place.  np.empty leaves the rows never
+    written without memory behind them.
     """
-    n = len(q.item_idx)
-    if q.item_rows.shape != (n, rows.shape[1]):
-        raise ContractError("packet item row shape mismatch")
-    if start + n > len(rows):
-        raise ContractError("packet rows overflow the round block")
-    if q.net_grad.shape != net_row.shape:
-        raise ContractError("packet net gradient shape mismatch")
-    slot = rows[start : start + n]
-    slot[...] = q.item_rows
-    net_row[...] = q.net_grad
-    q.item_rows, q.net_grad = slot, net_row
-    return start + n
+
+    def __init__(self, capacity: int, embed_dim: int, num_clients: int, net_size: int):
+        self.rows = np.empty((capacity, embed_dim))
+        self.senders = np.empty(capacity, dtype=np.int32)
+        self.items = np.empty(capacity, dtype=np.int64)
+        self.nets = np.empty((num_clients, net_size))
+        self._sent: list[tuple[int, int]] = []  # (sender, row end) per packet
+
+    def send(self, q: GradientPacket) -> None:
+        """Copy q in.  ContractError if q comes out of ascending sender
+        order or from no client, its rows do not match its ids and the
+        block's row width, they overflow the block, or its net gradient does
+        not match a net row."""
+        last, start = self._sent[-1] if self._sent else (-1, 0)
+        if not last < q.sender < len(self.nets):
+            raise ContractError("packets must be sent in ascending sender order, by clients")
+        n = len(q.item_idx)
+        if q.item_rows.shape != (n, self.rows.shape[1]):
+            raise ContractError("packet item row shape mismatch")
+        if start + n > len(self.rows):
+            raise ContractError("packet rows overflow the round block")
+        if q.net_grad.shape != self.nets.shape[1:]:
+            raise ContractError("packet net gradient shape mismatch")
+        self.rows[start : start + n] = q.item_rows
+        self.senders[start : start + n] = q.sender
+        self.items[start : start + n] = q.item_idx
+        self.nets[q.sender] = q.net_grad
+        self._sent.append((q.sender, start + n))
+
+    def keep_first(self, count: int) -> None:
+        """Drop every packet after the first count sent."""
+        del self._sent[count:]
+
+    def round_rows(self, round_no: int) -> RoundRows:
+        """The RoundRows of round round_no over the rows sent so far."""
+        end = self._sent[-1][1] if self._sent else 0
+        return RoundRows(
+            round=round_no,
+            senders=self.senders[:end],
+            items=self.items[:end],
+            rows=self.rows[:end],
+        )
 
 
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
+def build_round_rows(rr: RoundRows, num_items: int, mu: float, p: int, bank: bool) -> RoundRows:
+    """Clip a round's RoundRows in place and, for banks, order it; returns rr.
 
-
-def build_round_rows(
-    packets: list[GradientPacket],
-    rows: np.ndarray,
-    round_no: int,
-    num_items: int,
-    embed_dim: int,
-    net_size: int,
-    mu: float,
-    p: int,
-    bank: bool,
-) -> RoundRows:
-    """Consolidate packets into one RoundRows over their round's row block.
-
-    rows is the block the packets' item rows fill (hold_packet), back to
-    back from row 0 in ascending sender order; the RoundRows holds that
-    block, and clipping scales it, and so the packets' rows, in place.
-
-    Every packet must fit the receivers' model: item ids in [0, num_items),
-    an (ids, embed_dim) row block and a (net_size,) net gradient, else
-    ContractError.  Every row is clipped to the fixed bound mu by its
-    p-norm; mu = inf keeps every row bit for bit.  Clipping is
-    receiver-independent, so the result may be shared.  With bank, the
-    rows are for UCSU's banks: they get their own p-norms and the pop
-    order by the key min(p-norm, mu).
+    Every item id must lie in [0, num_items), else ContractError; the ids
+    are then held as int32.  Every
+    row is clipped to the fixed bound mu by its p-norm; mu = inf keeps
+    every row bit for bit.  Clipping is receiver-independent, so the result
+    may be shared.  With bank, the rows are for UCSU's banks: they get their
+    own p-norms and the pop order by the key min(p-norm, mu).
     """
     if mu <= 0:
         raise ContractError("mu must be > 0")
-    ordered = sorted(packets, key=lambda q: q.sender)
-    base, start = _address(rows), 0
-    for q in ordered:
-        n = len(q.item_idx)
-        if q.net_grad.shape != (net_size,):
-            raise ContractError("packet net gradient shape mismatch")
-        if q.item_rows.shape != (n, embed_dim):
-            raise ContractError("packet item row shape mismatch")
-        if n and (
-            _address(q.item_rows) != base + start * rows.strides[0]
-            or q.item_rows.strides != rows.strides
-        ):
-            raise ContractError("packet rows must fill the round block in ascending sender order")
-        start += n
-    rows = rows[:start]
-    senders = np.repeat(
-        np.array([q.sender for q in ordered], dtype=np.int32),
-        np.array([len(q.item_idx) for q in ordered], dtype=np.int64),
-    )
-    items = np.concatenate([np.zeros(0, dtype=np.int64), *(q.item_idx for q in ordered)])
-    if (items < 0).any() or (items >= num_items).any():
+    if (rr.items < 0).any() or (rr.items >= num_items).any():
         raise ContractError("packet item index out of range")
-    rr = RoundRows(round=round_no, senders=senders, items=items.astype(np.int32), rows=rows)
+    rr.items = rr.items.astype(np.int32)
     if mu == math.inf and not bank:
         return rr  # every row stays as sent, and no reader needs its norm
     # Norms are taken in blocks and clipping scales the block in place.
-    norms = _norms(rows, p)
-    _clip(rows, norms, mu)
+    norms = _norms(rr.rows, p)
+    _clip(rr.rows, norms, mu)
     if bank:
         # UCSU's adaptive clip scales by the stored rows' own norms.
-        rr.row_norms = _norms(rows, p)
+        rr.row_norms = _norms(rr.rows, p)
         neg = -np.minimum(norms, mu)
         order = np.argsort(neg, kind="stable")
         rr.order = order.astype(np.int32)

@@ -125,11 +125,8 @@ class GradientPacket:
     The private user embedding never travels; the round is stamped on the
     round's RoundRows, not on packets.
 
-    compute_gradients returns a packet that owns its arrays.  In a round, a
-    packet that is sent holds views instead (defenses.hold_packet): its rows
-    are a slot of the round's row block, which the round's RoundRows then
-    owns and clips in place, and its net gradient a row of the round's net
-    block.  An adversary's honest packet keeps its own arrays.
+    A packet owns its arrays.  A round copies each packet it sends into
+    its defenses.RoundBlock once and keeps no reference to it.
     """
 
     sender: int

@@ -18,15 +18,13 @@ LOCKSTEP_BLOCK clients, each client with the bits of training alone.  The end-of
 per client.  The workers setting drives only the attack and defense phases,
 whose thread-parallel execution is bit-identical to sequential execution.
 
-Each round holds its packets' gradients once, in two blocks it allocates
-and owns: a row block of every sent item row, back to back in ascending
-sender order, and a (clients, net size) net block.  A benign client's
-honest packet is moved into both as it is computed and keeps views of
-them.  Adversaries keep their honest packets' own arrays, absorb their
-neighbors' honest packets straight from the packets, and send their final
-packets from the row block's tail.  The one RoundRows of the round's final
-packets is built over the row block in place and owns it from then on; the
-net block is freed once every receiver has read it.  Every receiver's
+Each round's gradients live in one defenses.RoundBlock: every client's
+honest packet is copied in as it is computed, in ascending sender order,
+and dropped.  Adversaries absorb their neighbors' honest rows from the
+block, unclipped; from round 2 their crafted packets take the place of
+their honest ones, at the block's tail.  The round's one RoundRows views
+the block's rows, is clipped there and owns them from then on; the net
+rows are freed once every receiver has read them.  Every receiver's
 aggregate and mean net gradient are applied by
 model.apply_neighbor_aggregate.
 """
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +52,9 @@ from decrecsim.config import ExperimentConfig
 from decrecsim.dataset import Dataset
 from decrecsim.defenses import (
     MemoryBank,
+    RoundBlock,
     build_round_rows,
     compact_round_rows,
-    hold_packet,
     item_krum_aggregate,
     l2_clip_aggregate,
     median_aggregate,
@@ -303,46 +301,32 @@ def run_round(world: World, config: ExperimentConfig) -> None:
 
     nbr = world.neighbor_map
 
-    # Phase 2: every client trains locally, in lockstep, then produces its
-    # honest packet; a benign client's is moved into the round's blocks at
-    # once.  A benign packet carries one row per distinct item of its pairs.
-    # Adversary ids are the highest, so their final packets fill the row
-    # block's tail, which has room for every item of each; np.empty leaves
-    # the rows never written without memory behind them.
+    # Phase 2: every client trains locally, in lockstep, then sends its
+    # honest packet into the round's block, in ascending sender order.  A
+    # benign packet carries one row per distinct item of its pairs, and an
+    # adversary's at most one per item; adversary ids are the highest, so
+    # their packets fill the block's tail.
     _train_in_lockstep(world, t, lr)
     num_items = world.dataset.num_items
     layout = world.clients[0].layout
     adv_ids = sorted(world.adversary_ids)
     benign = benign_ids(world)
     capacity = sum(len(np.unique(world.pairs[i])) for i in benign) + len(adv_ids) * num_items
-    rows = np.empty((capacity, layout.embed_dim))
-    nets = np.empty((world.num_clients, layout.size))
-    filled = 0
+    block = RoundBlock(capacity, layout.embed_dim, world.num_clients, layout.size)
+    for i in range(world.num_clients):
+        block.send(compute_gradients(world.clients[i], world.pairs[i], sender=i)[1])
 
-    def hold(q: GradientPacket) -> GradientPacket:
-        nonlocal filled
-        filled = hold_packet(q, rows, filled, nets[q.sender])
-        return q
-
-    def honest(i: int) -> GradientPacket:
-        q = compute_gradients(world.clients[i], world.pairs[i], sender=i)[1]
-        return q if i in world.adversary_ids else hold(q)
-
-    packets = [honest(i) for i in range(world.num_clients)]
-
-    # Phase 3: adversaries absorb their neighbors' honest packets, then
-    # craft this round's outgoing packets (from round 2 on; round 1 conceals).
-    outgoing: dict[int, GradientPacket] = {}
+    # Phase 3: adversaries absorb their neighbors' honest rows, unclipped,
+    # then craft this round's outgoing packets (from round 2 on; round 1
+    # conceals), which take the place of their honest ones.
     if adv_ids and nbr is not None:
+        honest = block.round_rows(t)
         for a in adv_ids:
-            neigh = np.sort(nbr.neighbors_of(a)).tolist()
-            if neigh:
-                adversary_collab_update(
-                    world.adversaries[a],
-                    [packets[k] for k in neigh],
-                    _mean_in_order([packets[k].net_grad for k in neigh]),
-                    lr,
-                )
+            neigh = np.sort(nbr.neighbors_of(a))
+            if len(neigh):
+                net_mean = _mean_in_order([block.nets[k] for k in neigh.tolist()])
+                adversary_collab_update(world.adversaries[a], honest, neigh, net_mean, lr)
+        del honest
     if adv_ids and t >= 2:
         coord = None
         if config.attack == "pamn":
@@ -368,36 +352,27 @@ def run_round(world: World, config: ExperimentConfig) -> None:
                 adv, world.target_items, config.attack, config.top_k, config.e_ft, lr
             )
 
-        outgoing = dict(zip(adv_ids, _map_clients(attack_one, adv_ids, config.workers)))
+        crafted = _map_clients(attack_one, adv_ids, config.workers)
+        block.keep_first(len(benign))
+        for q in crafted:
+            block.send(q)
+        del crafted, q  # the block holds what they sent
 
     # Phase 4: benign clients apply the configured defense and aggregate.
-    # An adversary's final packet is its crafted one, or in round 1 a copy of
-    # its honest one, which stays as it is.
-    final_packets = [packets[i] for i in benign] + [
-        hold(outgoing[a] if a in outgoing else replace(packets[a]))
-        for a in adv_ids
-    ]
-    del packets, outgoing
-
     # Clipping to mu is receiver-independent, so l2clip and UCSU clip once
     # here, for every receiver, in the row block, and the other defenses
     # read every row as sent (mu = inf); only UCSU's banks read the pop
-    # order.  Every client shares one model shape, and each packet is
-    # checked against it.
+    # order.  Every defense reads item rows from shared_rows, which from
+    # now on owns the row block, and net gradients from nets.
     shared_rows = build_round_rows(
-        final_packets,
-        rows,
-        t,
+        block.round_rows(t),
         num_items=num_items,
-        embed_dim=layout.embed_dim,
-        net_size=layout.size,
         mu=config.mu if config.defense in ("l2clip", "ucsu") else math.inf,
         p=config.p,
         bank=config.defense == "ucsu",
     )
-    # Every defense reads item rows from shared_rows, which now owns the row
-    # block, and net gradients from nets.
-    del final_packets
+    nets = block.nets
+    del block
 
     def defend_one(i: int) -> None:
         neigh = nbr.neighbors_of(i) if nbr is not None else np.zeros(0, dtype=np.int64)

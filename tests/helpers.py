@@ -13,7 +13,7 @@ import numpy as np
 
 from decrecsim import rng as rngmod
 from decrecsim import simulation
-from decrecsim.defenses import RoundRows, build_round_rows, hold_packet, l2_clip_aggregate
+from decrecsim.defenses import RoundBlock, RoundRows, build_round_rows, l2_clip_aggregate
 from decrecsim.errors import ContractError
 from decrecsim.model import (
     ADAM_BETA1,
@@ -183,26 +183,25 @@ def pop_fields(key: np.ndarray) -> dict[str, np.ndarray]:
 def round_rows(
     pkts, round_no=1, mu=1.0, p=2, bank=True, num_items=None, embed_dim=None, net_size=None
 ):
-    """build_round_rows over copies of pkts, held in a fresh round block as a
-    round holds its packets; the given packets are left as they are.  The
-    model is shaped like the packets unless told otherwise: row width and
-    net size from the first packet (2 and 2 without packets), and room for
-    every item id they carry.  By default the rows are clipped to mu and
-    carry the pop order a bank reads; mu = inf keeps every row bit for
-    bit."""
+    """build_round_rows over pkts sent, in ascending sender order, into a
+    fresh round block of exactly their rows' size, as a round sends its
+    packets; the given packets are left as they are.  The model is shaped
+    like the packets unless told otherwise: row width and net size from the
+    first packet (2 and 2 without packets), and room for every item id they
+    carry.  By default the rows are clipped to mu and carry the pop order a
+    bank reads; mu = inf keeps every row bit for bit."""
     if num_items is None:
         num_items = 1 + max((int(q.item_idx.max()) for q in pkts if len(q.item_idx)), default=0)
     if embed_dim is None:
         embed_dim = pkts[0].item_rows.shape[1] if pkts else 2
     if net_size is None:
         net_size = len(pkts[0].net_grad) if pkts else 2
-    held = [dataclasses.replace(q) for q in sorted(pkts, key=lambda q: q.sender)]
-    rows = np.empty((sum(len(q.item_idx) for q in held), embed_dim))
-    nets = np.empty((len(held), net_size))
-    start = 0
-    for q, net_row in zip(held, nets):
-        start = hold_packet(q, rows, start, net_row)
-    return build_round_rows(held, rows, round_no, num_items, embed_dim, net_size, mu, p, bank)
+    ordered = sorted(pkts, key=lambda q: q.sender)
+    clients = 1 + max((q.sender for q in ordered), default=0)
+    block = RoundBlock(sum(len(q.item_idx) for q in ordered), embed_dim, clients, net_size)
+    for q in ordered:
+        block.send(q)
+    return build_round_rows(block.round_rows(round_no), num_items, mu, p, bank)
 
 
 def concat_round_rows(pkts, round_no=1, mu=1.0, p=2, bank=False, embed_dim=2):

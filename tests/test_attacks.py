@@ -31,6 +31,7 @@ from helpers import (
     packet,
     predict_rating,
     reference_pamn_poison,
+    round_rows,
 )
 
 
@@ -81,11 +82,17 @@ class TestBuildDataset:
 
 
 def collab_update(adv, pkts, lr):
-    """adversary_collab_update on pkts in ascending sender order, every
+    """adversary_collab_update over the unclipped round rows of pkts, every
     sender a neighbor, with the senders' mean net gradient."""
+    layout = adv.base.layout
+    rr = round_rows(
+        pkts, mu=np.inf, bank=False, num_items=adv.base.num_items,
+        embed_dim=layout.embed_dim, net_size=layout.size,
+    )
     ordered = sorted(pkts, key=lambda q: q.sender)
+    senders = np.array([q.sender for q in ordered], dtype=np.int64)
     net_mean = np.stack([q.net_grad for q in ordered]).mean(axis=0)
-    adversary_collab_update(adv, ordered, net_mean, lr)
+    adversary_collab_update(adv, rr, senders, net_mean, lr)
 
 
 def neighbor_packets(adv, case):
@@ -127,7 +134,9 @@ class TestCollabUpdate:
     def test_no_packets_rejected(self):
         adv = make_adv(4)
         with pytest.raises(ContractError, match="at least one packet"):
-            adversary_collab_update(adv, [], np.zeros(adv.base.layout.size), lr=0.1)
+            adversary_collab_update(
+                adv, round_rows([]), np.zeros(0, dtype=np.int64), np.zeros(adv.base.layout.size), 0.1
+            )
 
     def test_bit_identical_to_model_aggregate(self):
         adv = make_adv(0)

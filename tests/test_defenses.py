@@ -1,7 +1,6 @@
 """Defense aggregators vs brute-force oracles, clipping bounds, and the
 memory-bank lifecycle."""
 
-import dataclasses
 import functools
 import math
 import tracemalloc
@@ -17,11 +16,11 @@ from decrecsim import defenses
 from decrecsim.defenses import (
     _NORM_BLOCK,
     MemoryBank,
+    RoundBlock,
     RoundRows,
     _norms,
     build_round_rows,
     compact_round_rows,
-    hold_packet,
     item_krum_aggregate,
     l2_clip_aggregate,
     median_aggregate,
@@ -519,11 +518,12 @@ class TestBuildRoundRows:
         [
             (packet(1, {4: np.ones(2)}, np.zeros(2)), "item index out of range"),
             (packet(1, {-1: np.ones(2)}, np.zeros(2)), "item index out of range"),
+            (packet(1, {2**32 + 1: np.ones(2)}, np.zeros(2)), "item index out of range"),
             (packet(1, {0: np.ones(3)}, np.zeros(2), dim=3), "item row shape"),
             (packet(1, {}, np.zeros(2), dim=3), "item row shape"),
             (packet(1, {0: np.ones(2)}, np.zeros(3)), "net gradient shape"),
         ],
-        ids=["item-too-large", "item-negative", "row-width", "empty-row-width", "net-size"],
+        ids=["item-too-large", "item-negative", "item-past-int32", "row-width", "empty-row-width", "net-size"],
     )
     def test_packet_that_does_not_fit_the_model_rejected(self, bad, message):
         good = packet(0, {1: np.ones(2), 3: np.ones(2)}, np.zeros(2))
@@ -592,9 +592,9 @@ class TestBuildRoundRows:
     @pytest.mark.parametrize("kind", ["rows", "no-rows", "no-packets"])
     @pytest.mark.parametrize("p", [1, 2])
     def test_in_place_build_matches_concatenation(self, kind, mu, bank, p):
-        # Packets held as a round holds them, in a row block with room to
-        # spare, build the bytes of concatenated copies of their rows; so
-        # does round_rows' own block, exactly the rows' size.
+        # Packets sent into a round block with room to spare build the bytes
+        # of concatenated copies of their rows, in place; so does round_rows'
+        # own block, exactly the rows' size.  The packets stay as sent.
         pkts = {
             "rows": random_packets(np.random.default_rng(40 + p), 12, 8, 3),
             "no-rows": [packet(s, {}, np.zeros(2), dim=3) for s in (2, 0)],
@@ -602,19 +602,16 @@ class TestBuildRoundRows:
         }[kind]
         want = concat_round_rows(pkts, 3, mu=mu, p=p, bank=bank, embed_dim=3)
         sent = concat_round_rows(pkts, mu=np.inf, embed_dim=3).rows
-        held = [dataclasses.replace(q) for q in sorted(pkts, key=lambda q: q.sender)]
-        rows = np.empty((sum(len(q.item_idx) for q in pkts) + 5, 3))
-        nets = np.empty((len(held), 2))
-        start = 0
-        for q, net_row in zip(held, nets):
-            start = hold_packet(q, rows, start, net_row)
-        shape = dict(num_items=8, embed_dim=3, net_size=2, mu=mu, p=p, bank=bank)
-        in_block = build_round_rows(held, rows, 3, **shape)
-        loose = round_rows(pkts, 3, **shape)
+        block = RoundBlock(sum(len(q.item_idx) for q in pkts) + 5, 3, 12, 2)
+        for q in sorted(pkts, key=lambda q: q.sender):
+            block.send(q)
+        shape = dict(num_items=8, mu=mu, p=p, bank=bank)
+        in_block = build_round_rows(block.round_rows(3), **shape)
+        loose = round_rows(pkts, 3, embed_dim=3, net_size=2, **shape)
         if kind == "rows":
             # some rows exceed mu = 1, so the clipping builds scale them
             assert (np.linalg.norm(sent, ord=p, axis=1) > 1.0).any()
-            assert np.shares_memory(in_block.rows, rows)
+            assert np.shares_memory(in_block.rows, block.rows)
         for got in (in_block, loose):
             for name, value in vars(want).items():
                 if value is None:
@@ -624,28 +621,77 @@ class TestBuildRoundRows:
                     assert (mine.dtype, mine.shape, mine.tobytes()) == (
                         value.dtype, value.shape, value.tobytes()
                     ), name
-        # the held packets view the clipped rows; the loose ones are as sent
-        assert np.concatenate([np.zeros((0, 3)), *(q.item_rows for q in held)]).tobytes() == (
-            want.rows.tobytes()
-        )
         assert np.concatenate([np.zeros((0, 3)), *(q.item_rows for q in pkts)]).tobytes() == (
             sent.tobytes()
         )
 
     def test_rows_outside_the_block_rejected(self):
-        shape = dict(num_items=4, embed_dim=2, net_size=2, mu=np.inf, p=2, bank=False)
-        pkts = [packet(s, {s: np.full(2, s + 1.0)}, np.zeros(2)) for s in (0, 1)]
-        rows, nets = np.empty((2, 2)), np.empty((2, 2))
-        # held in descending sender order, so not the block's ascending order
-        hold_packet(pkts[1], rows, 0, nets[1])
-        hold_packet(pkts[0], rows, 1, nets[0])
-        with pytest.raises(ContractError, match="fill the round block"):
-            build_round_rows(pkts, rows, 1, **shape)
-        loose = packet(0, {0: np.ones(2)}, np.zeros(2))
-        with pytest.raises(ContractError, match="fill the round block"):
-            build_round_rows([loose], rows, 1, **shape)
+        block = RoundBlock(2, 2, 3, 2)
+        for s in (0, 1):
+            block.send(packet(s, {s: np.full(2, s + 1.0)}, np.zeros(2)))
         with pytest.raises(ContractError, match="overflow"):
-            hold_packet(packet(2, {0: np.ones(2)}, np.zeros(2)), rows, 2, nets[0])
+            block.send(packet(2, {0: np.ones(2)}, np.zeros(2)))
+
+
+class TestRoundBlock:
+    @pytest.mark.parametrize("sender", [0, 1, -1, 3], ids=["repeat", "descending", "negative", "no-client"])
+    def test_senders_out_of_order_rejected(self, sender):
+        block = RoundBlock(4, 2, 3, 2)
+        block.send(packet(0, {0: np.ones(2)}, np.zeros(2)))
+        block.send(packet(1, {0: np.ones(2)}, np.zeros(2)))
+        with pytest.raises(ContractError, match="ascending sender order"):
+            block.send(packet(sender, {1: np.ones(2)}, np.zeros(2)))
+        # the rejected packet left no row behind
+        assert block.round_rows(1).senders.tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (packet(1, {0: np.ones(3)}, np.zeros(2), dim=3), "item row shape"),
+            (packet(1, {}, np.zeros(2), dim=3), "item row shape"),
+            (GradientPacket(1, np.arange(2), np.ones((1, 2)), np.zeros(2)), "item row shape"),
+            (packet(1, {0: np.ones(2)}, np.zeros(3)), "net gradient shape"),
+            (packet(1, {0: np.ones(2)}, np.zeros((1, 2))), "net gradient shape"),
+        ],
+        ids=["row-width", "empty-row-width", "rows-not-ids", "net-size", "net-rank"],
+    )
+    def test_mismatched_shapes_rejected(self, bad, message):
+        block = RoundBlock(4, 2, 2, 2)
+        with pytest.raises(ContractError, match=message):
+            block.send(bad)
+        block.send(packet(1, {0: np.ones(2)}, np.ones(2)))
+        assert block.round_rows(1).senders.tolist() == [1]
+
+    @pytest.mark.parametrize("kept", [0, 2, 3])
+    def test_keep_first_then_send_builds_a_block_of_kept_and_new(self, kept):
+        # Senders 0-2 stand for benign clients (2 without rows), 3-4 for
+        # adversaries whose honest packets the crafted ones replace.
+        rng = np.random.default_rng(kept)
+        honest = random_packets(rng, 5, 6, 3)
+        honest[2] = packet(2, {}, rng.normal(size=2), dim=3)
+        crafted = [
+            packet(s, {i: rng.normal(size=3) for i in (0, 5)}, rng.normal(size=2), dim=3)
+            for s in (3, 4)
+        ]
+        replaced = RoundBlock(40, 3, 5, 2)
+        for q in honest:
+            replaced.send(q)
+        replaced.keep_first(kept)
+        fresh = RoundBlock(40, 3, 5, 2)
+        for q in honest[:kept]:
+            fresh.send(q)
+        for block in (replaced, fresh):
+            for q in crafted:
+                block.send(q)
+        got, want = replaced.round_rows(2), fresh.round_rows(2)
+        for name in ("senders", "items", "rows"):
+            mine, theirs = getattr(got, name), getattr(want, name)
+            assert (mine.dtype, mine.shape, mine.tobytes()) == (
+                theirs.dtype, theirs.shape, theirs.tobytes()
+            ), name
+        sent = [q.sender for q in honest[:kept] + crafted]
+        assert replaced.nets[sent].tobytes() == fresh.nets[sent].tobytes()
+        assert fresh.nets[[3, 4]].tobytes() == np.stack([q.net_grad for q in crafted]).tobytes()
 
 
 def bank_with(entries, capacity=10):

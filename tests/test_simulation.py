@@ -2,9 +2,9 @@
 same-seed determinism for every per-receiver robust aggregator, and for
 PAMN against UCSU with banks small enough to evict; the round rows UCSU
 keeps alive and the norms its clip bounds; the packets dropped once a
-round's rows are consolidated, once per round; the round blocks the final
-packets view, apart from the adversaries' honest packets; what adversaries
-absorb; the empty packets of clients without training pairs; the neighbor
+round's rows are consolidated, once per round; the round block that holds
+the bytes of every sent packet; what adversaries absorb; the empty
+packets of clients without training pairs; the neighbor
 refresh cadence; init_world's pair checks and each client's Adam
 item-moment cover; the cold targets select_cold_targets draws."""
 
@@ -133,12 +133,12 @@ def test_ucsu_clip_bounds_the_rows_banks_hold(tiny, monkeypatch):
     def run_banking(bound):
         sent, banked = [], []
 
-        def build_spy(packets, *args, **kwargs):
-            # The build clips the row block the packets view in place, so
-            # the sent norms are read first.
+        def build_spy(rr, *args, **kwargs):
+            # The build clips the round's rows in place, so the sent norms
+            # are read first.
             if kwargs.get("bank"):
-                sent.extend(np.linalg.norm(q.item_rows, ord=p, axis=1) for q in packets)
-            rr = real_build(packets, *args, **kwargs)
+                sent.append(np.linalg.norm(rr.rows, ord=p, axis=1))
+            rr = real_build(rr, *args, **kwargs)
             if kwargs.get("bank"):
                 banked.append(np.linalg.norm(rr.rows, ord=p, axis=1))
             return rr
@@ -173,6 +173,7 @@ def test_packets_dropped_once_round_rows_are_built(tiny, monkeypatch, defense, r
     reads = []
     builds = []
     real_gradients = simulation.compute_gradients
+    real_poison = simulation.pamn_poison
     real_build = simulation.build_round_rows
     real_reader = getattr(simulation, reader)
 
@@ -181,10 +182,14 @@ def test_packets_dropped_once_round_rows_are_built(tiny, monkeypatch, defense, r
         rows.append(weakref.ref(pkt.item_rows))
         return user_grad, pkt
 
-    def build_spy(packets, *args, **kwargs):
+    def poison_spy(*args):
+        pkt = real_poison(*args)
+        rows.append(weakref.ref(pkt.item_rows))
+        return pkt
+
+    def build_spy(*args, **kwargs):
         builds.append(world.round + 1)
-        rows.extend(weakref.ref(q.item_rows) for q in packets)
-        return real_build(packets, *args, **kwargs)
+        return real_build(*args, **kwargs)
 
     def reader_spy(*args, **kwargs):
         if any(r() is not None for r in rows):
@@ -193,57 +198,82 @@ def test_packets_dropped_once_round_rows_are_built(tiny, monkeypatch, defense, r
         return real_reader(*args, **kwargs)
 
     monkeypatch.setattr(simulation, "compute_gradients", gradients_spy)
+    monkeypatch.setattr(simulation, "pamn_poison", poison_spy)
     monkeypatch.setattr(simulation, "build_round_rows", build_spy)
     monkeypatch.setattr(simulation, reader, reader_spy)
     for _ in range(2):  # round 2 carries poisoned packets
         run_round(world, config)
     assert builds == [1, 2]  # one consolidation per round
-    assert len(rows) == 4 * world.num_clients and reads
+    assert len(rows) == 2 * world.num_clients + len(world.adversary_ids) and reads
     assert set(reads) == {0}
 
 
 @pytest.mark.parametrize("defense", ["ucsu", "l2clip", "trimmed"])
-def test_final_packets_view_the_round_blocks(tiny, monkeypatch, defense):
-    # A round's final packets view one row block, which the RoundRows holds
-    # (and clips in place), and one net block.  The adversaries' honest
-    # packets keep arrays of their own, which stay as they were sent.
+def test_round_rows_are_the_sent_packets_in_the_round_block(tiny, monkeypatch, defense):
+    # A round's RoundRows views its block, and before clipping its rows
+    # are, byte for byte, the packets the round sent in ascending sender
+    # order: every honest one in round 1, where adversaries conceal, and
+    # from round 2 the benign ones and the adversaries' crafted ones.  Each
+    # net row is its sender's sent net gradient.
     config, dataset = tiny
     config = dataclasses.replace(config, attack="pamn", defense=defense, mu=1e-6)
     world = init_world(config, dataset)
-    honest, builds = [], []
+    sent, blocks, builds = {}, [], []
     real_gradients = simulation.compute_gradients
+    real_poison = simulation.pamn_poison
     real_build = simulation.build_round_rows
+
+    class BlockSpy(simulation.RoundBlock):
+        def __init__(self, *args):
+            super().__init__(*args)
+            blocks.append(self)
 
     def gradients_spy(*args, **kwargs):
         user_grad, pkt = real_gradients(*args, **kwargs)
-        if pkt.sender in world.adversary_ids:
-            honest.append((pkt, pkt.item_rows.copy(), pkt.net_grad.copy()))
+        sent[pkt.sender] = pkt
         return user_grad, pkt
 
-    def build_spy(packets, *args, **kwargs):
-        sent = np.concatenate([q.item_rows for q in packets])
-        rr = real_build(packets, *args, **kwargs)
-        builds.append((list(packets), sent, rr))
-        return rr
+    def poison_spy(*args):
+        pkt = real_poison(*args)
+        sent[pkt.sender] = pkt
+        return pkt
 
+    def build_spy(rr, *args, **kwargs):
+        packets = [sent[k] for k in sorted(sent)]
+        sent.clear()
+        block = blocks[-1]
+        assert np.shares_memory(rr.rows, block.rows)
+        raw = (rr.senders.copy(), rr.items.copy(), rr.rows.copy())
+        built = real_build(rr, *args, **kwargs)
+        builds.append((packets, raw, built, block.nets.copy()))
+        return built
+
+    monkeypatch.setattr(simulation, "RoundBlock", BlockSpy)
     monkeypatch.setattr(simulation, "compute_gradients", gradients_spy)
+    monkeypatch.setattr(simulation, "pamn_poison", poison_spy)
     monkeypatch.setattr(simulation, "build_round_rows", build_spy)
     for _ in range(2):  # round 1 sends honest packets, round 2 crafted ones
         run_round(world, config)
-    assert len(builds) == 2 and len(honest) == 2 * len(world.adversary_ids)
-    for packets, sent, rr in builds:
+    assert len(blocks) == len(builds) == 2
+    dim = world.clients[0].layout.embed_dim
+    for packets, (senders, items, rows), rr, nets in builds:
         assert [q.sender for q in packets] == list(range(world.num_clients))
-        assert all(np.shares_memory(rr.rows, q.item_rows) for q in packets if len(q.item_idx))
-        assert np.concatenate([q.item_rows for q in packets]).tobytes() == rr.rows.tobytes()
-        nets = packets[0].net_grad.base
-        assert nets.shape == (world.num_clients, len(packets[0].net_grad))
-        assert all(q.net_grad.base is nets for q in packets)
+        assert senders.tobytes() == np.concatenate(
+            [np.full(len(q.item_idx), q.sender, dtype=np.int32) for q in packets]
+        ).tobytes()
+        assert items.tobytes() == np.concatenate([q.item_idx for q in packets]).astype(
+            np.int32
+        ).tobytes()
+        assert rows.tobytes() == np.concatenate(
+            [np.zeros((0, dim)), *(q.item_rows for q in packets)]
+        ).tobytes()
+        for q in packets:
+            assert nets[q.sender].tobytes() == q.net_grad.tobytes()
         if defense != "trimmed":
-            assert not np.array_equal(sent, rr.rows)  # clipped in the block
-    for pkt, rows, net in honest:
-        assert pkt.item_rows.tobytes() == rows.tobytes()
-        assert pkt.net_grad.tobytes() == net.tobytes()
-        assert not any(np.shares_memory(pkt.item_rows, rr.rows) for _, _, rr in builds)
+            assert not np.array_equal(rows, rr.rows)  # clipped in the block
+    # round 2's adversary rows are the crafted ones
+    crafted = [q for q in builds[1][0] if q.sender in world.adversary_ids]
+    assert crafted and all(len(q.item_idx) for q in crafted)
 
 
 def test_adversary_absorbs_the_honest_packet_of_another_adversary(tiny, monkeypatch):
@@ -306,7 +336,7 @@ def test_clients_without_pairs_send_empty_packets(tiny, monkeypatch, overrides):
     config = dataclasses.replace(tiny[0], **overrides)
     dataset = load_dataset(config)
     second = run_experiment(config, dataset)
-    honest, absorbed, builds = [], [], []
+    honest, absorbed, builds, current = [], [], [], {}
     real_gradients = simulation.compute_gradients
     real_collab = simulation.adversary_collab_update
     real_build = simulation.build_round_rows
@@ -314,14 +344,16 @@ def test_clients_without_pairs_send_empty_packets(tiny, monkeypatch, overrides):
     def gradients_spy(*args, **kwargs):
         user_grad, pkt = real_gradients(*args, **kwargs)
         honest.append(pkt)
+        current[pkt.sender] = pkt
         return user_grad, pkt
 
-    def collab_spy(adv, packets, *args):
-        absorbed.extend(packets)
-        return real_collab(adv, packets, *args)
+    def collab_spy(adv, rr, *args):
+        absorbed.append(([current[k] for k in sorted(current)], rr.senders.copy(), rr.rows.copy()))
+        return real_collab(adv, rr, *args)
 
-    def build_spy(packets, *args, **kwargs):
-        rr = real_build(packets, *args, **kwargs)
+    def build_spy(*args, **kwargs):
+        current.clear()  # the round's honest packets
+        rr = real_build(*args, **kwargs)
         builds.append(set(rr.senders.tolist()))
         return rr
 
@@ -339,7 +371,11 @@ def test_clients_without_pairs_send_empty_packets(tiny, monkeypatch, overrides):
     for q in honest:
         if q.sender in no_pairs:
             assert q.item_idx.shape == (0,) and q.item_rows.shape == (0, dim)
-    assert {id(q) for q in absorbed} <= {id(h) for h in honest}
+    for round_honest, senders, rows in absorbed:
+        assert senders.tolist() == [q.sender for q in round_honest for _ in q.item_idx]
+        assert rows.tobytes() == np.concatenate(
+            [np.zeros((0, dim)), *(q.item_rows for q in round_honest)]
+        ).tobytes()
     # One consolidation per round; round 1's packets are honest (the
     # adversaries conceal), later rounds carry the crafted ones.
     assert len(builds) == config.rounds
