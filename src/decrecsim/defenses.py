@@ -168,7 +168,7 @@ class RoundBlock:
         not match a net row."""
         last, start = self._sent[-1] if self._sent else (-1, 0)
         if not last < q.sender < len(self.nets):
-            raise ContractError("packets must be sent in ascending sender order, by clients")
+            raise ContractError("packets must come in ascending sender order, from clients")
         n = len(q.item_idx)
         if q.item_rows.shape != (n, self.rows.shape[1]):
             raise ContractError("packet item row shape mismatch")
@@ -201,11 +201,11 @@ def build_round_rows(rr: RoundRows, num_items: int, mu: float, p: int, bank: boo
     """Clip a round's RoundRows in place and, for banks, order it; returns rr.
 
     Every item id must lie in [0, num_items), else ContractError; the ids
-    are then held as int32.  Every
-    row is clipped to the fixed bound mu by its p-norm; mu = inf keeps
-    every row bit for bit.  Clipping is receiver-independent, so the result
-    may be shared.  With bank, the rows are for UCSU's banks: they get their
-    own p-norms and the pop order by the key min(p-norm, mu).
+    are then held as int32.  Every row is clipped to the fixed bound mu by
+    its p-norm; mu = inf keeps every row bit for bit.  Clipping is
+    receiver-independent, so the result may be shared.  With bank, the rows
+    are for UCSU's banks: they get their own p-norms and the pop order by
+    the key min(p-norm, mu).
     """
     if mu <= 0:
         raise ContractError("mu must be > 0")

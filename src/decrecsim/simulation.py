@@ -356,7 +356,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
         block.keep_first(len(benign))
         for q in crafted:
             block.send(q)
-        del crafted, q  # the block holds what they sent
+        del crafted, q  # no packet outlives its copy in the block
 
     # Phase 4: benign clients apply the configured defense and aggregate.
     # Clipping to mu is receiver-independent, so l2clip and UCSU clip once

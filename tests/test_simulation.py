@@ -261,9 +261,7 @@ def test_round_rows_are_the_sent_packets_in_the_round_block(tiny, monkeypatch, d
         assert senders.tobytes() == np.concatenate(
             [np.full(len(q.item_idx), q.sender, dtype=np.int32) for q in packets]
         ).tobytes()
-        assert items.tobytes() == np.concatenate([q.item_idx for q in packets]).astype(
-            np.int32
-        ).tobytes()
+        assert items.tobytes() == np.concatenate([q.item_idx for q in packets]).tobytes()
         assert rows.tobytes() == np.concatenate(
             [np.zeros((0, dim)), *(q.item_rows for q in packets)]
         ).tobytes()
