@@ -12,7 +12,8 @@ UCSU receive on it (ingest, pop, adaptive clip and per-item mean); one
 receiver of all 50 senders of a round reads their rows with each
 per-receiver defense (median, trimmed mean, Krum, plain mean); a round's
 rows are compacted after the 10% pops of 600 such receivers among 630
-senders, with every pop key tied at mu and with every key distinct; the
+senders, with every pop key tied at mu and with every key distinct; a
+receiver's mean net gradient adds 50 of 630 senders' net rows; the
 server picks N = 50 neighbors for 630 clients from sketches of 16 bits per
 item.  Evaluation is timed on the `eb_trimmed_s` world (S: 200 users x 400
 items).
@@ -67,7 +68,7 @@ from decrecsim.model import (
     stack_states,
 )
 from decrecsim.neighbors import assign_neighbors
-from decrecsim.simulation import LOCKSTEP_BLOCK, init_world
+from decrecsim.simulation import LOCKSTEP_BLOCK, _mean_in_order, init_world
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
 
 NUM_ITEMS = 848
@@ -172,7 +173,7 @@ def round_rows(round_no: int, rng: np.random.Generator, senders: int = SENDERS, 
     """A banked round of standard normal rows sent into one round block.
     Their 2-norms are about 5.7, so at mu = 1 every pop key ties at mu, and
     at mu = inf the keys are distinct."""
-    block = RoundBlock(senders * ROWS_PER_SENDER, EMBED_DIM, senders, 1)
+    block = RoundBlock(senders * ROWS_PER_SENDER, NUM_ITEMS, EMBED_DIM, senders, 1)
     for sender in range(senders):
         idx = np.sort(rng.choice(NUM_ITEMS, size=ROWS_PER_SENDER, replace=False))
         block.send(
@@ -183,7 +184,7 @@ def round_rows(round_no: int, rng: np.random.Generator, senders: int = SENDERS, 
                 net_grad=np.zeros(1),
             )
         )
-    return build_round_rows(block.round_rows(round_no), NUM_ITEMS, mu, 2, bank=True)
+    return build_round_rows(block.round_rows(round_no), mu, 2, bank=True)
 
 
 @pytest.fixture(scope="module")
@@ -294,12 +295,21 @@ def test_compact_round_rows(benchmark, mu):
     assert sum(bank.size() for bank in banks) == held
 
 
+def test_net_mean(benchmark):
+    rng = np.random.default_rng(8)
+    nets = rng.normal(size=(CLIENTS, NetLayout(EMBED_DIM, WIDTHS).size))
+    senders = np.sort(rng.choice(CLIENTS, size=NEIGHBORS, replace=False))
+    mean = benchmark(_mean_in_order, nets, senders)
+    assert mean.tobytes() == nets[senders].mean(axis=0).tobytes()
+
+
 def test_assign_neighbors(benchmark):
     rng = np.random.default_rng(5)
     sketches = rng.choice(np.array([-1.0, 1.0], dtype=np.float32), size=(CLIENTS, NUM_ITEMS * SKETCH_BITS))
     nmap = benchmark(assign_neighbors, sketches, NEIGHBORS)
     assert len(nmap.assignments) == CLIENTS
     assert all(len(a) == NEIGHBORS and i not in a for i, a in enumerate(nmap.assignments))
+    assert all((np.diff(a) > 0).all() for a in nmap.assignments)
 
 
 @pytest.fixture(scope="module")

@@ -300,20 +300,15 @@ def boosted_gradient_packet(adv: AdversaryState, targets: np.ndarray) -> Gradien
     )
 
 
-def baseline_poison(
-    adv: AdversaryState, targets: np.ndarray, strategy: str, top_k: int, e_ft: int, lr: float
-) -> GradientPacket:
-    """Dispatch the non-adaptive strategies.
+def baseline_poison(adv: AdversaryState, targets: np.ndarray, strategy: str) -> GradientPacket:
+    """Dispatch the strategies that craft no fine-tune.
 
     ra sends its honest gradient over the target-including dataset; eb adds
-    the explicit boosting term; psmu runs the same fine-tuning pipeline as
-    the adaptive attack but with the shared fixed user embedding and no
-    diversity step.
+    the explicit boosting term.  psmu is pamn_poison with the shared fixed
+    user embedding and no diversity step, called as pamn's is.
     """
     if strategy == "ra":
         return compute_gradients(adv.base, adv.pairs, sender=adv.client_id)[1]
     if strategy == "eb":
         return boosted_gradient_packet(adv, targets)
-    if strategy == "psmu":
-        return pamn_poison(adv, targets, top_k, e_ft, lr)
     raise ConfigError(f"unknown attack strategy: {strategy!r}")

@@ -7,16 +7,15 @@ applies both.  For median / trimmed mean / Krum, an item row absent from a
 packet counts as a zero vector, mirroring the FedAvg convention of dividing
 by the packet count.
 
-A round's RoundBlock owns what the round sends: each packet is copied in
-once, in ascending sender order, and checked there against the block's
-row width and net size; its rows go back to back into one row block, with
-each row's sender and item id, and its net gradient into the sender's net
-row.  The round's one RoundRows is a view of the rows sent, and every
-defense reads a receiver's rows from it by the receiver's ascending
-neighbor ids.  build_round_rows checks the item ids and clips every row to
-a fixed bound mu once, in the block: the configured mu for l2clip and
-UCSU, and mu = inf, which keeps every row bit for bit, for the other
-defenses.  So defense none and l2clip share one plain-mean reader,
+A round's RoundBlock owns what the round sends: each packet is checked
+against the model's item count, row width and net size and copied in once,
+in ascending sender order; its rows go back to back into one row block,
+with each row's sender and int32 item id, and its net gradient into the
+sender's net row.  The round's one RoundRows is a view of the rows sent,
+and every defense reads a receiver's rows from it by the receiver's
+ascending neighbor ids.  build_round_rows clips every row to a fixed bound
+mu once, in the block: the configured mu for l2clip and UCSU, and mu =
+inf, which keeps every row bit for bit, for the other defenses.  So defense none and l2clip share one plain-mean reader,
 l2_clip_aggregate (named for the defense that introduced it; perfbench's
 tracer times it by that name), and adversaries absorb through it too.
 
@@ -114,7 +113,7 @@ class RoundRows:
 
     round: int
     senders: np.ndarray  # (n,) int32, ascending
-    items: np.ndarray  # (n,) int32; int64 in a RoundBlock's rows, until built
+    items: np.ndarray  # (n,) int32
     rows: np.ndarray  # (n, embed_dim) float64
     row_norms: np.ndarray | None = None  # (n,) p-norms of the stored rows
     order: np.ndarray | None = None  # (n,) int32 row indices in pop order
@@ -141,9 +140,9 @@ class RoundRows:
 
 
 class RoundBlock:
-    """What one round sends, owned in one place: a row block of every sent
-    item row with each row's sender and item id, and one net gradient row
-    per client (nets).
+    """What one round sends, owned in one place: a row block of at most
+    capacity sent item rows with each row's sender and item id (int32, in
+    [0, num_items)), and one net gradient row per client (nets).
 
     send copies a packet in, its rows after the rows sent so far, and keeps
     no reference to it; packets come in ascending sender order, each
@@ -154,22 +153,26 @@ class RoundBlock:
     written without memory behind them.
     """
 
-    def __init__(self, capacity: int, embed_dim: int, num_clients: int, net_size: int):
+    def __init__(self, capacity: int, num_items: int, embed_dim: int, num_clients: int, net_size: int):
+        self.num_items = num_items
         self.rows = np.empty((capacity, embed_dim))
         self.senders = np.empty(capacity, dtype=np.int32)
-        self.items = np.empty(capacity, dtype=np.int64)
+        self.items = np.empty(capacity, dtype=np.int32)
         self.nets = np.empty((num_clients, net_size))
         self._sent: list[tuple[int, int]] = []  # (sender, row end) per packet
 
     def send(self, q: GradientPacket) -> None:
-        """Copy q in.  ContractError if q comes out of ascending sender
-        order or from no client, its rows do not match its ids and the
-        block's row width, they overflow the block, or its net gradient does
-        not match a net row."""
+        """Copy q in.  ContractError, before any copy, if q comes out of
+        ascending sender order or from no client, an item id lies outside
+        [0, num_items), its rows do not match its ids and the block's row
+        width, they overflow the block, or its net gradient does not match a
+        net row."""
         last, start = self._sent[-1] if self._sent else (-1, 0)
         if not last < q.sender < len(self.nets):
             raise ContractError("packets must come in ascending sender order, from clients")
         n = len(q.item_idx)
+        if n and not (0 <= q.item_idx.min() and q.item_idx.max() < self.num_items):
+            raise ContractError("packet item index out of range")
         if q.item_rows.shape != (n, self.rows.shape[1]):
             raise ContractError("packet item row shape mismatch")
         if start + n > len(self.rows):
@@ -197,21 +200,17 @@ class RoundBlock:
         )
 
 
-def build_round_rows(rr: RoundRows, num_items: int, mu: float, p: int, bank: bool) -> RoundRows:
+def build_round_rows(rr: RoundRows, mu: float, p: int, bank: bool) -> RoundRows:
     """Clip a round's RoundRows in place and, for banks, order it; returns rr.
 
-    Every item id must lie in [0, num_items), else ContractError; the ids
-    are then held as int32.  Every row is clipped to the fixed bound mu by
-    its p-norm; mu = inf keeps every row bit for bit.  Clipping is
-    receiver-independent, so the result may be shared.  With bank, the rows
+    Every row is clipped to the fixed bound mu by its p-norm; mu = inf
+    keeps every row bit for bit.  Clipping is receiver-independent, so the
+    result may be shared.  With bank, the rows
     are for UCSU's banks: they get their own p-norms and the pop order by
     the key min(p-norm, mu).
     """
     if mu <= 0:
         raise ContractError("mu must be > 0")
-    if (rr.items < 0).any() or (rr.items >= num_items).any():
-        raise ContractError("packet item index out of range")
-    rr.items = rr.items.astype(np.int32)
     if mu == math.inf and not bank:
         return rr  # every row stays as sent, and no reader needs its norm
     # Norms are taken in blocks and clipping scales the block in place.

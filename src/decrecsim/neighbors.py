@@ -16,7 +16,8 @@ from decrecsim.errors import ContractError
 
 @dataclass
 class NeighborMap:
-    """Per-client ordered neighbor lists for one refresh period."""
+    """Per-client neighbor sets for one refresh period, as ascending ids:
+    the sender order in which a round's packets are sent and read."""
 
     assignments: list[np.ndarray]
 
@@ -48,9 +49,9 @@ def sketch_item_table(item_table: np.ndarray, hyperplanes: np.ndarray) -> np.nda
 
 
 def assign_neighbors(sketches: np.ndarray | list[np.ndarray], n_neighbors: int) -> NeighborMap:
-    """Top-min(N, C-1) most cosine-similar clients per client.
+    """Top-min(N, C-1) most cosine-similar clients per client, as ascending ids.
 
-    Lists are sorted by descending similarity with ties broken by ascending
+    They are picked by descending similarity, ties broken by ascending
     client id; a client is never its own neighbor.  Adversary clients submit
     sketches like everyone else and are indistinguishable here.
 
@@ -69,6 +70,6 @@ def assign_neighbors(sketches: np.ndarray | list[np.ndarray], n_neighbors: int) 
     sims = (mat @ mat.T).astype(np.float64) / mat.shape[1]
     np.fill_diagonal(sims, -np.inf)  # never self
     # A stable sort of the negated similarities breaks ties by ascending id;
-    # the copy keeps only the picked columns alive.
+    # the sorted copy keeps only the picked columns alive.
     order = np.argsort(-sims, axis=1, kind="stable")[:, : min(n_neighbors, num_clients - 1)]
-    return NeighborMap(assignments=list(order.copy()))
+    return NeighborMap(assignments=list(np.sort(order, axis=1)))

@@ -18,14 +18,16 @@ LOCKSTEP_BLOCK clients, each client with the bits of training alone.  The end-of
 per client.  The workers setting drives only the attack and defense phases,
 whose thread-parallel execution is bit-identical to sequential execution.
 
-Each round's gradients live in one defenses.RoundBlock: every client's
-honest packet is copied in as it is computed, in ascending sender order,
-and dropped.  Adversaries absorb their neighbors' honest rows from the
-block, unclipped; from round 2 their crafted packets take the place of
-their honest ones, at the block's tail.  The round's one RoundRows views
-the block's rows, is clipped there and owns them from then on; the net
-rows are freed once every receiver has read them.  Every receiver's
-aggregate and mean net gradient are applied by
+Each round's gradients live in one defenses.RoundBlock, sized by the item
+counts of the clients' Adam moments: every client's honest packet is
+copied in as it is computed, in ascending sender order, and dropped.
+Every reader takes a neighbor set as assign_neighbors gives it, in that
+order.  Adversaries absorb their neighbors' honest rows from the block,
+unclipped; from round 2 their crafted packets (psmu's through pamn's
+fine-tune) take the place of their honest ones, at the block's tail.  The
+round's one RoundRows views the block's rows, is clipped there and owns
+them from then on; the net rows are freed once every receiver has read
+them.  Every receiver's aggregate and mean net gradient are applied by
 model.apply_neighbor_aggregate.
 """
 
@@ -267,18 +269,18 @@ def _map_clients(worker, ids: list[int], workers: int) -> list:
         return list(pool.map(worker, ids))
 
 
-def _mean_in_order(vectors: list[np.ndarray]) -> np.ndarray:
-    """Add the vectors one by one in list order to zeros, then divide by
-    their count.
+def _mean_in_order(nets: np.ndarray, senders: np.ndarray) -> np.ndarray:
+    """The mean of the given ascending senders' rows of the net block: add
+    them one by one, in sender order, to zeros, then divide by their count.
 
-    These are the bits of np.stack(vectors).mean(axis=0), whose reduction
-    over the leading axis also adds row by row starting from 0.0 (so -0.0
-    sums to 0.0), without building the stack.
+    These are the bits of nets[senders].mean(axis=0), whose reduction over
+    the leading axis also adds row by row starting from 0.0 (so -0.0 sums
+    to 0.0), without gathering the rows.
     """
-    total = np.zeros_like(vectors[0])
-    for v in vectors:
-        total += v
-    total /= len(vectors)
+    total = np.zeros_like(nets[0])
+    for k in senders.tolist():
+        total += nets[k]
+    total /= len(senders)
     return total
 
 
@@ -303,16 +305,18 @@ def run_round(world: World, config: ExperimentConfig) -> None:
 
     # Phase 2: every client trains locally, in lockstep, then sends its
     # honest packet into the round's block, in ascending sender order.  A
-    # benign packet carries one row per distinct item of its pairs, and an
-    # adversary's at most one per item; adversary ids are the highest, so
-    # their packets fill the block's tail.
+    # benign packet carries one row per item its Adam moments cover (the
+    # distinct items of its pairs), and an adversary's at most one per
+    # item; adversary ids are the highest, so their packets fill the
+    # block's tail.
     _train_in_lockstep(world, t, lr)
     num_items = world.dataset.num_items
     layout = world.clients[0].layout
     adv_ids = sorted(world.adversary_ids)
     benign = benign_ids(world)
-    capacity = sum(len(np.unique(world.pairs[i])) for i in benign) + len(adv_ids) * num_items
-    block = RoundBlock(capacity, layout.embed_dim, world.num_clients, layout.size)
+    moment_rows = np.diff(world.stacked_opt.row_start)[world.stack_ids < len(benign)]
+    capacity = int(moment_rows.sum()) + len(adv_ids) * num_items
+    block = RoundBlock(capacity, num_items, layout.embed_dim, world.num_clients, layout.size)
     for i in range(world.num_clients):
         block.send(compute_gradients(world.clients[i], world.pairs[i], sender=i)[1])
 
@@ -322,9 +326,9 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     if adv_ids and nbr is not None:
         honest = block.round_rows(t)
         for a in adv_ids:
-            neigh = np.sort(nbr.neighbors_of(a))
+            neigh = nbr.neighbors_of(a)
             if len(neigh):
-                net_mean = _mean_in_order([block.nets[k] for k in neigh.tolist()])
+                net_mean = _mean_in_order(block.nets, neigh)
                 adversary_collab_update(world.adversaries[a], honest, neigh, net_mean, lr)
         del honest
     if adv_ids and t >= 2:
@@ -340,17 +344,12 @@ def run_round(world: World, config: ExperimentConfig) -> None:
             adv = world.adversaries[a]
             if config.attack == "pamn":
                 update_adversary_user_embedding(adv, coord, lr)
+            if config.attack in ("pamn", "psmu"):
                 adv.substitute_items = select_substitute_items(
                     adv, world.target_items, config.s
                 )
                 return pamn_poison(adv, world.target_items, config.top_k, config.e_ft, lr)
-            if config.attack == "psmu":
-                adv.substitute_items = select_substitute_items(
-                    adv, world.target_items, config.s
-                )
-            return baseline_poison(
-                adv, world.target_items, config.attack, config.top_k, config.e_ft, lr
-            )
+            return baseline_poison(adv, world.target_items, config.attack)
 
         crafted = _map_clients(attack_one, adv_ids, config.workers)
         block.keep_first(len(benign))
@@ -366,7 +365,6 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     # now on owns the row block, and net gradients from nets.
     shared_rows = build_round_rows(
         block.round_rows(t),
-        num_items=num_items,
         mu=config.mu if config.defense in ("l2clip", "ucsu") else math.inf,
         p=config.p,
         bank=config.defense == "ucsu",
@@ -378,20 +376,19 @@ def run_round(world: World, config: ExperimentConfig) -> None:
         neigh = nbr.neighbors_of(i) if nbr is not None else np.zeros(0, dtype=np.int64)
         if len(neigh) == 0:
             return
-        ordered = np.sort(neigh)
         if config.defense in ("none", "l2clip"):
-            items, rows = l2_clip_aggregate(shared_rows, ordered)
+            items, rows = l2_clip_aggregate(shared_rows, neigh)
         elif config.defense == "ucsu":
-            items, rows = ucsu_aggregate(world.banks[i], shared_rows, ordered, config.nu)
+            items, rows = ucsu_aggregate(world.banks[i], shared_rows, neigh, config.nu)
         elif config.defense == "median":
-            items, rows = median_aggregate(shared_rows, ordered)
+            items, rows = median_aggregate(shared_rows, neigh)
         elif config.defense == "trimmed":
-            items, rows = trimmed_mean_aggregate(shared_rows, ordered, resolve_trim_k(len(ordered)))
+            items, rows = trimmed_mean_aggregate(shared_rows, neigh, resolve_trim_k(len(neigh)))
         elif config.defense == "krum":
-            items, rows = item_krum_aggregate(shared_rows, ordered)
+            items, rows = item_krum_aggregate(shared_rows, neigh)
         else:
             raise ConfigError(f"unknown defense: {config.defense!r}")
-        net_mean = _mean_in_order([nets[k] for k in ordered.tolist()])
+        net_mean = _mean_in_order(nets, neigh)
         apply_neighbor_aggregate(world.clients[i], items, rows, net_mean, lr)
 
     _map_clients(defend_one, benign, config.workers)

@@ -198,10 +198,10 @@ def round_rows(
         net_size = len(pkts[0].net_grad) if pkts else 2
     ordered = sorted(pkts, key=lambda q: q.sender)
     clients = 1 + max((q.sender for q in ordered), default=0)
-    block = RoundBlock(sum(len(q.item_idx) for q in ordered), embed_dim, clients, net_size)
+    block = RoundBlock(sum(len(q.item_idx) for q in ordered), num_items, embed_dim, clients, net_size)
     for q in ordered:
         block.send(q)
-    return build_round_rows(block.round_rows(round_no), num_items, mu, p, bank)
+    return build_round_rows(block.round_rows(round_no), mu, p, bank)
 
 
 def concat_round_rows(pkts, round_no=1, mu=1.0, p=2, bank=False, embed_dim=2):

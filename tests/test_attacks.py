@@ -401,12 +401,9 @@ def production_adv(seed, num_items=200, num_targets=3, substitutes=10, strategy=
     return adv, targets
 
 
-def assert_pamn_matches_reference(adv, targets, strategy, top_k, e_ft, lr):
+def assert_pamn_matches_reference(adv, targets, top_k, e_ft, lr):
     want = adv.base.copy()
-    if strategy == "pamn":
-        pkt = pamn_poison(adv, targets, top_k, e_ft, lr)
-    else:
-        pkt = baseline_poison(adv, targets, strategy, top_k, e_ft, lr)
+    pkt = pamn_poison(adv, targets, top_k, e_ft, lr)
     idx, rows, net_grad = reference_pamn_poison(
         want, targets, adv.substitute_items, adv.positives, top_k, e_ft, lr
     )
@@ -428,7 +425,7 @@ class TestPamnReference:
     def test_packet_and_tuned_model(self, strategy, seed, e_ft):
         adv, targets = production_adv(seed, strategy=strategy)
         lr = 1e-2 if seed % 2 else 1e-3
-        pkt = assert_pamn_matches_reference(adv, targets, strategy, 20, e_ft, lr)
+        pkt = assert_pamn_matches_reference(adv, targets, 20, e_ft, lr)
         # a real fine-tune moves rows; none moves nothing
         assert (len(pkt.item_idx) > 0) == (e_ft > 0)
 
@@ -436,20 +433,20 @@ class TestPamnReference:
         adv, _ = production_adv(4)
         targets = top_k_list(adv.base, 5, exclude=np.zeros(0, dtype=np.int64))
         adv.substitute_items = np.zeros(0, dtype=np.int64)
-        pkt = assert_pamn_matches_reference(adv, targets, "pamn", 5, 5, 1e-3)
+        pkt = assert_pamn_matches_reference(adv, targets, 5, 5, 1e-3)
         assert len(pkt.item_idx) == 0 and not pkt.net_grad.any()
 
     def test_nothing_to_promote_breaks_at_once(self):
         adv, targets = production_adv(5)
         adv.positives = np.union1d(targets, adv.substitute_items)
-        pkt = assert_pamn_matches_reference(adv, targets, "pamn", 20, 5, 1e-3)
+        pkt = assert_pamn_matches_reference(adv, targets, 20, 5, 1e-3)
         assert len(pkt.item_idx) == 0 and not pkt.net_grad.any()
 
 
 class TestBaselines:
     def test_ra_packet_is_honest_gradient(self):
         adv = make_adv(11, strategy="ra")
-        pkt = baseline_poison(adv, np.array([1, 4]), "ra", top_k=5, e_ft=2, lr=1e-3)
+        pkt = baseline_poison(adv, np.array([1, 4]), "ra")
         _, honest = compute_gradients(adv.base, adv.pairs)
         assert np.array_equal(pkt.item_idx, honest.item_idx)
         assert np.allclose(pkt.item_rows, honest.item_rows)
@@ -467,7 +464,7 @@ class TestBaselines:
             positives=np.zeros(0, dtype=np.int64),
             pairs=np.empty((0, 2), dtype=np.int64),
         )
-        pkt = baseline_poison(adv, np.array([2]), "eb", top_k=2, e_ft=1, lr=1e-3)
+        pkt = baseline_poison(adv, np.array([2]), "eb")
         k = pkt.item_idx.tolist().index(2)
         assert pkt.item_rows[k][0] == pytest.approx(-0.5, abs=1e-12)
 
@@ -475,10 +472,10 @@ class TestBaselines:
         # ra's dataset makes the targets positives, so they are honest ids too
         adv = make_adv(15, strategy="ra", targets=(1, 4))
         targets = np.array([1, 4])
-        pkt = baseline_poison(adv, targets, "eb", top_k=5, e_ft=1, lr=1e-3)
+        pkt = baseline_poison(adv, targets, "eb")
         _, honest = compute_gradients(adv.base, adv.pairs, sender=adv.client_id)
         bare = dataclasses.replace(adv, pairs=np.empty((0, 2), dtype=np.int64))
-        boost = baseline_poison(bare, targets, "eb", top_k=5, e_ft=1, lr=1e-3)
+        boost = baseline_poison(bare, targets, "eb")
         assert set(targets.tolist()) <= set(honest.item_idx.tolist())
         assert np.array_equal(pkt.item_idx, np.union1d(honest.item_idx, boost.item_idx))
         for k, item in enumerate(pkt.item_idx.tolist()):
@@ -493,8 +490,8 @@ class TestBaselines:
         b.client_id = a.client_id
         for adv in (a, b):
             adv.substitute_items = select_substitute_items(adv, np.array([1, 4]), s=3)
-        pa = baseline_poison(a, np.array([1, 4]), "psmu", top_k=5, e_ft=3, lr=1e-3)
-        pb = baseline_poison(b, np.array([1, 4]), "psmu", top_k=5, e_ft=3, lr=1e-3)
+        pa = pamn_poison(a, np.array([1, 4]), top_k=5, e_ft=3, lr=1e-3)
+        pb = pamn_poison(b, np.array([1, 4]), top_k=5, e_ft=3, lr=1e-3)
         assert np.array_equal(pa.item_idx, pb.item_idx)
         assert np.array_equal(pa.item_rows, pb.item_rows)
         assert np.array_equal(pa.net_grad, pb.net_grad)
@@ -502,4 +499,11 @@ class TestBaselines:
     def test_unknown_strategy_rejected(self):
         adv = make_adv(14)
         with pytest.raises(ConfigError):
-            baseline_poison(adv, np.array([1]), "nope", top_k=5, e_ft=1, lr=1e-3)
+            baseline_poison(adv, np.array([1]), "nope")
+
+    @pytest.mark.parametrize("strategy", ["psmu", "pamn"])
+    def test_fine_tune_strategies_are_not_baselines(self, strategy):
+        # psmu and pamn craft through pamn_poison, never through this dispatch.
+        adv = make_adv(14, strategy=strategy)
+        with pytest.raises(ConfigError):
+            baseline_poison(adv, np.array([1]), strategy)

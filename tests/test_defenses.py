@@ -516,14 +516,11 @@ class TestBuildRoundRows:
     @pytest.mark.parametrize(
         "bad, message",
         [
-            (packet(1, {4: np.ones(2)}, np.zeros(2)), "item index out of range"),
-            (packet(1, {-1: np.ones(2)}, np.zeros(2)), "item index out of range"),
-            (packet(1, {2**32 + 1: np.ones(2)}, np.zeros(2)), "item index out of range"),
             (packet(1, {0: np.ones(3)}, np.zeros(2), dim=3), "item row shape"),
             (packet(1, {}, np.zeros(2), dim=3), "item row shape"),
             (packet(1, {0: np.ones(2)}, np.zeros(3)), "net gradient shape"),
         ],
-        ids=["item-too-large", "item-negative", "item-past-int32", "row-width", "empty-row-width", "net-size"],
+        ids=["row-width", "empty-row-width", "net-size"],
     )
     def test_packet_that_does_not_fit_the_model_rejected(self, bad, message):
         good = packet(0, {1: np.ones(2), 3: np.ones(2)}, np.zeros(2))
@@ -602,12 +599,12 @@ class TestBuildRoundRows:
         }[kind]
         want = concat_round_rows(pkts, 3, mu=mu, p=p, bank=bank, embed_dim=3)
         sent = concat_round_rows(pkts, mu=np.inf, embed_dim=3).rows
-        block = RoundBlock(sum(len(q.item_idx) for q in pkts) + 5, 3, 12, 2)
+        block = RoundBlock(sum(len(q.item_idx) for q in pkts) + 5, 8, 3, 12, 2)
         for q in sorted(pkts, key=lambda q: q.sender):
             block.send(q)
-        shape = dict(num_items=8, mu=mu, p=p, bank=bank)
+        shape = dict(mu=mu, p=p, bank=bank)
         in_block = build_round_rows(block.round_rows(3), **shape)
-        loose = round_rows(pkts, 3, embed_dim=3, net_size=2, **shape)
+        loose = round_rows(pkts, 3, num_items=8, embed_dim=3, net_size=2, **shape)
         if kind == "rows":
             # some rows exceed mu = 1, so the clipping builds scale them
             assert (np.linalg.norm(sent, ord=p, axis=1) > 1.0).any()
@@ -626,7 +623,7 @@ class TestBuildRoundRows:
         )
 
     def test_rows_outside_the_block_rejected(self):
-        block = RoundBlock(2, 2, 3, 2)
+        block = RoundBlock(2, 4, 2, 3, 2)
         for s in (0, 1):
             block.send(packet(s, {s: np.full(2, s + 1.0)}, np.zeros(2)))
         with pytest.raises(ContractError, match="overflow"):
@@ -636,7 +633,7 @@ class TestBuildRoundRows:
 class TestRoundBlock:
     @pytest.mark.parametrize("sender", [0, 1, -1, 3], ids=["repeat", "descending", "negative", "no-client"])
     def test_senders_out_of_order_rejected(self, sender):
-        block = RoundBlock(4, 2, 3, 2)
+        block = RoundBlock(4, 4, 2, 3, 2)
         block.send(packet(0, {0: np.ones(2)}, np.zeros(2)))
         block.send(packet(1, {0: np.ones(2)}, np.zeros(2)))
         with pytest.raises(ContractError, match="ascending sender order"):
@@ -656,11 +653,28 @@ class TestRoundBlock:
         ids=["row-width", "empty-row-width", "rows-not-ids", "net-size", "net-rank"],
     )
     def test_mismatched_shapes_rejected(self, bad, message):
-        block = RoundBlock(4, 2, 2, 2)
+        block = RoundBlock(4, 4, 2, 2, 2)
         with pytest.raises(ContractError, match=message):
             block.send(bad)
         block.send(packet(1, {0: np.ones(2)}, np.ones(2)))
         assert block.round_rows(1).senders.tolist() == [1]
+
+    @pytest.mark.parametrize(
+        "item", [4, -1, 2**32 + 1], ids=["item-too-large", "item-negative", "item-past-int32"]
+    )
+    def test_item_ids_outside_the_model_rejected_before_the_copy(self, item):
+        # Ids are checked against num_items before any byte is copied, and
+        # are stored as int32.
+        block = RoundBlock(4, 4, 2, 3, 2)
+        block.send(packet(0, {1: np.ones(2), 3: np.ones(2)}, np.zeros(2)))
+        before = (block.rows.copy(), block.items.copy(), block.nets.copy())
+        with pytest.raises(ContractError, match="item index out of range"):
+            block.send(packet(1, {0: np.full(2, 7.0), item: np.full(2, 9.0)}, np.full(2, 5.0)))
+        for got, was in zip((block.rows, block.items, block.nets), before):
+            assert got.tobytes() == was.tobytes()
+        rr = block.round_rows(1)
+        assert rr.items.dtype == np.int32 and rr.items.tolist() == [1, 3]
+        assert rr.senders.tolist() == [0, 0]
 
     @pytest.mark.parametrize("kept", [0, 2, 3])
     def test_keep_first_then_send_builds_a_block_of_kept_and_new(self, kept):
@@ -673,11 +687,11 @@ class TestRoundBlock:
             packet(s, {i: rng.normal(size=3) for i in (0, 5)}, rng.normal(size=2), dim=3)
             for s in (3, 4)
         ]
-        replaced = RoundBlock(40, 3, 5, 2)
+        replaced = RoundBlock(40, 8, 3, 5, 2)
         for q in honest:
             replaced.send(q)
         replaced.keep_first(kept)
-        fresh = RoundBlock(40, 3, 5, 2)
+        fresh = RoundBlock(40, 8, 3, 5, 2)
         for q in honest[:kept]:
             fresh.send(q)
         for block in (replaced, fresh):

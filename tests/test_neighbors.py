@@ -92,7 +92,27 @@ class TestAssign:
             nmap = assign_neighbors(sketches, n)
             expect = self.brute_force(sketches, n)
             for i in range(num):
-                assert nmap.neighbors_of(i).tolist() == expect[i], f"trial {trial} client {i}"
+                got = nmap.neighbors_of(i).tolist()
+                assert got == sorted(expect[i]), f"trial {trial} client {i}"
+
+    def test_tie_at_the_last_slot_goes_to_the_lower_id_and_sets_ascend(self):
+        # Client 0's most similar client is 4; clients 1 and 3 tie for the
+        # second slot and 1 takes it.  The set comes back as ascending ids.
+        sketches = np.array(
+            [
+                [1, 1, 1, 1],
+                [1, 1, 1, -1],
+                [-1, -1, -1, -1],
+                [1, 1, -1, 1],
+                [1, 1, 1, 1],
+            ],
+            dtype=float,
+        )
+        assert self.brute_force(sketches, 2)[0] == [4, 1]
+        nmap = assign_neighbors(sketches, 2)
+        assert nmap.neighbors_of(0).tolist() == [1, 4]
+        for i, members in enumerate(self.brute_force(sketches, 2)):
+            assert nmap.neighbors_of(i).tolist() == sorted(members)
 
     def test_tie_break_ascending_ids(self):
         sketches = np.ones((3, 8))

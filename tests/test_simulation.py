@@ -3,7 +3,8 @@ same-seed determinism for every per-receiver robust aggregator, and for
 PAMN against UCSU with banks small enough to evict; the round rows UCSU
 keeps alive and the norms its clip bounds; the packets dropped once a
 round's rows are consolidated, once per round; the round block that holds
-the bytes of every sent packet; what adversaries absorb; the empty
+the bytes of every sent packet; what adversaries absorb; the attacks that
+craft through pamn_poison; the empty
 packets of clients without training pairs; the neighbor
 refresh cadence; init_world's pair checks and each client's Adam
 item-moment cover; the cold targets select_cold_targets draws."""
@@ -214,7 +215,8 @@ def test_round_rows_are_the_sent_packets_in_the_round_block(tiny, monkeypatch, d
     # are, byte for byte, the packets the round sent in ascending sender
     # order: every honest one in round 1, where adversaries conceal, and
     # from round 2 the benign ones and the adversaries' crafted ones.  Each
-    # net row is its sender's sent net gradient.
+    # net row is its sender's sent net gradient.  The benign packets fill
+    # the block but for num_items rows per adversary.
     config, dataset = tiny
     config = dataclasses.replace(config, attack="pamn", defense=defense, mu=1e-6)
     world = init_world(config, dataset)
@@ -256,12 +258,17 @@ def test_round_rows_are_the_sent_packets_in_the_round_block(tiny, monkeypatch, d
         run_round(world, config)
     assert len(blocks) == len(builds) == 2
     dim = world.clients[0].layout.embed_dim
-    for packets, (senders, items, rows), rr, nets in builds:
+    reserve = len(world.adversary_ids) * dataset.num_items
+    for block, (packets, (senders, items, rows), rr, nets) in zip(blocks, builds):
         assert [q.sender for q in packets] == list(range(world.num_clients))
+        benign_rows = sum(len(q.item_idx) for q in packets if q.sender not in world.adversary_ids)
+        assert benign_rows == len(block.rows) - reserve
         assert senders.tobytes() == np.concatenate(
             [np.full(len(q.item_idx), q.sender, dtype=np.int32) for q in packets]
         ).tobytes()
-        assert items.tobytes() == np.concatenate([q.item_idx for q in packets]).tobytes()
+        assert items.tobytes() == np.concatenate(
+            [q.item_idx.astype(np.int32) for q in packets]
+        ).tobytes()
         assert rows.tobytes() == np.concatenate(
             [np.zeros((0, dim)), *(q.item_rows for q in packets)]
         ).tobytes()
@@ -272,6 +279,35 @@ def test_round_rows_are_the_sent_packets_in_the_round_block(tiny, monkeypatch, d
     # round 2's adversary rows are the crafted ones
     crafted = [q for q in builds[1][0] if q.sender in world.adversary_ids]
     assert crafted and all(len(q.item_idx) for q in crafted)
+
+
+@pytest.mark.parametrize("attack", ["pamn", "psmu"])
+def test_fine_tune_attacks_craft_through_pamn_poison(tiny, monkeypatch, attack):
+    # psmu crafts as pamn does, with the same substitute selection, and only
+    # pamn steps its user embedding first.
+    config, dataset = tiny
+    config = dataclasses.replace(config, attack=attack)
+    world = init_world(config, dataset)
+    calls = []
+    for name in (
+        "update_adversary_user_embedding",
+        "select_substitute_items",
+        "pamn_poison",
+        "baseline_poison",
+    ):
+        real = getattr(simulation, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, name, spy)
+    for _ in range(2):  # round 1 conceals
+        run_round(world, config)
+    per_adversary = ["select_substitute_items", "pamn_poison"]
+    if attack == "pamn":
+        per_adversary = ["update_adversary_user_embedding", *per_adversary]
+    assert calls == per_adversary * len(world.adversary_ids)
 
 
 def test_adversary_absorbs_the_honest_packet_of_another_adversary(tiny, monkeypatch):
@@ -413,9 +449,10 @@ def test_neighbors_refresh_on_rounds_one_mod_period(tiny, monkeypatch, period, d
 def test_mean_in_order_has_the_bits_of_stacked_mean(count):
     rng = np.random.default_rng(count)
     # magnitudes spread over 16 decades make the rounding order-sensitive
-    vectors = [rng.normal(size=257) * 10.0 ** rng.integers(-8, 8, size=257) for _ in range(count)]
-    vectors[0][:3] = [-0.0, 0.0, -0.0]
-    assert _mean_in_order(vectors).tobytes() == np.stack(vectors).mean(axis=0).tobytes()
+    nets = rng.normal(size=(60, 257)) * 10.0 ** rng.integers(-8, 8, size=(60, 257))
+    senders = np.sort(rng.choice(60, size=count, replace=False))
+    nets[senders[0], :3] = [-0.0, 0.0, -0.0]
+    assert _mean_in_order(nets, senders).tobytes() == nets[senders].mean(axis=0).tobytes()
 
 
 @pytest.mark.parametrize("attack", ["eb", "pamn", "ra", "psmu"])
