@@ -662,7 +662,7 @@ class TestRoundBlock:
     @pytest.mark.parametrize(
         "item", [4, -1, 2**32 + 1], ids=["item-too-large", "item-negative", "item-past-int32"]
     )
-    def test_item_ids_outside_the_model_rejected_before_the_copy(self, item):
+    def test_item_ids_outside_the_model_rejected(self, item):
         # Ids are checked against num_items before any byte is copied, and
         # are stored as int32.
         block = RoundBlock(4, 4, 2, 3, 2)
