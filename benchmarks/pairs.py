@@ -13,15 +13,17 @@ worktree or branch.  Each side keeps its own ``perfbench/.runs`` ledger; a
 pair is bit-identical when both sides report the same ``records`` and the
 same ledger ``params_sha256``; its records are identical when the
 ``records`` alone agree (the hash covers every float array the world
-holds, so it changes with the world's fields).  The summary gives each
-side's quartiles, the pairs the change wins (lower is better, ties count
-for neither), the median's relative change and the parent's interquartile
-range, and is written to ``benchmarks/BENCH_<pr>.json``.  Each metric also
-records ``gain_met`` (the claim rule) and ``within_bound``: the change's
-median is at most the parent's times (1 + the metric's ``bound`` in
-``BENCHMARK.json``, which also gives the metrics and their units; every one
-is lower-is-better).  Every run gets ``--seconds 30``.  It refuses, before
-any run, a workload given fewer than ``MIN_PAIRS`` (10) seeds.
+holds, so it changes with the world's fields); its datasets are identical
+when both sides generated the same ratings file (``dataset_sha256``).  The
+summary gives each side's quartiles, the pairs the change wins (lower is
+better, ties count for neither), the median's relative change and the
+parent's interquartile range, and is written to
+``benchmarks/BENCH_<pr>.json``.  Each metric also records ``gain_met``
+(the claim rule) and ``within_bound``: the change's median is at most the
+parent's times (1 + the metric's ``bound`` in ``BENCHMARK.json``, which
+also gives the metrics and their units; every one is lower-is-better).
+Every run gets ``--seconds 30``.  It refuses, before any run, a workload
+given fewer than ``MIN_PAIRS`` (10) seeds.
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
         "failed": verdict["failed"],
         "records": info["records"],
         "params_sha256": ledger[key]["params_sha256"],
+        "dataset_sha256": info["dataset_sha256"],
         "environment": info["environment"],
     }
 
@@ -185,6 +188,9 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": workloads,
         "bit_identical": all(outputs(p["parent"]) == outputs(p["change"]) for p in pairs),
         "records_identical": all(p["parent"]["records"] == p["change"]["records"] for p in pairs),
+        "datasets_identical": all(
+            p["parent"]["dataset_sha256"] == p["change"]["dataset_sha256"] for p in pairs
+        ),
         "all_correct": all(r["correct"] and r["failed"] == 0 for r in all_runs),
         "note": args.note,
         "pairs": [

@@ -16,7 +16,9 @@ senders, with every pop key tied at mu and with every key distinct; a
 receiver's mean net gradient adds 50 of 630 senders' net rows; the
 server picks N = 50 neighbors for 630 clients from sketches of 16 bits per
 item.  Evaluation is timed on the `eb_trimmed_s` world (S: 200 users x 400
-items).
+items), and the set-up pipeline (load, filter, split and sample) on a
+ratings file of the `pamn_ucsu_m` shape (M: 600 users x 1000 items), whose
+end-to-end ``setup_s`` is too noisy to resolve it.
 
 The receiver benchmarks first touch and free one round's rows (630 senders
 of 110 rows).  glibc's malloc raises its mmap threshold to the size of a
@@ -68,6 +70,7 @@ from decrecsim.model import (
     stack_states,
 )
 from decrecsim.neighbors import assign_neighbors
+from decrecsim.rng import stream
 from decrecsim.simulation import LOCKSTEP_BLOCK, _mean_in_order, init_world
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
 
@@ -127,7 +130,7 @@ def test_pamn_poison(benchmark, client):
     state, _, _ = client
     rng = np.random.default_rng(3)
     targets = np.sort(rng.choice(NUM_ITEMS, size=5, replace=False))
-    positives, pairs = build_adversary_dataset(NUM_ITEMS, targets, 30, seed=3)
+    positives, pairs = build_adversary_dataset(NUM_ITEMS, targets, 30, stream(3), 4, False)
     substitutes = np.sort(rng.choice(np.setdiff1d(np.arange(NUM_ITEMS), targets), size=10, replace=False))
 
     def setup():
@@ -324,3 +327,16 @@ def test_evaluate_world(benchmark, small_world):
     config, world = small_world
     record = benchmark(evaluate_world, world, config.top_k, config.attack, config.defense, config.seed)
     assert 0.0 <= record.hr_at_k <= 1.0 and 0.0 <= record.er_at_k <= 1.0
+
+
+@pytest.fixture(scope="module")
+def m_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "ratings.dat"
+    write_movielens_dat(str(path), generate_interactions(600, 1000, seed=1))
+    return ExperimentConfig(dataset_path=str(path), seed=1)
+
+
+def test_load_dataset(benchmark, m_config):
+    dataset = benchmark(load_dataset, m_config)
+    assert dataset.num_users == len(dataset.pairs) > 0
+    assert sum(len(p) for p in dataset.pairs) > 0

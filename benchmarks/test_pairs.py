@@ -92,7 +92,7 @@ def test_pair_file_records_gain_met_and_within_bound(monkeypatch, tmp_path):
         env = {"nproc": 2, "blas_threads": {"OPENBLAS_NUM_THREADS": "1"}, "numpy": "x",
                "blas": {"name": "b", "version": "v"}, "python": "p"}
         return {"end_to_end": e2e, "correct": True, "failed": 0, "records": [seed],
-                "params_sha256": str(seed), "environment": env}
+                "params_sha256": str(seed), "dataset_sha256": str(seed), "environment": env}
 
     monkeypatch.setattr(pairs, "run_once", fake_run)
     assert pairs.main(["--parent", "HEAD", "--pr", "7", "--title", "t", "--run", "w=1-10"]) == 0
@@ -103,4 +103,4 @@ def test_pair_file_records_gain_met_and_within_bound(monkeypatch, tmp_path):
     assert not rows["round_s"]["gain_met"] and not rows["round_s"]["within_bound"]
     # equal runs: no gain, but within the bound
     assert not rows["setup_s"]["gain_met"] and rows["setup_s"]["within_bound"]
-    assert report["bit_identical"] and report["all_correct"]
+    assert report["bit_identical"] and report["datasets_identical"] and report["all_correct"]

@@ -33,6 +33,7 @@ from decrecsim.model import (
     _adam_update,
     _backward,
     _forward,
+    _pair_gradients,
     _sigmoid,
     apply_neighbor_aggregate,
     bpr_loss,
@@ -71,16 +72,16 @@ def build_adversary_dataset(
     num_items: int,
     targets: np.ndarray,
     alpha: int,
-    seed: int,
-    neg_ratio: int = 4,
-    include_targets: bool = False,
+    rng: np.random.Generator,
+    neg_ratio: int,
+    include_targets: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Construct an adversary's local positives and (positive, negative) pairs.
 
-    alpha items are drawn uniformly from the non-target items; with
+    rng draws alpha items uniformly from the non-target items; with
     include_targets (the ra strategy) every target is appended as a
-    positive.  Negatives come from sample_pairs over the items outside both
-    the positives and the targets.
+    positive.  Negatives come from sample_pairs, with the same rng, over
+    the items outside both the positives and the targets.
     """
     targets = np.asarray(sorted(set(int(t) for t in targets)), dtype=np.int64)
     if alpha < 0:
@@ -90,7 +91,6 @@ def build_adversary_dataset(
         raise ContractError(
             f"alpha={alpha} exceeds the {len(pool)} available non-target items"
         )
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     positives = np.sort(pool[rng.choice(len(pool), size=alpha, replace=False)])
     if include_targets:
         positives = np.union1d(positives, targets)
@@ -120,10 +120,11 @@ def update_adversary_user_embedding(
 ) -> None:
     """One gradient step on the local BPR loss minus the diversity term.
 
-    Only the user embedding moves.  The repulsion gradient at zero distance
-    is defined as the zero vector.
+    Only the user embedding moves, so only the user gradient of the local
+    loss is taken; adv.pairs passed check_pairs when the world was built.
+    The repulsion gradient at zero distance is defined as the zero vector.
     """
-    grad, _ = compute_gradients(adv.base, adv.pairs)
+    _, grad, _, _ = _pair_gradients(adv.base, adv.pairs)
     grad = grad - coord.lam * _repulsion_direction(
         adv.base.user_vec, coord.embeddings, coord.norm_order
     )

@@ -1,33 +1,39 @@
 """Interaction loading, filtering, binarization, split, and negative sampling.
 
-The pipeline is: load_interactions -> preprocess -> split_and_sample.  All
-randomized steps are pure functions of (input, seed).  sample_pairs, the
-negative sampler, also builds the adversaries' pairs.
+The pipeline is: load_interactions -> preprocess -> split_and_sample.  The
+setting is implicit feedback, so every loaded record is one positive: the
+loader checks each rating and timestamp and keeps only the two id columns,
+each id coded once, by its first appearance in the file.  The randomized
+steps draw from rng.stream keyed by their seed; sample_pairs, the negative
+sampler, also builds the adversaries' pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from decrecsim.errors import ContractError, EmptyDatasetError, ParseError
+from decrecsim.rng import stream
 
 FORMATS = ("movielens_dat", "csv")
 
 
 @dataclass
 class RawInteractions:
-    """Parsed interaction records in file order.
+    """Parsed interactions in file order: record k is (users[k], items[k]).
 
-    Each record is (user_id, item_id, rating, timestamp); timestamp is None
-    when the source format omitted it.
+    Each column is int64, and codes its ids 0, 1, ... in the order they
+    first appear in the file.
     """
 
-    records: list[tuple[str, str, float, int | None]] = field(default_factory=list)
+    users: np.ndarray  # (n,) int64
+    items: np.ndarray  # (n,) int64
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.users)
 
 
 @dataclass
@@ -42,9 +48,6 @@ class Precursor:
     num_users: int
     num_items: int
     user_items: list[np.ndarray]
-
-    def interaction_count(self) -> int:
-        return int(sum(len(items) for items in self.user_items))
 
 
 @dataclass
@@ -62,12 +65,13 @@ class Dataset:
     pairs: list[np.ndarray]
 
 
-def load_interactions(path: str, fmt: str = "movielens_dat") -> RawInteractions:
+def load_interactions(path: str, fmt: str) -> RawInteractions:
     """Parse a ratings file into RawInteractions.
 
     movielens_dat lines are ``user::item::rating::timestamp``; csv files have
-    a ``user,item,rating[,timestamp]`` header.  A malformed line raises
-    ParseError naming its 1-based line number.
+    a ``user,item,rating[,timestamp]`` header.  Every record needs nonempty
+    ids, a finite numeric rating and an integer or empty timestamp; a
+    malformed line raises ParseError naming its 1-based line number.
     """
     if fmt not in FORMATS:
         raise ContractError(f"unknown dataset format: {fmt!r}")
@@ -77,54 +81,65 @@ def load_interactions(path: str, fmt: str = "movielens_dat") -> RawInteractions:
     except OSError as exc:
         raise OSError(f"cannot read interactions file {path}: {exc}") from exc
 
-    records: list[tuple[str, str, float, int | None]] = []
-    if fmt == "movielens_dat":
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            parts = line.split("::")
-            if len(parts) != 4:
-                raise ParseError(f"{path}: line {lineno}: expected 4 '::'-separated fields")
-            records.append(_make_record(path, lineno, *parts))
-    else:
-        if not lines:
-            return RawInteractions([])
-        header = [h.strip().lower() for h in lines[0].split(",")]
-        if header not in (["user", "item", "rating"], ["user", "item", "rating", "timestamp"]):
-            raise ParseError(f"{path}: line 1: expected header 'user,item,rating[,timestamp]'")
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) not in (3, 4):
-                raise ParseError(f"{path}: line {lineno}: expected 3 or 4 comma-separated fields")
-            if len(parts) == 3:
-                parts = parts + [""]
-            records.append(_make_record(path, lineno, *parts))
-    return RawInteractions(records)
+    records = _dat_fields(path, lines) if fmt == "movielens_dat" else _csv_fields(path, lines)
+    user_codes: dict[str, int] = {}
+    item_codes: dict[str, int] = {}
+    users: list[int] = []
+    items: list[int] = []
+    for lineno, (user, item, rating, timestamp) in records:
+        _check_record(path, lineno, user, item, rating, timestamp)
+        users.append(user_codes.setdefault(user, len(user_codes)))
+        items.append(item_codes.setdefault(item, len(item_codes)))
+    return RawInteractions(np.array(users, dtype=np.int64), np.array(items, dtype=np.int64))
 
 
-def _make_record(
+def _dat_fields(path: str, lines: list[str]):
+    """(line number, its four fields) per nonempty movielens_dat line."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        parts = line.split("::")
+        if len(parts) != 4:
+            raise ParseError(f"{path}: line {lineno}: expected 4 '::'-separated fields")
+        yield lineno, parts
+
+
+def _csv_fields(path: str, lines: list[str]):
+    """(line number, its four fields, an absent timestamp as "") per
+    nonempty csv record line, after checking the header."""
+    if not lines:
+        return
+    header = [h.strip().lower() for h in lines[0].split(",")]
+    if header not in (["user", "item", "rating"], ["user", "item", "rating", "timestamp"]):
+        raise ParseError(f"{path}: line 1: expected header 'user,item,rating[,timestamp]'")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) not in (3, 4):
+            raise ParseError(f"{path}: line {lineno}: expected 3 or 4 comma-separated fields")
+        yield lineno, parts if len(parts) == 4 else parts + [""]
+
+
+def _check_record(
     path: str, lineno: int, user: str, item: str, rating: str, timestamp: str
-) -> tuple[str, str, float, int | None]:
+) -> None:
     if not user or not item:
         raise ParseError(f"{path}: line {lineno}: empty user or item id")
     try:
         r = float(rating)
     except ValueError:
         raise ParseError(f"{path}: line {lineno}: non-numeric rating {rating!r}") from None
-    if not np.isfinite(r):
+    if not math.isfinite(r):
         raise ParseError(f"{path}: line {lineno}: non-finite rating {rating!r}")
-    ts: int | None = None
     if timestamp != "":
         try:
-            ts = int(timestamp)
+            int(timestamp)
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-integer timestamp {timestamp!r}") from None
-    return (user, item, r, ts)
 
 
-def preprocess(raw: RawInteractions, min_count: int = 5) -> Precursor:
+def preprocess(raw: RawInteractions, min_count: int) -> Precursor:
     """Filter sparse users/items to a fixpoint, binarize, and re-index densely.
 
     Exact duplicate (user, item) records are collapsed to their first
@@ -135,24 +150,19 @@ def preprocess(raw: RawInteractions, min_count: int = 5) -> Precursor:
     """
     if min_count < 1:
         raise ContractError("min_count must be >= 1")
-    if not raw.records:
+    if not len(raw):
         raise EmptyDatasetError("no interaction records to preprocess")
 
-    users = np.array([r[0] for r in raw.records])
-    items = np.array([r[1] for r in raw.records])
-    _, u_codes = np.unique(users, return_inverse=True)
-    _, i_codes = np.unique(items, return_inverse=True)
-
     # Drop duplicate (user, item) pairs, keeping the first occurrence.
-    num_users, num_items = u_codes.max() + 1, i_codes.max() + 1
-    pair_key = u_codes.astype(np.int64) * num_items + i_codes
+    num_users, num_items = raw.users.max() + 1, raw.items.max() + 1
+    pair_key = raw.users * num_items + raw.items
     _, first_pos = np.unique(pair_key, return_index=True)
-    keep = np.zeros(len(raw.records), dtype=bool)
+    keep = np.zeros(len(raw), dtype=bool)
     keep[first_pos] = True
 
     # Drop sparse users and items until none are left.
-    u = u_codes[keep]
-    i = i_codes[keep]
+    u = raw.users[keep]
+    i = raw.items[keep]
     alive = np.ones(len(u), dtype=bool)
     while True:
         u_counts = np.bincount(u[alive], minlength=num_users)
@@ -189,10 +199,10 @@ def split_and_sample(
 ) -> Dataset:
     """Split positives into train/test and sample negatives per train positive.
 
-    Per user, a seeded uniform-random train_ratio fraction of positives
-    (rounded down, minimum 1) becomes train and the rest test; sample_pairs
-    then draws each train positive's negatives from the user's
-    never-interacted items.
+    Per user u, stream(seed, u) draws a uniform-random train_ratio fraction
+    of positives (rounded down, minimum 1) as train, the rest being test;
+    sample_pairs then draws each train positive's negatives from the user's
+    never-interacted items with the same generator.
     """
     if not (0.0 < train_ratio < 1.0):
         raise ContractError("train_ratio must be in (0, 1)")
@@ -203,7 +213,7 @@ def split_and_sample(
     pairs: list[np.ndarray] = []
     for u in range(pre.num_users):
         positives = pre.user_items[u]
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(u)]))
+        rng = stream(seed, u)
         perm = rng.permutation(len(positives))
         n_train = max(1, int(len(positives) * train_ratio))
         tr = np.sort(positives[perm[:n_train]])

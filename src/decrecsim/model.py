@@ -303,9 +303,10 @@ def scatter_add_rows(
 
 
 def compute_gradients(
-    state: ClientState, pairs: np.ndarray, sender: int = -1
+    state: ClientState, pairs: np.ndarray, sender: int
 ) -> tuple[np.ndarray, GradientPacket]:
-    """Analytic gradients of bpr_loss w.r.t. u, touched item rows, and net.
+    """Analytic gradients of bpr_loss w.r.t. u, touched item rows, and net:
+    the user gradient, and the packet that client sender sends.
 
     Rows of items absent from the batch are absent from the packet.  An
     empty batch has zero gradients: a +0.0 user gradient and a packet of no

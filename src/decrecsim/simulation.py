@@ -154,6 +154,8 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
     adv_positives: dict[int, np.ndarray] = {}
     for j in range(n_adv):
         cid = num_users + j
+        # A 32-bit seed drawn from the key, then its stream: the golden
+        # outputs were written from these bits.
         data_seed = int(
             np.random.SeedSequence(
                 [root, rngmod.DOMAIN_ADVERSARY_DATA, cid]
@@ -163,9 +165,9 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
             dataset.num_items,
             targets,
             config.alpha,
-            data_seed,
-            neg_ratio=config.neg_ratio,
-            include_targets=(config.attack == "ra"),
+            rngmod.stream(data_seed),
+            config.neg_ratio,
+            config.attack == "ra",
         )
         pairs.append(check_pairs(adv_pairs, dataset.num_items))
 

@@ -2,9 +2,12 @@
 
 Generates clustered implicit-feedback data with a popularity skew: users
 belong to preference clusters and mostly interact with their own cluster's
-items, whose within-cluster popularity follows a Zipf profile.  Useful as a
-desk-scale stand-in for real rating files; the repo ships a small generated
-fixture for fast tests.
+items, whose within-cluster popularity follows a Zipf profile.  It is the
+desk-scale stand-in for ML-1M: the shape constants below are fixed, and a
+world is chosen by (users, items, seed) alone.  The repo's tests and
+benchmarks generate their fixtures with it.
+
+Run ``python -m decrecsim.synthetic --users U --items I --seed S --out F``.
 """
 
 from __future__ import annotations
@@ -13,41 +16,40 @@ import argparse
 
 import numpy as np
 
+from decrecsim.rng import stream
 
-def generate_interactions(
-    num_users: int,
-    num_items: int,
-    seed: int,
-    clusters: int = 6,
-    zipf_s: float = 1.05,
-    mix: float = 0.85,
-    act_mean: float = 3.3,
-    act_sigma: float = 0.45,
-    act_min: int = 8,
-    act_max: int = 120,
-) -> list[tuple[int, int]]:
-    """Sample (user, item) interactions; ids are 0-based and deterministic."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+CLUSTERS = 6
+ZIPF_S = 1.05  # within-cluster popularity: weight 1 / (rank + 1) ** ZIPF_S
+MIX = 0.85  # chance that a draw comes from the user's own cluster
+# A user's activity is lognormal(ACT_MEAN, ACT_SIGMA), rounded and clipped
+# to [ACT_MIN, ACT_MAX].
+ACT_MEAN = 3.3
+ACT_SIGMA = 0.45
+ACT_MIN = 8
+ACT_MAX = 120
+
+
+def generate_interactions(num_users: int, num_items: int, seed: int) -> list[tuple[int, int]]:
+    """Sample (user, item) interactions from stream(seed); ids are 0-based."""
+    rng = stream(seed)
     perm = rng.permutation(num_items)
     item_cluster = np.empty(num_items, dtype=np.int64)
-    for c in range(clusters):
-        item_cluster[perm[c::clusters]] = c
+    for c in range(CLUSTERS):
+        item_cluster[perm[c::CLUSTERS]] = c
 
     weights = np.empty(num_items)
-    for c in range(clusters):
+    for c in range(CLUSTERS):
         members = np.flatnonzero(item_cluster == c)
         ranks = rng.permutation(len(members))
-        weights[members] = 1.0 / (ranks + 1.0) ** zipf_s
+        weights[members] = 1.0 / (ranks + 1.0) ** ZIPF_S
     global_p = weights / weights.sum()
 
-    user_cluster = rng.integers(0, clusters, size=num_users)
+    user_cluster = rng.integers(0, CLUSTERS, size=num_users)
     activity = np.clip(
-        np.round(rng.lognormal(act_mean, act_sigma, size=num_users)),
-        act_min,
-        act_max,
+        np.round(rng.lognormal(ACT_MEAN, ACT_SIGMA, size=num_users)), ACT_MIN, ACT_MAX
     ).astype(np.int64)
 
-    cluster_items = [np.flatnonzero(item_cluster == c) for c in range(clusters)]
+    cluster_items = [np.flatnonzero(item_cluster == c) for c in range(CLUSTERS)]
     cluster_p = [weights[ci] / weights[ci].sum() for ci in cluster_items]
 
     out: list[tuple[int, int]] = []
@@ -59,7 +61,7 @@ def generate_interactions(
         attempts = 0
         while len(chosen) < want and attempts < 20:
             n_draw = (want - len(chosen)) * 2
-            in_cluster = rng.random(n_draw) < mix
+            in_cluster = rng.random(n_draw) < MIX
             draws = np.where(
                 in_cluster,
                 cluster_items[c][rng.choice(len(cluster_items[c]), size=n_draw, p=cluster_p[c])],
@@ -90,27 +92,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--users", type=int, required=True)
     parser.add_argument("--items", type=int, required=True)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--clusters", type=int, default=6)
-    parser.add_argument("--zipf-s", type=float, default=1.05)
-    parser.add_argument("--mix", type=float, default=0.85)
-    parser.add_argument("--act-mean", type=float, default=3.3)
-    parser.add_argument("--act-sigma", type=float, default=0.45)
-    parser.add_argument("--act-min", type=int, default=8)
-    parser.add_argument("--act-max", type=int, default=120)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    interactions = generate_interactions(
-        args.users,
-        args.items,
-        args.seed,
-        clusters=args.clusters,
-        zipf_s=args.zipf_s,
-        mix=args.mix,
-        act_mean=args.act_mean,
-        act_sigma=args.act_sigma,
-        act_min=args.act_min,
-        act_max=args.act_max,
-    )
+    interactions = generate_interactions(args.users, args.items, args.seed)
     write_movielens_dat(args.out, interactions)
     print(f"wrote {len(interactions)} interactions to {args.out}")
     return 0

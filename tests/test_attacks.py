@@ -21,6 +21,7 @@ from decrecsim.attacks import (
 from decrecsim.errors import ConfigError, ContractError
 from decrecsim.metrics import top_k_list
 from decrecsim.model import GradientPacket, compute_gradients, score_items
+from decrecsim.rng import stream
 from helpers import (
     absorb,
     assert_close_grad,
@@ -38,8 +39,7 @@ from helpers import (
 def make_adv(seed, num_items=20, alpha=6, targets=(1, 4), strategy="pamn", scale=0.5):
     targets = np.asarray(targets, dtype=np.int64)
     positives, pairs = build_adversary_dataset(
-        num_items, targets, alpha, seed=seed * 7 + 1, neg_ratio=2,
-        include_targets=(strategy == "ra"),
+        num_items, targets, alpha, stream(seed * 7 + 1), 2, strategy == "ra"
     )
     return AdversaryState(
         client_id=100 + seed,
@@ -54,31 +54,31 @@ class TestBuildDataset:
         targets = np.array([2, 5])
         # (neg_ratio, negatives per positive): the 8-item pool caps the draw
         for neg_ratio, per_positive in ((4, 4), (0, 0), (10, 8)):
-            positives, pairs = build_adversary_dataset(40, targets, 30, seed=1, neg_ratio=neg_ratio)
+            positives, pairs = build_adversary_dataset(40, targets, 30, stream(1), neg_ratio, False)
             assert len(positives) == 30
             assert not set(positives.tolist()) & {2, 5}
             assert not set(pairs[:, 1].tolist()) & {2, 5}
             assert pairs.shape == (per_positive * 30, 2) and pairs.dtype == np.int64
 
     def test_alpha_zero(self):
-        positives, pairs = build_adversary_dataset(10, np.array([0]), 0, seed=2)
+        positives, pairs = build_adversary_dataset(10, np.array([0]), 0, stream(2), 4, False)
         assert len(positives) == 0
         assert pairs.shape == (0, 2) and pairs.dtype == np.int64
 
     def test_determinism(self):
-        a = build_adversary_dataset(30, np.array([1]), 10, seed=3)
-        b = build_adversary_dataset(30, np.array([1]), 10, seed=3)
+        a = build_adversary_dataset(30, np.array([1]), 10, stream(3), 4, False)
+        b = build_adversary_dataset(30, np.array([1]), 10, stream(3), 4, False)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
     def test_ra_includes_targets(self):
         targets = np.array([2, 5])
-        positives, _ = build_adversary_dataset(30, targets, 10, seed=4, include_targets=True)
+        positives, _ = build_adversary_dataset(30, targets, 10, stream(4), 4, True)
         assert {2, 5} <= set(positives.tolist())
 
     def test_alpha_too_large(self):
         with pytest.raises(ContractError):
-            build_adversary_dataset(10, np.array([0, 1]), 9, seed=5)
+            build_adversary_dataset(10, np.array([0, 1]), 9, stream(5), 4, False)
 
 
 def collab_update(adv, pkts, lr):
@@ -166,7 +166,7 @@ class TestCollabUpdate:
 class TestUserEmbeddingUpdate:
     def test_lambda_zero_is_plain_bpr_step(self):
         adv = make_adv(2)
-        grad, _ = compute_gradients(adv.base, adv.pairs)
+        grad, _ = compute_gradients(adv.base, adv.pairs, sender=adv.client_id)
         expect = adv.base.user_vec - 0.01 * grad
         coord = AttackCoordinator(embeddings={adv.client_id: adv.base.user_vec.copy()}, lam=0.0)
         update_adversary_user_embedding(adv, coord, lr=0.01)
@@ -224,7 +224,7 @@ class TestUserEmbeddingUpdate:
             coord = AttackCoordinator(
                 embeddings={adv.client_id: adv.base.user_vec.copy(), 999: other}, lam=0.3
             )
-            grad, _ = compute_gradients(adv.base, adv.pairs)
+            grad, _ = compute_gradients(adv.base, adv.pairs, sender=adv.client_id)
             from decrecsim.attacks import _repulsion_direction
 
             analytic = grad - coord.lam * _repulsion_direction(
@@ -368,7 +368,7 @@ class TestPamnPoison:
         adv = make_adv(9)
         adv.substitute_items = np.array([7])
         pkt = pamn_poison(adv, np.array([1, 4]), top_k=5, e_ft=2, lr=1e-3)
-        _, honest = compute_gradients(adv.base, adv.pairs)
+        _, honest = compute_gradients(adv.base, adv.pairs, sender=adv.client_id)
         assert pkt.net_grad.shape == honest.net_grad.shape
         assert pkt.item_rows.shape[1] == honest.item_rows.shape[1]
         assert pkt.item_idx.dtype == honest.item_idx.dtype
@@ -392,7 +392,7 @@ def production_adv(seed, num_items=200, num_targets=3, substitutes=10, strategy=
     rng = np.random.default_rng(seed)
     state = init_client_state(num_items, 32, [64, 32, 16], rng)
     targets = np.sort(rng.choice(num_items, size=num_targets, replace=False))
-    positives, pairs = build_adversary_dataset(num_items, targets, 12, seed=seed)
+    positives, pairs = build_adversary_dataset(num_items, targets, 12, stream(seed), 4, False)
     adv = AdversaryState(
         client_id=500 + seed, base=state, positives=positives, pairs=pairs,
         fixed_user=(strategy == "psmu"),
@@ -447,7 +447,7 @@ class TestBaselines:
     def test_ra_packet_is_honest_gradient(self):
         adv = make_adv(11, strategy="ra")
         pkt = baseline_poison(adv, np.array([1, 4]), "ra")
-        _, honest = compute_gradients(adv.base, adv.pairs)
+        _, honest = compute_gradients(adv.base, adv.pairs, sender=adv.client_id)
         assert np.array_equal(pkt.item_idx, honest.item_idx)
         assert np.allclose(pkt.item_rows, honest.item_rows)
         assert np.allclose(pkt.net_grad, honest.net_grad)

@@ -1,10 +1,16 @@
-"""Dataset pipeline: parsing, fixpoint filtering, split, negative sampling."""
+"""Dataset pipeline: parsing, fixpoint filtering, split, negative sampling,
+and the synthetic generator's bytes."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
+from decrecsim.cli import load_dataset
+from decrecsim.config import ExperimentConfig
 from decrecsim.dataset import RawInteractions, load_interactions, preprocess, split_and_sample
 from decrecsim.errors import ContractError, EmptyDatasetError, ParseError
+from decrecsim.synthetic import generate_interactions, main, write_movielens_dat
 
 
 def write(tmp_path, name, text):
@@ -14,7 +20,23 @@ def write(tmp_path, name, text):
 
 
 def raw_from_pairs(pairs):
-    return RawInteractions([(f"u{u}", f"i{i}", 1.0, None) for u, i in pairs])
+    """RawInteractions of (user, item) records, each id coded by its first
+    appearance, as load_interactions codes a file's."""
+    users, items = {}, {}
+    return RawInteractions(
+        np.array([users.setdefault(u, len(users)) for u, _ in pairs], dtype=np.int64),
+        np.array([items.setdefault(i, len(items)) for _, i in pairs], dtype=np.int64),
+    )
+
+
+def interaction_count(pre):
+    return sum(len(items) for items in pre.user_items)
+
+
+def assert_columns(raw, users, items):
+    assert raw.users.dtype == raw.items.dtype == np.int64
+    assert raw.users.tolist() == users
+    assert raw.items.tolist() == items
 
 
 class TestLoad:
@@ -22,7 +44,13 @@ class TestLoad:
         path = write(tmp_path, "a.dat", "1::10::5::100\n2::11::3::200\n1::12::4::300\n")
         raw = load_interactions(path, "movielens_dat")
         assert len(raw) == 3
-        assert raw.records[0] == ("1", "10", 5.0, 100)
+        assert_columns(raw, [0, 1, 0], [0, 1, 2])
+
+    def test_ids_coded_by_first_appearance(self, tmp_path):
+        # neither numeric nor string order: "9" before "10", "b" before "a"
+        text = "9::b::1::1\n10::a::1::2\n9::a::1::3\n2::c::1::4\n10::b::1::5\n"
+        raw = load_interactions(write(tmp_path, "a.dat", text), "movielens_dat")
+        assert_columns(raw, [0, 1, 0, 2, 1], [0, 1, 1, 2, 0])
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "a.dat", "")
@@ -38,11 +66,42 @@ class TestLoad:
         with pytest.raises(ParseError, match="line 2"):
             load_interactions(path, "movielens_dat")
 
+    @pytest.mark.parametrize(
+        "name, fmt, text",
+        [
+            ("a.dat", "movielens_dat", "1::10::5::100\n1::11::nan::200\n"),
+            ("a.csv", "csv", "user,item,rating\n1,11,inf\n1,10,5\n"),
+            ("a.dat", "movielens_dat", "1::10::5::100\n1::11::5::2.5\n"),
+            ("a.csv", "csv", "user,item,rating,timestamp\n1,11,5,x\n1,10,5,1\n"),
+            ("a.dat", "movielens_dat", "1::10::5::100\n1::::5::200\n"),
+        ],
+        ids=["dat-nan-rating", "csv-inf-rating", "dat-float-timestamp", "csv-bad-timestamp",
+             "dat-empty-item"],
+    )
+    def test_bad_record_names_line(self, tmp_path, name, fmt, text):
+        with pytest.raises(ParseError, match="line 2"):
+            load_interactions(write(tmp_path, name, text), fmt)
+
     def test_csv_optional_timestamp(self, tmp_path):
         path = write(tmp_path, "a.csv", "user,item,rating,timestamp\n1,10,5,99\n2,11,4,\n")
         raw = load_interactions(path, "csv")
-        assert raw.records[0][3] == 99
-        assert raw.records[1][3] is None
+        assert_columns(raw, [0, 1], [0, 1])
+
+    def test_dat_and_csv_of_one_file_load_alike(self, tmp_path):
+        dat = tmp_path / "r.dat"
+        write_movielens_dat(str(dat), generate_interactions(40, 60, 3))
+        body = dat.read_text().replace("::", ",")
+        csv = write(tmp_path, "r.csv", "user,item,rating,timestamp\n" + body)
+        a, b = load_interactions(str(dat), "movielens_dat"), load_interactions(csv, "csv")
+        assert a.users.tobytes() == b.users.tobytes() and a.items.tobytes() == b.items.tobytes()
+        da = load_dataset(ExperimentConfig(dataset_path=str(dat), min_count=2, seed=3))
+        db = load_dataset(
+            ExperimentConfig(dataset_path=csv, dataset_format="csv", min_count=2, seed=3)
+        )
+        assert (da.num_users, da.num_items) == (db.num_users, db.num_items)
+        for field in ("train", "test", "pairs"):
+            for x, y in zip(getattr(da, field), getattr(db, field), strict=True):
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
     def test_missing_file(self):
         with pytest.raises(OSError):
@@ -55,7 +114,7 @@ class TestPreprocess:
         pre = preprocess(raw, min_count=1)
         assert pre.num_users == 3
         assert pre.num_items == 3
-        assert pre.interaction_count() == 4
+        assert interaction_count(pre) == 4
 
     def test_fixpoint_toy_instance(self):
         # five core users share items 0-4; user A holds items 0-3 plus a
@@ -66,8 +125,7 @@ class TestPreprocess:
             for i in range(5):
                 pairs.append((u, i))
         pairs += [("A", 0), ("A", 1), ("A", 2), ("A", 3), ("A", 5)]
-        raw = RawInteractions([(u, f"i{i}", 1.0, None) for u, i in pairs])
-        pre = preprocess(raw, min_count=5)
+        pre = preprocess(raw_from_pairs(pairs), min_count=5)
 
         # independent brute-force fixpoint on the toy instance
         keep = set(range(len(pairs)))
@@ -81,7 +139,7 @@ class TestPreprocess:
             if not drop:
                 break
             keep -= drop
-        assert pre.interaction_count() == len(keep)
+        assert interaction_count(pre) == len(keep)
         assert pre.num_users == 5
         assert pre.num_items == 5
 
@@ -101,7 +159,7 @@ class TestPreprocess:
     def test_duplicates_collapse(self):
         raw = raw_from_pairs([(1, 1), (1, 1), (1, 2), (2, 1), (2, 2)])
         pre = preprocess(raw, min_count=1)
-        assert pre.interaction_count() == 4
+        assert interaction_count(pre) == 4
 
     def test_fixpoint_invariant_random(self):
         rng = np.random.default_rng(42)
@@ -194,16 +252,15 @@ class TestSplit:
 
 class TestCountOracle:
     def test_fixture_count_matches_independent_filter(self, tmp_path):
-        from decrecsim.synthetic import generate_interactions, write_movielens_dat
-
         inter = generate_interactions(120, 150, seed=11)
         path = tmp_path / "syn.dat"
         write_movielens_dat(str(path), inter)
         raw = load_interactions(str(path), "movielens_dat")
         pre = preprocess(raw, min_count=5)
 
-        # independent single-pass-per-iteration counting script
-        records = [(r[0], r[1]) for r in raw.records]
+        # independent single-pass-per-iteration counting script, over the
+        # file's own id strings
+        records = [tuple(line.split("::")[:2]) for line in path.read_text().splitlines()]
         alive = list(dict.fromkeys(records))  # dedupe, keep order
         while True:
             ucnt, icnt = {}, {}
@@ -214,4 +271,31 @@ class TestCountOracle:
             if len(nxt) == len(alive):
                 break
             alive = nxt
-        assert pre.interaction_count() == len(alive)
+        assert interaction_count(pre) == len(alive)
+
+
+class TestSynthetic:
+    # sha256 of the written file; a change to the generator's draws or to
+    # its shape constants moves every fixture, golden CSV and benchmark world
+    @pytest.mark.parametrize(
+        "users, items, seed, digest",
+        [
+            (40, 60, 3, "cef4a5d47c0028c512c682906d2519bcc262d91f899627154020530c3e8c8b8c"),
+            (200, 400, 3, "4349c89050f7b676db6e2828f94ad60b858c790b2b0d4e6add72117f9c3b9042"),
+        ],
+    )
+    def test_written_bytes_are_pinned(self, tmp_path, users, items, seed, digest):
+        path = tmp_path / "r.dat"
+        write_movielens_dat(str(path), generate_interactions(users, items, seed))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_module_cli_writes_the_same_bytes(self, tmp_path, capsys):
+        out = tmp_path / "cli.dat"
+        assert main(["--users", "40", "--items", "60", "--seed", "3", "--out", str(out)]) == 0
+        ref = tmp_path / "ref.dat"
+        write_movielens_dat(str(ref), generate_interactions(40, 60, 3))
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_module_cli_has_no_shape_flags(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["--users", "4", "--items", "6", "--clusters", "2", "--out", str(tmp_path / "x")])

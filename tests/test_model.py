@@ -159,14 +159,14 @@ class TestSigmoid:
 class TestGradients:
     def test_sparsity_by_construction(self):
         state = make_state(7, num_items=12)
-        _, pkt = compute_gradients(state, np.array([[3, 7], [3, 7]]))
+        _, pkt = compute_gradients(state, np.array([[3, 7], [3, 7]]), sender=0)
         assert pkt.item_idx.tolist() == [3, 7]
 
     def test_duplication_invariance(self):
         state = make_state(8, num_items=12)
         pairs = random_pairs(np.random.default_rng(1), 12, 5)
-        g1, p1 = compute_gradients(state, pairs)
-        g2, p2 = compute_gradients(state, np.vstack([pairs, pairs]))
+        g1, p1 = compute_gradients(state, pairs, sender=0)
+        g2, p2 = compute_gradients(state, np.vstack([pairs, pairs]), sender=0)
         assert np.allclose(g1, g2, rtol=1e-12)
         assert np.allclose(p1.net_grad, p2.net_grad, rtol=1e-12)
         assert np.allclose(p1.item_rows, p2.item_rows, rtol=1e-12)
@@ -182,7 +182,7 @@ class TestGradients:
             items = np.concatenate([pairs[:, 0], pairs[:, 1]])
             if min_preactivation(state, items) < 1e-3:
                 continue  # relu kink too close for finite differences
-            user_grad, pkt = compute_gradients(state, pairs)
+            user_grad, pkt = compute_gradients(state, pairs, sender=0)
             fd_u, fd_v, fd_n = full_bpr_fd_grads(state, pairs)
             assert_close_grad(user_grad, fd_u)
             assert_close_grad(pkt.net_grad, fd_n)
@@ -204,7 +204,7 @@ class TestGradients:
     def test_bad_batch_rejected(self, pairs, message):
         state = make_state(8, num_items=12)
         with pytest.raises(ContractError, match=message):
-            compute_gradients(state, pairs)
+            compute_gradients(state, pairs, sender=0)
 
     def test_empty_batch_is_what_a_pairless_client_sends(self):
         # No item rows, int64 ids, a (0, d) float64 row block and +0.0 user
