@@ -10,7 +10,11 @@ senders of about 110 rows each per round, and its bank is timed in the
 steady state, after 11 rounds that each end with a 10% pop, and so is one
 UCSU receive on it (ingest, pop, adaptive clip and per-item mean); one
 receiver of all 50 senders of a round reads their rows with each
-per-receiver defense (median, trimmed mean, Krum, plain mean); a round's
+per-receiver defense (median, trimmed mean, Krum, plain mean), and the
+trimmed mean is also timed at the `eb_trimmed_s` receiver's shape (S: 50
+senders, 360 items, each sender carrying 29% of them, so that an item has
+about 15 carriers and its lines sort narrow, where the M receiver's items
+sit near the 6-carrier threshold); a round's
 rows are compacted after the 10% pops of 600 such receivers among 630
 senders, with every pop key tied at mu and with every key distinct; a
 receiver's mean net gradient adds 50 of 630 senders' net rows; the
@@ -86,6 +90,8 @@ CLIENTS = 630
 RECEIVERS = 600
 SKETCH_BITS = 16
 NEIGHBORS = 50
+S_ITEMS = 360  # items a receiver of the eb_trimmed_s workload reads
+S_SHARE = 0.29  # the share of them each of its senders carries
 
 
 @pytest.fixture(scope="module")
@@ -259,18 +265,33 @@ def warm_allocator():
     np.ones((CLIENTS * ROWS_PER_SENDER, EMBED_DIM))
 
 
+def s_round_rows(rng: np.random.Generator):
+    """One round's unclipped rows of 50 senders at the S receiver's shape:
+    360 items, each carried with its own probability, beta-distributed with
+    mean 0.29, so an item has about 15 carriers, and standard normal rows."""
+    carry = rng.beta(2.0, 2.0 * (1.0 - S_SHARE) / S_SHARE, size=S_ITEMS)
+    carried = rng.random((SENDERS, S_ITEMS)) < carry
+    block = RoundBlock(int(carried.sum()), S_ITEMS, EMBED_DIM, SENDERS, 1)
+    for sender in range(SENDERS):
+        idx = np.flatnonzero(carried[sender])
+        block.send(GradientPacket(sender, idx, rng.normal(size=(len(idx), EMBED_DIM)), np.zeros(1)))
+    return build_round_rows(block.round_rows(1), np.inf, 2, bank=False)
+
+
 @pytest.mark.parametrize(
-    "aggregate",
+    "aggregate, shape",
     [
-        median_aggregate,
-        functools.partial(trimmed_mean_aggregate, trim_k=resolve_trim_k(SENDERS)),
-        item_krum_aggregate,
-        l2_clip_aggregate,
+        (median_aggregate, "M"),
+        (functools.partial(trimmed_mean_aggregate, trim_k=resolve_trim_k(SENDERS)), "M"),
+        (item_krum_aggregate, "M"),
+        (l2_clip_aggregate, "M"),
+        (functools.partial(trimmed_mean_aggregate, trim_k=resolve_trim_k(SENDERS)), "S"),
     ],
-    ids=["median", "trimmed", "krum", "mean"],
+    ids=["median", "trimmed", "krum", "mean", "trimmed-S"],
 )
-def test_receiver_aggregate(benchmark, aggregate, warm_allocator):
-    rr = round_rows(1, np.random.default_rng(8))
+def test_receiver_aggregate(benchmark, aggregate, shape, warm_allocator):
+    rng = np.random.default_rng(8)
+    rr = round_rows(1, rng) if shape == "M" else s_round_rows(rng)
     items, rows = benchmark(aggregate, rr, np.arange(SENDERS))
     assert np.array_equal(items, np.unique(rr.items)) and rows.shape == (len(items), EMBED_DIM)
 

@@ -23,12 +23,36 @@ Median and trimmed mean share one rank kernel, _ranked_rows.  It skips
 every item carried by too few packets to reach the kept ranks (at most
 (n - 1) // 2 for the median, at most trim_k for the trimmed mean), whose
 aggregate row is exactly zero, and sorts the others in chunks of whole
-items: each chunk is a dense (items, dim, packets) block of at most
-_RANK_BLOCK_BYTES, absent rows zero, sorted along the packet axis and
+items: each chunk is a dense (items, dim, width) block of at most
+_RANK_BLOCK_BYTES, absent rows zero, sorted along its last axis and
 reduced by the caller.  An item's lines are sorted and reduced on their
 own, so the chunk size moves no bit, and a receiver's sort memory stays one
-block whatever its item count.  The block is allocated per call, because
-receivers may run on threads.
+block whatever its item count.  The chunks are views of one buffer
+allocated per call, because receivers may run on threads.
+
+The median's lines are n = len(senders) wide, each row at its sender's
+position.  The trimmed mean sorts an item of c carriers at a width w of at
+least c + trim_k, with w = n mod 8, each row at its rank among the item's
+rows (_trimmed_widths), and sums the middle w - 2 * trim_k values.  That
+sum has the full width's bits whenever n - 2 * trim_k is a multiple of 8
+from 8 to 128 (40 at the default 50 neighbors); elsewhere w = n:
+- With at least trim_k zeros in the line, its trim_k smallest and largest
+  values are those of the full-width line, whose middle is then the narrow
+  middle with n - w more zeros in its run of zeros.
+- numpy sums a float64 line of 8 to 128 contiguous values, from a +0.0
+  start, in 8 interleaved accumulators, value i into accumulator i mod 8,
+  each in order.  The narrow middle is a multiple of 8 long, so it has no
+  tail added after them, and n - w is a multiple of 8, so each value keeps
+  its accumulator and its order there; the extra terms are zeros.
+- Adding a zero changes no nonzero partial sum, and a sum that ends at
+  zero is +0.0 from the +0.0 start, so neither the extra zeros nor the
+  order of signed zeros in a run moves a bit.
+The median keeps the full width and sender positions: its kept items carry
+at least n / 2 rows anyway, and it picks ranks instead of summing them, so
+a picked zero's sign follows where the sort leaves signed zeros, which
+depends on the input order.  tests/test_defenses.py checks the rule for
+every legal width, so a numpy release that sums in another order fails
+there.
 
 Every receiver's UCSU MemoryBank holds one chunk per banked round: the
 round's shared RoundRows and the pop positions of the receiver's rows still
@@ -447,15 +471,20 @@ def _ranked_rows(
     senders: np.ndarray,
     min_carriers: int,
     reduce: Callable[[np.ndarray], np.ndarray],
+    widths: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per received item, reduce applied to its values sorted along the
     packet axis, absent rows as zero.
 
     Returns the received item ids, ascending, and their rows.  Items carried
-    by fewer than min_carriers packets get a zero row and are never sorted;
-    the rest are sorted in chunks of whole items, each an (items, dim,
-    packets) block of at most _RANK_BLOCK_BYTES, that reduce maps to its
-    (items, dim) rows.
+    by fewer than min_carriers packets get a zero row and are never sorted.
+    Without widths every kept item's lines are len(senders) wide and each
+    row sits at its sender's position; with widths, which maps the kept
+    items' carrier counts to their line widths, each row sits at its rank
+    among its item's rows, and the rest of the line is zeros.  Items of one
+    width are sorted in chunks of whole items, each an (items, dim, width)
+    view of one buffer of at most _RANK_BLOCK_BYTES (or one item), that
+    reduce maps to its (items, dim) rows.
     """
     refs = rr.receiver_refs(senders)
     items = rr.items[refs]
@@ -464,24 +493,45 @@ def _ranked_rows(
     out = np.zeros((len(uniq), rr.rows.shape[1]))
     kept = counts >= min_carriers  # per item id
     dest = np.flatnonzero(kept[uniq])  # kept items' rows of out
+    if len(dest) == 0:
+        return uniq, out
+    carriers = counts[uniq[dest]]
+    n_pkts = len(senders)
+    # Kept items in sort order, by width, then id.  Each kept row's slot is
+    # its item's place in that order; the rows are gathered once, grouped by
+    # slot in sender order, so a chunk of whole items is a run of rows.
+    if widths is None:
+        width = np.full(len(dest), n_pkts)
+    else:
+        width = widths(carriers)
+        turn = np.argsort(width, kind="stable")
+        dest, carriers, width = dest[turn], carriers[turn], width[turn]
+    slot_of = np.empty(len(counts), dtype=np.intp)  # per kept item id
+    slot_of[uniq[dest]] = np.arange(len(dest))
     sel = kept[items]
-    # Each kept row's item slot (its rank among kept items); the rows are
-    # gathered once, grouped by slot in sender order, so a chunk of whole
-    # items is a run of rows.
-    slot = (np.cumsum(kept) - 1)[items[sel]]
-    order = np.argsort(slot, kind="stable")
+    slot = slot_of[items[sel]]
+    # Keys of at most 16 bits take numpy's radix sort.
+    order = np.argsort(slot.astype(np.min_scalar_type(len(dest))), kind="stable")
     refs, slot = refs[sel][order], slot[order]
     rows = rr.rows[refs]
-    pos = np.searchsorted(senders, rr.senders[refs])
-    n_pkts = len(senders)
-    per = max(1, _RANK_BLOCK_BYTES // (rows.shape[1] * n_pkts * rows.itemsize))
-    block = np.empty((min(per, len(dest)), rows.shape[1], n_pkts))
-    for first in range(0, len(dest), per):
-        last = min(first + per, len(dest))
-        lo, hi = np.searchsorted(slot, (first, last))
-        chunk = block[: last - first]
+    ends = np.cumsum(carriers)  # each kept item's end in rows
+    if widths is None:
+        line = np.searchsorted(senders, rr.senders[refs])
+    else:
+        line = np.arange(len(rows)) - np.repeat(ends - carriers, carriers)
+    dim = rows.shape[1]
+    chunks = []  # (first slot, last slot, width): whole items of one width
+    starts = [0, *(np.flatnonzero(width[1:] != width[:-1]) + 1).tolist()]
+    for g0, g1 in zip(starts, starts[1:] + [len(width)]):
+        w = int(width[g0])
+        per = max(1, _RANK_BLOCK_BYTES // (dim * w * rows.itemsize))
+        chunks += [(first, min(first + per, g1), w) for first in range(g0, g1, per)]
+    buf = np.empty(max((last - first) * dim * w for first, last, w in chunks))
+    for first, last, w in chunks:
+        lo, hi = (ends[first - 1] if first else 0), ends[last - 1]
+        chunk = buf[: (last - first) * dim * w].reshape(last - first, dim, w)
         chunk.fill(0.0)
-        chunk[slot[lo:hi] - first, :, pos[lo:hi]] = rows[lo:hi]
+        chunk[slot[lo:hi] - first, :, line[lo:hi]] = rows[lo:hi]
         chunk.sort(axis=-1)
         out[dest[first:last]] = reduce(chunk)
     return uniq, out
@@ -513,8 +563,8 @@ def trimmed_mean_aggregate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per coordinate, drop the trim_k smallest and largest values, mean the rest.
 
-    Absent rows count as zero.  When a coordinate has too few values
-    (count <= 2 * trim_k) the plain mean is used instead.
+    Absent rows count as zero.  When there are too few packets (count <=
+    2 * trim_k) the plain mean is used instead.
     """
     if trim_k < 0:
         raise ContractError("trim_k must be >= 0")
@@ -527,8 +577,26 @@ def trimmed_mean_aggregate(
         rr,
         senders,
         trim_k + 1,
-        lambda block: block[..., trim_k : n_pkts - trim_k].sum(axis=-1) / (n_pkts - 2 * trim_k),
+        lambda block: block[..., trim_k : block.shape[-1] - trim_k].sum(axis=-1) / (n_pkts - 2 * trim_k),
+        lambda carriers: _trimmed_widths(carriers, n_pkts, trim_k),
     )
+
+
+def _trimmed_widths(carriers: np.ndarray, n_pkts: int, trim_k: int) -> np.ndarray:
+    """Line widths whose trimmed sums have the bits of the full width's.
+
+    Where n_pkts - 2 * trim_k is a multiple of 8 from 8 to 128, an item of c
+    carriers gets the smallest width of at least max(c + trim_k,
+    2 * trim_k + 8) that is congruent to n_pkts mod 8, capped at n_pkts;
+    elsewhere every width is n_pkts.  (A kept item, c > trim_k, gets at
+    least 2 * trim_k + 8 from the first bound alone.)  See the module
+    docstring for why.
+    """
+    middle = n_pkts - 2 * trim_k
+    if middle % 8 or not 8 <= middle <= 128:
+        return np.full(len(carriers), n_pkts)
+    need = np.maximum(carriers + trim_k, 2 * trim_k + 8)
+    return np.minimum(need + (n_pkts - need) % 8, n_pkts)
 
 
 def item_krum_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,7 @@ from decrecsim.defenses import (
     RoundBlock,
     RoundRows,
     _norms,
+    _trimmed_widths,
     build_round_rows,
     compact_round_rows,
     item_krum_aggregate,
@@ -355,13 +356,14 @@ RECEIVER_SHAPES = {"S": (50, 360, 0.29), "M": (50, 848, 110 / 848)}
 
 
 def receiver_packets(shape, seed, dim=32):
-    """Packets of random float rows of mixed magnitude at a receiver shape.
+    """Packets of random float rows of mixed magnitude at a receiver shape,
+    a (senders, items, carried share) triple.
 
     Each item has its own carry probability, beta-distributed with the
     shape's share as mean, so that at S most items reach the trimmed mean's
     carrier threshold (6 of 50) and some the median's (25 of 50).
     """
-    senders, num_items, share = RECEIVER_SHAPES[shape]
+    senders, num_items, share = shape
     rng = np.random.default_rng(seed)
     carry = rng.beta(2.0, 2.0 * (1.0 - share) / share, size=num_items)
     carried = rng.random((senders, num_items)) < carry
@@ -380,14 +382,30 @@ class TestRankKernelsAtReceiverSizes:
     @pytest.mark.parametrize("shape", sorted(RECEIVER_SHAPES))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_median_matches_dense_block(self, shape, seed):
-        pkts = receiver_packets(shape, seed)
+        pkts = receiver_packets(RECEIVER_SHAPES[shape], seed)
         assert_same_bytes(median_aggregate(*received(pkts)), dense_block_median(pkts))
 
     @pytest.mark.parametrize("shape", sorted(RECEIVER_SHAPES))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_trimmed_matches_dense_block(self, shape, seed):
-        pkts = receiver_packets(shape, seed)
+        pkts = receiver_packets(RECEIVER_SHAPES[shape], seed)
         trim_k = resolve_trim_k(len(pkts))
+        got = trimmed_mean_aggregate(*received(pkts), trim_k)
+        assert_same_bytes(got, dense_block_trimmed(pkts, trim_k))
+
+    @pytest.mark.parametrize(
+        "senders, narrow",
+        [(20, True), (30, True), (45, False), (50, True), (170, False)],
+    )
+    def test_trimmed_at_sender_counts_matches_dense_block(self, senders, narrow):
+        """The narrow lines engage where senders - 2 * trim_k is a multiple
+        of 8 from 8 to 128 (16, 24 and 40 here) and nowhere else (37 at 45
+        senders, 136 at 170); either way the bytes are the full width's."""
+        pkts = receiver_packets((senders, 360, 0.29), 3)
+        trim_k = resolve_trim_k(senders)
+        carriers = np.bincount(np.concatenate([q.item_idx for q in pkts]))
+        kept = carriers[carriers > trim_k]
+        assert bool(np.any(_trimmed_widths(kept, senders, trim_k) < senders)) == narrow
         got = trimmed_mean_aggregate(*received(pkts), trim_k)
         assert_same_bytes(got, dense_block_trimmed(pkts, trim_k))
 
@@ -399,7 +417,7 @@ class TestRankKernelsAtReceiverSizes:
     def test_peak_memory_at_the_s_shape(self, aggregate):
         # One dense block of the S receiver's items would be 4.6 MB; the
         # chunked sort holds the kept rows, one block and the output.
-        rr, senders = received(receiver_packets("S", 2))
+        rr, senders = received(receiver_packets(RECEIVER_SHAPES["S"], 2))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -409,6 +427,62 @@ class TestRankKernelsAtReceiverSizes:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * 2**20
+
+
+def legal_widths(n, k, c):
+    """Every width w of the narrow-line rule for c carriers: w = n mod 8,
+    max(c + k, 2k + 8) <= w <= n."""
+    return [w for w in range(n % 8, n + 1, 8) if w >= max(c + k, 2 * k + 8)]
+
+
+class TestTrimmedWidths:
+    """The rule behind _trimmed_widths: a line of c carried values sorted at
+    width w, with w - c >= k zeros, has the trimmed sum of the same line at
+    the full width n.  It rests on the order in which numpy's float64 sum
+    adds 8 to 128 contiguous values, so a numpy release that changes that
+    order fails here."""
+
+    @pytest.mark.parametrize("middle", range(8, 129, 8))
+    def test_narrow_sum_has_the_full_width_bytes(self, middle):
+        rng = np.random.default_rng(middle)
+        dim = 4
+        for k in range(1, 13):
+            n = middle + 2 * k
+            legal = [set(legal_widths(n, k, c)) for c in range(n + 1)]
+            for w in range(n % 8, n, 8):
+                cs = np.array([c for c in range(w + 1) if w in legal[c]], dtype=np.int64)
+                if not len(cs):
+                    continue
+                # One item per carrier count c: per coordinate, c values of
+                # mixed magnitude, of mixed sign or all of one sign (so that
+                # the trimmed tails reach into the zeros), none or about a
+                # quarter of them zeros of either sign, then +0.0 to the
+                # line's width.
+                shape = (len(cs), dim, n)
+                full = np.ldexp(rng.normal(size=shape), rng.integers(-27, 28, size=shape))
+                sign = rng.integers(0, 3, size=(len(cs), dim, 1))
+                full = np.where(sign == 0, full, np.where(sign == 1, 1.0, -1.0) * np.abs(full))
+                zero = rng.random(shape) < rng.choice([0.0, 0.25], size=(len(cs), dim, 1))
+                full[zero] = np.copysign(0.0, full[zero])
+                full = np.where(np.arange(n) < cs[:, None, None], full, 0.0)
+                narrow = full[..., :w].copy()
+                full.sort(axis=-1)
+                narrow.sort(axis=-1)
+                expect = full[..., k : n - k].sum(axis=-1)
+                got = narrow[..., k : w - k].sum(axis=-1)
+                assert got.tobytes() == expect.tobytes(), (n, k, w)
+
+    @pytest.mark.parametrize("n", [3, 10, 17, 20, 26, 30, 45, 50, 51, 138, 139, 150, 170])
+    def test_smallest_legal_width_or_the_full_width(self, n):
+        k = resolve_trim_k(n)
+        carriers = np.arange(k + 1, n + 1)
+        got = _trimmed_widths(carriers, n, k)
+        middle = n - 2 * k
+        for c, w in zip(carriers.tolist(), got.tolist()):
+            if middle % 8 == 0 and 8 <= middle <= 128:
+                assert w == min(legal_widths(n, k, c) + [n])
+            else:
+                assert w == n
 
 
 class TestResolveTrimK:

@@ -7,7 +7,9 @@ the bytes of every sent packet; what adversaries absorb; the attacks that
 craft through pamn_poison; the empty
 packets of clients without training pairs; the neighbor
 refresh cadence; init_world's pair checks and each client's Adam
-item-moment cover; the cold targets select_cold_targets draws."""
+item-moment cover; the cold targets select_cold_targets draws; and, on a
+50-neighbor world, the trimmed mean's narrow sort against the full-width
+one."""
 
 import dataclasses
 import gc
@@ -22,7 +24,7 @@ from decrecsim.config import ExperimentConfig
 from decrecsim.dataset import Dataset
 from decrecsim.defenses import RoundRows
 from decrecsim.errors import ConfigError, ContractError
-from decrecsim import simulation
+from decrecsim import defenses, simulation
 from decrecsim.simulation import (
     _mean_in_order,
     init_world,
@@ -31,7 +33,14 @@ from decrecsim.simulation import (
     select_cold_targets,
 )
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
-from helpers import absorb, assert_round_compacted, client_moments, run_keeping_world
+from helpers import (
+    absorb,
+    assert_round_compacted,
+    client_moments,
+    full_width_trimmed,
+    run_keeping_world,
+    world_arrays,
+)
 
 # (overrides, test id): EB against each per-receiver aggregator, and PAMN
 # against UCSU over 4 rounds with a 2-round bank, so eviction runs.
@@ -100,6 +109,57 @@ def test_same_seed_same_metrics(tiny, case):
     second, _ = run(tiny, **case)
     assert [r.round for r in first] == list(range(case.get("rounds", 2) + 1))
     assert first == second
+
+
+def test_trimmed_mean_has_the_bits_of_the_full_width_sort(tmp_path, monkeypatch):
+    """An eb/trimmed world with 50 neighbors, where trim_k is 5 and every
+    receiver's trimmed mean sorts some items' lines narrower than 50,
+    applies the aggregates, and leaves every world array with the bytes, of
+    a run whose trimmed means sort every line at the full packet width.
+    The aggregates are compared too: an lr step absorbs their last bits."""
+    path = tmp_path / "ratings.dat"
+    write_movielens_dat(str(path), generate_interactions(80, 150, seed=3))
+    config = ExperimentConfig(
+        dataset_path=str(path), embed_dim=4, layer_widths=(8, 4), rounds=2,
+        attack="eb", defense="trimmed", xi=0.05, min_count=2, seed=11,
+    )
+    dataset = load_dataset(config)
+
+    def run_world():
+        applied = []
+        real_apply = simulation.apply_neighbor_aggregate
+
+        def apply_spy(state, items, rows, net_mean, lr):
+            applied.append((items.copy(), rows.copy()))
+            real_apply(state, items, rows, net_mean, lr)
+
+        with monkeypatch.context() as m:
+            m.setattr(simulation, "apply_neighbor_aggregate", apply_spy)
+            world = init_world(config, dataset)
+            for _ in range(config.rounds):
+                run_round(world, config)
+        applied = {f"applied[{i}]{j}": a for i, pair in enumerate(applied) for j, a in enumerate(pair)}
+        return {**dict(world_arrays(world)), **applied}
+
+    narrowed = []
+    real_widths = defenses._trimmed_widths
+
+    def widths_spy(carriers, n_pkts, trim_k):
+        widths = real_widths(carriers, n_pkts, trim_k)
+        narrowed.append(bool(np.any(widths < n_pkts)))
+        return widths
+
+    with monkeypatch.context() as m:
+        m.setattr(defenses, "_trimmed_widths", widths_spy)
+        narrow = run_world()
+    assert narrowed and all(narrowed)
+    with monkeypatch.context() as m:
+        m.setattr(simulation, "trimmed_mean_aggregate", full_width_trimmed)
+        full = run_world()
+    assert narrow.keys() == full.keys()
+    for key, a in narrow.items():
+        b = full[key]
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
 
 
 @pytest.mark.parametrize("overrides", [{}, {"mu": np.inf}], ids=["default", "mu-inf"])
