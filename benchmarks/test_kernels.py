@@ -11,10 +11,11 @@ steady state, after 11 rounds that each end with a 10% pop, and so is one
 UCSU receive on it (ingest, pop, adaptive clip and per-item mean); one
 receiver of all 50 senders of a round reads their rows with each
 per-receiver defense (median, trimmed mean, Krum, plain mean), and the
-trimmed mean is also timed at the `eb_trimmed_s` receiver's shape (S: 50
-senders, 360 items, each sender carrying 29% of them, so that an item has
-about 15 carriers and its lines sort narrow, where the M receiver's items
-sit near the 6-carrier threshold); a round's
+median and trimmed mean are also timed at the `eb_trimmed_s` receiver's
+shape (S: 50 senders, 360 items, each sender carrying 29% of them, so that
+an item has about 15 carriers and its lines sort narrow, and some items
+reach the median's 25, where the M receiver's items sit near the trimmed
+mean's 6-carrier threshold and none reaches the median's); a round's
 rows are compacted after the 10% pops of 600 such receivers among 630
 senders, with every pop key tied at mu and with every key distinct; a
 receiver's mean net gradient adds 50 of 630 senders' net rows; the
@@ -286,12 +287,16 @@ def s_round_rows(rng: np.random.Generator):
         (item_krum_aggregate, "M"),
         (l2_clip_aggregate, "M"),
         (functools.partial(trimmed_mean_aggregate, trim_k=resolve_trim_k(SENDERS)), "S"),
+        (median_aggregate, "S"),
     ],
-    ids=["median", "trimmed", "krum", "mean", "trimmed-S"],
+    ids=["median", "trimmed", "krum", "mean", "trimmed-S", "median-S"],
 )
 def test_receiver_aggregate(benchmark, aggregate, shape, warm_allocator):
     rng = np.random.default_rng(8)
     rr = round_rows(1, rng) if shape == "M" else s_round_rows(rng)
+    if shape == "S":
+        # some item reaches the median's middle ranks, so the median sorts
+        assert np.bincount(rr.items).max() >= (SENDERS - 1) // 2 + 1
     items, rows = benchmark(aggregate, rr, np.arange(SENDERS))
     assert np.array_equal(items, np.unique(rr.items)) and rows.shape == (len(items), EMBED_DIM)
 

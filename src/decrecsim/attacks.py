@@ -86,7 +86,7 @@ def build_adversary_dataset(
     targets = np.asarray(sorted(set(int(t) for t in targets)), dtype=np.int64)
     if alpha < 0:
         raise ContractError("alpha must be >= 0")
-    pool = np.setdiff1d(np.arange(num_items, dtype=np.int64), targets)
+    pool = np.flatnonzero(np.bincount(targets, minlength=num_items) == 0)
     if alpha > len(pool):
         raise ContractError(
             f"alpha={alpha} exceeds the {len(pool)} available non-target items"
@@ -94,9 +94,8 @@ def build_adversary_dataset(
     positives = np.sort(pool[rng.choice(len(pool), size=alpha, replace=False)])
     if include_targets:
         positives = np.union1d(positives, targets)
-    neg_pool = np.setdiff1d(
-        np.arange(num_items, dtype=np.int64), np.union1d(positives, targets)
-    )
+    taken = np.bincount(np.concatenate([positives, targets]), minlength=num_items)
+    neg_pool = np.flatnonzero(taken == 0)
     return positives, sample_pairs(positives, neg_pool, neg_ratio, rng)
 
 

@@ -207,7 +207,6 @@ def split_and_sample(
     if not (0.0 < train_ratio < 1.0):
         raise ContractError("train_ratio must be in (0, 1)")
 
-    all_items = np.arange(pre.num_items, dtype=np.int64)
     train: list[np.ndarray] = []
     test: list[np.ndarray] = []
     pairs: list[np.ndarray] = []
@@ -218,7 +217,7 @@ def split_and_sample(
         n_train = max(1, int(len(positives) * train_ratio))
         tr = np.sort(positives[perm[:n_train]])
         te = np.sort(positives[perm[n_train:]])
-        pool = np.setdiff1d(all_items, positives, assume_unique=False)
+        pool = np.flatnonzero(np.bincount(positives, minlength=pre.num_items) == 0)
         train.append(tr)
         test.append(te)
         pairs.append(sample_pairs(tr, pool, neg_ratio, rng))
@@ -243,5 +242,5 @@ def sample_pairs(
     k = min(neg_ratio, len(pool))
     if k == 0 or len(positives) == 0:
         return np.empty((0, 2), dtype=np.int64)
-    negs = [pool[rng.choice(len(pool), size=k, replace=False)] for _ in range(len(positives))]
-    return np.column_stack([np.repeat(positives, k), np.concatenate(negs)])
+    draws = [rng.choice(len(pool), size=k, replace=False) for _ in range(len(positives))]
+    return np.column_stack([np.repeat(positives, k), pool[np.concatenate(draws)]])

@@ -40,8 +40,7 @@ def top_k_list(state: ClientState, k: int, exclude: np.ndarray) -> np.ndarray:
         raise ContractError("k must be >= 1")
     excl = np.asarray(exclude, dtype=np.int64)
     negated = -score_items(state)
-    if len(excl):
-        negated[excl] = np.inf
+    negated[excl] = np.inf
     order = np.argsort(negated, kind="stable")
     n_candidates = state.num_items - len(excl)
     return order[: min(k, n_candidates)].astype(np.int64)

@@ -516,6 +516,5 @@ def apply_neighbor_aggregate(
     neighbors' packets, is applied here.  Item rows and the net move; the
     private user embedding does not.
     """
-    if len(items):
-        state.item_table[items] -= lr * rows
+    state.item_table[items] -= lr * rows
     state.net -= lr * net_mean

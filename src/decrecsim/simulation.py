@@ -21,14 +21,14 @@ whose thread-parallel execution is bit-identical to sequential execution.
 Each round's gradients live in one defenses.RoundBlock, sized by the item
 counts of the clients' Adam moments: every client's honest packet is
 copied in as it is computed, in ascending sender order, and dropped.
-Every reader takes a neighbor set as assign_neighbors gives it, in that
-order.  Adversaries absorb their neighbors' honest rows from the block,
-unclipped; from round 2 their crafted packets (psmu's through pamn's
-fine-tune) take the place of their honest ones, at the block's tail.  The
-round's one RoundRows views the block's rows, is clipped there and owns
-them from then on; the net rows are freed once every receiver has read
-them.  Every receiver's aggregate and mean net gradient are applied by
-model.apply_neighbor_aggregate.
+Every reader takes a neighbor set as assign_neighbors gives it, never
+empty and in ascending order.  Adversaries absorb their neighbors' honest
+rows from the block, unclipped; from round 2 their crafted packets (psmu's
+through pamn's fine-tune) take the place of their honest ones, at the
+block's tail.  The round's one RoundRows views the block's rows, is
+clipped there and owns them from then on; the net rows are freed once
+every receiver has read them.  Every receiver's aggregate and mean net
+gradient are applied by model.apply_neighbor_aggregate.
 """
 
 from __future__ import annotations
@@ -143,14 +143,14 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
     here, once (ContractError on a bad pair), and its Adam item moments
     cover exactly the items of those pairs.
     """
-    num_users = dataset.num_users
+    num_users, num_items = dataset.num_users, dataset.num_items
     root = int(config.seed)
 
     targets = select_cold_targets(dataset, config.num_targets, root)
 
     n_adv = math.ceil(config.xi * num_users) if config.attack != "none" else 0
 
-    pairs = [check_pairs(p, dataset.num_items) for p in dataset.pairs]
+    pairs = [check_pairs(p, num_items) for p in dataset.pairs]
     adv_positives: dict[int, np.ndarray] = {}
     for j in range(n_adv):
         cid = num_users + j
@@ -162,20 +162,19 @@ def init_world(config: ExperimentConfig, dataset: Dataset) -> World:
             ).generate_state(1)[0]
         )
         adv_positives[cid], adv_pairs = build_adversary_dataset(
-            dataset.num_items,
+            num_items,
             targets,
             config.alpha,
             rngmod.stream(data_seed),
             config.neg_ratio,
             config.attack == "ra",
         )
-        pairs.append(check_pairs(adv_pairs, dataset.num_items))
+        pairs.append(check_pairs(adv_pairs, num_items))
 
     layout = NetLayout(config.embed_dim, list(config.layer_widths))
     stack_ids = np.argsort([-len(p) for p in pairs], kind="stable")
-    stacked, stacked_opt = stack_states(
-        layout, dataset.num_items, [np.unique(pairs[i]) for i in stack_ids.tolist()]
-    )
+    moment_items = [np.flatnonzero(np.bincount(pairs[i].ravel(), minlength=num_items)) for i in stack_ids.tolist()]
+    stacked, stacked_opt = stack_states(layout, num_items, moment_items)
     position = np.empty_like(stack_ids)
     position[stack_ids] = np.arange(len(stack_ids))
     clients = [client_views(stacked, pos) for pos in position.tolist()]
@@ -325,13 +324,12 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     # Phase 3: adversaries absorb their neighbors' honest rows, unclipped,
     # then craft this round's outgoing packets (from round 2 on; round 1
     # conceals), which take the place of their honest ones.
-    if adv_ids and nbr is not None:
+    if adv_ids:
         honest = block.round_rows(t)
         for a in adv_ids:
             neigh = nbr.neighbors_of(a)
-            if len(neigh):
-                net_mean = _mean_in_order(block.nets, neigh)
-                adversary_collab_update(world.adversaries[a], honest, neigh, net_mean, lr)
+            net_mean = _mean_in_order(block.nets, neigh)
+            adversary_collab_update(world.adversaries[a], honest, neigh, net_mean, lr)
         del honest
     if adv_ids and t >= 2:
         coord = None
@@ -375,9 +373,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     del block
 
     def defend_one(i: int) -> None:
-        neigh = nbr.neighbors_of(i) if nbr is not None else np.zeros(0, dtype=np.int64)
-        if len(neigh) == 0:
-            return
+        neigh = nbr.neighbors_of(i)
         if config.defense in ("none", "l2clip"):
             items, rows = l2_clip_aggregate(shared_rows, neigh)
         elif config.defense == "ucsu":

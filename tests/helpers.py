@@ -325,28 +325,6 @@ def received_packets(rr: RoundRows, senders: np.ndarray) -> list[GradientPacket]
     ]
 
 
-def full_width_trimmed(rr: RoundRows, senders: np.ndarray, trim_k: int):
-    """trimmed_mean_aggregate by dense_block_trimmed, every line sorted at
-    the full packet width, for 1 <= trim_k < len(senders) / 2."""
-    return dense_block_trimmed(received_packets(rr, senders), trim_k)
-
-
-def world_arrays(obj, path="world"):
-    """(path, array) for every numpy array a World reaches through
-    dataclass fields, lists, tuples and dicts."""
-    if isinstance(obj, np.ndarray):
-        yield path, obj
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from world_arrays(getattr(obj, f.name), f"{path}.{f.name}")
-    elif isinstance(obj, (list, tuple)):
-        for i, x in enumerate(obj):
-            yield from world_arrays(x, f"{path}[{i}]")
-    elif isinstance(obj, dict):
-        for key, x in obj.items():
-            yield from world_arrays(x, f"{path}[{key!r}]")
-
-
 def brute_force_krum(packets, num_items, dim):
     ordered = sorted(packets, key=lambda q: q.sender)
     dense = dense_rows(packets, num_items, dim)

@@ -7,9 +7,9 @@ the bytes of every sent packet; what adversaries absorb; the attacks that
 craft through pamn_poison; the empty
 packets of clients without training pairs; the neighbor
 refresh cadence; init_world's pair checks and each client's Adam
-item-moment cover; the cold targets select_cold_targets draws; and, on a
-50-neighbor world, the trimmed mean's narrow sort against the full-width
-one."""
+item-moment cover; the cold targets select_cold_targets draws; and every
+aggregate a receiver applies, under each defense, against its oracle in
+helpers.py, byte for byte."""
 
 import dataclasses
 import gc
@@ -22,8 +22,9 @@ import pytest
 from decrecsim.cli import load_dataset
 from decrecsim.config import ExperimentConfig
 from decrecsim.dataset import Dataset
-from decrecsim.defenses import RoundRows
+from decrecsim.defenses import RoundRows, resolve_trim_k
 from decrecsim.errors import ConfigError, ContractError
+from decrecsim.metrics import benign_ids
 from decrecsim import defenses, simulation
 from decrecsim.simulation import (
     _mean_in_order,
@@ -34,12 +35,19 @@ from decrecsim.simulation import (
 )
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
 from helpers import (
+    ReferenceBank,
     absorb,
+    adaptive_clip,
     assert_round_compacted,
+    brute_force_krum,
+    brute_force_l2clip,
     client_moments,
-    full_width_trimmed,
+    concat_round_rows,
+    dense_block_median,
+    dense_block_trimmed,
+    per_item_mean_loop,
+    received_packets,
     run_keeping_world,
-    world_arrays,
 )
 
 # (overrides, test id): EB against each per-receiver aggregator, and PAMN
@@ -87,10 +95,42 @@ def client_params(world):
     return [(c.user_vec, c.item_table, c.net) for c in world.clients]
 
 
+def run_recording_aggregates(config, dataset, monkeypatch):
+    """A world after config.rounds rounds, and every aggregate its benign
+    receivers applied: {(round, receiver): (senders, items, rows, net mean)}."""
+    world = init_world(config, dataset)
+    receiver = {id(c): i for i, c in enumerate(world.clients)}
+    applied = {}
+    real_apply = simulation.apply_neighbor_aggregate
+
+    def apply_spy(state, items, rows, net_mean, lr):
+        i = receiver[id(state)]
+        applied[world.round + 1, i] = (world.neighbor_map.neighbors_of(i), items.copy(), rows.copy(), net_mean.copy())
+        real_apply(state, items, rows, net_mean, lr)
+
+    with monkeypatch.context() as m:
+        m.setattr(simulation, "apply_neighbor_aggregate", apply_spy)
+        for _ in range(config.rounds):
+            run_round(world, config)
+    return world, applied
+
+
 @pytest.mark.parametrize("case", CASES)
-def test_two_workers_bit_identical_to_one(tiny, case):
-    _, serial = run(tiny, **case, workers=1)
-    _, threaded = run(tiny, **case, workers=2)
+def test_two_workers_bit_identical_to_one(tiny, monkeypatch, case):
+    # The applied aggregates are compared too: the lr step absorbs their
+    # last bits, so equal client parameters could hide aggregates off by ulps.
+    config, dataset = tiny
+    serial, serial_applied = run_recording_aggregates(
+        dataclasses.replace(config, **case, workers=1), dataset, monkeypatch
+    )
+    threaded, threaded_applied = run_recording_aggregates(
+        dataclasses.replace(config, **case, workers=2), dataset, monkeypatch
+    )
+    assert serial_applied.keys() == threaded_applied.keys()
+    assert len(serial_applied) == serial.round * len(benign_ids(serial))
+    for key, got in threaded_applied.items():
+        for a, b in zip(serial_applied[key], got, strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
     assert serial.adversary_ids and serial.round == case.get("rounds", 2)
     if case["defense"] == "ucsu":
         for i, bank in serial.banks.items():
@@ -111,55 +151,81 @@ def test_same_seed_same_metrics(tiny, case):
     assert first == second
 
 
-def test_trimmed_mean_has_the_bits_of_the_full_width_sort(tmp_path, monkeypatch):
-    """An eb/trimmed world with 50 neighbors, where trim_k is 5 and every
-    receiver's trimmed mean sorts some items' lines narrower than 50,
-    applies the aggregates, and leaves every world array with the bytes, of
-    a run whose trimmed means sort every line at the full packet width.
-    The aggregates are compared too: an lr step absorbs their last bits."""
-    path = tmp_path / "ratings.dat"
-    write_movielens_dat(str(path), generate_interactions(80, 150, seed=3))
-    config = ExperimentConfig(
-        dataset_path=str(path), embed_dim=4, layer_widths=(8, 4), rounds=2,
-        attack="eb", defense="trimmed", xi=0.05, min_count=2, seed=11,
-    )
-    dataset = load_dataset(config)
+def dict_rows(rows_of: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """A per-item oracle's {item: row} as (ascending item ids, their rows)."""
+    ids = sorted(rows_of)
+    return np.array(ids, dtype=np.int64), np.array([rows_of[i] for i in ids]).reshape(-1, dim)
 
-    def run_world():
-        applied = []
-        real_apply = simulation.apply_neighbor_aggregate
 
-        def apply_spy(state, items, rows, net_mean, lr):
-            applied.append((items.copy(), rows.copy()))
-            real_apply(state, items, rows, net_mean, lr)
+def ucsu_oracle(banks, config, t, i, pkts):
+    """Receiver i's UCSU aggregate of round t by its ReferenceBank: the
+    packets its neighbors sent, clipped to mu, banked, the top nu popped,
+    adaptively clipped and averaged per item, one row at a time."""
+    dim = config.embed_dim
+    bank = banks.setdefault(i, ReferenceBank(config.capacity_rounds))
+    rr = concat_round_rows(pkts, t, config.mu, config.p, bank=True, embed_dim=dim)
+    bank.ingest(rr, range(len(rr.items)))
+    bank.evict(t)
+    items, rows = bank.pop(config.nu)
+    return dict_rows(per_item_mean_loop(items, adaptive_clip(np.array(rows), config.p)) if items else {}, dim)
 
-        with monkeypatch.context() as m:
-            m.setattr(simulation, "apply_neighbor_aggregate", apply_spy)
-            world = init_world(config, dataset)
-            for _ in range(config.rounds):
-                run_round(world, config)
-        applied = {f"applied[{i}]{j}": a for i, pair in enumerate(applied) for j, a in enumerate(pair)}
-        return {**dict(world_arrays(world)), **applied}
 
-    narrowed = []
-    real_widths = defenses._trimmed_widths
+@pytest.mark.parametrize("defense", ["none", "l2clip", "median", "trimmed", "krum", "ucsu"])
+def test_applied_aggregates_have_the_oracle_bits(tiny, monkeypatch, defense):
+    """Over 2 rounds of a pamn world with 20 neighbors, each benign
+    receiver applies, byte for byte, its defense's oracle over the packets
+    its neighbors sent (read before build_round_rows clips them in place),
+    and the bits of nets[senders].mean(axis=0) as its net mean.  The
+    aggregates are compared, not the world: the lr step absorbs their last
+    bits.  At 20 neighbors trim_k is 2, so the trimmed mean sorts some
+    items' lines narrower than 20; pamn's rows exceed mu, so the clips act;
+    and some item reaches the median's sorted ranks."""
+    config, dataset = tiny
+    config = dataclasses.replace(config, attack="pamn", defense=defense, neighbors=20)
+    dim = config.embed_dim
+    sent, blocks = {}, []
+    real_build = simulation.build_round_rows
 
-    def widths_spy(carriers, n_pkts, trim_k):
-        widths = real_widths(carriers, n_pkts, trim_k)
-        narrowed.append(bool(np.any(widths < n_pkts)))
-        return widths
+    class BlockSpy(simulation.RoundBlock):
+        def __init__(self, *args):
+            super().__init__(*args)
+            blocks.append(self)
 
-    with monkeypatch.context() as m:
-        m.setattr(defenses, "_trimmed_widths", widths_spy)
-        narrow = run_world()
-    assert narrowed and all(narrowed)
-    with monkeypatch.context() as m:
-        m.setattr(simulation, "trimmed_mean_aggregate", full_width_trimmed)
-        full = run_world()
-    assert narrow.keys() == full.keys()
-    for key, a in narrow.items():
-        b = full[key]
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
+    def build_spy(rr, *args, **kwargs):
+        sent[rr.round] = RoundRows(rr.round, rr.senders.copy(), rr.items.copy(), rr.rows.copy())
+        return real_build(rr, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "RoundBlock", BlockSpy)
+    monkeypatch.setattr(simulation, "build_round_rows", build_spy)
+    world, applied = run_recording_aggregates(config, dataset, monkeypatch)
+    assert len(applied) == config.rounds * len(benign_ids(world))
+    assert max(np.linalg.norm(rr.rows, axis=1).max() for rr in sent.values()) > config.mu
+    # per receiver: the median sorts some item, the trimmed mean some line narrow
+    banks, engaged = {}, []
+    for (t, i), (senders, items, rows, net_mean) in sorted(applied.items()):
+        n = len(senders)
+        assert n == config.neighbors
+        pkts = received_packets(sent[t], senders)
+        carriers = np.bincount(np.concatenate([q.item_idx for q in pkts]))
+        if defense in ("none", "l2clip"):
+            mu = config.mu if defense == "l2clip" else np.inf
+            want = dict_rows(brute_force_l2clip(pkts, dataset.num_items, dim, mu, config.p), dim)
+        elif defense == "median":
+            engaged.append(carriers.max() >= (n - 1) // 2 + 1)
+            want = dense_block_median(pkts)
+        elif defense == "trimmed":
+            trim_k = resolve_trim_k(n)
+            kept = carriers[carriers > trim_k]
+            engaged.append(np.any(defenses._trimmed_widths(kept, n, trim_k) < n))
+            want = dense_block_trimmed(pkts, trim_k)
+        elif defense == "krum":
+            want = dict_rows(brute_force_krum(pkts, dataset.num_items, dim), dim)
+        else:
+            want = ucsu_oracle(banks, config, t, i, pkts)
+        assert items.tolist() == want[0].tolist(), (t, i)
+        assert (rows.shape, rows.tobytes()) == (want[1].shape, want[1].tobytes()), (t, i)
+        assert net_mean.tobytes() == blocks[t - 1].nets[senders].mean(axis=0).tobytes(), (t, i)
+    assert any(engaged) or defense not in ("median", "trimmed")
 
 
 @pytest.mark.parametrize("overrides", [{}, {"mu": np.inf}], ids=["default", "mu-inf"])
