@@ -19,9 +19,12 @@ summary gives each side's quartiles, the pairs the change wins (lower is
 better, ties count for neither), the median's relative change and the
 parent's interquartile range, and is written to
 ``benchmarks/BENCH_<pr>.json``.  Each metric also records ``gain_met``
-(the claim rule) and ``within_bound``: the change's median is at most the
+(the claim rule), ``within_bound``: the change's median is at most the
 parent's times (1 + the metric's ``bound`` in ``BENCHMARK.json``, which
-also gives the metrics and their units; every one is lower-is-better).
+also gives the metrics and their units; every one is lower-is-better), and
+``resolved``: the parent's IQR is at most the bound times its median, so
+that a change of the bound's size stands out of the run-to-run spread; an
+unresolved metric's verdicts are noise.
 Every run gets ``--seconds 30``.  It refuses, before any run, a workload
 given fewer than ``MIN_PAIRS`` (10) seeds.
 """
@@ -81,6 +84,12 @@ def within_bound(row: dict, bound: float) -> bool:
     """The regression rule: the change's median is at most the parent's
     times (1 + bound)."""
     return row["change"]["median"] <= row["parent"]["median"] * (1 + bound)
+
+
+def resolved(row: dict, bound: float) -> bool:
+    """The resolution rule: the parent's IQR is at most bound times the
+    parent's median."""
+    return row["parent_iqr"] <= bound * row["parent"]["median"]
 
 
 def export_tree(rev: str, dest: Path) -> None:
@@ -171,11 +180,12 @@ def main(argv: list[str] | None = None) -> int:
             row = compare([p["parent"]["end_to_end"][m] for p in mine],
                           [p["change"]["end_to_end"][m] for p in mine])
             row = {"unit": spec["unit"], **row, "gain_met": gain_met(row, len(mine)),
-                   "within_bound": within_bound(row, spec["bound"])}
+                   "within_bound": within_bound(row, spec["bound"]),
+                   "resolved": resolved(row, spec["bound"])}
             workloads[workload][m] = row
             print(f"{workload} {m}: parent {row['parent']} change {row['change']} "
                   f"wins {row['change_wins']}/{len(mine)} gain met: {row['gain_met']} "
-                  f"within bound: {row['within_bound']}")
+                  f"within bound: {row['within_bound']} resolved: {row['resolved']}")
     all_runs = [p[s] for p in pairs for s in ("parent", "change")]
     report = {
         "pr": args.pr,

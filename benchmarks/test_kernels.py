@@ -8,7 +8,9 @@ trains 630 such clients, stacked, each on one full minibatch (step 0 of a
 round), in blocks of LOCKSTEP_BLOCK; a UCSU receiver banks the rows of 50
 senders of about 110 rows each per round, and its bank is timed in the
 steady state, after 11 rounds that each end with a 10% pop, and so is one
-UCSU receive on it (ingest, pop, adaptive clip and per-item mean); one
+UCSU receive on it (ingest, pop, adaptive clip and per-item mean), both in
+a round of 630 senders, whose more than 0x10000 rows, as in a fresh M
+round, make the newest chunk take 4 bytes a position; one
 receiver of all 50 senders of a round reads their rows with each
 per-receiver defense (median, trimmed mean, Krum, plain mean), and the
 median and trimmed mean are also timed at the `eb_trimmed_s` receiver's
@@ -233,13 +235,29 @@ def test_bank_ingest(benchmark, rounds):
     assert bank.size() == before + len(refs)
 
 
-def test_bank_pop_top_fraction(benchmark, rounds):
-    banked, last = rounds[:BANK_ROUNDS], rounds[BANK_ROUNDS]
+@pytest.fixture(scope="module")
+def fresh_round():
+    """(a round of CLIENTS senders, more than 0x10000 rows, the SENDERS
+    ascending senders a receiver banks of it)."""
+    rng = np.random.default_rng(9)
+    rr = round_rows(BANK_ROUNDS + 1, rng, senders=CLIENTS)
+    return rr, np.sort(rng.choice(CLIENTS, size=SENDERS, replace=False))
 
+
+def fresh_bank(rounds, fresh_round) -> MemoryBank:
+    """steady_bank after ingesting the receiver's rows of the fresh round,
+    whose chunk takes 4 bytes a position."""
+    rr, senders = fresh_round
+    bank = steady_bank(rounds[:BANK_ROUNDS])
+    bank.ingest(rr, rr.refs_of(senders))
+    assert bank.nbytes() > 2 * bank.size()
+    return bank
+
+
+def test_bank_pop_top_fraction(benchmark, rounds, fresh_round):
     def setup():
-        bank = steady_bank(banked)
-        bank.ingest(last, np.arange(len(last.items)))
-        bank.evict(last.round)
+        bank = fresh_bank(rounds, fresh_round)
+        bank.evict(fresh_round[0].round)
         return (bank, POP_FRACTION), {}
 
     (bank, _), _ = setup()
@@ -248,12 +266,11 @@ def test_bank_pop_top_fraction(benchmark, rounds):
     assert len(items) == len(rows) == len(norms) == want
 
 
-def test_ucsu_aggregate(benchmark, rounds):
-    banked, last = rounds[:BANK_ROUNDS], rounds[BANK_ROUNDS]
-    senders = np.arange(SENDERS)
+def test_ucsu_aggregate(benchmark, rounds, fresh_round):
+    fresh_bank(rounds, fresh_round)
 
     def setup():
-        return (steady_bank(banked), last, senders, POP_FRACTION), {}
+        return (steady_bank(rounds[:BANK_ROUNDS]), *fresh_round, POP_FRACTION), {}
 
     items, rows = benchmark.pedantic(ucsu_aggregate, setup=setup, rounds=20)
     assert len(items) == len(rows) and np.array_equal(items, np.unique(items))

@@ -1,5 +1,6 @@
-"""The arithmetic of benchmarks/pairs.py: quartiles, wins, IQR, the claim and
-bound rules, the floor of ten pairs per workload, and the pair file's verdicts."""
+"""The arithmetic of benchmarks/pairs.py: quartiles, wins, IQR, the claim,
+bound and resolution rules, the floor of ten pairs per workload, and the pair
+file's verdicts."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import json
 import pytest
 
 import pairs
-from pairs import compare, gain_met, parse_seeds, quartiles, within_bound
+from pairs import compare, gain_met, parse_seeds, quartiles, resolved, within_bound
 
 
 def test_quartiles_interpolate_between_order_statistics():
@@ -69,6 +70,19 @@ def test_within_bound_allows_the_bound_and_no_more():
     assert not within_bound(compare(parent, [125.1] * 10), 0.25)
 
 
+def test_resolved_needs_a_parent_iqr_within_the_bound_of_its_median():
+    change = [100.0] * 10
+    # quartiles 95 and 105: IQR 10 on a median of 100
+    parent = [90.0, 95.0, 95.0, 95.0, 100.0, 100.0, 105.0, 105.0, 105.0, 110.0]
+    row = compare(parent, change)
+    assert row["parent_iqr"] == 10.0 and row["parent"]["median"] == 100.0
+    assert resolved(row, 0.1)  # exactly at the bound
+    assert resolved(row, 0.25)
+    assert not resolved(row, 0.09)
+    # the change's spread does not count
+    assert resolved(compare([100.0] * 10, parent), 0.0)
+
+
 def test_metrics_and_bounds_come_from_the_benchmark_declaration():
     spec = json.loads((pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert {m: (v["unit"], v["bound"]) for m, v in pairs.END_TO_END.items()} == {
@@ -77,14 +91,15 @@ def test_metrics_and_bounds_come_from_the_benchmark_declaration():
 
 
 def test_pair_file_records_gain_met_and_within_bound(monkeypatch, tmp_path):
-    # The change halves peak RSS and doubles round_s on every pair.
+    # The change halves peak RSS and doubles round_s on every pair; the
+    # parent's run_s spreads by more than its 0.25 bound.
     (tmp_path / "benchmarks").mkdir()
     monkeypatch.setattr(pairs, "ROOT", tmp_path)
     monkeypatch.setattr(pairs, "export_tree", lambda rev, dest: None)
 
     def fake_run(tree, workload, seed):
         change = tree == tmp_path
-        e2e = {"setup_s": 0.5, "round_s": 1.0 + seed % 3, "run_s": 10.0 + seed % 3,
+        e2e = {"setup_s": 0.5, "round_s": 1.0 + 0.01 * (seed % 3), "run_s": 10.0 + 10.0 * (seed % 2),
                "peak_rss_mb": 500.0 + seed % 5}
         if change:
             e2e["round_s"] *= 2
@@ -103,4 +118,5 @@ def test_pair_file_records_gain_met_and_within_bound(monkeypatch, tmp_path):
     assert not rows["round_s"]["gain_met"] and not rows["round_s"]["within_bound"]
     # equal runs: no gain, but within the bound
     assert not rows["setup_s"]["gain_met"] and rows["setup_s"]["within_bound"]
+    assert [m for m, row in rows.items() if not row["resolved"]] == ["run_s"]
     assert report["bit_identical"] and report["datasets_identical"] and report["all_correct"]

@@ -56,17 +56,16 @@ there.
 
 Every receiver's UCSU MemoryBank holds one chunk per banked round: the
 round's shared RoundRows and the pop positions of the receiver's rows still
-banked, 2 bytes each when they lie in one aligned block of 0x10000
-positions (always, in a round of at most 0x10000 rows), else 4.  Only
-rows built for banks carry pop fields: build_round_rows sorts each round's
-rows into pop order (descending pop key, min(p-norm, mu), row index on
-ties) once, shared by all receivers, so every chunk is already in pop order
-and the bank's top fraction is a prefix of each chunk; no receiver ever
-sorts its whole bank.  The pop key is kept once, negated in pop order.
-Each stored row's own p-norm is taken once, at consolidation, and popped
-with the row, so UCSU's adaptive clip never re-takes it.  Per-item sums add
-rows in pop order, one at a time, so the aggregate has the same bits as a
-sequential per-row loop.
+banked, 2 bytes each when the last of them is at most 0xFFFF (always, in a
+round of at most 0x10000 rows), else 4.  Only rows built for banks carry
+pop fields: build_round_rows sorts each round's rows into pop order
+(descending pop key, min(p-norm, mu), row index on ties) once, shared by
+all receivers, so every chunk is already in pop order and the bank's top
+fraction is a prefix of each chunk; no receiver ever sorts its whole bank.
+The pop key is kept once, negated in pop order.  Each stored row's own
+p-norm is taken once, at consolidation, and popped with the row, so UCSU's
+adaptive clip never re-takes it.  Per-item sums add rows in pop order, one
+at a time, so the aggregate has the same bits as a sequential per-row loop.
 
 Once a round's pops are done, compact_round_rows shrinks that round's
 RoundRows to the rows some bank still holds and remaps, and re-encodes, the
@@ -252,15 +251,10 @@ def build_round_rows(rr: RoundRows, mu: float, p: int, bank: bool) -> RoundRows:
     return rr
 
 
-def _encode(positions: np.ndarray) -> tuple[int, np.ndarray]:
-    """(base, offsets) of ascending int32 pop positions, offsets = positions -
-    base.  Positions that share one aligned block of 0x10000 keep their low
-    16 bits, as uint16 offsets from the block's start; others stay int32,
-    from base 0."""
-    base = int(positions[0]) & ~0xFFFF
-    if positions[-1] - base > 0xFFFF:
-        return 0, positions
-    return base, positions.astype(np.uint16)
+def _encode(positions: np.ndarray) -> np.ndarray:
+    """Ascending int32 pop positions as uint16 when the last is at most
+    0xFFFF, else as they are."""
+    return positions.astype(np.uint16) if positions[-1] <= 0xFFFF else positions
 
 
 class MemoryBank:
@@ -268,19 +262,17 @@ class MemoryBank:
 
     Entries reference rows inside shared RoundRows objects, one chunk per
     banked round in round order: the RoundRows and the ascending pop
-    positions (rr.rank) of the rows still banked.  A chunk stores them as
-    (base, offsets), positions = base + offsets: uint16 offsets from the
-    start of the aligned block of 0x10000 positions that holds them all, or,
-    when they straddle blocks, the int32 positions from base 0.  Ingest and
-    compaction encode; a pop keeps base and drops a prefix of offsets.
-    After its round's pops, compact_round_rows may swap a chunk's RoundRows
-    for a compacted one and remap its positions, keeping their order, and
-    encode them anew.  Pop order is descending
-    stored norm, insertion order (round, then row index) on ties, and each
-    chunk is already in it, so the top fraction is a prefix of every
-    chunk: a pop cuts each chunk at the k-th smallest negated norm (ties go
-    to the earliest rounds), merges the prefixes stably and keeps a copy of
-    each remainder.  Eviction drops whole chunks.  The popped set matches a
+    positions (rr.rank) of the rows still banked, uint16 when the last of
+    them is at most 0xFFFF and int32 otherwise.  Ingest and compaction
+    encode; a pop drops a prefix, which keeps the last position and so the
+    width.  After its round's pops, compact_round_rows may swap a chunk's
+    RoundRows for a compacted one and remap its positions, keeping their
+    order, and encode them anew.  Pop order is descending stored norm,
+    insertion order (round, then row index) on ties, and each chunk is
+    already in it, so the top fraction is a prefix of every chunk: a pop
+    cuts each chunk at the k-th smallest negated norm (ties go to the
+    earliest rounds), merges the prefixes stably and keeps a copy of each
+    remainder.  Eviction drops whole chunks.  The popped set matches a
     brute-force (norm desc, insertion asc) oracle.
 
     The retention window at round t is rounds t - capacity_rounds to t, so
@@ -293,7 +285,7 @@ class MemoryBank:
             raise ContractError("capacity_rounds must be >= 1")
         self.capacity_rounds = capacity_rounds
         self._last_round: int | None = None
-        self._chunks: list[tuple[RoundRows, int, np.ndarray]] = []  # (rr, base, offsets)
+        self._chunks: list[tuple[RoundRows, np.ndarray]] = []  # (rr, positions)
 
     def ingest(self, rr: RoundRows, refs: np.ndarray) -> None:
         """Bank the given row indices of a round's consolidated gradients.
@@ -307,7 +299,7 @@ class MemoryBank:
             raise ContractError("round rows built without a pop order cannot be banked")
         self._last_round = rr.round
         if len(refs):
-            self._chunks.append((rr, *_encode(np.sort(rr.rank[np.asarray(refs, dtype=np.int64)]))))
+            self._chunks.append((rr, _encode(np.sort(rr.rank[np.asarray(refs, dtype=np.int64)]))))
 
     def evict(self, current_round: int) -> None:
         """Drop the chunks of rounds before current_round - capacity_rounds.
@@ -319,16 +311,16 @@ class MemoryBank:
         self._chunks = [c for c in self._chunks if c[0].round >= horizon]
 
     def size(self) -> int:
-        return sum(len(offsets) for _, _, offsets in self._chunks)
+        return sum(len(positions) for _, positions in self._chunks)
 
     def nbytes(self) -> int:
         """Bytes of the banked positions; the shared RoundRows are not counted."""
-        return sum(offsets.nbytes for _, _, offsets in self._chunks)
+        return sum(positions.nbytes for _, positions in self._chunks)
 
     def chunks(self) -> list[tuple[RoundRows, np.ndarray]]:
         """(RoundRows, ascending intp pop positions) of every chunk, in round
         order."""
-        return [(rr, offsets.astype(np.intp) + base) for rr, base, offsets in self._chunks]
+        return [(rr, positions.astype(np.intp)) for rr, positions in self._chunks]
 
     def entries(self) -> list[tuple[int, int, int, np.ndarray]]:
         """(round_received, sender, item, grad_row) for every banked row,
@@ -351,12 +343,11 @@ class MemoryBank:
         if total == 0:
             return np.zeros(0, dtype=np.int64), np.zeros((0, 0)), np.zeros(0)
         k = math.ceil(nu * total)
-        # Banked offsets are 2 or 4 bytes, and rr.order is int32, to save
-        # memory; numpy indexes faster by intp, so each chunk's offsets are
-        # converted once per pop.  They index views that start at the
-        # chunk's base, which spares adding base to each.
-        offs = [offsets.astype(np.intp) for _, _, offsets in self._chunks]
-        negs = [rr.pop_neg_norm[base:][off] for (rr, base, _), off in zip(self._chunks, offs)]
+        # Banked positions are 2 or 4 bytes, and rr.order is int32, to save
+        # memory; numpy indexes faster by intp, so each chunk's positions
+        # are converted once per pop.
+        idx = [positions.astype(np.intp) for _, positions in self._chunks]
+        negs = [rr.pop_neg_norm[ix] for (rr, _), ix in zip(self._chunks, idx)]
         cut = np.partition(np.concatenate(negs), k - 1)[k - 1]
         # Each chunk gives every entry above the cut; entries at the cut go
         # to the earliest rounds first.
@@ -375,14 +366,14 @@ class MemoryBank:
         row_norms = np.empty(k)
         kept = []
         start = 0
-        for (rr, base, offsets), off, n in zip(self._chunks, offs, takes):
-            refs = rr.order[base:][off[:n]].astype(np.intp)
+        for (rr, positions), ix, n in zip(self._chunks, idx, takes):
+            refs = rr.order[ix[:n]].astype(np.intp)
             items[dest[start : start + n]] = rr.items[refs]
             rows[dest[start : start + n]] = rr.rows[refs]
             row_norms[dest[start : start + n]] = rr.row_norms[refs]
             start += n
-            if n < len(offsets):
-                kept.append((rr, base, offsets[n:].copy() if n else offsets))
+            if n < len(positions):
+                kept.append((rr, positions[n:].copy() if n else positions))
         self._chunks = kept
         return items, rows, row_norms
 
@@ -396,17 +387,15 @@ def compact_round_rows(rr: RoundRows, banks: Iterable[MemoryBank]) -> None:
     no bank holds are freed with rr once nothing else references it.
     """
     held = [
-        (bank, j, base, offsets)
+        (bank, j, positions)
         for bank in banks
-        for j, (chunk_rr, base, offsets) in enumerate(bank._chunks)
+        for j, (chunk_rr, positions) in enumerate(bank._chunks)
         if chunk_rr is rr
     ]
-    # Banked offsets are 2 or 4 bytes; numpy indexes faster by intp.  Each
-    # chunk's offsets are converted where they index a view that starts at
-    # its base, so only one copy is alive.
+    # Banked positions are 2 or 4 bytes; numpy indexes faster by intp.
     live = np.zeros(len(rr.order), dtype=bool)  # per pop position
-    for _, _, base, offsets in held:
-        live[base:][offsets.astype(np.intp)] = True
+    for _, _, positions in held:
+        live[positions.astype(np.intp)] = True
     if not held or live.all():
         return
     held_row = live[rr.rank]  # per row
@@ -427,8 +416,8 @@ def compact_round_rows(rr: RoundRows, banks: Iterable[MemoryBank]) -> None:
         rank=new_rank[rr.rank[keep]],
         pop_neg_norm=rr.pop_neg_norm[live],
     )
-    for bank, j, base, offsets in held:
-        bank._chunks[j] = (small, *_encode(new_rank[base:][offsets.astype(np.intp)]))
+    for bank, j, positions in held:
+        bank._chunks[j] = (small, _encode(new_rank[positions.astype(np.intp)]))
 
 
 def ucsu_aggregate(
@@ -586,16 +575,16 @@ def _trimmed_widths(carriers: np.ndarray, n_pkts: int, trim_k: int) -> np.ndarra
     """Line widths whose trimmed sums have the bits of the full width's.
 
     Where n_pkts - 2 * trim_k is a multiple of 8 from 8 to 128, an item of c
-    carriers gets the smallest width of at least max(c + trim_k,
-    2 * trim_k + 8) that is congruent to n_pkts mod 8, capped at n_pkts;
-    elsewhere every width is n_pkts.  (A kept item, c > trim_k, gets at
-    least 2 * trim_k + 8 from the first bound alone.)  See the module
-    docstring for why.
+    carriers gets the smallest width of at least c + trim_k that is
+    congruent to n_pkts mod 8, capped at n_pkts; elsewhere every width is
+    n_pkts.  A kept item has c > trim_k, and n_pkts is congruent to
+    2 * trim_k mod 8, so its width is at least 2 * trim_k + 8 and its middle
+    at least 8 long.  See the module docstring for why.
     """
     middle = n_pkts - 2 * trim_k
     if middle % 8 or not 8 <= middle <= 128:
         return np.full(len(carriers), n_pkts)
-    need = np.maximum(carriers + trim_k, 2 * trim_k + 8)
+    need = carriers + trim_k
     return np.minimum(need + (n_pkts - need) % 8, n_pkts)
 
 

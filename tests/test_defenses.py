@@ -937,15 +937,47 @@ def assert_pops_match(bank, ref, nu):
 
 
 class TestBankPositions:
-    def test_two_bytes_within_one_aligned_block_of_0x10000(self):
+    def test_two_bytes_iff_the_last_position_is_at_most_0xffff(self):
+        # Ingest, a pop and compaction each store 2 bytes per position
+        # exactly when the chunk's last position is at most 0xFFFF.
         rr = wide_round(rows=0x10010, senders=1)
-        for first, last, width in ((0, 0xFFFF, 2), (0xFFFF, 0x10000, 4), (0x10000, 0x1000F, 2)):
+        for first, last, width in ((0, 0xFFFF, 2), (0xFFFF, 0x10000, 4), (0x10000, 0x1000F, 4)):
             bank = MemoryBank(3)
             bank.ingest(rr, rr.order[[first, last]])
             assert bank.nbytes() == width * bank.size()
             assert bank.chunks()[0][1].tolist() == [first, last]
-            bank.pop_top_fraction(0.5)
+            bank.pop_top_fraction(0.5)  # drops first, keeps last and so the width
             assert bank.chunks()[0][1].tolist() == [last]
+            assert bank.nbytes() == width * bank.size()
+            compact_round_rows(rr, [bank])  # one row left, at position 0
+            assert bank.chunks()[0][1].tolist() == [0]
+            assert bank.nbytes() == 2 * bank.size()
+
+    def test_chunk_above_0x10000_pops_and_compacts_as_the_reference(self):
+        # Every position of the high chunk lies at or above 0x10000, so it
+        # takes 4 bytes.  The full bank pops only 1%, so the compacted round
+        # keeps more than 0x10000 rows and both chunks stay 4 bytes.
+        rr = wide_round()
+        high = rr.order[0x10000::3]
+        full = np.arange(len(rr.items))
+        banks, refs = [MemoryBank(3), MemoryBank(3)], [ReferenceBank(3), ReferenceBank(3)]
+        for bank, ref, rows in zip(banks, refs, (high, full)):
+            bank.ingest(rr, rows)
+            ref.ingest(rr, np.sort(rows))
+        assert banks[0].chunks()[0][1][0] >= 0x10000
+        assert [b.nbytes() for b in banks] == [4 * len(high), 4 * len(full)]
+        for bank, ref, nu in zip(banks, refs, (0.1, 0.01)):
+            assert_pops_match(bank, ref, nu)
+        compact_round_rows(rr, banks)
+        assert_round_compacted(1, banks)
+        assert len(banks[0].chunks()[0][0].items) > 0x10000
+        for bank, ref in zip(banks, refs):
+            assert bank.nbytes() == 4 * bank.size()
+            kept = [(r, item, row.tobytes()) for r, _, item, row in bank.entries()]
+            assert kept == [(r, item, row.tobytes()) for r, item, row, _ in ref.entries]
+            for nu in (0.1, 0.5, 1.0):
+                assert_pops_match(bank, ref, nu)
+            assert bank.size() == bank.nbytes() == 0
 
     def test_wide_chunk_stores_four_bytes_and_pops_as_the_reference(self):
         rr = wide_round()
