@@ -267,7 +267,7 @@ def test_bank_pop_top_fraction(benchmark, rounds, fresh_round):
 
 
 def test_ucsu_aggregate(benchmark, rounds, fresh_round):
-    fresh_bank(rounds, fresh_round)
+    fresh_bank(rounds, fresh_round)  # the bank the receive pops, checked once
 
     def setup():
         return (steady_bank(rounds[:BANK_ROUNDS]), *fresh_round, POP_FRACTION), {}
