@@ -143,8 +143,8 @@ def test_pamn_poison(benchmark, client):
     substitutes = np.sort(rng.choice(np.setdiff1d(np.arange(NUM_ITEMS), targets), size=10, replace=False))
 
     def setup():
-        adv = AdversaryState(0, state.copy(), positives, pairs, substitute_items=substitutes)
-        return (adv, targets, 20, 5, 1e-3), {}
+        adv = AdversaryState(0, state.copy(), positives, pairs)
+        return (adv, targets, substitutes, 20, 5, 1e-3), {}
 
     pkt = benchmark.pedantic(pamn_poison, setup=setup, rounds=20)
     assert len(pkt.item_idx) and np.isfinite(pkt.net_grad).all()

@@ -3,21 +3,22 @@
 Adversaries emulate benign clients: each trains on a dataset sampled as a
 benign user's is (dataset.sample_pairs) and absorbs its neighbors' honest
 rows as defense none does, from the round's unclipped RoundRows.  From round
-2 on, pamn learns a diversified user embedding against the other
-adversaries, widens the promoted set with substitute items, fine-tunes its
-item table and scoring net to rank the promoted items above its own top
-list, and ships the parameter change divided by -lr.  The promise is
-relative: promoted items rise against the adversary's top list; their
-absolute ratings may fall, because the fine-tune also steps the shared
-scoring net.  Baselines: ra (honest gradients over data including the
-targets), eb (honest gradient plus explicit score boosting), psmu (the
-non-adaptive ablation with one shared fixed user embedding, running the
-same fine-tune).
+2 on, pamn learns a diversified user embedding against a snapshot of every
+adversary's (update_adversary_user_embedding's others), widens the promoted
+set with the substitute items select_substitute_items picks (pamn_poison's
+substitutes), fine-tunes its item table and scoring net to rank the
+promoted items above its own top list, and ships the parameter change
+divided by -lr.  The promise is relative: promoted items rise against the
+adversary's top list; their absolute ratings may fall, because the
+fine-tune also steps the shared scoring net.  Baselines: ra (honest
+gradients over data including the targets), eb (honest gradient plus
+explicit score boosting), psmu (the non-adaptive ablation with one shared
+fixed user embedding, running the same fine-tune).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,22 +51,7 @@ class AdversaryState:
     base: ClientState
     positives: np.ndarray
     pairs: np.ndarray
-    substitute_items: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     fixed_user: bool = False  # psmu: the user embedding is shared and never trained
-
-
-@dataclass
-class AttackCoordinator:
-    """Per-round snapshot of every adversary's user embedding.
-
-    The controller of all adversaries reads their private embeddings; the
-    diversity term of each adversary's update sums over this snapshot, not
-    over live values, so adversary updates can run in parallel.
-    """
-
-    embeddings: dict[int, np.ndarray]
-    lam: float
-    norm_order: int = 2
 
 
 def build_adversary_dataset(
@@ -115,29 +101,31 @@ def adversary_collab_update(
 
 
 def update_adversary_user_embedding(
-    adv: AdversaryState, coord: AttackCoordinator, lr: float
+    adv: AdversaryState, others: np.ndarray, lam: float, p: int, lr: float
 ) -> None:
-    """One gradient step on the local BPR loss minus the diversity term.
+    """One gradient step on the local BPR loss minus lam times the diversity
+    term, the sum of the L_p distances to the rows of others.
 
-    Only the user embedding moves, so only the user gradient of the local
-    loss is taken; adv.pairs passed check_pairs when the world was built.
-    The repulsion gradient at zero distance is defined as the zero vector.
+    others is a snapshot, (adversaries, embed_dim) in ascending id order, of
+    every adversary's user embedding, this one's among them: the controller
+    of all adversaries reads their private embeddings.  The diversity term
+    sums over the snapshot, not over live values, so adversaries can step
+    in parallel.  Only the user embedding moves, so only the user gradient
+    of the local loss is taken; adv.pairs passed check_pairs when the world
+    was built.  The repulsion gradient at zero distance is defined as the
+    zero vector.
     """
     _, grad, _, _ = _pair_gradients(adv.base, adv.pairs)
-    grad = grad - coord.lam * _repulsion_direction(
-        adv.base.user_vec, coord.embeddings, coord.norm_order
-    )
+    grad = grad - lam * _repulsion_direction(adv.base.user_vec, others, p)
     adv.base.user_vec -= lr * grad
 
 
-def _repulsion_direction(
-    u: np.ndarray, embeddings: dict[int, np.ndarray], p: int
-) -> np.ndarray:
-    """Gradient of sum_k |u - u_k|_p with zero-distance terms dropped."""
+def _repulsion_direction(u: np.ndarray, others: np.ndarray, p: int) -> np.ndarray:
+    """Gradient of sum_k |u - others[k]|_p with zero-distance terms dropped."""
     if p not in (1, 2):
         raise ContractError("repulsion norm order must be 1 or 2")
     total = np.zeros_like(u)
-    for other in embeddings.values():
+    for other in others:
         diff = u - other
         if p == 2:
             norm = float(np.linalg.norm(diff))
@@ -148,26 +136,14 @@ def _repulsion_direction(
     return total
 
 
-def eq8_loss(
-    adv: AdversaryState, coord: AttackCoordinator, user_vec: np.ndarray | None = None
-) -> float:
-    """Local BPR loss minus lam * sum of distances to the snapshot embeddings.
+def eq8_loss(adv: AdversaryState, others: np.ndarray, lam: float, p: int) -> float:
+    """Local BPR loss minus lam * sum of L_p distances to the rows of others.
 
     Exposed so the user-embedding gradient can be finite-difference checked.
     """
-    state = adv.base
-    saved = state.user_vec
-    if user_vec is not None:
-        state.user_vec = user_vec
-    try:
-        local = bpr_loss(state, adv.pairs) if len(adv.pairs) else 0.0
-        rep = sum(
-            float(np.linalg.norm(state.user_vec - other, ord=coord.norm_order))
-            for other in coord.embeddings.values()
-        )
-        return local - coord.lam * rep
-    finally:
-        state.user_vec = saved
+    local = bpr_loss(adv.base, adv.pairs) if len(adv.pairs) else 0.0
+    rep = sum(float(np.linalg.norm(adv.base.user_vec - other, ord=p)) for other in others)
+    return local - lam * rep
 
 
 def select_substitute_items(
@@ -215,17 +191,23 @@ def rate_loss(
 
 
 def pamn_poison(
-    adv: AdversaryState, targets: np.ndarray, top_k: int, e_ft: int, lr: float
+    adv: AdversaryState,
+    targets: np.ndarray,
+    substitutes: np.ndarray,
+    top_k: int,
+    e_ft: int,
+    lr: float,
 ) -> GradientPacket:
     """Fine-tune toward the promoted items and encode the delta as a gradient.
 
     With the user embedding frozen, e_ft Adam steps minimize the pairwise
     promotion loss: for each item of the adversary's current top list that
-    is not a target, and each promoted item (targets plus substitutes,
-    minus constructed positives), accumulate sigmoid(logit_competitor -
-    logit_promoted).  The top list is recomputed before every step.  The
-    packet carries (parameter change) / (-lr) so receivers applying the
-    standard aggregation reproduce the intended direction.
+    is not a target, and each promoted item (targets plus substitutes, the
+    items select_substitute_items returned, minus constructed positives),
+    accumulate sigmoid(logit_competitor - logit_promoted).  The top list is
+    recomputed before every step.  The packet carries (parameter change) /
+    (-lr) so receivers applying the standard aggregation reproduce the
+    intended direction.
 
     The loss is pairwise, so the promise is relative: the promoted items
     rise against the top list.  Both the item rows and the shared scoring
@@ -236,9 +218,7 @@ def pamn_poison(
         raise ContractError("fine-tuning requires lr > 0")
     state = adv.base
     targets = np.asarray(targets, dtype=np.int64)
-    promoted = np.setdiff1d(
-        np.union1d(targets, adv.substitute_items), adv.positives
-    )
+    promoted = np.setdiff1d(np.union1d(targets, substitutes), adv.positives)
     table_before = state.item_table.copy()
     net_before = state.net.copy()
 

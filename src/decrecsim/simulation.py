@@ -42,7 +42,6 @@ import numpy as np
 from decrecsim import rng as rngmod
 from decrecsim.attacks import (
     AdversaryState,
-    AttackCoordinator,
     adversary_collab_update,
     baseline_poison,
     build_adversary_dataset,
@@ -332,23 +331,18 @@ def run_round(world: World, config: ExperimentConfig) -> None:
             adversary_collab_update(world.adversaries[a], honest, neigh, net_mean, lr)
         del honest
     if adv_ids and t >= 2:
-        coord = None
-        if config.attack == "pamn":
-            coord = AttackCoordinator(
-                embeddings={a: world.clients[a].user_vec.copy() for a in adv_ids},
-                lam=config.lam,
-                norm_order=config.p,
-            )
+        # The diversity step's snapshot: every adversary's user embedding before any steps.
+        others = np.stack([world.clients[a].user_vec for a in adv_ids])
 
         def attack_one(a: int) -> GradientPacket:
             adv = world.adversaries[a]
             if config.attack == "pamn":
-                update_adversary_user_embedding(adv, coord, lr)
+                update_adversary_user_embedding(adv, others, config.lam, config.p, lr)
             if config.attack in ("pamn", "psmu"):
-                adv.substitute_items = select_substitute_items(
-                    adv, world.target_items, config.s
+                substitutes = select_substitute_items(adv, world.target_items, config.s)
+                return pamn_poison(
+                    adv, world.target_items, substitutes, config.top_k, config.e_ft, lr
                 )
-                return pamn_poison(adv, world.target_items, config.top_k, config.e_ft, lr)
             return baseline_poison(adv, world.target_items, config.attack)
 
         crafted = _map_clients(attack_one, adv_ids, config.workers)

@@ -8,7 +8,7 @@ import pytest
 
 from decrecsim.attacks import (
     AdversaryState,
-    AttackCoordinator,
+    _repulsion_direction,
     adversary_collab_update,
     baseline_poison,
     build_adversary_dataset,
@@ -168,8 +168,7 @@ class TestUserEmbeddingUpdate:
         adv = make_adv(2)
         grad, _ = compute_gradients(adv.base, adv.pairs, sender=adv.client_id)
         expect = adv.base.user_vec - 0.01 * grad
-        coord = AttackCoordinator(embeddings={adv.client_id: adv.base.user_vec.copy()}, lam=0.0)
-        update_adversary_user_embedding(adv, coord, lr=0.01)
+        update_adversary_user_embedding(adv, adv.base.user_vec[None].copy(), 0.0, 2, lr=0.01)
         assert np.allclose(adv.base.user_vec, expect, atol=1e-15)
 
     def test_repulsion_increases_distance(self):
@@ -177,41 +176,38 @@ class TestUserEmbeddingUpdate:
         for seed in range(10):
             a = make_adv(seed)
             b = make_adv(seed + 50)
-            emb = {a.client_id: a.base.user_vec.copy(), b.client_id: b.base.user_vec.copy()}
-            d0 = np.linalg.norm(emb[a.client_id] - emb[b.client_id])
+            emb = np.stack([a.base.user_vec, b.base.user_vec])
+            d0 = np.linalg.norm(emb[0] - emb[1])
 
             a_rep, a_plain = a.base.user_vec.copy(), a.base.user_vec.copy()
             b_rep, b_plain = b.base.user_vec.copy(), b.base.user_vec.copy()
             for adv, rep_vec, plain_vec in ((a, a_rep, a_plain), (b, b_rep, b_plain)):
                 adv.base.user_vec = rep_vec.copy()
-                update_adversary_user_embedding(
-                    adv, AttackCoordinator(embeddings=emb, lam=0.5), lr=0.01
-                )
+                update_adversary_user_embedding(adv, emb, 0.5, 2, lr=0.01)
                 rep_vec[:] = adv.base.user_vec
                 adv.base.user_vec = plain_vec.copy()
-                update_adversary_user_embedding(
-                    adv, AttackCoordinator(embeddings=emb, lam=0.0), lr=0.01
-                )
+                update_adversary_user_embedding(adv, emb, 0.0, 2, lr=0.01)
                 plain_vec[:] = adv.base.user_vec
             # the pure repulsion displacement strictly widens the gap
-            gap_rep = np.linalg.norm(
-                (a_rep - a_plain + emb[a.client_id]) - (b_rep - b_plain + emb[b.client_id])
-            )
+            gap_rep = np.linalg.norm((a_rep - a_plain + emb[0]) - (b_rep - b_plain + emb[1]))
             assert gap_rep > d0
 
     def test_zero_distance_term_is_dropped(self):
         adv = make_adv(3)
         same = adv.base.user_vec.copy()
-        coord0 = AttackCoordinator(embeddings={0: same.copy(), 1: same.copy()}, lam=5.0)
-        coord_off = AttackCoordinator(embeddings={}, lam=0.0)
         u0 = adv.base.user_vec.copy()
-        update_adversary_user_embedding(adv, coord0, lr=0.01)
+        update_adversary_user_embedding(adv, np.stack([same, same]), 5.0, 2, lr=0.01)
         with_reg = adv.base.user_vec.copy()
         adv.base.user_vec = u0.copy()
-        update_adversary_user_embedding(adv, coord_off, lr=0.01)
+        update_adversary_user_embedding(adv, np.zeros((0, 4)), 0.0, 2, lr=0.01)
         assert np.allclose(with_reg, adv.base.user_vec, atol=1e-15)
 
-    def test_eq8_gradient_matches_finite_differences(self):
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_eq8_gradient_matches_finite_differences(self, p):
+        # The snapshot holds the adversary's own embedding, whose term is
+        # dropped, and another one; under p = 1 every coordinate of the
+        # other lies well beyond the finite-difference step, so sign() is
+        # constant across it.
         checked = 0
         seed = 0
         while checked < 6:
@@ -221,16 +217,12 @@ class TestUserEmbeddingUpdate:
             if min_preactivation(adv.base, items) < 1e-3:
                 continue
             other = np.random.default_rng(seed).normal(size=4)
-            coord = AttackCoordinator(
-                embeddings={adv.client_id: adv.base.user_vec.copy(), 999: other}, lam=0.3
-            )
+            if np.abs(adv.base.user_vec - other).min() < 1e-3:
+                continue
+            others = np.stack([adv.base.user_vec, other])
             grad, _ = compute_gradients(adv.base, adv.pairs, sender=adv.client_id)
-            from decrecsim.attacks import _repulsion_direction
-
-            analytic = grad - coord.lam * _repulsion_direction(
-                adv.base.user_vec, coord.embeddings, 2
-            )
-            fd = fd_scalar(lambda: eq8_loss(adv, coord), adv.base.user_vec)
+            analytic = grad - 0.3 * _repulsion_direction(adv.base.user_vec, others, p)
+            fd = fd_scalar(lambda: eq8_loss(adv, others, 0.3, p), adv.base.user_vec)
             assert_close_grad(analytic, fd)
             checked += 1
 
@@ -326,7 +318,8 @@ class TestPamnPoison:
         targets = np.array([2, 3])
         top = top_k_list(state, 2, exclude=np.zeros(0, dtype=np.int64))
         assert set(top.tolist()) == {2, 3}
-        pkt = pamn_poison(adv, targets, top_k=2, e_ft=3, lr=0.01)
+        # no substitutes, so the promoted items are the targets alone
+        pkt = pamn_poison(adv, targets, np.zeros(0, dtype=np.int64), top_k=2, e_ft=3, lr=0.01)
         assert len(pkt.item_idx) == 0
         assert not pkt.net_grad.any()
 
@@ -349,12 +342,12 @@ class TestPamnPoison:
 
         for seed in range(trials):
             adv = make_adv(seed, num_items=30, alpha=8, targets=(3, 11))
-            adv.substitute_items = select_substitute_items(adv, targets, s=3)
+            substitutes = select_substitute_items(adv, targets, s=3)
             top = top_k_list(adv.base, 5, exclude=np.zeros(0, dtype=np.int64))
             competitors = top[~np.isin(top, targets)]
             loss_before = rate_loss(adv.base, competitors, targets)
             gap_before = rating_gap(adv.base, competitors)
-            pkt = pamn_poison(adv, targets, top_k=5, e_ft=5, lr=1e-3)
+            pkt = pamn_poison(adv, targets, substitutes, top_k=5, e_ft=5, lr=1e-3)
             if len(pkt.item_idx) == 0 and not pkt.net_grad.any():
                 continue
             moved += 1
@@ -366,8 +359,7 @@ class TestPamnPoison:
 
     def test_packet_shapes_match_benign(self):
         adv = make_adv(9)
-        adv.substitute_items = np.array([7])
-        pkt = pamn_poison(adv, np.array([1, 4]), top_k=5, e_ft=2, lr=1e-3)
+        pkt = pamn_poison(adv, np.array([1, 4]), np.array([7]), top_k=5, e_ft=2, lr=1e-3)
         _, honest = compute_gradients(adv.base, adv.pairs, sender=adv.client_id)
         assert pkt.net_grad.shape == honest.net_grad.shape
         assert pkt.item_rows.shape[1] == honest.item_rows.shape[1]
@@ -375,9 +367,9 @@ class TestPamnPoison:
 
     def test_delta_encoding_reproduces_update(self):
         adv = make_adv(10)
-        adv.substitute_items = np.zeros(0, dtype=np.int64)
         before = adv.base.copy()
-        pkt = pamn_poison(adv, np.array([1, 4]), top_k=4, e_ft=3, lr=1e-3)
+        no_substitutes = np.zeros(0, dtype=np.int64)
+        pkt = pamn_poison(adv, np.array([1, 4]), no_substitutes, top_k=4, e_ft=3, lr=1e-3)
         # a receiver applying the lone packet at the same lr lands on the
         # adversary's fine-tuned parameters
         receiver = before
@@ -397,15 +389,14 @@ def production_adv(seed, num_items=200, num_targets=3, substitutes=10, strategy=
         client_id=500 + seed, base=state, positives=positives, pairs=pairs,
         fixed_user=(strategy == "psmu"),
     )
-    adv.substitute_items = select_substitute_items(adv, targets, s=substitutes)
-    return adv, targets
+    return adv, targets, select_substitute_items(adv, targets, s=substitutes)
 
 
-def assert_pamn_matches_reference(adv, targets, top_k, e_ft, lr):
+def assert_pamn_matches_reference(adv, targets, substitutes, top_k, e_ft, lr):
     want = adv.base.copy()
-    pkt = pamn_poison(adv, targets, top_k, e_ft, lr)
+    pkt = pamn_poison(adv, targets, substitutes, top_k, e_ft, lr)
     idx, rows, net_grad = reference_pamn_poison(
-        want, targets, adv.substitute_items, adv.positives, top_k, e_ft, lr
+        want, targets, substitutes, adv.positives, top_k, e_ft, lr
     )
     assert pkt.sender == adv.client_id
     assert pkt.item_idx.dtype == idx.dtype and pkt.item_idx.tobytes() == idx.tobytes()
@@ -423,23 +414,22 @@ class TestPamnReference:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("strategy", ["pamn", "psmu"])
     def test_packet_and_tuned_model(self, strategy, seed, e_ft):
-        adv, targets = production_adv(seed, strategy=strategy)
+        adv, targets, substitutes = production_adv(seed, strategy=strategy)
         lr = 1e-2 if seed % 2 else 1e-3
-        pkt = assert_pamn_matches_reference(adv, targets, 20, e_ft, lr)
+        pkt = assert_pamn_matches_reference(adv, targets, substitutes, 20, e_ft, lr)
         # a real fine-tune moves rows; none moves nothing
         assert (len(pkt.item_idx) > 0) == (e_ft > 0)
 
     def test_top_list_of_targets_breaks_at_once(self):
-        adv, _ = production_adv(4)
+        adv, _, _ = production_adv(4)
         targets = top_k_list(adv.base, 5, exclude=np.zeros(0, dtype=np.int64))
-        adv.substitute_items = np.zeros(0, dtype=np.int64)
-        pkt = assert_pamn_matches_reference(adv, targets, 5, 5, 1e-3)
+        pkt = assert_pamn_matches_reference(adv, targets, np.zeros(0, dtype=np.int64), 5, 5, 1e-3)
         assert len(pkt.item_idx) == 0 and not pkt.net_grad.any()
 
     def test_nothing_to_promote_breaks_at_once(self):
-        adv, targets = production_adv(5)
-        adv.positives = np.union1d(targets, adv.substitute_items)
-        pkt = assert_pamn_matches_reference(adv, targets, 20, 5, 1e-3)
+        adv, targets, substitutes = production_adv(5)
+        adv.positives = np.union1d(targets, substitutes)
+        pkt = assert_pamn_matches_reference(adv, targets, substitutes, 20, 5, 1e-3)
         assert len(pkt.item_idx) == 0 and not pkt.net_grad.any()
 
 
@@ -488,10 +478,13 @@ class TestBaselines:
         a = make_adv(13, strategy="psmu")
         b = make_adv(13, strategy="psmu")
         b.client_id = a.client_id
-        for adv in (a, b):
-            adv.substitute_items = select_substitute_items(adv, np.array([1, 4]), s=3)
-        pa = pamn_poison(a, np.array([1, 4]), top_k=5, e_ft=3, lr=1e-3)
-        pb = pamn_poison(b, np.array([1, 4]), top_k=5, e_ft=3, lr=1e-3)
+        pa, pb = (
+            pamn_poison(
+                adv, np.array([1, 4]), select_substitute_items(adv, np.array([1, 4]), s=3),
+                top_k=5, e_ft=3, lr=1e-3,
+            )
+            for adv in (a, b)
+        )
         assert np.array_equal(pa.item_idx, pb.item_idx)
         assert np.array_equal(pa.item_rows, pb.item_rows)
         assert np.array_equal(pa.net_grad, pb.net_grad)

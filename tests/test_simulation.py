@@ -4,7 +4,8 @@ PAMN against UCSU with banks small enough to evict; the round rows UCSU
 keeps alive and the norms its clip bounds; the packets dropped once a
 round's rows are consolidated, once per round; the round block that holds
 the bytes of every sent packet; what adversaries absorb; the attacks that
-craft through pamn_poison; the empty
+craft through pamn_poison, and the one snapshot of every adversary's user
+embedding their diversity step reads; the empty
 packets of clients without training pairs; the neighbor
 refresh cadence; init_world's pair checks and each client's Adam
 item-moment cover; the cold targets select_cold_targets draws; and every
@@ -407,13 +408,10 @@ def test_round_rows_are_the_sent_packets_in_the_round_block(tiny, monkeypatch, d
     assert crafted and all(len(q.item_idx) for q in crafted)
 
 
-@pytest.mark.parametrize("attack", ["pamn", "psmu"])
-def test_fine_tune_attacks_craft_through_pamn_poison(tiny, monkeypatch, attack):
-    # psmu crafts as pamn does, with the same substitute selection, and only
-    # pamn steps its user embedding first.
-    config, dataset = tiny
-    config = dataclasses.replace(config, attack=attack)
-    world = init_world(config, dataset)
+def run_spying_attacks(world, config, monkeypatch):
+    """Run config.rounds rounds of world; return every call run_round made
+    to the attack step's functions, in call order, as (round, name,
+    adversary id, copies of the arguments after the adversary, result)."""
     calls = []
     for name in (
         "update_adversary_user_embedding",
@@ -423,17 +421,83 @@ def test_fine_tune_attacks_craft_through_pamn_poison(tiny, monkeypatch, attack):
     ):
         real = getattr(simulation, name)
 
-        def spy(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
+        def spy(adv, *args, _real=real, _name=name):
+            t = world.round + 1
+            seen = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+            result = _real(adv, *args)
+            calls.append((t, _name, adv.client_id, seen, result))
+            return result
 
         monkeypatch.setattr(simulation, name, spy)
-    for _ in range(2):  # round 1 conceals
+    for _ in range(config.rounds):
         run_round(world, config)
+    return calls
+
+
+def same_bytes(a, b):
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize(
+    "attack, workers",
+    [("pamn", 1), ("psmu", 1), ("pamn", 2), ("psmu", 2)],
+    ids=["pamn", "psmu", "pamn-threads", "psmu-threads"],
+)
+def test_fine_tune_attacks_craft_through_pamn_poison(tiny, monkeypatch, attack, workers):
+    # psmu crafts as pamn does, with the same substitute selection, and only
+    # pamn steps its user embedding first.  Each adversary's pamn_poison
+    # call takes, as its substitutes, the array its own
+    # select_substitute_items call returned that round, on the pool too.
+    config, dataset = tiny
+    config = dataclasses.replace(config, attack=attack, workers=workers)
+    world = init_world(config, dataset)
+    calls = run_spying_attacks(world, config, monkeypatch)
     per_adversary = ["select_substitute_items", "pamn_poison"]
     if attack == "pamn":
         per_adversary = ["update_adversary_user_embedding", *per_adversary]
-    assert calls == per_adversary * len(world.adversary_ids)
+    assert {t for t, *_ in calls} == {2}  # round 1 conceals
+    if workers == 1:
+        assert [name for _, name, *_ in calls] == per_adversary * len(world.adversary_ids)
+    for a in world.adversary_ids:
+        own = [(name, args, result) for _, name, cid, args, result in calls if cid == a]
+        assert [name for name, _, _ in own] == per_adversary
+        (_, _, substitutes), (_, poison_args, _) = own[-2:]
+        assert same_bytes(poison_args[0], world.target_items)
+        assert same_bytes(poison_args[1], substitutes)
+
+
+def test_diversity_step_reads_one_snapshot_of_every_adversary(tiny, monkeypatch):
+    # Every adversary's round-2 diversity step sums over one snapshot, the
+    # adversaries' user embeddings in ascending id order as they stand at
+    # the round's first step, on the pool too; and the configured lambda
+    # and norm order reach it.
+    config, dataset = tiny
+    config = dataclasses.replace(config, attack="pamn", lam=0.37, p=1)
+    real = simulation.update_adversary_user_embedding
+    snapshots = []
+    for workers in (1, 2):
+        world = init_world(config, dataset)
+        adv_ids = sorted(world.adversary_ids)
+        live = []
+
+        def live_spy(adv, *args):
+            live.append(np.stack([world.clients[a].user_vec for a in adv_ids]))
+            real(adv, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(simulation, "update_adversary_user_embedding", live_spy)
+            calls = run_spying_attacks(world, dataclasses.replace(config, workers=workers), m)
+        steps = [args for _, name, _, args, _ in calls if name == "update_adversary_user_embedding"]
+        assert len(steps) == len(adv_ids) >= 2
+        for others, lam, p, lr in steps:
+            assert same_bytes(others, steps[0][0])
+            assert (lam, p, lr) == (config.lam, config.p, config.lr)
+        snapshots.append(steps[0][0])
+        if workers == 1:
+            # the later steps would read live embeddings that earlier ones moved
+            assert same_bytes(steps[0][0], live[0])
+            assert not any(same_bytes(steps[0][0], now) for now in live[1:])
+    assert same_bytes(snapshots[1], snapshots[0])
 
 
 def test_adversary_absorbs_the_honest_packet_of_another_adversary(tiny, monkeypatch):
