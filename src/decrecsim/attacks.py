@@ -13,7 +13,9 @@ adversary's top list; their absolute ratings may fall, because the
 fine-tune also steps the shared scoring net.  Baselines: ra (honest
 gradients over data including the targets), eb (honest gradient plus
 explicit score boosting), psmu (the non-adaptive ablation with one shared
-fixed user embedding, running the same fine-tune).
+fixed user embedding, running the same fine-tune).  Every targets argument
+is the world's target set as select_cold_targets drew it: sorted, distinct
+int64 item ids.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ def build_adversary_dataset(
     positive.  Negatives come from sample_pairs, with the same rng, over
     the items outside both the positives and the targets.
     """
-    targets = np.asarray(sorted(set(int(t) for t in targets)), dtype=np.int64)
     if alpha < 0:
         raise ContractError("alpha must be >= 0")
     pool = np.flatnonzero(np.bincount(targets, minlength=num_items) == 0)
@@ -158,9 +159,6 @@ def select_substitute_items(
     """
     if s < 0:
         raise ContractError("substitute count must be >= 0")
-    if s == 0:
-        return np.zeros(0, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
     state = adv.base
     table = state.item_table
     norms = np.linalg.norm(table, axis=1)
@@ -173,8 +171,6 @@ def select_substitute_items(
     logits = score_items(state, candidates)
     median = np.median(logits)
     eligible = candidates[logits > median]
-    if len(eligible) == 0:
-        return np.zeros(0, dtype=np.int64)
     order = np.argsort(-best_sim[eligible], kind="stable")  # eligible is ascending
     return np.sort(eligible[order[: min(s, len(eligible))]])
 
@@ -187,7 +183,7 @@ def rate_loss(
         return 0.0
     zc = score_items(state, competitors)
     zp = score_items(state, promoted)
-    return float(np.asarray(_sigmoid(zc[:, None] - zp[None, :])).sum())
+    return float(_sigmoid(zc[:, None] - zp[None, :]).sum())
 
 
 def pamn_poison(
@@ -217,7 +213,6 @@ def pamn_poison(
     if lr <= 0:
         raise ContractError("fine-tuning requires lr > 0")
     state = adv.base
-    targets = np.asarray(targets, dtype=np.int64)
     promoted = np.setdiff1d(np.union1d(targets, substitutes), adv.positives)
     table_before = state.item_table.copy()
     net_before = state.net.copy()
@@ -236,7 +231,7 @@ def pamn_poison(
         z, inputs, masks = _forward(state, batch)
         nc = len(competitors)
         diffs = z[:nc, None] - z[nc:, None].T
-        sig = np.asarray(_sigmoid(diffs))
+        sig = _sigmoid(diffs)
         sprime = sig * (1.0 - sig)
         g = np.concatenate([sprime.sum(axis=1), -sprime.sum(axis=0)])
         net_grad, _, item_rows = _backward(state, inputs, masks, g)
@@ -264,10 +259,9 @@ def boosted_gradient_packet(adv: AdversaryState, targets: np.ndarray) -> Gradien
     binary cross-entropy against label 1.
     """
     state = adv.base
-    targets = np.asarray(targets, dtype=np.int64)
     honest = compute_gradients(state, adv.pairs, sender=adv.client_id)[1]
     z, inputs, masks = _forward(state, targets)
-    g = np.asarray(_sigmoid(z)) - 1.0  # d(-ln sigmoid(z)) / dz
+    g = _sigmoid(z) - 1.0  # d(-ln sigmoid(z)) / dz
     boost_net, _, boost_rows = _backward(state, inputs, masks, g)
     all_idx, all_rows, _ = scatter_add_rows(
         np.concatenate([honest.item_idx, targets]), np.vstack([honest.item_rows, boost_rows])

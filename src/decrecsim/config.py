@@ -85,8 +85,9 @@ SWEEPABLE = frozenset(
 )
 
 
-def coerce_value(key: str, raw) -> object:
-    """Parse a key's value by its field's annotation.
+def set_key(cfg: ExperimentConfig, key: str, raw) -> object:
+    """Parse a file/CLI key's raw value by its field's annotation and set the
+    field ("lambda" sets lam); returns the value set.
 
     A typed value (a manifest's, or a caller's) parses as its text: a list
     or tuple joined with commas, anything else through str().
@@ -97,16 +98,10 @@ def coerce_value(key: str, raw) -> object:
     text = ",".join(map(str, raw)) if isinstance(raw, (list, tuple)) else str(raw)
     parse, expected = _PARSERS[_FIELD_TYPES[name]]
     try:
-        return parse(text.strip())
+        value = parse(text.strip())
     except ValueError:
         raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
-
-
-def set_key(cfg: ExperimentConfig, key: str, raw) -> object:
-    """Coerce a file/CLI key's raw value and set its field ("lambda" sets
-    lam); returns the value set."""
-    value = coerce_value(key, raw)
-    setattr(cfg, _KEY_TO_FIELD.get(key, key), value)
+    setattr(cfg, name, value)
     return value
 
 

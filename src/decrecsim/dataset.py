@@ -77,9 +77,12 @@ def load_interactions(path: str, fmt: str) -> RawInteractions:
         raise ContractError(f"unknown dataset format: {fmt!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read interactions file {path}: {exc}") from exc
+    # Lines end at "\n" alone, which the universal-newline read also makes of
+    # "\r\n" and "\r"; str.splitlines would break at "\f", "\x1c" and others.
+    lines = text.split("\n") if text else []
 
     records = _dat_fields(path, lines) if fmt == "movielens_dat" else _csv_fields(path, lines)
     user_codes: dict[str, int] = {}

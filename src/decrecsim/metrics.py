@@ -2,6 +2,8 @@
 
 Rankings exclude a user's train positives; held-out test items stay in the
 candidate pool.  Adversary clients never contribute to either metric.
+Hit rate and exposure rate are reductions over one ranking pass: each takes
+the benign users' top-K lists (benign_top_lists) and ranks nothing itself.
 """
 
 from __future__ import annotations
@@ -59,18 +61,16 @@ def benign_top_lists(world, k: int) -> dict[int, np.ndarray]:
     }
 
 
-def exposure_rate(world, k: int, lists: dict[int, np.ndarray] | None = None) -> float:
+def exposure_rate(world, lists: dict[int, np.ndarray]) -> float:
     """Mean over targets of the fraction of eligible users exposing the target.
 
     A user is eligible for target t when they never interacted with t (train
     or test); the numerator counts eligible users whose top-k list contains
     t.  Targets with no eligible users contribute 0.
     """
-    targets = np.asarray(world.target_items, dtype=np.int64)
+    targets = world.target_items
     if len(targets) == 0:
         raise ContractError("exposure_rate requires a nonempty target set")
-    if lists is None:
-        lists = benign_top_lists(world, k)
     # Every (user, target) pair is one key user * num_items + target, so one
     # membership test over all users finds the pairs each list holds.
     users = list(lists)
@@ -91,12 +91,8 @@ def exposure_rate(world, k: int, lists: dict[int, np.ndarray] | None = None) -> 
     return float(np.mean(per_target))
 
 
-def hit_rate(world, k: int, lists: dict[int, np.ndarray] | None = None) -> float:
+def hit_rate(world, lists: dict[int, np.ndarray]) -> float:
     """Mean over benign users with test items of the top-k hit indicator."""
-    if k < 1:
-        raise ContractError("k must be >= 1")
-    if lists is None:
-        lists = benign_top_lists(world, k)
     values = []
     for u, top in lists.items():
         test = world.dataset.test[u]
@@ -114,8 +110,8 @@ def evaluate_world(world, k: int, attack: str, defense: str, seed: int) -> Metri
     lists = benign_top_lists(world, k)
     return MetricsRecord(
         round=world.round,
-        hr_at_k=hit_rate(world, k, lists=lists),
-        er_at_k=exposure_rate(world, k, lists=lists),
+        hr_at_k=hit_rate(world, lists),
+        er_at_k=exposure_rate(world, lists),
         attack=attack,
         defense=defense,
         seed=seed,

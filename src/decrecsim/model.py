@@ -236,10 +236,9 @@ def score_items(state: ClientState, items: np.ndarray | None = None) -> np.ndarr
     return z
 
 
-def _sigmoid(x: np.ndarray | float) -> np.ndarray | float:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below; exp only ever
     # sees -|x|, so neither form overflows.
-    x = np.asarray(x)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
@@ -330,7 +329,7 @@ def _pair_gradients(
     z, inputs, masks = _forward(state, items)
     diff = z[..., :n] - z[..., n:]
     # d mean(softplus(-diff)) / d z_pos = -sigmoid(-diff) / n
-    gpos = -np.asarray(_sigmoid(-diff)) / n
+    gpos = -_sigmoid(-diff) / n
     g = np.concatenate([gpos, -gpos], axis=-1)
     net_grad, user_grad, item_rows = _backward(state, inputs, masks, g)
     return items, user_grad, net_grad, item_rows

@@ -80,6 +80,13 @@ class TestBuildDataset:
         with pytest.raises(ContractError):
             build_adversary_dataset(10, np.array([0, 1]), 9, stream(5), 4, False)
 
+    @pytest.mark.parametrize("include_targets", [False, True], ids=["eb", "ra"])
+    def test_target_order_and_duplicates_change_nothing(self, include_targets):
+        want = build_adversary_dataset(20, np.array([3, 7]), 6, stream(6), 4, include_targets)
+        got = build_adversary_dataset(20, np.array([7, 3, 7]), 6, stream(6), 4, include_targets)
+        for w, g in zip(want, got, strict=True):
+            assert w.dtype == g.dtype and w.shape == g.shape and w.tobytes() == g.tobytes()
+
 
 def collab_update(adv, pkts, lr):
     """adversary_collab_update over the unclipped round rows of pkts, every
@@ -273,7 +280,15 @@ class TestSubstituteItems:
 
     def test_s_zero_empty(self):
         adv = make_adv(4)
-        assert len(select_substitute_items(adv, np.array([1]), s=0)) == 0
+        subs = select_substitute_items(adv, np.array([1]), s=0)
+        assert subs.shape == (0,) and subs.dtype == np.int64
+
+    def test_no_eligible_item_empty(self):
+        # a zero net scores every item alike, so none beats the median
+        adv = make_adv(6)
+        adv.base.net[:] = 0.0
+        subs = select_substitute_items(adv, np.array([1, 4]), s=5)
+        assert subs.shape == (0,) and subs.dtype == np.int64
 
     def test_fewer_candidates_returns_all(self):
         adv = make_adv(5, num_items=5, alpha=0, targets=(0,))

@@ -74,9 +74,10 @@ class TestLoad:
             ("a.dat", "movielens_dat", "1::10::5::100\n1::11::5::2.5\n"),
             ("a.csv", "csv", "user,item,rating,timestamp\n1,11,5,x\n1,10,5,1\n"),
             ("a.dat", "movielens_dat", "1::10::5::100\n1::::5::200\n"),
+            ("a.dat", "movielens_dat", "1::10::5::100\r\n1::11::nan::200\r\n"),
         ],
         ids=["dat-nan-rating", "csv-inf-rating", "dat-float-timestamp", "csv-bad-timestamp",
-             "dat-empty-item"],
+             "dat-empty-item", "dat-crlf-nan-rating"],
     )
     def test_bad_record_names_line(self, tmp_path, name, fmt, text):
         with pytest.raises(ParseError, match="line 2"):
@@ -102,6 +103,37 @@ class TestLoad:
         for field in ("train", "test", "pairs"):
             for x, y in zip(getattr(da, field), getattr(db, field), strict=True):
                 assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize(
+        "name, fmt, text",
+        [
+            ("a.dat", "movielens_dat", "1::2\x0c3::5::0\n"),
+            ("a.csv", "csv", "user,item,rating,timestamp\n1,2\x0c3,5,0\n"),
+        ],
+        ids=["dat", "csv"],
+    )
+    def test_form_feed_inside_an_id_is_one_record(self, tmp_path, name, fmt, text):
+        raw = load_interactions(write(tmp_path, name, text), fmt)
+        assert_columns(raw, [0], [0])
+
+    def test_form_feed_does_not_split_a_line(self, tmp_path):
+        # one line holding two records: seven "::"-separated fields
+        path = write(tmp_path, "a.dat", "1::2::5::0\x0c3::4::5::0\n")
+        with pytest.raises(ParseError, match="line 1:"):
+            load_interactions(path, "movielens_dat")
+
+    @pytest.mark.parametrize("fmt", ["movielens_dat", "csv"])
+    def test_crlf_file_loads_like_its_lf_copy(self, tmp_path, fmt):
+        body = "9::b::1::1\n10::a::1::2\n\n9::a::1::3\n2::c::1::4\n"
+        if fmt == "csv":
+            body = "user,item,rating,timestamp\n" + body.replace("::", ",")
+        lf = tmp_path / "lf"
+        crlf = tmp_path / "crlf"
+        lf.write_bytes(body.encode())
+        crlf.write_bytes(body.replace("\n", "\r\n").encode())
+        a, b = load_interactions(str(lf), fmt), load_interactions(str(crlf), fmt)
+        assert a.users.tobytes() == b.users.tobytes() and a.items.tobytes() == b.items.tobytes()
+        assert_columns(a, [0, 1, 0, 2], [0, 1, 1, 2])
 
     def test_missing_file(self):
         with pytest.raises(OSError):

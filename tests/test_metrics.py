@@ -5,10 +5,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from decrecsim import metrics
 from decrecsim.errors import ContractError
 from decrecsim.metrics import (
     UndefinedMetricError,
     benign_top_lists,
+    evaluate_world,
     exposure_rate,
     hit_rate,
     top_k_list,
@@ -121,8 +123,8 @@ class TestOracles:
             num_users = 2 + seed % 9
             world = toy_world(seed, num_users, num_items=8 + seed % 5, num_adv=seed % 3)
             k = 1 + seed % 4
-            assert exposure_rate(world, k) == brute_force_er(world, k)
-            assert hit_rate(world, k) == brute_force_hr(world, k)
+            assert exposure_rate(world, benign_top_lists(world, k)) == brute_force_er(world, k)
+            assert hit_rate(world, benign_top_lists(world, k)) == brute_force_hr(world, k)
 
 
 class TestExposureRate:
@@ -152,7 +154,7 @@ class TestExposureRate:
             ),
             target_items=np.array([t]),
         )
-        assert exposure_rate(world, 2) == 0.5
+        assert exposure_rate(world, benign_top_lists(world, 2)) == 0.5
 
     def test_target_in_nobody_list_zero(self):
         world = toy_world(8, 3, 10, num_targets=1)
@@ -162,25 +164,26 @@ class TestExposureRate:
         world.target_items = np.array([scores_low])
         world.dataset.train = [np.zeros(0, dtype=np.int64)] * 3
         world.dataset.test = [np.zeros(0, dtype=np.int64)] * 3
-        assert exposure_rate(world, 1) in (0.0, 1.0) or 0 <= exposure_rate(world, 1) <= 1
+        er = exposure_rate(world, benign_top_lists(world, 1))
+        assert er in (0.0, 1.0) or 0 <= er <= 1
 
     def test_universally_interacted_target_contributes_zero(self):
         world = toy_world(9, 2, 6, num_targets=1)
         world.target_items = np.array([2])
         world.dataset.train = [np.array([2]), np.array([2, 3])]
         world.dataset.test = [np.array([1]), np.array([4])]
-        assert exposure_rate(world, 6) == 0.0
+        assert exposure_rate(world, benign_top_lists(world, 6)) == 0.0
 
     def test_monotone_in_k(self):
         world = toy_world(10, 5, 9)
-        values = [exposure_rate(world, k) for k in range(1, 8)]
+        values = [exposure_rate(world, benign_top_lists(world, k)) for k in range(1, 8)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_empty_targets_rejected(self):
         world = toy_world(11, 2, 5, num_targets=1)
         world.target_items = np.zeros(0, dtype=np.int64)
         with pytest.raises(ContractError):
-            exposure_rate(world, 2)
+            exposure_rate(world, benign_top_lists(world, 2))
 
 
 class TestHitRate:
@@ -190,7 +193,7 @@ class TestHitRate:
         world.dataset.train = [np.array([0])]
         top1 = top_k_list(u, 1, world.dataset.train[0])
         world.dataset.test = [top1]
-        assert hit_rate(world, 1) == 1.0
+        assert hit_rate(world, benign_top_lists(world, 1)) == 1.0
 
     def test_one_hit_one_miss(self):
         world = toy_world(13, 2, 8)
@@ -198,24 +201,47 @@ class TestHitRate:
         hit_item = top_k_list(world.clients[0], 1, world.dataset.train[0])
         miss_pool = top_k_list(world.clients[1], 8 - 1, world.dataset.train[1])
         world.dataset.test = [hit_item, miss_pool[-1:]]
-        assert hit_rate(world, 1) == 0.5
+        assert hit_rate(world, benign_top_lists(world, 1)) == 0.5
 
     def test_k_equal_items_hits_everyone(self):
         world = toy_world(14, 4, 6)
-        assert hit_rate(world, 6) == 1.0
+        assert hit_rate(world, benign_top_lists(world, 6)) == 1.0
 
     def test_monotone_in_k(self):
         world = toy_world(15, 5, 9)
-        values = [hit_rate(world, k) for k in range(1, 8)]
+        values = [hit_rate(world, benign_top_lists(world, k)) for k in range(1, 8)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_no_test_items_error(self):
         world = toy_world(16, 2, 5)
         world.dataset.test = [np.zeros(0, dtype=np.int64)] * 2
         with pytest.raises(UndefinedMetricError):
-            hit_rate(world, 2)
+            hit_rate(world, benign_top_lists(world, 2))
 
     def test_adversaries_excluded(self):
         world = toy_world(18, 3, 8, num_adv=2)
         lists = benign_top_lists(world, 3)
         assert set(lists) == {0, 1, 2}
+
+
+class TestEvaluateWorld:
+    @pytest.mark.parametrize("seed, num_users, num_items, num_adv, k", [
+        (19, 6, 9, 2, 3), (20, 4, 7, 0, 1), (21, 7, 12, 1, 5),
+    ])
+    def test_ranks_each_benign_user_once(self, monkeypatch, seed, num_users, num_items, num_adv, k):
+        world = toy_world(seed, num_users, num_items, num_adv=num_adv)
+        world.round = 4
+        ranked = []
+
+        def spy(state, k, exclude):
+            ranked.append(state)
+            return top_k_list(state, k, exclude)
+
+        monkeypatch.setattr(metrics, "top_k_list", spy)
+        record = evaluate_world(world, k, "eb", "ucsu", 7)
+        assert [id(s) for s in ranked] == [id(world.clients[u]) for u in range(num_users)]
+        monkeypatch.undo()
+        lists = benign_top_lists(world, k)
+        assert record.hr_at_k == hit_rate(world, lists)
+        assert record.er_at_k == exposure_rate(world, lists)
+        assert (record.round, record.attack, record.defense, record.seed) == (4, "eb", "ucsu", 7)
