@@ -71,8 +71,6 @@ def build_adversary_dataset(
     positive.  Negatives come from sample_pairs, with the same rng, over
     the items outside both the positives and the targets.
     """
-    if alpha < 0:
-        raise ContractError("alpha must be >= 0")
     pool = np.flatnonzero(np.bincount(targets, minlength=num_items) == 0)
     if alpha > len(pool):
         raise ContractError(
@@ -123,8 +121,6 @@ def update_adversary_user_embedding(
 
 def _repulsion_direction(u: np.ndarray, others: np.ndarray, p: int) -> np.ndarray:
     """Gradient of sum_k |u - others[k]|_p with zero-distance terms dropped."""
-    if p not in (1, 2):
-        raise ContractError("repulsion norm order must be 1 or 2")
     total = np.zeros_like(u)
     for other in others:
         diff = u - other
@@ -157,8 +153,6 @@ def select_substitute_items(
     median predicted rating over non-target items.  The top s by candidate
     score are returned, ties by ascending item id.
     """
-    if s < 0:
-        raise ContractError("substitute count must be >= 0")
     state = adv.base
     table = state.item_table
     norms = np.linalg.norm(table, axis=1)
@@ -210,8 +204,6 @@ def pamn_poison(
     net move, and a net step moves every item's logit, so the promoted
     items' absolute ratings may fall while the competitors fall further.
     """
-    if lr <= 0:
-        raise ContractError("fine-tuning requires lr > 0")
     state = adv.base
     promoted = np.setdiff1d(np.union1d(targets, substitutes), adv.positives)
     table_before = state.item_table.copy()

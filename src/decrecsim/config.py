@@ -4,6 +4,10 @@ Config files are flat ``key = value`` text; '#' starts a comment.  Command
 line flags override file values.  Unknown keys are rejected.  A key's value
 parses by its field's annotation, whether it arrives as text or typed from
 a manifest; the numeric keys are the sweepable ones.
+
+validate_config is the only check on a value's range.  parse_config and
+cli.run call it, so run_experiment and everything below it take a
+validated config and do not check its values again.
 """
 
 from __future__ import annotations

@@ -19,6 +19,10 @@ from decrecsim.errors import ContractError, EmptyDatasetError, ParseError
 from decrecsim.rng import stream
 
 FORMATS = ("movielens_dat", "csv")
+# Padding around a field, in both formats, and of a blank line is ASCII
+# spaces and tabs only; str.strip() would also drop "\x85", "\x0c" and other
+# separators.
+_PAD = " \t"
 
 
 @dataclass
@@ -69,17 +73,23 @@ def load_interactions(path: str, fmt: str) -> RawInteractions:
     """Parse a ratings file into RawInteractions.
 
     movielens_dat lines are ``user::item::rating::timestamp``; csv files have
-    a ``user,item,rating[,timestamp]`` header.  Every record needs nonempty
-    ids, a finite numeric rating and an integer or empty timestamp; a
-    malformed line raises ParseError naming its 1-based line number.
+    a ``user,item,rating[,timestamp]`` header; spaces and tabs around a
+    field are padding.  Every record needs nonempty ids, a finite numeric
+    rating and an integer or empty timestamp; a malformed line, or a byte
+    that is not UTF-8, raises ParseError naming its 1-based line number.
     """
-    if fmt not in FORMATS:
-        raise ContractError(f"unknown dataset format: {fmt!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read interactions file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so exc.object is all of
+        # it; the lines before the bad byte end as the read below ends them
+        head = exc.object[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = head.count(b"\n") + 1
+        bad = exc.object[exc.start]
+        raise ParseError(f"{path}: line {lineno}: byte 0x{bad:02x} is not UTF-8 text") from None
     # Lines end at "\n" alone, which the universal-newline read also makes of
     # "\r\n" and "\r"; str.splitlines would break at "\f", "\x1c" and others.
     lines = text.split("\n") if text else []
@@ -90,6 +100,8 @@ def load_interactions(path: str, fmt: str) -> RawInteractions:
     users: list[int] = []
     items: list[int] = []
     for lineno, (user, item, rating, timestamp) in records:
+        user, item = user.strip(_PAD), item.strip(_PAD)
+        rating, timestamp = rating.strip(_PAD), timestamp.strip(_PAD)
         _check_record(path, lineno, user, item, rating, timestamp)
         users.append(user_codes.setdefault(user, len(user_codes)))
         items.append(item_codes.setdefault(item, len(item_codes)))
@@ -99,7 +111,7 @@ def load_interactions(path: str, fmt: str) -> RawInteractions:
 def _dat_fields(path: str, lines: list[str]):
     """(line number, its four fields) per nonempty movielens_dat line."""
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line.strip(_PAD):
             continue
         parts = line.split("::")
         if len(parts) != 4:
@@ -112,13 +124,13 @@ def _csv_fields(path: str, lines: list[str]):
     nonempty csv record line, after checking the header."""
     if not lines:
         return
-    header = [h.strip().lower() for h in lines[0].split(",")]
+    header = [h.strip(_PAD).lower() for h in lines[0].split(",")]
     if header not in (["user", "item", "rating"], ["user", "item", "rating", "timestamp"]):
         raise ParseError(f"{path}: line 1: expected header 'user,item,rating[,timestamp]'")
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line.strip(_PAD):
             continue
-        parts = [p.strip() for p in line.split(",")]
+        parts = line.split(",")
         if len(parts) not in (3, 4):
             raise ParseError(f"{path}: line {lineno}: expected 3 or 4 comma-separated fields")
         yield lineno, parts if len(parts) == 4 else parts + [""]
@@ -151,8 +163,6 @@ def preprocess(raw: RawInteractions, min_count: int) -> Precursor:
     removing a user can drop an item below the threshold and vice versa.
     Dense indices follow first appearance order in the surviving records.
     """
-    if min_count < 1:
-        raise ContractError("min_count must be >= 1")
     if not len(raw):
         raise EmptyDatasetError("no interaction records to preprocess")
 

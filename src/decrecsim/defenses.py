@@ -95,8 +95,6 @@ _NORM_BLOCK = 4096
 
 
 def _norms(rows: np.ndarray, p: int) -> np.ndarray:
-    if p < 1:
-        raise ContractError("norm order must be >= 1")
     norms = np.empty(len(rows))
     for start in range(0, len(rows), _NORM_BLOCK):
         block = rows[start : start + _NORM_BLOCK]
@@ -232,8 +230,6 @@ def build_round_rows(rr: RoundRows, mu: float, p: int, bank: bool) -> RoundRows:
     are for UCSU's banks: they get their own p-norms and the pop order by
     the key min(p-norm, mu).
     """
-    if mu <= 0:
-        raise ContractError("mu must be > 0")
     if mu == math.inf and not bank:
         return rr  # every row stays as sent, and no reader needs its norm
     # Norms are taken in blocks and clipping scales the block in place.
@@ -281,8 +277,6 @@ class MemoryBank:
     """
 
     def __init__(self, capacity_rounds: int):
-        if capacity_rounds < 1:
-            raise ContractError("capacity_rounds must be >= 1")
         self.capacity_rounds = capacity_rounds
         self._last_round: int | None = None
         self._chunks: list[tuple[RoundRows, np.ndarray]] = []  # (rr, positions)
@@ -337,8 +331,6 @@ class MemoryBank:
 
         Output is ordered by descending norm, insertion order on ties.
         """
-        if not (0.0 < nu <= 1.0):
-            raise ContractError("nu must be in (0, 1]")
         total = self.size()
         if total == 0:
             return np.zeros(0, dtype=np.int64), np.zeros((0, 0)), np.zeros(0)
@@ -438,8 +430,6 @@ def ucsu_aggregate(
     Rows left unselected stay banked.  Returns (item ids, aggregate rows);
     an empty bank yields no ids and a (0, embed_dim) row block.
     """
-    if not (0.0 < nu <= 1.0):
-        raise ContractError("nu must be in (0, 1]")
     bank.ingest(rr, rr.refs_of(senders))
     bank.evict(rr.round)
     if bank.size() == 0:
@@ -555,8 +545,6 @@ def trimmed_mean_aggregate(
     Absent rows count as zero.  When there are too few packets (count <=
     2 * trim_k) the plain mean is used instead.
     """
-    if trim_k < 0:
-        raise ContractError("trim_k must be >= 0")
     n_pkts = len(senders)
     if trim_k == 0 or n_pkts <= 2 * trim_k:
         return l2_clip_aggregate(rr, senders)

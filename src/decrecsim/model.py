@@ -55,8 +55,6 @@ class NetLayout:
     """
 
     def __init__(self, embed_dim: int, layer_widths: list[int]):
-        if embed_dim < 1 or not layer_widths or any(w < 1 for w in layer_widths):
-            raise ContractError("embed_dim and layer widths must be positive")
         self.embed_dim = int(embed_dim)
         self.layer_widths = [int(w) for w in layer_widths]
         self.shapes: list[tuple[int, ...]] = []
@@ -494,8 +492,6 @@ def local_train_step(
     The pairs are not re-checked: they must be nonempty batches that passed
     check_pairs (init_world checks every client's pairs once).
     """
-    if lr < 0:
-        raise ContractError("learning rate must be >= 0")
     if state.user_vec.ndim != 2:
         raise ContractError("local_train_step steps a block of clients (see block_views)")
     items, user_grad, net_grad, item_rows = _pair_gradients(state, pairs)

@@ -29,8 +29,6 @@ def make_hyperplanes(
     embed_dim: int, sketch_dim: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Shared random projection matrix (sketch_dim, embed_dim), standard normal."""
-    if sketch_dim < 1:
-        raise ContractError("sketch_dim must be >= 1")
     return rng.standard_normal((sketch_dim, embed_dim))
 
 
@@ -64,8 +62,6 @@ def assign_neighbors(sketches: np.ndarray | list[np.ndarray], n_neighbors: int) 
     num_clients = mat.shape[0]
     if num_clients < 2:
         raise ContractError("neighbor assignment needs at least 2 clients")
-    if n_neighbors < 1:
-        raise ContractError("n_neighbors must be >= 1")
     # float32 sums of +-1 products are exact integers (|sum| <= 2^24).
     sims = (mat @ mat.T).astype(np.float64) / mat.shape[1]
     np.fill_diagonal(sims, -np.inf)  # never self

@@ -376,10 +376,8 @@ def run_round(world: World, config: ExperimentConfig) -> None:
             items, rows = median_aggregate(shared_rows, neigh)
         elif config.defense == "trimmed":
             items, rows = trimmed_mean_aggregate(shared_rows, neigh, resolve_trim_k(len(neigh)))
-        elif config.defense == "krum":
+        else:  # krum, the last of validate_config's DEFENSES
             items, rows = item_krum_aggregate(shared_rows, neigh)
-        else:
-            raise ConfigError(f"unknown defense: {config.defense!r}")
         net_mean = _mean_in_order(nets, neigh)
         apply_neighbor_aggregate(world.clients[i], items, rows, net_mean, lr)
 

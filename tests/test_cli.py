@@ -185,6 +185,14 @@ def test_non_sweepable_key_fails(world, tmp_path, capsys):
     assert err.startswith("error: ") and "not sweepable" in err
 
 
+def test_sweep_without_values_fails(world, tmp_path, capsys):
+    config, _ = world
+    args = ["sweep", "--config", config, "--out", str(tmp_path), "--key", "p", "--values", ","]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nonempty list" in err
+
+
 def test_replay_with_changed_dataset_fails(world, tmp_path, capsys):
     config, data = world
     first = tmp_path / "first"

@@ -1,17 +1,28 @@
 """Config keys: a manifest's typed values replay to an equal config, mu =
 inf among them, every parser rejects malformed text by the key's name, keys
-an old manifest may still name are rejected, the lambda key, and which keys
-a sweep may vary."""
+an old manifest may still name are rejected, the lambda key, which keys a
+sweep may vary, the config file's syntax, and every rule of validate_config
+at its boundary."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import re
 from dataclasses import fields
 
 import pytest
 
-from decrecsim.config import SWEEPABLE, ExperimentConfig, parse_config
+from decrecsim.config import (
+    ATTACKS,
+    DEFENSES,
+    SWEEPABLE,
+    ExperimentConfig,
+    parse_config,
+    validate_config,
+)
+from decrecsim.dataset import FORMATS
 from decrecsim.errors import ConfigError
 
 # A value unlike the default in every field; lr's shortest repr has 17
@@ -111,3 +122,90 @@ def test_sweepable_keys_are_the_numeric_keys():
     }
     assert {"lambda", "p"} <= SWEEPABLE
     assert not {"attack", "dataset_format", "layer_widths"} & SWEEPABLE
+
+
+def test_config_file_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "a.cfg"
+    path.write_text("# a run\n\n  rounds = 3  # three\n   \nlambda=0.5\n", encoding="utf-8")
+    cfg = parse_config(str(path), {"dataset_path": "x"})
+    assert (cfg.rounds, cfg.lam) == (3, 0.5)
+
+
+def test_config_file_line_without_equals_names_its_line(tmp_path):
+    path = tmp_path / "a.cfg"
+    path.write_text("# a run\nrounds = 3\n\nrounds 4\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: line 4: expected 'key = value'$"):
+        parse_config(str(path), {"dataset_path": "x"})
+
+
+# Smallest steps off a float boundary: the least subnormal off 0, one ulp off 1.
+TINY = "5e-324"
+ABOVE_1 = "1.0000000000000002"
+BELOW_1 = "0.9999999999999999"
+
+# One case per _require call of validate_config, in its order: the (key,
+# value) settings just outside the rule, which it must reject with its
+# message, and the boundary settings inside it, which must parse.
+RULES = [
+    pytest.param([("dataset_path", "")], [("dataset_path", "x")],
+                 "dataset_path is required", id="dataset_path"),
+    pytest.param([("dataset_format", "tsv")], [("dataset_format", f) for f in FORMATS],
+                 f"dataset_format must be one of {FORMATS}", id="dataset_format"),
+    pytest.param([("attack", "sybil")], [("attack", a) for a in ATTACKS],
+                 f"attack must be one of {ATTACKS}", id="attack"),
+    pytest.param([("defense", "fltrust")], [("defense", d) for d in DEFENSES],
+                 f"defense must be one of {DEFENSES}", id="defense"),
+    pytest.param([("nu", "0"), ("nu", ABOVE_1)], [("nu", TINY), ("nu", "1")],
+                 "nu must satisfy 0 < nu <= 1", id="nu"),
+    pytest.param([("xi", "-" + TINY), ("xi", "1")], [("xi", "0"), ("xi", BELOW_1)],
+                 "xi must satisfy 0 <= xi < 1", id="xi"),
+    pytest.param([("mu", "0")], [("mu", TINY), ("mu", "inf")], "mu must be > 0", id="mu"),
+    pytest.param([("train_ratio", "0"), ("train_ratio", "1")],
+                 [("train_ratio", TINY), ("train_ratio", BELOW_1)],
+                 "train_ratio must satisfy 0 < train_ratio < 1", id="train_ratio"),
+    pytest.param([("neg_ratio", "-1")], [("neg_ratio", "0")], "neg_ratio must be >= 0",
+                 id="neg_ratio"),
+    pytest.param([("lr", "0")], [("lr", TINY)], "lr must be > 0", id="lr"),
+    pytest.param([("rounds", "-1")], [("rounds", "0")], "rounds must be >= 0", id="rounds"),
+    pytest.param([("eval_every", "0")], [("eval_every", "1")], "eval_every must be >= 1",
+                 id="eval_every"),
+    pytest.param([("p", "0"), ("p", "3")], [("p", "1"), ("p", "2")], "p must be 1 or 2", id="p"),
+    pytest.param(
+        [("embed_dim", "0"), ("layer_widths", ""), ("layer_widths", "0,4"),
+         ("layer_widths", "4,0")],
+        [("embed_dim", "1"), ("layer_widths", "1"), ("layer_widths", "1,1")],
+        "embed_dim and layer_widths must be positive", id="embed_dim-layer_widths",
+    ),
+    pytest.param([("neighbors", "0")], [("neighbors", "1")], "neighbors must be >= 1",
+                 id="neighbors"),
+    pytest.param([("refresh_every", "0")], [("refresh_every", "1")],
+                 "refresh_every must be >= 1", id="refresh_every"),
+    pytest.param([("top_k", "0")], [("top_k", "1")], "top_k must be >= 1", id="top_k"),
+    pytest.param([("capacity_rounds", "0")], [("capacity_rounds", "1")],
+                 "capacity_rounds must be >= 1", id="capacity_rounds"),
+    pytest.param([("num_targets", "0")], [("num_targets", "1")], "num_targets must be >= 1",
+                 id="num_targets"),
+    pytest.param([("min_count", "0")], [("min_count", "1")], "min_count must be >= 1",
+                 id="min_count"),
+    pytest.param([("sketch_dim", "0")], [("sketch_dim", "1")], "sketch_dim must be >= 1",
+                 id="sketch_dim"),
+    pytest.param([("workers", "0")], [("workers", "1")], "workers must be >= 1", id="workers"),
+    pytest.param([("alpha", "-1")], [("alpha", "0")], "alpha must be >= 0", id="alpha"),
+    pytest.param([("s", "-1")], [("s", "0")], "s must be >= 0", id="s"),
+    pytest.param([("e_ft", "-1")], [("e_ft", "0")], "e_ft must be >= 0", id="e_ft"),
+    pytest.param([("lambda", "-" + TINY)], [("lambda", "0")], "lambda must be >= 0",
+                 id="lambda"),
+]
+
+
+def test_rules_cover_every_require_of_validate_config():
+    assert inspect.getsource(validate_config).count("_require(") == len(RULES)
+
+
+@pytest.mark.parametrize("outside, inside, message", RULES)
+def test_each_rule_rejects_the_first_value_outside_it(outside, inside, message):
+    for key, raw in outside:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(None, {"dataset_path": "x", key: raw})
+    for key, raw in inside:
+        parse_config(None, {"dataset_path": "x", key: raw})

@@ -8,7 +8,13 @@ import pytest
 
 from decrecsim.cli import load_dataset
 from decrecsim.config import ExperimentConfig
-from decrecsim.dataset import RawInteractions, load_interactions, preprocess, split_and_sample
+from decrecsim.dataset import (
+    FORMATS,
+    RawInteractions,
+    load_interactions,
+    preprocess,
+    split_and_sample,
+)
 from decrecsim.errors import ContractError, EmptyDatasetError, ParseError
 from decrecsim.synthetic import generate_interactions, main, write_movielens_dat
 
@@ -31,6 +37,18 @@ def raw_from_pairs(pairs):
 
 def interaction_count(pre):
     return sum(len(items) for items in pre.user_items)
+
+
+def write_records(tmp_path, name, fmt, records, header="user,item,rating,timestamp"):
+    """A file of records, each a list of field texts, in format fmt; a csv
+    file starts with header."""
+    sep = "::" if fmt == "movielens_dat" else ","
+    lines = [sep.join(fields) for fields in records]
+    if fmt == "csv":
+        lines.insert(0, header)
+    path = tmp_path / name
+    path.write_bytes("".join(line + "\n" for line in lines).encode())
+    return str(path)
 
 
 def assert_columns(raw, users, items):
@@ -75,9 +93,10 @@ class TestLoad:
             ("a.csv", "csv", "user,item,rating,timestamp\n1,11,5,x\n1,10,5,1\n"),
             ("a.dat", "movielens_dat", "1::10::5::100\n1::::5::200\n"),
             ("a.dat", "movielens_dat", "1::10::5::100\r\n1::11::nan::200\r\n"),
+            ("a.csv", "csv", "user,item,rating\n1,10\n1,11,5\n"),
         ],
         ids=["dat-nan-rating", "csv-inf-rating", "dat-float-timestamp", "csv-bad-timestamp",
-             "dat-empty-item", "dat-crlf-nan-rating"],
+             "dat-empty-item", "dat-crlf-nan-rating", "csv-two-fields"],
     )
     def test_bad_record_names_line(self, tmp_path, name, fmt, text):
         with pytest.raises(ParseError, match="line 2"):
@@ -134,6 +153,42 @@ class TestLoad:
         a, b = load_interactions(str(lf), fmt), load_interactions(str(crlf), fmt)
         assert a.users.tobytes() == b.users.tobytes() and a.items.tobytes() == b.items.tobytes()
         assert_columns(a, [0, 1, 0, 2], [0, 1, 1, 2])
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_only_spaces_and_tabs_pad_a_field(self, tmp_path, fmt):
+        # str.strip() would take "\x85" as padding and merge the two items
+        path = write_records(tmp_path, "a", fmt, [["1", "a\x85", "5", ""], ["1", " a", "4", ""]])
+        assert_columns(load_interactions(path, fmt), [0, 0], [0, 1])
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_padded_record_loads_like_its_unpadded_twin(self, tmp_path, fmt):
+        plain = [["9", "b", "1", "1"], ["10", "a", "1", ""]]
+        padded = [[f" \t{f}  " for f in fields] for fields in plain]
+        path = write_records(
+            tmp_path, "a", fmt, plain + padded, header=" user\t, item ,rating,timestamp "
+        )
+        assert_columns(load_interactions(path, fmt), [0, 1, 0, 1], [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, newline):
+        path = tmp_path / "a.csv"
+        lines = [b"user,item,rating", b"1,10,5", b"1,1\x851,5", b"2,10,5"]
+        path.write_bytes(b"".join(line + newline.encode() for line in lines))
+        with pytest.raises(ParseError, match=r"a\.csv: line 3: byte 0x85 is not UTF-8 text$"):
+            load_interactions(str(path), "csv")
+
+    def test_empty_csv_file(self, tmp_path):
+        assert len(load_interactions(write(tmp_path, "a.csv", ""), "csv")) == 0
+
+    def test_csv_bad_header(self, tmp_path):
+        path = write(tmp_path, "a.csv", "user,item\n1,10\n")
+        with pytest.raises(ParseError, match="line 1: expected header"):
+            load_interactions(path, "csv")
+
+    def test_file_of_blank_lines_has_no_records(self, tmp_path):
+        path = write(tmp_path, "a.dat", "\n \n\t\n\n")
+        with pytest.raises(EmptyDatasetError, match="no interaction records"):
+            load_dataset(ExperimentConfig(dataset_path=path))
 
     def test_missing_file(self):
         with pytest.raises(OSError):

@@ -157,15 +157,17 @@ class TestExposureRate:
         assert exposure_rate(world, benign_top_lists(world, 2)) == 0.5
 
     def test_target_in_nobody_list_zero(self):
+        # every user is eligible for every item; 3 top-1 lists leave 7 items
+        # that no list holds
         world = toy_world(8, 3, 10, num_targets=1)
-        scores_low = min(range(10), key=lambda i: max(
-            predict_rating(c, i) for c in world.clients
-        ))
-        world.target_items = np.array([scores_low])
         world.dataset.train = [np.zeros(0, dtype=np.int64)] * 3
         world.dataset.test = [np.zeros(0, dtype=np.int64)] * 3
-        er = exposure_rate(world, benign_top_lists(world, 1))
-        assert er in (0.0, 1.0) or 0 <= er <= 1
+        lists = benign_top_lists(world, 1)
+        listed = set(np.concatenate(list(lists.values())).tolist())
+        world.target_items = np.array([min(set(range(10)) - listed)])
+        assert exposure_rate(world, lists) == 0.0
+        world.target_items = np.array([min(listed)])
+        assert exposure_rate(world, lists) > 0.0
 
     def test_universally_interacted_target_contributes_zero(self):
         world = toy_world(9, 2, 6, num_targets=1)
