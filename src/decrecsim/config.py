@@ -1,6 +1,9 @@
 """Experiment configuration: defaults, file parsing, and validation.
 
-Config files are flat ``key = value`` text; '#' starts a comment.  Command
+Config files are flat ``key = value`` UTF-8 text, a leading byte-order mark
+allowed.  A '#' that opens a line or follows a space or tab starts a
+comment; any other '#' is part of the value, so the line
+``dataset_path = runs#2/r.dat  # the file`` sets ``runs#2/r.dat``.  Command
 line flags override file values.  Unknown keys are rejected.  A key's value
 parses by its field's annotation, whether it arrives as text or typed from
 a manifest; the numeric keys are the sweepable ones.
@@ -12,9 +15,10 @@ validated config and do not check its values again.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 
-from decrecsim.dataset import FORMATS
+from decrecsim.dataset import FORMATS, read_text
 from decrecsim.errors import ConfigError
 
 ATTACKS = ("none", "ra", "eb", "psmu", "pamn")
@@ -110,17 +114,17 @@ def set_key(cfg: ExperimentConfig, key: str, raw) -> object:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Flat key = value lines; blank lines and '#' comments are ignored."""
+    """Flat key = value lines; blank lines and comments are ignored."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-            key, raw = stripped.split("=", 1)
-            values[key.strip()] = raw.strip()
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        # a comment opens the line or follows a space or tab
+        stripped = re.split(r"(?:^|[ \t])#", line, maxsplit=1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+        key, raw = stripped.split("=", 1)
+        values[key.strip()] = raw.strip()
     return values
 
 

@@ -69,6 +69,23 @@ class Dataset:
     pairs: list[np.ndarray]
 
 
+def read_text(path: str) -> str:
+    """A UTF-8 file's text, with universal newlines and no byte-order mark;
+    errors name the path, and a byte that is not UTF-8 its 1-based line."""
+    try:
+        # "utf-8-sig" would read a file holding part of a mark as empty text
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().removeprefix("\ufeff")
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so exc.object is all of it
+        head = exc.object[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = head.count(b"\n") + 1
+        bad = exc.object[exc.start]
+        raise ParseError(f"{path}: line {lineno}: byte 0x{bad:02x} is not UTF-8 text") from None
+
+
 def load_interactions(path: str, fmt: str) -> RawInteractions:
     """Parse a ratings file into RawInteractions.
 
@@ -78,20 +95,9 @@ def load_interactions(path: str, fmt: str) -> RawInteractions:
     rating and an integer or empty timestamp; a malformed line, or a byte
     that is not UTF-8, raises ParseError naming its 1-based line number.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise OSError(f"cannot read interactions file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        # read() decodes the whole file in one call, so exc.object is all of
-        # it; the lines before the bad byte end as the read below ends them
-        head = exc.object[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        lineno = head.count(b"\n") + 1
-        bad = exc.object[exc.start]
-        raise ParseError(f"{path}: line {lineno}: byte 0x{bad:02x} is not UTF-8 text") from None
-    # Lines end at "\n" alone, which the universal-newline read also makes of
-    # "\r\n" and "\r"; str.splitlines would break at "\f", "\x1c" and others.
+    text = read_text(path)
+    # Lines end at "\n" alone, which read_text also makes of "\r\n" and
+    # "\r"; str.splitlines would break at "\f", "\x1c" and others.
     lines = text.split("\n") if text else []
 
     records = _dat_fields(path, lines) if fmt == "movielens_dat" else _csv_fields(path, lines)

@@ -1,6 +1,7 @@
-"""Command line on a tiny synthetic world: byte-identical manifest replay
-of runs and sweeps, what the manifest records of the run, the lambda sweep
-key, and the error paths that end in an ``error:`` line."""
+"""Command line on a tiny synthetic world: byte-identical manifest replay,
+what the manifest records of the run, a sweep as one ordinary run per value
+in ``<out>/<key>=<value>/``, the lambda sweep key, and the error paths that
+end in one ``error:`` line."""
 
 from __future__ import annotations
 
@@ -82,7 +83,7 @@ def test_set_mu_inf_replays_from_its_manifest(world, tmp_path):
     first, replay = tmp_path / "first", tmp_path / "replay"
     assert cli.main(run_args(config, first) + ["--set", "mu=inf"]) == 0
     assert '"mu": Infinity' in (first / "manifest.json").read_text(encoding="utf-8")
-    recorded, _ = cli.config_from_manifest(str(first / "manifest.json"))
+    recorded = cli.config_from_manifest(str(first / "manifest.json"))
     assert recorded == parse_config(config, {"mu": "inf", "output_path": str(first)})
     assert recorded.mu == float("inf")
     assert cli.main(replay_args(first, replay)) == 0
@@ -99,15 +100,18 @@ def test_manifest_records_the_run(world, tmp_path):
     assert 10.0 < manifest["peak_rss_mb"] < 1e6
 
 
-def test_replay_of_sweep_manifest_replays_the_sweep(world, tmp_path):
+def test_each_sweep_value_is_a_run_that_replays(world, tmp_path):
     config, _ = world
-    first, replay = tmp_path / "first", tmp_path / "replay"
+    first = tmp_path / "first"
     args = ["sweep", "--config", config, "--out", str(first), "--key", "lambda", "--values", "0.5,2"]
     assert cli.main(args) == 0
-    assert cli.main(replay_args(first, replay)) == 0
-    assert sorted(p.name for p in replay.iterdir()) == ["manifest.json", "sweep_lambda.csv"]
-    assert (replay / "sweep_lambda.csv").read_bytes() == (first / "sweep_lambda.csv").read_bytes()
-    assert without_run_record(replay / "manifest.json") == without_run_record(first / "manifest.json")
+    assert sorted(p.name for p in first.iterdir()) == ["lambda=0.5", "lambda=2.0"]
+    for run_dir in first.iterdir():
+        assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "metrics.csv"]
+        replay = tmp_path / "replay" / run_dir.name
+        assert cli.main(replay_args(run_dir, replay)) == 0
+        assert (replay / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
+        assert without_run_record(replay / "manifest.json") == without_run_record(run_dir / "manifest.json")
 
 
 def test_replay_of_manifest_with_unknown_key_fails(world, tmp_path, capsys):
@@ -136,9 +140,12 @@ def test_sweep_lambda_sets_lam_and_labels_rows(world, tmp_path, monkeypatch):
     args = ["sweep", "--config", config, "--out", str(out), "--key", "lambda", "--values", "0.5,2"]
     assert cli.main(args) == 0
     assert seen == [0.5, 2.0]
-    header, *rows = (out / "sweep_lambda.csv").read_text(encoding="utf-8").splitlines()
-    assert header.endswith(",sweep_key,sweep_value")
-    assert [row.split(",")[-2:] for row in rows] == [["lambda", "0.5"]] * 3 + [["lambda", "2.0"]] * 3
+    for label, lam in (("lambda=0.5", 0.5), ("lambda=2.0", 2.0)):
+        manifest = json.loads((out / label / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["lambda"] == lam
+        assert manifest["config"]["output_path"] == str(out / label)
+        header, *rows = (out / label / "metrics.csv").read_text(encoding="utf-8").splitlines()
+        assert header == cli.CSV_HEADER and len(rows) == 3
 
 
 @pytest.mark.parametrize(
@@ -191,6 +198,56 @@ def test_sweep_without_values_fails(world, tmp_path, capsys):
     assert cli.main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nonempty list" in err
+
+
+def test_repeated_sweep_value_fails(world, tmp_path, capsys, monkeypatch):
+    # 1 and 1.0 parse to one lambda, whose run would overwrite the first
+    config, _ = world
+
+    def no_run(cfg, dataset):
+        raise AssertionError("a sweep with a repeated value ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", config, "--out", str(out), "--key", "lambda", "--values", "1,2,1.0"]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sweep value '1.0' repeats lambda = 1.0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("not json", "not a run manifest: Expecting value"),
+        ("[1]", "not a run manifest: no 'config' object"),
+        ('{"seed": 1}', "not a run manifest: no 'config' object"),
+    ],
+    ids=["not-json", "not-an-object", "no-config"],
+)
+def test_file_that_is_not_a_run_manifest_fails(tmp_path, capsys, text, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["run", "--from-manifest", str(path), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+
+def test_old_sweep_manifest_fails(world, tmp_path, capsys):
+    # an old sweep's manifest records the sweep's base config, so replaying
+    # it as one run would silently run another experiment
+    config, _ = world
+    first = tmp_path / "first"
+    assert cli.main(run_args(config, first)) == 0
+    path = first / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest.update(sweep={"key": "p", "values": ["1", "2"]}, outputs={"metrics_csv": "sweep_p.csv"})
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(replay_args(first, tmp_path / "r")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: a sweep manifest") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
 
 
 def test_replay_with_changed_dataset_fails(world, tmp_path, capsys):

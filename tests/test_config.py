@@ -1,8 +1,8 @@
 """Config keys: a manifest's typed values replay to an equal config, mu =
 inf among them, every parser rejects malformed text by the key's name, keys
 an old manifest may still name are rejected, the lambda key, which keys a
-sweep may vary, the config file's syntax, and every rule of validate_config
-at its boundary."""
+sweep may vary, the config file's syntax and encoding, and every rule of
+validate_config at its boundary."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from decrecsim.config import (
     validate_config,
 )
 from decrecsim.dataset import FORMATS
-from decrecsim.errors import ConfigError
+from decrecsim.errors import ConfigError, ParseError
 
 # A value unlike the default in every field; lr's shortest repr has 17
 # digits, so a float must round-trip exactly.
@@ -129,6 +129,27 @@ def test_config_file_skips_comments_and_blank_lines(tmp_path):
     path.write_text("# a run\n\n  rounds = 3  # three\n   \nlambda=0.5\n", encoding="utf-8")
     cfg = parse_config(str(path), {"dataset_path": "x"})
     assert (cfg.rounds, cfg.lam) == (3, 0.5)
+
+
+def test_config_file_keeps_a_hash_inside_a_value(tmp_path):
+    path = tmp_path / "a.cfg"
+    path.write_text("dataset_path = data/runs#2/r.dat  # the file\n#rounds = 4\n", encoding="utf-8")
+    cfg = parse_config(str(path))
+    assert (cfg.dataset_path, cfg.rounds) == ("data/runs#2/r.dat", ExperimentConfig().rounds)
+
+
+def test_config_file_with_a_byte_order_mark_parses(tmp_path):
+    path = tmp_path / "a.cfg"
+    path.write_bytes(b"\xef\xbb\xbfrounds = 3\r\nlambda = 0.5\r\n")
+    cfg = parse_config(str(path), {"dataset_path": "x"})
+    assert (cfg.rounds, cfg.lam) == (3, 0.5)
+
+
+def test_config_file_byte_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "a.cfg"
+    path.write_bytes(b"rounds = 3\nlambda = 0.\x855\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 2: byte 0x85 is not UTF-8 text$"):
+        parse_config(str(path), {"dataset_path": "x"})
 
 
 def test_config_file_line_without_equals_names_its_line(tmp_path):

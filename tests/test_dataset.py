@@ -177,6 +177,34 @@ class TestLoad:
         with pytest.raises(ParseError, match=r"a\.csv: line 3: byte 0x85 is not UTF-8 text$"):
             load_interactions(str(path), "csv")
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_byte_order_mark_file_loads_like_its_copy_without_one(self, tmp_path, fmt):
+        # user 1 comes back on line 3, so a mark kept in the first id would
+        # code it as a new user
+        records = [["1", "10", "5", ""], ["2", "10", "4", "7"], ["1", "11", "3", ""]]
+        plain = write_records(tmp_path, "plain", fmt, records)
+        marked = tmp_path / "marked"
+        marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain").read_bytes())
+        a, b = load_interactions(plain, fmt), load_interactions(str(marked), fmt)
+        assert a.users.tobytes() == b.users.tobytes() and a.items.tobytes() == b.items.tobytes()
+        assert_columns(b, [0, 1, 0], [0, 0, 1])
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_byte_order_mark_file_bad_byte_names_its_line(self, tmp_path, fmt):
+        path = write_records(tmp_path, "a", fmt, [["1", "10", "5", ""], ["1", "1\x851", "5", ""]])
+        data = (tmp_path / "a").read_bytes().replace("\x85".encode(), b"\x85")
+        (tmp_path / "a").write_bytes(b"\xef\xbb\xbf" + data)
+        line = 3 if fmt == "csv" else 2
+        with pytest.raises(ParseError, match=rf"a: line {line}: byte 0x85 is not UTF-8 text$"):
+            load_interactions(path, fmt)
+
+    @pytest.mark.parametrize("head", [b"\xef", b"\xef\xbb"])
+    def test_part_of_a_byte_order_mark_is_not_utf8(self, tmp_path, head):
+        path = tmp_path / "a.csv"
+        path.write_bytes(head)
+        with pytest.raises(ParseError, match=r"a\.csv: line 1: byte 0xef is not UTF-8 text$"):
+            load_interactions(str(path), "csv")
+
     def test_empty_csv_file(self, tmp_path):
         assert len(load_interactions(write(tmp_path, "a.csv", ""), "csv")) == 0
 
