@@ -1,12 +1,14 @@
 """Experiment driver: config resolution, run orchestration, CSV/manifest output.
 
-``decrecsim run`` executes one experiment.  ``decrecsim sweep`` checks every
-value of one numeric key first, then runs one ordinary experiment per value,
-with the shared base seed, into ``<out>/<key>=<value>/``.  Every run writes a
+A config is the defaults, then ``--from-manifest``'s recorded values, then
+the ``--config`` file, then the flags, each over the ones before.  ``--out``
+(default ``results``) alone says where a run writes.  ``decrecsim run``
+executes one experiment.  ``decrecsim sweep`` checks every value of one
+numeric key first, then runs one ordinary experiment per value, with the
+shared base seed, into ``<out>/<key>=<value>/``.  Every run writes a
 ``metrics.csv`` plus a ``manifest.json`` that fully determines it; replaying
-a manifest (``run --from-manifest``) reproduces the CSV byte for byte.  The
-manifest also records the run itself (wall time, peak RSS, numpy version);
-replay ignores those keys.
+a manifest reproduces the CSV byte for byte.  The manifest also records the
+run itself (wall time, peak RSS, numpy version); replay ignores those keys.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from decrecsim import __version__
 from decrecsim.config import SWEEPABLE, ExperimentConfig, parse_config, set_key, validate_config
 from decrecsim.dataset import (
     FORMATS,
+    PAD,
     Dataset,
     load_interactions,
     preprocess,
@@ -78,24 +81,23 @@ def _write_manifest(path: str, config: ExperimentConfig, started: float) -> None
         fh.write("\n")
 
 
-def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[str, str]:
-    """Execute one experiment into out_dir (config.output_path by default);
-    returns (metrics.csv path, manifest.json path)."""
+def run(config: ExperimentConfig, out_dir: str) -> tuple[str, str]:
+    """Execute one experiment into out_dir; returns (metrics.csv path, manifest.json path)."""
     started = time.perf_counter()
     validate_config(config)
     rows = [CSV_HEADER] + _format_rows(run_experiment(config, load_dataset(config)))
-    out = out_dir or config.output_path
-    os.makedirs(out, exist_ok=True)
-    csv_path = os.path.join(out, "metrics.csv")
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, "metrics.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.writelines(row + "\n" for row in rows)
-    manifest_path = os.path.join(out, "manifest.json")
+    manifest_path = os.path.join(out_dir, "manifest.json")
     _write_manifest(manifest_path, config, started)
     return csv_path, manifest_path
 
 
-def config_from_manifest(path: str) -> ExperimentConfig:
-    """Rebuild the exact configuration recorded in a run manifest."""
+def manifest_values(path: str) -> dict:
+    """The config values a run manifest records, once its dataset file is
+    checked against the recorded hash; parse_config takes them as its base."""
     try:
         manifest = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -104,19 +106,22 @@ def config_from_manifest(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: not a run manifest: no 'config' object")
     if "sweep" in manifest:  # an old sweep's; its config is only the sweep's base
         raise ConfigError(f"{path}: a sweep manifest; replay each value's run manifest instead")
-    config = parse_config(None, manifest["config"])
+    values = manifest["config"]
+    values.pop("output_path", None)  # recorded while the config held the output directory
     recorded = manifest.get("dataset_sha256")
     if recorded is not None:
-        actual = _dataset_sha256(config.dataset_path)
+        if not isinstance(recorded, str):
+            raise ConfigError(f"{path}: dataset_sha256 is not a hex digest: {recorded!r}")
+        actual = _dataset_sha256(str(values.get("dataset_path", "")))
         if actual != recorded:
             raise ConfigError(
                 f"dataset content hash mismatch: manifest {recorded[:12]}…, file {actual[:12]}…"
             )
-    return config
+    return values
 
 
 # The flags that set a config key each have that key as their dest.
-_FLAG_KEYS = ("dataset_path", "dataset_format", "attack", "defense", "seed", "rounds", "output_path")
+_FLAG_KEYS = ("dataset_path", "dataset_format", "attack", "defense", "seed", "rounds")
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
@@ -125,7 +130,7 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        overrides[key.strip()] = raw.strip()
+        overrides[key.strip(PAD)] = raw.strip(PAD)
     return overrides
 
 
@@ -146,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--defense", help="defense strategy")
         p.add_argument("--seed", type=int, help="root seed")
         p.add_argument("--rounds", type=int, help="training rounds")
-        p.add_argument("--out", dest="output_path", help="output directory")
+        p.add_argument("--out", default="results", help="output directory (default: results)")
         p.add_argument(
             "--set",
             action="append",
@@ -154,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="override any documented config key (repeatable)",
         )
         if name == "run":
-            p.add_argument("--from-manifest", help="replay a recorded run exactly")
+            p.add_argument("--from-manifest", help="replay a manifest under --config and flags")
         else:
             p.add_argument("--key", required=True, help="sweepable config key")
             p.add_argument("--values", required=True, help="comma-separated values")
@@ -164,33 +169,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = _collect_overrides(args)
-        out_dir = None
-        if args.command == "run" and args.from_manifest:
-            config = config_from_manifest(args.from_manifest)
-            out_dir = overrides.pop("output_path", None)
-            for key, raw in overrides.items():
-                set_key(config, key, raw)
-        else:
-            config = parse_config(args.config, overrides)
-        configs = [config]
+        base = manifest_values(args.from_manifest) if getattr(args, "from_manifest", None) else None
+        config = parse_config(args.config, _collect_overrides(args), base)
+        runs = [(config, args.out)]
         if args.command == "sweep":
             # every value is checked before one runs; each runs in <out>/<key>=<value>
             if args.key not in SWEEPABLE:
                 raise ConfigError(f"key {args.key!r} is not sweepable")
-            configs, values = [], []
-            for raw in filter(None, (v.strip() for v in args.values.split(","))):
+            runs, values = [], []
+            for raw in filter(None, (v.strip(PAD) for v in args.values.split(","))):
                 cfg = replace(config)
                 value = set_key(cfg, args.key, raw)
                 if value in values:
                     raise ConfigError(f"sweep value {raw!r} repeats {args.key} = {value}")
                 values.append(value)
-                cfg.output_path = os.path.join(config.output_path, f"{args.key}={value}")
                 validate_config(cfg)
-                configs.append(cfg)
-            if not configs:
+                runs.append((cfg, os.path.join(args.out, f"{args.key}={value}")))
+            if not runs:
                 raise ConfigError("sweep requires a nonempty list of values")
-        for cfg in configs:
+        for cfg, out_dir in runs:
             csv_path, manifest_path = run(cfg, out_dir)
             print(f"metrics: {csv_path}")
             print(f"manifest: {manifest_path}")

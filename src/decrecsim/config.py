@@ -3,10 +3,14 @@
 Config files are flat ``key = value`` UTF-8 text, a leading byte-order mark
 allowed.  A '#' that opens a line or follows a space or tab starts a
 comment; any other '#' is part of the value, so the line
-``dataset_path = runs#2/r.dat  # the file`` sets ``runs#2/r.dat``.  Command
-line flags override file values.  Unknown keys are rejected.  A key's value
-parses by its field's annotation, whether it arrives as text or typed from
-a manifest; the numeric keys are the sweepable ones.
+``dataset_path = runs#2/r.dat  # the file`` sets ``runs#2/r.dat``.  Only
+dataset.PAD (spaces, tabs) pads a line, key or value, so a value keeps a
+U+0085; numeric keys are unaffected, as int() and float() strip whitespace
+themselves.  Unknown keys are rejected.  A key's value parses by its
+field's annotation, whether it arrives as text or typed from a manifest;
+the numeric keys are the sweepable ones.  parse_config layers the
+defaults, a manifest's values, the file and the flags, each over the ones
+before.  The output directory is not a key: the CLI's ``--out`` owns it.
 
 validate_config is the only check on a value's range.  parse_config and
 cli.run call it, so run_experiment and everything below it take a
@@ -16,9 +20,9 @@ validated config and do not check its values again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-from decrecsim.dataset import FORMATS, read_text
+from decrecsim.dataset import FORMATS, PAD, read_text
 from decrecsim.errors import ConfigError
 
 ATTACKS = ("none", "ra", "eb", "psmu", "pamn")
@@ -57,7 +61,6 @@ class ExperimentConfig:
     seed: int = 42
     sketch_dim: int = 16
     workers: int = 1
-    output_path: str = "results"
 
     def to_dict(self) -> dict:
         out = {}
@@ -82,7 +85,7 @@ _PARSERS = {
     "float": (float, "a number"),
     "str": (str, "text"),
     "tuple[int, ...]": (
-        lambda text: tuple(int(x) for x in text.split(",") if x.strip()),
+        lambda text: tuple(int(x) for x in text.split(",") if x.strip(PAD)),
         "comma-separated integers",
     ),
 }
@@ -106,7 +109,7 @@ def set_key(cfg: ExperimentConfig, key: str, raw) -> object:
     text = ",".join(map(str, raw)) if isinstance(raw, (list, tuple)) else str(raw)
     parse, expected = _PARSERS[_FIELD_TYPES[name]]
     try:
-        value = parse(text.strip())
+        value = parse(text.strip(PAD))
     except ValueError:
         raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
     setattr(cfg, name, value)
@@ -118,28 +121,26 @@ def read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         # a comment opens the line or follows a space or tab
-        stripped = re.split(r"(?:^|[ \t])#", line, maxsplit=1)[0].strip()
+        stripped = re.split(r"(?:^|[ \t])#", line, maxsplit=1)[0].strip(PAD)
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
         key, raw = stripped.split("=", 1)
-        values[key.strip()] = raw.strip()
+        values[key.strip(PAD)] = raw.strip(PAD)
     return values
 
 
-def parse_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from an optional file plus overrides.
-
-    Overrides (from CLI flags) win over file values; every default applies
-    where neither provides a value.  The result is fully validated.
-    """
+def parse_config(
+    path: str | None, overrides: dict | None = None, base: dict | None = None
+) -> ExperimentConfig:
+    """Layer base (a manifest's values), the file at path, then overrides
+    (the flags) over the defaults, and validate the result."""
     cfg = ExperimentConfig()
-    if path is not None:
-        for key, raw in read_config_file(path).items():
+    file_values = read_config_file(path) if path is not None else {}
+    for layer in (base or {}, file_values, overrides or {}):
+        for key, raw in layer.items():
             set_key(cfg, key, raw)
-    for key, raw in (overrides or {}).items():
-        set_key(cfg, key, raw)
     validate_config(cfg)
     return cfg
 

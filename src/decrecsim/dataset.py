@@ -19,10 +19,10 @@ from decrecsim.errors import ContractError, EmptyDatasetError, ParseError
 from decrecsim.rng import stream
 
 FORMATS = ("movielens_dat", "csv")
-# Padding around a field, in both formats, and of a blank line is ASCII
-# spaces and tabs only; str.strip() would also drop "\x85", "\x0c" and other
-# separators.
-_PAD = " \t"
+# Padding in every text input (ratings fields and lines, config and flag
+# keys and values) is ASCII spaces and tabs only; str.strip() would also
+# drop "\x85", "\x0c" and other separators.
+PAD = " \t"
 
 
 @dataclass
@@ -106,8 +106,8 @@ def load_interactions(path: str, fmt: str) -> RawInteractions:
     users: list[int] = []
     items: list[int] = []
     for lineno, (user, item, rating, timestamp) in records:
-        user, item = user.strip(_PAD), item.strip(_PAD)
-        rating, timestamp = rating.strip(_PAD), timestamp.strip(_PAD)
+        user, item = user.strip(PAD), item.strip(PAD)
+        rating, timestamp = rating.strip(PAD), timestamp.strip(PAD)
         _check_record(path, lineno, user, item, rating, timestamp)
         users.append(user_codes.setdefault(user, len(user_codes)))
         items.append(item_codes.setdefault(item, len(item_codes)))
@@ -117,7 +117,7 @@ def load_interactions(path: str, fmt: str) -> RawInteractions:
 def _dat_fields(path: str, lines: list[str]):
     """(line number, its four fields) per nonempty movielens_dat line."""
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip(_PAD):
+        if not line.strip(PAD):
             continue
         parts = line.split("::")
         if len(parts) != 4:
@@ -130,11 +130,11 @@ def _csv_fields(path: str, lines: list[str]):
     nonempty csv record line, after checking the header."""
     if not lines:
         return
-    header = [h.strip(_PAD).lower() for h in lines[0].split(",")]
+    header = [h.strip(PAD).lower() for h in lines[0].split(",")]
     if header not in (["user", "item", "rating"], ["user", "item", "rating", "timestamp"]):
         raise ParseError(f"{path}: line 1: expected header 'user,item,rating[,timestamp]'")
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip(_PAD):
+        if not line.strip(PAD):
             continue
         parts = line.split(",")
         if len(parts) not in (3, 4):

@@ -76,6 +76,39 @@ def test_replay_from_manifest_is_byte_identical(world, tmp_path):
     assert json.loads((changed / "manifest.json").read_text(encoding="utf-8"))["config"]["lambda"] == 0.3
 
 
+def test_replay_layers_manifest_then_config_file_then_flags(world, tmp_path):
+    # the manifest records rounds = 2; a --config file over it, and --set over both
+    config, _ = world
+    first, direct, replay = tmp_path / "first", tmp_path / "direct", tmp_path / "replay"
+    one_round = tmp_path / "one.cfg"
+    one_round.write_text("rounds = 1\n", encoding="utf-8")
+    assert cli.main(run_args(config, first)) == 0
+    assert cli.main(run_args(config, direct) + ["--rounds", "1"]) == 0
+    assert cli.main(replay_args(first, replay) + ["--config", str(one_round)]) == 0
+    assert (replay / "metrics.csv").read_bytes() == (direct / "metrics.csv").read_bytes()
+    assert without_run_record(replay / "manifest.json") == without_run_record(direct / "manifest.json")
+    both = tmp_path / "both"
+    assert cli.main(replay_args(first, both) + ["--config", str(one_round), "--set", "rounds=2"]) == 0
+    assert (both / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+    assert json.loads((both / "manifest.json").read_text(encoding="utf-8"))["config"]["rounds"] == 2
+
+
+def test_manifest_with_an_output_path_replays_into_out(world, tmp_path):
+    # manifests written while the config held the output directory record
+    # it; the replay still writes to --out and records no directory
+    config, _ = world
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert cli.main(run_args(config, first)) == 0
+    original = without_run_record(first / "manifest.json")
+    manifest = json.loads((first / "manifest.json").read_text(encoding="utf-8"))
+    manifest["config"]["output_path"] = str(tmp_path / "elsewhere")
+    (first / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert cli.main(replay_args(first, replay)) == 0
+    assert not (tmp_path / "elsewhere").exists()
+    assert (replay / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+    assert without_run_record(replay / "manifest.json") == original
+
+
 def test_set_mu_inf_replays_from_its_manifest(world, tmp_path):
     # --set mu=inf reaches the manifest as JSON Infinity, and the replay
     # rebuilds an equal config and writes the same bytes
@@ -83,9 +116,9 @@ def test_set_mu_inf_replays_from_its_manifest(world, tmp_path):
     first, replay = tmp_path / "first", tmp_path / "replay"
     assert cli.main(run_args(config, first) + ["--set", "mu=inf"]) == 0
     assert '"mu": Infinity' in (first / "manifest.json").read_text(encoding="utf-8")
-    recorded = cli.config_from_manifest(str(first / "manifest.json"))
-    assert recorded == parse_config(config, {"mu": "inf", "output_path": str(first)})
-    assert recorded.mu == float("inf")
+    values = cli.manifest_values(str(first / "manifest.json"))
+    assert values["mu"] == float("inf")
+    assert parse_config(None, base=values) == parse_config(config, {"mu": "inf"})
     assert cli.main(replay_args(first, replay)) == 0
     assert (replay / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
 
@@ -143,7 +176,7 @@ def test_sweep_lambda_sets_lam_and_labels_rows(world, tmp_path, monkeypatch):
     for label, lam in (("lambda=0.5", 0.5), ("lambda=2.0", 2.0)):
         manifest = json.loads((out / label / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["config"]["lambda"] == lam
-        assert manifest["config"]["output_path"] == str(out / label)
+        assert "output_path" not in manifest["config"]
         header, *rows = (out / label / "metrics.csv").read_text(encoding="utf-8").splitlines()
         assert header == cli.CSV_HEADER and len(rows) == 3
 
@@ -154,8 +187,10 @@ def test_sweep_lambda_sets_lam_and_labels_rows(world, tmp_path, monkeypatch):
         (["--set", "bogus=1"], "unknown config key"),
         (["--set", "lambda=abc"], "lambda: expected a number"),
         (["--set", "lambda"], "--set expects key=value"),
+        # a form feed is not padding, so the value is not an attack's name
+        (["--set", "attack=pamn\x0c"], "attack must be one of"),
     ],
-    ids=["unknown-key", "non-numeric-lambda", "set-without-equals"],
+    ids=["unknown-key", "non-numeric-lambda", "set-without-equals", "form-feed-in-value"],
 )
 def test_bad_run_arguments_fail(world, tmp_path, capsys, extra, message):
     config, _ = world
@@ -222,8 +257,9 @@ def test_repeated_sweep_value_fails(world, tmp_path, capsys, monkeypatch):
         ("not json", "not a run manifest: Expecting value"),
         ("[1]", "not a run manifest: no 'config' object"),
         ('{"seed": 1}', "not a run manifest: no 'config' object"),
+        ('{"config": {}, "dataset_sha256": 1}', "dataset_sha256 is not a hex digest: 1"),
     ],
-    ids=["not-json", "not-an-object", "no-config"],
+    ids=["not-json", "not-an-object", "no-config", "hash-not-text"],
 )
 def test_file_that_is_not_a_run_manifest_fails(tmp_path, capsys, text, message):
     path = tmp_path / "manifest.json"

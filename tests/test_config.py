@@ -56,7 +56,6 @@ NON_DEFAULT = dict(
     seed=123,
     sketch_dim=8,
     workers=2,
-    output_path="out",
 )
 
 
@@ -136,6 +135,12 @@ def test_config_file_keeps_a_hash_inside_a_value(tmp_path):
     path.write_text("dataset_path = data/runs#2/r.dat  # the file\n#rounds = 4\n", encoding="utf-8")
     cfg = parse_config(str(path))
     assert (cfg.dataset_path, cfg.rounds) == ("data/runs#2/r.dat", ExperimentConfig().rounds)
+
+
+def test_config_file_pads_with_spaces_and_tabs_only(tmp_path):
+    path = tmp_path / "a.cfg"
+    path.write_text("\tdataset_path = a\u0085 \t\n", encoding="utf-8")
+    assert parse_config(str(path)).dataset_path == "a\u0085"
 
 
 def test_config_file_with_a_byte_order_mark_parses(tmp_path):
