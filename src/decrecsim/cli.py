@@ -2,13 +2,14 @@
 
 A config is the defaults, then ``--from-manifest``'s recorded values, then
 the ``--config`` file, then the flags, each over the ones before.  ``--out``
-(default ``results``) alone says where a run writes.  ``decrecsim run``
-executes one experiment.  ``decrecsim sweep`` checks every value of one
-numeric key first, then runs one ordinary experiment per value, with the
-shared base seed, into ``<out>/<key>=<value>/``.  Every run writes a
-``metrics.csv`` plus a ``manifest.json`` that fully determines it; replaying
-a manifest reproduces the CSV byte for byte.  The manifest also records the
-run itself (wall time, peak RSS, numpy version); replay ignores those keys.
+(default ``results``) alone says where a run writes.  ``decrecsim sweep``
+checks every value of one numeric key first, then runs one ordinary
+experiment per value, with the shared base seed, into ``<out>/<key>=<value>/``.
+A run hashes the dataset file it reads once, before simulating, and refuses
+a replay whose manifest records another hash.  Its ``manifest.json`` records
+that hash and fully determines its ``metrics.csv``, which a replay
+reproduces byte for byte, and the run itself (wall time, peak RSS, numpy
+version), which replay ignores.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from decrecsim.dataset import (
     split_and_sample,
 )
 from decrecsim.errors import ConfigError
-from decrecsim.metrics import MetricsRecord
 from decrecsim.simulation import run_experiment
 
 CSV_HEADER = "round,hr_at_k,er_at_k,attack,defense,seed"
@@ -49,26 +49,20 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     return split_and_sample(pre, config.train_ratio, config.neg_ratio, config.seed)
 
 
-def _format_rows(records: list[MetricsRecord]) -> list[str]:
-    return [
-        f"{r.round},{r.hr_at_k:.6f},{r.er_at_k:.6f},{r.attack},{r.defense},{r.seed}" for r in records
-    ]
-
-
 def _dataset_sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_manifest(path: str, config: ExperimentConfig, started: float) -> None:
+def _write_manifest(path: str, config: ExperimentConfig, digest: str, started: float) -> None:
     # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
     rss_unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
     manifest = {
         "config": config.to_dict(),
-        "dataset_sha256": _dataset_sha256(config.dataset_path),
+        "dataset_sha256": digest,
         "numpy_version": np.__version__,
         "outputs": {"metrics_csv": "metrics.csv"},
         "package_version": __version__,
@@ -81,23 +75,34 @@ def _write_manifest(path: str, config: ExperimentConfig, started: float) -> None
         fh.write("\n")
 
 
-def run(config: ExperimentConfig, out_dir: str) -> tuple[str, str]:
-    """Execute one experiment into out_dir; returns (metrics.csv path, manifest.json path)."""
+def run(config: ExperimentConfig, out_dir: str, dataset_sha256: str | None = None) -> tuple[str, str]:
+    """Execute one experiment into out_dir; returns (metrics.csv path, manifest.json path).
+    The dataset file is hashed once, before it is loaded; a replay passes its
+    recorded hash, and a file with another is refused before out_dir is made."""
     started = time.perf_counter()
     validate_config(config)
-    rows = [CSV_HEADER] + _format_rows(run_experiment(config, load_dataset(config)))
+    digest = _dataset_sha256(config.dataset_path)
+    if dataset_sha256 not in (None, digest):
+        raise ConfigError(
+            f"dataset content hash mismatch: {config.dataset_path} hashes to {digest[:12]}…, "
+            f"the manifest records {dataset_sha256[:12]}…"
+        )
+    rows = [CSV_HEADER] + [
+        f"{r.round},{r.hr_at_k:.6f},{r.er_at_k:.6f},{r.attack},{r.defense},{r.seed}"
+        for r in run_experiment(config, load_dataset(config))
+    ]
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "metrics.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.writelines(row + "\n" for row in rows)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_manifest(manifest_path, config, started)
+    _write_manifest(manifest_path, config, digest, started)
     return csv_path, manifest_path
 
 
-def manifest_values(path: str) -> dict:
-    """The config values a run manifest records, once its dataset file is
-    checked against the recorded hash; parse_config takes them as its base."""
+def manifest_values(path: str) -> tuple[dict, str | None]:
+    """The config values a run manifest records (parse_config's base) and its
+    dataset hash, or None; run checks that hash against the file it reads."""
     try:
         manifest = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -109,15 +114,9 @@ def manifest_values(path: str) -> dict:
     values = manifest["config"]
     values.pop("output_path", None)  # recorded while the config held the output directory
     recorded = manifest.get("dataset_sha256")
-    if recorded is not None:
-        if not isinstance(recorded, str):
-            raise ConfigError(f"{path}: dataset_sha256 is not a hex digest: {recorded!r}")
-        actual = _dataset_sha256(str(values.get("dataset_path", "")))
-        if actual != recorded:
-            raise ConfigError(
-                f"dataset content hash mismatch: manifest {recorded[:12]}…, file {actual[:12]}…"
-            )
-    return values
+    if recorded is not None and not isinstance(recorded, str):
+        raise ConfigError(f"{path}: dataset_sha256 is not a hex digest: {recorded!r}")
+    return values, recorded
 
 
 # The flags that set a config key each have that key as their dest.
@@ -169,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        base = manifest_values(args.from_manifest) if getattr(args, "from_manifest", None) else None
+        manifest = getattr(args, "from_manifest", None)  # a sweep replays none
+        base, digest = manifest_values(manifest) if manifest else (None, None)
         config = parse_config(args.config, _collect_overrides(args), base)
         runs = [(config, args.out)]
         if args.command == "sweep":
@@ -188,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
             if not runs:
                 raise ConfigError("sweep requires a nonempty list of values")
         for cfg, out_dir in runs:
-            csv_path, manifest_path = run(cfg, out_dir)
+            csv_path, manifest_path = run(cfg, out_dir, digest)
             print(f"metrics: {csv_path}")
             print(f"manifest: {manifest_path}")
         return 0

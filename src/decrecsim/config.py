@@ -85,7 +85,7 @@ _PARSERS = {
     "float": (float, "a number"),
     "str": (str, "text"),
     "tuple[int, ...]": (
-        lambda text: tuple(int(x) for x in text.split(",") if x.strip(PAD)),
+        lambda text: tuple(map(int, text.split(","))) if text else (),
         "comma-separated integers",
     ),
 }

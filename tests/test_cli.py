@@ -1,10 +1,11 @@
 """Command line on a tiny synthetic world: byte-identical manifest replay,
 what the manifest records of the run, a sweep as one ordinary run per value
-in ``<out>/<key>=<value>/``, the lambda sweep key, and the error paths that
-end in one ``error:`` line."""
+in ``<out>/<key>=<value>/``, the lambda sweep key, the dataset hash a replay checks against the file it
+reads, and the error paths that end in one ``error:`` line."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -116,17 +117,19 @@ def test_set_mu_inf_replays_from_its_manifest(world, tmp_path):
     first, replay = tmp_path / "first", tmp_path / "replay"
     assert cli.main(run_args(config, first) + ["--set", "mu=inf"]) == 0
     assert '"mu": Infinity' in (first / "manifest.json").read_text(encoding="utf-8")
-    values = cli.manifest_values(str(first / "manifest.json"))
+    values, digest = cli.manifest_values(str(first / "manifest.json"))
     assert values["mu"] == float("inf")
+    assert digest == json.loads((first / "manifest.json").read_text(encoding="utf-8"))["dataset_sha256"]
     assert parse_config(None, base=values) == parse_config(config, {"mu": "inf"})
     assert cli.main(replay_args(first, replay)) == 0
     assert (replay / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
 
 
 def test_manifest_records_the_run(world, tmp_path):
-    config, _ = world
+    config, data = world
     assert cli.main(run_args(config, tmp_path)) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["dataset_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
     assert manifest["numpy_version"] == np.__version__
     assert 0.0 < manifest["wall_s"] < 600.0
     # at least the interpreter with numpy loaded, at most the whole box
@@ -295,3 +298,43 @@ def test_replay_with_changed_dataset_fails(world, tmp_path, capsys):
     assert cli.main(replay_args(first, tmp_path / "replay")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "dataset content hash mismatch" in err
+
+
+def test_replay_reads_a_moved_identical_copy(world, tmp_path):
+    # the hash is checked against the file the replay reads, not the path
+    # the manifest records, which is gone
+    config, data = world
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert cli.main(run_args(config, first)) == 0
+    moved = data.rename(tmp_path / "moved.dat")
+    assert cli.main(replay_args(first, replay) + ["--dataset", str(moved)]) == 0
+    assert (replay / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+    manifest = without_run_record(replay / "manifest.json")
+    assert manifest["config"]["dataset_path"] == str(moved)
+    assert manifest["dataset_sha256"] == without_run_record(first / "manifest.json")["dataset_sha256"]
+
+
+def test_replay_pointed_at_another_dataset_fails(world, tmp_path, capsys):
+    # the recorded file is intact, but the replay would read another one
+    config, _ = world
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert cli.main(run_args(config, first)) == 0
+    other = tmp_path / "other.dat"
+    write_movielens_dat(str(other), generate_interactions(40, 60, seed=4))
+    capsys.readouterr()
+    assert cli.main(replay_args(first, replay) + ["--dataset", str(other)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dataset content hash mismatch: {other} ") and err.count("\n") == 1
+    assert not replay.exists()
+
+
+def test_replay_of_a_missing_dataset_fails(world, tmp_path, capsys):
+    config, data = world
+    first = tmp_path / "first"
+    assert cli.main(run_args(config, first)) == 0
+    data.unlink()
+    capsys.readouterr()
+    assert cli.main(replay_args(first, tmp_path / "replay")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {data}: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not (tmp_path / "replay").exists()

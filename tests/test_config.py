@@ -88,11 +88,15 @@ def test_mu_inf_parses_and_replays():
         ("rounds", "ten"),
         ("lambda", "abc"),
         ("layer_widths", "8,x"),
+        ("layer_widths", "8,,4"),
+        ("layer_widths", "8,4,"),
+        ("layer_widths", ",8"),
         ("rounds", 2.5),
         ("embed_dim", None),
     ],
     ids=[
-        "int", "float", "int-tuple", "typed-float-for-int", "typed-none",
+        "int", "float", "int-tuple", "empty-inner-entry", "empty-last-entry", "empty-first-entry",
+        "typed-float-for-int", "typed-none",
     ],
 )
 def test_malformed_value_names_its_key(key, raw):
