@@ -168,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        manifest = getattr(args, "from_manifest", None)  # a sweep replays none
-        base, digest = manifest_values(manifest) if manifest else (None, None)
+        from_manifest = getattr(args, "from_manifest", None)  # a sweep replays none
+        base, digest = manifest_values(from_manifest) if from_manifest else (None, None)
         config = parse_config(args.config, _collect_overrides(args), base)
         runs = [(config, args.out)]
         if args.command == "sweep":
