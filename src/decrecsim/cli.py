@@ -2,9 +2,9 @@
 
 A config is the defaults, then ``--from-manifest``'s recorded values, then
 the ``--config`` file, then the flags, each over the ones before.  ``--out``
-(default ``results``) alone says where a run writes.  ``decrecsim sweep``
-checks every value of one numeric key first, then runs one ordinary
-experiment per value, with the shared base seed, into ``<out>/<key>=<value>/``.
+(default ``results``) alone says where a run writes.  One command runs one
+experiment; a sweep is a shell loop over ``run``, e.g.
+``for v in 0.5 2; do decrecsim run --config a.cfg --set lambda=$v --out runs/lambda=$v; done``.
 A run hashes the dataset file it reads once, before simulating, and refuses
 a replay whose manifest records another hash.  Its ``manifest.json`` records
 that hash and fully determines its ``metrics.csv``, which a replay
@@ -21,12 +21,11 @@ import os
 import resource
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from decrecsim import __version__
-from decrecsim.config import SWEEPABLE, ExperimentConfig, parse_config, set_key, validate_config
+from decrecsim.config import ExperimentConfig, parse_config, validate_config
 from decrecsim.dataset import (
     FORMATS,
     PAD,
@@ -140,57 +139,33 @@ def build_parser() -> argparse.ArgumentParser:
         "poisoning attacks and defenses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (("run", "execute one experiment"), ("sweep", "sweep one key")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--dataset", dest="dataset_path", help="interactions file path")
-        p.add_argument("--format", dest="dataset_format", choices=FORMATS, help="dataset format")
-        p.add_argument("--attack", help="attack strategy")
-        p.add_argument("--defense", help="defense strategy")
-        p.add_argument("--seed", type=int, help="root seed")
-        p.add_argument("--rounds", type=int, help="training rounds")
-        p.add_argument("--out", default="results", help="output directory (default: results)")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override any documented config key (repeatable)",
-        )
-        if name == "run":
-            p.add_argument("--from-manifest", help="replay a manifest under --config and flags")
-        else:
-            p.add_argument("--key", required=True, help="sweepable config key")
-            p.add_argument("--values", required=True, help="comma-separated values")
+    p = sub.add_parser("run", help="execute one experiment")
+    p.add_argument("--config", help="flat key = value config file")
+    p.add_argument("--dataset", dest="dataset_path", help="interactions file path")
+    p.add_argument("--format", dest="dataset_format", choices=FORMATS, help="dataset format")
+    p.add_argument("--attack", help="attack strategy")
+    p.add_argument("--defense", help="defense strategy")
+    p.add_argument("--seed", type=int, help="root seed")
+    p.add_argument("--rounds", type=int, help="training rounds")
+    p.add_argument("--out", default="results", help="output directory (default: results)")
+    p.add_argument(
+        "--set",
+        action="append",
+        metavar="KEY=VALUE",
+        help="override any documented config key (repeatable)",
+    )
+    p.add_argument("--from-manifest", help="replay a manifest under --config and flags")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        from_manifest = getattr(args, "from_manifest", None)  # a sweep replays none
-        base, digest = manifest_values(from_manifest) if from_manifest else (None, None)
+        base, digest = manifest_values(args.from_manifest) if args.from_manifest else (None, None)
         config = parse_config(args.config, _collect_overrides(args), base)
-        runs = [(config, args.out)]
-        if args.command == "sweep":
-            # every value is checked before one runs; each runs in <out>/<key>=<value>
-            if args.key not in SWEEPABLE:
-                raise ConfigError(f"key {args.key!r} is not sweepable")
-            runs, values = [], []
-            for raw in filter(None, (v.strip(PAD) for v in args.values.split(","))):
-                cfg = replace(config)
-                value = set_key(cfg, args.key, raw)
-                if value in values:
-                    raise ConfigError(f"sweep value {raw!r} repeats {args.key} = {value}")
-                values.append(value)
-                validate_config(cfg)
-                runs.append((cfg, os.path.join(args.out, f"{args.key}={value}")))
-            if not runs:
-                raise ConfigError("sweep requires a nonempty list of values")
-        for cfg, out_dir in runs:
-            csv_path, manifest_path = run(cfg, out_dir, digest)
-            print(f"metrics: {csv_path}")
-            print(f"manifest: {manifest_path}")
+        csv_path, manifest_path = run(config, args.out, digest)
+        print(f"metrics: {csv_path}")
+        print(f"manifest: {manifest_path}")
         return 0
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

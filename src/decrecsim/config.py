@@ -7,10 +7,10 @@ comment; any other '#' is part of the value, so the line
 dataset.PAD (spaces, tabs) pads a line, key or value, so a value keeps a
 U+0085; numeric keys are unaffected, as int() and float() strip whitespace
 themselves.  Unknown keys are rejected.  A key's value parses by its
-field's annotation, whether it arrives as text or typed from a manifest;
-the numeric keys are the sweepable ones.  parse_config layers the
-defaults, a manifest's values, the file and the flags, each over the ones
-before.  The output directory is not a key: the CLI's ``--out`` owns it.
+field's annotation, whether it arrives as text or typed from a manifest.
+parse_config layers the defaults, a manifest's values, the file and the
+flags, each over the ones before.  The output directory is not a key: the
+CLI's ``--out`` owns it.
 
 validate_config is the only check on a value's range.  parse_config and
 cli.run call it, so run_experiment and everything below it take a
@@ -19,6 +19,7 @@ validated config and do not check its values again.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 
@@ -90,15 +91,10 @@ _PARSERS = {
     ),
 }
 
-# A sweep varies one numeric key.
-SWEEPABLE = frozenset(
-    _FIELD_TO_KEY.get(name, name) for name, kind in _FIELD_TYPES.items() if kind in ("int", "float")
-)
 
-
-def set_key(cfg: ExperimentConfig, key: str, raw) -> object:
+def set_key(cfg: ExperimentConfig, key: str, raw) -> None:
     """Parse a file/CLI key's raw value by its field's annotation and set the
-    field ("lambda" sets lam); returns the value set.
+    field ("lambda" sets lam).
 
     A typed value (a manifest's, or a caller's) parses as its text: a list
     or tuple joined with commas, anything else through str().
@@ -113,7 +109,6 @@ def set_key(cfg: ExperimentConfig, key: str, raw) -> object:
     except ValueError:
         raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
     setattr(cfg, name, value)
-    return value
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -160,7 +155,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(cfg.mu > 0, "mu must be > 0")
     _require(0.0 < cfg.train_ratio < 1.0, "train_ratio must satisfy 0 < train_ratio < 1")
     _require(cfg.neg_ratio >= 0, "neg_ratio must be >= 0")
-    _require(cfg.lr > 0, "lr must be > 0")
+    _require(0 < cfg.lr < math.inf, "lr must be finite and > 0")
     _require(cfg.rounds >= 0, "rounds must be >= 0")
     _require(cfg.eval_every >= 1, "eval_every must be >= 1")
     _require(cfg.p in (1, 2), "p must be 1 or 2")
@@ -179,4 +174,5 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(cfg.alpha >= 0, "alpha must be >= 0")
     _require(cfg.s >= 0, "s must be >= 0")
     _require(cfg.e_ft >= 0, "e_ft must be >= 0")
-    _require(cfg.lam >= 0, "lambda must be >= 0")
+    _require(0 <= cfg.lam < math.inf, "lambda must be finite and >= 0")
+    _require(cfg.seed >= 0, "seed must be >= 0")

@@ -36,12 +36,15 @@ def top_k_list(state: ClientState, k: int, exclude: np.ndarray) -> np.ndarray:
     """The k items with highest predicted rating outside `exclude`.
 
     Ordered by descending score, ties by ascending item id; returns all
-    candidates when fewer than k remain.
+    candidates when fewer than k remain.  Scores that are not all finite
+    (a diverged run's) have no ranking, and raise ContractError.
     """
     if k < 1:
         raise ContractError("k must be >= 1")
     excl = np.asarray(exclude, dtype=np.int64)
     negated = -score_items(state)
+    if not np.isfinite(negated).all():
+        raise ContractError("scores are not finite: the run diverged")
     negated[excl] = np.inf
     order = np.argsort(negated, kind="stable")
     n_candidates = state.num_items - len(excl)

@@ -1,7 +1,7 @@
 """Command line on a tiny synthetic world: byte-identical manifest replay,
-what the manifest records of the run, a sweep as one ordinary run per value
-in ``<out>/<key>=<value>/``, the lambda sweep key, the dataset hash a replay checks against the file it
-reads, and the error paths that end in one ``error:`` line."""
+what the manifest records of the run, the dataset hash a replay checks
+against the file it reads, the error paths that end in one ``error:`` line,
+a diverged run among them, and ``run`` as the only command."""
 
 from __future__ import annotations
 
@@ -130,24 +130,11 @@ def test_manifest_records_the_run(world, tmp_path):
     assert cli.main(run_args(config, tmp_path)) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["dataset_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
+    assert "output_path" not in manifest["config"]  # --out alone says where a run writes
     assert manifest["numpy_version"] == np.__version__
     assert 0.0 < manifest["wall_s"] < 600.0
     # at least the interpreter with numpy loaded, at most the whole box
     assert 10.0 < manifest["peak_rss_mb"] < 1e6
-
-
-def test_each_sweep_value_is_a_run_that_replays(world, tmp_path):
-    config, _ = world
-    first = tmp_path / "first"
-    args = ["sweep", "--config", config, "--out", str(first), "--key", "lambda", "--values", "0.5,2"]
-    assert cli.main(args) == 0
-    assert sorted(p.name for p in first.iterdir()) == ["lambda=0.5", "lambda=2.0"]
-    for run_dir in first.iterdir():
-        assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "metrics.csv"]
-        replay = tmp_path / "replay" / run_dir.name
-        assert cli.main(replay_args(run_dir, replay)) == 0
-        assert (replay / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
-        assert without_run_record(replay / "manifest.json") == without_run_record(run_dir / "manifest.json")
 
 
 def test_replay_of_manifest_with_unknown_key_fails(world, tmp_path, capsys):
@@ -160,28 +147,6 @@ def test_replay_of_manifest_with_unknown_key_fails(world, tmp_path, capsys):
     assert cli.main(replay_args(first, tmp_path / "r")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "unknown config key: 'raw_similarity'" in err
-
-
-def test_sweep_lambda_sets_lam_and_labels_rows(world, tmp_path, monkeypatch):
-    config, _ = world
-    seen = []
-    real = cli.run_experiment
-
-    def recording(cfg, dataset):
-        seen.append(cfg.lam)
-        return real(cfg, dataset)
-
-    monkeypatch.setattr(cli, "run_experiment", recording)
-    out = tmp_path / "sweep"
-    args = ["sweep", "--config", config, "--out", str(out), "--key", "lambda", "--values", "0.5,2"]
-    assert cli.main(args) == 0
-    assert seen == [0.5, 2.0]
-    for label, lam in (("lambda=0.5", 0.5), ("lambda=2.0", 2.0)):
-        manifest = json.loads((out / label / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["config"]["lambda"] == lam
-        assert "output_path" not in manifest["config"]
-        header, *rows = (out / label / "metrics.csv").read_text(encoding="utf-8").splitlines()
-        assert header == cli.CSV_HEADER and len(rows) == 3
 
 
 @pytest.mark.parametrize(
@@ -202,55 +167,26 @@ def test_bad_run_arguments_fail(world, tmp_path, capsys, extra, message):
     assert err.startswith("error: ") and message in err
 
 
-def test_sweep_checks_every_value_before_running_one(world, tmp_path, capsys, monkeypatch):
-    # p = 3 is invalid; the sweep must reject it before running p = 1.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_run_fails_without_writing(world, tmp_path, capsys):
+    # lr = 1e300 drives the parameters to non-finite values; the run ends
+    # in one error line instead of ranking their scores
     config, _ = world
-    calls = []
-    real = cli.run_experiment
+    out = tmp_path / "out"
+    assert cli.main(run_args(config, out) + ["--set", "lr=1e300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scores are not finite") and err.count("\n") == 1
+    assert not out.exists()
 
-    def counting(cfg, dataset):
-        calls.append(cfg.p)
-        return real(cfg, dataset)
 
-    monkeypatch.setattr(cli, "run_experiment", counting)
+def test_sweep_is_not_a_command(world, tmp_path, capsys):
+    # a sweep is a shell loop over run; argparse rejects the old subcommand
+    config, _ = world
     out = tmp_path / "sweep"
-    args = ["sweep", "--config", config, "--out", str(out), "--key", "p", "--values", "1,3,2"]
-    assert cli.main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "p must be 1 or 2" in err
-    assert calls == []
-    assert not out.exists() or not any(out.iterdir())
-
-
-def test_non_sweepable_key_fails(world, tmp_path, capsys):
-    config, _ = world
-    args = ["sweep", "--config", config, "--out", str(tmp_path), "--key", "attack", "--values", "ra"]
-    assert cli.main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "not sweepable" in err
-
-
-def test_sweep_without_values_fails(world, tmp_path, capsys):
-    config, _ = world
-    args = ["sweep", "--config", config, "--out", str(tmp_path), "--key", "p", "--values", ","]
-    assert cli.main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "nonempty list" in err
-
-
-def test_repeated_sweep_value_fails(world, tmp_path, capsys, monkeypatch):
-    # 1 and 1.0 parse to one lambda, whose run would overwrite the first
-    config, _ = world
-
-    def no_run(cfg, dataset):
-        raise AssertionError("a sweep with a repeated value ran")
-
-    monkeypatch.setattr(cli, "run_experiment", no_run)
-    out = tmp_path / "sweep"
-    args = ["sweep", "--config", config, "--out", str(out), "--key", "lambda", "--values", "1,2,1.0"]
-    assert cli.main(args) == 1
-    err = capsys.readouterr().err
-    assert err == "error: sweep value '1.0' repeats lambda = 1.0\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", config, "--out", str(out), "--key", "p", "--values", "1,2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,8 +1,8 @@
 """Config keys: a manifest's typed values replay to an equal config, mu =
 inf among them, every parser rejects malformed text by the key's name, keys
-an old manifest may still name are rejected, the lambda key, which keys a
-sweep may vary, the config file's syntax and encoding, and every rule of
-validate_config at its boundary."""
+an old manifest may still name are rejected, the lambda key, the config
+file's syntax and encoding, and every rule of validate_config at its
+boundary, lr and lambda rejecting inf."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import pytest
 from decrecsim.config import (
     ATTACKS,
     DEFENSES,
-    SWEEPABLE,
     ExperimentConfig,
     parse_config,
     validate_config,
@@ -117,16 +116,6 @@ def test_lambda_key_sets_lam():
     assert cfg.to_dict()["lambda"] == 0.5 and "lam" not in cfg.to_dict()
 
 
-def test_sweepable_keys_are_the_numeric_keys():
-    assert SWEEPABLE == {
-        "embed_dim", "lr", "neighbors", "refresh_every", "rounds", "eval_every", "top_k",
-        "xi", "alpha", "lambda", "s", "e_ft", "nu", "mu", "p", "capacity_rounds",
-        "num_targets", "min_count", "train_ratio", "neg_ratio", "seed", "sketch_dim", "workers",
-    }
-    assert {"lambda", "p"} <= SWEEPABLE
-    assert not {"attack", "dataset_format", "layer_widths"} & SWEEPABLE
-
-
 def test_config_file_skips_comments_and_blank_lines(tmp_path):
     path = tmp_path / "a.cfg"
     path.write_text("# a run\n\n  rounds = 3  # three\n   \nlambda=0.5\n", encoding="utf-8")
@@ -168,10 +157,12 @@ def test_config_file_line_without_equals_names_its_line(tmp_path):
         parse_config(str(path), {"dataset_path": "x"})
 
 
-# Smallest steps off a float boundary: the least subnormal off 0, one ulp off 1.
+# Smallest steps off a float boundary: the least subnormal off 0, one ulp off
+# 1, and the largest finite float, one step below inf.
 TINY = "5e-324"
 ABOVE_1 = "1.0000000000000002"
 BELOW_1 = "0.9999999999999999"
+HUGE = "1.7976931348623157e308"
 
 # One case per _require call of validate_config, in its order: the (key,
 # value) settings just outside the rule, which it must reject with its
@@ -195,7 +186,8 @@ RULES = [
                  "train_ratio must satisfy 0 < train_ratio < 1", id="train_ratio"),
     pytest.param([("neg_ratio", "-1")], [("neg_ratio", "0")], "neg_ratio must be >= 0",
                  id="neg_ratio"),
-    pytest.param([("lr", "0")], [("lr", TINY)], "lr must be > 0", id="lr"),
+    pytest.param([("lr", "0"), ("lr", "inf")], [("lr", TINY), ("lr", HUGE)],
+                 "lr must be finite and > 0", id="lr"),
     pytest.param([("rounds", "-1")], [("rounds", "0")], "rounds must be >= 0", id="rounds"),
     pytest.param([("eval_every", "0")], [("eval_every", "1")], "eval_every must be >= 1",
                  id="eval_every"),
@@ -223,8 +215,9 @@ RULES = [
     pytest.param([("alpha", "-1")], [("alpha", "0")], "alpha must be >= 0", id="alpha"),
     pytest.param([("s", "-1")], [("s", "0")], "s must be >= 0", id="s"),
     pytest.param([("e_ft", "-1")], [("e_ft", "0")], "e_ft must be >= 0", id="e_ft"),
-    pytest.param([("lambda", "-" + TINY)], [("lambda", "0")], "lambda must be >= 0",
-                 id="lambda"),
+    pytest.param([("lambda", "-" + TINY), ("lambda", "inf")], [("lambda", "0"), ("lambda", HUGE)],
+                 "lambda must be finite and >= 0", id="lambda"),
+    pytest.param([("seed", "-1")], [("seed", "0")], "seed must be >= 0", id="seed"),
 ]
 
 

@@ -81,6 +81,13 @@ class TestTopK:
         with pytest.raises(ContractError):
             top_k_list(state, 0, exclude=np.zeros(0, dtype=np.int64))
 
+    def test_non_finite_scores_have_no_ranking(self):
+        # a diverged run's NaN item row would otherwise rank as a tie
+        state = make_state(4, num_items=4, embed_dim=2, widths=(4,))
+        state.item_table[2] = np.nan
+        with pytest.raises(ContractError, match="scores are not finite"):
+            top_k_list(state, 2, exclude=np.zeros(0, dtype=np.int64))
+
 
 def brute_force_er(world, k):
     """Literal double-loop evaluation of the exposure-rate definition."""
