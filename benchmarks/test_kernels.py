@@ -249,7 +249,7 @@ def fresh_bank(rounds, fresh_round) -> MemoryBank:
     whose chunk takes 4 bytes a position."""
     rr, senders = fresh_round
     bank = steady_bank(rounds[:BANK_ROUNDS])
-    bank.ingest(rr, rr.refs_of(senders))
+    bank.ingest(rr, rr.refs_of(senders)[0])
     assert bank.nbytes() > 2 * bank.size()
     return bank
 
@@ -328,7 +328,7 @@ def test_compact_round_rows(benchmark, mu):
     def setup():
         banks = [MemoryBank(capacity_rounds=BANK_ROUNDS - 1) for _ in range(RECEIVERS)]
         for bank, senders in zip(banks, neighbors):
-            bank.ingest(rr, rr.refs_of(senders))
+            bank.ingest(rr, rr.refs_of(senders)[0])
             bank.pop_top_fraction(POP_FRACTION)
         return (rr, banks), {}
 

@@ -21,6 +21,7 @@ import os
 import resource
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -160,16 +161,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        base, digest = manifest_values(args.from_manifest) if args.from_manifest else (None, None)
-        config = parse_config(args.config, _collect_overrides(args), base)
-        csv_path, manifest_path = run(config, args.out, digest)
-        print(f"metrics: {csv_path}")
-        print(f"manifest: {manifest_path}")
-        return 0
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # Warnings wait for the run's end: a refused run's (numpy's overflow in
+    # a diverged run) are symptoms of its one error line and are dropped.
+    with warnings.catch_warnings(record=True) as held:
+        try:
+            base, digest = manifest_values(args.from_manifest) if args.from_manifest else (None, None)
+            config = parse_config(args.config, _collect_overrides(args), base)
+            csv_path, manifest_path = run(config, args.out, digest)
+        except (ConfigError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    for w in held:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    print(f"metrics: {csv_path}")
+    print(f"manifest: {manifest_path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,11 +10,11 @@ by the packet count.
 A round's RoundBlock owns what the round sends: each packet is checked
 against the model's item count, row width and net size and copied in once,
 in ascending sender order; its rows go back to back into one row block,
-with each row's sender and int32 item id, and its net gradient into the
-sender's net row.  The round's one RoundRows is a view of the rows sent,
-and every defense reads a receiver's rows from it by the receiver's
-ascending neighbor ids.  build_round_rows clips every row to a fixed bound
-mu once, in the block: the configured mu for l2clip and UCSU, and mu =
+with each row's int32 item id, and its net gradient into the sender's net
+row.  The round's one RoundRows is a view of the rows sent, with each
+sender's row range, and every defense reads a receiver's rows from it by
+the receiver's ascending neighbor ids.  build_round_rows clips every row to
+a fixed bound mu once, in the block: the configured mu for l2clip and UCSU, and mu =
 inf, which keeps every row bit for bit, for the other defenses.  So defense none and l2clip share one plain-mean reader,
 l2_clip_aggregate (named for the defense that introduced it; perfbench's
 tracer times it by that name), and adversaries absorb through it too.
@@ -121,19 +121,19 @@ class RoundRows:
 
     One instance per round is shared by every receiving client; each
     reads, or banks, the subset of rows its neighbors sent.  Rows are
-    stored by ascending sender, with each sender's row range.  Rows built
-    for UCSU's banks also carry their own p-norms (row_norms) and the pop
-    fields build_round_rows computes once for every receiver: the pop order
-    (row indices by descending pop key, row index on ties), each row's
-    position in it (rank), and the pop key, negated, in pop order
-    (pop_neg_norm).  Rows for any other reader carry none of them.  Once
-    the round's pops are done, compact_round_rows replaces it in the banks
-    by a RoundRows of exactly the rows some bank holds, in the same
-    relative order.
+    stored by ascending sender, sender s's rows from sender_start[s] up to
+    sender_start[s + 1].  Rows built for UCSU's banks also carry their own
+    p-norms (row_norms) and the pop fields build_round_rows computes once
+    for every receiver: the pop order (row indices by descending pop key,
+    row index on ties), each row's position in it (rank), and the pop key,
+    negated, in pop order (pop_neg_norm).  Rows for any other reader carry
+    none of them.  Once the round's pops are done, compact_round_rows
+    replaces it in the banks by a RoundRows of exactly the rows some bank
+    holds, in the same relative order.
     """
 
     round: int
-    senders: np.ndarray  # (n,) int32, ascending
+    sender_start: np.ndarray  # (clients + 1,) first row per sender id, then the row count
     items: np.ndarray  # (n,) int32
     rows: np.ndarray  # (n, embed_dim) float64
     row_norms: np.ndarray | None = None  # (n,) p-norms of the stored rows
@@ -141,29 +141,21 @@ class RoundRows:
     rank: np.ndarray | None = None  # (n,) int32 position of each row in order
     pop_neg_norm: np.ndarray | None = None  # (n,) negated pop key, in pop order
 
-    def __post_init__(self):
-        self.sender_count = np.bincount(self.senders)  # row count, per sender id
-        self.sender_start = np.cumsum(self.sender_count) - self.sender_count  # first row
-
-    def refs_of(self, senders: np.ndarray) -> np.ndarray:
-        """Row indices sent by the given ascending sender ids, in sender order."""
-        senders = senders[senders < len(self.sender_count)]
-        counts = self.sender_count[senders]
-        ends = np.cumsum(counts)
-        offsets = np.repeat(self.sender_start[senders] - (ends - counts), counts)
-        return np.arange(len(offsets)) + offsets
-
-    def receiver_refs(self, senders: np.ndarray) -> np.ndarray:
-        """refs_of for a receiver, which must have at least one neighbor."""
+    def refs_of(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices sent by the given ascending sender ids, in sender
+        order, and each sender's row count.  ContractError without senders."""
         if len(senders) == 0:
             raise ContractError("aggregation requires at least one packet")
-        return self.refs_of(senders)
+        starts = self.sender_start[senders]
+        counts = self.sender_start[senders + 1] - starts
+        ends = np.cumsum(counts)
+        return np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts), counts
 
 
 class RoundBlock:
     """What one round sends, owned in one place: a row block of at most
-    capacity sent item rows with each row's sender and item id (int32, in
-    [0, num_items)), and one net gradient row per client (nets).
+    capacity sent item rows with each row's item id (int32, in [0,
+    num_items)), and one net gradient row per client (nets).
 
     send copies a packet in, its rows after the rows sent so far, and keeps
     no reference to it; packets come in ascending sender order, each
@@ -177,7 +169,6 @@ class RoundBlock:
     def __init__(self, capacity: int, num_items: int, embed_dim: int, num_clients: int, net_size: int):
         self.num_items = num_items
         self.rows = np.empty((capacity, embed_dim))
-        self.senders = np.empty(capacity, dtype=np.int32)
         self.items = np.empty(capacity, dtype=np.int32)
         self.nets = np.empty((num_clients, net_size))
         self._sent: list[tuple[int, int]] = []  # (sender, row end) per packet
@@ -201,7 +192,6 @@ class RoundBlock:
         if q.net_grad.shape != self.nets.shape[1:]:
             raise ContractError("packet net gradient shape mismatch")
         self.rows[start : start + n] = q.item_rows
-        self.senders[start : start + n] = q.sender
         self.items[start : start + n] = q.item_idx
         self.nets[q.sender] = q.net_grad
         self._sent.append((q.sender, start + n))
@@ -212,13 +202,12 @@ class RoundBlock:
 
     def round_rows(self, round_no: int) -> RoundRows:
         """The RoundRows of round round_no over the rows sent so far."""
-        end = self._sent[-1][1] if self._sent else 0
-        return RoundRows(
-            round=round_no,
-            senders=self.senders[:end],
-            items=self.items[:end],
-            rows=self.rows[:end],
-        )
+        sent = np.array(self._sent, dtype=np.int64).reshape(-1, 2)
+        ends = np.zeros(len(self.nets) + 1, dtype=np.int64)
+        ends[sent[:, 0] + 1] = sent[:, 1]
+        # A sender that sent nothing starts, and ends, where the last before it ended.
+        sender_start = np.maximum.accumulate(ends)
+        return RoundRows(round_no, sender_start, self.items[: sender_start[-1]], self.rows[: sender_start[-1]])
 
 
 def build_round_rows(rr: RoundRows, mu: float, p: int, bank: bool) -> RoundRows:
@@ -319,8 +308,9 @@ class MemoryBank:
     def entries(self) -> list[tuple[int, int, int, np.ndarray]]:
         """(round_received, sender, item, grad_row) for every banked row,
         in insertion order (round, then row index)."""
+        # A row's sender is the last whose range starts at or before it.
         return [
-            (rr.round, int(rr.senders[ref]), int(rr.items[ref]), rr.rows[ref])
+            (rr.round, int(np.searchsorted(rr.sender_start, ref, "right")) - 1, int(rr.items[ref]), rr.rows[ref])
             for rr, positions in self.chunks()
             for ref in np.sort(rr.order[positions]).tolist()
         ]
@@ -373,21 +363,18 @@ class MemoryBank:
 def compact_round_rows(rr: RoundRows, banks: Iterable[MemoryBank]) -> None:
     """Shrink rr, in every given bank, to the rows some bank holds.
 
-    Call once a round's pops are done, with every bank that may hold rr.
-    The chunks that hold rr get one shared RoundRows of those rows, kept in
-    their relative order, and positions remapped to it and re-encoded; rows
-    no bank holds are freed with rr once nothing else references it.
+    Call once a round's pops are done, before the next round's ingest, with
+    every bank that may hold rr: a bank that holds rr holds it in its newest
+    chunk, and only that chunk is read.  The chunks that hold rr get one
+    shared RoundRows of those rows, kept in their relative order, and
+    positions remapped to it and re-encoded; rows no bank holds are freed
+    with rr once nothing else references it.
     """
-    held = [
-        (bank, j, positions)
-        for bank in banks
-        for j, (chunk_rr, positions) in enumerate(bank._chunks)
-        if chunk_rr is rr
-    ]
+    held = [bank for bank in banks if bank._chunks and bank._chunks[-1][0] is rr]
     # Banked positions are 2 or 4 bytes; numpy indexes faster by intp.
     live = np.zeros(len(rr.order), dtype=bool)  # per pop position
-    for _, _, positions in held:
-        live[positions.astype(np.intp)] = True
+    for bank in held:
+        live[bank._chunks[-1][1].astype(np.intp)] = True
     if not held or live.all():
         return
     held_row = live[rr.rank]  # per row
@@ -395,21 +382,23 @@ def compact_round_rows(rr: RoundRows, banks: Iterable[MemoryBank]) -> None:
     # Kept rows keep their order and the pop order is a stable sort, so the
     # kept rows' pop order is the old one restricted to held positions: a
     # held position's new rank is the number of held positions before it,
-    # and a held row's new index the number of held rows before it.
+    # and a row's new index, or a sender's new first row, the number of
+    # held rows before it.
     new_rank = np.cumsum(live, dtype=np.int32) - 1
-    new_row = np.cumsum(held_row, dtype=np.int32) - 1
+    held_before = np.zeros(len(held_row) + 1, dtype=np.int32)
+    np.cumsum(held_row, out=held_before[1:])
     small = RoundRows(
         round=rr.round,
-        senders=rr.senders[keep],
+        sender_start=held_before[rr.sender_start],
         items=rr.items[keep],
         rows=rr.rows[keep],
         row_norms=rr.row_norms[keep],
-        order=new_row[rr.order[live]],
+        order=held_before[rr.order[live]],
         rank=new_rank[rr.rank[keep]],
         pop_neg_norm=rr.pop_neg_norm[live],
     )
-    for bank, j, positions in held:
-        bank._chunks[j] = (small, _encode(new_rank[positions.astype(np.intp)]))
+    for bank in held:
+        bank._chunks[-1] = (small, _encode(new_rank[bank._chunks[-1][1].astype(np.intp)]))
 
 
 def ucsu_aggregate(
@@ -430,7 +419,7 @@ def ucsu_aggregate(
     Rows left unselected stay banked.  Returns (item ids, aggregate rows);
     an empty bank yields no ids and a (0, embed_dim) row block.
     """
-    bank.ingest(rr, rr.refs_of(senders))
+    bank.ingest(rr, rr.refs_of(senders)[0])
     bank.evict(rr.round)
     if bank.size() == 0:
         return np.zeros(0, dtype=np.int64), np.zeros((0, rr.rows.shape[1]))
@@ -465,7 +454,7 @@ def _ranked_rows(
     view of one buffer of at most _RANK_BLOCK_BYTES (or one item), that
     reduce maps to its (items, dim) rows.
     """
-    refs = rr.receiver_refs(senders)
+    refs, sent = rr.refs_of(senders)
     items = rr.items[refs]
     counts = np.bincount(items)
     uniq = np.flatnonzero(counts).astype(items.dtype)
@@ -495,7 +484,7 @@ def _ranked_rows(
     rows = rr.rows[refs]
     ends = np.cumsum(carriers)  # each kept item's end in rows
     if widths is None:
-        line = np.searchsorted(senders, rr.senders[refs])
+        line = np.repeat(np.arange(n_pkts), sent)[sel][order]  # each row's sender position
     else:
         line = np.arange(len(rows)) - np.repeat(ends - carriers, carriers)
     dim = rows.shape[1]
@@ -583,9 +572,9 @@ def item_krum_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray,
     distances to the nearest n - f - 2 packets).  Absent rows count as zero
     rows; ties break by ascending sender id.
     """
-    refs = rr.receiver_refs(senders)
+    refs, sent = rr.refs_of(senders)
     idx_cat, rows_cat = rr.items[refs], rr.rows[refs]
-    pos_cat = np.searchsorted(senders, rr.senders[refs])  # each row's sender position
+    pos_cat = np.repeat(np.arange(len(senders)), sent)  # each row's sender position
     uniq, sums, _ = scatter_add_rows(idx_cat, rows_cat)
     inverse = np.searchsorted(uniq, idx_cat)
     means = sums / len(senders)
@@ -608,6 +597,6 @@ def l2_clip_aggregate(rr: RoundRows, senders: np.ndarray) -> tuple[np.ndarray, n
     consolidation clipped to the fixed mu bound.  Rows are summed in
     ascending sender order.
     """
-    refs = rr.receiver_refs(senders)
+    refs, _ = rr.refs_of(senders)
     uniq, sums, _ = scatter_add_rows(rr.items[refs], rr.rows[refs])
     return uniq, sums / len(senders)

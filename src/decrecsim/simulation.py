@@ -308,8 +308,9 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     # benign packet carries one row per item its Adam moments cover (the
     # distinct items of its pairs), and an adversary's at most one per
     # item; adversary ids are the highest, so their packets fill the
-    # block's tail.
-    _train_in_lockstep(world, t, lr)
+    # block's tail.  The block is allocated before training, whose
+    # temporaries would otherwise split the last round's freed block and
+    # push this one into fresh pages.
     num_items = world.dataset.num_items
     layout = world.clients[0].layout
     adv_ids = sorted(world.adversary_ids)
@@ -317,6 +318,7 @@ def run_round(world: World, config: ExperimentConfig) -> None:
     moment_rows = np.diff(world.stacked_opt.row_start)[world.stack_ids < len(benign)]
     capacity = int(moment_rows.sum()) + len(adv_ids) * num_items
     block = RoundBlock(capacity, num_items, layout.embed_dim, world.num_clients, layout.size)
+    _train_in_lockstep(world, t, lr)
     for i in range(world.num_clients):
         block.send(compute_gradients(world.clients[i], world.pairs[i], sender=i)[1])
 

@@ -181,15 +181,16 @@ def pop_fields(key: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def round_rows(
-    pkts, round_no=1, mu=1.0, p=2, bank=True, num_items=None, embed_dim=None, net_size=None
+    pkts, round_no=1, mu=1.0, p=2, bank=True, num_items=None, embed_dim=None, net_size=None, clients=None
 ):
     """build_round_rows over pkts sent, in ascending sender order, into a
     fresh round block of exactly their rows' size, as a round sends its
     packets; the given packets are left as they are.  The model is shaped
     like the packets unless told otherwise: row width and net size from the
-    first packet (2 and 2 without packets), and room for every item id they
-    carry.  By default the rows are clipped to mu and carry the pop order a
-    bank reads; mu = inf keeps every row bit for bit."""
+    first packet (2 and 2 without packets), room for every item id they
+    carry, and clients up to the last sender.  By default the rows are
+    clipped to mu and carry the pop order a bank reads; mu = inf keeps every
+    row bit for bit."""
     if num_items is None:
         num_items = 1 + max((int(q.item_idx.max()) for q in pkts if len(q.item_idx)), default=0)
     if embed_dim is None:
@@ -197,30 +198,40 @@ def round_rows(
     if net_size is None:
         net_size = len(pkts[0].net_grad) if pkts else 2
     ordered = sorted(pkts, key=lambda q: q.sender)
-    clients = 1 + max((q.sender for q in ordered), default=0)
+    if clients is None:
+        clients = 1 + max((q.sender for q in ordered), default=0)
     block = RoundBlock(sum(len(q.item_idx) for q in ordered), num_items, embed_dim, clients, net_size)
     for q in ordered:
         block.send(q)
     return build_round_rows(block.round_rows(round_no), mu, p, bank)
 
 
-def concat_round_rows(pkts, round_no=1, mu=1.0, p=2, bank=False, embed_dim=2):
+def row_senders(rr: RoundRows) -> np.ndarray:
+    """Each of rr's rows' sender id, int32, from its sender ranges."""
+    return np.repeat(np.arange(len(rr.sender_start) - 1, dtype=np.int32), np.diff(rr.sender_start))
+
+
+def concat_round_rows(pkts, round_no=1, mu=1.0, p=2, bank=False, embed_dim=2, clients=None):
     """The RoundRows of pkts built from concatenated copies of their rows:
     ascending sender order, rows clipped to mu by their p-norms, and for a
     bank the stored rows' own norms and the pop fields of the capped key
-    (pop_fields).  The given packets are left as they are."""
+    (pop_fields).  Sender ranges cover clients, by default up to the last
+    sender.  The given packets are left as they are."""
     ordered = sorted(pkts, key=lambda q: q.sender)
     rows = np.concatenate([np.zeros((0, embed_dim)), *(q.item_rows for q in ordered)])
-    senders = np.array([q.sender for q in ordered for _ in q.item_idx], dtype=np.int32)
+    if clients is None:
+        clients = 1 + max((q.sender for q in ordered), default=0)
+    counts = np.bincount([q.sender for q in ordered for _ in q.item_idx], minlength=clients)
+    starts = np.concatenate([[0], np.cumsum(counts)])
     items = np.array([i for q in ordered for i in q.item_idx.tolist()], dtype=np.int32)
     norms = np.linalg.norm(rows, ord=p, axis=1)
     factors = np.ones(len(rows))
     factors[norms > mu] = mu / norms[norms > mu]
     rows = rows * factors[:, None]
     if not bank:
-        return RoundRows(round_no, senders, items, rows)
+        return RoundRows(round_no, starts, items, rows)
     row_norms = np.linalg.norm(rows, ord=p, axis=1)
-    return RoundRows(round_no, senders, items, rows, row_norms, **pop_fields(np.minimum(norms, mu)))
+    return RoundRows(round_no, starts, items, rows, row_norms, **pop_fields(np.minimum(norms, mu)))
 
 
 def absorb(state: ClientState, pkts: list[GradientPacket], lr: float) -> None:
@@ -319,8 +330,9 @@ def received_packets(rr: RoundRows, senders: np.ndarray) -> list[GradientPacket]
     """The packets a receiver reads from rr: one per ascending sender id,
     with that sender's rows (none for a sender that sent none) and an empty
     net gradient."""
+    of = row_senders(rr)
     return [
-        GradientPacket(s, rr.items[rr.senders == s].astype(np.int64), rr.rows[rr.senders == s], np.zeros(0))
+        GradientPacket(s, rr.items[of == s].astype(np.int64), rr.rows[of == s], np.zeros(0))
         for s in senders.tolist()
     ]
 

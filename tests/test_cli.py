@@ -7,12 +7,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from decrecsim import cli
 from decrecsim.config import parse_config
+from decrecsim.errors import ConfigError
 from decrecsim.synthetic import generate_interactions, write_movielens_dat
 
 # 40 users x 60 items, 2 rounds: PAMN against UCSU, so lambda is in use.
@@ -177,6 +182,49 @@ def test_diverged_run_fails_without_writing(world, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: scores are not finite") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_diverged_module_run_prints_one_stderr_line(tmp_path):
+    # lr 10 on the module CLI smoke run's 40 x 60 world diverges by round
+    # 5: numpy's overflow warnings go with the refused run, and stderr
+    # holds only its error line
+    data = tmp_path / "ratings.dat"
+    write_movielens_dat(str(data), generate_interactions(40, 60, seed=3))
+    out = tmp_path / "out"
+    world = ["--dataset", str(data), "--attack", "pamn", "--defense", "ucsu", "--rounds", "5"]
+    for value in ("min_count=2", "neighbors=6", "embed_dim=4", "layer_widths=8,4", "lr=10"):
+        world += ["--set", value]
+    proc = subprocess.run(
+        [sys.executable, "-m", "decrecsim.cli", "run", *world, "--out", str(out)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: scores are not finite") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_warnings_wait_for_the_run_end(world, tmp_path, monkeypatch, capsys):
+    # a finished run's warnings are shown after it, a refused run's dropped
+    config, _ = world
+    real_run = cli.run
+
+    def warning_run(*args):
+        warnings.warn("held until the run ends", UserWarning)
+        return real_run(*args)
+
+    def refused_run(*args):
+        warnings.warn("a symptom", UserWarning)
+        raise ConfigError("refused")
+
+    monkeypatch.setattr(cli, "run", warning_run)
+    with pytest.warns(UserWarning, match="held until the run ends"):
+        assert cli.main(run_args(config, tmp_path / "out")) == 0
+    monkeypatch.setattr(cli, "run", refused_run)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert cli.main(run_args(config, tmp_path / "refused")) == 1
+    assert shown == [] and capsys.readouterr().err == "error: refused\n"
 
 
 def test_sweep_is_not_a_command(world, tmp_path, capsys):

@@ -49,6 +49,7 @@ from helpers import (
     pop_fields,
     pop_key,
     round_rows,
+    row_senders,
 )
 
 
@@ -340,8 +341,9 @@ class TestDenseKernelProperties:
         functools.partial(trimmed_mean_aggregate, trim_k=1),
         item_krum_aggregate,
         l2_clip_aggregate,
+        lambda rr, senders: ucsu_aggregate(MemoryBank(1), rr, senders, nu=0.1),
     ],
-    ids=["median", "trimmed", "krum", "l2clip"],
+    ids=["median", "trimmed", "krum", "l2clip", "ucsu"],
 )
 def test_empty_receiver_rejected(aggregate):
     rr, _ = received([packet(0, {0: np.ones(2)}, np.zeros(2))])
@@ -651,8 +653,8 @@ class TestBuildRoundRows:
         pkts = [packet(s, {}, np.zeros(2), dim=3) for s in senders]
         mu = 1.0 if clip else np.inf
         rr = round_rows(pkts, mu=mu, bank=bank, num_items=4, embed_dim=3, net_size=2)
-        assert rr.senders.dtype == rr.items.dtype == np.int32
-        assert rr.senders.shape == rr.items.shape == (0,)
+        assert row_senders(rr).dtype == rr.items.dtype == np.int32
+        assert row_senders(rr).shape == rr.items.shape == (0,)
         assert rr.rows.dtype == np.float64 and rr.rows.shape == (0, 3)
 
     @pytest.mark.parametrize(
@@ -671,14 +673,14 @@ class TestBuildRoundRows:
             "no-rows": [packet(s, {}, np.zeros(2), dim=3) for s in (2, 0)],
             "no-packets": [],
         }[kind]
-        want = concat_round_rows(pkts, 3, mu=mu, p=p, bank=bank, embed_dim=3)
+        want = concat_round_rows(pkts, 3, mu=mu, p=p, bank=bank, embed_dim=3, clients=12)
         sent = concat_round_rows(pkts, mu=np.inf, embed_dim=3).rows
         block = RoundBlock(sum(len(q.item_idx) for q in pkts) + 5, 8, 3, 12, 2)
         for q in sorted(pkts, key=lambda q: q.sender):
             block.send(q)
         shape = dict(mu=mu, p=p, bank=bank)
         in_block = build_round_rows(block.round_rows(3), **shape)
-        loose = round_rows(pkts, 3, num_items=8, embed_dim=3, net_size=2, **shape)
+        loose = round_rows(pkts, 3, num_items=8, embed_dim=3, net_size=2, clients=12, **shape)
         if kind == "rows":
             # some rows exceed mu = 1, so the clipping builds scale them
             assert (np.linalg.norm(sent, ord=p, axis=1) > 1.0).any()
@@ -713,7 +715,7 @@ class TestRoundBlock:
         with pytest.raises(ContractError, match="ascending sender order"):
             block.send(packet(sender, {1: np.ones(2)}, np.zeros(2)))
         # the rejected packet left no row behind
-        assert block.round_rows(1).senders.tolist() == [0, 1]
+        assert row_senders(block.round_rows(1)).tolist() == [0, 1]
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -731,7 +733,7 @@ class TestRoundBlock:
         with pytest.raises(ContractError, match=message):
             block.send(bad)
         block.send(packet(1, {0: np.ones(2)}, np.ones(2)))
-        assert block.round_rows(1).senders.tolist() == [1]
+        assert row_senders(block.round_rows(1)).tolist() == [1]
 
     @pytest.mark.parametrize(
         "item", [4, -1, 2**32 + 1], ids=["item-too-large", "item-negative", "item-past-int32"]
@@ -748,7 +750,7 @@ class TestRoundBlock:
             assert got.tobytes() == was.tobytes()
         rr = block.round_rows(1)
         assert rr.items.dtype == np.int32 and rr.items.tolist() == [1, 3]
-        assert rr.senders.tolist() == [0, 0]
+        assert row_senders(rr).tolist() == [0, 0]
 
     @pytest.mark.parametrize("kept", [0, 2, 3])
     def test_keep_first_then_send_builds_a_block_of_kept_and_new(self, kept):
@@ -772,7 +774,7 @@ class TestRoundBlock:
             for q in crafted:
                 block.send(q)
         got, want = replaced.round_rows(2), fresh.round_rows(2)
-        for name in ("senders", "items", "rows"):
+        for name in ("sender_start", "items", "rows"):
             mine, theirs = getattr(got, name), getattr(want, name)
             assert (mine.dtype, mine.shape, mine.tobytes()) == (
                 theirs.dtype, theirs.shape, theirs.tobytes()
@@ -780,6 +782,85 @@ class TestRoundBlock:
         sent = [q.sender for q in honest[:kept] + crafted]
         assert replaced.nets[sent].tobytes() == fresh.nets[sent].tobytes()
         assert fresh.nets[[3, 4]].tobytes() == np.stack([q.net_grad for q in crafted]).tobytes()
+
+
+SENDERS = 8  # clients of the sender-range rounds
+
+
+@st.composite
+def sent_rounds(draw):
+    """A round of SENDERS clients: the packets sent (item ids and values
+    alike, as int rows), the count keep_first keeps, the packets sent after
+    it, each receiver's ascending neighbors and a pop fraction."""
+
+    def packets(first):
+        if first == SENDERS:
+            return []
+        senders = sorted(draw(st.lists(st.integers(first, SENDERS - 1), unique=True, max_size=6)))
+        # a sender may send no rows
+        return [(s, draw(st.lists(st.integers(0, 5), unique=True, max_size=4))) for s in senders]
+
+    honest = packets(0)
+    kept = draw(st.integers(0, len(honest)))
+    resent = packets(honest[kept - 1][0] + 1 if kept else 0)
+    # neighbor ids may exceed every sender (clients that sent no rows)
+    receivers = draw(st.lists(st.lists(st.integers(0, SENDERS - 1), unique=True, min_size=1), min_size=1, max_size=4))
+    nu = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    return honest, kept, resent, [sorted(r) for r in receivers], nu
+
+
+def assert_refs_match_row_senders(rr, row_sender, neighbors):
+    """refs_of agrees with a brute force over each row's sender: the rows
+    of the neighbors, in row order, each neighbor's row count, and each
+    row's sender position as the aggregators take it from the counts."""
+    refs, counts = rr.refs_of(np.array(neighbors, dtype=np.int64))
+    want = [j for j, s in enumerate(row_sender.tolist()) if s in neighbors]
+    assert refs.tolist() == want
+    assert counts.tolist() == [int(np.count_nonzero(row_sender == s)) for s in neighbors]
+    positions = np.repeat(np.arange(len(neighbors)), counts)
+    assert positions.tolist() == [neighbors.index(s) for s in row_sender[want].tolist()]
+
+
+class TestSenderRanges:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sent_rounds())
+    def test_refs_of_matches_each_rows_sender(self, case):
+        # After keep_first and re-sends, and after compaction, refs_of reads
+        # from the sender ranges what a scan of every row's sender finds,
+        # and each banked entry's sender is its row's.
+        honest, kept, resent, receivers, nu = case
+        sent = [
+            packet(s, {i: np.array([float(s), float(i)]) for i in items}, np.zeros(2))
+            for s, items in honest[:kept] + resent
+        ]
+        block = RoundBlock(40, 6, 2, SENDERS, 2)
+        for q in sent[:kept]:
+            block.send(q)
+        for s, items in honest[kept:]:  # dropped: no row of theirs may show
+            block.send(packet(s, {i: np.full(2, -1.0) for i in items}, np.zeros(2)))
+        block.keep_first(kept)
+        for q in sent[kept:]:
+            block.send(q)
+        row_sender = np.array([q.sender for q in sent for _ in q.item_idx], dtype=np.int64)
+        rr = build_round_rows(block.round_rows(1), mu=np.inf, p=2, bank=True)
+        assert len(rr.sender_start) == SENDERS + 1
+        banks = [MemoryBank(2) for _ in receivers]
+        for bank, neighbors in zip(banks, receivers):
+            assert_refs_match_row_senders(rr, row_sender, neighbors)
+            bank.ingest(rr, rr.refs_of(np.array(neighbors))[0])
+            bank.pop_top_fraction(nu)
+        held = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            rr.order[positions] for bank in banks for _, positions in bank.chunks()
+        ]))
+        compact_round_rows(rr, banks)
+        small = next((chunk_rr for bank in banks for chunk_rr, _ in bank.chunks()), None)
+        if small is not None:  # some bank holds a row: every row, or the held ones
+            kept_rows = held if small is not rr else np.arange(len(row_sender))
+            for neighbors in receivers:
+                assert_refs_match_row_senders(small, row_sender[kept_rows], neighbors)
+        for bank in banks:
+            for _, sender, item, row in bank.entries():
+                assert (sender, item) == tuple(row.astype(int))
 
 
 def bank_with(entries, capacity=10):
@@ -890,7 +971,7 @@ class TestMemoryBank:
         rounds = [
             RoundRows(
                 round=r,
-                senders=np.repeat(np.arange(100, dtype=np.int32), n // 100),
+                sender_start=np.arange(101) * (n // 100),
                 items=rng.integers(0, 1000, size=n).astype(np.int32),
                 rows=np.ones((n, 1)),
                 row_norms=np.ones(n),
@@ -920,7 +1001,7 @@ def wide_round(rows: int = 70_000, senders: int = 700, seed: int = 14) -> RoundR
     values = rng.normal(size=(rows, 2)) * rng.choice([0.5, 1.0], size=(rows, 1))
     return RoundRows(
         round=1,
-        senders=np.repeat(np.arange(senders, dtype=np.int32), rows // senders),
+        sender_start=np.arange(senders + 1) * (rows // senders),
         items=rng.integers(0, 50, size=rows).astype(np.int32),
         rows=values,
         row_norms=np.linalg.norm(values, axis=1),
@@ -981,7 +1062,7 @@ class TestBankPositions:
 
     def test_wide_chunk_stores_four_bytes_and_pops_as_the_reference(self):
         rr = wide_round()
-        refs = rr.refs_of(np.arange(0, 700, 7))
+        refs, _ = rr.refs_of(np.arange(0, 700, 7))
         span = np.ptp(rr.rank[refs])
         assert len(rr.items) > 0x10000 and span > 0xFFFF
         bank, ref = MemoryBank(3), ReferenceBank(3)
@@ -994,7 +1075,7 @@ class TestBankPositions:
 
     def test_compaction_re_encodes_a_wide_chunk_to_two_bytes(self):
         rr = wide_round()
-        refs = rr.refs_of(np.arange(0, 700, 7))
+        refs, _ = rr.refs_of(np.arange(0, 700, 7))
         bank, ref = MemoryBank(3), ReferenceBank(3)
         for b in (bank, ref):
             b.ingest(rr, refs)
@@ -1024,7 +1105,7 @@ class TestCompactRoundRows:
             assert len(rr.items) > 100 and np.count_nonzero(pop_key(rr) == 1.0) > 100
             for bank, ref in zip(banks, refs_banks):
                 senders = np.sort(rng.choice(60, size=30, replace=False))
-                refs = rr.refs_of(senders)
+                refs, _ = rr.refs_of(senders)
                 for b in (bank, ref):
                     b.ingest(rr, refs)
                     b.evict(t)
@@ -1056,7 +1137,7 @@ class TestCompactRoundRows:
         assert ties > 100 if mu == 1.0 else ties == 0
         banks = [MemoryBank(2) for _ in range(3)]
         for bank in banks:
-            bank.ingest(rr, rr.refs_of(np.sort(rng.choice(60, size=30, replace=False))))
+            bank.ingest(rr, rr.refs_of(np.sort(rng.choice(60, size=30, replace=False)))[0])
             bank.pop_top_fraction(0.1)
         held = np.unique(np.concatenate([rr.order[pos] for b in banks for _, pos in b.chunks()]))
         assert 0 < len(held) < len(key)
@@ -1069,6 +1150,39 @@ class TestCompactRoundRows:
                 assert (value.dtype, value.shape) == (want.dtype, want.shape), name
                 assert value.tobytes() == want.tobytes(), name
 
+    def test_only_each_banks_newest_chunk_changes(self):
+        # Bank 2 banks round 2's top row, which outweighs every round-1 row
+        # (clipped to 1), so its pop takes that row and leaves its round-1
+        # chunk newest.  Compacting round 2 replaces banks 0 and 1's newest
+        # chunks and nothing else.
+        rng = np.random.default_rng(16)
+        rr1 = round_rows(random_packets(rng, 20, 10, 2), 1)
+        rr2 = round_rows(random_packets(rng, 20, 10, 2), 2, mu=np.inf)
+        assert rr2.row_norms[rr2.order[0]] > 1.0
+        banks = [MemoryBank(3) for _ in range(3)]
+        for bank in banks:
+            bank.ingest(rr1, rr1.refs_of(np.sort(rng.choice(20, size=10, replace=False)))[0])
+            bank.pop_top_fraction(0.1)
+        compact_round_rows(rr1, banks)
+        for bank in banks[:2]:
+            bank.ingest(rr2, rr2.refs_of(np.sort(rng.choice(20, size=10, replace=False)))[0])
+            bank.pop_top_fraction(0.1)
+        banks[2].ingest(rr2, rr2.order[:1])
+        banks[2].pop_top_fraction(0.01)
+        assert [len(b.chunks()) for b in banks] == [2, 2, 1]
+        before = [[(chunk_rr, positions.tobytes()) for chunk_rr, positions in b._chunks] for b in banks]
+        want = [[(r, s, i, row.tobytes()) for r, s, i, row in b.entries()] for b in banks]
+        compact_round_rows(rr2, banks)
+        for bank, chunks in zip(banks, before):
+            now = [(chunk_rr, positions.tobytes()) for chunk_rr, positions in bank._chunks]
+            assert [c[0] for c in now[:-1]] == [c[0] for c in chunks[:-1]]
+            assert [c[1] for c in now[:-1]] == [c[1] for c in chunks[:-1]]
+        assert all(b._chunks[-1][0] is not rr2 for b in banks[:2])
+        assert banks[2]._chunks[-1][0] is before[2][-1][0]
+        assert banks[2]._chunks[-1][1].tobytes() == before[2][-1][1]
+        assert_round_compacted(2, banks)
+        assert [[(r, s, i, row.tobytes()) for r, s, i, row in b.entries()] for b in banks] == want
+
     def test_fully_held_round_is_kept(self):
         bank = MemoryBank(3)
         rr = round_rows(random_packets(np.random.default_rng(13), 4, 5, 2), 1)
@@ -1080,13 +1194,14 @@ class TestCompactRoundRows:
 class TestUcsuAggregate:
     def test_empty_everything_is_noop(self):
         bank = MemoryBank(10)
-        items, rows = ucsu_aggregate(bank, *received([], mu=1.0, bank=True), nu=0.1)
+        # a receiver always has a neighbor; this one sent no rows
+        items, rows = ucsu_aggregate(bank, *received([packet(0, {}, np.zeros(2))], mu=1.0, bank=True), nu=0.1)
         assert len(items) == 0
 
     def test_empty_bank_returns_rows_of_embed_dim(self):
         # No neighbor sent rows: the empty aggregate is shaped as every
         # other aggregator's.
-        rr = round_rows([packet(0, {0: np.ones(3)}, np.zeros(2), dim=3)])
+        rr = round_rows([packet(0, {0: np.ones(3)}, np.zeros(2), dim=3)], clients=2)
         senders = np.array([1])
         items, rows = ucsu_aggregate(MemoryBank(10), rr, senders, nu=0.1)
         assert items.dtype == np.int64 and items.shape == (0,)
@@ -1122,7 +1237,8 @@ class TestUcsuAggregate:
         small = packet(1, {1: np.array([0.5, 0.0])}, np.zeros(2))
         items1, _ = ucsu_aggregate(bank, *received([big, small], mu=1.0, bank=True), nu=0.5)
         assert items1.tolist() == [0]
-        items2, _ = ucsu_aggregate(bank, *received([], round_no=2, mu=1.0, bank=True), nu=1.0)
+        quiet = packet(1, {}, np.zeros(2))  # round 2's neighbor sends no rows
+        items2, _ = ucsu_aggregate(bank, *received([quiet], round_no=2, mu=1.0, bank=True), nu=1.0)
         assert items2.tolist() == [1]  # the held-back row surfaces later
 
 
@@ -1146,8 +1262,9 @@ def bank_histories(draw):
             items = draw(st.lists(st.integers(0, 5), unique=True, max_size=4))
             rows = {i: np.array(draw(st.lists(BANK_VALUES, min_size=2, max_size=2))) for i in items}
             packets.append((sender, rows))
-        # neighbor ids may exceed every sender (clients that sent no rows)
-        neighbors = sorted(draw(st.lists(st.integers(0, 7), unique=True)))
+        # neighbor ids may exceed every sender (clients that sent no rows);
+        # a receiver has at least one
+        neighbors = sorted(draw(st.lists(st.integers(0, 7), unique=True, min_size=1)))
         rounds.append((t, packets, neighbors))
     return capacity, nu, mu, rounds
 
@@ -1162,10 +1279,10 @@ class TestBankAgainstReference:
         ref = ReferenceBank(capacity)
         for t, packets, neighbors in rounds:
             pkts = [packet(s, rows, np.zeros(2)) for s, rows in packets]
-            rr = round_rows(pkts, t, mu=mu)
+            rr = round_rows(pkts, t, mu=mu, clients=8)
             senders = np.array(neighbors, dtype=np.int64)
-            refs = rr.refs_of(senders)
-            assert refs.tolist() == [j for j in range(len(rr.items)) if rr.senders[j] in neighbors]
+            refs, _ = rr.refs_of(senders)
+            assert refs.tolist() == [j for j in range(len(rr.items)) if row_senders(rr)[j] in neighbors]
 
             items, rows = ucsu_aggregate(agg_bank, rr, senders, nu)
             bank.ingest(rr, refs)

@@ -48,6 +48,7 @@ from helpers import (
     dense_block_trimmed,
     per_item_mean_loop,
     received_packets,
+    row_senders,
     run_keeping_world,
 )
 
@@ -193,7 +194,7 @@ def test_applied_aggregates_have_the_oracle_bits(tiny, monkeypatch, defense):
             blocks.append(self)
 
     def build_spy(rr, *args, **kwargs):
-        sent[rr.round] = RoundRows(rr.round, rr.senders.copy(), rr.items.copy(), rr.rows.copy())
+        sent[rr.round] = RoundRows(rr.round, rr.sender_start.copy(), rr.items.copy(), rr.rows.copy())
         return real_build(rr, *args, **kwargs)
 
     monkeypatch.setattr(simulation, "RoundBlock", BlockSpy)
@@ -372,7 +373,7 @@ def test_round_rows_are_the_sent_packets_in_the_round_block(tiny, monkeypatch, d
         sent.clear()
         block = blocks[-1]
         assert np.shares_memory(rr.rows, block.rows)
-        raw = (rr.senders.copy(), rr.items.copy(), rr.rows.copy())
+        raw = (row_senders(rr), rr.items.copy(), rr.rows.copy())
         built = real_build(rr, *args, **kwargs)
         builds.append((packets, raw, built, block.nets.copy()))
         return built
@@ -572,13 +573,13 @@ def test_clients_without_pairs_send_empty_packets(tiny, monkeypatch, overrides):
         return user_grad, pkt
 
     def collab_spy(adv, rr, *args):
-        absorbed.append(([current[k] for k in sorted(current)], rr.senders.copy(), rr.rows.copy()))
+        absorbed.append(([current[k] for k in sorted(current)], row_senders(rr), rr.rows.copy()))
         return real_collab(adv, rr, *args)
 
     def build_spy(*args, **kwargs):
         current.clear()  # the round's honest packets
         rr = real_build(*args, **kwargs)
-        builds.append(set(rr.senders.tolist()))
+        builds.append(set(row_senders(rr).tolist()))
         return rr
 
     monkeypatch.setattr(simulation, "compute_gradients", gradients_spy)
