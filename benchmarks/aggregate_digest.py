@@ -17,8 +17,8 @@ the neighbor step absorbs an aggregate's last bits.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
-import sys
 
 from decrecsim import simulation
 from decrecsim.cli import load_dataset
@@ -51,11 +51,16 @@ def aggregate_digest(config) -> str:
     return combined.hexdigest()
 
 
-def main(argv: list[str]) -> int:
-    overrides = dict(arg.split("=", 1) for arg in argv)
-    print(aggregate_digest(parse_config(None, overrides)))
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("overrides", nargs="*", metavar="KEY=VALUE", help="config key over the defaults")
+    args = parser.parse_args(argv)
+    bad = [kv for kv in args.overrides if "=" not in kv]
+    if bad:
+        parser.error(f"expected KEY=VALUE, got {bad[0]!r}")
+    print(aggregate_digest(parse_config(None, dict(kv.split("=", 1) for kv in args.overrides))))
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
